@@ -280,14 +280,22 @@ def _suite_icosa(samples, seed, height):
         _check("icosa/invariance-U", "j o U = j over Q(zeta5)",
                icosa.verify_invariance("U")),
     ]
+    # the identity is proved for all (m, n); the grid re-checks it pointwise
+    failures = []
+    mismatch = icosa.resolvent_identity_mismatch()
+    if mismatch is not None:
+        failures.append("first mismatched coefficient: (X^%d, m^%d n^%d)"
+                        % mismatch)
     grid = icosa.resolvent_grid()
     bad = [pair for pair in grid if not icosa.verify_resolvent_quintic(*pair)]
+    if bad:
+        failures.append("failing pairs: " + ", ".join(
+            f"({_fmt(m)}, {_fmt(n)})" for m, n in bad))
     checks.append(_check(
         "icosa/resolvent-grid",
         "resolvents x_0..x_4 solve x^5 + Ax^2 + Bx + C at (m, n/12, j)",
-        not bad,
-        f"{len(grid)} rational (m, n) pairs" if not bad
-        else f"failing pairs: {bad}"))
+        not failures,
+        "; ".join(failures) or f"{len(grid)} rational (m, n) pairs"))
     return checks
 
 

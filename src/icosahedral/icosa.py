@@ -12,12 +12,14 @@ checks that j is invariant under the Moebius transformations
 
     S: z -> zeta5 z,   T: z -> (eps z + 1)/(z - eps),   U: z -> -1/z,
 
-and verifies that for rational m, n the five resolvents
+and proves that for all m, n the five resolvents
 
     x_nu = m/(L_nu+3) + n/((L_nu+3)(L_nu^2+10 L_nu+45)),  L_nu = lambda(zeta5^nu z),
 
 are exactly the roots of x^5 + A x^2 + B x + C with the coefficient
-functions of quintic.resolvent_coeffs evaluated at (m, n/12, j(z)).
+functions of quintic.resolvent_coeffs evaluated at (m, n/12, j(z)), by
+comparing both sides as forms in (m, n) coefficient by coefficient; a
+rational (m, n) grid re-checks the identity pointwise.
 
 Although lambda is assembled from quadratics with eps = (sqrt5-1)/2 in their
 coefficients, the eps-parts cancel on expansion: lambda, mu, j all have
@@ -44,6 +46,7 @@ __all__ = [
     "verify_invariance",
     "resolvent_functions",
     "verify_resolvent_quintic",
+    "resolvent_identity_mismatch",
     "resolvent_grid",
     "RESOLVENT_M_VALUES",
     "RESOLVENT_N_VALUES",
@@ -214,12 +217,14 @@ RESOLVENT_N_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
 
 
 def resolvent_grid():
-    """The 6x6 rational (m, n) grid used by the grid acceptance check.
+    """The 6x6 rational (m, n) grid of the pointwise cross-check.
 
+    resolvent_identity_mismatch proves the identity for all (m, n),
+    coefficient by coefficient.  The grid re-checks it at 36 points,
+    evaluating the same forms but an independently written right-hand side.
     Each elementary symmetric function of the resolvents, cleared of
-    denominators, depends polynomially on (m, n) with degree at most 5 in
-    each variable, so agreement on a 6x6 tensor grid pins the identity for
-    all m, n.
+    denominators, has degree at most 5 in each of m and n, so agreement on
+    the 6x6 tensor grid alone would also pin the identity for all m, n.
     """
     return tuple((m, n) for m in RESOLVENT_M_VALUES for n in RESOLVENT_N_VALUES)
 
@@ -283,23 +288,111 @@ def resolvent_functions(m, n):
     return tuple(out)
 
 
-def _resolvent_coeff_polys(m, n):
-    """Coefficients c_k(z) of prod_nu (X W_nu - (m U_nu + n V_nu)) in X."""
+@lru_cache(maxsize=1)
+def _resolvent_forms():
+    """prod_nu (X W_nu - m U_nu - n V_nu) as forms in (m, n) over Q.
+
+    forms[k][i] is c_{k,i}(z), the coefficient of X^k m^i n^(5-k-i), for
+    k = 0..5 and i = 0..5-k.  The product is expanded once over Q(zeta5)
+    with m and n kept symbolic; the conjugations zeta5 -> zeta5^a only
+    permute its factors, and each c_{k,i} is asserted rational rather than
+    assumed so.
+    """
     U, V, W, *_ = _resolvent_parts()
-    dom = QZETA5.domain()
-    # acc maps X-degree -> z-polynomial
-    acc = [Poly.one(dom)]
-    for nu in range(5):
-        Pnu = U[nu] * m + V[nu] * n
-        shifted = [Poly((), dom)] + [c * W[nu] for c in acc]
-        lowered = [c * (-Pnu) for c in acc] + [Poly((), dom)]
-        acc = [s + l for s, l in zip(shifted, lowered)]
-    return acc  # length 6, degrees 0..5 in X
+    acc = {(0, 0): Poly.one(QZETA5.domain())}
+    for u, v, w in zip(U, V, W):
+        steps = (((1, 0), w), ((0, 1), -u), ((0, 0), -v))
+        nxt = {}
+        for (k, i), c in acc.items():
+            for (dk, di), f in steps:
+                key = (k + dk, i + di)
+                term = c * f
+                nxt[key] = nxt[key] + term if key in nxt else term
+        acc = nxt
+    return tuple(tuple(_project_rational(acc[k, i]) for i in range(6 - k))
+                 for k in range(6))
+
+
+def _resolvent_coeff_polys(m, n):
+    """Coefficients c_k(z) over Q of prod_nu (X W_nu - (m U_nu + n V_nu)) in X."""
+    out = []
+    for k, row in enumerate(_resolvent_forms()):
+        acc = Poly((), QDOM)
+        for i, form in enumerate(row):
+            s = m ** i * n ** (5 - k - i)
+            if s:
+                acc = acc + form.scale(s)
+        out.append(acc)
+    return out  # length 6, degrees 0..5 in X
+
+
+def _resolvent_rhs(w_per_n):
+    """prodW (X^5 + A X^2 + B X + C) as forms in (m, n), with w = w_per_n n.
+
+    Entry k is (den_k, nums_k) such that the identity's X^k coefficient
+    reads c_{k,i} den_k = prodW nums_k[i] for every i; A, B, C are the
+    coefficient functions at (m, w, j) with j = Jn/Jd.
+    """
+    _, _, _, _, Jn, Jd, D = _resolvent_parts()
+    one, zero = Poly.one(QDOM), Poly((), QDOM)
+    JdD, Jd2, D2 = Jd * D, Jd * Jd, D * D
+    # (den, outer, {i: inner}): the numerator is outer * sum_i inner m^i w^(d-i)
+    cleared = {
+        # A = -20 Jd (D (2 m^3 + 3 m^2 w) + 432 Jd (6 m w^2 + w^3)) / (Jn D)
+        2: (Jn * D, Jd.scale(-20),
+            {3: D.scale(2), 2: D.scale(3), 1: Jd.scale(2592), 0: Jd.scale(432)}),
+        # B = -5 Jd (m^4 D^2 - 864 (3 m^2 w^2 + 2 m w^3) Jd D
+        #            - 559872 w^4 Jd^2) / (Jn D^2)
+        1: (Jn * D2, Jd.scale(-5),
+            {4: D2, 2: JdD.scale(-2592), 1: JdD.scale(-1728),
+             0: Jd2.scale(-559872)}),
+        # C = -Jd (m^5 D^2 - 1440 m^3 w^2 Jd D
+        #          + 62208 (15 m w^4 + 4 w^5) Jd^2) / (Jn D^2)
+        0: (Jn * D2, Jd.scale(-1),
+            {5: D2, 3: JdD.scale(-1440), 1: Jd2.scale(933120),
+             0: Jd2.scale(248832)}),
+    }
+    rhs = {5: (one, (one,)), 4: (one, (zero,) * 2), 3: (one, (zero,) * 3)}
+    for k, (den, outer, inner) in cleared.items():
+        d = 5 - k
+        rhs[k] = (den, tuple(
+            (outer * inner[i]).scale(w_per_n ** (d - i)) if i in inner else zero
+            for i in range(d + 1)))
+    return tuple(rhs[k] for k in range(6))
+
+
+def _first_mismatch(forms, rhs):
+    """The first (k, i, j) with c_{k,i} den_k != prodW nums_k[i], or None."""
+    prodW = _resolvent_parts()[3]
+    for k in range(5, -1, -1):
+        den, nums = rhs[k]
+        for i, (c, num) in enumerate(zip(forms[k], nums)):
+            if c * den != prodW * num:
+                return k, i, 5 - k - i
+    return None
+
+
+def resolvent_identity_mismatch():
+    """Prove the resolvent identity for all (m, n) at once.
+
+    Both sides of prod_nu (X W_nu - m U_nu - n V_nu)
+    = prodW (X^5 + A X^2 + B X + C), with (A, B, C) at (m, n/12, j) and
+    denominators cleared, are forms in (m, n) with z-polynomial
+    coefficients; they are compared monomial by monomial, which is the
+    identity for every (m, n).  Returns None when every coefficient
+    matches, else (k, i, j) naming the first mismatch at X^k m^i n^j.
+    """
+    return _first_mismatch(_resolvent_forms(), _resolvent_rhs(Fraction(1, 12)))
 
 
 def verify_resolvent_quintic(m, n):
-    """Exactly verify that x_0..x_4 are the roots of x^5 + A x^2 + B x + C
-    with (A, B, C) the coefficient functions at (m, n/12, j(z)).
+    """Exactly verify, at one rational (m, n), that x_0..x_4 are the roots of
+    x^5 + A x^2 + B x + C with (A, B, C) the coefficient functions at
+    (m, n/12, j(z)).
+
+    resolvent_identity_mismatch proves this for all (m, n); this pointwise
+    check evaluates the cached forms c_{k,i} at (m, n) and compares them
+    with the right-hand side written out directly, as a cross-check.
 
     The coefficient formulas and the resolvent substitution carry different
     normalizations of the second parameter: the resolvents built with n are
@@ -313,8 +406,7 @@ def verify_resolvent_quintic(m, n):
     m, n = Fraction(m), Fraction(n)
     w = n / 12
     _, _, _, prodW, Jn, Jd, D = _resolvent_parts()
-    acc = _resolvent_coeff_polys(m, n)
-    c0, c1, c2, c3, c4, c5 = (_project_rational(p) for p in acc)
+    c0, c1, c2, c3, c4, c5 = _resolvent_coeff_polys(m, n)
     if not c4.is_zero() or not c3.is_zero():
         return False
     if c5 != prodW:

@@ -155,7 +155,7 @@ def test_12_mutation_suite():
     # resolvent quintic: the n-normalization (n in place of n/12)
     m, n = Fraction(0), Fraction(1)
     _, _, _, prodW, Jn, Jd, D = icosa._resolvent_parts()
-    c2 = icosa._project_rational(icosa._resolvent_coeff_polys(m, n)[2])
+    c2 = icosa._resolvent_coeff_polys(m, n)[2]
     alpha = 2 * m ** 3 + 3 * m ** 2 * n
     beta = 6 * m * n ** 2 + n ** 3
     An = Jd * (D.scale(alpha) + Jd.scale(432 * beta)).scale(-20)

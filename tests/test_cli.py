@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -193,6 +194,26 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     statuses = {c["id"]: c["status"] for c in report["checks"]}
     assert statuses["hecke/sigma-identity"] == "fail"
     assert statuses["hecke/square-identity"] == "pass"
+
+
+@pytest.mark.parametrize("mismatch, witness", [
+    (None, "failing pairs: (0, 1), (1/2, 1/3)"),
+    ((2, 0, 3), "first mismatched coefficient: (X^2, m^0 n^3); "
+                "failing pairs: (0, 1), (1/2, 1/3)"),
+], ids=["grid", "proof-and-grid"])
+def test_verify_resolvent_failure_witness(capsys, monkeypatch, mismatch,
+                                          witness):
+    bad = {(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1, 3))}
+    monkeypatch.setattr(cli.icosa, "resolvent_identity_mismatch",
+                        lambda: mismatch)
+    monkeypatch.setattr(cli.icosa, "verify_resolvent_quintic",
+                        lambda m, n: (m, n) not in bad)
+    rc, out, _ = run_cli(capsys, "verify", "icosa")
+    assert rc == 1
+    check = {c["id"]: c for c in json.loads(out)["checks"]}[
+        "icosa/resolvent-grid"]
+    assert check["status"] == "fail"
+    assert check["witness"] == witness
 
 
 def test_verify_timings_flag(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -179,7 +180,7 @@ def test_resolvent_quintic_mutation():
     m, n = Fraction(0), Fraction(1)
     _, _, _, prodW, Jn, Jd, D = icosa._resolvent_parts()
     acc = icosa._resolvent_coeff_polys(m, n)
-    c2 = icosa._project_rational(acc[2])
+    c2 = acc[2]
     alpha = 2 * m ** 3 + 3 * m ** 2 * n
     beta = 6 * m * n ** 2 + n ** 3
     An = Jd * (D.scale(alpha) + Jd.scale(432 * beta)).scale(-20)
@@ -187,10 +188,55 @@ def test_resolvent_quintic_mutation():
     assert c2 * Ad != prodW * An
 
 
-def test_random_mn_resolvent():
+def _seeded_mn():
     rng = random.Random(20260815)
     m = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
     n = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
     if not m and not n:
         m = Fraction(1)
-    assert icosa.verify_resolvent_quintic(m, n)
+    return m, n
+
+
+def test_random_mn_resolvent():
+    assert icosa.verify_resolvent_quintic(*_seeded_mn())
+
+
+def _direct_coeff_polys(m, n):
+    """Reference: expand prod_nu (X W_nu - (m U_nu + n V_nu)) over Q(zeta5)
+    at one (m, n), then project each X^k coefficient to Q."""
+    U, V, W, *_ = icosa._resolvent_parts()
+    dom = QZETA5.domain()
+    acc = [Poly.one(dom)]
+    for nu in range(5):
+        Pnu = U[nu] * m + V[nu] * n
+        shifted = [Poly((), dom)] + [c * W[nu] for c in acc]
+        lowered = [c * (-Pnu) for c in acc] + [Poly((), dom)]
+        acc = [s + l for s, l in zip(shifted, lowered)]
+    return [icosa._project_rational(c) for c in acc]
+
+
+@pytest.mark.parametrize("mn", [(Fraction(2), Fraction(3)), _seeded_mn()])
+def test_resolvent_forms_match_direct_product(mn):
+    assert icosa._resolvent_coeff_polys(*mn) == _direct_coeff_polys(*mn)
+
+
+def test_resolvent_identity_all_mn():
+    started = time.monotonic()
+    assert icosa.resolvent_identity_mismatch() is None
+    assert time.monotonic() - started < 10
+
+
+def test_resolvent_identity_mutation_n_normalization():
+    # the right-hand side at (m, n, j) instead of (m, n/12, j)
+    rhs = icosa._resolvent_rhs(Fraction(1))
+    assert icosa._first_mismatch(icosa._resolvent_forms(), rhs) is not None
+
+
+def test_resolvent_identity_mutation_one_coefficient():
+    # c_{1,2}, the coefficient of X m^2 n^2, with one z-coefficient off by 1
+    forms = [list(row) for row in icosa._resolvent_forms()]
+    coeffs = list(forms[1][2].coeffs)
+    coeffs[7] += 1
+    forms[1][2] = Poly(coeffs, forms[1][2].dom)
+    rhs = icosa._resolvent_rhs(Fraction(1, 12))
+    assert icosa._first_mismatch(forms, rhs) == (1, 2, 2)
