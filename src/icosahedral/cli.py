@@ -23,15 +23,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import random
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-
-from sympy import factorint
 
 from . import __version__, hecke, icosa, localfield, qcurve, repn
 from .exact import QSQRT5
@@ -82,15 +80,56 @@ def _exact_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _primes_below(n: int) -> tuple:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
+# trial divisors of _square_part; fixed, so its work per call is bounded
+_TRIAL_PRIMES = _primes_below(10 ** 4 + 1)
+
+
+def _square_part(n: int) -> int:
+    """An s with s^2 dividing n >= 0, found in bounded time.
+
+    Takes out the square part over the primes up to 10^4, then a cofactor
+    that is a perfect square.  n / s^2 is squarefree whenever the cofactor
+    left after trial division is below 10^12 (it then has at most two prime
+    factors, all above 10^4); above that it may keep the square of a prime
+    larger than 10^4.
+    """
+    square = 1
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p:
+            continue
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        square *= p ** (e // 2)
+    r = math.isqrt(n)
+    if r > 1 and r * r == n:
+        square *= r
+    return square
+
+
 def _quad_string(a, b, d) -> str:
-    """Render a + b*sqrt(d), d rational, with a squarefree integer radicand."""
+    """Render a + b*sqrt(d), d rational, with an integer radicand.
+
+    The radicand is num(d)*den(d) divided by the square _square_part
+    finds: squarefree unless it keeps the square of a prime above 10^4.
+    The rendered value is exact either way.
+    """
     a, b, d = Fraction(a), Fraction(b), Fraction(d)
     n = d.numerator * d.denominator
-    sign = -1 if n < 0 else 1
-    square = 1
-    for p, e in factorint(abs(n)).items():
-        square *= p ** (e // 2)
-    radicand = sign * (abs(n) // (square * square))
+    square = _square_part(abs(n))
+    radicand = n // (square * square)
     coef = b * Fraction(square, d.denominator)
     if radicand == 1 or not coef:
         return _fmt(a + coef * radicand if radicand == 1 else a)
@@ -208,16 +247,6 @@ def _analyze_one(rec: dict) -> dict:
     return out
 
 
-def _analyze_text(result: dict) -> str:
-    name = result.get("label") or result["quintic"]
-    if result["status"] == "error":
-        return f"{name}: error: {result['error']}"
-    t = result["t"] if result["t"] is not None else "none"
-    hyp = {True: "true", False: "false", None: "n/a"}[result["hypothesis"]]
-    return (f"{name}: disc={result['disc']}, t={t}, hypothesis={hyp}, "
-            f"j_candidates={result['j_candidates']}")
-
-
 def cmd_analyze(args) -> int:
     records = []
     if args.file:
@@ -239,18 +268,13 @@ def cmd_analyze(args) -> int:
         records.append({"A": args.a if args.a is not None else Fraction(0),
                         "B": args.b, "C": args.c})
     log.info("analyzing %d record(s)", len(records))
-    workers = max(1, min(8, os.cpu_count() or 1, len(records)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_analyze_one, records))
+    results = [_analyze_one(rec) for rec in records]
     checks = [
         _check(f"record-{i}", r.get("label", r["quintic"]),
-               "ok" if r["status"] == "ok" else "skipped",
+               "pass" if r["status"] == "ok" else "skipped",
                r.get("error"))
         for i, r in enumerate(results, start=1)
     ]
-    for chk in checks:
-        if chk["status"] == "ok":
-            chk["status"] = "pass"
     lines = [json.dumps(r, separators=(",", ":")) for r in results]
     if args.json:
         report = _report("analyze", checks, args.seed, DEFAULT_SAMPLES,

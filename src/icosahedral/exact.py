@@ -7,8 +7,8 @@ Everything is immutable and exact; there is no floating point anywhere.
 Scalars default to ``fractions.Fraction``.  An algebra element is a
 coordinate vector over a :class:`FieldDescriptor` holding a basis-by-basis
 multiplication table; only the fixed algebras needed by the rest of the
-package are provided (Q, Q(sqrt5), Q(zeta5), Q(eps,i), Q(sqrt5,sqrt-2), F5,
-plus ad-hoc quadratic and power-basis extensions).  Polynomials are dense
+package are provided (Q, Q(sqrt5), Q(zeta5), Q(eps,i), plus ad-hoc quadratic
+and power-basis extensions).  Polynomials are dense
 coefficient tuples, lowest degree first, over any exact coefficient domain.
 Multiplication over Q and over Fraction-coordinate algebras packs
 coefficients into big integers (Kronecker substitution) instead of
@@ -27,7 +27,6 @@ from fractions import Fraction
 
 __all__ = [
     "Fraction",
-    "GF5",
     "FieldDescriptor",
     "AlgElement",
     "Domain",
@@ -37,11 +36,9 @@ __all__ = [
     "field_tower",
     "quadratic_field",
     "power_basis_algebra",
-    "alg_arith",
     "embed",
     "poly_gcd",
     "resultant",
-    "ratfunc_compose",
     "sqrt_exact",
     "poly_sqrt",
 ]
@@ -62,76 +59,13 @@ def sqrt_exact(x):
     return Fraction(rn, rd)
 
 
-class GF5:
-    """Element of the field with five elements."""
-
-    __slots__ = ("v",)
-    _INV = (0, 1, 3, 2, 4)
-
-    def __init__(self, v):
-        if isinstance(v, GF5):
-            v = v.v
-        elif isinstance(v, Fraction):
-            d = v.denominator % 5
-            if d == 0:
-                raise ZeroDivisionError("denominator divisible by 5")
-            v = v.numerator * GF5._INV[d]
-        self.v = v % 5
-
-    def __add__(self, o):
-        return GF5(self.v + GF5(o).v)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        return GF5(self.v - GF5(o).v)
-
-    def __rsub__(self, o):
-        return GF5(GF5(o).v - self.v)
-
-    def __mul__(self, o):
-        return GF5(self.v * GF5(o).v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = GF5(o)
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in GF(5)")
-        return GF5(self.v * GF5._INV[o.v])
-
-    def __rtruediv__(self, o):
-        return GF5(o) / self
-
-    def __neg__(self):
-        return GF5(-self.v)
-
-    def __pow__(self, n):
-        return GF5(pow(self.v, n, 5))
-
-    def __eq__(self, o):
-        try:
-            return self.v == GF5(o).v
-        except (TypeError, ZeroDivisionError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(("GF5", self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"GF5({self.v})"
-
-
 class FieldDescriptor:
     """A finite-dimensional commutative Q-algebra by structure constants.
 
     ``table[i][j]`` holds the coordinates of basis_i * basis_j.  Scalars are
     Fractions by default but may be any exact field (rational functions for
-    parametric towers, GF5 for the mod-5 descriptor); ``scalar`` coerces
-    ints and Fractions into the scalar domain.
+    parametric towers); ``scalar`` coerces ints and Fractions into the
+    scalar domain.
     """
 
     def __init__(self, name, basis, table, scalar_zero=Fraction(0),
@@ -416,42 +350,16 @@ def _build_qepsi():
     return fd
 
 
-def _build_qsqrt5m2():
-    # basis 1, s5, m2, m10 with s5^2 = 5, m2^2 = -2, m10 = s5*m2
-    F = Fraction
-
-    def v(a=0, b=0, c=0, d=0):
-        return (F(a), F(b), F(c), F(d))
-
-    table = [
-        [v(1), v(0, 1), v(0, 0, 1), v(0, 0, 0, 1)],
-        [v(0, 1), v(5), v(0, 0, 0, 1), v(0, 0, 5)],
-        [v(0, 0, 1), v(0, 0, 0, 1), v(-2), v(0, -2)],
-        [v(0, 0, 0, 1), v(0, 0, 5), v(0, -2), v(-10)],
-    ]
-    fd = FieldDescriptor("Qsqrt5sqrtm2", ("1", "s5", "m2", "m10"), table)
-    fd.involutions["sigma"] = _neg_identity_signs((1, -1, 1, -1))
-    return fd
-
-
 def _build_q():
     return FieldDescriptor("Q", ("1",), (((Fraction(1),),),))
-
-
-def _build_f5():
-    return FieldDescriptor("F5", ("1",), (((GF5(1),),),),
-                           scalar_zero=GF5(0), scalar_one=GF5(1), coerce=GF5)
 
 
 Q = _build_q()
 QSQRT5 = _build_qsqrt5()
 QZETA5 = _build_qzeta5()
 QEPSI = _build_qepsi()
-QSQRT5M2 = _build_qsqrt5m2()
-F5 = _build_f5()
 
-_NAMED = {"Q": Q, "Qsqrt5": QSQRT5, "Qzeta5": QZETA5, "QepsI": QEPSI,
-          "Qsqrt5sqrtm2": QSQRT5M2, "F5": F5}
+_NAMED = {"Q": Q, "Qsqrt5": QSQRT5, "Qzeta5": QZETA5, "QepsI": QEPSI}
 
 
 def quadratic_field(d):
@@ -491,21 +399,6 @@ def field_tower(name, params=()):
     return fd
 
 
-def alg_arith(a, b, op):
-    """Dispatch arithmetic in a structure-constant algebra by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "inv":
-        return a.inv()
-    raise ValueError(f"unknown op {op!r}")
-
-
 # Images of source basis elements inside the target algebra.
 _EMBEDDINGS = {}
 
@@ -523,8 +416,6 @@ def _embedding(src, dst):
     elif src is QSQRT5 and dst is QEPSI:
         # eps = (sqrt5 - 1)/2, so sqrt5 = 1 + 2 eps
         images = (dst.one, dst.element((1, 2, 0, 0)))
-    elif src is QSQRT5 and dst is QSQRT5M2:
-        images = (dst.one, dst.gen(1))
     if images is None:
         raise ValueError(f"no embedding {src.name} -> {dst.name}")
     _EMBEDDINGS[key] = images
@@ -562,10 +453,6 @@ class Domain:
     @staticmethod
     def for_polys(inner):
         return Domain(Poly((), inner), Poly((inner.one,), inner), "gen")
-
-    @staticmethod
-    def generic(zero, one):
-        return Domain(zero, one, "gen")
 
 
 QDOM = Domain(Fraction(0), Fraction(1), "q")
@@ -650,10 +537,10 @@ class Poly:
         return Poly(tuple(Fraction(c) for c in coeffs), QDOM)
 
     @staticmethod
-    def over(field, coeff_vectors):
+    def over(field, vectors):
         dom = field.domain()
         return Poly(tuple(field.element(v) if not isinstance(v, AlgElement) else v
-                          for v in coeff_vectors), dom)
+                          for v in vectors), dom)
 
     # -- basics ------------------------------------------------------------
 
@@ -1108,11 +995,6 @@ def resultant(p, q):
     if s < 0:
         res = -res
     return res
-
-
-def ratfunc_compose(f, g):
-    """Normalized f(g) for rational functions over the same domain."""
-    return f.compose(g)
 
 
 def poly_sqrt(p):

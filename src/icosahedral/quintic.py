@@ -59,12 +59,6 @@ class Quintic:
         object.__setattr__(self, "b", Fraction(self.b))
         object.__setattr__(self, "c", Fraction(self.c))
 
-    def coeff_vector(self):
-        """Dense coefficient list, constant term first."""
-        one = Fraction(1)
-        zero = Fraction(0)
-        return [self.c, self.b, self.a, zero, zero, one]
-
     def __call__(self, x):
         x = Fraction(x)
         return x ** 5 + self.a * x ** 2 + self.b * x + self.c

@@ -1,12 +1,17 @@
 import json
+import math
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from sympy import factorint
 
 import icosahedral
 from icosahedral import cli
@@ -106,6 +111,98 @@ def test_analyze_text_mode_summary(capsys):
     record, = json_lines(out)
     assert record["t"] == "1"
     assert "1 record(s), 1 ok, 0 with errors" in err
+
+
+# primes below and above the trial-division bound 10^4 of _square_part
+SMALL_PRIMES = (2, 3, 5, 7, 11, 9967, 9973)
+LARGE_PRIMES = (10007, 10009, 65537, 999983)
+
+
+def square_part_reference(n):
+    square = 1
+    for p, e in factorint(n).items():
+        square *= p ** (e // 2)
+    return square
+
+
+def parse_quad(text):
+    """(a, c, r) from "a +- c*sqrt(r)"; (value, 0, 1) for a bare rational."""
+    m = re.fullmatch(r"(\S+) ([+-]) (\S+)\*sqrt\((-?\d+)\)", text)
+    if m is None:
+        return Fraction(text), Fraction(0), 1
+    c = Fraction(m.group(3))
+    return Fraction(m.group(1)), (-c if m.group(2) == "-" else c), \
+        int(m.group(4))
+
+
+def assert_quad_exact(text, a, b, d):
+    """text renders a + b*sqrt(d): same rational part, same root."""
+    got_a, c, r = parse_quad(text)
+    if r == 1:
+        root = math.isqrt(d.numerator) / Fraction(math.isqrt(d.denominator))
+        assert got_a == a + b * root
+        return
+    assert got_a == a
+    assert c * c * r == b * b * d and (c > 0) == (b > 0)
+
+
+def test_quad_string_radicand_matches_factorint():
+    rng = random.Random(20260815)
+    for _ in range(300):
+        # at most two large prime factors, so the cofactor after trial
+        # division is below 10^12 and the radicand must be squarefree
+        s = math.prod(rng.choice(SMALL_PRIMES)
+                      for _ in range(rng.randint(0, 3)))
+        m = math.prod(rng.choice(SMALL_PRIMES)
+                      for _ in range(rng.randint(0, 3)))
+        large = rng.sample(LARGE_PRIMES, 2)
+        kind = rng.randrange(4)
+        if kind == 1:
+            s *= large[0]
+        elif kind == 2:
+            m *= large[0] * large[1]
+        elif kind == 3:
+            m *= large[0] ** 2
+        n = s * s * m
+        assert cli._square_part(n) == square_part_reference(n)
+        den = rng.choice((1, 1, 4, 5, 12, 9973 ** 2))
+        d = Fraction(rng.choice((-1, 1)) * n, den)
+        a = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+        b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
+                     rng.randint(1, 9))
+        text = cli._quad_string(a, b, d)
+        want = d.numerator * d.denominator
+        want //= square_part_reference(abs(want)) ** 2
+        assert parse_quad(text)[2] == want
+        assert_quad_exact(text, a, b, d)
+
+
+def test_quad_string_large_square_kept():
+    # p^2 q with p, q above 10^4 and p^2 q >= 10^12: trial division cannot
+    # see p, so the radicand keeps p^2; the rendered value stays exact
+    p, q = 10007, 10009
+    assert p * p * q >= 10 ** 12
+    n = 2 ** 2 * 3 * p * p * q
+    assert cli._square_part(n) == 2
+    d = Fraction(-n, 5)
+    text = cli._quad_string(Fraction(1, 3), Fraction(-7, 2), d)
+    assert parse_quad(text)[2] == -3 * 5 * p * p * q
+    assert_quad_exact(text, Fraction(1, 3), Fraction(-7, 2), d)
+
+
+def test_analyze_large_input_within_budget():
+    # 30-digit B and C give a radicand of about 150 digits
+    cmd = [sys.executable, "-m", "icosahedral.cli", "analyze",
+           "--b", "123456789012345678901234567891",
+           "--c", "987654321098765432109876543211"]
+    started = time.monotonic()
+    done = subprocess.run(cmd, capture_output=True, env=child_env(),
+                          timeout=30)
+    wall = time.monotonic() - started
+    assert done.returncode == 0, done.stderr
+    record, = json_lines(done.stdout.decode())
+    assert record["status"] == "ok"
+    assert wall < 5
 
 
 def test_analyze_usage_errors(capsys):
@@ -277,9 +374,12 @@ def test_reports_byte_stable_across_processes():
     assert json.loads(first.stdout)["status"] == "pass"
 
 
-def test_console_script_installed(tmp_path):
-    # Install the console script declared in pyproject.toml the way pip
-    # does, into tmp_path, and run it by name; no package install needed.
+def install_console_script(tmp_path):
+    """Write the console script declared in pyproject.toml the way pip does.
+
+    Returns the script found by name on a PATH that starts at tmp_path, and
+    that environment; no package install is needed.
+    """
     tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as f:
         spec = tomllib.load(f)["project"]["scripts"]["icosahedral"]
@@ -301,6 +401,30 @@ def test_console_script_installed(tmp_path):
         filter(None, [str(tmp_path), env.get("PATH")]))
     exe = shutil.which("icosahedral", path=env["PATH"])
     assert exe == str(script)
+    return exe, env
+
+
+def test_console_script_installed(tmp_path):
+    exe, env = install_console_script(tmp_path)
     done = subprocess.run([exe, "table"], capture_output=True, check=True,
                           env=env)
     assert json.loads(done.stdout)["status"] == "pass"
+
+
+def test_console_script_needs_only_declared_dependencies(tmp_path):
+    # pyproject.toml declares no runtime dependencies, so the entry point
+    # must run where importing sympy (a test-only dependency) fails
+    exe, env = install_console_script(tmp_path)
+    shadow = tmp_path / "shadow"
+    (shadow / "sympy").mkdir(parents=True)
+    (shadow / "sympy" / "__init__.py").write_text(
+        'raise ImportError("sympy is a test-only dependency")\n')
+    env["PYTHONPATH"] = os.pathsep.join([str(shadow), env["PYTHONPATH"]])
+    done = subprocess.run([exe, "table"], capture_output=True, check=True,
+                          env=env)
+    assert json.loads(done.stdout)["status"] == "pass"
+    done = subprocess.run([exe, "analyze", "--b", "4", "--c", "16/5"],
+                          capture_output=True, check=True, env=env)
+    record, = json_lines(done.stdout.decode())
+    assert record["j_candidates"] == ["86048 - 38496*sqrt(5)",
+                                      "86048 + 38496*sqrt(5)"]
