@@ -34,7 +34,7 @@ from fractions import Fraction
 from . import __version__, hecke, icosa, localfield, qcurve, repn
 from .exact import QSQRT5
 from .quintic import (
-    Quintic, family_quintic, hyperelliptic_search, invariants, j_candidates,
+    Quintic, family_quintic, hyperelliptic_search, invariants, j_roots,
     trinomial_t,
 )
 
@@ -119,18 +119,22 @@ def _square_part(n: int) -> int:
     return square
 
 
-def _quad_string(a, b, d) -> str:
-    """Render a + b*sqrt(d), d rational, with an integer radicand.
+def _split_radicand(d) -> tuple:
+    """(radicand, scale) with sqrt(d) = scale*sqrt(radicand), d rational.
 
-    The radicand is num(d)*den(d) divided by the square _square_part
-    finds: squarefree unless it keeps the square of a prime above 10^4.
-    The rendered value is exact either way.
+    The radicand is the integer num(d)*den(d) divided by the square
+    _square_part finds: squarefree unless it keeps the square of a prime
+    above 10^4.  The identity is exact either way.
     """
-    a, b, d = Fraction(a), Fraction(b), Fraction(d)
+    d = Fraction(d)
     n = d.numerator * d.denominator
     square = _square_part(abs(n))
-    radicand = n // (square * square)
-    coef = b * Fraction(square, d.denominator)
+    return n // (square * square), Fraction(square, d.denominator)
+
+
+def _quad_string(a, b, radicand, scale) -> str:
+    """Render a + b*sqrt(d), where (radicand, scale) = _split_radicand(d)."""
+    coef = b * scale
     if radicand == 1 or not coef:
         return _fmt(a + coef * radicand if radicand == 1 else a)
     op = "-" if coef < 0 else "+"
@@ -223,12 +227,12 @@ def _analyze_one(rec: dict) -> dict:
     out["disc"] = _fmt(iv.disc)
     errors = []
     try:
-        roots = j_candidates(Quintic(a, b, c))
-        out["j_candidates"] = [
-            _fmt(r) if isinstance(r, Fraction)
-            else _quad_string(r.coords[0], r.coords[1], 5 * iv.disc)
-            for r in roots
-        ]
+        roots = j_roots(iv)
+        if isinstance(roots[0], Fraction):
+            out["j_candidates"] = [_fmt(r) for r in roots]
+        else:
+            split = _split_radicand(5 * iv.disc)
+            out["j_candidates"] = [_quad_string(*r.coords, *split) for r in roots]
     except (ValueError, ArithmeticError) as exc:
         out["j_candidates"] = None
         errors.append(str(exc))

@@ -10,9 +10,12 @@ multiplication table; only the fixed algebras needed by the rest of the
 package are provided (Q, Q(sqrt5), Q(zeta5), Q(eps,i), plus ad-hoc quadratic
 and power-basis extensions).  Polynomials are dense
 coefficient tuples, lowest degree first, over any exact coefficient domain.
-Multiplication over Q and over Fraction-coordinate algebras packs
-coefficients into big integers (Kronecker substitution) instead of
-schoolbook convolution, which is what keeps the large identity checks cheap.
+Multiplication over Q and over Fraction-coordinate algebras works on
+integer lists under one common denominator per operand: the coordinate
+lists are packed into big integers (Kronecker substitution) instead of
+schoolbook convolution, recombined with the structure constants as
+integers over one table denominator, and a ``Fraction`` is built once per
+output coordinate.  That is what keeps the large identity checks cheap.
 
 Resultant sign convention: ``resultant(p, q)`` is the determinant of the
 Sylvester matrix with the rows built from p listed first, equivalently
@@ -78,8 +81,29 @@ class FieldDescriptor:
         self.scalar_one = scalar_one
         self.involutions = dict(involutions or {})
         self._coerce = coerce
+        self._int_table = None
         if len(self.table) != self.dim or any(len(line) != self.dim for line in self.table):
             raise ValueError("multiplication table shape mismatch")
+
+    def _integer_table(self):
+        """The table as integers over one denominator (Fraction scalars only).
+
+        Returns ``(rows, den, weight)``: ``rows[i][j]`` lists the pairs
+        ``(k, s)`` with s a nonzero integer, so that basis_i * basis_j is the
+        sum of (s / den) * basis_k, and ``weight`` is the largest sum of |s|
+        over the pairs with the same k.  Built on the first product and kept.
+        """
+        if self._int_table is None:
+            d = self.dim
+            ints, den = _clear_denominators(
+                [s for line in self.table for cell in line for s in cell])
+            cells = [ints[n:n + d] for n in range(0, d ** 3, d)]
+            rows = tuple(tuple(tuple((k, s) for k, s in enumerate(cells[i * d + j]) if s)
+                               for j in range(d))
+                         for i in range(d))
+            weight = max(sum(abs(cell[k]) for cell in cells) for k in range(d))
+            self._int_table = (rows, den, weight)
+        return self._int_table
 
     def scalar(self, c):
         if self._coerce is not None:
@@ -178,6 +202,8 @@ class AlgElement:
         if o is NotImplemented:
             return NotImplemented
         f = self.field
+        if f._coerce is None:
+            return self._mul_rational(o)
         zero = f.scalar_zero
         out = [zero] * f.dim
         table = f.table
@@ -194,6 +220,26 @@ class AlgElement:
         return AlgElement(f, tuple(out))
 
     __rmul__ = __mul__
+
+    def _mul_rational(self, other):
+        """Product over Fraction scalars: integer sums, one Fraction per coordinate."""
+        f = self.field
+        rows, dt, _ = f._integer_table()
+        a_ints, da = _clear_denominators(self.coords)
+        b_ints, db = _clear_denominators(other.coords)
+        out = [0] * f.dim
+        for i, a in enumerate(a_ints):
+            if not a:
+                continue
+            row = rows[i]
+            for j, b in enumerate(b_ints):
+                if not b:
+                    continue
+                ab = a * b
+                for k, s in row[j]:
+                    out[k] += ab * s
+        den = da * db * dt
+        return AlgElement(f, tuple(Fraction(c, den) for c in out))
 
     def inv(self):
         """Inverse via Gaussian elimination on the multiplication matrix."""
@@ -458,27 +504,20 @@ class Domain:
 QDOM = Domain(Fraction(0), Fraction(1), "q")
 
 
-def _kron_mul_int(f, g):
-    """Multiply integer coefficient lists via one big-integer product."""
-    if not f or not g:
-        return []
-    mf = max(abs(c) for c in f)
-    mg = max(abs(c) for c in g)
-    if mf == 0 or mg == 0:
-        return [0] * (len(f) + len(g) - 1)
-    bound = mf * mg * min(len(f), len(g))
-    L = bound.bit_length() + 2
+def _kron_pack(ints, L):
+    """The integer sum of ints[t] * 2^(L*t); entries may be negative."""
+    N = 0
+    for c in reversed(ints):
+        N = (N << L) + c
+    return N
+
+
+def _kron_unpack(N, n, L):
+    """Inverse of _kron_pack for n entries, each of absolute value below 2^(L-1)."""
     half = 1 << (L - 1)
     mask = (1 << L) - 1
-    F = 0
-    for c in reversed(f):
-        F = (F << L) + c
-    G = 0
-    for c in reversed(g):
-        G = (G << L) + c
-    N = F * G
     out = []
-    for _ in range(len(f) + len(g) - 1):
+    for _ in range(n):
         d = N & mask
         if d >= half:
             d -= mask + 1
@@ -487,11 +526,26 @@ def _kron_mul_int(f, g):
     return out
 
 
+def _kron_mul_int(f, g):
+    """Multiply integer coefficient lists via one big-integer product."""
+    if not f or not g:
+        return []
+    mf = max(abs(c) for c in f)
+    mg = max(abs(c) for c in g)
+    if mf == 0 or mg == 0:
+        return [0] * (len(f) + len(g) - 1)
+    L = (mf * mg * min(len(f), len(g))).bit_length() + 2
+    return _kron_unpack(_kron_pack(f, L) * _kron_pack(g, L), len(f) + len(g) - 1, L)
+
+
 def _clear_denominators(coeffs):
+    """Integer numerators over the lcm of the denominators, and that lcm."""
     den = 1
     for c in coeffs:
-        den = den * (c.denominator // math.gcd(den, c.denominator))
-    return [int(c * den) for c in coeffs], den
+        q = c.denominator
+        if den % q:
+            den = den // math.gcd(den, q) * q
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _mul_frac_lists(f, g):
@@ -648,30 +702,41 @@ class Poly:
         return Poly(out, self.dom)
 
     def _mul_alg(self, other):
-        """Coordinatewise Kronecker products recombined by structure constants."""
+        """Coordinatewise Kronecker products recombined by structure constants.
+
+        Each operand's coordinates are cleared to integers over one
+        denominator and each coordinate list is packed once.  The packed
+        products are summed per output coordinate with the integer table,
+        so there is one unpacking per coordinate and one Fraction per
+        output entry.
+        """
         field = self.dom.field
         d = field.dim
+        rows, dt, weight = field._integer_table()
         n1, n2 = len(self.coeffs), len(other.coeffs)
-        fcomps = [[c.coords[k] for c in self.coeffs] for k in range(d)]
-        gcomps = [[c.coords[k] for c in other.coeffs] for k in range(d)]
-        fz = [not any(comp) for comp in fcomps]
-        gz = [not any(comp) for comp in gcomps]
         nout = n1 + n2 - 1
-        out = [[Fraction(0)] * nout for _ in range(d)]
-        table = field.table
-        for i in range(d):
-            if fz[i]:
+        fi, df = _clear_denominators([x for c in self.coeffs for x in c.coords])
+        gi, dg = _clear_denominators([x for c in other.coeffs for x in c.coords])
+        fcomps = [fi[k::d] for k in range(d)]
+        gcomps = [gi[k::d] for k in range(d)]
+        mf = max(abs(c) for c in fi)
+        mg = max(abs(c) for c in gi)
+        # an output slot sums at most weight * min(n1, n2) products of entries
+        L = (mf * mg * min(n1, n2) * weight).bit_length() + 2
+        fpacked = [_kron_pack(comp, L) for comp in fcomps]
+        gpacked = [_kron_pack(comp, L) for comp in gcomps]
+        acc = [0] * d
+        for i, F in enumerate(fpacked):
+            if not F:
                 continue
-            for j in range(d):
-                if gz[j]:
+            for j, G in enumerate(gpacked):
+                if not G:
                     continue
-                prod = _mul_frac_lists(fcomps[i], gcomps[j])
-                for k, s in enumerate(table[i][j]):
-                    if s:
-                        acc = out[k]
-                        for t, v in enumerate(prod):
-                            if v:
-                                acc[t] += v * s
+                prod = F * G
+                for k, s in rows[i][j]:
+                    acc[k] += s * prod
+        den = df * dg * dt
+        out = [[Fraction(c, den) for c in _kron_unpack(N, nout, L)] for N in acc]
         coeffs = [AlgElement(field, tuple(out[k][t] for k in range(d)))
                   for t in range(nout)]
         return Poly(coeffs, self.dom)

@@ -35,6 +35,7 @@ __all__ = [
     "TrinomialClass",
     "invariants",
     "j_candidates",
+    "j_roots",
     "resolvent_coeffs",
     "family_quintic",
     "trinomial_t",
@@ -114,7 +115,12 @@ def invariants(q: Quintic) -> QuinticInvariants:
 
 
 def j_candidates(q: Quintic):
-    """Solve the j-equation of q exactly.
+    """Solve the j-equation of q exactly; see :func:`j_roots`."""
+    return j_roots(invariants(q))
+
+
+def j_roots(inv: QuinticInvariants):
+    """Solve the j-equation given by a quintic's invariants exactly.
 
     Returns the two roots (with multiplicity) as Fractions when the
     quadratic splits over Q, otherwise as conjugate elements of the
@@ -123,7 +129,6 @@ def j_candidates(q: Quintic):
 
     Requires delta != 0; otherwise the j-equation degenerates.
     """
-    inv = invariants(q)
     if not inv.delta:
         raise ValueError("degenerate quintic: delta = 0")
     qa = inv.delta ** 5
@@ -320,26 +325,36 @@ def hyperelliptic_search(height_bound: int):
         raise ValueError("height bound must be at least 1")
     points = []
 
-    def test(p, q):
-        # y^2 q^8 = 15 (p^2+q^2)(2p^3+2p^2q-pq^2+q^3)(p^3+p^2q+2pq^2-2q^3)
-        m = 15 * (p * p + q * q) \
-            * (2 * p ** 3 + 2 * p * p * q - p * q * q + q ** 3) \
-            * (p ** 3 + p * p * q + 2 * p * q * q - 2 * q ** 3)
+    def test(p, q, m):
+        # m = y^2 q^8, the cleared right side at x = p/q
         if m < 0:
             return
         r = isqrt(m)
         if r * r == m:
             points.append((Fraction(p, q), Fraction(r, q ** 4)))
 
-    test(0, 1)
-    test(1, 1)
-    test(-1, 1)
+    for x in (0, 1, -1):
+        test(x, 1, 15 * (x * x + 1) * (2 * x ** 3 + 2 * x * x - x + 1)
+             * (x ** 3 + x * x + 2 * x - 2))
     a, b, c, d = 0, 1, 1, height_bound
     while c <= height_bound:
         k = (height_bound + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
         if a == b:
             break
-        for p, q in ((a, b), (-a, b), (b, a), (-b, a)):
-            test(p, q)
+        # With f1, f2 the cubic factors, f1(-b, a) = f2(a, b) and
+        # f2(-b, a) = -f1(a, b), so the cleared right side R obeys
+        # R(-b, a) = -R(a, b) and R(-a, b) = -R(b, a).
+        a2, b2 = a * a, b * b
+        a3, a2b, ab2, b3 = a2 * a, a2 * b, a * b2, b2 * b
+        s = 15 * (a2 + b2)
+        u1, v1 = 2 * a2b + b3, 2 * a3 - ab2   # f1(+-a, b) = u1 +- v1
+        u2, v2 = a2b - 2 * b3, a3 + 2 * ab2   # f2(+-a, b) = u2 +- v2
+        r_ab = s * (u1 + v1) * (u2 + v2)
+        r_ba = s * (u1 - v1) * (v2 - u2)      # f1(b, a) = v2 - u2, f2(b, a) = u1 - v1
+        test(a, b, r_ab)
+        test(-a, b, -r_ba)
+        test(b, a, r_ba)
+        test(-b, a, -r_ab)
     return points
+

@@ -62,6 +62,27 @@ def test_analyze_inline_json(capsys):
     assert report["wall_time_ms"] is None
 
 
+def test_analyze_one_computes_invariants_once(monkeypatch):
+    from icosahedral import quintic
+    calls = {"invariants": 0, "_square_part": 0}
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return orig(*args)
+        return wrapper
+
+    monkeypatch.setattr(quintic, "invariants", counted(quintic, "invariants"))
+    monkeypatch.setattr(cli, "invariants", counted(cli, "invariants"))
+    monkeypatch.setattr(cli, "_square_part", counted(cli, "_square_part"))
+    record = cli._analyze_one({"A": Fraction(0), "B": Fraction(4), "C": Fraction(16, 5)})
+    assert record["j_candidates"] == ["86048 - 38496*sqrt(5)",
+                                      "86048 + 38496*sqrt(5)"]
+    assert calls == {"invariants": 1, "_square_part": 1}
+
+
 def test_analyze_second_table_row(capsys):
     rc, out, _ = run_cli(capsys, "analyze", "--b", "20", "--c", "-16")
     assert rc == 0
@@ -170,7 +191,7 @@ def test_quad_string_radicand_matches_factorint():
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
         b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
                      rng.randint(1, 9))
-        text = cli._quad_string(a, b, d)
+        text = cli._quad_string(a, b, *cli._split_radicand(d))
         want = d.numerator * d.denominator
         want //= square_part_reference(abs(want)) ** 2
         assert parse_quad(text)[2] == want
@@ -185,7 +206,8 @@ def test_quad_string_large_square_kept():
     n = 2 ** 2 * 3 * p * p * q
     assert cli._square_part(n) == 2
     d = Fraction(-n, 5)
-    text = cli._quad_string(Fraction(1, 3), Fraction(-7, 2), d)
+    text = cli._quad_string(Fraction(1, 3), Fraction(-7, 2),
+                            *cli._split_radicand(d))
     assert parse_quad(text)[2] == -3 * 5 * p * p * q
     assert_quad_exact(text, Fraction(1, 3), Fraction(-7, 2), d)
 

@@ -6,7 +6,7 @@ import sympy as sp
 
 from icosahedral.exact import (
     QDOM, QEPSI, QSQRT5, QZETA5, Q,
-    AlgElement, Poly, RatFunc, embed, field_tower, poly_gcd,
+    AlgElement, Poly, RatFunc, _kron_mul_int, embed, field_tower, poly_gcd,
     poly_sqrt, quadratic_field, resultant, sqrt_exact,
 )
 
@@ -144,6 +144,8 @@ def test_parametric_tower():
     assert y.coords[1] == t * (t + 1) * 2
     inv = x.inv()
     assert x * inv == fd.one
+    # RatFunc scalars keep the generic product loop
+    assert fd._int_table is None
 
 
 # -- polynomials ------------------------------------------------------------
@@ -167,6 +169,113 @@ def test_poly_mul_matches_schoolbook_alg():
         q = Poly([QZETA5.element([rng.randint(-5, 5) for _ in range(4)])
                   for _ in range(rng.randint(1, 9))], dom)
         assert p * q == p._mul_schoolbook(q)
+
+
+# The structure constant r^2 = 5/4 is not an integer, so the integer table
+# of this field has denominator 4.
+QHALF5 = quadratic_field(Fraction(5, 4))
+RATIONAL_FIELDS = (QSQRT5, QZETA5, QEPSI, QHALF5)
+
+
+def rand_frac_coords(rng, fd):
+    """Seeded coordinates with denominators 1-12, some zero, mixed signs."""
+    return [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) if rng.random() < 0.8
+            else Fraction(0) for _ in range(fd.dim)]
+
+
+def reference_product(x, y):
+    """x * y computed from field.table with Fraction arithmetic only."""
+    fd = x.field
+    out = [Fraction(0)] * fd.dim
+    for i, a in enumerate(x.coords):
+        for j, b in enumerate(y.coords):
+            for k, s in enumerate(fd.table[i][j]):
+                out[k] += a * b * s
+    return out
+
+
+def reference_poly_product(p, q):
+    out = [[Fraction(0)] * p.dom.field.dim
+           for _ in range(len(p.coeffs) + len(q.coeffs) - 1)]
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = [u + v for u, v in zip(out[i + j], reference_product(a, b))]
+    return out
+
+
+def test_alg_mul_fraction_coords_matches_table():
+    rng = random.Random(5)
+    for fd in RATIONAL_FIELDS:
+        for _ in range(40):
+            x = fd.element(rand_frac_coords(rng, fd))
+            y = fd.element(rand_frac_coords(rng, fd))
+            prod = x * y
+            assert list(prod.coords) == reference_product(x, y)
+            assert all(type(c) is Fraction for c in prod.coords)
+    r = QHALF5.gen(1)
+    assert r * r == QHALF5.from_scalar(Fraction(5, 4))
+    assert (r * Fraction(2, 3)) * (r * 6) == QHALF5.from_scalar(5)
+
+
+def test_poly_mul_fraction_coords_matches_schoolbook():
+    rng = random.Random(6)
+    for fd in RATIONAL_FIELDS:
+        dom = fd.domain()
+        for trial in range(12):
+            # lengths 1 and 1, then 1 and longer, then random
+            n1 = 1 if trial < 4 else rng.randint(1, 9)
+            n2 = 1 if trial < 2 else rng.randint(1, 9)
+            p = Poly([fd.element(rand_frac_coords(rng, fd)) for _ in range(n1)], dom)
+            q = Poly([fd.element(rand_frac_coords(rng, fd)) for _ in range(n2)], dom)
+            if not p or not q:
+                continue
+            prod = p * q
+            assert prod == p._mul_schoolbook(q)
+            ref = reference_poly_product(p, q)
+            while ref and not any(ref[-1]):
+                ref.pop()
+            assert [list(c.coords) for c in prod.coeffs] == ref
+        # equal extreme entries: every output slot reaches its size bound
+        big = [fd.element([10 ** 30 * sign] * fd.dim) for sign in (1, -1)]
+        for p in (Poly([big[0]] * 8, dom), Poly(big * 4, dom)):
+            assert p * p == p._mul_schoolbook(p)
+    r = QHALF5.gen(1)
+    lin = Poly([QHALF5.from_scalar(Fraction(1, 3)), r], QHALF5.domain())
+    # (1/3 + r x)^2 = 1/9 + (2/3) r x + (5/4) x^2
+    assert (lin * lin).coeffs == (QHALF5.from_scalar(Fraction(1, 9)), r * Fraction(2, 3),
+                                  QHALF5.from_scalar(Fraction(5, 4)))
+
+
+def test_scalar_product_builds_no_integer_table():
+    fd = quadratic_field(Fraction(7, 3))
+    r = fd.gen(1)
+    x = r * Fraction(5, 2) + 1
+    assert x.coords == (Fraction(1), Fraction(5, 2))
+    assert fd._int_table is None
+    x * r
+    assert fd._int_table is not None
+    # analyze solves the j-equation in a fresh quadratic field per record
+    from icosahedral.quintic import Quintic, j_candidates
+    lo, hi = j_candidates(Quintic(0, 4, Fraction(16, 5)))
+    assert lo.field is hi.field and lo.field._int_table is None
+
+
+def test_kron_mul_int_edge_cases():
+    big = 10 ** 30
+    assert _kron_mul_int([], [1, 2]) == []
+    assert _kron_mul_int([0, 0, 0], [5, -7]) == [0, 0, 0, 0]
+    assert _kron_mul_int([big], [-big]) == [-big * big]
+    assert _kron_mul_int([0, 0, -big], [0, big]) == [0, 0, 0, -big * big]
+    rng = random.Random(7)
+    for _ in range(20):
+        f = [rng.randint(-big, big) for _ in range(rng.randint(1, 12))]
+        g = [rng.choice((-big, big, 0, rng.randint(-big, big)))
+             for _ in range(rng.randint(1, 12))]
+        want = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                want[i + j] += a * b
+        assert _kron_mul_int(f, g) == want
 
 
 def test_poly_mul_large_coefficients():

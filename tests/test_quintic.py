@@ -275,3 +275,24 @@ def test_hyperelliptic_search_enumeration(monkeypatch):
     monkeypatch.setattr(quintic, "isqrt", lambda n: seen.append(n) or orig(n))
     hyperelliptic_search(2)
     assert len(seen) == 3
+
+
+def test_hyperelliptic_search_square_tests_unchanged(monkeypatch):
+    # isqrt sees exactly the nonnegative values of the cleared right side,
+    # evaluated directly, in the order of the search's Farey walk
+    def cleared_rhs(p, q):
+        return (15 * (p ** 2 + q ** 2) * (2 * p ** 3 + 2 * p ** 2 * q - p * q ** 2 + q ** 3)
+                * (p ** 3 + p ** 2 * q + 2 * p * q ** 2 - 2 * q ** 3))
+
+    orig = quintic.isqrt
+    seen = []
+    monkeypatch.setattr(quintic, "isqrt", lambda n: seen.append(n) or orig(n))
+    for height in range(1, 41):
+        seen.clear()
+        hyperelliptic_search(height)
+        walk = [(0, 1), (1, 1), (-1, 1)]
+        for x in sorted({Fraction(a, b) for b in range(2, height + 1) for a in range(1, b)}):
+            a, b = x.numerator, x.denominator
+            walk += [(a, b), (-a, b), (b, a), (-b, a)]
+        values = (cleared_rhs(p, q) for p, q in walk)
+        assert seen == [m for m in values if m >= 0]
