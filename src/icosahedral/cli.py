@@ -69,7 +69,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def _fmt(x) -> str:
-    return str(Fraction(x))
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 def _exact_rational(text: str) -> Fraction:
@@ -89,30 +89,33 @@ def _primes_below(n: int) -> tuple:
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
-# trial divisors of _square_part; fixed, so its work per call is bounded
-_TRIAL_PRIMES = _primes_below(10 ** 4 + 1)
+# the product of the primes up to 10^4, whose square part _square_part
+# takes out; fixed, so its work per call is bounded
+_SMALL_PRIMORIAL = math.prod(_primes_below(10 ** 4 + 1))
 
 
 def _square_part(n: int) -> int:
     """An s with s^2 dividing n >= 0, found in bounded time.
 
-    Takes out the square part over the primes up to 10^4, then a cofactor
-    that is a perfect square.  n / s^2 is squarefree whenever the cofactor
-    left after trial division is below 10^12 (it then has at most two prime
+    Takes out the square part over the primes up to 10^4 by gcd rounds
+    against their product P: g_1 = gcd(n, P) and, after each n //= g_k,
+    g_{k+1} = gcd(n, g_k), so g_k is the product of the small primes whose
+    exponent in n is at least k, and s takes the g_k with k even.  A
+    cofactor left that is a perfect square joins s.  n / s^2 is squarefree
+    whenever that cofactor is below 10^12 (it then has at most two prime
     factors, all above 10^4); above that it may keep the square of a prime
-    larger than 10^4.
+    larger than 10^4.  n = 0 gives 1.
     """
     square = 1
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
-            break
-        if n % p:
-            continue
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        square *= p ** (e // 2)
+    if n:
+        g = math.gcd(n, _SMALL_PRIMORIAL)
+        even = False
+        while g > 1:
+            n //= g
+            if even:
+                square *= g
+            even = not even
+            g = math.gcd(n, g)
     r = math.isqrt(n)
     if r > 1 and r * r == n:
         square *= r
@@ -244,7 +247,8 @@ def _analyze_one(rec: dict) -> dict:
         else:
             t = trinomial_t(b, c)
             out["t"] = None if t is None else _fmt(t)
-            out["hypothesis"] = localfield.theorem_hypothesis(b, c)
+            out["hypothesis"] = (t is not None
+                                 and localfield.is_square_5adic_unit(t))
     out["status"] = "error" if errors else "ok"
     if errors:
         out["error"] = "; ".join(errors)
@@ -255,19 +259,23 @@ def cmd_analyze(args) -> int:
     records = []
     if args.file:
         try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            # undecodable bytes pass the reader as surrogates, so that the
+            # strict decode below reports them with their line number
+            with open(args.file, "r", encoding="utf-8",
+                      errors="surrogateescape") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                        records.append(_parse_record(json.loads(line)))
+                    except ValueError as exc:
+                        print(f"error: {args.file}:{lineno}: {exc}",
+                              file=sys.stderr)
+                        return 2
         except OSError as exc:
             print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
             return 2
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(_parse_record(json.loads(line)))
-            except ValueError as exc:
-                print(f"error: {args.file}:{lineno}: {exc}", file=sys.stderr)
-                return 2
     else:
         records.append({"A": args.a if args.a is not None else Fraction(0),
                         "B": args.b, "C": args.c})

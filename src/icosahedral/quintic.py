@@ -18,16 +18,24 @@ positive rational square and the parameter is recovered by
     t = 75 C^2 / sqrt(256 B^5 + 3125 C^4)   (positive root),
 
 which is invariant under rescaling x -> cx of the monic trinomial.
+
+Under x -> x/k the coefficients A, B and C take the factors k^3, k^4 and
+k^5: they have weights 3, 4 and 5, and delta, gamma4, gamma6 and disc are
+forms of weight 12, 20, 30 and 20.  So ``invariants`` and ``trinomial_t``
+multiply out the common denominator D as a = A D^3, b = B D^4, c = C D^5,
+and ``j_roots`` clears the weight-60 j-equation by one integer.  They
+evaluate their forms on integers and build a Fraction only for each value
+they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional
 
-from .exact import quadratic_field, sqrt_exact
+from .exact import AlgElement, quadratic_field, sqrt_exact
 
 __all__ = [
     "Quintic",
@@ -95,23 +103,41 @@ class TrinomialClass:
 
 
 def invariants(q: Quintic) -> QuinticInvariants:
-    """Evaluate the four invariant polynomials in (A, B, C) exactly."""
+    """Evaluate the four invariant polynomials in (A, B, C) exactly.
+
+    With D the lcm of the denominators, a = A D^3, b = B D^4 and c = C D^5
+    are integers, and each invariant is an integer form of weight 12, 20,
+    30 or 20 in (a, b, c) over 5^4 D^12, 12^2 5^5 D^20, 12^3 5^10 D^30 or
+    D^20.
+    """
     A, B, C = q.a, q.b, q.c
-    delta = Fraction(A ** 4 - 5 * B ** 3 + 25 * A * B * C, 5 ** 4)
-    gamma4 = Fraction(
-        128 * A ** 4 * B ** 2 - 192 * A ** 5 * C - 600 * A * B ** 3 * C
-        + 1000 * A ** 2 * B * C ** 2 - 144 * B ** 5 + 3125 * C ** 4,
-        12 ** 2 * 5 ** 5)
-    gamma6 = Fraction(
-        1728 * A ** 10 + 10400 * A ** 6 * B ** 3 + 405000 * A ** 2 * B ** 6
-        - 180000 * A ** 7 * B * C - 1170000 * A ** 3 * B ** 4 * C
-        + 1725000 * A ** 4 * B ** 2 * C ** 2 - 1800000 * A ** 5 * C ** 3
-        + 2812500 * A * B ** 3 * C ** 3 - 4687500 * A ** 2 * B * C ** 4
-        - 2025000 * B ** 5 * C ** 2 - 9765625 * C ** 6,
-        12 ** 3 * 5 ** 10)
-    disc = (-27 * A ** 4 * B ** 2 + 108 * A ** 5 * C - 1600 * A * B ** 3 * C
-            + 2250 * A ** 2 * B * C ** 2 + 256 * B ** 5 + 3125 * C ** 4)
-    return QuinticInvariants(delta, gamma4, gamma6, Fraction(disc))
+    D = lcm(A.denominator, B.denominator, C.denominator)
+    D2 = D * D
+    D4 = D2 * D2
+    a = A.numerator * (D // A.denominator) * D2
+    b = B.numerator * (D // B.denominator) * D2 * D
+    c = C.numerator * (D // C.denominator) * D4
+    a2, b2, c2 = a * a, b * b, c * c
+    a3, a4, b3, c3 = a2 * a, a2 * a2, b2 * b, c2 * c
+    a5, b5, c4 = a4 * a, b3 * b2, c2 * c2
+    abc = a * b * c
+    D12 = D4 * D4 * D4
+    D20 = D12 * D4 * D4
+    delta = a4 - 5 * b3 + 25 * abc
+    gamma4 = (128 * a4 * b2 - 192 * a5 * c - 600 * abc * b2
+              + 1000 * a * c * abc - 144 * b5 + 3125 * c4)
+    gamma6 = (1728 * a5 * a5 + 10400 * a3 * a3 * b3 + 405000 * a2 * b3 * b3
+              - 180000 * a3 * a3 * abc - 1170000 * a2 * b3 * abc
+              + 1725000 * a4 * b2 * c2 - 1800000 * a5 * c3
+              + 2812500 * a * b3 * c3 - 4687500 * a * c3 * abc
+              - 2025000 * b5 * c2 - 9765625 * c3 * c3)
+    disc = (-27 * a4 * b2 + 108 * a5 * c - 1600 * abc * b2
+            + 2250 * a * c * abc + 256 * b5 + 3125 * c4)
+    return QuinticInvariants(
+        Fraction(delta, 5 ** 4 * D12),
+        Fraction(gamma4, 12 ** 2 * 5 ** 5 * D20),
+        Fraction(gamma6, 12 ** 3 * 5 ** 10 * D20 * D4 * D4 * D2),
+        Fraction(disc, D20))
 
 
 def j_candidates(q: Quintic):
@@ -131,28 +157,33 @@ def j_roots(inv: QuinticInvariants):
     """
     if not inv.delta:
         raise ValueError("degenerate quintic: delta = 0")
-    qa = inv.delta ** 5
-    qb = -1728 * (inv.gamma4 ** 3 - inv.gamma6 ** 2 + inv.delta ** 5)
-    qc = 1728 ** 2 * inv.gamma4 ** 3
+    # every term has weight 60, so clear all three to integers with one M
+    d, g4, g6 = inv.delta, inv.gamma4, inv.gamma6
+    den_d5 = d.denominator ** 5
+    den_g43 = g4.denominator ** 3
+    den_g62 = g6.denominator ** 2
+    M = lcm(den_d5, den_g43, den_g62)
+    qa = d.numerator ** 5 * (M // den_d5)
+    g43 = g4.numerator ** 3 * (M // den_g43)
+    qb = -1728 * (g43 - g6.numerator ** 2 * (M // den_g62) + qa)
+    qc = 1728 ** 2 * g43
     disc_j = qb * qb - 4 * qa * qc
     if not disc_j:
         # the square cofactor in disc_j = 5*disc*(cofactor)^2 can vanish
-        root = -qb / (2 * qa)
+        root = Fraction(-qb, 2 * qa)
         return (root, root)
     if not inv.disc:
         raise ArithmeticError("simple roots with vanishing discriminant")
-    cof = sqrt_exact(disc_j / (5 * inv.disc))
+    disc5 = 5 * inv.disc
+    cof = sqrt_exact(Fraction(disc_j * disc5.denominator, disc5.numerator))
     if cof is None:
         raise ArithmeticError("j-equation discriminant is not 5*disc times a square")
-    s = sqrt_exact(5 * inv.disc)
+    s = sqrt_exact(disc5)
     if s is not None:
         return ((-qb + cof * s) / (2 * qa), (-qb - cof * s) / (2 * qa))
-    fld = quadratic_field(5 * inv.disc)
-    half = 1 / (2 * qa)
-    r = fld.gen(1)
-    base = fld.from_scalar(-qb * half)
-    off = r * (cof * half)
-    return (base + off, base - off)
+    fld = quadratic_field(disc5)
+    base, off = Fraction(-qb, 2 * qa), cof / (2 * qa)
+    return (AlgElement(fld, (base, off)), AlgElement(fld, (base, -off)))
 
 
 def resolvent_coeffs(m, n, j):
@@ -202,10 +233,19 @@ def trinomial_t(B, C) -> Optional[Fraction]:
     B, C = Fraction(B), Fraction(C)
     if not C:
         raise ValueError("C must be nonzero")
-    root = sqrt_exact(256 * B ** 5 + 3125 * C ** 4)
-    if not root:
+    # with b = B D^4 and c = C D^5 the radicand is R / D^20 and t = 75c^2 / sqrt(R)
+    D = lcm(B.denominator, C.denominator)
+    D4 = D ** 4
+    b = B.numerator * (D4 // B.denominator)
+    c = C.numerator * (D4 // C.denominator) * D
+    c2 = c * c
+    R = 256 * b ** 5 + 3125 * c2 * c2
+    if R <= 0:
         return None
-    return 75 * C ** 2 / root
+    root = isqrt(R)
+    if root * root != R:
+        return None
+    return Fraction(75 * c2, root)
 
 
 def canonical_trinomial(c5, B, C):

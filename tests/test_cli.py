@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy import factorint
 
 import icosahedral
@@ -63,8 +65,8 @@ def test_analyze_inline_json(capsys):
 
 
 def test_analyze_one_computes_invariants_once(monkeypatch):
-    from icosahedral import quintic
-    calls = {"invariants": 0, "_square_part": 0}
+    from icosahedral import localfield, quintic
+    calls = {"invariants": 0, "_square_part": 0, "trinomial_t": 0}
 
     def counted(module, name):
         orig = getattr(module, name)
@@ -74,13 +76,18 @@ def test_analyze_one_computes_invariants_once(monkeypatch):
             return orig(*args)
         return wrapper
 
-    monkeypatch.setattr(quintic, "invariants", counted(quintic, "invariants"))
-    monkeypatch.setattr(cli, "invariants", counted(cli, "invariants"))
+    for module in (quintic, cli):
+        monkeypatch.setattr(module, "invariants", counted(module, "invariants"))
+    for module in (quintic, cli, localfield):
+        monkeypatch.setattr(module, "trinomial_t",
+                            counted(module, "trinomial_t"))
     monkeypatch.setattr(cli, "_square_part", counted(cli, "_square_part"))
+    # A = 0 and C != 0: t and the hypothesis come from one trinomial_t call
     record = cli._analyze_one({"A": Fraction(0), "B": Fraction(4), "C": Fraction(16, 5)})
     assert record["j_candidates"] == ["86048 - 38496*sqrt(5)",
                                       "86048 + 38496*sqrt(5)"]
-    assert calls == {"invariants": 1, "_square_part": 1}
+    assert record["t"] == "1" and record["hypothesis"] is True
+    assert calls == {"invariants": 1, "_square_part": 1, "trinomial_t": 1}
 
 
 def test_analyze_second_table_row(capsys):
@@ -134,7 +141,7 @@ def test_analyze_text_mode_summary(capsys):
     assert "1 record(s), 1 ok, 0 with errors" in err
 
 
-# primes below and above the trial-division bound 10^4 of _square_part
+# primes below and above 10^4, the largest prime _square_part takes out
 SMALL_PRIMES = (2, 3, 5, 7, 11, 9967, 9973)
 LARGE_PRIMES = (10007, 10009, 65537, 999983)
 
@@ -170,8 +177,8 @@ def assert_quad_exact(text, a, b, d):
 def test_quad_string_radicand_matches_factorint():
     rng = random.Random(20260815)
     for _ in range(300):
-        # at most two large prime factors, so the cofactor after trial
-        # division is below 10^12 and the radicand must be squarefree
+        # at most two large prime factors, so the cofactor left after the
+        # primes up to 10^4 is below 10^12 and the radicand must be squarefree
         s = math.prod(rng.choice(SMALL_PRIMES)
                       for _ in range(rng.randint(0, 3)))
         m = math.prod(rng.choice(SMALL_PRIMES)
@@ -199,8 +206,9 @@ def test_quad_string_radicand_matches_factorint():
 
 
 def test_quad_string_large_square_kept():
-    # p^2 q with p, q above 10^4 and p^2 q >= 10^12: trial division cannot
-    # see p, so the radicand keeps p^2; the rendered value stays exact
+    # p^2 q with p, q above 10^4 and p^2 q >= 10^12: the gcd rounds over the
+    # primes up to 10^4 cannot see p, so the radicand keeps p^2; the
+    # rendered value stays exact
     p, q = 10007, 10009
     assert p * p * q >= 10 ** 12
     n = 2 ** 2 * 3 * p * p * q
@@ -210,6 +218,47 @@ def test_quad_string_large_square_kept():
                             *cli._split_radicand(d))
     assert parse_quad(text)[2] == -3 * 5 * p * p * q
     assert_quad_exact(text, Fraction(1, 3), Fraction(-7, 2), d)
+
+
+PRIMES_TO_10_4 = tuple(p for p in range(2, 10 ** 4 + 1)
+                       if all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+
+def square_part_trial_division(n):
+    """The trial-division loop _square_part used before its gcd rounds."""
+    square = 1
+    for p in PRIMES_TO_10_4:
+        if p * p > n:
+            break
+        if n % p:
+            continue
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        square *= p ** (e // 2)
+    r = math.isqrt(n)
+    if r > 1 and r * r == n:
+        square *= r
+    return square
+
+
+factored = st.lists(
+    st.tuples(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES),
+              st.integers(0, 7)),
+    max_size=5).map(lambda pes: math.prod(p ** e for p, e in pes))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(factored, st.integers(0, 10 ** 40)))
+@example(0)
+@example(1)
+@example(9967 ** 2)
+@example(9967 ** 5 * 9973 ** 3)
+@example(9973 ** 4 * 10007)
+@example(10007 ** 2 * 10009)
+def test_square_part_matches_trial_division(n):
+    assert cli._square_part(n) == square_part_trial_division(n)
 
 
 def test_analyze_large_input_within_budget():
@@ -253,6 +302,21 @@ def test_analyze_parse_failures(tmp_path, capsys):
     missing.write_text('{"B": "1"}\n')
     rc, _, err = run_cli(capsys, "analyze", "--file", str(missing))
     assert rc == 2 and "'C'" in err
+
+
+def test_analyze_file_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"B": "4", "C": "16/5"}\n\xff\xfe{"B": 1}\n')
+    rc, out, err = run_cli(capsys, "analyze", "--file", str(bad))
+    assert rc == 2 and out == ""
+    assert re.search(r"^error: .*bad\.jsonl:2: .*utf-8", err)
+    # far past the reader's first buffer, the line number is still exact
+    good = b'{"B": "4", "C": "16/5"}\n'
+    late = tmp_path / "late.jsonl"
+    late.write_bytes(good * 999 + b'{"B": "4", "C": "1\xe96/5"}\n' + good)
+    rc, out, err = run_cli(capsys, "analyze", "--file", str(late))
+    assert rc == 2 and out == ""
+    assert "late.jsonl:1000: " in err
 
 
 def test_verify_hecke(capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from icosahedral import quintic
 from icosahedral.exact import RatFunc, sqrt_exact
@@ -296,3 +298,114 @@ def test_hyperelliptic_search_square_tests_unchanged(monkeypatch):
             walk += [(a, b), (-a, b), (b, a), (-b, a)]
         values = (cleared_rhs(p, q) for p, q in walk)
         assert seen == [m for m in values if m >= 0]
+
+
+# -- the integer paths against the Fraction formulas they replaced ----------
+
+def invariants_reference(A, B, C):
+    """(delta, gamma4, gamma6, disc) evaluated on Fractions, term by term."""
+    delta = Fraction(A ** 4 - 5 * B ** 3 + 25 * A * B * C, 5 ** 4)
+    gamma4 = Fraction(
+        128 * A ** 4 * B ** 2 - 192 * A ** 5 * C - 600 * A * B ** 3 * C
+        + 1000 * A ** 2 * B * C ** 2 - 144 * B ** 5 + 3125 * C ** 4,
+        12 ** 2 * 5 ** 5)
+    gamma6 = Fraction(
+        1728 * A ** 10 + 10400 * A ** 6 * B ** 3 + 405000 * A ** 2 * B ** 6
+        - 180000 * A ** 7 * B * C - 1170000 * A ** 3 * B ** 4 * C
+        + 1725000 * A ** 4 * B ** 2 * C ** 2 - 1800000 * A ** 5 * C ** 3
+        + 2812500 * A * B ** 3 * C ** 3 - 4687500 * A ** 2 * B * C ** 4
+        - 2025000 * B ** 5 * C ** 2 - 9765625 * C ** 6,
+        12 ** 3 * 5 ** 10)
+    disc = Fraction(-27 * A ** 4 * B ** 2 + 108 * A ** 5 * C
+                    - 1600 * A * B ** 3 * C + 2250 * A ** 2 * B * C ** 2
+                    + 256 * B ** 5 + 3125 * C ** 4)
+    return delta, gamma4, gamma6, disc
+
+
+def j_coeffs_reference(iv):
+    """(qa, qb, qc) of the j-equation, on Fractions."""
+    qa = iv.delta ** 5
+    qb = -1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + iv.delta ** 5)
+    qc = 1728 ** 2 * iv.gamma4 ** 3
+    return qa, qb, qc
+
+
+def trinomial_t_reference(B, C):
+    root = sqrt_exact(256 * B ** 5 + 3125 * C ** 4)
+    return 75 * C ** 2 / root if root else None
+
+
+# zero, negative, and (through the small denominators) shared and coprime
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+nonzero_rationals = rationals.filter(bool)
+small_ints = st.integers(-12, 12)
+# integer quintics moved by x -> x/k: (A, B, C) = (a/k^3, b/k^4, c/k^5)
+# puts k^12, k^20 and k^30 into the invariants' denominators, unless k
+# divides their integer forms
+coefficients = st.one_of(
+    st.tuples(rationals, rationals, rationals),
+    st.builds(lambda a, b, c, k: (Fraction(a, k ** 3), Fraction(b, k ** 4),
+                                  Fraction(c, k ** 5)),
+              small_ints, small_ints, small_ints, st.integers(1, 13)))
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+
+
+@PROPERTY
+@given(coefficients)
+@example((0, 0, 0))
+@example((Fraction(1, 6), Fraction(-5, 6), Fraction(7, 6)))   # shared
+@example((Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))   # coprime
+@example((Fraction(-7, 12), 0, Fraction(5, 8)))
+def test_invariants_match_fraction_formulas(abc):
+    A, B, C = abc
+    iv = invariants(Quintic(A, B, C))
+    assert (iv.delta, iv.gamma4, iv.gamma6, iv.disc) == \
+        invariants_reference(Fraction(A), Fraction(B), Fraction(C))
+
+
+@PROPERTY
+@given(coefficients)
+@example((Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))
+@example((0, 4, Fraction(16, 5)))
+@example((0, 2, 0))
+# 7 divides gamma4 and gamma6 of (a, b, c) = (-4, -4, 1) but not delta, so
+# at k = 7 the denominator of delta^5 alone holds the largest power of 7
+@example((Fraction(-4, 7 ** 3), Fraction(-4, 7 ** 4), Fraction(1, 7 ** 5)))
+def test_j_roots_solve_the_j_equation(abc):
+    iv = invariants(Quintic(*abc))
+    if not iv.delta:
+        with pytest.raises(ValueError, match="delta = 0"):
+            quintic.j_roots(iv)
+        return
+    qa, qb, qc = j_coeffs_reference(iv)
+    roots = quintic.j_roots(iv)
+    assert len(roots) == 2
+    for r in roots:
+        # in Q, or in Q[r]/(r^2 - 5*disc) for a conjugate pair
+        assert r * r * qa + r * qb + qc == 0
+    if isinstance(roots[0], Fraction):
+        assert roots[0] + roots[1] == -qb / qa
+    else:
+        assert (roots[0] + roots[1]).rational_value() == -qb / qa
+        gen = roots[0].field.gen(1)
+        assert (gen * gen).rational_value() == 5 * iv.disc
+
+
+@PROPERTY
+@given(rationals, nonzero_rationals)
+@example(4, Fraction(16, 5))
+@example(Fraction(-25, 4), Fraction(25, 2))
+@example(-1, Fraction(1, 2))
+def test_trinomial_t_matches_fraction_formula(B, C):
+    assert trinomial_t(B, C) == trinomial_t_reference(Fraction(B), Fraction(C))
+
+
+@PROPERTY
+@given(st.fractions(min_value=Fraction(1, 30), max_value=30,
+                    max_denominator=30),
+       nonzero_rationals)
+def test_trinomial_t_on_rescaled_family(t, k):
+    # x -> kx takes q_t to x^5 + B k^4 x + C k^5, with the same parameter
+    q = family_quintic(t)
+    assert trinomial_t(q.b * k ** 4, q.c * k ** 5) == t
