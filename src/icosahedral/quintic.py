@@ -233,7 +233,8 @@ def trinomial_t(B, C) -> Optional[Fraction]:
     B, C = Fraction(B), Fraction(C)
     if not C:
         raise ValueError("C must be nonzero")
-    # with b = B D^4 and c = C D^5 the radicand is R / D^20 and t = 75c^2 / sqrt(R)
+    # with b = B D^4 and c = C D^5 the radicand is R / D^20, and
+    # t = 75 c^2 / sqrt(R)
     D = lcm(B.denominator, C.denominator)
     D4 = D ** 4
     b = B.numerator * (D4 // B.denominator)

@@ -76,11 +76,10 @@ def test_analyze_one_computes_invariants_once(monkeypatch):
             return orig(*args)
         return wrapper
 
-    for module in (quintic, cli):
-        monkeypatch.setattr(module, "invariants", counted(module, "invariants"))
-    for module in (quintic, cli, localfield):
-        monkeypatch.setattr(module, "trinomial_t",
-                            counted(module, "trinomial_t"))
+    for name, modules in (("invariants", (quintic, cli)),
+                          ("trinomial_t", (quintic, cli, localfield))):
+        for module in modules:
+            monkeypatch.setattr(module, name, counted(module, name))
     monkeypatch.setattr(cli, "_square_part", counted(cli, "_square_part"))
     # A = 0 and C != 0: t and the hypothesis come from one trinomial_t call
     record = cli._analyze_one({"A": Fraction(0), "B": Fraction(4), "C": Fraction(16, 5)})
