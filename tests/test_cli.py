@@ -140,7 +140,7 @@ def test_analyze_text_mode_summary(capsys):
     assert "1 record(s), 1 ok, 0 with errors" in err
 
 
-# primes below and above 10^4, the largest prime _square_part takes out
+# primes below and above 10^4, the bound on the primes _square_part takes out
 SMALL_PRIMES = (2, 3, 5, 7, 11, 9967, 9973)
 LARGE_PRIMES = (10007, 10009, 65537, 999983)
 
