@@ -1217,20 +1217,9 @@ class RatFunc:
         """self(other) by clearing other's denominator homogeneously."""
         p, q = other.num, other.den
         n = max(self.num.degree(), self.den.degree(), 0)
-        qpows = [Poly.one(q.dom)]
-        for _ in range(n):
-            qpows.append(qpows[-1] * q)
 
         def clear(poly):
-            acc = Poly((), p.dom)
-            ppow = Poly.one(p.dom)
-            for k in range(n + 1):
-                c = poly.coeff(k)
-                if c:
-                    acc = acc + (ppow * qpows[n - k]).scale(c)
-                if k < n:
-                    ppow = ppow * p
-            return acc
+            return poly.compose_frac(p, q) * q ** (n - poly.degree())
 
         den = clear(self.den)
         if den.is_zero():

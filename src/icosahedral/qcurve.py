@@ -9,11 +9,10 @@ E_t carries the 2-isogeny
 
     phi(x, y) = (y^2/((sqrt-2)^2 x^2), y(r - x^2)/((sqrt-2)^3 x^2))
 
-onto its sqrt5-conjugate; after eliminating y via y^2 = f(x) both the X and
-Y^2 coordinates are rational in x, and the codomain identity
-Y^2 = X^3 + 2X^2 + r^sigma X is checked symbolically in t.  The composition
-phi^sigma(phi(P)) = [-2]P is sampled over prime fields where both 5 and -2
-are squares.
+onto its sqrt5-conjugate.  Since r + r^sigma = 1 for every t, the codomain
+identity Y^2 = X^3 + 2X^2 + r^sigma X and both coordinates of
+phi^sigma(phi(P)) = [-2]P are proved once, as identities of cleared
+polynomials in x over Q[r] with r^sigma = 1 - r, for all t at once.
 
 For E_j the module computes the 5-division polynomial, the monic sextic
 g(S) whose roots are the sums x_P + x_{2P} over 5-torsion P, and the link
@@ -34,8 +33,6 @@ factorization and the mu(x) direction modulo g.
 
 from __future__ import annotations
 
-import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -149,180 +146,85 @@ def conjugate(E: EllipticCurve) -> EllipticCurve:
                          E.a6.conj("sigma"))
 
 
-def _codomain_identity(fld, r) -> bool:
-    """Whether phi maps y^2 = x^3+2x^2+rx onto the r^sigma model.
+# polynomials in x over Q[r]: r is an indeterminate, so an identity here
+# holds for every E_t at once
+_RX = Domain.for_polys(QDOM)
+_R = Poly.over_q([0, 1])
+_R_SIGMA = Poly.over_q([1, -1])  # r + r^sigma = 1 for every t
 
-    Substitutes y^2 = f(x) into X = -f/(2x^2) and
-    Y^2 = -f(r-x^2)^2/(8x^4) ((sqrt-2)^6 = -8) and compares
-    Y^2 with X^3 + 2X^2 + r^sigma X as rational functions in x.
+
+def _rx(*coeffs):
+    """The polynomial in x with the given coefficients, each a polynomial
+    in r or a rational constant."""
+    return Poly([c if isinstance(c, Poly) else Poly.over_q([c])
+                 for c in coeffs], _RX)
+
+
+def _isogeny_identities(r_sigma=_R_SIGMA, mult=-2, phi_y=None):
+    """Both sides of the three 2-isogeny identities, cleared, in Q[r][x].
+
+    E: y^2 = f(x) = x^3 + 2x^2 + rx, and phi(x, y) = (X, y g(x)/(c x^2))
+    with X = f/(-2x^2) (y^2 = f eliminated), g = r - x^2 (phi_y) and
+    c = (sqrt-2)^3, so c^2 = -8.  The conjugates f^sigma, g^sigma substitute
+    r_sigma for r; sqrt-2 is fixed by sigma.  With X = N/D, N = -f, D = 2x^2:
+
+    * "codomain": Y^2 = X^3 + 2X^2 + r^sigma X, times D^3:
+      f^sigma.compose_frac(N, D) = -f g^2 x^2;
+    * "x": X^sigma(X(x)) = x([2]P), where X^sigma(u) = f^sigma(u)/(-2u^2)
+      and x([2]P) = (x^4 - 2rx^2 + r^2)/(4x^3 + 8x^2 + 4rx) is the
+      duplication formula (Silverman, AEC III.2.3(d)) with b2 = 8,
+      b4 = 2r, b6 = 0, b8 = -r^2;
+    * "y": Y'/y = y([mult]P)/y for mult = +-2, where Y' = Y g^sigma(X)/(c X^2),
+      y([2]P)/y = f'(x)(x - x([2]P))/(2f) - 1 and y([-2]P) = -y([2]P).
+
+    The defaults are the paper's maps; the arguments exist for mutation
+    tests.  Returns {name: (lhs, rhs)}.
     """
-    dom = fld.domain()
-    one, zero, two = fld.one, fld.zero, fld.from_scalar(2)
-    f = Poly((zero, r, two, one), dom)
-    x2 = Poly((zero, zero, one), dom)
-    x4 = x2 * x2
-    rmx2 = Poly((r, zero, -one), dom)
-    X = RatFunc(-f, x2 * 2)
-    Y2 = RatFunc(-(f * rmx2 * rmx2), x4 * 8)
-    rs = r.conj("sigma")
-    return Y2 == X * X * X + X * X * 2 + X * rs
+    one = Poly.one(QDOM)
+
+    def conj(p):
+        # each coefficient c(r) becomes c(r_sigma)
+        return p.map_coeffs(lambda c: c.compose_frac(r_sigma, one))
+
+    x = Poly.x(_RX)
+    x2 = x * x
+    f = _rx(0, _R, 2, 1)
+    g = _rx(_R, 0, -1) if phi_y is None else phi_y
+    n, d = -f, x2 * 2
+    fs_nd = conj(f).compose_frac(n, d)
+    dup_num = _rx(_R * _R, 0, _R * -2, 0, 1)
+    dup_den = _rx(0, _R * 4, 8, 4)
+    dup_y = f.derivative() * (x * dup_den - dup_num) - f * dup_den * 2
+    return {
+        "codomain": (fs_nd, -(f * g * g * x2)),
+        "x": (fs_nd * dup_den, -(d * n * n * dup_num) * 2),
+        "y": (g * conj(g).compose_frac(n, d) * f * dup_den * 2,
+              x2 * n * n * dup_y * (-8 * (mult // 2))),
+    }
 
 
-def verify_isogeny_codomain(t="t") -> bool:
-    """Check the isogeny codomain identity, symbolically by default.
+def _isogeny_holds(*names) -> bool:
+    sides = _isogeny_identities()
+    return all(sides[k][0] == sides[k][1] for k in names)
 
-    With the default argument the identity is verified in Q(sqrt5)(t)(x),
-    so every rational specialization inherits it; a rational t checks the
-    specialized identity directly.
+
+def verify_isogeny_codomain() -> bool:
+    """Prove that phi maps E_t onto its sigma-conjugate, for every t.
+
+    r = (3 + sqrt5 t)/(2 sqrt5 t) has r + r^sigma = 1, so the identity in
+    Q[r][x] with r^sigma = 1 - r specializes to every E_t.
     """
-    E = curve_from_t(t)
-    return _codomain_identity(E.field, E.a4)
+    return _isogeny_holds("codomain")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def verify_isogeny_composition() -> bool:
+    """Prove phi^sigma o phi = [-2] on E_t, for every t.
 
-
-def _sqrt_mod(a: int, p: int):
-    """Tonelli-Shanks; None for nonresidues."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def _ec_neg(P, p):
-    if P is None:
-        return None
-    return (P[0], -P[1] % p)
-
-
-def _ec_add(P, Q, coeffs, p):
-    a2, a4, _ = coeffs
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - a2 - x1 - x2) % p
-    y3 = (lam * (x1 - x3) - y1) % p
-    return (x3, y3)
-
-
-def _ec_mul(k, P, coeffs, p):
-    if k < 0:
-        return _ec_mul(-k, _ec_neg(P, p), coeffs, p)
-    acc, base = None, P
-    while k:
-        if k & 1:
-            acc = _ec_add(acc, base, coeffs, p)
-        base = _ec_add(base, base, coeffs, p)
-        k >>= 1
-    return acc
-
-
-def _on_curve(P, coeffs, p):
-    if P is None:
-        return True
-    a2, a4, a6 = coeffs
-    x, y = P
-    return (y * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p == 0
-
-
-def _phi(P, r, sm2, p):
-    """The 2-isogeny on points mod p; None when x = 0 (the kernel)."""
-    x, y = P
-    if x % p == 0:
-        return None
-    ix2 = pow(x * x, -1, p)
-    X = y * y * pow(-2, -1, p) * ix2 % p
-    Y = y * (r - x * x) * pow(sm2 ** 3, -1, p) * ix2 % p
-    return (X, Y)
-
-
-def verify_isogeny_composition(p: int, trials: int, seed: int = 20260815) -> bool:
-    """Sample phi^sigma(phi(P)) = [-2]P on reductions of E_t mod p.
-
-    Requires p an odd prime with 5 and -2 both squares mod p.  Each trial
-    draws a parameter t and a finite point P with y != 0; curve choices
-    where the maps degenerate are redrawn.  trials = 0 succeeds vacuously
-    with a warning.
+    Both coordinates are checked as identities in Q[r][x] with
+    r^sigma = 1 - r: the x-coordinates of phi^sigma(phi(P)) and [-2]P agree,
+    and so do their y-coordinates divided by y.
     """
-    if not _is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-    s5 = _sqrt_mod(5, p)
-    sm2 = _sqrt_mod(-2, p)
-    if s5 is None or sm2 is None:
-        raise ValueError("5 and -2 must both be squares mod p")
-    if trials == 0:
-        warnings.warn("zero trials requested; composition check is vacuous")
-        return True
-    rng = random.Random(seed)
-    done = 0
-    while done < trials:
-        tv = rng.randrange(1, p)
-        den = 2 * s5 * tv % p
-        if den == 0:
-            continue
-        r = (3 + s5 * tv) * pow(den, -1, p) % p
-        rs = (3 - s5 * tv) * pow(-den, -1, p) % p
-        if r in (0, 1) or rs in (0, 1):
-            continue
-        E = (2, r, 0)
-        Es = (2, rs, 0)
-        x = rng.randrange(1, p)
-        rhs = (x ** 3 + 2 * x * x + r * x) % p
-        if rhs == 0:
-            continue
-        y = _sqrt_mod(rhs, p)
-        if y is None or y == 0:
-            continue
-        P = (x, y)
-        Q = _phi(P, r, sm2, p)
-        if Q is None or not _on_curve(Q, Es, p):
-            return False
-        if Q[1] % p == 0:
-            continue
-        R = _phi(Q, rs, sm2, p)
-        if R is None or not _on_curve(R, E, p):
-            return False
-        if R != _ec_neg(_ec_mul(2, P, E, p), p):
-            return False
-        done += 1
-    return True
+    return _isogeny_holds("x", "y")
 
 
 def _rational_bc(E: EllipticCurve):

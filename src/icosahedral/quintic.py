@@ -192,7 +192,8 @@ def resolvent_coeffs(m, n, j):
     These are the closed forms whose values at (m, w) make
     x^5 + Ax^2 + Bx + C the exact minimal relation of the five resolvents
     built in icosa with parameters (m, 12w); see
-    icosa.verify_resolvent_quintic for the machine check of that identity.
+    icosa.resolvent_identity_mismatch, which proves that identity for all
+    (m, w).
 
     Requires j outside {0, 1728}.
     """

@@ -27,11 +27,9 @@ def test_02_invariance_of_j_mu_lambda():
 
 
 def test_03_resolvent_grid_under_10min():
+    # the identity for all (m, n), which the former 36-point grid sampled
     started = time.monotonic()
-    grid = icosa.resolvent_grid()
-    assert len(grid) == 36
-    for m, n in grid:
-        assert icosa.verify_resolvent_quintic(m, n)
+    assert icosa.resolvent_identity_mismatch() is None
     assert time.monotonic() - started < 600
 
 
@@ -62,8 +60,7 @@ def _j_equation_member(t):
 
 def test_06_qcurve_bundle():
     assert qcurve.verify_isogeny_codomain()
-    for p in (11, 19, 41):
-        assert qcurve.verify_isogeny_composition(p, trials=20, seed=SEED)
+    assert qcurve.verify_isogeny_composition()
     s5 = QSQRT5.gen(1)
     published = qcurve.EllipticCurve(QSQRT5, QSQRT5.from_scalar(5) - s5, s5,
                                      QSQRT5.zero)
@@ -153,13 +150,8 @@ def test_12_mutation_suite():
     assert icosa._j_from_lambda(bad_lam) != icosa._j_from_mu(inv.mu)
 
     # resolvent quintic: the n-normalization (n in place of n/12)
-    m, n = Fraction(0), Fraction(1)
-    _, _, _, prodW, Jn, Jd, D = icosa._resolvent_parts()
-    c2 = icosa._resolvent_coeff_polys(m, n)[2]
-    alpha = 2 * m ** 3 + 3 * m ** 2 * n
-    beta = 6 * m * n ** 2 + n ** 3
-    An = Jd * (D.scale(alpha) + Jd.scale(432 * beta)).scale(-20)
-    assert c2 * (Jn * D) != prodW * An
+    assert icosa._first_mismatch(icosa._resolvent_forms(),
+                                 icosa._resolvent_rhs(Fraction(1))) is not None
 
     # disc identity: wrong exponent on (9 - 5t^2)
     t = RatFunc.var()
@@ -167,10 +159,13 @@ def test_12_mutation_suite():
     disc = 256 * (k / (t * t)) ** 5 + 3125 * (4 * k / (5 * t * t)) ** 4
     assert disc * t ** 10 != 2 ** 8 * 3 ** 2 * k ** 3
 
-    # isogeny codomain: shift the x-coefficient r by 1
-    r = qcurve.curve_from_t(1).a4
-    assert qcurve._codomain_identity(QSQRT5, r)
-    assert not qcurve._codomain_identity(QSQRT5, r + 1)
+    # 2-isogeny: r^sigma = 2 - r in place of 1 - r, and [+2] for [-2]
+    for name in ("codomain", "x"):
+        lhs, rhs = qcurve._isogeny_identities(
+            r_sigma=Poly.over_q([2, -1]))[name]
+        assert lhs != rhs
+    lhs, rhs = qcurve._isogeny_identities(mult=2)["y"]
+    assert lhs != rhs
 
     # linking transform: 31104 -> 31105 in the inverse map
     j = Fraction(2)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -130,6 +131,24 @@ def test_analyze_batch_order_and_errors(tmp_path, capsys):
     assert [c["status"] for c in report["checks"]] == \
         ["pass", "pass", "skipped", "skipped"]
     assert report["status"] == "pass"
+
+
+def test_analyze_writes_each_record_before_the_next(tmp_path, monkeypatch):
+    path = tmp_path / "batch.jsonl"
+    path.write_text('{"B":"4","C":"16/5"}\n' * 3)
+    buf = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", buf)
+    written = []
+    analyze_one = cli._analyze_one
+
+    def recording(rec):
+        written.append(buf.getvalue().count("\n"))
+        return analyze_one(rec)
+
+    monkeypatch.setattr(cli, "_analyze_one", recording)
+    assert cli.main(["analyze", "--file", str(path), "--json"]) == 0
+    assert written == [0, 1, 2]
+    assert buf.getvalue().count("\n") == 4
 
 
 def test_analyze_text_mode_summary(capsys):
@@ -384,7 +403,7 @@ def test_verify_icosa(capsys):
     report = json.loads(out)
     by_id = {c["id"]: c for c in report["checks"]}
     assert by_id["icosa/resolvent-grid"]["witness"] == \
-        "36 rational (m, n) pairs"
+        "all 21 coefficients of X^k m^i n^j agree"
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
@@ -399,24 +418,15 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert statuses["hecke/square-identity"] == "pass"
 
 
-@pytest.mark.parametrize("mismatch, witness", [
-    (None, "failing pairs: (0, 1), (1/2, 1/3)"),
-    ((2, 0, 3), "first mismatched coefficient: (X^2, m^0 n^3); "
-                "failing pairs: (0, 1), (1/2, 1/3)"),
-], ids=["grid", "proof-and-grid"])
-def test_verify_resolvent_failure_witness(capsys, monkeypatch, mismatch,
-                                          witness):
-    bad = {(Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1, 3))}
+def test_verify_resolvent_failure_witness(capsys, monkeypatch):
     monkeypatch.setattr(cli.icosa, "resolvent_identity_mismatch",
-                        lambda: mismatch)
-    monkeypatch.setattr(cli.icosa, "verify_resolvent_quintic",
-                        lambda m, n: (m, n) not in bad)
+                        lambda: (2, 0, 3))
     rc, out, _ = run_cli(capsys, "verify", "icosa")
     assert rc == 1
     check = {c["id"]: c for c in json.loads(out)["checks"]}[
         "icosa/resolvent-grid"]
     assert check["status"] == "fail"
-    assert check["witness"] == witness
+    assert check["witness"] == "first mismatched coefficient: (X^2, m^0 n^3)"
 
 
 def test_verify_timings_flag(capsys):
@@ -447,6 +457,13 @@ def test_out_file(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "verify", "localfield", "--out", str(path))
     assert rc == 0 and out == ""
     rc, stdout_text, _ = run_cli(capsys, "verify", "localfield")
+    assert path.read_text(encoding="utf-8") == stdout_text
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text('{"B":"4","C":"16/5"}\n{"B":"0","C":"-4"}\n')
+    analyze = ("analyze", "--file", str(batch), "--json")
+    rc, out, _ = run_cli(capsys, *analyze, "--out", str(path))
+    assert rc == 0 and out == ""
+    rc, stdout_text, _ = run_cli(capsys, *analyze)
     assert path.read_text(encoding="utf-8") == stdout_text
 
 

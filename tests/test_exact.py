@@ -487,6 +487,10 @@ def test_ratfunc_compose_examples():
     z = RatFunc.var()
     minv = RatFunc(Poly.over_q([-1]), Poly.over_q([0, 1]))
     assert z.compose(minv) == minv
+    # a numerator of lower degree than the denominator: 1/(z^2+1) at -1/z
+    inv_sq = RatFunc(Poly.over_q([1]), Poly.over_q([1, 0, 1]))
+    assert inv_sq.compose(minv) == RatFunc(Poly.over_q([0, 0, 1]),
+                                           Poly.over_q([1, 0, 1]))
     # z^5 composed with zeta5 * z over Q(zeta5) returns z^5
     dom = QZETA5.domain()
     zeta = QZETA5.gen(1)

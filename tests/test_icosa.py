@@ -7,9 +7,66 @@ import mpmath as mp
 import pytest
 
 from icosahedral import icosa
-from icosahedral.exact import QZETA5, Poly, RatFunc
+from icosahedral.exact import QDOM, QZETA5, Poly, RatFunc
 
 mp.mp.dps = 60
+
+# -- the pointwise resolvent check: an oracle for the all-(m, n) proof ------
+
+# each elementary symmetric function of the resolvents, cleared of
+# denominators, has degree at most 5 in each of m and n, so agreement on
+# this 6x6 tensor grid alone would also pin the identity for all m, n
+RESOLVENT_M_VALUES = (Fraction(0), Fraction(1), Fraction(2), Fraction(3),
+                      Fraction(5), Fraction(1, 2))
+RESOLVENT_N_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                      Fraction(3), Fraction(1, 3))
+
+
+def resolvent_coeff_polys(m, n):
+    """Coefficients c_k(z) over Q of prod_nu (X W_nu - (m U_nu + n V_nu))
+    in X, from the cached forms evaluated at (m, n)."""
+    out = []
+    for k, row in enumerate(icosa._resolvent_forms()):
+        acc = Poly((), QDOM)
+        for i, form in enumerate(row):
+            s = m ** i * n ** (5 - k - i)
+            if s:
+                acc = acc + form.scale(s)
+        out.append(acc)
+    return out  # length 6, degrees 0..5 in X
+
+
+def resolvent_quintic_holds(m, n):
+    """Whether, at one rational (m, n), x_0..x_4 are the roots of
+    x^5 + A x^2 + B x + C with (A, B, C) at (m, n/12, j(z)).
+
+    The right-hand side is written out here apart from icosa._resolvent_rhs;
+    all five elementary symmetric functions are compared, cleared of
+    fractions, as polynomial identities over Q.
+    """
+    m, n = Fraction(m), Fraction(n)
+    w = n / 12
+    _, _, _, prodW, Jn, Jd, D = icosa._resolvent_parts()
+    c0, c1, c2, c3, c4, c5 = resolvent_coeff_polys(m, n)
+    if not c4.is_zero() or not c3.is_zero() or c5 != prodW:
+        return False
+    JdD, Jd2, D2 = Jd * D, Jd * Jd, D * D
+    # A = -20 Jd (alpha D + 432 beta Jd) / (Jn D)
+    alpha = 2 * m ** 3 + 3 * m ** 2 * w
+    beta = 6 * m * w ** 2 + w ** 3
+    An = Jd * (D.scale(alpha) + Jd.scale(432 * beta)).scale(-20)
+    # B = -5 Jd (m^4 D^2 - 864 (3 m^2 w^2 + 2 m w^3) Jd D
+    #            - 559872 w^4 Jd^2) / (Jn D^2)
+    Bn = Jd * (D2.scale(m ** 4)
+               - JdD.scale(864 * (3 * m ** 2 * w ** 2 + 2 * m * w ** 3))
+               - Jd2.scale(559872 * w ** 4)).scale(-5)
+    # C = -Jd (m^5 D^2 - 1440 m^3 w^2 Jd D
+    #          + 62208 (15 m w^4 + 4 w^5) Jd^2) / (Jn D^2)
+    Cn = Jd * (D2.scale(m ** 5)
+               - JdD.scale(1440 * m ** 3 * w ** 2)
+               + Jd2.scale(62208 * (15 * m * w ** 4 + 4 * w ** 5))).scale(-1)
+    return (c2 * (Jn * D) == prodW * An and c1 * (Jn * D2) == prodW * Bn
+            and c0 * (Jn * D2) == prodW * Cn)
 
 
 def test_build_invariants_shapes():
@@ -47,6 +104,13 @@ def test_j_two_expressions_at_one():
 
 def test_fundamental_identity():
     assert icosa.verify_fundamental_identity()
+    # both sides evaluated at a few rational points
+    inv = icosa.build_invariants()
+    lhs = icosa._j_from_lambda(inv.lam)
+    rhs = icosa._j_from_mu(inv.mu)
+    for z in (Fraction(2), Fraction(1, 3), Fraction(-5, 7), Fraction(9, 4),
+              Fraction(-3)):
+        assert lhs(z) == rhs(z)
 
 
 def test_fundamental_identity_mutation():
@@ -117,9 +181,9 @@ def test_resolvent_rotation():
 
 
 def test_resolvent_quintic_examples():
-    assert icosa.verify_resolvent_quintic(1, 0)
-    assert icosa.verify_resolvent_quintic(0, 1)
-    assert icosa.verify_resolvent_quintic(2, 3)
+    assert resolvent_quintic_holds(1, 0)
+    assert resolvent_quintic_holds(0, 1)
+    assert resolvent_quintic_holds(2, 3)
 
 
 def test_resolvent_quintic_numeric_oracle():
@@ -166,20 +230,18 @@ def test_resolvent_quintic_numeric_oracle():
     assert got[0] == -(20 / jq) * ((2 * 8 + 3 * 4 * wq) + 432 * (6 * 2 * wq ** 2 + wq ** 3) * Nq)
 
 
-def test_resolvent_grid_shape():
-    grid = icosa.resolvent_grid()
-    assert len(grid) == 36
-    assert len(set(m for m, _ in grid)) == 6
-    assert len(set(n for _, n in grid)) == 6
-    assert (Fraction(1), Fraction(0)) in grid
-    assert (Fraction(0), Fraction(1)) in grid
+def test_resolvent_grid_oracle():
+    assert len(set(RESOLVENT_M_VALUES)) == len(set(RESOLVENT_N_VALUES)) == 6
+    for m in RESOLVENT_M_VALUES:
+        for n in RESOLVENT_N_VALUES:
+            assert resolvent_quintic_holds(m, n), (m, n)
 
 
 def test_resolvent_quintic_mutation():
     # with the wrong normalization (n instead of n/12) the check must fail
     m, n = Fraction(0), Fraction(1)
     _, _, _, prodW, Jn, Jd, D = icosa._resolvent_parts()
-    acc = icosa._resolvent_coeff_polys(m, n)
+    acc = resolvent_coeff_polys(m, n)
     c2 = acc[2]
     alpha = 2 * m ** 3 + 3 * m ** 2 * n
     beta = 6 * m * n ** 2 + n ** 3
@@ -198,7 +260,7 @@ def _seeded_mn():
 
 
 def test_random_mn_resolvent():
-    assert icosa.verify_resolvent_quintic(*_seeded_mn())
+    assert resolvent_quintic_holds(*_seeded_mn())
 
 
 def _direct_coeff_polys(m, n):
@@ -217,7 +279,7 @@ def _direct_coeff_polys(m, n):
 
 @pytest.mark.parametrize("mn", [(Fraction(2), Fraction(3)), _seeded_mn()])
 def test_resolvent_forms_match_direct_product(mn):
-    assert icosa._resolvent_coeff_polys(*mn) == _direct_coeff_polys(*mn)
+    assert resolvent_coeff_polys(*mn) == _direct_coeff_polys(*mn)
 
 
 def test_resolvent_identity_all_mn():

@@ -1,5 +1,4 @@
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -12,8 +11,143 @@ from icosahedral.qcurve import (
     verify_isogeny_composition, verify_klein_link, x5sum_resolvent,
     x5sum_resolvent_scaled,
 )
-from icosahedral.qcurve import _codomain_identity, _ec_mul, _on_curve, _sqrt_mod
+from icosahedral.qcurve import _isogeny_identities, _rx
 from icosahedral.quintic import Quintic, invariants, j_candidates
+
+# -- point arithmetic mod p: an oracle independent of the Q[r][x] proofs --
+
+
+def sqrt_mod(a, p):
+    """Tonelli-Shanks; None for nonresidues."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, tt = 0, t
+        while tt != 1:
+            tt = tt * tt % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def ec_neg(P, p):
+    if P is None:
+        return None
+    return (P[0], -P[1] % p)
+
+
+def ec_add(P, Q, coeffs, p):
+    a2, a4, _ = coeffs
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - a2 - x1 - x2) % p
+    y3 = (lam * (x1 - x3) - y1) % p
+    return (x3, y3)
+
+
+def ec_mul(k, P, coeffs, p):
+    if k < 0:
+        return ec_mul(-k, ec_neg(P, p), coeffs, p)
+    acc, base = None, P
+    while k:
+        if k & 1:
+            acc = ec_add(acc, base, coeffs, p)
+        base = ec_add(base, base, coeffs, p)
+        k >>= 1
+    return acc
+
+
+def on_curve(P, coeffs, p):
+    if P is None:
+        return True
+    a2, a4, a6 = coeffs
+    x, y = P
+    return (y * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p == 0
+
+
+def phi_mod(P, r, sm2, p):
+    """The 2-isogeny on points mod p; None when x = 0 (the kernel)."""
+    x, y = P
+    if x % p == 0:
+        return None
+    ix2 = pow(x * x, -1, p)
+    X = y * y * pow(-2, -1, p) * ix2 % p
+    Y = y * (r - x * x) * pow(sm2 ** 3, -1, p) * ix2 % p
+    return (X, Y)
+
+
+def sample_composition(p, trials, seed=20260815):
+    """Sample phi^sigma(phi(P)) = [-2]P on reductions of E_t mod p.
+
+    p is an odd prime with 5 and -2 both squares mod p.  Each trial draws
+    a parameter t and a finite point P with y != 0; choices where the maps
+    degenerate are redrawn.
+    """
+    s5 = sqrt_mod(5, p)
+    sm2 = sqrt_mod(-2, p)
+    assert s5 is not None and sm2 is not None
+    rng = random.Random(seed)
+    done = 0
+    while done < trials:
+        tv = rng.randrange(1, p)
+        den = 2 * s5 * tv % p
+        if den == 0:
+            continue
+        r = (3 + s5 * tv) * pow(den, -1, p) % p
+        rs = (3 - s5 * tv) * pow(-den, -1, p) % p
+        if r in (0, 1) or rs in (0, 1):
+            continue
+        E = (2, r, 0)
+        Es = (2, rs, 0)
+        x = rng.randrange(1, p)
+        rhs = (x ** 3 + 2 * x * x + r * x) % p
+        if rhs == 0:
+            continue
+        y = sqrt_mod(rhs, p)
+        if y is None or y == 0:
+            continue
+        P = (x, y)
+        Q = phi_mod(P, r, sm2, p)
+        if Q is None or not on_curve(Q, Es, p):
+            return False
+        if Q[1] % p == 0:
+            continue
+        R = phi_mod(Q, rs, sm2, p)
+        if R is None or not on_curve(R, E, p):
+            return False
+        if R != ec_neg(ec_mul(2, P, E, p), p):
+            return False
+        done += 1
+    return True
+
+
+def isogeny_holds(name, **mutation):
+    lhs, rhs = _isogeny_identities(**mutation)[name]
+    return lhs == rhs
 
 
 def as_fraction(coeff):
@@ -157,51 +291,71 @@ def test_conjugate_involution():
 
 def test_isogeny_codomain():
     assert verify_isogeny_codomain()
-    assert verify_isogeny_codomain(Fraction(3, 5))
-    assert verify_isogeny_codomain(2)
+    # the proof's r^sigma = 1 - r is the conjugate of a4 on every E_t
+    for t in (1, Fraction(3, 5), -2):
+        r = curve_from_t(t).a4
+        assert r.conj("sigma") == 1 - r
 
 
 def test_isogeny_codomain_mutation():
-    r = curve_from_t(1).a4
-    assert _codomain_identity(QSQRT5, r)
-    assert not _codomain_identity(QSQRT5, r + 1)
+    # r^sigma = 2 - r breaks the codomain and the x-coordinate identities
+    assert isogeny_holds("codomain") and isogeny_holds("x")
+    wrong = Poly.over_q([2, -1])
+    assert not isogeny_holds("codomain", r_sigma=wrong)
+    assert not isogeny_holds("x", r_sigma=wrong)
 
 
 def test_isogeny_composition():
-    assert verify_isogeny_composition(41, 20)
-    for p in (11, 19, 59):
-        assert verify_isogeny_composition(p, 5)
+    assert verify_isogeny_composition()
+    for p in (11, 19, 41, 59):
+        assert sample_composition(p, 20)
 
 
-def test_isogeny_composition_validation():
-    with pytest.raises(ValueError):
-        verify_isogeny_composition(9, 5)
-    # 5 is a nonresidue mod 13 and mod 7
-    for p in (7, 13):
-        with pytest.raises(ValueError):
-            verify_isogeny_composition(p, 5)
-    with pytest.warns(UserWarning):
-        assert verify_isogeny_composition(41, 0)
+def test_isogeny_identities_sympy_oracle():
+    # the same maps in sympy, with [2]P from the tangent-line group law
+    # rather than the b-invariant duplication formula of the proof
+    r, x, u = sp.symbols("r x u")
+    r_sigma = 1 - r
+    c = sp.sqrt(-2) ** 3
+    f = x ** 3 + 2 * x ** 2 + r * x
+    X = f / (-2 * x ** 2)
+    y_ratio = (r - x ** 2) / (c * x ** 2)  # Y / y
+    X_sigma = (u ** 3 + 2 * u ** 2 + r_sigma * u) / (-2 * u ** 2)
+    y_ratio_sigma = (r_sigma - u ** 2) / (c * u ** 2)
+    assert sp.cancel(f * y_ratio ** 2
+                     - (X ** 3 + 2 * X ** 2 + r_sigma * X)) == 0
+    lam_sq = sp.diff(f, x) ** 2 / (4 * f)  # y^2 = f eliminated
+    x_dup = lam_sq - 2 - 2 * x
+    y_dup = sp.diff(f, x) * (x - x_dup) / (2 * f) - 1  # y([2]P) / y
+    assert sp.cancel(X_sigma.subs(u, X) - x_dup) == 0
+    y_comp = y_ratio * y_ratio_sigma.subs(u, X)
+    assert sp.cancel(y_comp + y_dup) == 0
+    assert sp.cancel(y_comp - y_dup) != 0
 
 
 def test_isogeny_composition_detects_wrong_map():
-    # dropping the (r - x^2) factor sends points off the target curve
+    # [+2] in place of [-2], or phi without its (r - x^2) factor, breaks the
+    # y-coordinate identity
+    assert isogeny_holds("y")
+    assert not isogeny_holds("y", mult=2)
+    assert not isogeny_holds("y", phi_y=_rx(1))
+    # mod p, dropping the factor sends points off the target curve
     p = 41
-    s5 = _sqrt_mod(5, p)
-    sm2 = _sqrt_mod(-2, p)
+    s5 = sqrt_mod(5, p)
+    sm2 = sqrt_mod(-2, p)
     r = (3 + s5) * pow(2 * s5, -1, p) % p
     rs = (3 - s5) * pow(-2 * s5, -1, p) % p
     target = (2, rs, 0)
     off_curve = 0
     for x in range(1, p):
         rhs = (x ** 3 + 2 * x * x + r * x) % p
-        y = _sqrt_mod(rhs, p)
+        y = sqrt_mod(rhs, p)
         if not y:
             continue
         ix2 = pow(x * x, -1, p)
         X = y * y * pow(-2, -1, p) * ix2 % p
         Y = y * pow(sm2 ** 3, -1, p) * ix2 % p
-        if not _on_curve((X, Y), target, p):
+        if not on_curve((X, Y), target, p):
             off_curve += 1
     assert off_curve > 0
 
@@ -233,7 +387,7 @@ def test_division_poly5_matches_group_law():
     assert roots == [1, 9, 13, 28, 32, 35, 40, 47, 50, 56, 57, 59]
     coeffs = (0, b, c)
     order5 = [P for P in brute_points(b, c, p)
-              if _ec_mul(5, P, coeffs, p) is None]
+              if ec_mul(5, P, coeffs, p) is None]
     assert len(order5) == 24
     assert sorted({P[0] for P in order5}) == roots
 
@@ -245,8 +399,8 @@ def test_x5sum_matches_group_law_sums():
     assert [as_fraction(v) for v in g.coeffs] == [-1280, 0, 0, 640, 0, 0, 1]
     coeffs = (0, b, c)
     order5 = [P for P in brute_points(b, c, p)
-              if _ec_mul(5, P, coeffs, p) is None]
-    sums = sorted({(P[0] + _ec_mul(2, P, coeffs, p)[0]) % p for P in order5})
+              if ec_mul(5, P, coeffs, p) is None]
+    sums = sorted({(P[0] + ec_mul(2, P, coeffs, p)[0]) % p for P in order5})
     assert sums == roots_mod(poly_mod(g, p), p) == [2, 26, 31, 33, 37, 54]
 
 
