@@ -35,8 +35,8 @@ from fractions import Fraction
 from . import __version__, hecke, icosa, localfield, qcurve, repn
 from .exact import QSQRT5
 from .quintic import (
-    Quintic, family_quintic, hyperelliptic_search, invariants, j_roots,
-    trinomial_t,
+    Quintic, family_quintic, hyperelliptic_3adic, invariants, j_equation,
+    j_roots, trinomial_t,
 )
 
 __all__ = ["main"]
@@ -273,7 +273,8 @@ def cmd_analyze(args) -> int:
                     try:
                         line.encode("utf-8", "surrogateescape").decode("utf-8")
                         records.append(_parse_record(json.loads(line)))
-                    except ValueError as exc:
+                    except (ValueError, RecursionError) as exc:
+                        # json.loads raises RecursionError on deep nesting
                         print(f"error: {args.file}:{lineno}: {exc}",
                               file=sys.stderr)
                         return 2
@@ -310,7 +311,7 @@ def cmd_analyze(args) -> int:
 
 # -- verification suites -----------------------------------------------------
 
-def _suite_icosa(samples, seed, height):
+def _suite_icosa(samples, seed):
     checks = [
         _check("icosa/fundamental-identity",
                "(l+3)^3 (l^2+11l+64) = (m^2+10m+5)^3 / m as normalized "
@@ -335,7 +336,7 @@ def _suite_icosa(samples, seed, height):
     return checks
 
 
-def _suite_klein_link(samples, seed, height):
+def _suite_klein_link(samples, seed):
     checks = [_check(
         "klein-link/fixed-samples",
         "mu <-> x transforms invert each other and (a) holds on fixed j",
@@ -356,16 +357,13 @@ def _suite_klein_link(samples, seed, height):
     return checks
 
 
-def _j_equation_member(t: Fraction) -> bool:
-    iv = invariants(family_quintic(t))
-    qa = iv.delta ** 5
-    qb = -1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + iv.delta ** 5)
-    qc = 1728 ** 2 * iv.gamma4 ** 3
-    j = qcurve.j_invariant(qcurve.curve_from_t(t))
-    return j * j * qa + j * qb + QSQRT5.from_scalar(qc) == QSQRT5.zero
+def _j_equation_t1() -> bool:
+    qa, qb, qc = j_equation(invariants(family_quintic(1)))
+    j = qcurve.j_invariant(qcurve.curve_from_t(1))
+    return j * j * qa + j * qb + qc == QSQRT5.zero
 
 
-def _suite_qcurve(samples, seed, height):
+def _suite_qcurve(samples, seed):
     checks = [
         _check("qcurve/isogeny-codomain",
                "the 2-isogeny formulas land on the sigma-conjugate curve, "
@@ -387,30 +385,29 @@ def _suite_qcurve(samples, seed, height):
     checks.append(_check(
         "qcurve/j-equation-t1",
         "j(E_1) is an exact root of the j-equation of x^5 + 4x + 16/5",
-        _j_equation_member(Fraction(1))))
-    rng = random.Random(seed)
-    ts = []
-    while len(ts) < samples:
-        t = Fraction(rng.randint(-999, 999), rng.randint(1, 60))
-        if t and t not in ts:
-            ts.append(t)
+        _j_equation_t1()))
+    bad_r = qcurve.j_equation_family_mismatch()
     checks.append(_check(
         "qcurve/j-equation-family",
-        "j(E_t) is an exact root of the j-equation of q_t for seeded random t",
-        all(_j_equation_member(t) for t in ts),
-        f"{len(ts)} seeded rational t values"))
-    points = hyperelliptic_search(height)
+        "j(E_t) is an exact root of the j-equation of q_t for all t, as an "
+        "identity in r = a4(E_t) of degree <= 36 once cleared",
+        bad_r is None,
+        "the cleared equation vanishes at the 37 values r = 2, ..., 38"
+        if bad_r is None
+        else f"the cleared equation does not vanish at r = {_fmt(bad_r)}"))
+    v3, zeros = hyperelliptic_3adic()
     checks.append(_check(
         "qcurve/hyperelliptic-points",
-        "bounded search of y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2) "
-        "finds no rational points (evidence, not a proof)",
-        not points,
-        f"no points with height <= {height}" if not points
-        else f"points found: {points}"))
+        "y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2) has no rational "
+        "points: the homogenized right side has 3-adic valuation 1 at "
+        "every coprime (a, b)",
+        v3 == 1 and not zeros,
+        f"v_3 of the constant factor: {v3}; zeros of the factors on "
+        f"P^1(F_3): {', '.join(f'({a} : {b})' for a, b in zeros) or 'none'}"))
     return checks
 
 
-def _suite_repn(samples, seed, height):
+def _suite_repn(samples, seed):
     group = repn.enumerate_group()
     lifts = [repn.lift_pi(g) for g in group]
     checks = [
@@ -429,9 +426,9 @@ def _suite_repn(samples, seed, height):
                "admissible (a, d); (2) fails for a/d = +-2 as documented",
                repn.verify_relations()),
         _check("repn/homomorphism",
-               "lift(g) lift(h) = lift(gh) on seeded random pairs",
-               repn.verify_homomorphism(trials=samples, seed=seed),
-               f"{samples} sampled pairs"),
+               "lift(g) lift(h) = lift(gh) for all g, h, as lift(g) "
+               "lift(s) = lift(gs) for all 240 g and the 10 generators s",
+               repn.verify_homomorphism()),
         _check("repn/congruence",
                "reducing each lift entrywise mod the prime above 5 returns "
                "the lifted matrix",
@@ -443,7 +440,7 @@ def _suite_repn(samples, seed, height):
     return checks
 
 
-def _suite_hecke(samples, seed, height):
+def _suite_hecke(samples, seed):
     vg = hecke.omega_value_group()
     eps_exp = hecke.omega_epsilon().exponent
     return [
@@ -465,7 +462,7 @@ def _suite_hecke(samples, seed, height):
     ]
 
 
-def _suite_localfield(samples, seed, height):
+def _suite_localfield(samples, seed):
     truth = {Fraction(1): True, Fraction(3): False, Fraction(3, 5): False,
              Fraction(4, 9): True}
     table_ok = all(localfield.is_square_5adic_unit(t) is want
@@ -475,18 +472,6 @@ def _suite_localfield(samples, seed, height):
         localfield.theorem_hypothesis(20, -16) is False,
         localfield.theorem_hypothesis(-4, Fraction(16, 5)) is False,
     )
-    rng = random.Random(seed)
-    units = []
-    while len(units) < samples:
-        u = Fraction(rng.randint(-200, 200), rng.randint(1, 200))
-        if not u or localfield.v5(u).value != 0 or u in units:
-            continue
-        units.append(u)
-    family_ok = True
-    for u in units:
-        q = family_quintic(u * u)
-        if not localfield.theorem_hypothesis(q.b, q.c):
-            family_ok = False
     return [
         _check("localfield/artin-schreier",
                "q_t(x/w) w^5 = x^5 - x - y for w = 5y/4 in "
@@ -500,9 +485,10 @@ def _suite_localfield(samples, seed, height):
                "and (-4, 16/5)",
                all(triple)),
         _check("localfield/family-squares",
-               "the hypothesis holds on q_t for t = u^2, u a seeded "
-               "random 5-adic unit",
-               family_ok, f"{len(units)} seeded units"),
+               "the hypothesis holds on q_t for t = u^2 and every 5-adic "
+               "unit u: trinomial_t(q_t) = |t|, as 256k^5 + 1280k^4 t^2 = "
+               "(48k^2)^2 in Q[t] with k = 9 - 5t^2",
+               localfield.verify_family_squares()),
     ]
 
 
@@ -522,7 +508,7 @@ def cmd_verify(args) -> int:
     checks = []
     for name in names:
         log.info("running suite %s", name)
-        checks.extend(_SUITES[name](args.samples, args.seed, args.height))
+        checks.extend(_SUITES[name](args.samples, args.seed))
     wall = int((time.monotonic() - started) * 1000) if args.timings else None
     report = _report(args.suite, checks, args.seed, args.samples,
                      args.height, wall)
@@ -596,10 +582,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", choices=SUITE_NAMES + ("all",))
     pv.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                    help="sample count for randomized checks (default 20)")
+                    help="number of seeded j values for klein-link/"
+                         "random-samples, the only check that reads it "
+                         "(at least 1, default 20)")
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pv.add_argument("--height", type=int, default=DEFAULT_HEIGHT,
-                    help="height bound for the point search (default 1000)")
+                    help="recorded in the report; no check reads it "
+                         "(default 1000)")
     pv.add_argument("--timings", action="store_true",
                     help="record wall time (reports are then not byte-stable)")
     pv.add_argument("--out", help="write the report to a file")
@@ -622,6 +611,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "analyze" and args.file is None and args.c is None:
         parser.error("--c is required with --b")
+    if args.command == "verify" and args.samples < 1:
+        parser.error("--samples must be at least 1")
     if args.command == "analyze" and args.file is not None and \
             (args.c is not None or args.a is not None):
         parser.error("--c and --a apply only to an inline quintic")

@@ -36,7 +36,6 @@ __all__ = [
     "QDOM",
     "Poly",
     "RatFunc",
-    "field_tower",
     "quadratic_field",
     "power_basis_algebra",
     "embed",
@@ -66,20 +65,20 @@ class FieldDescriptor:
     """A finite-dimensional commutative Q-algebra by structure constants.
 
     ``table[i][j]`` holds the coordinates of basis_i * basis_j.  Scalars are
-    Fractions by default but may be any exact field (rational functions for
-    parametric towers); ``scalar`` coerces ints and Fractions into the
-    scalar domain.
+    Fractions by default but may be any exact field (rational functions, as
+    in localfield's Artin-Schreier algebra); ``scalar`` coerces ints and
+    Fractions into the scalar domain.
     """
 
     def __init__(self, name, basis, table, scalar_zero=Fraction(0),
-                 scalar_one=Fraction(1), involutions=None, coerce=None):
+                 scalar_one=Fraction(1), coerce=None):
         self.name = name
         self.basis = tuple(basis)
         self.dim = len(self.basis)
         self.table = tuple(tuple(tuple(row) for row in line) for line in table)
         self.scalar_zero = scalar_zero
         self.scalar_one = scalar_one
-        self.involutions = dict(involutions or {})
+        self.involutions = {}
         self._coerce = coerce
         self._int_table = None
         if len(self.table) != self.dim or any(len(line) != self.dim for line in self.table):
@@ -405,44 +404,11 @@ QSQRT5 = _build_qsqrt5()
 QZETA5 = _build_qzeta5()
 QEPSI = _build_qepsi()
 
-_NAMED = {"Q": Q, "Qsqrt5": QSQRT5, "Qzeta5": QZETA5, "QepsI": QEPSI}
-
 
 def quadratic_field(d):
     """Q[r]/(r^2 - d) for a rational d (a field iff d is not a square)."""
     d = Fraction(d)
     return power_basis_algebra(f"Qadj({d})", 2, (d, Fraction(0)), gen_name="r")
-
-
-def field_tower(name, params=()):
-    """Return one of the named descriptors, verified.
-
-    With a parameter symbol the scalar domain becomes the field of rational
-    functions over Q in that symbol (coordinates are then RatFunc values).
-    """
-    if name not in _NAMED:
-        raise ValueError(f"unknown field descriptor {name!r}")
-    base = _NAMED[name]
-    base.verify_table()
-    if not params:
-        return base
-    if len(params) != 1:
-        raise ValueError("at most one transcendental parameter is supported")
-    rz, ro = RatFunc.constants(params[0])
-    lift = {0: rz, 1: ro}
-
-    def coerce(c):
-        if isinstance(c, RatFunc):
-            return c
-        c = Fraction(c)
-        if c not in lift:
-            lift[c] = RatFunc(Poly((c,), QDOM), Poly.one(QDOM), _normalized=True)
-        return lift[c]
-
-    table = [[tuple(coerce(s) for s in cell) for cell in line] for line in base.table]
-    fd = FieldDescriptor(f"{base.name}({params[0]})", base.basis, table,
-                         rz, ro, involutions=base.involutions, coerce=coerce)
-    return fd
 
 
 # Images of source basis elements inside the target algebra.

@@ -15,6 +15,9 @@ and y a root of y^4 = 256u^4/(625(5u^4 - 9)),
 holds identically in x over Q(u)[y].  Since v5(y^4) = -4 for any 5-adic
 unit u, y has valuation -1/1 in a totally ramified quartic extension, the
 shape that makes x^5 - x - y an Artin-Schreier equation at 5.
+
+On the family itself the hypothesis holds at t = u^2 for every 5-adic unit
+u, since trinomial_t(q_t) = |t| (verify_family_squares).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "is_square_5adic_unit",
     "theorem_hypothesis",
     "artin_schreier_identity",
+    "verify_family_squares",
 ]
 
 
@@ -137,3 +141,16 @@ def artin_schreier_identity() -> bool:
     rhs = Poly((-fld.gen(1), -fld.one, fld.zero, fld.zero, fld.zero, fld.one),
                dom)
     return lhs == rhs
+
+
+def verify_family_squares(k=Poly.over_q([9, 0, -5])) -> bool:
+    """Prove 256k^5 + 1280k^4 t^2 = (48k^2)^2 in Q[t], k = 9 - 5t^2.
+
+    q_t has B = k/t^2 and C = 4k/(5t^2), so 256B^5 + 3125C^4 is
+    (256k^5 + 1280k^4 t^2)/t^10 = (48k^2/t^5)^2 and
+    trinomial_t(q_t) = 75C^2/(48k^2/|t|^5) = |t| for every rational t != 0.
+    k is a parameter for mutation tests.
+    """
+    k4 = k ** 4
+    t2 = Poly.over_q([0, 0, 1])
+    return (k4 * k).scale(256) + (k4 * t2).scale(1280) == (k * k).scale(48) ** 2

@@ -13,6 +13,8 @@ onto its sqrt5-conjugate.  Since r + r^sigma = 1 for every t, the codomain
 identity Y^2 = X^3 + 2X^2 + r^sigma X and both coordinates of
 phi^sigma(phi(P)) = [-2]P are proved once, as identities of cleared
 polynomials in x over Q[r] with r^sigma = 1 - r, for all t at once.
+That j(E_t) solves the j-equation of q_t is an identity in r, proved by
+a degree bound in j_equation_family_mismatch.
 
 For E_j the module computes the 5-division polynomial, the monic sextic
 g(S) whose roots are the sums x_P + x_{2P} over 5-torsion P, and the link
@@ -35,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import (
-    AlgElement, Domain, FieldDescriptor, Poly, Q, QDOM, QSQRT5, RatFunc,
-    field_tower, poly_gcd, poly_sqrt, resultant,
+    AlgElement, Domain, FieldDescriptor, Poly, Q, QDOM, QSQRT5, poly_gcd,
+    poly_sqrt, resultant,
 )
+from .quintic import Quintic, invariants, j_equation
 
 __all__ = [
     "EllipticCurve",
@@ -51,6 +53,7 @@ __all__ = [
     "conjugate",
     "verify_isogeny_codomain",
     "verify_isogeny_composition",
+    "j_equation_family_mismatch",
     "division_poly5",
     "x5sum_resolvent",
     "x5sum_resolvent_scaled",
@@ -97,33 +100,18 @@ def j_invariant(E: EllipticCurve) -> AlgElement:
     return c4 ** 3 / discriminant(E)
 
 
-@lru_cache(maxsize=1)
-def _symbolic_field():
-    return field_tower("Qsqrt5", ("t",))
-
-
-def _family_a4(fld, t):
-    """r = (3 + sqrt5 t)/(2 sqrt5 t) as an element of fld."""
-    s5 = fld.gen(1)
-    tt = fld.from_scalar(t)
-    return (fld.from_scalar(3) + s5 * tt) / (s5 * tt * 2)
-
-
 def curve_from_t(t) -> EllipticCurve:
-    """E_t over Q(sqrt5); pass the string "t" for the symbolic family.
+    """E_t over Q(sqrt5), with r = (3 + sqrt5 t)/(2 sqrt5 t).
 
     Requires t != 0; nonsingularity is automatic for rational t since the
     singular parameters are 0 and +-3/sqrt5.
     """
-    if t == "t":
-        fld = _symbolic_field()
-        return EllipticCurve(fld, fld.from_scalar(2),
-                             _family_a4(fld, RatFunc.var()), fld.zero)
     t = Fraction(t)
     if not t:
         raise ValueError("t must be nonzero")
-    return EllipticCurve(QSQRT5, QSQRT5.from_scalar(2),
-                         _family_a4(QSQRT5, t), QSQRT5.zero)
+    s5t = QSQRT5.gen(1) * t
+    return EllipticCurve(QSQRT5, QSQRT5.from_scalar(2), (s5t + 3) / (s5t * 2),
+                         QSQRT5.zero)
 
 
 def curve_from_j(j) -> EllipticCurve:
@@ -225,6 +213,36 @@ def verify_isogeny_composition() -> bool:
     and so do their y-coordinates divided by y.
     """
     return _isogeny_holds("x", "y")
+
+
+# values of r = a4(E_t) for j_equation_family_mismatch: 37 distinct
+# rationals outside {0, 1}, one more than the degree bound 36
+_J_EQUATION_R = tuple(Fraction(k) for k in range(2, 39))
+
+
+def j_equation_family_mismatch():
+    """Prove that j(E_t) solves the j-equation of q_t, for every t.
+
+    Returns None, or the first r of the certificate at which it fails.
+    With r = a4(E_t), 2r - 1 = 3/(sqrt5 t), so
+    r(r-1) = ((2r-1)^2 - 1)/4 = (9 - 5t^2)/(20t^2) and
+    q_t = x^5 + 20r(r-1)x + 16r(r-1); and E_t has c4 = 16(4 - 3r),
+    Delta = 64r^2(1 - r), so j(E_t) = 64(4-3r)^3/(r^2(1-r)).  The
+    j-equation's coefficients have weight 60 in B and C (weights 4 and 5),
+    so each monomial B^i C^k has i + k <= 15 and degree at most 30 in r.
+    Times (r^2(1-r))^2, the equation at j(E_t) is a polynomial P(r) of
+    degree at most 36.  P vanishes at the 37 rationals of _J_EQUATION_R,
+    computed over Q with invariants and j_invariant, so P = 0 in Q[r].
+    For rational t, r = a4(E_t) is never 0 or 1, and dividing P(r) by
+    (r^2(1-r))^2 gives the j-equation of q_t at j(E_t).
+    """
+    for r in _J_EQUATION_R:
+        rr = r * (r - 1)
+        qa, qb, qc = j_equation(invariants(Quintic(0, 20 * rr, 16 * rr)))
+        j = j_invariant(EllipticCurve(Q, 2, r, 0)).rational_value()
+        if qa * j * j + qb * j + qc:
+            return r
+    return None
 
 
 def _rational_bc(E: EllipticCurve):

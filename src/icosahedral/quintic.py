@@ -19,11 +19,16 @@ positive rational square and the parameter is recovered by
 
 which is invariant under rescaling x -> cx of the monic trinomial.
 
+By solvability_obstruction, q_t with t = u^2 lies in the solvable family
+only if y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2) has a rational point.
+hyperelliptic_3adic proves that it has none: the homogenized right side
+has 3-adic valuation exactly 1 at every coprime pair of integers.
+
 Under x -> x/k the coefficients A, B and C take the factors k^3, k^4 and
 k^5: they have weights 3, 4 and 5, and delta, gamma4, gamma6 and disc are
 forms of weight 12, 20, 30 and 20.  So ``invariants`` and ``trinomial_t``
 multiply out the common denominator D as a = A D^3, b = B D^4, c = C D^5,
-and ``j_roots`` clears the weight-60 j-equation by one integer.  They
+and ``j_equation`` clears the weight-60 j-equation by one integer.  They
 evaluate their forms on integers and build a Fraction only for each value
 they return.
 """
@@ -43,6 +48,7 @@ __all__ = [
     "TrinomialClass",
     "invariants",
     "j_candidates",
+    "j_equation",
     "j_roots",
     "resolvent_coeffs",
     "family_quintic",
@@ -51,7 +57,7 @@ __all__ = [
     "scaling_equivalent",
     "solvable_family",
     "solvability_obstruction",
-    "hyperelliptic_search",
+    "hyperelliptic_3adic",
 ]
 
 
@@ -145,6 +151,24 @@ def j_candidates(q: Quintic):
     return j_roots(invariants(q))
 
 
+def j_equation(inv: QuinticInvariants):
+    """The j-equation qa j^2 + qb j + qc = 0 of a quintic, over the integers.
+
+    (qa, qb, qc) is a positive integer multiple of (delta^5,
+    -1728 (gamma4^3 - gamma6^2 + delta^5), 1728^2 gamma4^3).  Every term
+    has weight 60, so one integer M clears all three.
+    """
+    d, g4, g6 = inv.delta, inv.gamma4, inv.gamma6
+    den_d5 = d.denominator ** 5
+    den_g43 = g4.denominator ** 3
+    den_g62 = g6.denominator ** 2
+    M = lcm(den_d5, den_g43, den_g62)
+    qa = d.numerator ** 5 * (M // den_d5)
+    g43 = g4.numerator ** 3 * (M // den_g43)
+    qb = -1728 * (g43 - g6.numerator ** 2 * (M // den_g62) + qa)
+    return qa, qb, 1728 ** 2 * g43
+
+
 def j_roots(inv: QuinticInvariants):
     """Solve the j-equation given by a quintic's invariants exactly.
 
@@ -157,16 +181,7 @@ def j_roots(inv: QuinticInvariants):
     """
     if not inv.delta:
         raise ValueError("degenerate quintic: delta = 0")
-    # every term has weight 60, so clear all three to integers with one M
-    d, g4, g6 = inv.delta, inv.gamma4, inv.gamma6
-    den_d5 = d.denominator ** 5
-    den_g43 = g4.denominator ** 3
-    den_g62 = g6.denominator ** 2
-    M = lcm(den_d5, den_g43, den_g62)
-    qa = d.numerator ** 5 * (M // den_d5)
-    g43 = g4.numerator ** 3 * (M // den_g43)
-    qb = -1728 * (g43 - g6.numerator ** 2 * (M // den_g62) + qa)
-    qc = 1728 ** 2 * g43
+    qa, qb, qc = j_equation(inv)
     disc_j = qb * qb - 4 * qa * qc
     if not disc_j:
         # the square cofactor in disc_j = 5*disc*(cofactor)^2 can vanish
@@ -354,49 +369,34 @@ def solvability_obstruction(v):
     return (w, t)
 
 
-def hyperelliptic_search(height_bound: int):
-    """Search y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2) for points.
+# y^2 = F(X, Z) = 15 (X^2 + Z^2)(2X^3 + 2X^2 Z - X Z^2 + Z^3)
+#                    (X^3 + X^2 Z + 2X Z^2 - 2Z^3),
+# each factor as its coefficients of X^d, X^(d-1) Z, ..., Z^d
+_HYPERELLIPTIC_FACTORS = ((1, 0, 1), (2, 2, -1, 1), (1, 1, 2, -2))
+_P1_F3 = ((0, 1), (1, 1), (2, 1), (1, 0))
 
-    Scans every rational x = p/q in lowest terms with
-    max(|p|, |q|) <= height_bound, in Farey order for 0 <= p <= q extended
-    by sign flips and reciprocals, and returns the (x, y >= 0) pairs
-    where the right side is a rational square.  Bounded evidence only:
-    an empty result is not a proof of emptiness.
+
+def hyperelliptic_3adic(scale=15, factors=_HYPERELLIPTIC_FACTORS):
+    """A 3-adic certificate that y^2 = scale * prod f_i(x) has no rational point.
+
+    Returns (v, zeros): v = v_3(scale), and zeros the points (a : b) of
+    P^1(F_3) at which some form f_i(X, Z) vanishes mod 3.  When v = 1 and
+    zeros is empty there is no rational point.  Take coprime integers a, b:
+    (a, b) mod 3 is a nonzero multiple of one of the four points and the
+    f_i are homogeneous, so no f_i(a, b) is divisible by 3 and
+    v_3(F(a, b)) = 1.  A point (a/b, y) gives F(a, b) = (y b^4)^2, since
+    F has even degree 8, and an integer square has even valuation; the
+    points at infinity are rational only if F(1, 0) = 30 is a square.
     """
-    if height_bound < 1:
-        raise ValueError("height bound must be at least 1")
-    points = []
+    v = 0
+    while scale and scale % 3 == 0:
+        scale //= 3
+        v += 1
 
-    def test(p, q, m):
-        # m = y^2 q^8, the cleared right side at x = p/q
-        if m < 0:
-            return
-        r = isqrt(m)
-        if r * r == m:
-            points.append((Fraction(p, q), Fraction(r, q ** 4)))
+    def form(coeffs, a, b):
+        d = len(coeffs) - 1
+        return sum(c * a ** (d - k) * b ** k for k, c in enumerate(coeffs))
 
-    for x in (0, 1, -1):
-        test(x, 1, 15 * (x * x + 1) * (2 * x ** 3 + 2 * x * x - x + 1)
-             * (x ** 3 + x * x + 2 * x - 2))
-    a, b, c, d = 0, 1, 1, height_bound
-    while c <= height_bound:
-        k = (height_bound + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-        if a == b:
-            break
-        # With f1, f2 the cubic factors, f1(-b, a) = f2(a, b) and
-        # f2(-b, a) = -f1(a, b), so the cleared right side R obeys
-        # R(-b, a) = -R(a, b) and R(-a, b) = -R(b, a).
-        a2, b2 = a * a, b * b
-        a3, a2b, ab2, b3 = a2 * a, a2 * b, a * b2, b2 * b
-        s = 15 * (a2 + b2)
-        u1, v1 = 2 * a2b + b3, 2 * a3 - ab2   # f1(+-a, b) = u1 +- v1
-        u2, v2 = a2b - 2 * b3, a3 + 2 * ab2   # f2(+-a, b) = u2 +- v2
-        r_ab = s * (u1 + v1) * (u2 + v2)
-        r_ba = s * (u1 - v1) * (v2 - u2)      # f1(b, a) = v2 - u2, f2(b, a) = u1 - v1
-        test(a, b, r_ab)
-        test(-a, b, -r_ba)
-        test(b, a, r_ba)
-        test(-b, a, -r_ab)
-    return points
-
+    zeros = tuple(p for p in _P1_F3
+                  if any(form(f, *p) % 3 == 0 for f in factors))
+    return v, zeros

@@ -8,8 +8,10 @@ from fractions import Fraction
 from icosahedral import hecke, icosa, localfield, qcurve, repn
 from icosahedral.exact import Poly, QEPSI, QSQRT5, RatFunc
 from icosahedral.quintic import (
-    Quintic, family_quintic, hyperelliptic_search, invariants, trinomial_t,
+    Quintic, family_quintic, hyperelliptic_3adic, invariants, j_equation,
+    trinomial_t,
 )
+from test_quintic import hyperelliptic_search
 
 SEED = 20260815
 
@@ -67,6 +69,8 @@ def test_06_qcurve_bundle():
     assert qcurve.j_invariant(qcurve.curve_from_t(1)) \
         == qcurve.j_invariant(published)
     assert _j_equation_member(Fraction(1))
+    assert qcurve.j_equation_family_mismatch() is None
+    # seeded t: the oracle for the proof over all t
     rng = random.Random(SEED)
     picked = []
     while len(picked) < 5:
@@ -99,6 +103,7 @@ def test_08_representation_bundle_under_1min():
             if a * d % 5 in (1, 4):
                 assert U(a, d) ** 4 == repn.RepMatrix.identity()
     assert repn.verify_relations()
+    assert repn.verify_homomorphism()
     assert repn.verify_congruence()
     assert repn.verify_varpi_identities()
     assert time.monotonic() - started < 60
@@ -114,6 +119,7 @@ def test_09_hecke_identities_under_10s():
 
 def test_10_localfield_bundle():
     assert localfield.artin_schreier_identity()
+    assert localfield.verify_family_squares()
     truth = {Fraction(1): True, Fraction(3): False, Fraction(3, 5): False,
              Fraction(4, 9): True}
     for t, want in truth.items():
@@ -133,12 +139,14 @@ def test_10_localfield_bundle():
 
 
 def test_11_hyperelliptic_search_under_1min():
+    # the 3-adic proof, and the bounded search it replaced as a cross-check
     started = time.monotonic()
+    assert hyperelliptic_3adic() == (1, ())
     assert hyperelliptic_search(1000) == []
     assert time.monotonic() - started < 60
 
 
-def test_12_mutation_suite():
+def test_12_mutation_suite(monkeypatch):
     # every exact-identity check must reject its documented one-coefficient
     # mutation; the passing forms are covered by the tests above
 
@@ -166,6 +174,23 @@ def test_12_mutation_suite():
         assert lhs != rhs
     lhs, rhs = qcurve._isogeny_identities(mult=2)["y"]
     assert lhs != rhs
+
+    # j-equation of the family: qc + 1
+    def j_equation_qc1(iv):
+        qa, qb, qc = j_equation(iv)
+        return qa, qb, qc + 1
+
+    monkeypatch.setattr(qcurve, "j_equation", j_equation_qc1)
+    assert qcurve.j_equation_family_mismatch() is not None
+
+    # 3-adic certificate: 15 -> 5, 15 -> 45, X^2 + Z^2 -> X^2 - Z^2
+    assert hyperelliptic_3adic(5)[0] != 1
+    assert hyperelliptic_3adic(45)[0] != 1
+    assert hyperelliptic_3adic(15, ((1, 0, -1), (2, 2, -1, 1),
+                                    (1, 1, 2, -2)))[1]
+
+    # family squares: k = 9 - 4t^2 in place of 9 - 5t^2
+    assert not localfield.verify_family_squares(Poly.over_q([9, 0, -4]))
 
     # linking transform: 31104 -> 31105 in the inverse map
     j = Fraction(2)

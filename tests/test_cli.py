@@ -1,3 +1,5 @@
+import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -7,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -320,6 +323,97 @@ def test_analyze_parse_failures(tmp_path, capsys):
     missing.write_text('{"B": "1"}\n')
     rc, _, err = run_cli(capsys, "analyze", "--file", str(missing))
     assert rc == 2 and "'C'" in err
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 100000 + "\n")
+    rc, out, err = run_cli(capsys, "analyze", "--file", str(deep))
+    assert rc == 2 and out == "" and "deep.jsonl:1: " in err
+
+
+# JSON values, weighted toward records: the keys _parse_record reads with
+# exact, inexact and malformed values
+exact_texts = st.from_regex(r" ?[+-]?[0-9]{1,5}(/[0-9]{1,4})? ?", fullmatch=True)
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
+    st.floats(allow_nan=False, allow_infinity=False), exact_texts,
+    st.text(max_size=6))
+field_values = st.one_of(st.integers(-10 ** 6, 10 ** 6), exact_texts,
+                         json_leaves, st.lists(json_leaves, max_size=2))
+records = st.one_of(
+    st.fixed_dictionaries({"B": field_values, "C": field_values},
+                          optional={"A": field_values, "label": json_leaves}),
+    st.dictionaries(st.sampled_from(("A", "B", "C", "a", "b", "c", "label")),
+                    field_values, max_size=6))
+json_values = st.one_of(records, st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=2), inner,
+                                            max_size=3)),
+    max_leaves=8))
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
+
+
+def expected_record(obj):
+    """What _parse_record should return for obj, or None if it must fail."""
+    if not isinstance(obj, dict):
+        return None
+    rec = {}
+    for key in "ABC":
+        value = obj[key] if key in obj else obj.get(key.lower())
+        if value is None:
+            if key != "A":
+                return None
+            rec[key] = Fraction(0)
+        elif isinstance(value, int) and not isinstance(value, bool):
+            rec[key] = Fraction(value)
+        elif isinstance(value, str):
+            m = re.fullmatch(r"([+-]?)(\d+)(?:/(\d+))?", value.strip())
+            if m is None or m.group(3) is not None and int(m.group(3)) == 0:
+                return None
+            num = int(m.group(2)) * (-1 if m.group(1) == "-" else 1)
+            rec[key] = Fraction(num, int(m.group(3) or 1))
+        else:
+            return None
+    if "label" in obj:
+        rec["label"] = str(obj["label"])
+    return rec
+
+
+@PROPERTY
+@given(json_values)
+@example({"B": "4", "C": "16/5", "label": ["row", 1]})
+@example({"b": 1, "C": " -3/4 "})
+@example({"B": "1/0", "C": "1"})
+@example({"B": True, "C": "1"})
+@example({"B": 0.5, "C": "1"})
+def test_parse_record_accepts_exact_rationals_only(obj):
+    want = expected_record(obj)
+    if want is None:
+        with pytest.raises(ValueError):
+            cli._parse_record(obj)
+    else:
+        assert cli._parse_record(obj) == want
+
+
+@PROPERTY
+@given(st.lists(json_values, min_size=1, max_size=3))
+@example([{"B": "4", "C": "16/5"}, {"B": "0", "C": "0"}])
+@example([{"B": "4", "C": "16/5"}, [1]])
+def test_analyze_exit_codes(values):
+    # exit 0 with one line per record and the report, or exit 2 with
+    # nothing on stdout; an exception would end the test with a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(v) + "\n" for v in values)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["analyze", "--file", path, "--json"])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        assert len(json_lines(out.getvalue())) == len(values) + 1
 
 
 def test_analyze_file_not_utf8(tmp_path, capsys):
@@ -392,9 +486,67 @@ def test_verify_qcurve_options_recorded(capsys):
     assert report["options"] == {"samples": 5, "height": 50}
     by_id = {c["id"]: c for c in report["checks"]}
     assert by_id["qcurve/j-equation-family"]["witness"] == \
-        "5 seeded rational t values"
+        "the cleared equation vanishes at the 37 values r = 2, ..., 38"
     assert by_id["qcurve/hyperelliptic-points"]["witness"] == \
-        "no points with height <= 50"
+        "v_3 of the constant factor: 1; zeros of the factors on P^1(F_3): none"
+
+
+def test_verify_qcurve_failure_witnesses(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "hyperelliptic_3adic", lambda: (2, ((1, 1),)))
+    monkeypatch.setattr(cli.qcurve, "j_equation_family_mismatch",
+                        lambda: Fraction(7, 2))
+    rc, out, _ = run_cli(capsys, "verify", "qcurve")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["qcurve/hyperelliptic-points"]["status"] == "fail"
+    assert by_id["qcurve/hyperelliptic-points"]["witness"] == \
+        "v_3 of the constant factor: 2; zeros of the factors on P^1(F_3): (1 : 1)"
+    assert by_id["qcurve/j-equation-family"]["witness"] == \
+        "the cleared equation does not vanish at r = 7/2"
+
+
+def test_proved_suites_ignore_samples_and_height(capsys):
+    # only klein-link/random-samples reads --samples and no check reads
+    # --height, so these reports differ only in the options they record
+    for suite in ("qcurve", "repn", "localfield"):
+        reports = []
+        for samples, height in ((1, 0), (500, 5000)):
+            rc, out, _ = run_cli(capsys, "verify", suite, "--samples",
+                                 str(samples), "--height", str(height))
+            assert rc == 0
+            report = json.loads(out)
+            assert report.pop("options") == {"samples": samples,
+                                             "height": height}
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
+def test_verify_samples_below_one(capsys):
+    for argv in (("klein-link", "--samples", "0"),
+                 ("localfield", "--samples", "-4")):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["verify", *argv])
+        assert exited.value.code == 2
+        assert "--samples must be at least 1" in capsys.readouterr().err
+
+
+def test_check_ids_match_the_benchmark(capsys, monkeypatch):
+    # perfbench rejects a run whose report holds other check ids
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", SRC.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    want = {f"{suite}/{check}"
+            for suite, checks in workloads.SUITE_CHECK_IDS.items()
+            for check in checks}
+    got = []
+    for argv in (("verify", "all"), ("table",)):
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        got += [c["id"] for c in json.loads(out)["checks"]]
+    assert len(got) == len(want) and set(got) == want
 
 
 def test_verify_icosa(capsys):

@@ -6,8 +6,8 @@ import sympy as sp
 
 from icosahedral.exact import (
     QDOM, QEPSI, QSQRT5, QZETA5, Q,
-    AlgElement, Poly, RatFunc, _kron_mul_int, embed, field_tower, poly_gcd,
-    poly_sqrt, quadratic_field, resultant, sqrt_exact,
+    AlgElement, Poly, RatFunc, _kron_mul_int, embed, poly_gcd, poly_sqrt,
+    power_basis_algebra, quadratic_field, resultant, sqrt_exact,
 )
 
 ALL_FIELDS = (Q, QSQRT5, QZETA5, QEPSI)
@@ -58,21 +58,16 @@ def test_tables_commutative_associative():
         assert fd.verify_table()
 
 
-def test_field_tower_examples():
-    fd = field_tower("Qsqrt5")
-    s5 = fd.gen(1)
-    assert s5 * s5 == fd.from_scalar(5)
-    fd = field_tower("QepsI")
-    eps = fd.gen(1)
-    assert eps * eps == fd.one - eps
-    i = fd.gen(2)
-    assert i * i == -fd.one
-    fd = field_tower("Qzeta5")
-    z = fd.gen(1)
-    assert z ** 4 == fd.element((-1, -1, -1, -1))
-    assert z ** 5 == fd.one
-    with pytest.raises(ValueError):
-        field_tower("Qsqrt7")
+def test_named_field_examples():
+    s5 = QSQRT5.gen(1)
+    assert s5 * s5 == QSQRT5.from_scalar(5)
+    eps = QEPSI.gen(1)
+    assert eps * eps == QEPSI.one - eps
+    i = QEPSI.gen(2)
+    assert i * i == -QEPSI.one
+    z = QZETA5.gen(1)
+    assert z ** 4 == QZETA5.element((-1, -1, -1, -1))
+    assert z ** 5 == QZETA5.one
 
 
 def test_eps_matches_sqrt5_definition():
@@ -135,7 +130,16 @@ def test_involutions():
 
 
 def test_parametric_tower():
-    fd = field_tower("Qsqrt5", ["t"])
+    # Q(t)(sqrt5): power-basis algebra with RatFunc scalars, the shape of
+    # localfield's Artin-Schreier algebra
+    rz, ro = RatFunc.constants("t")
+
+    def coerce(c):
+        return c if isinstance(c, RatFunc) else RatFunc.from_scalar(Fraction(c))
+
+    fd = power_basis_algebra("Qsqrt5(t)", 2, (coerce(5), rz),
+                             scalar_zero=rz, scalar_one=ro, coerce=coerce)
+    assert fd.verify_table()
     t = RatFunc.var()
     x = fd.element((t, t + 1))
     y = x * x

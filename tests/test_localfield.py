@@ -7,9 +7,9 @@ import pytest
 from icosahedral.exact import Poly, RatFunc, power_basis_algebra
 from icosahedral.localfield import (
     Valuation5, artin_schreier_identity, is_square_5adic_unit,
-    theorem_hypothesis, v5,
+    theorem_hypothesis, v5, verify_family_squares,
 )
-from icosahedral.quintic import family_quintic
+from icosahedral.quintic import family_quintic, trinomial_t
 
 
 def rand_nonzero(rng):
@@ -90,12 +90,23 @@ def test_theorem_hypothesis_examples():
         theorem_hypothesis(1, 0)
 
 
+def test_family_squares_proof():
+    assert verify_family_squares()
+    # k = 9 - 4t^2 in place of 9 - 5t^2
+    assert not verify_family_squares(Poly.over_q([9, 0, -4]))
+
+
 def test_theorem_hypothesis_on_family():
+    # seeded units, an oracle for verify_family_squares
     rng = random.Random(14)
     for _ in range(20):
         u = rand_unit(rng)
         q = family_quintic(u * u)
+        assert trinomial_t(q.b, q.c) == u * u
         assert theorem_hypothesis(q.b, q.c)
+    for t in (Fraction(-3, 7), Fraction(2), Fraction(-1, 9)):
+        q = family_quintic(t)
+        assert trinomial_t(q.b, q.c) == abs(t)
     # a parameter with positive valuation fails the unit requirement
     q = family_quintic(25)
     assert not theorem_hypothesis(q.b, q.c)

@@ -4,15 +4,16 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from icosahedral import qcurve
 from icosahedral.exact import Poly, Q, QSQRT5, poly_gcd
 from icosahedral.qcurve import (
     EllipticCurve, conjugate, curve_from_j, curve_from_t, discriminant,
-    division_poly5, j_invariant, mu_sextic, verify_isogeny_codomain,
-    verify_isogeny_composition, verify_klein_link, x5sum_resolvent,
-    x5sum_resolvent_scaled,
+    division_poly5, j_equation_family_mismatch, j_invariant, mu_sextic,
+    verify_isogeny_codomain, verify_isogeny_composition, verify_klein_link,
+    x5sum_resolvent, x5sum_resolvent_scaled,
 )
-from icosahedral.qcurve import _isogeny_identities, _rx
-from icosahedral.quintic import Quintic, invariants, j_candidates
+from icosahedral.qcurve import _J_EQUATION_R, _isogeny_identities, _rx
+from icosahedral.quintic import Quintic, invariants, j_candidates, j_equation
 
 # -- point arithmetic mod p: an oracle independent of the Q[r][x] proofs --
 
@@ -194,10 +195,25 @@ def test_family_curve_values():
 
 
 def test_family_curve_symbolic():
-    E = curve_from_t("t")
-    assert discriminant(E)
-    assert E.a4 + conjugate(E).a4 == E.field.one
-    assert conjugate(conjugate(E)) == E
+    # r = a4(E_t) in sympy: r + r^sigma = 1 and the two facts the j-equation
+    # proof rests on, r(r-1) = (9-5t^2)/(20t^2) and j = 64(4-3r)^3/(r^2(1-r))
+    t, R = sp.symbols("t r", nonzero=True)
+    s5 = sp.sqrt(5)
+    r = (3 + s5 * t) / (2 * s5 * t)
+    assert sp.simplify(r + r.subs(s5, -s5) - 1) == 0
+    assert sp.simplify(2 * r - 1 - 3 / (s5 * t)) == 0
+    assert sp.simplify(r * (r - 1) - (9 - 5 * t ** 2) / (20 * t ** 2)) == 0
+    b2, b4, b6, b8 = 8, 2 * R, 0, -R ** 2
+    c4 = b2 ** 2 - 24 * b4
+    delta = -b2 ** 2 * b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b2 * b4 * b6
+    assert sp.simplify(c4 ** 3 / delta - 64 * (4 - 3 * R) ** 3 / (R ** 2 * (1 - R))) == 0
+    for t0 in (Fraction(1), Fraction(3, 5), Fraction(-7, 2)):
+        E = curve_from_t(t0)
+        a4 = E.a4
+        assert discriminant(E)
+        assert a4 + conjugate(E).a4 == QSQRT5.one
+        assert a4 * (a4 - 1) == QSQRT5.from_scalar((9 - 5 * t0 ** 2) / (20 * t0 ** 2))
+        assert j_invariant(E) == (4 - a4 * 3) ** 3 * 64 / (a4 * a4 * (1 - a4))
 
 
 def test_curve_from_j_roundtrip():
@@ -265,6 +281,48 @@ def test_family_j_satisfies_quintic_j_equation():
         assert not j_equation_value(q, j_invariant(curve_from_t(t)))
     assert j_equation_value(pairs[0][1], j_invariant(curve_from_t(Fraction(15, 11))))
     assert j_equation_value(pairs[1][1], j_invariant(curve_from_t(Fraction(3, 5))))
+
+
+def test_j_equation_family_proof(monkeypatch):
+    assert j_equation_family_mismatch() is None
+    # qc + 1 fails at the first value of r
+    def mutated(iv):
+        qa, qb, qc = j_equation(iv)
+        return qa, qb, qc + 1
+
+    monkeypatch.setattr(qcurve, "j_equation", mutated)
+    assert j_equation_family_mismatch() == 2
+
+
+def test_j_equation_degree_bound_sympy():
+    # the j-equation of q_t in r = a4(E_t), cleared by (r^2(1-r))^2, has
+    # degree at most 36, and the certificate evaluates it at 37 points
+    r, A = sp.symbols("r A")
+    B = 20 * r * (r - 1)
+    C = 16 * r * (r - 1)
+    delta = (A ** 4 - 5 * B ** 3 + 25 * A * B * C) / sp.Integer(5 ** 4)
+    gamma4 = (128 * A ** 4 * B ** 2 - 192 * A ** 5 * C - 600 * A * B ** 3 * C
+              + 1000 * A ** 2 * B * C ** 2 - 144 * B ** 5
+              + 3125 * C ** 4) / sp.Integer(12 ** 2 * 5 ** 5)
+    gamma6 = (1728 * A ** 10 + 10400 * A ** 6 * B ** 3 + 405000 * A ** 2 * B ** 6
+              - 180000 * A ** 7 * B * C - 1170000 * A ** 3 * B ** 4 * C
+              + 1725000 * A ** 4 * B ** 2 * C ** 2 - 1800000 * A ** 5 * C ** 3
+              + 2812500 * A * B ** 3 * C ** 3 - 4687500 * A ** 2 * B * C ** 4
+              - 2025000 * B ** 5 * C ** 2 - 9765625 * C ** 6) / sp.Integer(12 ** 3 * 5 ** 10)
+    coeffs = [sp.Poly(sp.expand(c.subs(A, 0)), r) for c in (
+        delta ** 5,
+        -1728 * (gamma4 ** 3 - gamma6 ** 2 + delta ** 5),
+        1728 ** 2 * gamma4 ** 3)]
+    num = sp.Poly(64 * (4 - 3 * r) ** 3, r)
+    den = sp.Poly(r ** 2 * (1 - r), r)
+    terms = [coeffs[0] * num ** 2, coeffs[1] * num * den, coeffs[2] * den ** 2]
+    assert [c.degree() for c in coeffs] == [30, 30, 30]
+    bound = max(term.degree() for term in terms)
+    assert bound == 36
+    assert len(set(_J_EQUATION_R)) == len(_J_EQUATION_R) == bound + 1
+    assert not {0, 1} & set(_J_EQUATION_R)
+    # sympy's own expansion of the cleared equation is the zero polynomial
+    assert (terms[0] + terms[1] + terms[2]).is_zero
 
 
 def test_family_j_matches_j_candidates():

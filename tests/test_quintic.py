@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 import sympy as sp
@@ -10,7 +12,7 @@ from icosahedral import quintic
 from icosahedral.exact import RatFunc, sqrt_exact
 from icosahedral.quintic import (
     Quintic, TrinomialClass, canonical_trinomial, family_quintic,
-    hyperelliptic_search, invariants, j_candidates, resolvent_coeffs,
+    hyperelliptic_3adic, invariants, j_candidates, resolvent_coeffs,
     scaling_equivalent, solvable_family, solvability_obstruction, trinomial_t,
 )
 
@@ -262,6 +264,92 @@ def test_hyperelliptic_curve_values():
     assert sqrt_exact(240) is None
 
 
+# -- y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2) has no rational point ----
+
+def hyperelliptic_search(height_bound: int):
+    """Search y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2) for points.
+
+    Scans every rational x = p/q in lowest terms with
+    max(|p|, |q|) <= height_bound, in Farey order for 0 <= p <= q extended
+    by sign flips and reciprocals, and returns the (x, y >= 0) pairs
+    where the right side is a rational square: bounded evidence, an oracle
+    for the 3-adic proof.
+    """
+    if height_bound < 1:
+        raise ValueError("height bound must be at least 1")
+    points = []
+
+    def test(p, q, m):
+        # m = y^2 q^8, the cleared right side at x = p/q
+        if m < 0:
+            return
+        r = isqrt(m)
+        if r * r == m:
+            points.append((Fraction(p, q), Fraction(r, q ** 4)))
+
+    for x in (0, 1, -1):
+        test(x, 1, 15 * (x * x + 1) * (2 * x ** 3 + 2 * x * x - x + 1)
+             * (x ** 3 + x * x + 2 * x - 2))
+    a, b, c, d = 0, 1, 1, height_bound
+    while c <= height_bound:
+        k = (height_bound + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+        if a == b:
+            break
+        # With f1, f2 the cubic factors, f1(-b, a) = f2(a, b) and
+        # f2(-b, a) = -f1(a, b), so the cleared right side R obeys
+        # R(-b, a) = -R(a, b) and R(-a, b) = -R(b, a).
+        a2, b2 = a * a, b * b
+        a3, a2b, ab2, b3 = a2 * a, a2 * b, a * b2, b2 * b
+        s = 15 * (a2 + b2)
+        u1, v1 = 2 * a2b + b3, 2 * a3 - ab2   # f1(+-a, b) = u1 +- v1
+        u2, v2 = a2b - 2 * b3, a3 + 2 * ab2   # f2(+-a, b) = u2 +- v2
+        r_ab = s * (u1 + v1) * (u2 + v2)
+        r_ba = s * (u1 - v1) * (v2 - u2)      # f1(b, a) = v2 - u2, f2(b, a) = u1 - v1
+        test(a, b, r_ab)
+        test(-a, b, -r_ba)
+        test(b, a, r_ba)
+        test(-b, a, -r_ab)
+    return points
+
+
+def cleared_rhs(p, q):
+    """F(p, q) = q^8 times the right side at x = p/q."""
+    return (15 * (p ** 2 + q ** 2) * (2 * p ** 3 + 2 * p ** 2 * q - p * q ** 2 + q ** 3)
+            * (p ** 3 + p ** 2 * q + 2 * p * q ** 2 - 2 * q ** 3))
+
+
+def v3(n):
+    v = 0
+    while n % 3 == 0:
+        n //= 3
+        v += 1
+    return v
+
+
+def test_hyperelliptic_3adic_certificate():
+    assert hyperelliptic_3adic() == (1, ())
+
+
+def test_hyperelliptic_3adic_mutations():
+    assert hyperelliptic_3adic(5) == (0, ())
+    assert hyperelliptic_3adic(45) == (2, ())
+    # X^2 - Z^2 vanishes at (1 : 1) and (2 : 1) = (-1 : 1)
+    factors = ((1, 0, -1), (2, 2, -1, 1), (1, 1, 2, -2))
+    assert hyperelliptic_3adic(15, factors) == (1, ((1, 1), (2, 1)))
+
+
+def test_hyperelliptic_valuation_on_small_pairs():
+    # what the certificate asserts, evaluated directly
+    count = 0
+    for a in range(-200, 201):
+        for b in range(0, 201):
+            if gcd(a, b) == 1 and (b or a == 1):
+                assert v3(cleared_rhs(a, b)) == 1, (a, b)
+                count += 1
+    assert cleared_rhs(1, 0) == 30 and count > 48000
+
+
 def test_hyperelliptic_search_small_heights_empty():
     assert hyperelliptic_search(1) == []
     assert hyperelliptic_search(60) == []
@@ -273,8 +361,9 @@ def test_hyperelliptic_search_enumeration(monkeypatch):
     # of the seven height-2 rationals {0, +-1, +-2, +-1/2}, exactly three
     # give a nonnegative cleared right side and reach the square test
     seen = []
-    orig = quintic.isqrt
-    monkeypatch.setattr(quintic, "isqrt", lambda n: seen.append(n) or orig(n))
+    orig = isqrt
+    monkeypatch.setattr(sys.modules[__name__], "isqrt",
+                        lambda n: seen.append(n) or orig(n))
     hyperelliptic_search(2)
     assert len(seen) == 3
 
@@ -282,13 +371,10 @@ def test_hyperelliptic_search_enumeration(monkeypatch):
 def test_hyperelliptic_search_square_tests_unchanged(monkeypatch):
     # isqrt sees exactly the nonnegative values of the cleared right side,
     # evaluated directly, in the order of the search's Farey walk
-    def cleared_rhs(p, q):
-        return (15 * (p ** 2 + q ** 2) * (2 * p ** 3 + 2 * p ** 2 * q - p * q ** 2 + q ** 3)
-                * (p ** 3 + p ** 2 * q + 2 * p * q ** 2 - 2 * q ** 3))
-
-    orig = quintic.isqrt
     seen = []
-    monkeypatch.setattr(quintic, "isqrt", lambda n: seen.append(n) or orig(n))
+    orig = isqrt
+    monkeypatch.setattr(sys.modules[__name__], "isqrt",
+                        lambda n: seen.append(n) or orig(n))
     for height in range(1, 41):
         seen.clear()
         hyperelliptic_search(height)
@@ -379,6 +465,10 @@ def test_j_roots_solve_the_j_equation(abc):
             quintic.j_roots(iv)
         return
     qa, qb, qc = j_coeffs_reference(iv)
+    # j_equation: the same coefficients times one positive integer
+    ia, ib, ic = quintic.j_equation(iv)
+    m = ia / qa
+    assert m > 0 and (ib, ic) == (m * qb, m * qc)
     roots = quintic.j_roots(iv)
     assert len(roots) == 2
     for r in roots:

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from icosahedral import repn
 from icosahedral.exact import QEPSI
 from icosahedral.repn import (
     F5Matrix, RepMatrix, enumerate_group, lift_pi, pi_generators, residue_hom,
@@ -134,13 +135,39 @@ def test_lift_pi():
         lift_pi(F5Matrix(2, 0, 0, 1))   # det 2 is not a square
 
 
-def test_homomorphism_certificate():
+def lift_table_from(lifts):
+    """Each element's lift along its BFS word, from the generator lifts."""
+    order, _, parents = repn._group_data()
+    table = {order[0]: RepMatrix.identity()}
+    for g in order[1:]:
+        parent, idx = parents[g]
+        table[g] = table[parent] * lifts[idx]
+    return table
+
+
+def test_homomorphism_certificate(monkeypatch):
     assert verify_homomorphism()
-    assert verify_homomorphism(trials=50, seed=99)
+    S, T, _ = pi_generators()
+    pairs = repn._admissible_pairs()
+    lifts = [S, T] + [_diag_lift(a, d) for a, d in pairs]
+    assert lift_table_from(lifts) == repn._lift_table(False)
+    # -T, and the lifts of U(2, 3) and U(3, 2) swapped, each break it
+    neg_t = lifts[:1] + [RepMatrix(0, 1, -1, 0)] + lifts[2:]
+    swapped = list(lifts)
+    i, j = 2 + pairs.index((2, 3)), 2 + pairs.index((3, 2))
+    swapped[i], swapped[j] = lifts[j], lifts[i]
+    for bad in (neg_t, swapped):
+        table = lift_table_from(bad)
+        monkeypatch.setattr(repn, "_lift_table", lambda branch=False: table)
+        assert not verify_homomorphism()
 
 
 def test_homomorphism_exhaustive():
-    assert verify_homomorphism(exhaustive=True)
+    # all 240^2 pairs: the oracle for the Cayley-graph certificate
+    order = enumerate_group()
+    table = {g: lift_pi(g) for g in order}
+    assert all(table[g] * table[h] == table[g * h]
+               for g in order for h in order)
 
 
 def test_relations():
