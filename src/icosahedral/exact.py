@@ -4,13 +4,14 @@ Rationals, a handful of small Q-algebras given by explicit structure
 constants, dense polynomials, rational functions, gcds and resultants.
 Everything is immutable and exact; there is no floating point anywhere.
 
-Scalars default to ``fractions.Fraction``.  An algebra element is a
-coordinate vector over a :class:`FieldDescriptor` holding a basis-by-basis
-multiplication table; only the fixed algebras needed by the rest of the
-package are provided (Q, Q(sqrt5), Q(zeta5), Q(eps,i), plus ad-hoc quadratic
-and power-basis extensions).  Polynomials are dense
-coefficient tuples, lowest degree first, over any exact coefficient domain.
-Multiplication over Q and over Fraction-coordinate algebras works on
+Scalars are ``fractions.Fraction``.  An algebra element is a vector of
+Fraction coordinates over a :class:`FieldDescriptor` holding a
+basis-by-basis multiplication table; only the fixed algebras needed by the
+rest of the package are provided (Q, Q(sqrt5), Q(zeta5), Q(eps,i), plus
+ad-hoc quadratic and power-basis extensions).  Polynomials are dense
+coefficient tuples, lowest degree first, over Q, over an algebra, or over
+polynomials (nested, as Q[r][x]).  Rational functions are quotients of
+such polynomials.  Multiplication over Q and over algebras works on
 integer lists under one common denominator per operand: the coordinate
 lists are packed into big integers (Kronecker substitution) instead of
 schoolbook convolution, recombined with the structure constants as
@@ -38,7 +39,6 @@ __all__ = [
     "RatFunc",
     "quadratic_field",
     "power_basis_algebra",
-    "embed",
     "poly_gcd",
     "resultant",
     "sqrt_exact",
@@ -64,28 +64,22 @@ def sqrt_exact(x):
 class FieldDescriptor:
     """A finite-dimensional commutative Q-algebra by structure constants.
 
-    ``table[i][j]`` holds the coordinates of basis_i * basis_j.  Scalars are
-    Fractions by default but may be any exact field (rational functions, as
-    in localfield's Artin-Schreier algebra); ``scalar`` coerces ints and
-    Fractions into the scalar domain.
+    ``table[i][j]`` holds the Fraction coordinates of basis_i * basis_j, and
+    every element has Fraction coordinates.
     """
 
-    def __init__(self, name, basis, table, scalar_zero=Fraction(0),
-                 scalar_one=Fraction(1), coerce=None):
+    def __init__(self, name, basis, table):
         self.name = name
         self.basis = tuple(basis)
         self.dim = len(self.basis)
         self.table = tuple(tuple(tuple(row) for row in line) for line in table)
-        self.scalar_zero = scalar_zero
-        self.scalar_one = scalar_one
         self.involutions = {}
-        self._coerce = coerce
         self._int_table = None
         if len(self.table) != self.dim or any(len(line) != self.dim for line in self.table):
             raise ValueError("multiplication table shape mismatch")
 
     def _integer_table(self):
-        """The table as integers over one denominator (Fraction scalars only).
+        """The table as integers over one denominator.
 
         Returns ``(rows, den, weight)``: ``rows[i][j]`` lists the pairs
         ``(k, s)`` with s a nonzero integer, so that basis_i * basis_j is the
@@ -104,21 +98,15 @@ class FieldDescriptor:
             self._int_table = (rows, den, weight)
         return self._int_table
 
-    def scalar(self, c):
-        if self._coerce is not None:
-            return self._coerce(c)
-        return Fraction(c)
-
     def element(self, coords):
         coords = tuple(coords)
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates")
-        return AlgElement(self, tuple(self.scalar(c) if isinstance(c, (int, Fraction)) else c
-                                      for c in coords))
+        return AlgElement(self, tuple(Fraction(c) for c in coords))
 
     def from_scalar(self, c):
-        coords = [self.scalar(0)] * self.dim
-        coords[0] = self.scalar(c) if isinstance(c, (int, Fraction)) else c
+        coords = [Fraction(0)] * self.dim
+        coords[0] = Fraction(c)
         return AlgElement(self, tuple(coords))
 
     @property
@@ -131,8 +119,8 @@ class FieldDescriptor:
 
     def gen(self, i):
         """The i-th basis element as an algebra element."""
-        coords = [self.scalar(0)] * self.dim
-        coords[i] = self.scalar(1)
+        coords = [Fraction(0)] * self.dim
+        coords[i] = Fraction(1)
         return AlgElement(self, tuple(coords))
 
     def verify_table(self):
@@ -148,8 +136,7 @@ class FieldDescriptor:
         return True
 
     def domain(self):
-        kind = "alg" if self._coerce is None else "gen"
-        return Domain(self.zero, self.one, kind, self)
+        return Domain(self.zero, self.one, "alg", self)
 
     def __repr__(self):
         return f"FieldDescriptor({self.name})"
@@ -194,38 +181,21 @@ class AlgElement:
         return AlgElement(self.field, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
+        """Scale by a rational, or multiply in the algebra.
+
+        The algebra product clears both operands to integers, sums integer
+        products with the integer table and builds one Fraction per
+        coordinate.
+        """
         if isinstance(other, (int, Fraction)):
-            c = self.field.scalar(other)
-            return AlgElement(self.field, tuple(a * c for a in self.coords))
+            return AlgElement(self.field, tuple(a * other for a in self.coords))
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         f = self.field
-        if f._coerce is None:
-            return self._mul_rational(o)
-        zero = f.scalar_zero
-        out = [zero] * f.dim
-        table = f.table
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(o.coords):
-                if not b:
-                    continue
-                ab = a * b
-                for k, s in enumerate(table[i][j]):
-                    if s:
-                        out[k] = out[k] + ab * s
-        return AlgElement(f, tuple(out))
-
-    __rmul__ = __mul__
-
-    def _mul_rational(self, other):
-        """Product over Fraction scalars: integer sums, one Fraction per coordinate."""
-        f = self.field
         rows, dt, _ = f._integer_table()
         a_ints, da = _clear_denominators(self.coords)
-        b_ints, db = _clear_denominators(other.coords)
+        b_ints, db = _clear_denominators(o.coords)
         out = [0] * f.dim
         for i, a in enumerate(a_ints):
             if not a:
@@ -240,6 +210,8 @@ class AlgElement:
         den = da * db * dt
         return AlgElement(f, tuple(Fraction(c, den) for c in out))
 
+    __rmul__ = __mul__
+
     def inv(self):
         """Inverse via Gaussian elimination on the multiplication matrix."""
         f = self.field
@@ -247,7 +219,7 @@ class AlgElement:
         # columns: coordinates of self * basis_j
         cols = [(self * f.gen(j)).coords for j in range(n)]
         mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-        rhs = [f.scalar(1 if i == 0 else 0) for i in range(n)]
+        rhs = [Fraction(1 if i == 0 else 0) for i in range(n)]
         for col in range(n):
             piv = next((r for r in range(col, n) if mat[r][col]), None)
             if piv is None:
@@ -267,8 +239,7 @@ class AlgElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = self.field.scalar(other)
-            return AlgElement(self.field, tuple(a / c for a in self.coords))
+            return AlgElement(self.field, tuple(a / other for a in self.coords))
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -295,7 +266,7 @@ class AlgElement:
         n = self.field.dim
         out = []
         for i in range(n):
-            acc = self.field.scalar_zero
+            acc = Fraction(0)
             for j in range(n):
                 s = mat[i][j]
                 if s:
@@ -329,14 +300,13 @@ class AlgElement:
         return " + ".join(terms) if terms else "0"
 
 
-def power_basis_algebra(name, dim, top, scalar_zero=Fraction(0),
-                        scalar_one=Fraction(1), gen_name="y", coerce=None):
+def power_basis_algebra(name, dim, top, gen_name="y"):
     """Algebra Q[y]/(y^dim - top) with basis 1, y, ..., y^(dim-1).
 
-    ``top`` gives the coordinates of y^dim in the power basis.
+    ``top`` gives the rational coordinates of y^dim in the power basis.
     """
     top = tuple(top)
-    zero, one = scalar_zero, scalar_one
+    zero, one = Fraction(0), Fraction(1)
 
     def reduced_power(e):
         # coordinates of y^e for e < 2*dim - 1
@@ -356,7 +326,7 @@ def power_basis_algebra(name, dim, top, scalar_zero=Fraction(0),
 
     table = [[reduced_power(i + j) for j in range(dim)] for i in range(dim)]
     basis = ["1"] + [f"{gen_name}^{k}" if k > 1 else gen_name for k in range(1, dim)]
-    return FieldDescriptor(name, basis, table, zero, one, coerce=coerce)
+    return FieldDescriptor(name, basis, table)
 
 
 def _neg_identity_signs(signs):
@@ -411,47 +381,13 @@ def quadratic_field(d):
     return power_basis_algebra(f"Qadj({d})", 2, (d, Fraction(0)), gen_name="r")
 
 
-# Images of source basis elements inside the target algebra.
-_EMBEDDINGS = {}
-
-
-def _embedding(src, dst):
-    key = (src.name, dst.name)
-    if key in _EMBEDDINGS:
-        return _EMBEDDINGS[key]
-    images = None
-    if src is Q:
-        images = (dst.one,)
-    elif src is QSQRT5 and dst is QZETA5:
-        # sqrt5 = 2(z + z^4) + 1 = -1 - 2 z^2 - 2 z^3
-        images = (dst.one, dst.element((-1, 0, -2, -2)))
-    elif src is QSQRT5 and dst is QEPSI:
-        # eps = (sqrt5 - 1)/2, so sqrt5 = 1 + 2 eps
-        images = (dst.one, dst.element((1, 2, 0, 0)))
-    if images is None:
-        raise ValueError(f"no embedding {src.name} -> {dst.name}")
-    _EMBEDDINGS[key] = images
-    return images
-
-
-def embed(el, dst):
-    """Embed an algebra element into a larger named algebra."""
-    if el.field is dst:
-        return el
-    images = _embedding(el.field, dst)
-    acc = dst.zero
-    for c, im in zip(el.coords, images):
-        if c:
-            acc = acc + im * c
-    return acc
-
-
 class Domain:
     """Coefficient domain marker for polynomials.
 
     kind is "q" (Fraction scalars, Kronecker fast path), "alg"
-    (AlgElement with Fraction coordinates, coordinatewise Kronecker), or
-    "gen" (anything exact; schoolbook).
+    (AlgElement coefficients, coordinatewise Kronecker), or "gen"
+    (polynomial coefficients, for nested polynomials such as Q[r][x];
+    schoolbook).
     """
 
     __slots__ = ("zero", "one", "kind", "field")
@@ -599,7 +535,7 @@ class Poly:
         return list(self.coeffs) + [self.dom.zero] * (n - len(self.coeffs))
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
@@ -609,7 +545,7 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
@@ -622,14 +558,14 @@ class Poly:
     def __neg__(self):
         return Poly([-c for c in self.coeffs], self.dom)
 
-    def _coerce(self, other):
+    def _lift(self, other):
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
             if self.dom.kind == "q":
                 return Poly((Fraction(other),), self.dom)
             return Poly((self.dom.one * other,), self.dom)
-        if isinstance(other, AlgElement) and self.dom.kind in ("alg", "gen"):
+        if isinstance(other, AlgElement) and self.dom.kind == "alg":
             return Poly((other,), self.dom)
         return NotImplemented
 
@@ -640,7 +576,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if isinstance(other, AlgElement) and self.dom.kind in ("alg", "gen"):
+        if isinstance(other, AlgElement) and self.dom.kind == "alg":
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -803,20 +739,7 @@ class Poly:
 
     def compose_frac(self, p, q):
         """Numerator of self(p/q): sum a_k p^k q^(n-k), n = deg(self)."""
-        n = self.degree()
-        if n < 0:
-            return Poly((), p.dom)
-        qpows = [Poly.one(q.dom)]
-        for _ in range(n):
-            qpows.append(qpows[-1] * q)
-        acc = Poly((), p.dom)
-        ppow = Poly.one(p.dom)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + (ppow * qpows[n - k]).scale(c)
-            if k < n:
-                ppow = ppow * p
-        return acc
+        return _compose_homogeneous((self,), p, q, self.degree())[0]
 
     def scale_arg(self, c):
         """self(c*x): multiply coefficient k by c^k."""
@@ -848,6 +771,27 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{self.to_str()}]"
+
+
+def _compose_homogeneous(polys, p, q, n):
+    """Each f in polys as f(p/q) q^n, for n at least every deg f.
+
+    The powers of p and of q are built once and shared by all of polys.
+    """
+    qpows = [Poly.one(q.dom)]
+    for _ in range(n):
+        qpows.append(qpows[-1] * q)
+    ppows = [Poly.one(p.dom)]
+    for _ in range(max(f.degree() for f in polys)):
+        ppows.append(ppows[-1] * p)
+    out = []
+    for f in polys:
+        acc = Poly((), p.dom)
+        for k, c in enumerate(f.coeffs):
+            if c:
+                acc = acc + (ppows[k] * qpows[n - k]).scale(c)
+        out.append(acc)
+    return out
 
 
 def _exact_div_scalar(a, b):
@@ -1087,12 +1031,6 @@ class RatFunc:
         self.den = den
 
     @staticmethod
-    def constants(varname="x"):
-        """(zero, one) constants; varname is cosmetic only."""
-        return (RatFunc(Poly((), QDOM), Poly.one(QDOM), _normalized=True),
-                RatFunc(Poly.one(QDOM), Poly.one(QDOM), _normalized=True))
-
-    @staticmethod
     def var(dom=QDOM):
         return RatFunc(Poly.x(dom), Poly.one(dom), _normalized=True)
 
@@ -1114,7 +1052,7 @@ class RatFunc:
     def __bool__(self):
         return not self.num.is_zero()
 
-    def _coerce(self, other):
+    def _lift(self, other):
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, Poly):
@@ -1126,7 +1064,7 @@ class RatFunc:
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -1134,7 +1072,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
@@ -1146,7 +1084,7 @@ class RatFunc:
         return RatFunc(-self.num, self.den, _normalized=True)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         return RatFunc(self.num * o.num, self.den * o.den)
@@ -1154,7 +1092,7 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         if o.num.is_zero():
@@ -1162,7 +1100,7 @@ class RatFunc:
         return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._lift(other)
         return o / self
 
     def __pow__(self, n):
@@ -1171,7 +1109,7 @@ class RatFunc:
         return RatFunc(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
         return self.num * o.den == o.num * self.den
@@ -1181,16 +1119,11 @@ class RatFunc:
 
     def compose(self, other):
         """self(other) by clearing other's denominator homogeneously."""
-        p, q = other.num, other.den
-        n = max(self.num.degree(), self.den.degree(), 0)
-
-        def clear(poly):
-            return poly.compose_frac(p, q) * q ** (n - poly.degree())
-
-        den = clear(self.den)
+        n = max(self.num.degree(), self.den.degree())
+        num, den = _compose_homogeneous((self.num, self.den), other.num, other.den, n)
         if den.is_zero():
             raise ZeroDivisionError("composition denominator vanishes")
-        return RatFunc(clear(self.num), den)
+        return RatFunc(num, den)
 
     def __call__(self, x):
         if isinstance(x, Poly):

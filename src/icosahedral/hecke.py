@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .exact import QEPSI
-
 __all__ = [
     "RootOfUnity",
     "ResidueRing",

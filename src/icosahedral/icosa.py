@@ -32,9 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (
-    QDOM, QSQRT5, QZETA5, Poly, RatFunc, embed, poly_gcd,
-)
+from .exact import QDOM, QSQRT5, QZETA5, Poly, RatFunc, _compose_homogeneous
 
 __all__ = [
     "InvariantFns",
@@ -82,7 +80,7 @@ def mobius_gen(label):
     zeta = QZETA5.gen(1)
     one = QZETA5.one
     zero = QZETA5.zero
-    eps = embed((QSQRT5.gen(1) - 1) / 2, QZETA5)
+    eps = zeta + zeta ** 4  # (sqrt5 - 1)/2
     if label == "S":
         return MobiusGen("S", ((zeta, zero), (zero, one)))
     if label == "T":
@@ -148,8 +146,7 @@ def _compose_mobius_raw(num, den, gen):
     p = Poly([b, a], num.dom)
     q = Poly([d, c], num.dom)
     n = max(num.degree(), den.degree())
-    return tuple(f.compose_frac(p, q) * q ** (n - f.degree())
-                 for f in (num, den))
+    return tuple(_compose_homogeneous((num, den), p, q, n))
 
 
 def verify_invariance(gen):

@@ -12,9 +12,12 @@ and y a root of y^4 = 256u^4/(625(5u^4 - 9)),
 
     q_t(x / (5y/4)) * (5y/4)^5 = x^5 - x - y
 
-holds identically in x over Q(u)[y].  Since v5(y^4) = -4 for any 5-adic
-unit u, y has valuation -1/1 in a totally ramified quartic extension, the
-shape that makes x^5 - x - y an Artin-Schreier equation at 5.
+holds identically in x over Q(u)[y]/(y^4 - 256u^4/(625(5u^4 - 9))).  As
+(5y/4)^4 is a scalar of Q(u), it comes down to two identities in Q(u),
+which artin_schreier_identity checks with RatFunc over Q.  Since
+v5(y^4) = -4 for any 5-adic unit u, y has valuation -1/1 in a totally
+ramified quartic extension, the shape that makes x^5 - x - y an
+Artin-Schreier equation at 5.
 
 On the family itself the hypothesis holds at t = u^2 for every 5-adic unit
 u, since trinomial_t(q_t) = |t| (verify_family_squares).
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-from .exact import Poly, RatFunc, power_basis_algebra
+from .exact import Poly, RatFunc
 from .quintic import trinomial_t
 
 __all__ = [
@@ -105,42 +108,26 @@ def theorem_hypothesis(B, C) -> bool:
     return t is not None and is_square_5adic_unit(t)
 
 
-def _artin_schreier_algebra():
-    # Q(u)[y] / (y^4 - 256u^4/(625(5u^4 - 9)))
-    num = Poly.over_q([0, 0, 0, 0, 256])
-    den = Poly.over_q([-5625, 0, 0, 0, 3125])
-    y4 = RatFunc(num, den)
-    rz, ro = RatFunc.constants("u")
+def artin_schreier_identity(
+        y4=RatFunc(Poly.over_q([0, 0, 0, 0, 256]),
+                   Poly.over_q([-5625, 0, 0, 0, 3125])),
+        w=Fraction(5, 4)) -> bool:
+    """Prove q_t(x/(wy)) * (wy)^5 = x^5 - x - y in Q(u)[y]/(y^4 - y4)[x].
 
-    def coerce(c):
-        if isinstance(c, RatFunc):
-            return c
-        return RatFunc.from_scalar(Fraction(c))
-
-    return power_basis_algebra("AS(u)", 4, (y4, rz, rz, rz),
-                               scalar_zero=rz, scalar_one=ro, coerce=coerce)
-
-
-def artin_schreier_identity() -> bool:
-    """Check q_t(x/(5y/4)) * (5y/4)^5 = x^5 - x - y identically in x.
-
-    Works in Q(u)[y]/(y^4 - 256u^4/(625(5u^4 - 9))) with t = u^2, where
-    the family coefficients read B = (9-5u^4)/u^4 and C = 4(9-5u^4)/(5u^4).
-    The left side is x^5 + B w^4 x + C w^5 with w = 5y/4, so the identity
-    pins the x-coefficient to -1 and the constant term to -y.
+    Here t = u^2, y4 = 256u^4/(625(5u^4 - 9)) and w = 5/4, so the family
+    coefficients read B = (9-5u^4)/u^4 and C = 4(9-5u^4)/(5u^4).  The left
+    side is x^5 + B (wy)^4 x + C (wy)^5.  In the algebra (wy)^4 = w^4 y4 is
+    a scalar of Q(u) and (wy)^5 = w^5 y4 y, so the two sides agree in x^5
+    and differ by (B w^4 y4 + 1) x + (C w^5 y4 + 1) y.  As 1, y, y^2, y^3
+    is a basis of the algebra over Q(u), the identity holds exactly when
+    B w^4 y4 = -1 and C w^5 y4 = -1, two identities in Q(u), which are
+    what is checked.  y4 and w are parameters for mutation tests.
     """
-    fld = _artin_schreier_algebra()
-    dom = fld.domain()
     u4 = Poly.over_q([0, 0, 0, 0, 1])
-    nine_minus = Poly.over_q([9, 0, 0, 0, -5])
-    b = fld.from_scalar(RatFunc(nine_minus, u4))
-    c = fld.from_scalar(RatFunc(nine_minus.scale(4), u4.scale(5)))
-    w = fld.gen(1) * Fraction(5, 4)
-    lhs = Poly((c * w ** 5, b * w ** 4, fld.zero, fld.zero, fld.zero, fld.one),
-               dom)
-    rhs = Poly((-fld.gen(1), -fld.one, fld.zero, fld.zero, fld.zero, fld.one),
-               dom)
-    return lhs == rhs
+    k = Poly.over_q([9, 0, 0, 0, -5])
+    b = RatFunc(k, u4)
+    c = RatFunc(k.scale(4), u4.scale(5))
+    return b * w ** 4 * y4 == -1 and c * w ** 5 * y4 == -1
 
 
 def verify_family_squares(k=Poly.over_q([9, 0, -5])) -> bool:

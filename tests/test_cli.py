@@ -549,6 +549,19 @@ def test_check_ids_match_the_benchmark(capsys, monkeypatch):
     assert len(got) == len(want) and set(got) == want
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("verify", "all"), "verify_all.json"),
+    (("table",), "table.json"),
+])
+def test_report_matches_golden(capsys, argv, golden):
+    # the committed reports at the default seed; a changed report string
+    # must show up as a diff of tests/golden/, regenerated with
+    # python -m icosahedral.cli verify all > tests/golden/verify_all.json
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out.encode() == (Path(__file__).parent / "golden" / golden).read_bytes()
+
+
 def test_verify_icosa(capsys):
     rc, out, _ = run_cli(capsys, "verify", "icosa")
     assert rc == 0

@@ -6,8 +6,8 @@ import sympy as sp
 
 from icosahedral.exact import (
     QDOM, QEPSI, QSQRT5, QZETA5, Q,
-    AlgElement, Poly, RatFunc, _kron_mul_int, embed, poly_gcd, poly_sqrt,
-    power_basis_algebra, quadratic_field, resultant, sqrt_exact,
+    AlgElement, Poly, RatFunc, _compose_homogeneous, _kron_mul_int, poly_gcd,
+    poly_sqrt, quadratic_field, resultant, sqrt_exact,
 )
 
 ALL_FIELDS = (Q, QSQRT5, QZETA5, QEPSI)
@@ -71,22 +71,22 @@ def test_named_field_examples():
 
 
 def test_eps_matches_sqrt5_definition():
-    # eps = (sqrt5 - 1)/2 satisfies eps^2 + eps - 1 = 0
+    # eps = (sqrt5 - 1)/2 satisfies eps^2 + eps = 1, in Q(sqrt5) and as
+    # zeta + zeta^4 in Q(zeta5), the form icosa.mobius_gen uses
     s5 = QSQRT5.gen(1)
     eps = (s5 - 1) / 2
-    assert eps * eps + eps - 1 == QSQRT5.zero
-    # and agrees with zeta + zeta^4 under the embedding into Q(zeta5)
+    assert eps * eps + eps == QSQRT5.one
     z = QZETA5.gen(1)
-    assert embed(eps, QZETA5) == z + z ** 4
-    # and with the eps basis vector of Q(eps, i)
-    assert embed(eps, QEPSI) == QEPSI.gen(1)
+    eps = z + z ** 4
+    assert eps * eps + eps == QZETA5.one
 
 
 def test_embeddings_square():
-    s5 = QSQRT5.gen(1)
-    for target in (QZETA5, QEPSI):
-        im = embed(s5, target)
-        assert im * im == target.from_scalar(5)
+    # sqrt5 goes to 1 + 2 eps in Q(zeta5) (eps = zeta + zeta^4) and in Q(eps, i)
+    z = QZETA5.gen(1)
+    for eps in (z + z ** 4, QEPSI.gen(1)):
+        s5 = 1 + eps * 2
+        assert s5 * s5 == eps.field.from_scalar(5)
 
 
 def test_inverse_roundtrip_random():
@@ -127,29 +127,6 @@ def test_involutions():
     eps = QEPSI.gen(1)
     x = eps * 3 + i * 2 - 1
     assert x.conj("conj") == eps * 3 - i * 2 - 1
-
-
-def test_parametric_tower():
-    # Q(t)(sqrt5): power-basis algebra with RatFunc scalars, the shape of
-    # localfield's Artin-Schreier algebra
-    rz, ro = RatFunc.constants("t")
-
-    def coerce(c):
-        return c if isinstance(c, RatFunc) else RatFunc.from_scalar(Fraction(c))
-
-    fd = power_basis_algebra("Qsqrt5(t)", 2, (coerce(5), rz),
-                             scalar_zero=rz, scalar_one=ro, coerce=coerce)
-    assert fd.verify_table()
-    t = RatFunc.var()
-    x = fd.element((t, t + 1))
-    y = x * x
-    # (t + (t+1) s5)^2 = t^2 + 5(t+1)^2 + 2t(t+1) s5
-    assert y.coords[0] == t * t + (t + 1) * (t + 1) * 5
-    assert y.coords[1] == t * (t + 1) * 2
-    inv = x.inv()
-    assert x * inv == fd.one
-    # RatFunc scalars keep the generic product loop
-    assert fd._int_table is None
 
 
 # -- polynomials ------------------------------------------------------------
@@ -501,6 +478,28 @@ def test_ratfunc_compose_examples():
     z5 = RatFunc(Poly([QZETA5.zero] * 5 + [QZETA5.one], dom), Poly.one(dom))
     rot = RatFunc(Poly([QZETA5.zero, zeta], dom), Poly.one(dom))
     assert z5.compose(rot) == z5
+
+
+def test_compose_homogeneous_matches_sum_and_values():
+    # f(p/q) q^n from one table of powers equals the term-by-term sum
+    # sum_k a_k p^k q^(n-k) and agrees with evaluating f at p/q
+    rng = random.Random(11)
+    for _ in range(10):
+        p = rand_poly(rng, rng.randint(0, 3))
+        q = rand_poly(rng, rng.randint(1, 3))
+        if q.is_zero():
+            continue
+        polys = [rand_poly(rng, rng.randint(0, 5)) for _ in range(3)]
+        n = max(f.degree() for f in polys) + rng.randint(0, 2)
+        cleared = _compose_homogeneous(polys, p, q, n)
+        for f, got in zip(polys, cleared):
+            want = Poly((), QDOM)
+            for k, c in enumerate(f.coeffs):
+                want = want + p ** k * q ** (n - k) * c
+            assert got == want
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            if q(x):
+                assert got(x) == f(p(x) / q(x)) * q(x) ** n
 
 
 def test_ratfunc_arithmetic():

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
-from icosahedral.exact import Poly, RatFunc, power_basis_algebra
+from icosahedral.exact import Poly, RatFunc
 from icosahedral.localfield import (
     Valuation5, artin_schreier_identity, is_square_5adic_unit,
     theorem_hypothesis, v5, verify_family_squares,
@@ -136,27 +137,36 @@ def test_artin_schreier_valuation_shape():
         assert v5(y4) == Valuation5(-4)
 
 
+def mutated_y4(numerator):
+    # y^4 = numerator u^4 / (625 (5u^4 - 9)); the identity needs 256
+    return RatFunc(Poly.over_q([0, 0, 0, 0, numerator]),
+                   Poly.over_q([-5625, 0, 0, 0, 3125]))
+
+
 def test_artin_schreier_mutation():
-    # perturbing the y^4 structure constant must break the identity
-    rz, ro = RatFunc.constants("u")
+    # 256 -> 255 in the numerator of y^4, and w = 4/5 in place of 5/4,
+    # must each break the identity
+    assert artin_schreier_identity(y4=mutated_y4(256))
+    assert not artin_schreier_identity(y4=mutated_y4(255))
+    assert not artin_schreier_identity(w=Fraction(4, 5))
 
-    def coerce(c):
-        if isinstance(c, RatFunc):
-            return c
-        return RatFunc.from_scalar(Fraction(c))
 
-    y4 = RatFunc(Poly.over_q([0, 0, 0, 0, 255]),
-                 Poly.over_q([-5625, 0, 0, 0, 3125]))
-    fld = power_basis_algebra("ASmut(u)", 4, (y4, rz, rz, rz),
-                              scalar_zero=rz, scalar_one=ro, coerce=coerce)
-    dom = fld.domain()
-    u4 = Poly.over_q([0, 0, 0, 0, 1])
-    nine = Poly.over_q([9, 0, 0, 0, -5])
-    b = fld.from_scalar(RatFunc(nine, u4))
-    c = fld.from_scalar(RatFunc(nine.scale(4), u4.scale(5)))
-    w = fld.gen(1) * Fraction(5, 4)
-    lhs = Poly((c * w ** 5, b * w ** 4, fld.zero, fld.zero, fld.zero,
-                fld.one), dom)
-    rhs = Poly((-fld.gen(1), -fld.one, fld.zero, fld.zero, fld.zero,
-                fld.one), dom)
-    assert lhs != rhs
+def artin_schreier_remainder(y4_numerator):
+    """q_t(x/(wy)) (wy)^5 - (x^5 - x - y) mod y^4 - y4 in Q(u, x)[y], by sympy."""
+    u, x, y = sp.symbols("u x y")
+    t = u ** 2
+    b = (9 - 5 * t ** 2) / t ** 2
+    c = 4 * (9 - 5 * t ** 2) / (5 * t ** 2)
+    wy = sp.Rational(5, 4) * y
+    y4 = y4_numerator * u ** 4 / (625 * (5 * u ** 4 - 9))
+    lhs = sp.expand(((x / wy) ** 5 + b * (x / wy) + c) * wy ** 5)
+    dom = sp.QQ.frac_field(u, x)
+    diff = sp.Poly(lhs - (x ** 5 - x - y), y, domain=dom)
+    return diff.rem(sp.Poly(y ** 4 - y4, y, domain=dom))
+
+
+def test_artin_schreier_sympy_oracle():
+    # an independent reduction of the whole identity, not of the two
+    # coefficient identities that artin_schreier_identity checks
+    assert artin_schreier_remainder(256).is_zero
+    assert not artin_schreier_remainder(255).is_zero
