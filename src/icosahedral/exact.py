@@ -17,6 +17,13 @@ lists are packed into big integers (Kronecker substitution) instead of
 schoolbook convolution, recombined with the structure constants as
 integers over one table denominator, and a ``Fraction`` is built once per
 output coordinate.  That is what keeps the large identity checks cheap.
+Composition f(p/q) q^n over Q works the same way.
+
+Resultants are taken over Q in integers: both operands are cleared once,
+an integer subresultant PRS runs with checked exact divisions, and one
+Fraction is built at the end.  A resultant that depends linearly on a
+second variable S, Res_x(p, q0 + S q1), is taken by evaluation at
+S = 0..deg p and exact integer interpolation (:func:`resultant_pencil`).
 
 Resultant sign convention: ``resultant(p, q)`` is the determinant of the
 Sylvester matrix with the rows built from p listed first, equivalently
@@ -41,6 +48,8 @@ __all__ = [
     "power_basis_algebra",
     "poly_gcd",
     "resultant",
+    "resultant_pencil",
+    "poly_divides",
     "sqrt_exact",
     "poly_sqrt",
 ]
@@ -378,7 +387,9 @@ QEPSI = _build_qepsi()
 def quadratic_field(d):
     """Q[r]/(r^2 - d) for a rational d (a field iff d is not a square)."""
     d = Fraction(d)
-    return power_basis_algebra(f"Qadj({d})", 2, (d, Fraction(0)), gen_name="r")
+    zero, one = Fraction(0), Fraction(1)
+    return FieldDescriptor(f"Qadj({d})", ("1", "r"),
+                           (((one, zero), (zero, one)), ((zero, one), (d, zero))))
 
 
 class Domain:
@@ -483,10 +494,6 @@ class Poly:
     @staticmethod
     def x(dom):
         return Poly((dom.zero, dom.one), dom)
-
-    @staticmethod
-    def constant(c, dom):
-        return Poly((c,), dom)
 
     @staticmethod
     def over_q(coeffs):
@@ -682,33 +689,11 @@ class Poly:
         return divmod(self, other)[1]
 
     def exact_div(self, other):
-        """Exact quotient; ValueError if the division leaves a remainder.
-
-        Works even when the coefficient domain is only a ring (e.g. nested
-        polynomials), provided every intermediate leading-coefficient
-        division is itself exact.
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return self
-        rem = list(self.coeffs)
-        db = other.degree()
-        if self.degree() < db:
+        """Exact quotient; ValueError if the division leaves a remainder."""
+        quo, rem = divmod(self, other)
+        if rem:
             raise ValueError("inexact polynomial division")
-        lcb = other.lc()
-        q = [self.dom.zero] * (len(rem) - db)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            f = _exact_div_scalar(c, lcb)
-            q[k - db] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k - db + j] = rem[k - db + j] - f * b
-        if any(rem[:db]):
-            raise ValueError("inexact polynomial division")
-        return Poly(q, self.dom)
+        return quo
 
     def monic(self):
         if self.is_zero():
@@ -777,12 +762,19 @@ def _compose_homogeneous(polys, p, q, n):
     """Each f in polys as f(p/q) q^n, for n at least every deg f.
 
     The powers of p and of q are built once and shared by all of polys.
+    Over Q they are integer powers of the cleared p = a/dp and q = b/dq,
+    and each f = c/df is summed over the one denominator df dp^e dq^n,
+    e = deg f, which scales the term c_k a^k b^(n-k) by the integer
+    dp^(e-k) dq^k.
     """
+    m = max(f.degree() for f in polys)
+    if p.dom.kind == "q":
+        return _compose_homogeneous_q(polys, p, q, n, m)
     qpows = [Poly.one(q.dom)]
     for _ in range(n):
         qpows.append(qpows[-1] * q)
     ppows = [Poly.one(p.dom)]
-    for _ in range(max(f.degree() for f in polys)):
+    for _ in range(m):
         ppows.append(ppows[-1] * p)
     out = []
     for f in polys:
@@ -794,15 +786,37 @@ def _compose_homogeneous(polys, p, q, n):
     return out
 
 
-def _exact_div_scalar(a, b):
-    if isinstance(a, Poly):
-        return a.exact_div(b)
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ValueError("inexact integer division")
-        return q
-    return a / b
+def _compose_homogeneous_q(polys, p, q, n, m):
+    a, dp = _clear_denominators(p.coeffs)
+    b, dq = _clear_denominators(q.coeffs)
+    apows, bpows = [[1]], [[1]]
+    for _ in range(m):
+        apows.append(_kron_mul_int(apows[-1], a))
+    for _ in range(n):
+        bpows.append(_kron_mul_int(bpows[-1], b))
+    terms = {}
+    out = []
+    for f in polys:
+        if f.is_zero():
+            out.append(f)
+            continue
+        c, df = _clear_denominators(f.coeffs)
+        deg = len(c) - 1
+        acc = []
+        for k, ck in enumerate(c):
+            if not ck:
+                continue
+            if k not in terms:
+                terms[k] = _kron_mul_int(apows[k], bpows[n - k])
+            w = ck * dp ** (deg - k) * dq ** k
+            t = terms[k]
+            if len(acc) < len(t):
+                acc.extend([0] * (len(t) - len(acc)))
+            for i, v in enumerate(t):
+                acc[i] += w * v
+        den = df * dp ** deg * dq ** n
+        out.append(Poly([Fraction(v, den) for v in acc], QDOM))
+    return out
 
 
 # -- gcd -----------------------------------------------------------------
@@ -915,61 +929,129 @@ def poly_gcd(p, q):
 
 # -- resultant -------------------------------------------------------------
 
-def _prem_generic(a, b):
-    """Pseudo-remainder over any commutative coefficient ring."""
-    da, db = a.degree(), b.degree()
-    lb = b.lc()
-    r = a
-    e = da - db + 1
-    while not r.is_zero() and r.degree() >= db:
-        lr = r.lc()
-        shift = r.degree() - db
-        shifted = Poly([r.dom.zero] * shift + list(b.coeffs), b.dom)
-        r = r.scale(lb) - shifted.scale(lr)
-        e -= 1
-    if e > 0:
-        m = lb ** e
-        r = r.scale(m)
-    return r
+def _exact_div_int(a, b):
+    """a / b for integers that must divide exactly; ValueError otherwise."""
+    q, r = divmod(a, b)
+    if r:
+        raise ValueError("inexact integer division")
+    return q
+
+
+def _resultant_int(a, b):
+    """Subresultant-PRS resultant of two nonzero integer coefficient lists.
+
+    The algorithm of Cohen, A Course in Computational Algebraic Number
+    Theory, section 3.3: every division by g h^d is exact, so it stays in
+    the integers.  Same sign convention as :func:`resultant`.
+    """
+    if len(b) == 1:
+        return b[0] ** (len(a) - 1)
+    if len(a) == 1:
+        return a[0] ** (len(b) - 1)
+    s = 1
+    if len(a) < len(b):
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            s = -s
+        a, b = b, a
+    g = h = 1
+    while len(b) > 1:
+        d = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            s = -s
+        r = _pseudo_rem_int(a, b)
+        if not r:
+            return 0
+        divisor = g * h ** d
+        a, b = b, [_exact_div_int(c, divisor) for c in r]
+        g = a[-1]
+        if d > 1:
+            h = _exact_div_int(g ** d, h ** (d - 1))
+        elif d == 1:
+            h = g
+    da = len(a) - 1
+    res = _exact_div_int(b[0] ** da, h ** (da - 1)) if da > 1 else b[0] ** da
+    return -res if s < 0 else res
 
 
 def resultant(p, q):
-    """Subresultant-PRS resultant; see the module docstring for the sign."""
-    dom = p.dom
+    """Res(p, q) over Q; see the module docstring for the sign.
+
+    p = a/dp and q = b/dq with integer a, b, so
+    Res(p, q) = Res(a, b) / (dp^deg(q) dq^deg(p)), and Res(a, b) is an
+    integer subresultant PRS.
+    """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial")
-    if p.degree() == 0 and q.degree() == 0:
-        return dom.one
-    if p.degree() == 0:
-        return p.coeffs[0] ** q.degree()
-    if q.degree() == 0:
-        return q.coeffs[0] ** p.degree()
-    s = 1
-    A, B = p, q
-    if A.degree() < B.degree():
-        if (A.degree() % 2) and (B.degree() % 2):
-            s = -s
-        A, B = B, A
-    g = dom.one
-    h = dom.one
-    while B.degree() > 0:
-        d = A.degree() - B.degree()
-        if (A.degree() % 2) and (B.degree() % 2):
-            s = -s
-        R = _prem_generic(A, B)
-        if R.is_zero():
-            return dom.zero
-        divisor = g * h ** d
-        A, B = B, R.map_coeffs(lambda c: _exact_div_scalar(c, divisor))
-        g = A.lc()
-        if d >= 1:
-            h = _exact_div_scalar(g ** d, h ** (d - 1)) if d > 1 else g
-    lB = B.coeffs[0]
-    dA = A.degree()
-    res = _exact_div_scalar(lB ** dA, h ** (dA - 1)) if dA > 1 else lB ** dA
-    if s < 0:
-        res = -res
-    return res
+    if p.dom.kind != "q":
+        raise ValueError("resultant is taken over Q")
+    a, dp = _clear_denominators(p.coeffs)
+    b, dq = _clear_denominators(q.coeffs)
+    return Fraction(_resultant_int(a, b), dp ** q.degree() * dq ** p.degree())
+
+
+def _interpolate_int(values):
+    """The polynomial through (s, values[s]), s = 0..n, as integers.
+
+    Newton's forward differences give P(S) = sum_k D^k v_0 binom(S, k), so
+    n! P(S) = sum_k D^k v_0 (n!/k!) S(S-1)...(S-k+1) has integer
+    coefficients.  P must have integer coefficients itself, and each
+    coefficient of n! P is divided by n! exactly.
+    """
+    n = len(values) - 1
+    fact = math.factorial(n)
+    newton, diffs = [], list(values)
+    while diffs:
+        newton.append(diffs[0])
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    acc = [0] * (n + 1)
+    falling = [1]  # S(S-1)...(S-k+1), lowest degree first
+    for k, dk in enumerate(newton):
+        w = dk * (fact // math.factorial(k))
+        for i, c in enumerate(falling):
+            acc[i] += w * c
+        falling = [x - k * y for x, y in zip([0] + falling, falling + [0])]
+    return [_exact_div_int(c, fact) for c in acc]
+
+
+def resultant_pencil(p, q0, q1):
+    """Res_x(p, q0 + S q1) as a polynomial in S over Q.
+
+    Requires deg q1 < deg q0, so that q0 + S q1 has the constant leading
+    coefficient lc(q0).  The deg p rows of the Sylvester matrix built from
+    q0 + S q1 are linear in S and the others constant, so the resultant has
+    S-degree at most deg p.  Since neither leading coefficient involves S,
+    the Sylvester matrix keeps its shape at every S = s, and the resultant
+    in S specializes to Res_x(p, q0 + s q1).  It is therefore the
+    interpolant through s = 0..deg p of those deg p + 1 resultants over Q.
+    With p = a/dp and q0, q1 = b0/dq, b1/dq over one denominator, the
+    values are integers Res(a, b0 + s b1) over dp^deg(q0) dq^deg(p),
+    interpolated in integers, with one Fraction per coefficient.
+    """
+    if p.is_zero() or q0.is_zero():
+        raise ValueError("resultant of a zero polynomial")
+    if q1.degree() >= q0.degree():
+        raise ValueError("resultant_pencil needs deg q1 < deg q0")
+    a, dp = _clear_denominators(p.coeffs)
+    b, dq = _clear_denominators(q0.coeffs + q1.coeffs)
+    b0, b1 = b[:len(q0.coeffs)], b[len(q0.coeffs):]
+    b1 = b1 + [0] * (len(b0) - len(b1))
+    values = [_resultant_int(a, [u + s * v for u, v in zip(b0, b1)])
+              for s in range(len(a))]
+    den = dp ** q0.degree() * dq ** p.degree()
+    return Poly([Fraction(c, den) for c in _interpolate_int(values)], QDOM)
+
+
+def poly_divides(g, f):
+    """Whether g divides f in Q[x], by an integer pseudo-remainder.
+
+    prem(f, g) = lc(g)^e (f mod g) with lc(g) != 0, so it vanishes exactly
+    when the remainder over Q does.
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    a, _ = _clear_denominators(f.coeffs)
+    b, _ = _clear_denominators(g.coeffs)
+    return not _pseudo_rem_int(_primitive(a), _primitive(b))
 
 
 def poly_sqrt(p):

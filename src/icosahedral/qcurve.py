@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    AlgElement, Domain, FieldDescriptor, Poly, Q, QDOM, QSQRT5, poly_gcd,
-    poly_sqrt, resultant,
+    AlgElement, Domain, FieldDescriptor, Poly, Q, QDOM, QSQRT5, poly_divides,
+    poly_gcd, poly_sqrt, resultant_pencil,
 )
 from .quintic import Quintic, invariants, j_equation
 
@@ -271,27 +271,26 @@ def division_poly5(E: EllipticCurve) -> Poly:
 def x5sum_resolvent_scaled(E: EllipticCurve):
     """(scalar, g) with Res_x(psi5, duplication relation) = scalar * g^2.
 
-    The second resultant argument is S*4f(x) - 4xf(x) - (x^4-2bx^2-8cx+b^2),
-    i.e. the clearing of S = x + x_dup(x); its roots in S pair each
-    5-torsion x with its doubling, so the degree-12 resultant in S is a
-    square up to the recorded scalar and g is monic of degree 6.
+    The second resultant argument is q0(x) + S q1(x) with
+    q0 = -4xf(x) - (x^4-2bx^2-8cx+b^2) and q1 = 4f(x), i.e. the clearing of
+    S = x + x_dup(x); its roots in S pair each 5-torsion x with its
+    doubling, so the degree-12 resultant in S is a square up to the
+    recorded scalar and g is monic of degree 6.
+
+    The resultant is taken by interpolation in S (exact.resultant_pencil).
+    Of the 16 rows of the Sylvester matrix, the 4 rows from psi5 do not
+    involve S and the 12 rows from q0 + S q1 are linear in S, so the
+    resultant has S-degree at most 12.  Its leading x-coefficients are
+    lc(psi5) = 5 and lc(q0) = -5, free of S because deg q1 = 3 < 4 =
+    deg q0; so setting S = s leaves the matrix shape unchanged, and the
+    resultant in S specializes to the resultant at s.  The 13 values at
+    s = 0..12 therefore determine it.
     """
     b, c = _rational_bc(E)
     psi5 = division_poly5(E)
-    sdom = Domain.for_polys(QDOM)
-
-    def sp(*coeffs):
-        return Poly.over_q(list(coeffs))
-
-    lift = psi5.map_coeffs(lambda v: Poly.constant(v, QDOM), sdom)
-    relation = Poly((
-        sp(-b * b, 4 * c),       # 4cS - b^2
-        sp(4 * c, 4 * b),        # 4bS + 4c
-        sp(-2 * b),
-        sp(0, 4),                # 4S
-        sp(-5),
-    ), sdom)
-    res = resultant(lift, relation)
+    q0 = Poly.over_q([-b * b, 4 * c, -2 * b, 0, -5])
+    q1 = Poly.over_q([4 * c, 4 * b, 0, 4])
+    res = resultant_pencil(psi5, q0, q1)
     if res.degree() != 12:
         raise ArithmeticError("resultant degenerated; unexpected torsion collision")
     root = poly_sqrt(res)
@@ -354,5 +353,4 @@ def verify_klein_link(j) -> bool:
         - Poly.over_q([0, 0, 0, 1728]) * Poly.over_q([34, 10, 1])
     if poly_gcd(den_b, g).degree() > 0:
         raise ArithmeticError("transform denominator shares a root with g")
-    comp_b = qp.compose_frac(num_b, den_b)
-    return (comp_b % g).is_zero()
+    return poly_divides(g, qp.compose_frac(num_b, den_b))

@@ -3,12 +3,18 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from icosahedral.exact import (
     QDOM, QEPSI, QSQRT5, QZETA5, Q,
-    AlgElement, Poly, RatFunc, _compose_homogeneous, _kron_mul_int, poly_gcd,
-    poly_sqrt, quadratic_field, resultant, sqrt_exact,
+    AlgElement, Poly, RatFunc, _compose_homogeneous, _kron_mul_int, poly_divides,
+    poly_gcd, poly_sqrt, quadratic_field, resultant, resultant_pencil,
+    sqrt_exact,
 )
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
 
 ALL_FIELDS = (Q, QSQRT5, QZETA5, QEPSI)
 
@@ -425,15 +431,89 @@ def test_resultant_common_root_is_zero():
 
 
 def test_resultant_bivariate():
-    # Res_x(x^2 - s, x - s) = s^2 - s, computed with nested polynomials
-    from icosahedral.exact import Domain
-    pdom = Domain.for_polys(QDOM)
-    s = Poly.over_q([0, 1])
-    one = Poly.one(QDOM)
-    p = Poly([-s, Poly((), QDOM), one], pdom)
-    q = Poly([-s, one], pdom)
-    r = resultant(p, q)
-    assert r == s * s - s
+    # Res_x(x^2 - 2, x - S) = S^2 - 2, as the pencil q0 + S q1 with
+    # q0 = x and q1 = -1
+    r = resultant_pencil(Poly.over_q([-2, 0, 1]), Poly.over_q([0, 1]),
+                         Poly.over_q([-1]))
+    assert r == Poly.over_q([-2, 0, 1])
+
+
+def test_resultant_pencil_vs_sympy():
+    # random pencils with denominators against sympy's resultant in (x, S)
+    rng = random.Random(12)
+    x, S = sp.symbols("x S")
+    for _ in range(15):
+        p = rand_poly(rng, rng.randint(0, 5)).scale(Fraction(1, rng.randint(1, 4)))
+        q0 = rand_poly(rng, rng.randint(1, 4)).scale(Fraction(1, rng.randint(1, 4)))
+        q1 = rand_poly(rng, rng.randint(0, q0.degree() - 1))
+        if p.is_zero() or q0.degree() < 1 or q1.degree() >= q0.degree():
+            continue
+        want = sp.resultant(to_sympy(p, x), to_sympy(q0, x) + S * to_sympy(q1, x), x)
+        got = resultant_pencil(p, q0, q1)
+        assert sp.expand(to_sympy(got, S) - want) == 0
+
+
+def test_resultant_pencil_needs_lower_degree_q1():
+    p = Poly.over_q([-2, 0, 1])
+    with pytest.raises(ValueError):
+        resultant_pencil(p, Poly.over_q([0, 1]), Poly.over_q([1, 1]))
+    with pytest.raises(ValueError):
+        resultant_pencil(p, Poly.over_q([0, 1]), Poly.over_q([1, 0, 1]))
+
+
+def test_resultant_is_over_q_only():
+    p = Poly.over(QSQRT5, [(1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        resultant(p, p)
+
+
+def rational_polys(min_degree=0, max_degree=5):
+    """Polynomials over Q with small numerators and denominators; the
+    leading coefficient is nonzero, so the degree is as drawn."""
+    coeff = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    lead = st.builds(Fraction, st.integers(1, 12) | st.integers(-12, -1),
+                     st.integers(1, 6))
+    return st.tuples(
+        st.lists(coeff, min_size=min_degree, max_size=max_degree), lead,
+    ).map(lambda t: Poly(list(t[0]) + [t[1]], QDOM))
+
+
+@PROPERTY
+@given(rational_polys(), rational_polys(), rational_polys(0, 2))
+@example(Poly.over_q([3]), Poly.over_q([5]), Poly.over_q([1]))
+@example(Poly.over_q([3]), Poly.over_q([1, 2, 5]), Poly.over_q([1]))
+@example(Poly.over_q([Fraction(1, 2), 0, 7]), Poly.over_q([Fraction(-2, 3)]),
+         Poly.over_q([1]))
+def test_resultant_matches_sylvester(p, q, c):
+    # degree-0 operands, non-monic and non-integral input; Res(pc, qc)
+    # vanishes when c has a root
+    if p.degree() == q.degree() == 0:
+        assert resultant(p, q) == 1
+    else:
+        assert resultant(p, q) == sylvester_det(p, q)
+    if c.degree() > 0:
+        assert resultant(p * c, q * c) == 0
+
+
+@PROPERTY
+@given(st.lists(rational_polys(), min_size=1, max_size=3), rational_polys(0, 3),
+       rational_polys(0, 3), st.integers(0, 2),
+       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+@example([Poly.over_q([1, 2])], Poly((), QDOM), Poly.over_q([3]), 1, Fraction(1))
+def test_compose_homogeneous_matches_values(polys, p, q, extra, x0):
+    # f(p(x0)/q(x0)) q(x0)^n at a rational x0 with q(x0) != 0
+    n = max(f.degree() for f in polys) + extra
+    for f, got in zip(polys, _compose_homogeneous(polys, p, q, n)):
+        if q(x0):
+            assert got(x0) == f(p(x0) / q(x0)) * q(x0) ** n
+        assert got.degree() <= n * max(p.degree(), q.degree())
+
+
+@PROPERTY
+@given(rational_polys(0, 4), rational_polys(0, 4), rational_polys(0, 3))
+def test_poly_divides_matches_remainder(f, g, h):
+    assert poly_divides(g, f) == (f % g).is_zero()
+    assert poly_divides(g, f * g + h) == (h % g).is_zero()
 
 
 # -- rational functions -------------------------------------------------------

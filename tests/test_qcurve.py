@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from icosahedral import qcurve
-from icosahedral.exact import Poly, Q, QSQRT5, poly_gcd
+from icosahedral import exact, qcurve
+from icosahedral.cli import KLEIN_FIXED_J
+from icosahedral.exact import QDOM, Domain, Poly, Q, QSQRT5, poly_gcd
 from icosahedral.qcurve import (
     EllipticCurve, conjugate, curve_from_j, curve_from_t, discriminant,
     division_poly5, j_equation_family_mismatch, j_invariant, mu_sextic,
@@ -489,6 +490,89 @@ def test_x5sum_scaled():
         0, 1,
     ]
     assert x5sum_resolvent(curve_from_j(2)) == g
+
+
+# -- the resultant in S: two oracles independent of the interpolation --
+
+def nested_prem(a, b):
+    """Pseudo-remainder over any commutative coefficient ring."""
+    lb, r, e = b.lc(), a, a.degree() - b.degree() + 1
+    while not r.is_zero() and r.degree() >= b.degree():
+        shifted = Poly([r.dom.zero] * (r.degree() - b.degree()) + list(b.coeffs),
+                       b.dom)
+        r = r.scale(lb) - shifted.scale(r.lc())
+        e -= 1
+    return r.scale(lb ** e) if e > 0 else r
+
+
+def nested_resultant(p, q):
+    """Subresultant PRS with coefficients in Q[S], for deg p >= deg q >= 1,
+    taken without evaluating S."""
+    one = p.dom.one
+    s, A, B, g, h = 1, p, q, one, one
+    while B.degree() > 0:
+        d = A.degree() - B.degree()
+        if A.degree() % 2 and B.degree() % 2:
+            s = -s
+        R = nested_prem(A, B)
+        if R.is_zero():
+            return p.dom.zero
+        divisor = g * h ** d
+        A, B = B, R.map_coeffs(lambda c: c.exact_div(divisor))
+        g = A.lc()
+        if d >= 1:
+            h = (g ** d).exact_div(h ** (d - 1)) if d > 1 else g
+    dA = A.degree()
+    res = (B.coeffs[0] ** dA).exact_div(h ** (dA - 1)) if dA > 1 else B.coeffs[0] ** dA
+    return -res if s < 0 else res
+
+
+def duplication_pencil(j):
+    E = curve_from_j(j)
+    b, c = E.a4.rational_value(), E.a6.rational_value()
+    q0 = Poly.over_q([-b * b, 4 * c, -2 * b, 0, -5])
+    q1 = Poly.over_q([4 * c, 4 * b, 0, 4])
+    return division_poly5(E), q0, q1
+
+
+def seeded_j(count, seed=5):
+    rng = random.Random(seed)
+    vals = []
+    while len(vals) < count:
+        j = Fraction(rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 100))
+        if j not in (0, 1728):
+            vals.append(j)
+    return vals
+
+
+@pytest.mark.parametrize("j", KLEIN_FIXED_J + tuple(seeded_j(3)))
+def test_resultant_pencil_matches_oracles(j):
+    psi5, q0, q1 = duplication_pencil(j)
+    got = exact.resultant_pencil(psi5, q0, q1)
+    assert got.degree() == 12
+    x, S = sp.symbols("x S")
+
+    def sym(p):
+        return sum(sp.Rational(v) * x ** k for k, v in enumerate(p.coeffs))
+
+    want = sp.Poly(sp.resultant(sym(psi5), sym(q0) + S * sym(q1), x), S)
+    assert [as_fraction(v) for v in got.coeffs] == \
+        [Fraction(sp.Rational(w)) for w in want.all_coeffs()[::-1]]
+    sdom = Domain.for_polys(QDOM)
+    lift = psi5.map_coeffs(lambda v: Poly.over_q([v]), sdom)
+    pencil = Poly([q0.coeff(k) + Poly.over_q([0, q1.coeff(k)])
+                   for k in range(5)], sdom)
+    assert nested_resultant(lift, pencil) == got
+
+
+def test_resultant_pencil_needs_all_13_points(monkeypatch):
+    # mutation companion: through s = 0..11 only, the interpolant is the
+    # resultant minus lc * S(S-1)...(S-11), of degree below 12, and
+    # x5sum_resolvent_scaled must refuse it
+    interpolate = exact._interpolate_int
+    monkeypatch.setattr(exact, "_interpolate_int", lambda v: interpolate(v[:-1]))
+    with pytest.raises(ArithmeticError, match="resultant degenerated"):
+        x5sum_resolvent_scaled(curve_from_j(2))
 
 
 def test_mu_sextic_expansion():
