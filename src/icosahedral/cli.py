@@ -13,9 +13,10 @@ Three subcommands:
   listed values.
 
 Exit codes: 0 when every check passes, 1 on a verification failure, 2 on a
-usage or parse error.  Reports are byte-stable for fixed inputs and seed;
-wall-clock timing is only included under ``--timings`` because it would
-break that stability.  Exact rationals are serialized as "p/q" strings.
+usage or parse error or an ``--out`` file that cannot be written.  Reports
+are byte-stable for fixed inputs and seed; wall-clock timing is only
+included under ``--timings`` because it would break that stability.
+Exact rationals are serialized as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -177,11 +178,25 @@ def _report(suite, checks, seed, samples, height, wall_ms) -> dict:
     }
 
 
+class _CannotWrite(Exception):
+    """The --out file could not be opened or written."""
+
+
+@contextlib.contextmanager
 def _output(out_path):
-    """A context manager for the output: the file out_path, else stdout."""
-    if out_path:
-        return open(out_path, "w", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
+    """The output: the file out_path, else stdout.
+
+    An OSError opening or writing out_path leaves as _CannotWrite, which
+    main reports on one stderr line with exit code 2.
+    """
+    if not out_path:
+        yield sys.stdout
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {out_path}: {exc.strerror or exc}")
 
 
 def _emit(text: str, out_path) -> None:
@@ -363,16 +378,27 @@ def _j_equation_t1() -> bool:
     return j * j * qa + j * qb + qc == QSQRT5.zero
 
 
+def _isogeny_check(cid, description, holds, names) -> dict:
+    """A 2-isogeny proof; on failure the witness names the first identity
+    and r at which it fails."""
+    witness = None
+    if not holds:
+        name, r = qcurve.isogeny_mismatch(names)
+        witness = f"the {name} identity fails at r = {_fmt(r)}"
+    return _check(cid, description, holds, witness)
+
+
 def _suite_qcurve(samples, seed):
     checks = [
-        _check("qcurve/isogeny-codomain",
-               "the 2-isogeny formulas land on the sigma-conjugate curve, "
-               "as an identity in Q[r][x] with r^sigma = 1 - r (all t)",
-               qcurve.verify_isogeny_codomain()),
-        _check("qcurve/isogeny-composition",
-               "phi^sigma o phi = [-2] on x and on y/y, as identities in "
-               "Q[r][x] with r^sigma = 1 - r (all t)",
-               qcurve.verify_isogeny_composition()),
+        _isogeny_check("qcurve/isogeny-codomain",
+                       "the 2-isogeny formulas land on the sigma-conjugate "
+                       "curve, as an identity in Q[r][x] with "
+                       "r^sigma = 1 - r (all t)",
+                       qcurve.verify_isogeny_codomain(), ("codomain",)),
+        _isogeny_check("qcurve/isogeny-composition",
+                       "phi^sigma o phi = [-2] on x and on y/y, as "
+                       "identities in Q[r][x] with r^sigma = 1 - r (all t)",
+                       qcurve.verify_isogeny_composition(), ("x", "y")),
     ]
     s5 = QSQRT5.gen(1)
     published = qcurve.EllipticCurve(QSQRT5, QSQRT5.from_scalar(5) - s5, s5,
@@ -616,7 +642,11 @@ def main(argv=None) -> int:
     if args.command == "analyze" and args.file is not None and \
             (args.c is not None or args.a is not None):
         parser.error("--c and --a apply only to an inline quintic")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CannotWrite as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,29 +1,33 @@
 """Exact arithmetic kernel.
 
 Rationals, a handful of small Q-algebras given by explicit structure
-constants, dense polynomials, rational functions, gcds and resultants.
-Everything is immutable and exact; there is no floating point anywhere.
+constants, dense polynomials, gcds and resultants.  Everything is
+immutable and exact; there is no floating point anywhere.
 
 Scalars are ``fractions.Fraction``.  An algebra element is a vector of
 Fraction coordinates over a :class:`FieldDescriptor` holding a
 basis-by-basis multiplication table; only the fixed algebras needed by the
 rest of the package are provided (Q, Q(sqrt5), Q(zeta5), Q(eps,i), plus
 ad-hoc quadratic and power-basis extensions).  Polynomials are dense
-coefficient tuples, lowest degree first, over Q, over an algebra, or over
-polynomials (nested, as Q[r][x]).  Rational functions are quotients of
-such polynomials.  Multiplication over Q and over algebras works on
-integer lists under one common denominator per operand: the coordinate
-lists are packed into big integers (Kronecker substitution) instead of
-schoolbook convolution, recombined with the structure constants as
-integers over one table denominator, and a ``Fraction`` is built once per
-output coordinate.  That is what keeps the large identity checks cheap.
-Composition f(p/q) q^n over Q works the same way.
+coefficient tuples, lowest degree first, over Q or over an algebra.  A
+rational function is a cleared (numerator, denominator) pair of such
+polynomials; two pairs are equal when their cross products are.  An
+identity in a further parameter is proved at one more rational value of
+the parameter than its degree.
+Multiplication works on integer lists under one common denominator per
+operand: the coordinate lists are packed into big integers (Kronecker
+substitution) instead of schoolbook convolution, recombined with the
+structure constants as integers over one table denominator, and a
+``Fraction`` is built once per output coordinate.  That is what keeps the
+large identity checks cheap.  Composition f(p/q) q^n over Q works the same
+way.
 
-Resultants are taken over Q in integers: both operands are cleared once,
-an integer subresultant PRS runs with checked exact divisions, and one
-Fraction is built at the end.  A resultant that depends linearly on a
-second variable S, Res_x(p, q0 + S q1), is taken by evaluation at
-S = 0..deg p and exact integer interpolation (:func:`resultant_pencil`).
+Gcds and resultants are taken over Q in integers.  For a resultant both
+operands are cleared once, an integer subresultant PRS runs with checked
+exact divisions, and one Fraction is built at the end.  A resultant that
+depends linearly on a second variable S, Res_x(p, q0 + S q1), is taken by
+evaluation at S = 0..deg p and exact integer interpolation
+(:func:`resultant_pencil`).
 
 Resultant sign convention: ``resultant(p, q)`` is the determinant of the
 Sylvester matrix with the rows built from p listed first, equivalently
@@ -37,17 +41,17 @@ import math
 from fractions import Fraction
 
 __all__ = [
-    "Fraction",
     "FieldDescriptor",
     "AlgElement",
-    "Domain",
+    "Q",
+    "QSQRT5",
+    "QZETA5",
+    "QEPSI",
     "QDOM",
     "Poly",
-    "RatFunc",
     "quadratic_field",
-    "power_basis_algebra",
+    "compose_homogeneous",
     "poly_gcd",
-    "resultant",
     "resultant_pencil",
     "poly_divides",
     "sqrt_exact",
@@ -131,18 +135,6 @@ class FieldDescriptor:
         coords = [Fraction(0)] * self.dim
         coords[i] = Fraction(1)
         return AlgElement(self, tuple(coords))
-
-    def verify_table(self):
-        """Exhaustively check commutativity and associativity on the basis."""
-        gens = [self.gen(i) for i in range(self.dim)]
-        for a in gens:
-            for b in gens:
-                if (a * b) != (b * a):
-                    raise ValueError(f"{self.name}: table not commutative")
-                for c in gens:
-                    if ((a * b) * c) != (a * (b * c)):
-                        raise ValueError(f"{self.name}: table not associative")
-        return True
 
     def domain(self):
         return Domain(self.zero, self.one, "alg", self)
@@ -395,10 +387,8 @@ def quadratic_field(d):
 class Domain:
     """Coefficient domain marker for polynomials.
 
-    kind is "q" (Fraction scalars, Kronecker fast path), "alg"
-    (AlgElement coefficients, coordinatewise Kronecker), or "gen"
-    (polynomial coefficients, for nested polynomials such as Q[r][x];
-    schoolbook).
+    kind is "q" (Fraction scalars, Kronecker fast path) or "alg"
+    (AlgElement coefficients, coordinatewise Kronecker).
     """
 
     __slots__ = ("zero", "one", "kind", "field")
@@ -408,10 +398,6 @@ class Domain:
         self.one = one
         self.kind = kind
         self.field = field
-
-    @staticmethod
-    def for_polys(inner):
-        return Domain(Poly((), inner), Poly((inner.one,), inner), "gen")
 
 
 QDOM = Domain(Fraction(0), Fraction(1), "q")
@@ -484,26 +470,12 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(dom):
-        return Poly((), dom)
-
-    @staticmethod
     def one(dom):
         return Poly((dom.one,), dom)
 
     @staticmethod
-    def x(dom):
-        return Poly((dom.zero, dom.one), dom)
-
-    @staticmethod
     def over_q(coeffs):
         return Poly(tuple(Fraction(c) for c in coeffs), QDOM)
-
-    @staticmethod
-    def over(field, vectors):
-        dom = field.domain()
-        return Poly(tuple(field.element(v) if not isinstance(v, AlgElement) else v
-                          for v in vectors), dom)
 
     # -- basics ------------------------------------------------------------
 
@@ -589,26 +561,11 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly((), self.dom)
-        kind = self.dom.kind
-        if kind == "q":
+        if self.dom.kind == "q":
             return Poly(_mul_frac_lists(list(self.coeffs), list(other.coeffs)), self.dom)
-        if kind == "alg":
-            return self._mul_alg(other)
-        return self._mul_schoolbook(other)
+        return self._mul_alg(other)
 
     __rmul__ = __mul__
-
-    def _mul_schoolbook(self, other):
-        zero = self.dom.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return Poly(out, self.dom)
 
     def _mul_alg(self, other):
         """Coordinatewise Kronecker products recombined by structure constants.
@@ -660,41 +617,6 @@ class Poly:
             n >>= 1
         return result
 
-    # -- division -----------------------------------------------------------
-
-    def __divmod__(self, other):
-        """Division with remainder; coefficient domain must be a field."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree() < other.degree():
-            return Poly((), self.dom), self
-        rem = list(self.coeffs)
-        db = other.degree()
-        inv_lc = self.dom.one / other.lc()
-        q = [self.dom.zero] * (len(rem) - db)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            f = c * inv_lc
-            q[k - db] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k - db + j] = rem[k - db + j] - f * b
-        return Poly(q, self.dom), Poly(rem[:db], self.dom)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other):
-        """Exact quotient; ValueError if the division leaves a remainder."""
-        quo, rem = divmod(self, other)
-        if rem:
-            raise ValueError("inexact polynomial division")
-        return quo
-
     def monic(self):
         if self.is_zero():
             return self
@@ -712,9 +634,9 @@ class Poly:
         return Poly([c * k for k, c in enumerate(self.coeffs)][1:], self.dom)
 
     def __call__(self, x):
-        """Evaluate by Horner; x may be a scalar, AlgElement, Poly or RatFunc."""
+        """Evaluate by Horner; x may be a scalar, AlgElement or Poly."""
         if self.is_zero():
-            if isinstance(x, (Poly, RatFunc, AlgElement)):
+            if isinstance(x, (Poly, AlgElement)):
                 return x * 0
             return self.dom.zero
         acc = self.coeffs[-1]
@@ -724,7 +646,7 @@ class Poly:
 
     def compose_frac(self, p, q):
         """Numerator of self(p/q): sum a_k p^k q^(n-k), n = deg(self)."""
-        return _compose_homogeneous((self,), p, q, self.degree())[0]
+        return compose_homogeneous((self,), p, q, self.degree())[0]
 
     def scale_arg(self, c):
         """self(c*x): multiply coefficient k by c^k."""
@@ -758,7 +680,7 @@ class Poly:
         return f"Poly[{self.to_str()}]"
 
 
-def _compose_homogeneous(polys, p, q, n):
+def compose_homogeneous(polys, p, q, n):
     """Each f in polys as f(p/q) q^n, for n at least every deg f.
 
     The powers of p and of q are built once and shared by all of polys.
@@ -914,17 +836,14 @@ def _gcd_q(p, q):
 
 
 def poly_gcd(p, q):
-    """Monic gcd over a coefficient field."""
+    """Monic gcd over Q."""
+    if p.dom.kind != "q":
+        raise ValueError("gcd is taken over Q")
     if p.is_zero():
         return q.monic()
     if q.is_zero():
         return p.monic()
-    if p.dom.kind == "q":
-        return _gcd_q(p, q)
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return _gcd_q(p, q)
 
 
 # -- resultant -------------------------------------------------------------
@@ -1083,155 +1002,3 @@ def poly_sqrt(p):
     if gp * gp == Poly(ph, p.dom):
         return c, gp
     return None
-
-
-class RatFunc:
-    """Quotient of two polynomials, normalized: coprime, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None, _normalized=False):
-        if den is None:
-            den = Poly.one(num.dom)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not _normalized:
-            if num.is_zero():
-                den = Poly.one(num.dom)
-            else:
-                if den.degree() > 0:
-                    g = poly_gcd(num, den)
-                    if g.degree() > 0:
-                        num = num.exact_div(g)
-                        den = den.exact_div(g)
-                lc = den.lc()
-                if lc != den.dom.one:
-                    inv = den.dom.one / lc
-                    num = num.scale(inv)
-                    den = den.scale(inv)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def var(dom=QDOM):
-        return RatFunc(Poly.x(dom), Poly.one(dom), _normalized=True)
-
-    @staticmethod
-    def from_scalar(c, dom=QDOM):
-        if isinstance(c, (int, Fraction)):
-            c = dom.one * c
-        if not c:
-            return RatFunc(Poly((), dom), Poly.one(dom), _normalized=True)
-        return RatFunc(Poly((c,), dom), Poly.one(dom), _normalized=True)
-
-    @property
-    def dom(self):
-        return self.num.dom
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def _lift(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, Poly):
-            return RatFunc(other, Poly.one(other.dom), _normalized=True)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.from_scalar(other, self.dom)
-        if isinstance(other, AlgElement):
-            return RatFunc(Poly((other,), self.dom), Poly.one(self.dom), _normalized=True)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den, _normalized=True)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return o / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return (RatFunc(self.den, self.num)) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def compose(self, other):
-        """self(other) by clearing other's denominator homogeneously."""
-        n = max(self.num.degree(), self.den.degree())
-        num, den = _compose_homogeneous((self.num, self.den), other.num, other.den, n)
-        if den.is_zero():
-            raise ZeroDivisionError("composition denominator vanishes")
-        return RatFunc(num, den)
-
-    def __call__(self, x):
-        if isinstance(x, Poly):
-            x = RatFunc(x, Poly.one(x.dom), _normalized=True)
-        if isinstance(x, RatFunc):
-            return self.compose(x)
-        nv = self.num(x)
-        dv = self.den(x)
-        if not dv:
-            _raise_zero()
-        if isinstance(dv, AlgElement):
-            return nv * dv.inv()
-        return nv / dv
-
-    def derivative(self):
-        n = self.num.derivative() * self.den - self.num * self.den.derivative()
-        return RatFunc(n, self.den * self.den)
-
-    def to_str(self, var="x"):
-        if self.den == Poly.one(self.den.dom):
-            return self.num.to_str(var)
-        return f"({self.num.to_str(var)}) / ({self.den.to_str(var)})"
-
-    def __repr__(self):
-        return f"RatFunc[{self.to_str()}]"
-
-
-def _raise_zero():
-    raise ZeroDivisionError("denominator vanishes at the evaluation point")

@@ -1,6 +1,7 @@
 """Icosahedral invariants and the quintic resolvent identity.
 
-Builds the rational functions
+Builds the rational functions, each a cleared (numerator, denominator)
+pair of polynomials in z over Q, coprime with a monic denominator,
 
     lambda(z) = [z^2+1]^2 [z^2-2 eps z-1]^2 [z^2+2 eps^{-1} z-1]^2
                 / (-z (z^10 + 11 z^5 - 1)),
@@ -8,7 +9,9 @@ Builds the rational functions
     j(z)      = (lambda+3)^3 (lambda^2 + 11 lambda + 64)
               = (mu^2 + 10 mu + 5)^3 / mu,
 
-checks that j is invariant under the Moebius transformations
+proves the fundamental identity between the two forms of j by cross
+multiplication, checks that j is invariant under the Moebius
+transformations
 
     S: z -> zeta5 z,   T: z -> (eps z + 1)/(z - eps),   U: z -> -1/z,
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import QDOM, QSQRT5, QZETA5, Poly, RatFunc, _compose_homogeneous
+from .exact import QDOM, QSQRT5, QZETA5, Poly, compose_homogeneous
 
 __all__ = [
     "InvariantFns",
@@ -48,14 +51,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InvariantFns:
-    """The three invariant rational functions, all over Q.
+    """The three invariant rational functions over Q, as (num, den) pairs.
 
-    ``lam`` stands for lambda, which is a Python keyword.
+    Each pair is coprime with a monic denominator.  ``lam`` stands for
+    lambda, which is a Python keyword.
     """
 
-    lam: RatFunc
-    mu: RatFunc
-    j: RatFunc
+    lam: tuple
+    mu: tuple
+    j: tuple
 
 
 @dataclass(frozen=True)
@@ -104,40 +108,47 @@ def _lambda_numerator_over_qsqrt5():
 
 @lru_cache(maxsize=1)
 def build_invariants():
-    """Construct lambda, mu, j and verify they collapse to Q coefficients."""
+    """Construct lambda, mu, j and verify they collapse to Q coefficients.
+
+    lambda = P/Q is written with the sign moved into the numerator, so
+    that Q = z (z^10 + 11 z^5 - 1) is monic; P and Q are coprime.  Then
+    j = Jn/Q^5 with Jn = (P+3Q)^3 (P^2+11PQ+64Q^2) is coprime as well,
+    since Jn = P^5 mod Q.
+    """
     num = _lambda_numerator_over_qsqrt5()
     if any(c.coords[1] for c in num.coeffs):
         raise AssertionError("eps-part of lambda's numerator failed to cancel")
-    lam_num = Poly([c.coords[0] for c in num.coeffs], QDOM)
-    # -z (z^10 + 11 z^5 - 1) = z - 11 z^6 - z^11
-    lam_den = Poly.over_q([0, 1] + [0] * 4 + [-11] + [0] * 4 + [-1])
-    lam = RatFunc(lam_num, lam_den)
-    mu = RatFunc(Poly.over_q([0] * 5 + [-125]),
-                 Poly.over_q([-1] + [0] * 4 + [11] + [0] * 4 + [1]))
-    j = _j_from_lambda(lam)
-    return InvariantFns(lam, mu, j)
+    P = Poly([-c.coords[0] for c in num.coeffs], QDOM)
+    Q = Poly.over_q([0, -1] + [0] * 4 + [11] + [0] * 4 + [1])
+    mu = (Poly.over_q([0] * 5 + [-125]),
+          Poly.over_q([-1] + [0] * 4 + [11] + [0] * 4 + [1]))
+    return InvariantFns((P, Q), mu, _j_from_lambda((P, Q)))
 
 
 def _j_from_lambda(lam):
-    return (lam + 3) ** 3 * (lam * lam + 11 * lam + 64)
+    """(lambda+3)^3 (lambda^2+11 lambda+64) as (Jn, Q^5) for lambda = P/Q."""
+    P, Q = lam
+    return (P + Q * 3) ** 3 * (P * P + P * Q * 11 + Q * Q * 64), Q ** 5
 
 
-def _j_from_mu(mu):
-    return (mu * mu + 10 * mu + 5) ** 3 / mu
+def verify_fundamental_identity(lam=None):
+    """Prove (lambda+3)^3 (lambda^2+11 lambda+64) = (mu^2+10 mu+5)^3 / mu.
 
-
-def verify_fundamental_identity():
-    """Check (lambda+3)^3 (lambda^2+11 lambda+64) = (mu^2+10 mu+5)^3 / mu."""
+    With lambda = P/Q, j = Jn/Q^5 and mu = M/N, the right side is
+    (M^2+10MN+5N^2)^3 / (M N^5), so the identity of rational functions is
+    the polynomial identity Jn M N^5 = (M^2+10MN+5N^2)^3 Q^5 in Q[z].
+    lam defaults to the invariant (P, Q); it is a parameter for mutation
+    tests.
+    """
     inv = build_invariants()
-    lhs = _j_from_lambda(inv.lam)
-    rhs = _j_from_mu(inv.mu)
-    return lhs == rhs
+    Jn, Jd = _j_from_lambda(lam or inv.lam)
+    M, N = inv.mu
+    return Jn * M * N ** 5 == (M * M + M * N * 10 + N * N * 5) ** 3 * Jd
 
 
-def _lift_ratfunc(f, field):
+def _lift_pair(f, field):
     dom = field.domain()
-    return (f.num.map_coeffs(field.from_scalar, dom),
-            f.den.map_coeffs(field.from_scalar, dom))
+    return tuple(p.map_coeffs(field.from_scalar, dom) for p in f)
 
 
 def _compose_mobius_raw(num, den, gen):
@@ -146,7 +157,7 @@ def _compose_mobius_raw(num, den, gen):
     p = Poly([b, a], num.dom)
     q = Poly([d, c], num.dom)
     n = max(num.degree(), den.degree())
-    return tuple(_compose_homogeneous((num, den), p, q, n))
+    return tuple(compose_homogeneous((num, den), p, q, n))
 
 
 def verify_invariance(gen):
@@ -159,7 +170,7 @@ def verify_invariance(gen):
     if isinstance(gen, str):
         gen = mobius_gen(gen)
     inv = build_invariants()
-    jn, jd = _lift_ratfunc(inv.j, QZETA5)
+    jn, jd = _lift_pair(inv.j, QZETA5)
 
     def composes_to_self(num, den):
         cn, cd = _compose_mobius_raw(num, den, gen)
@@ -170,10 +181,10 @@ def verify_invariance(gen):
     if not composes_to_self(jn, jd):
         return False
     if gen.label == "S":
-        mn, md = _lift_ratfunc(inv.mu, QZETA5)
+        mn, md = _lift_pair(inv.mu, QZETA5)
         if not composes_to_self(mn, md):
             return False
-        ln, ld = _lift_ratfunc(inv.lam, QZETA5)
+        ln, ld = _lift_pair(inv.lam, QZETA5)
         if composes_to_self(ln, ld):
             return False  # lambda must move under S; only mu has trivial S-action
     return True
@@ -194,9 +205,7 @@ def _resolvent_parts():
     Jn = (P+3Q)^3 (P^2+11PQ+64Q^2), Jd = Q^5.
     """
     inv = build_invariants()
-    dom = QZETA5.domain()
-    P = inv.lam.num.map_coeffs(QZETA5.from_scalar, dom)
-    Q = inv.lam.den.map_coeffs(QZETA5.from_scalar, dom)
+    P, Q = _lift_pair(inv.lam, QZETA5)
     zeta = QZETA5.gen(1)
 
     U, V, W = [], [], []
@@ -209,9 +218,7 @@ def _resolvent_parts():
         V.append(Qr * Qr * Qr)
         W.append((Pr + Qr * 3) * core)
 
-    Pq, Qq = inv.lam.num, inv.lam.den
-    Jn = (Pq + Qq * 3) ** 3 * (Pq * Pq + Pq * Qq * 11 + Qq * Qq * 64)
-    Jd = Qq ** 5
+    Jn, Jd = inv.j
     D = Jn * (-1) + Jd * 1728  # 1728 Jd - Jn, clearing 1728 - j
     prodW_zeta = W[0] * W[1] * W[2] * W[3] * W[4]
     prodW = _project_rational(prodW_zeta)
@@ -229,14 +236,14 @@ def _project_rational(poly):
 
 
 def resolvent_functions(m, n):
-    """The five resolvents x_0..x_4 as normalized RatFunc over Q(zeta5)."""
+    """The five resolvents x_0..x_4 as (num, den) pairs over Q(zeta5)."""
     m, n = Fraction(m), Fraction(n)
     if not m and not n:
         raise ValueError("m and n must not both be zero")
     U, V, W, *_ = _resolvent_parts()
     out = []
     for nu in range(5):
-        out.append(RatFunc(U[nu] * m + V[nu] * n, W[nu]))
+        out.append((U[nu] * m + V[nu] * n, W[nu]))
     return tuple(out)
 
 

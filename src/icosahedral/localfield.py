@@ -13,8 +13,8 @@ and y a root of y^4 = 256u^4/(625(5u^4 - 9)),
     q_t(x / (5y/4)) * (5y/4)^5 = x^5 - x - y
 
 holds identically in x over Q(u)[y]/(y^4 - 256u^4/(625(5u^4 - 9))).  As
-(5y/4)^4 is a scalar of Q(u), it comes down to two identities in Q(u),
-which artin_schreier_identity checks with RatFunc over Q.  Since
+(5y/4)^4 is a scalar of Q(u), it comes down to two identities in Q(u), which
+artin_schreier_identity checks cleared of denominators, in Q[u].  Since
 v5(y^4) = -4 for any 5-adic unit u, y has valuation -1/1 in a totally
 ramified quartic extension, the shape that makes x^5 - x - y an
 Artin-Schreier equation at 5.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-from .exact import Poly, RatFunc
+from .exact import Poly
 from .quintic import trinomial_t
 
 __all__ = [
@@ -109,8 +109,8 @@ def theorem_hypothesis(B, C) -> bool:
 
 
 def artin_schreier_identity(
-        y4=RatFunc(Poly.over_q([0, 0, 0, 0, 256]),
-                   Poly.over_q([-5625, 0, 0, 0, 3125])),
+        y4=(Poly.over_q([0, 0, 0, 0, 256]),
+            Poly.over_q([-5625, 0, 0, 0, 3125])),
         w=Fraction(5, 4)) -> bool:
     """Prove q_t(x/(wy)) * (wy)^5 = x^5 - x - y in Q(u)[y]/(y^4 - y4)[x].
 
@@ -120,14 +120,16 @@ def artin_schreier_identity(
     a scalar of Q(u) and (wy)^5 = w^5 y4 y, so the two sides agree in x^5
     and differ by (B w^4 y4 + 1) x + (C w^5 y4 + 1) y.  As 1, y, y^2, y^3
     is a basis of the algebra over Q(u), the identity holds exactly when
-    B w^4 y4 = -1 and C w^5 y4 = -1, two identities in Q(u), which are
-    what is checked.  y4 and w are parameters for mutation tests.
+    B w^4 y4 = -1 and C w^5 y4 = -1, two identities in Q(u).  With
+    k = 9 - 5u^4 and y4 = n/d they are checked cleared of denominators, as
+    k w^4 n = -u^4 d and 4k w^5 n = -5u^4 d in Q[u].  y4, a (num, den)
+    pair, and w are parameters for mutation tests.
     """
+    n, d = y4
     u4 = Poly.over_q([0, 0, 0, 0, 1])
-    k = Poly.over_q([9, 0, 0, 0, -5])
-    b = RatFunc(k, u4)
-    c = RatFunc(k.scale(4), u4.scale(5))
-    return b * w ** 4 * y4 == -1 and c * w ** 5 * y4 == -1
+    kn = Poly.over_q([9, 0, 0, 0, -5]) * n
+    return (kn.scale(w ** 4) == -(u4 * d)
+            and kn.scale(4 * w ** 5) == -(u4 * d).scale(5))
 
 
 def verify_family_squares(k=Poly.over_q([9, 0, -5])) -> bool:

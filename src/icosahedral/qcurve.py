@@ -11,10 +11,12 @@ E_t carries the 2-isogeny
 
 onto its sqrt5-conjugate.  Since r + r^sigma = 1 for every t, the codomain
 identity Y^2 = X^3 + 2X^2 + r^sigma X and both coordinates of
-phi^sigma(phi(P)) = [-2]P are proved once, as identities of cleared
-polynomials in x over Q[r] with r^sigma = 1 - r, for all t at once.
-That j(E_t) solves the j-equation of q_t is an identity in r, proved by
-a degree bound in j_equation_family_mismatch.
+phi^sigma(phi(P)) = [-2]P are identities of cleared polynomials in x whose
+coefficients are polynomials in r once r^sigma = 1 - r.  Each is proved
+for all t at once by a degree bound: it holds in Q[x] at one more rational
+r than its degree in r (isogeny_mismatch).  That j(E_t) solves the
+j-equation of q_t is an identity in r, proved by the same kind of degree
+bound in j_equation_family_mismatch.
 
 For E_j the module computes the 5-division polynomial, the monic sextic
 g(S) whose roots are the sums x_P + x_{2P} over 5-torsion P, and the link
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    AlgElement, Domain, FieldDescriptor, Poly, Q, QDOM, QSQRT5, poly_divides,
-    poly_gcd, poly_sqrt, resultant_pencil,
+    AlgElement, FieldDescriptor, Poly, Q, QSQRT5, poly_divides, poly_gcd,
+    poly_sqrt, resultant_pencil,
 )
 from .quintic import Quintic, invariants, j_equation
 
@@ -51,6 +53,7 @@ __all__ = [
     "j_invariant",
     "discriminant",
     "conjugate",
+    "isogeny_mismatch",
     "verify_isogeny_codomain",
     "verify_isogeny_composition",
     "j_equation_family_mismatch",
@@ -134,27 +137,24 @@ def conjugate(E: EllipticCurve) -> EllipticCurve:
                          E.a6.conj("sigma"))
 
 
-# polynomials in x over Q[r]: r is an indeterminate, so an identity here
-# holds for every E_t at once
-_RX = Domain.for_polys(QDOM)
-_R = Poly.over_q([0, 1])
-_R_SIGMA = Poly.over_q([1, -1])  # r + r^sigma = 1 for every t
+def _conjugate_r(r):
+    """r^sigma = 1 - r, since r + r^sigma = 1 for every t."""
+    return 1 - r
 
 
-def _rx(*coeffs):
-    """The polynomial in x with the given coefficients, each a polynomial
-    in r or a rational constant."""
-    return Poly([c if isinstance(c, Poly) else Poly.over_q([c])
-                 for c in coeffs], _RX)
+def _phi_y_factor(r):
+    """g = r - x^2, the factor of phi's y-coordinate."""
+    return Poly.over_q([r, 0, -1])
 
 
-def _isogeny_identities(r_sigma=_R_SIGMA, mult=-2, phi_y=None):
-    """Both sides of the three 2-isogeny identities, cleared, in Q[r][x].
+def _isogeny_identities(r, r_sigma=_conjugate_r, mult=-2, phi_y=_phi_y_factor):
+    """Both sides of the three 2-isogeny identities at one r, cleared, in Q[x].
 
     E: y^2 = f(x) = x^3 + 2x^2 + rx, and phi(x, y) = (X, y g(x)/(c x^2))
-    with X = f/(-2x^2) (y^2 = f eliminated), g = r - x^2 (phi_y) and
-    c = (sqrt-2)^3, so c^2 = -8.  The conjugates f^sigma, g^sigma substitute
-    r_sigma for r; sqrt-2 is fixed by sigma.  With X = N/D, N = -f, D = 2x^2:
+    with X = f/(-2x^2) (y^2 = f eliminated), g = phi_y(r) = r - x^2 and
+    c = (sqrt-2)^3, so c^2 = -8.  The conjugates f^sigma, g^sigma take
+    r_sigma(r) for r; sqrt-2 is fixed by sigma.  With X = N/D, N = -f,
+    D = 2x^2:
 
     * "codomain": Y^2 = X^3 + 2X^2 + r^sigma X, times D^3:
       f^sigma.compose_frac(N, D) = -f g^2 x^2;
@@ -168,51 +168,71 @@ def _isogeny_identities(r_sigma=_R_SIGMA, mult=-2, phi_y=None):
     The defaults are the paper's maps; the arguments exist for mutation
     tests.  Returns {name: (lhs, rhs)}.
     """
-    one = Poly.one(QDOM)
-
-    def conj(p):
-        # each coefficient c(r) becomes c(r_sigma)
-        return p.map_coeffs(lambda c: c.compose_frac(r_sigma, one))
-
-    x = Poly.x(_RX)
+    rs = r_sigma(r)
+    x = Poly.over_q([0, 1])
     x2 = x * x
-    f = _rx(0, _R, 2, 1)
-    g = _rx(_R, 0, -1) if phi_y is None else phi_y
+    f = Poly.over_q([0, r, 2, 1])
+    g = phi_y(r)
     n, d = -f, x2 * 2
-    fs_nd = conj(f).compose_frac(n, d)
-    dup_num = _rx(_R * _R, 0, _R * -2, 0, 1)
-    dup_den = _rx(0, _R * 4, 8, 4)
+    fs_nd = Poly.over_q([0, rs, 2, 1]).compose_frac(n, d)
+    dup_num = Poly.over_q([r * r, 0, -2 * r, 0, 1])
+    dup_den = Poly.over_q([0, 4 * r, 8, 4])
     dup_y = f.derivative() * (x * dup_den - dup_num) - f * dup_den * 2
     return {
         "codomain": (fs_nd, -(f * g * g * x2)),
         "x": (fs_nd * dup_den, -(d * n * n * dup_num) * 2),
-        "y": (g * conj(g).compose_frac(n, d) * f * dup_den * 2,
+        "y": (g * phi_y(rs).compose_frac(n, d) * f * dup_den * 2,
               x2 * n * n * dup_y * (-8 * (mult // 2))),
     }
 
 
-def _isogeny_holds(*names) -> bool:
-    sides = _isogeny_identities()
-    return all(sides[k][0] == sides[k][1] for k in names)
+# the r-degree of both sides of each identity; see isogeny_mismatch
+_ISOGENY_R_DEGREE = {"codomain": 3, "x": 4, "y": 5}
+
+
+def isogeny_mismatch(names, **mutation):
+    """Prove the named 2-isogeny identities for every t, by a degree bound.
+
+    Returns None, or (name, r) for the first identity and r of the
+    certificate at which it fails.  In the sides of _isogeny_identities,
+    with r^sigma = 1 - r, the x-coefficients of f, g, N, dup_den, f^sigma
+    and g^sigma have r-degree at most 1, those of dup_num at most 2, and
+    D is free of r.  f^sigma.compose_frac(N, D) is N^3 + 2N^2 D
+    + r^sigma N D^2, of r-degree 3; g^sigma.compose_frac(N, D) is
+    r^sigma D^2 - N^2, of r-degree 2; and dup_y has r-degree at most
+    1 + 2.  So each x-coefficient of either side is a polynomial in r of
+    degree at most 3 for "codomain" (N^3 and f g^2), 4 for "x"
+    (fs_nd dup_den and N^2 dup_num) and 5 for "y" (g g^sigma f dup_den and
+    N^2 dup_y), the bounds in _ISOGENY_R_DEGREE.  An identity holds in
+    Q[r][x] once it holds in Q[x] at one more rational r than its bound,
+    here r = 2, 3, ..., and it then holds on every E_t.  mutation goes to
+    _isogeny_identities.
+    """
+    for name in names:
+        for r in range(2, _ISOGENY_R_DEGREE[name] + 3):
+            lhs, rhs = _isogeny_identities(Fraction(r), **mutation)[name]
+            if lhs != rhs:
+                return name, Fraction(r)
+    return None
 
 
 def verify_isogeny_codomain() -> bool:
     """Prove that phi maps E_t onto its sigma-conjugate, for every t.
 
     r = (3 + sqrt5 t)/(2 sqrt5 t) has r + r^sigma = 1, so the identity in
-    Q[r][x] with r^sigma = 1 - r specializes to every E_t.
+    r with r^sigma = 1 - r specializes to every E_t.
     """
-    return _isogeny_holds("codomain")
+    return isogeny_mismatch(("codomain",)) is None
 
 
 def verify_isogeny_composition() -> bool:
     """Prove phi^sigma o phi = [-2] on E_t, for every t.
 
-    Both coordinates are checked as identities in Q[r][x] with
-    r^sigma = 1 - r: the x-coordinates of phi^sigma(phi(P)) and [-2]P agree,
-    and so do their y-coordinates divided by y.
+    Both coordinates are checked as identities in r with r^sigma = 1 - r:
+    the x-coordinates of phi^sigma(phi(P)) and [-2]P agree, and so do
+    their y-coordinates divided by y.
     """
-    return _isogeny_holds("x", "y")
+    return isogeny_mismatch(("x", "y")) is None
 
 
 # values of r = a4(E_t) for j_equation_family_mismatch: 37 distinct
@@ -307,10 +327,19 @@ def x5sum_resolvent(E: EllipticCurve) -> Poly:
     return x5sum_resolvent_scaled(E)[1]
 
 
+# the j-independent parts of the klein-link polynomials, built once; j
+# enters each by scale
+_MU_CORE_CUBED = Poly.over_q([5, 10, 1]) ** 3  # (mu^2+10mu+5)^3
+# (mu+5)(mu+1)^5, (x+2)^5 and 1728x^3(x^2+10x+34)
+_PULLBACK_J_TERM = Poly.over_q([5, 1]) * Poly.over_q([1, 1]) ** 5
+_INVERSE_DEN_J_TERM = Poly.over_q([2, 1]) ** 5
+_INVERSE_DEN_CONSTANT = Poly.over_q([0, 0, 0, 1728]) * Poly.over_q([34, 10, 1])
+
+
 def mu_sextic(j) -> Poly:
     """q'(mu) = (mu^2 + 10mu + 5)^3 - j mu."""
     j = Fraction(j)
-    return Poly.over_q([5, 10, 1]) ** 3 - Poly.over_q([0, j])
+    return _MU_CORE_CUBED - Poly.over_q([0, j])
 
 
 def _proportional(p: Poly, q: Poly) -> bool:
@@ -343,14 +372,12 @@ def verify_klein_link(j) -> bool:
     if poly_gcd(den_a, qp).degree() > 0:
         raise ArithmeticError("transform denominator shares a root with q'")
     comp_a = g.compose_frac(num_a, den_a)
-    pullback = (Poly.over_q([5, 10, 1]) ** 3).scale(64) \
-        - (Poly.over_q([5, 1]) * Poly.over_q([1, 1]) ** 5).scale(j)
+    pullback = _MU_CORE_CUBED.scale(64) - _PULLBACK_J_TERM.scale(j)
     if not _proportional(comp_a, qp * pullback):
         return False
 
     num_b = Poly.over_q([0, 0, 0, 31104])
-    den_b = (Poly.over_q([2, 1]) ** 5).scale(j) \
-        - Poly.over_q([0, 0, 0, 1728]) * Poly.over_q([34, 10, 1])
+    den_b = _INVERSE_DEN_J_TERM.scale(j) - _INVERSE_DEN_CONSTANT
     if poly_gcd(den_b, g).degree() > 0:
         raise ArithmeticError("transform denominator shares a root with g")
     return poly_divides(g, qp.compose_frac(num_b, den_b))

@@ -505,6 +505,23 @@ def test_verify_qcurve_failure_witnesses(capsys, monkeypatch):
         "the cleared equation does not vanish at r = 7/2"
 
 
+def test_verify_isogeny_failure_witness(capsys, monkeypatch):
+    # r^sigma = 2 - r in place of 1 - r breaks both isogeny proofs, and each
+    # witness names the first identity and r that fail
+    identities = cli.qcurve._isogeny_identities
+    monkeypatch.setattr(cli.qcurve, "_isogeny_identities",
+                        lambda r, **kw: identities(r, r_sigma=lambda r: 2 - r))
+    rc, out, _ = run_cli(capsys, "verify", "qcurve")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["qcurve/isogeny-codomain"]["status"] == "fail"
+    assert by_id["qcurve/isogeny-codomain"]["witness"] == \
+        "the codomain identity fails at r = 2"
+    assert by_id["qcurve/isogeny-composition"]["witness"] == \
+        "the x identity fails at r = 2"
+    assert "witness" not in by_id["qcurve/published-model-j"]
+
+
 def test_proved_suites_ignore_samples_and_height(capsys):
     # only klein-link/random-samples reads --samples and no check reads
     # --height, so these reports differ only in the options they record
@@ -630,6 +647,23 @@ def test_out_file(tmp_path, capsys):
     assert rc == 0 and out == ""
     rc, stdout_text, _ = run_cli(capsys, *analyze)
     assert path.read_text(encoding="utf-8") == stdout_text
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "hecke"),
+    ("analyze", "--b", "4", "--c", "16/5"),
+    ("table",),
+])
+def test_out_unwritable(tmp_path, capsys, argv):
+    # exit 2 and one stderr line, not a traceback and not exit 1, which
+    # means a failed verification
+    missing = tmp_path / "missing" / "report.json"
+    for path in (missing, tmp_path):
+        rc, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+    assert not missing.parent.exists()
 
 
 def test_reports_byte_stable_across_processes():

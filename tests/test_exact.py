@@ -1,16 +1,19 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from icosahedral import exact
 from icosahedral.exact import (
     QDOM, QEPSI, QSQRT5, QZETA5, Q,
-    AlgElement, Poly, RatFunc, _compose_homogeneous, _kron_mul_int, poly_divides,
-    poly_gcd, poly_sqrt, quadratic_field, resultant, resultant_pencil,
-    sqrt_exact,
+    AlgElement, Poly, _kron_mul_int, _kron_pack, _kron_unpack,
+    compose_homogeneous, poly_divides, poly_gcd, poly_sqrt, quadratic_field,
+    resultant, resultant_pencil, sqrt_exact,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -57,11 +60,43 @@ def to_sympy(p, x):
     return sum(sp.Rational(c) * x**k for k, c in enumerate(p.coeffs))
 
 
+def mul_schoolbook(p, q):
+    """The reference product: schoolbook convolution of the coefficients,
+    with the coefficient domain's own products."""
+    if not p or not q:
+        return Poly((), p.dom)
+    out = [p.dom.zero] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(out, p.dom)
+
+
+def rem_reference(f, g):
+    """f mod g over Q by long division with Fraction arithmetic."""
+    r = list(f.coeffs)
+    while len(r) >= len(g.coeffs):
+        c = r[-1] / g.lc()
+        shift = len(r) - len(g.coeffs)
+        for j, b in enumerate(g.coeffs):
+            r[shift + j] -= c * b
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return Poly(r, QDOM)
+
+
 # -- field descriptors ------------------------------------------------------
 
 def test_tables_commutative_associative():
+    # exhaustively on the basis
     for fd in ALL_FIELDS:
-        assert fd.verify_table()
+        gens = [fd.gen(i) for i in range(fd.dim)]
+        for a in gens:
+            for b in gens:
+                assert a * b == b * a
+                for c in gens:
+                    assert (a * b) * c == a * (b * c)
 
 
 def test_named_field_examples():
@@ -143,8 +178,7 @@ def test_poly_mul_matches_schoolbook_q():
         p = rand_poly(rng, rng.randint(0, 12))
         q = rand_poly(rng, rng.randint(0, 12))
         fast = p * q
-        slow = p._mul_schoolbook(q) if p and q else Poly((), QDOM)
-        assert fast == slow
+        assert fast == mul_schoolbook(p, q)
 
 
 def test_poly_mul_matches_schoolbook_alg():
@@ -155,7 +189,7 @@ def test_poly_mul_matches_schoolbook_alg():
                   for _ in range(rng.randint(1, 9))], dom)
         q = Poly([QZETA5.element([rng.randint(-5, 5) for _ in range(4)])
                   for _ in range(rng.randint(1, 9))], dom)
-        assert p * q == p._mul_schoolbook(q)
+        assert p * q == mul_schoolbook(p, q)
 
 
 # The structure constant r^2 = 5/4 is not an integer, so the integer table
@@ -217,7 +251,7 @@ def test_poly_mul_fraction_coords_matches_schoolbook():
             if not p or not q:
                 continue
             prod = p * q
-            assert prod == p._mul_schoolbook(q)
+            assert prod == mul_schoolbook(p, q)
             ref = reference_poly_product(p, q)
             while ref and not any(ref[-1]):
                 ref.pop()
@@ -225,7 +259,7 @@ def test_poly_mul_fraction_coords_matches_schoolbook():
         # equal extreme entries: every output slot reaches its size bound
         big = [fd.element([10 ** 30 * sign] * fd.dim) for sign in (1, -1)]
         for p in (Poly([big[0]] * 8, dom), Poly(big * 4, dom)):
-            assert p * p == p._mul_schoolbook(p)
+            assert p * p == mul_schoolbook(p, p)
     r = QHALF5.gen(1)
     lin = Poly([QHALF5.from_scalar(Fraction(1, 3)), r], QHALF5.domain())
     # (1/3 + r x)^2 = 1/9 + (2/3) r x + (5/4) x^2
@@ -270,37 +304,13 @@ def test_poly_mul_large_coefficients():
     big = 10 ** 30
     p = Poly([Fraction(rng.randint(-big, big), rng.randint(1, 997)) for _ in range(30)], QDOM)
     q = Poly([Fraction(rng.randint(-big, big), rng.randint(1, 997)) for _ in range(25)], QDOM)
-    assert p * q == p._mul_schoolbook(q)
-
-
-def test_poly_divmod_roundtrip():
-    rng = random.Random(4)
-    for _ in range(30):
-        a = rand_poly(rng, rng.randint(0, 10))
-        b = rand_poly(rng, rng.randint(0, 6))
-        if b.is_zero():
-            continue
-        quo, rem = divmod(a, b)
-        assert quo * b + rem == a
-        assert rem.degree() < b.degree()
-
-
-def test_poly_exact_div():
-    rng = random.Random(5)
-    for _ in range(20):
-        a = rand_poly(rng, rng.randint(1, 8))
-        b = rand_poly(rng, rng.randint(0, 5))
-        if a.is_zero() or b.is_zero():
-            continue
-        assert (a * b).exact_div(b) == a
-    with pytest.raises(ValueError):
-        Poly.over_q([1, 0, 1]).exact_div(Poly.over_q([1, 1]))
+    assert p * q == mul_schoolbook(p, q)
 
 
 def test_poly_eval_compose():
     p = Poly.over_q([1, -3, 0, 2])  # 2x^3 - 3x + 1
     assert p(Fraction(2)) == 16 - 6 + 1
-    x = Poly.x(QDOM)
+    x = Poly.over_q([0, 1])
     assert p(x) == p
     num = p.compose_frac(Poly.over_q([1, 1]), Poly.over_q([0, 1]))
     # p((x+1)/x) * x^3
@@ -312,6 +322,82 @@ def test_poly_scale_arg_and_derivative():
     p = Poly.over_q([5, 0, 1])  # x^2 + 5
     assert p.scale_arg(Fraction(3)) == Poly.over_q([5, 0, 9])
     assert p.derivative() == Poly.over_q([0, 2])
+
+
+# -- algebra laws and the integer kernel, as properties ---------------------
+
+small_fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+wide_fractions = st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20),
+                           st.integers(1, 10 ** 6))
+# d with Q[r]/(r^2 - d) a field
+nonsquares = st.builds(Fraction, st.integers(-50, 50),
+                       st.integers(1, 20)).filter(lambda d: sqrt_exact(d) is None)
+LAW_FIELDS = st.sampled_from((QZETA5, QEPSI)) | nonsquares.map(quadratic_field)
+
+
+def elements(fd, coords=small_fractions):
+    return st.lists(coords, min_size=fd.dim, max_size=fd.dim).map(fd.element)
+
+
+@PROPERTY
+@given(LAW_FIELDS.flatmap(lambda fd: st.tuples(elements(fd), elements(fd),
+                                               elements(fd))))
+def test_algebra_laws(xyz):
+    x, y, z = xyz
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x * y == y * x
+    if x:
+        assert x * x.inv() == x.field.one
+        assert (y / x) * x == y
+
+
+@PROPERTY
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12), st.integers(0, 8))
+@example([-1], 0)
+@example([0, -4, 3, -4, 0], 0)
+@example([-(2 ** 64), 2 ** 64 - 1], 0)
+def test_kron_pack_roundtrip(ints, extra):
+    # every entry below 2^(L-1) in absolute value, the bound reached
+    # when extra = 0
+    L = max((abs(c) for c in ints), default=0).bit_length() + 1 + extra
+    assert _kron_unpack(_kron_pack(ints, L), len(ints), L) == ints
+
+
+@PROPERTY
+@given(st.lists(wide_fractions, max_size=10), st.lists(wide_fractions, max_size=10))
+def test_poly_mul_q_matches_schoolbook_property(f, g):
+    p, q = Poly(f, QDOM), Poly(g, QDOM)
+    assert p * q == mul_schoolbook(p, q)
+
+
+def alg_polys(fd):
+    return st.lists(elements(fd, wide_fractions), max_size=8).map(
+        lambda cs: Poly(cs, fd.domain()))
+
+
+@PROPERTY
+@given(st.sampled_from(RATIONAL_FIELDS).flatmap(
+    lambda fd: st.tuples(alg_polys(fd), alg_polys(fd))))
+def test_poly_mul_alg_matches_schoolbook_property(pq):
+    p, q = pq
+    assert p * q == mul_schoolbook(p, q)
+
+
+def test_exact_all_is_what_the_package_imports():
+    # exact.__all__ names exactly what the other modules import from
+    # .exact, and none of those names is private
+    imported = set()
+    for path in Path(exact.__file__).parent.glob("*.py"):
+        if path.name == "exact.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                    and node.module == "exact":
+                imported.update(alias.name for alias in node.names)
+    assert sorted(exact.__all__) == sorted(imported)
+    assert not [name for name in imported if name.startswith("_")]
 
 
 # -- gcd ---------------------------------------------------------------------
@@ -341,14 +427,13 @@ def test_gcd_random_vs_sympy():
 
 
 def test_gcd_alg_domain():
+    # gcds are taken over Q only, as resultants are
     dom = QZETA5.domain()
     z = QZETA5.gen(1)
-    x = Poly.x(dom)
-    one = Poly.one(dom)
+    x = Poly([QZETA5.zero, QZETA5.one], dom)
     p = (x - z) * (x - z * z)
-    q = (x - z) * (x + one)
-    g = poly_gcd(p, q)
-    assert g == x - z
+    with pytest.raises(ValueError):
+        poly_gcd(p, p)
 
 
 # -- resultants ---------------------------------------------------------------
@@ -462,7 +547,7 @@ def test_resultant_pencil_needs_lower_degree_q1():
 
 
 def test_resultant_is_over_q_only():
-    p = Poly.over(QSQRT5, [(1, 0), (0, 1)])
+    p = Poly([QSQRT5.one, QSQRT5.gen(1)], QSQRT5.domain())
     with pytest.raises(ValueError):
         resultant(p, p)
 
@@ -503,7 +588,7 @@ def test_resultant_matches_sylvester(p, q, c):
 def test_compose_homogeneous_matches_values(polys, p, q, extra, x0):
     # f(p(x0)/q(x0)) q(x0)^n at a rational x0 with q(x0) != 0
     n = max(f.degree() for f in polys) + extra
-    for f, got in zip(polys, _compose_homogeneous(polys, p, q, n)):
+    for f, got in zip(polys, compose_homogeneous(polys, p, q, n)):
         if q(x0):
             assert got(x0) == f(p(x0) / q(x0)) * q(x0) ** n
         assert got.degree() <= n * max(p.degree(), q.degree())
@@ -512,52 +597,29 @@ def test_compose_homogeneous_matches_values(polys, p, q, extra, x0):
 @PROPERTY
 @given(rational_polys(0, 4), rational_polys(0, 4), rational_polys(0, 3))
 def test_poly_divides_matches_remainder(f, g, h):
-    assert poly_divides(g, f) == (f % g).is_zero()
-    assert poly_divides(g, f * g + h) == (h % g).is_zero()
+    assert poly_divides(g, f) == rem_reference(f, g).is_zero()
+    assert poly_divides(g, f * g + h) == rem_reference(h, g).is_zero()
 
 
-# -- rational functions -------------------------------------------------------
-
-def test_ratfunc_normalization():
-    num = Poly.over_q([0, 2, 2])  # 2x(x+1)
-    den = Poly.over_q([0, 0, 4, 4])  # 4x^2(x+1)
-    f = RatFunc(num, den)
-    assert f.num == Poly.over_q([Fraction(1, 2)])
-    assert f.den == Poly.over_q([0, 1])
-    g = RatFunc(f.num, f.den)
-    assert g.num == f.num and g.den == f.den
-    assert poly_gcd(f.num, f.den).degree() == 0
-    assert f.den.lc() == 1
-
-
-def test_ratfunc_normalization_random():
-    rng = random.Random(9)
-    for _ in range(20):
-        a = rand_poly(rng, rng.randint(0, 5))
-        b = rand_poly(rng, rng.randint(1, 5))
-        c = rand_poly(rng, rng.randint(1, 3))
-        if a.is_zero() or b.is_zero() or c.is_zero():
-            continue
-        f = RatFunc(a * c, b * c)
-        assert poly_gcd(f.num, f.den).degree() == 0
-        assert f.den.lc() == 1
-        assert f == RatFunc(a, b)
-
+# -- composition -------------------------------------------------------------
 
 def test_ratfunc_compose_examples():
-    z = RatFunc.var()
-    minv = RatFunc(Poly.over_q([-1]), Poly.over_q([0, 1]))
-    assert z.compose(minv) == minv
-    # a numerator of lower degree than the denominator: 1/(z^2+1) at -1/z
-    inv_sq = RatFunc(Poly.over_q([1]), Poly.over_q([1, 0, 1]))
-    assert inv_sq.compose(minv) == RatFunc(Poly.over_q([0, 0, 1]),
-                                           Poly.over_q([1, 0, 1]))
-    # z^5 composed with zeta5 * z over Q(zeta5) returns z^5
+    # rational functions as (num, den) pairs, composed by
+    # compose_homogeneous: z at -1/z; 1/(z^2+1) at -1/z, a numerator of
+    # lower degree than the denominator, is z^2/(z^2+1)
+    minv_n, minv_d = Poly.over_q([-1]), Poly.over_q([0, 1])
+    num, den = compose_homogeneous((Poly.over_q([0, 1]), Poly.over_q([1])),
+                                   minv_n, minv_d, 1)
+    assert num * minv_d == minv_n * den
+    num, den = compose_homogeneous((Poly.over_q([1]), Poly.over_q([1, 0, 1])),
+                                   minv_n, minv_d, 2)
+    assert num * Poly.over_q([1, 0, 1]) == Poly.over_q([0, 0, 1]) * den
+    # z^5 at zeta5 z over Q(zeta5) is z^5
     dom = QZETA5.domain()
-    zeta = QZETA5.gen(1)
-    z5 = RatFunc(Poly([QZETA5.zero] * 5 + [QZETA5.one], dom), Poly.one(dom))
-    rot = RatFunc(Poly([QZETA5.zero, zeta], dom), Poly.one(dom))
-    assert z5.compose(rot) == z5
+    z5 = Poly([QZETA5.zero] * 5 + [QZETA5.one], dom)
+    rot = Poly([QZETA5.zero, QZETA5.gen(1)], dom)
+    num, = compose_homogeneous((z5,), rot, Poly.one(dom), 5)
+    assert num == z5
 
 
 def test_compose_homogeneous_matches_sum_and_values():
@@ -571,7 +633,7 @@ def test_compose_homogeneous_matches_sum_and_values():
             continue
         polys = [rand_poly(rng, rng.randint(0, 5)) for _ in range(3)]
         n = max(f.degree() for f in polys) + rng.randint(0, 2)
-        cleared = _compose_homogeneous(polys, p, q, n)
+        cleared = compose_homogeneous(polys, p, q, n)
         for f, got in zip(polys, cleared):
             want = Poly((), QDOM)
             for k, c in enumerate(f.coeffs):
@@ -580,28 +642,6 @@ def test_compose_homogeneous_matches_sum_and_values():
             x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             if q(x):
                 assert got(x) == f(p(x) / q(x)) * q(x) ** n
-
-
-def test_ratfunc_arithmetic():
-    rng = random.Random(10)
-    for _ in range(10):
-        f = RatFunc(rand_poly(rng, 3), rand_poly(rng, 2) + Poly.over_q([0, 0, 0, 1]))
-        g = RatFunc(rand_poly(rng, 2), rand_poly(rng, 3) + Poly.over_q([0, 0, 0, 0, 1]))
-        h = RatFunc(rand_poly(rng, 1), rand_poly(rng, 1) + Poly.over_q([0, 0, 1]))
-        assert (f + g) * h == f * h + g * h
-        if not g.is_zero():
-            assert (f / g) * g == f
-    v = RatFunc.var()
-    f = (v * v - 1) / (v + 1)
-    assert f == v - 1
-    assert f(Fraction(5)) == 4
-
-
-def test_ratfunc_eval_pole():
-    v = RatFunc.var()
-    f = 1 / (v - 2)
-    with pytest.raises(ZeroDivisionError):
-        f(Fraction(2))
 
 
 # -- square roots --------------------------------------------------------------

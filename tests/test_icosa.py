@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from icosahedral import icosa
-from icosahedral.exact import QDOM, QZETA5, Poly, RatFunc
+from icosahedral.exact import QDOM, QZETA5, Poly, poly_gcd
 
 mp.mp.dps = 60
 
@@ -69,56 +69,68 @@ def resolvent_quintic_holds(m, n):
             and c0 * (Jn * D2) == prodW * Cn)
 
 
+def at(f, z):
+    """The rational function f = (num, den) at z."""
+    num, den = f
+    return num(z) / den(z)
+
+
 def test_build_invariants_shapes():
     inv = icosa.build_invariants()
-    assert max(inv.lam.num.degree(), inv.lam.den.degree()) == 12
-    assert max(inv.mu.num.degree(), inv.mu.den.degree()) == 10
-    assert max(inv.j.num.degree(), inv.j.den.degree()) == 60
-    # numerator of lambda (times the denominator) has degree 12
-    assert inv.lam.num.degree() == 12
+    assert [tuple(p.degree() for p in f) for f in (inv.lam, inv.mu, inv.j)] \
+        == [(12, 11), (5, 10), (60, 55)]
+
+
+def test_invariant_pairs_normalized():
+    # coprime with a monic denominator, the normal form of a rational
+    # function, so the pairs are the unique representatives
+    inv = icosa.build_invariants()
+    for num, den in (inv.lam, inv.mu, inv.j):
+        assert poly_gcd(num, den).degree() == 0
+        assert den.lc() == 1
 
 
 def test_mu_at_one():
     inv = icosa.build_invariants()
-    assert inv.mu(Fraction(1)) == Fraction(-125, 11)
+    assert at(inv.mu, Fraction(1)) == Fraction(-125, 11)
 
 
 def test_lambda_numerator_expansion():
     # the eps-factors collapse to (z^2+1)^2 (z^4+2z^3-6z^2-2z+1)^2 over Q;
     # normalization flips both parts to make the denominator monic
-    inv = icosa.build_invariants()
+    P, Q = icosa.build_invariants().lam
     quartic = Poly.over_q([1, -2, -6, 2, 1])
     sq = Poly.over_q([1, 0, 1])
-    assert inv.lam.num == -((sq * quartic) ** 2)
-    assert inv.lam.den == Poly.over_q([0, -1, 0, 0, 0, 0, 11, 0, 0, 0, 0, 1])
+    assert P == -((sq * quartic) ** 2)
+    assert Q == Poly.over_q([0, -1, 0, 0, 0, 0, 11, 0, 0, 0, 0, 1])
 
 
 def test_j_two_expressions_at_one():
     inv = icosa.build_invariants()
-    lam1 = inv.lam(Fraction(1))
-    mu1 = inv.mu(Fraction(1))
+    lam1 = at(inv.lam, Fraction(1))
+    mu1 = at(inv.mu, Fraction(1))
     lhs = (lam1 + 3) ** 3 * (lam1 ** 2 + 11 * lam1 + 64)
     rhs = (mu1 ** 2 + 10 * mu1 + 5) ** 3 / mu1
-    assert lhs == rhs == inv.j(Fraction(1))
+    assert lhs == rhs == at(inv.j, Fraction(1))
 
 
 def test_fundamental_identity():
     assert icosa.verify_fundamental_identity()
     # both sides evaluated at a few rational points
     inv = icosa.build_invariants()
-    lhs = icosa._j_from_lambda(inv.lam)
-    rhs = icosa._j_from_mu(inv.mu)
     for z in (Fraction(2), Fraction(1, 3), Fraction(-5, 7), Fraction(9, 4),
               Fraction(-3)):
-        assert lhs(z) == rhs(z)
+        lam, mu = at(inv.lam, z), at(inv.mu, z)
+        assert (lam + 3) ** 3 * (lam ** 2 + 11 * lam + 64) \
+            == (mu ** 2 + 10 * mu + 5) ** 3 / mu == at(inv.j, z)
 
 
 def test_fundamental_identity_mutation():
-    inv = icosa.build_invariants()
-    coeffs = list(inv.lam.num.coeffs)
+    # one numerator coefficient of lambda bumped by 1
+    P, Q = icosa.build_invariants().lam
+    coeffs = list(P.coeffs)
     coeffs[3] += 1
-    bad_lam = RatFunc(Poly(coeffs, inv.lam.num.dom), inv.lam.den)
-    assert icosa._j_from_lambda(bad_lam) != icosa._j_from_mu(inv.mu)
+    assert not icosa.verify_fundamental_identity(lam=(Poly(coeffs, QDOM), Q))
 
 
 def test_invariance_generators():
@@ -129,10 +141,10 @@ def test_invariance_generators():
 def test_invariance_details():
     inv = icosa.build_invariants()
     S = icosa.mobius_gen("S")
-    mn, md = icosa._lift_ratfunc(inv.mu, QZETA5)
+    mn, md = icosa._lift_pair(inv.mu, QZETA5)
     cn, cd = icosa._compose_mobius_raw(mn, md, S)
     assert cn * md == mn * cd  # mu o S = mu
-    ln, ld = icosa._lift_ratfunc(inv.lam, QZETA5)
+    ln, ld = icosa._lift_pair(inv.lam, QZETA5)
     cn, cd = icosa._compose_mobius_raw(ln, ld, S)
     assert cn * ld != ln * cd  # lambda moves under S
     # lambda and mu are both fixed by U (an easy hand check for mu)
@@ -163,10 +175,10 @@ def test_resolvent_functions_specializations():
     inv = icosa.build_invariants()
     xs_m = icosa.resolvent_functions(1, 0)
     xs_n = icosa.resolvent_functions(0, 1)
-    lam_z = inv.lam(Fraction(1, 3))
-    x0_m = xs_m[0](QZETA5.from_scalar(Fraction(1, 3)))
+    lam_z = at(inv.lam, Fraction(1, 3))
+    x0_m = at(xs_m[0], QZETA5.from_scalar(Fraction(1, 3)))
     assert x0_m == QZETA5.from_scalar(1 / (lam_z + 3))
-    x0_n = xs_n[0](QZETA5.from_scalar(Fraction(1, 3)))
+    x0_n = at(xs_n[0], QZETA5.from_scalar(Fraction(1, 3)))
     assert x0_n == QZETA5.from_scalar(1 / ((lam_z + 3) * (lam_z ** 2 + 10 * lam_z + 45)))
     with pytest.raises(ValueError):
         icosa.resolvent_functions(0, 0)
@@ -177,7 +189,7 @@ def test_resolvent_rotation():
     xs = icosa.resolvent_functions(2, 3)
     zeta = QZETA5.gen(1)
     z0 = QZETA5.from_scalar(Fraction(2, 7))
-    assert xs[1](z0) == xs[0](zeta * z0)
+    assert at(xs[1], z0) == at(xs[0], zeta * z0)
 
 
 def test_resolvent_quintic_examples():

@@ -6,17 +6,19 @@ import sympy as sp
 
 from icosahedral import exact, qcurve
 from icosahedral.cli import KLEIN_FIXED_J
-from icosahedral.exact import QDOM, Domain, Poly, Q, QSQRT5, poly_gcd
+from icosahedral.exact import Poly, Q, QSQRT5, poly_divides, poly_gcd
 from icosahedral.qcurve import (
     EllipticCurve, conjugate, curve_from_j, curve_from_t, discriminant,
     division_poly5, j_equation_family_mismatch, j_invariant, mu_sextic,
     verify_isogeny_codomain, verify_isogeny_composition, verify_klein_link,
     x5sum_resolvent, x5sum_resolvent_scaled,
 )
-from icosahedral.qcurve import _J_EQUATION_R, _isogeny_identities, _rx
+from icosahedral.qcurve import (
+    _ISOGENY_R_DEGREE, _J_EQUATION_R, _isogeny_identities, isogeny_mismatch,
+)
 from icosahedral.quintic import Quintic, invariants, j_candidates, j_equation
 
-# -- point arithmetic mod p: an oracle independent of the Q[r][x] proofs --
+# -- point arithmetic mod p: an oracle independent of the isogeny proofs --
 
 
 def sqrt_mod(a, p):
@@ -148,8 +150,7 @@ def sample_composition(p, trials, seed=20260815):
 
 
 def isogeny_holds(name, **mutation):
-    lhs, rhs = _isogeny_identities(**mutation)[name]
-    return lhs == rhs
+    return isogeny_mismatch((name,), **mutation) is None
 
 
 def as_fraction(coeff):
@@ -359,8 +360,9 @@ def test_isogeny_codomain():
 def test_isogeny_codomain_mutation():
     # r^sigma = 2 - r breaks the codomain and the x-coordinate identities
     assert isogeny_holds("codomain") and isogeny_holds("x")
-    wrong = Poly.over_q([2, -1])
-    assert not isogeny_holds("codomain", r_sigma=wrong)
+    wrong = Poly.over_q([2, -1])  # 2 - r
+    assert isogeny_mismatch(("codomain", "x"), r_sigma=wrong) == \
+        ("codomain", 2)
     assert not isogeny_holds("x", r_sigma=wrong)
 
 
@@ -392,12 +394,40 @@ def test_isogeny_identities_sympy_oracle():
     assert sp.cancel(y_comp - y_dup) != 0
 
 
+def test_isogeny_degree_bound_sympy():
+    # each cleared side has r-degree _ISOGENY_R_DEGREE[name], and
+    # isogeny_mismatch evaluates it at one more value of r
+    r, x = sp.symbols("r x")
+    f = x ** 3 + 2 * x ** 2 + r * x
+    n, d = -f, 2 * x ** 2
+    rs = 1 - r
+    fs_nd = n ** 3 + 2 * n ** 2 * d + rs * n * d ** 2
+    gs_nd = rs * d ** 2 - n ** 2
+    dup_num = x ** 4 - 2 * r * x ** 2 + r ** 2
+    dup_den = 4 * x ** 3 + 8 * x ** 2 + 4 * r * x
+    dup_y = sp.diff(f, x) * (x * dup_den - dup_num) - 2 * f * dup_den
+    sides = {
+        "codomain": (fs_nd, -f * (r - x ** 2) ** 2 * x ** 2),
+        "x": (fs_nd * dup_den, -2 * d * n ** 2 * dup_num),
+        "y": (2 * (r - x ** 2) * gs_nd * f * dup_den, 8 * x ** 2 * n ** 2 * dup_y),
+    }
+    at_2 = _isogeny_identities(Fraction(2))
+    for name, pair in sides.items():
+        polys = [sp.Poly(sp.expand(side), r, x) for side in pair]
+        assert [p.degree(r) for p in polys] == [_ISOGENY_R_DEGREE[name]] * 2
+        assert (polys[0] - polys[1]).is_zero
+        # the sympy sides are the ones the proof builds, here at r = 2
+        for side, got in zip(pair, at_2[name]):
+            want = sp.Poly(sp.expand(side.subs(r, 2)), x).all_coeffs()[::-1]
+            assert list(got.coeffs) == [Fraction(sp.Rational(w)) for w in want]
+
+
 def test_isogeny_composition_detects_wrong_map():
     # [+2] in place of [-2], or phi without its (r - x^2) factor, breaks the
     # y-coordinate identity
     assert isogeny_holds("y")
     assert not isogeny_holds("y", mult=2)
-    assert not isogeny_holds("y", phi_y=_rx(1))
+    assert not isogeny_holds("y", phi_y=lambda r: Poly.over_q([1]))
     # mod p, dropping the factor sends points off the target curve
     p = 41
     s5 = sqrt_mod(5, p)
@@ -492,40 +522,7 @@ def test_x5sum_scaled():
     assert x5sum_resolvent(curve_from_j(2)) == g
 
 
-# -- the resultant in S: two oracles independent of the interpolation --
-
-def nested_prem(a, b):
-    """Pseudo-remainder over any commutative coefficient ring."""
-    lb, r, e = b.lc(), a, a.degree() - b.degree() + 1
-    while not r.is_zero() and r.degree() >= b.degree():
-        shifted = Poly([r.dom.zero] * (r.degree() - b.degree()) + list(b.coeffs),
-                       b.dom)
-        r = r.scale(lb) - shifted.scale(r.lc())
-        e -= 1
-    return r.scale(lb ** e) if e > 0 else r
-
-
-def nested_resultant(p, q):
-    """Subresultant PRS with coefficients in Q[S], for deg p >= deg q >= 1,
-    taken without evaluating S."""
-    one = p.dom.one
-    s, A, B, g, h = 1, p, q, one, one
-    while B.degree() > 0:
-        d = A.degree() - B.degree()
-        if A.degree() % 2 and B.degree() % 2:
-            s = -s
-        R = nested_prem(A, B)
-        if R.is_zero():
-            return p.dom.zero
-        divisor = g * h ** d
-        A, B = B, R.map_coeffs(lambda c: c.exact_div(divisor))
-        g = A.lc()
-        if d >= 1:
-            h = (g ** d).exact_div(h ** (d - 1)) if d > 1 else g
-    dA = A.degree()
-    res = (B.coeffs[0] ** dA).exact_div(h ** (dA - 1)) if dA > 1 else B.coeffs[0] ** dA
-    return -res if s < 0 else res
-
+# -- the resultant in S: sympy as an oracle independent of the interpolation --
 
 def duplication_pencil(j):
     E = curve_from_j(j)
@@ -558,11 +555,6 @@ def test_resultant_pencil_matches_oracles(j):
     want = sp.Poly(sp.resultant(sym(psi5), sym(q0) + S * sym(q1), x), S)
     assert [as_fraction(v) for v in got.coeffs] == \
         [Fraction(sp.Rational(w)) for w in want.all_coeffs()[::-1]]
-    sdom = Domain.for_polys(QDOM)
-    lift = psi5.map_coeffs(lambda v: Poly.over_q([v]), sdom)
-    pencil = Poly([q0.coeff(k) + Poly.over_q([0, q1.coeff(k)])
-                   for k in range(5)], sdom)
-    assert nested_resultant(lift, pencil) == got
 
 
 def test_resultant_pencil_needs_all_13_points(monkeypatch):
@@ -596,9 +588,9 @@ def test_klein_link_mutations():
     den_b = (Poly.over_q([2, 1]) ** 5).scale(j) \
         - Poly.over_q([0, 0, 0, 1728]) * Poly.over_q([34, 10, 1])
     good = qp.compose_frac(Poly.over_q([0, 0, 0, 31104]), den_b)
-    assert (good % g).is_zero()
+    assert poly_divides(g, good)
     bad = qp.compose_frac(Poly.over_q([0, 0, 0, 31105]), den_b)
-    assert not (bad % g).is_zero()
+    assert not poly_divides(g, bad)
     # perturbing the forward transform breaks the factorization
     comp = g.compose_frac(Poly.over_q([-10, -20, -3]), Poly.over_q([-1, 4, 1]))
     pullback = (Poly.over_q([5, 10, 1]) ** 3).scale(64) \
