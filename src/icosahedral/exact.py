@@ -7,8 +7,9 @@ immutable and exact; there is no floating point anywhere.
 Scalars are ``fractions.Fraction``.  An algebra element is a vector of
 Fraction coordinates over a :class:`FieldDescriptor` holding a
 basis-by-basis multiplication table; only the fixed algebras needed by the
-rest of the package are provided (Q, Q(sqrt5), Q(zeta5), Q(eps,i), plus
-ad-hoc quadratic and power-basis extensions).  Polynomials are dense
+rest of the package are provided (Q(sqrt5), Q(zeta5), Q(eps,i), plus
+ad-hoc quadratic and power-basis extensions); a rational is a Fraction,
+not an element of a one-dimensional algebra.  Polynomials are dense
 coefficient tuples, lowest degree first, over Q or over an algebra.  A
 rational function is a cleared (numerator, denominator) pair of such
 polynomials; two pairs are equal when their cross products are.  An
@@ -41,9 +42,7 @@ import math
 from fractions import Fraction
 
 __all__ = [
-    "FieldDescriptor",
     "AlgElement",
-    "Q",
     "QSQRT5",
     "QZETA5",
     "QEPSI",
@@ -275,14 +274,6 @@ class AlgElement:
             out.append(acc)
         return AlgElement(self.field, tuple(out))
 
-    def is_rational(self):
-        return not any(self.coords[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coords[0]
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.from_scalar(other)
@@ -337,18 +328,18 @@ def _neg_identity_signs(signs):
                  for i in range(n))
 
 
-def _build_qsqrt5():
+def _make_qsqrt5():
     fd = power_basis_algebra("Qsqrt5", 2, (Fraction(5), Fraction(0)), gen_name="s5")
     fd.involutions["sigma"] = _neg_identity_signs((1, -1))
     return fd
 
 
-def _build_qzeta5():
+def _make_qzeta5():
     # zeta^4 = -1 - zeta - zeta^2 - zeta^3
     return power_basis_algebra("Qzeta5", 4, (Fraction(-1),) * 4, gen_name="z5")
 
 
-def _build_qepsi():
+def _make_qepsi():
     # basis 1, eps, i, i*eps with eps^2 = 1 - eps and i^2 = -1
     F = Fraction
 
@@ -366,14 +357,9 @@ def _build_qepsi():
     return fd
 
 
-def _build_q():
-    return FieldDescriptor("Q", ("1",), (((Fraction(1),),),))
-
-
-Q = _build_q()
-QSQRT5 = _build_qsqrt5()
-QZETA5 = _build_qzeta5()
-QEPSI = _build_qepsi()
+QSQRT5 = _make_qsqrt5()
+QZETA5 = _make_qzeta5()
+QEPSI = _make_qepsi()
 
 
 def quadratic_field(d):

@@ -3,7 +3,8 @@
 Z[eps] is the ring of integers of Q(sqrt5), eps^2 = 1 - eps, sqrt5 = 2eps+1.
 Elements a + b*eps are reduced modulo one of the ideals (4), (8), (sqrt5),
 (8 sqrt5); the quotient sizes are the norms 16, 64, 5, and 320, and the unit
-groups have orders 12, 48, 4, and 192.
+groups have orders 12, 48, 4, and 192.  As 2 is inert and sqrt5 ramified in
+Z[eps], a residue class x is a unit exactly when gcd(N(x), N(m)) = 1.
 
 Characters on those unit groups take values in the cyclic group of 24th
 roots of unity, stored as exponents mod 24 (the smallest group containing
@@ -38,7 +39,6 @@ __all__ = [
     "ResidueRing",
     "Character",
     "residue_ring",
-    "unit_group",
     "char_from_generators",
     "omega4",
     "omega8",
@@ -164,12 +164,14 @@ class ResidueRing:
 
     @lru_cache(maxsize=None)
     def units(self):
-        out = []
-        elems = self.elements()
-        for x in elems:
-            if any(self.mul(x, y) == self.one for y in elems):
-                out.append(x)
-        return tuple(out)
+        """The x with gcd(N(x), N(m)) = 1, which are exactly the units.
+
+        x is a unit iff it lies in no prime containing m.  Those primes are
+        (2), inert, and (sqrt5), ramified: x lies in (2) iff N(x) is even,
+        and in (sqrt5) iff 5 divides N(x).
+        """
+        nm = self.norm(self.modulus)
+        return tuple(x for x in self.elements() if gcd(self.norm(x), nm) == 1)
 
 
 _SUPPORTED = {
@@ -188,11 +190,6 @@ def residue_ring(m) -> ResidueRing:
         raise ValueError(f"unsupported modulus {m!r}")
     label, coords = _SUPPORTED[key]
     return ResidueRing(label, coords)
-
-
-def unit_group(m):
-    """The units of Z[eps]/(m) as canonical pairs."""
-    return list(residue_ring(m).units())
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ and proves that for all m, n the five resolvents
     x_nu = m/(L_nu+3) + n/((L_nu+3)(L_nu^2+10 L_nu+45)),  L_nu = lambda(zeta5^nu z),
 
 are exactly the roots of x^5 + A x^2 + B x + C with the coefficient
-functions of quintic.resolvent_coeffs evaluated at (m, n/12, j(z)), by
-comparing both sides as forms in (m, n) coefficient by coefficient.
+functions of quintic.RESOLVENT_TABLE, the table quintic.resolvent_coeffs
+evaluates, at (m, n/12, j(z)), by comparing both sides as forms in (m, n)
+coefficient by coefficient.
 
 Although lambda is assembled from quadratics with eps = (sqrt5-1)/2 in their
 coefficients, the eps-parts cancel on expansion: lambda, mu, j all have
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import quintic
 from .exact import QDOM, QSQRT5, QZETA5, Poly, compose_homogeneous
 
 __all__ = [
@@ -276,34 +278,30 @@ def _resolvent_rhs(w_per_n):
     """prodW (X^5 + A X^2 + B X + C) as forms in (m, n), with w = w_per_n n.
 
     Entry k is (den_k, nums_k) such that the identity's X^k coefficient
-    reads c_{k,i} den_k = prodW nums_k[i] for every i; A, B, C are the
-    coefficient functions at (m, w, j) with j = Jn/Jd.
+    reads c_{k,i} den_k = prodW nums_k[i] for every i.  A, B, C are the
+    terms of quintic.RESOLVENT_TABLE at (m, w, j), with j = Jn/Jd, so
+    1/j = Jd/Jn and e = 1/(1728 - j) = Jd/D.  For X^k with largest e-power
+    q, den_k = Jn D^q, and the term (i, p, c) adds
+    outer c Jd^(p+1) D^(q-p) w_per_n^(d-i) to nums_k[i], d = 5 - k.
     """
     _, _, _, _, Jn, Jd, D = _resolvent_parts()
     one, zero = Poly.one(QDOM), Poly((), QDOM)
-    JdD, Jd2, D2 = Jd * D, Jd * Jd, D * D
-    # (den, outer, {i: inner}): the numerator is outer * sum_i inner m^i w^(d-i)
-    cleared = {
-        # A = -20 Jd (D (2 m^3 + 3 m^2 w) + 432 Jd (6 m w^2 + w^3)) / (Jn D)
-        2: (Jn * D, Jd.scale(-20),
-            {3: D.scale(2), 2: D.scale(3), 1: Jd.scale(2592), 0: Jd.scale(432)}),
-        # B = -5 Jd (m^4 D^2 - 864 (3 m^2 w^2 + 2 m w^3) Jd D
-        #            - 559872 w^4 Jd^2) / (Jn D^2)
-        1: (Jn * D2, Jd.scale(-5),
-            {4: D2, 2: JdD.scale(-2592), 1: JdD.scale(-1728),
-             0: Jd2.scale(-559872)}),
-        # C = -Jd (m^5 D^2 - 1440 m^3 w^2 Jd D
-        #          + 62208 (15 m w^4 + 4 w^5) Jd^2) / (Jn D^2)
-        0: (Jn * D2, Jd.scale(-1),
-            {5: D2, 3: JdD.scale(-1440), 1: Jd2.scale(933120),
-             0: Jd2.scale(248832)}),
-    }
+    products = {}  # Jd^a D^b, each built once
+
+    def jd_d(a, b):
+        if (a, b) not in products:
+            products[a, b] = Jd ** a * D ** b
+        return products[a, b]
+
     rhs = {5: (one, (one,)), 4: (one, (zero,) * 2), 3: (one, (zero,) * 3)}
-    for k, (den, outer, inner) in cleared.items():
+    for k, (outer, terms) in quintic.RESOLVENT_TABLE.items():
         d = 5 - k
-        rhs[k] = (den, tuple(
-            (outer * inner[i]).scale(w_per_n ** (d - i)) if i in inner else zero
-            for i in range(d + 1)))
+        q = max(p for _, p, _ in terms)
+        nums = [zero] * (d + 1)
+        for i, p, c in terms:
+            nums[i] = nums[i] + jd_d(p + 1, q - p).scale(
+                outer * c * w_per_n ** (d - i))
+        rhs[k] = (Jn * jd_d(0, q), tuple(nums))
     return tuple(rhs[k] for k in range(6))
 
 

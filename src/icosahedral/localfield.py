@@ -21,21 +21,24 @@ Artin-Schreier equation at 5.
 
 On the family itself the hypothesis holds at t = u^2 for every 5-adic unit
 u, since trinomial_t(q_t) = |t| (verify_family_squares).
+
+v5 returns an int, or math.inf at 0, so valuations add, compare and take
+minima as plain numbers.  residue_mod5 reduces a rational whose denominator
+is prime to 5; it is also the reduction that repn.residue_hom applies to
+each coordinate at the prime above 5.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 from .exact import Poly
 from .quintic import trinomial_t
 
 __all__ = [
-    "Valuation5",
     "v5",
+    "residue_mod5",
     "is_square_5adic_unit",
     "theorem_hypothesis",
     "artin_schreier_identity",
@@ -43,32 +46,11 @@ __all__ = [
 ]
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Valuation5:
-    """Exponent of 5 in a rational; value is an int, or math.inf for 0."""
-
-    value: float
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value == math.inf
-
-    def __add__(self, other: "Valuation5") -> "Valuation5":
-        return Valuation5(self.value + other.value)
-
-    def __lt__(self, other: "Valuation5") -> bool:
-        return self.value < other.value
-
-    def __str__(self) -> str:
-        return "inf" if self.is_infinite else str(self.value)
-
-
-def v5(x) -> Valuation5:
-    """5-adic valuation of a rational; Valuation5(math.inf) for 0."""
+def v5(x):
+    """5-adic valuation of a rational: an int, or math.inf for 0."""
     x = Fraction(x)
     if not x:
-        return Valuation5(math.inf)
+        return math.inf
     v, n, d = 0, x.numerator, x.denominator
     while n % 5 == 0:
         n //= 5
@@ -76,11 +58,11 @@ def v5(x) -> Valuation5:
     while d % 5 == 0:
         d //= 5
         v -= 1
-    return Valuation5(v)
+    return v
 
 
-def _unit_residue(x: Fraction) -> int:
-    # residue mod 5 of a rational with v5 = 0
+def residue_mod5(x: Fraction) -> int:
+    """The residue mod 5 of a rational with denominator prime to 5."""
     return x.numerator * pow(x.denominator, -1, 5) % 5
 
 
@@ -92,9 +74,9 @@ def is_square_5adic_unit(t) -> bool:
     t mod 5 in {1, 4}.
     """
     t = Fraction(t)
-    if not t or v5(t).value != 0:
+    if not t or v5(t) != 0:
         return False
-    return _unit_residue(t) in (1, 4)
+    return residue_mod5(t) in (1, 4)
 
 
 def theorem_hypothesis(B, C) -> bool:

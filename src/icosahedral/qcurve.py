@@ -5,6 +5,9 @@ Two families appear:
     E_t: y^2 = x^3 + 2x^2 + rx,   r = (3 + sqrt5 t)/(2 sqrt5 t)  over Q(sqrt5),
     E_j: y^2 = x^3 + 3j/(1728-j) x + 2j/(1728-j)                 over Q.
 
+The coefficients of E_t are elements of Q(sqrt5); those of E_j, and of any
+curve over Q, are Fractions.
+
 E_t carries the 2-isogeny
 
     phi(x, y) = (y^2/((sqrt-2)^2 x^2), y(r - x^2)/((sqrt-2)^3 x^2))
@@ -41,8 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    AlgElement, FieldDescriptor, Poly, Q, QSQRT5, poly_divides, poly_gcd,
-    poly_sqrt, resultant_pencil,
+    QSQRT5, Poly, poly_divides, poly_gcd, poly_sqrt, resultant_pencil,
 )
 from .quintic import Quintic, invariants, j_equation
 
@@ -52,7 +54,6 @@ __all__ = [
     "curve_from_j",
     "j_invariant",
     "discriminant",
-    "conjugate",
     "isogeny_mismatch",
     "verify_isogeny_codomain",
     "verify_isogeny_composition",
@@ -67,18 +68,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EllipticCurve:
-    """Model y^2 = x^3 + a2 x^2 + a4 x + a6 with nonzero discriminant."""
+    """Model y^2 = x^3 + a2 x^2 + a4 x + a6 with nonzero discriminant.
 
-    field: FieldDescriptor
-    a2: AlgElement
-    a4: AlgElement
-    a6: AlgElement
+    A coefficient is a Fraction (an int is converted) or an element of
+    Q(sqrt5).
+    """
+
+    a2: object
+    a4: object
+    a6: object
 
     def __post_init__(self):
         for name in ("a2", "a4", "a6"):
             v = getattr(self, name)
-            if isinstance(v, (int, Fraction)):
-                object.__setattr__(self, name, self.field.from_scalar(v))
+            if isinstance(v, int):
+                object.__setattr__(self, name, Fraction(v))
         if not discriminant(self):
             raise ValueError("singular curve")
 
@@ -96,8 +100,8 @@ def _b_invariants(E: EllipticCurve):
     return b2, b4, b6, b8
 
 
-def j_invariant(E: EllipticCurve) -> AlgElement:
-    """Exact c4^3/Delta in the curve's coefficient algebra."""
+def j_invariant(E: EllipticCurve):
+    """Exact c4^3/Delta: a Fraction over Q, else an element of Q(sqrt5)."""
     b2, b4, _, _ = _b_invariants(E)
     c4 = b2 * b2 - b4 * 24
     return c4 ** 3 / discriminant(E)
@@ -113,7 +117,7 @@ def curve_from_t(t) -> EllipticCurve:
     if not t:
         raise ValueError("t must be nonzero")
     s5t = QSQRT5.gen(1) * t
-    return EllipticCurve(QSQRT5, QSQRT5.from_scalar(2), (s5t + 3) / (s5t * 2),
+    return EllipticCurve(QSQRT5.from_scalar(2), (s5t + 3) / (s5t * 2),
                          QSQRT5.zero)
 
 
@@ -126,15 +130,7 @@ def curve_from_j(j) -> EllipticCurve:
     if j == 0 or j == 1728:
         raise ValueError("j must avoid 0 and 1728")
     k = j / (1728 - j)
-    return EllipticCurve(Q, Q.zero, Q.from_scalar(3 * k), Q.from_scalar(2 * k))
-
-
-def conjugate(E: EllipticCurve) -> EllipticCurve:
-    """Apply sqrt5 -> -sqrt5 to the coefficients."""
-    if "sigma" not in E.field.involutions:
-        raise ValueError("coefficient algebra has no sqrt5 conjugation")
-    return EllipticCurve(E.field, E.a2.conj("sigma"), E.a4.conj("sigma"),
-                         E.a6.conj("sigma"))
+    return EllipticCurve(0, 3 * k, 2 * k)
 
 
 def _conjugate_r(r):
@@ -259,16 +255,18 @@ def j_equation_family_mismatch():
     for r in _J_EQUATION_R:
         rr = r * (r - 1)
         qa, qb, qc = j_equation(invariants(Quintic(0, 20 * rr, 16 * rr)))
-        j = j_invariant(EllipticCurve(Q, 2, r, 0)).rational_value()
+        j = j_invariant(EllipticCurve(2, r, 0))
         if qa * j * j + qb * j + qc:
             return r
     return None
 
 
 def _rational_bc(E: EllipticCurve):
+    if not all(isinstance(v, Fraction) for v in (E.a2, E.a4, E.a6)):
+        raise ValueError("model must be over Q")
     if E.a2:
         raise ValueError("model must be y^2 = x^3 + bx + c")
-    return E.a4.rational_value(), E.a6.rational_value()
+    return E.a4, E.a6
 
 
 def division_poly5(E: EllipticCurve) -> Poly:

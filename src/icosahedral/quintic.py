@@ -17,7 +17,10 @@ positive rational square and the parameter is recovered by
 
     t = 75 C^2 / sqrt(256 B^5 + 3125 C^4)   (positive root),
 
-which is invariant under rescaling x -> cx of the monic trinomial.
+which is invariant under rescaling x -> cx of the monic trinomial and,
+where it is defined, decides that rescaling: two trinomials with the same
+t differ by one (trinomial_t).  So the table command compares the
+principal forms by t alone.
 
 By solvability_obstruction, q_t with t = u^2 lies in the solvable family
 only if y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2) has a rational point.
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Optional
 
 from .exact import AlgElement, quadratic_field, sqrt_exact
@@ -45,16 +48,14 @@ from .exact import AlgElement, quadratic_field, sqrt_exact
 __all__ = [
     "Quintic",
     "QuinticInvariants",
-    "TrinomialClass",
     "invariants",
     "j_candidates",
     "j_equation",
     "j_roots",
+    "RESOLVENT_TABLE",
     "resolvent_coeffs",
     "family_quintic",
     "trinomial_t",
-    "canonical_trinomial",
-    "scaling_equivalent",
     "solvable_family",
     "solvability_obstruction",
     "hyperelliptic_3adic",
@@ -87,25 +88,6 @@ class QuinticInvariants:
     gamma4: Fraction
     gamma6: Fraction
     disc: Fraction
-
-
-@dataclass(frozen=True)
-class TrinomialClass:
-    """A trinomial x^5 + Bx + C with its scaling parameter when defined.
-
-    ``t`` is present exactly when C != 0 and 256 B^5 + 3125 C^4 is a
-    positive rational square.
-    """
-
-    b: Fraction
-    c: Fraction
-    t: Optional[Fraction]
-
-    @staticmethod
-    def from_coeffs(b, c):
-        b, c = Fraction(b), Fraction(c)
-        t = trinomial_t(b, c) if c else None
-        return TrinomialClass(b, c, t)
 
 
 def invariants(q: Quintic) -> QuinticInvariants:
@@ -201,14 +183,24 @@ def j_roots(inv: QuinticInvariants):
     return (AlgElement(fld, (base, off)), AlgElement(fld, (base, -off)))
 
 
+# The coefficient of X^k in x^5 + A x^2 + B x + C at (m, n, j): with d = 5 - k
+# and e = 1/(1728 - j) it is (outer/j) sum c m^i n^(d-i) e^p over the terms
+# (i, p, c).  resolvent_coeffs evaluates the table and icosa proves it.
+RESOLVENT_TABLE = {
+    2: (-20, ((3, 0, 2), (2, 0, 3), (1, 1, 2592), (0, 1, 432))),
+    1: (-5, ((4, 0, 1), (2, 1, -2592), (1, 1, -1728), (0, 2, -559872))),
+    0: (-1, ((5, 0, 1), (3, 1, -1440), (1, 2, 933120), (0, 2, 248832))),
+}
+
+
 def resolvent_coeffs(m, n, j):
     """Coefficients (A, B, C) of the quintic attached to (m, n) at j.
 
-    These are the closed forms whose values at (m, w) make
-    x^5 + Ax^2 + Bx + C the exact minimal relation of the five resolvents
-    built in icosa with parameters (m, 12w); see
+    These are the closed forms of RESOLVENT_TABLE, whose values at (m, w)
+    make x^5 + Ax^2 + Bx + C the exact minimal relation of the five
+    resolvents built in icosa with parameters (m, 12w); see
     icosa.resolvent_identity_mismatch, which proves that identity for all
-    (m, w).
+    (m, w) from the same table.
 
     Requires j outside {0, 1728}.
     """
@@ -216,15 +208,13 @@ def resolvent_coeffs(m, n, j):
     if j == 0 or j == 1728:
         raise ValueError("j must avoid 0 and 1728")
     e = 1 / (1728 - j)
-    A = -Fraction(20, 1) / j * ((2 * m ** 3 + 3 * m ** 2 * n)
-                                + 432 * (6 * m * n ** 2 + n ** 3) * e)
-    B = -Fraction(5, 1) / j * (m ** 4
-                               - 864 * (3 * m ** 2 * n ** 2 + 2 * m * n ** 3) * e
-                               - 559872 * n ** 4 * e ** 2)
-    C = -Fraction(1, 1) / j * (m ** 5
-                               - 1440 * m ** 3 * n ** 2 * e
-                               + 62208 * (15 * m * n ** 4 + 4 * n ** 5) * e ** 2)
-    return (A, B, C)
+    out = []
+    for k in (2, 1, 0):
+        outer, terms = RESOLVENT_TABLE[k]
+        d = 5 - k
+        out.append(outer / j * sum(c * m ** i * n ** (d - i) * e ** p
+                                   for i, p, c in terms))
+    return tuple(out)
 
 
 def family_quintic(t) -> Quintic:
@@ -245,6 +235,14 @@ def trinomial_t(B, C) -> Optional[Fraction]:
 
     Uses the positive square root; returns None when the radicand is not
     a positive rational square.  Requires C != 0.
+
+    Where defined, t is a complete invariant of the rescaling
+    (B, C) -> (B c^4, C c^5), c != 0, the monic form of x -> cx.  It is
+    invariant, as the radicand takes the factor c^20 and C^2 the factor
+    c^10.  It is complete: B = 0 leaves t = 75/sqrt(3125), not rational, so
+    a defined t has B != 0, and t^2 = 5625 / (256 B^5/C^4 + 3125) with
+    t > 0 fixes B^5/C^4.  Equal B^5/C^4 for (B1, C1) and (B2, C2) give
+    c = (C2/C1) / (B2/B1) with c^4 = B2/B1 and c^5 = C2/C1.
     """
     B, C = Fraction(B), Fraction(C)
     if not C:
@@ -263,79 +261,6 @@ def trinomial_t(B, C) -> Optional[Fraction]:
     if root * root != R:
         return None
     return Fraction(75 * c2, root)
-
-
-def canonical_trinomial(c5, B, C):
-    """Normalize a trinomial c5 x^5 + Bx + C for table comparison.
-
-    Clears denominators to a primitive integer vector with positive
-    leading coefficient, then applies x -> -x (and a global sign) when
-    needed so the constant coefficient is positive.  Returns integers
-    (c5, B, C).
-    """
-    c5, B, C = Fraction(c5), Fraction(B), Fraction(C)
-    if not c5:
-        raise ValueError("leading coefficient must be nonzero")
-    lcm = 1
-    for f in (c5, B, C):
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in (c5, B, C)]
-    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
-    ints = [v // g for v in ints]
-    if ints[0] < 0:
-        ints = [-v for v in ints]
-    if ints[2] < 0:
-        # x -> -x negates the odd-degree terms; renormalize the sign of x^5
-        ints = [ints[0], ints[1], -ints[2]]
-    return tuple(ints)
-
-
-def scaling_equivalent(q1, q2) -> bool:
-    """Whether two trinomials differ by x -> cx and an overall scalar.
-
-    Arguments are (c5, B, C) triples.  After passing to monic form
-    x^5 + Bx + C, the test is for a rational c != 0 with
-    (B2, C2) = (B1 c^4, C1 c^5); both constants must be nonzero.
-    """
-    b1, c1 = _monic_trinomial(q1)
-    b2, c2 = _monic_trinomial(q2)
-    if not c1 or not c2:
-        raise ValueError("trinomials must have nonzero constant term")
-    if not b1 or not b2:
-        if b1 or b2:
-            return False
-        return _is_fifth_power(c2 / c1)
-    ratio_b = b2 / b1
-    c = (c2 / c1) / ratio_b
-    return b2 == b1 * c ** 4 and c2 == c1 * c ** 5
-
-
-def _monic_trinomial(q):
-    c5, B, C = (Fraction(v) for v in q)
-    if not c5:
-        raise ValueError("leading coefficient must be nonzero")
-    return B / c5, C / c5
-
-
-def _int_root5(n: int) -> int:
-    if n < 0:
-        return -_int_root5(-n)
-    if n == 0:
-        return 0
-    lo, hi = 0, 1 << ((n.bit_length() + 4) // 5 + 1)
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid ** 5 <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _is_fifth_power(x: Fraction) -> bool:
-    rn = _int_root5(x.numerator)
-    rd = _int_root5(x.denominator)
-    return rn ** 5 == x.numerator and rd ** 5 == x.denominator
 
 
 def solvable_family(v, w):

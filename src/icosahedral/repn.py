@@ -27,10 +27,6 @@ the braid-like generator relations together with the documented failure
 at a/d = +-2, and verify_congruence checks that the residue homomorphism
 applied entrywise is the identity on all 240 elements and that the lift is
 faithful.
-
-Every function takes the branch omega5(2) = i; pass conjugate_branch=True
-for the complex-conjugate convention (the prime generated by the conjugate
-of varpi), under which the residue homomorphism sends i -> 3.
 """
 
 from __future__ import annotations
@@ -40,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import QEPSI
+from .localfield import residue_mod5
 
 __all__ = [
     "F5Matrix",
@@ -66,55 +63,48 @@ def _oe(x):
     return x
 
 
-def varpi(conjugate_branch: bool = False):
-    """The prime generator i(eps + 1) - 1 (conjugate branch: its i -> -i image)."""
-    eps1 = QEPSI.gen(1) + 1
-    i = -QEPSI.gen(2) if conjugate_branch else QEPSI.gen(2)
-    return i * eps1 - 1
+def varpi():
+    """The prime generator i(eps + 1) - 1."""
+    return QEPSI.gen(2) * (QEPSI.gen(1) + 1) - 1
 
 
-def teichmuller(a: int, conjugate_branch: bool = False):
+def teichmuller(a: int):
     """Multiplicative lift of a in F5^x: 1 -> 1, 2 -> i, 3 -> -i, 4 -> -1."""
     a %= 5
     if a == 0:
         raise ValueError("0 has no multiplicative lift")
-    i = -QEPSI.gen(2) if conjugate_branch else QEPSI.gen(2)
+    i = QEPSI.gen(2)
     return (QEPSI.one, i, -i, -QEPSI.one)[a - 1]
 
 
-def _coord_mod5(c: Fraction) -> int:
-    den = c.denominator
-    if den & (den - 1):
-        raise ValueError("denominator is not a power of 2")
-    return c.numerator * pow(den, -1, 5) % 5
-
-
-def residue_hom(x, conjugate_branch: bool = False) -> int:
-    """Reduction to F5 by eps -> 2, i -> 2 (3 on the conjugate branch), 1/2 -> 3.
+def residue_hom(x) -> int:
+    """Reduction to F5 by eps -> 2, i -> 2, 1/2 -> 3.
 
     Defined on elements whose coordinate denominators are powers of 2; the
     kernel meets Z[eps, i] in the prime generated by varpi.
     """
-    a, b, c, d = (_coord_mod5(v) for v in _oe(x).coords)
-    iv = 3 if conjugate_branch else 2
-    return (a + 2 * b + iv * c + 2 * iv * d) % 5
+    coords = _oe(x).coords
+    if any(c.denominator & (c.denominator - 1) for c in coords):
+        raise ValueError("denominator is not a power of 2")
+    a, b, c, d = (residue_mod5(v) for v in coords)
+    return (a + 2 * b + 2 * c + 4 * d) % 5
 
 
-def verify_varpi_identities(conjugate_branch: bool = False) -> bool:
+def verify_varpi_identities() -> bool:
     """Check 2 - eps = eps^2 w w^c, 2 - omega5(2) = eps w (eps w^c - 1),
     and sqrt5 = eps w w^c for w = varpi, plus residue_hom = 0 on each left side.
     """
     eps = QEPSI.gen(1)
-    w = varpi(conjugate_branch)
+    w = varpi()
     wc = w.conj("conj")
-    omega2 = teichmuller(2, conjugate_branch)
+    omega2 = teichmuller(2)
     sqrt5 = eps * 2 + 1
     pairs = (
         (QEPSI.from_scalar(2) - eps, eps * eps * w * wc),
         (QEPSI.from_scalar(2) - omega2, eps * w * (eps * wc - 1)),
         (sqrt5, eps * w * wc),
     )
-    return all(lhs == rhs and residue_hom(lhs, conjugate_branch) == 0
+    return all(lhs == rhs and residue_hom(lhs) == 0
                for lhs, rhs in pairs)
 
 
@@ -183,8 +173,8 @@ class RepMatrix:
         k = self.det().inv()
         return RepMatrix(self.d * k, -self.b * k, -self.c * k, self.a * k)
 
-    def residue(self, conjugate_branch: bool = False) -> F5Matrix:
-        return F5Matrix(*(residue_hom(v, conjugate_branch)
+    def residue(self) -> F5Matrix:
+        return F5Matrix(*(residue_hom(v)
                           for v in (self.a, self.b, self.c, self.d)))
 
     def key(self):
@@ -196,15 +186,14 @@ def _admissible_pairs():
                  if a * d % 5 in _SQUARES)
 
 
-def _diag_lift(a: int, d: int, conjugate_branch: bool = False) -> RepMatrix:
-    return RepMatrix(teichmuller(a, conjugate_branch), 0, 0,
-                     teichmuller(d, conjugate_branch))
+def _diag_lift(a: int, d: int) -> RepMatrix:
+    return RepMatrix(teichmuller(a), 0, 0, teichmuller(d))
 
 
-def pi_generators(conjugate_branch: bool = False):
+def pi_generators():
     """(S, T, U) with U a builder requiring ad to be a nonzero square mod 5."""
     eps = QEPSI.gen(1)
-    w = varpi(conjugate_branch)
+    w = varpi()
     half = Fraction(1, 2)
     S = RepMatrix(eps * half, (w + 2) * half, w * half, eps * half)
     T = RepMatrix(0, -1, 1, 0)
@@ -212,7 +201,7 @@ def pi_generators(conjugate_branch: bool = False):
     def U(a: int, d: int) -> RepMatrix:
         if (a * d) % 5 not in _SQUARES:
             raise ValueError("ad must be a nonzero square mod 5")
-        return _diag_lift(a, d, conjugate_branch)
+        return _diag_lift(a, d)
 
     return S, T, U
 
@@ -259,12 +248,11 @@ def enumerate_group():
     return list(_group_data()[0])
 
 
-@lru_cache(maxsize=2)
-def _lift_table(conjugate_branch: bool = False):
-    S, T, _ = pi_generators(conjugate_branch)
+@lru_cache(maxsize=1)
+def _lift_table():
+    S, T, _ = pi_generators()
     lifts = [S, T]
-    lifts.extend(_diag_lift(a, d, conjugate_branch)
-                 for a, d in _admissible_pairs())
+    lifts.extend(_diag_lift(a, d) for a, d in _admissible_pairs())
     order, _, parents = _group_data()
     table = {order[0]: RepMatrix.identity()}
     for g in order[1:]:
@@ -273,9 +261,9 @@ def _lift_table(conjugate_branch: bool = False):
     return table
 
 
-def lift_pi(g: F5Matrix, conjugate_branch: bool = False) -> RepMatrix:
+def lift_pi(g: F5Matrix) -> RepMatrix:
     """The exact lift of g along its BFS generator word."""
-    table = _lift_table(conjugate_branch)
+    table = _lift_table()
     if g not in table:
         raise ValueError("matrix is not in the square-determinant group")
     return table[g]
@@ -290,7 +278,7 @@ def verify_homomorphism() -> bool:
     g = 1, where L(1) = 1, this reads L(h) = L(s_1) ... L(s_k), and so
     L(gh) = L(g) L(h).
     """
-    table = _lift_table(False)
+    table = _lift_table()
     gens = _shadow_generators()
     return all(table[g] * table[s] == table[g * s]
                for g in _group_data()[0] for s in gens)
@@ -325,10 +313,10 @@ def verify_relations() -> bool:
     return True
 
 
-def verify_congruence(conjugate_branch: bool = False) -> bool:
+def verify_congruence() -> bool:
     """residue_hom o lift_pi is the identity on all 240 elements; lift faithful."""
     order = enumerate_group()
-    table = _lift_table(conjugate_branch)
-    if any(table[g].residue(conjugate_branch) != g for g in order):
+    table = _lift_table()
+    if any(table[g].residue() != g for g in order):
         return False
     return len({table[g].key() for g in order}) == len(order)

@@ -547,6 +547,19 @@ def test_verify_samples_below_one(capsys):
         assert "--samples must be at least 1" in capsys.readouterr().err
 
 
+def test_verify_samples_above_bound(capsys):
+    # the sampler's range holds only 1,216,673 distinct j, so a count above
+    # it would never finish; the bound rejects it before any check runs
+    started = time.monotonic()
+    rc, out, err = run_cli(capsys, "verify", "klein-link",
+                           "--samples", "1216674")
+    assert rc == 2 and out == ""
+    assert err == f"error: --samples must be at most {cli.MAX_SAMPLES}\n"
+    assert time.monotonic() - started < 1
+    assert run_cli(capsys, "verify", "hecke", "--samples",
+                   str(cli.MAX_SAMPLES + 1))[0] == 2
+
+
 def test_check_ids_match_the_benchmark(monkeypatch):
     # perfbench rejects a run whose report holds other check ids; the
     # golden reports are pinned to the CLI by test_report_matches_golden

@@ -8,7 +8,7 @@ from icosahedral.exact import QEPSI
 from icosahedral.hecke import (
     Character, KRONECKER_M2, ResidueRing, RootOfUnity, TEICHMULLER_EXP,
     char_from_generators, omega, omega4, omega5, omega8, omega_epsilon,
-    omega_value_group, residue_ring, unit_group, verify_positive_units,
+    omega_value_group, residue_ring, verify_positive_units,
     verify_sigma_identity, verify_square_identity,
 )
 
@@ -30,9 +30,19 @@ def test_ring_sizes():
                               ("8sqrt5", 320, 192)):
         ring = residue_ring(m)
         assert len(ring.elements()) == nelems
-        assert len(unit_group(m)) == nunits
+        assert len(ring.units()) == nunits
     with pytest.raises(ValueError):
         residue_ring(3)
+
+
+def test_units_match_inverse_search():
+    # reference: the elements with an inverse, found by trying every y
+    for m in (4, 8, "sqrt5", "8sqrt5"):
+        ring = residue_ring(m)
+        elems = ring.elements()
+        want = tuple(x for x in elems
+                     if any(ring.mul(x, y) == ring.one for y in elems))
+        assert ring.units() == want
 
 
 def test_modulus_reduces_to_zero():
@@ -68,7 +78,7 @@ def test_sqrt5_ring_is_f5():
     assert ring.eps == ring.reduce((2, 0))
     powers = {ring.pow(ring.eps, k) for k in range(4)}
     assert len(powers) == 4
-    assert set(unit_group("sqrt5")) == powers
+    assert set(ring.units()) == powers
 
 
 def test_sigma_is_an_involutive_ring_map():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from icosahedral import icosa
+from icosahedral import icosa, quintic
 from icosahedral.exact import QDOM, QZETA5, Poly, poly_gcd
 
 mp.mp.dps = 60
@@ -314,3 +314,17 @@ def test_resolvent_identity_mutation_one_coefficient():
     forms[1][2] = Poly(coeffs, forms[1][2].dom)
     rhs = icosa._resolvent_rhs(Fraction(1, 12))
     assert icosa._first_mismatch(forms, rhs) == (1, 2, 2)
+
+
+@pytest.mark.parametrize("k, term", [(2, 2), (1, 0), (0, 3)])
+def test_resolvent_identity_mutation_table_entry(monkeypatch, k, term):
+    # the proof reads quintic.RESOLVENT_TABLE, the table resolvent_coeffs
+    # evaluates: one coefficient c bumped by 1 must break the identity
+    before = quintic.resolvent_coeffs(1, 1, 2)
+    table = dict(quintic.RESOLVENT_TABLE)
+    outer, terms = table[k]
+    i, p, c = terms[term]
+    table[k] = (outer, terms[:term] + ((i, p, c + 1),) + terms[term + 1:])
+    monkeypatch.setattr(quintic, "RESOLVENT_TABLE", table)
+    assert quintic.resolvent_coeffs(1, 1, 2) != before
+    assert icosa.resolvent_identity_mismatch() == (k, i, 5 - k - i)

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icosahedral.exact import Poly
 from icosahedral.localfield import (
-    Valuation5, artin_schreier_identity, is_square_5adic_unit,
+    artin_schreier_identity, is_square_5adic_unit, residue_mod5,
     theorem_hypothesis, v5, verify_family_squares,
 )
 from icosahedral.quintic import family_quintic, trinomial_t
@@ -23,42 +25,58 @@ def rand_nonzero(rng):
 def rand_unit(rng):
     while True:
         x = rand_nonzero(rng)
-        if v5(x).value == 0:
+        if v5(x) == 0:
             return x
 
 
 def test_v5_values():
-    assert v5(Fraction(3, 5)) == Valuation5(-1)
-    assert v5(50) == Valuation5(2)
-    assert v5(0) == Valuation5(math.inf)
-    assert v5(7) == Valuation5(0)
-    assert v5(Fraction(1, 125)) == Valuation5(-3)
-    assert v5(Fraction(-75, 2)) == Valuation5(2)
+    assert v5(Fraction(3, 5)) == -1
+    assert v5(50) == 2
+    assert v5(0) == math.inf
+    assert v5(7) == 0
+    assert v5(Fraction(1, 125)) == -3
+    assert v5(Fraction(-75, 2)) == 2
+    assert all(type(v5(x)) is int for x in (1, 50, Fraction(3, 5)))
 
 
-def test_v5_is_multiplicative():
-    rng = random.Random(11)
-    for _ in range(50):
-        a, b = rand_nonzero(rng), rand_nonzero(rng)
-        assert v5(a * b) == v5(a) + v5(b)
-    assert v5(0) + v5(Fraction(1, 5)) == Valuation5(math.inf)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+rationals = st.fractions(max_denominator=5 ** 6)
+nonzero = rationals.filter(bool)
 
 
-def test_v5_ultrametric():
-    rng = random.Random(12)
-    for _ in range(100):
-        a, b = rand_nonzero(rng), rand_nonzero(rng)
-        assert min(v5(a), v5(b)) <= v5(a + b)
-        if v5(a) != v5(b):
-            assert v5(a + b) == min(v5(a), v5(b))
+@PROPERTY
+@given(rationals, rationals)
+def test_v5_is_multiplicative(a, b):
+    # math.inf at 0 absorbs any finite valuation, as 0 * b = 0
+    assert v5(a * b) == v5(a) + v5(b)
+
+
+@PROPERTY
+@given(rationals, rationals)
+def test_v5_ultrametric(a, b):
+    assert min(v5(a), v5(b)) <= v5(a + b)
+    if v5(a) != v5(b):
+        assert v5(a + b) == min(v5(a), v5(b))
 
 
 def test_valuation_ordering():
-    assert Valuation5(math.inf) > Valuation5(10 ** 9)
-    assert Valuation5(-1) < Valuation5(0)
-    assert Valuation5(math.inf).is_infinite
-    assert not v5(3).is_infinite
-    assert str(v5(0)) == "inf" and str(v5(50)) == "2"
+    # plain int and float order: inf above every int, at 0 only
+    assert v5(0) == math.inf > v5(5 ** 40)
+    assert v5(Fraction(1, 5)) < v5(1) < v5(5)
+    assert min(v5(0), v5(25)) == 2
+    assert v5(0) + v5(Fraction(1, 5)) == math.inf
+
+
+@PROPERTY
+@given(nonzero)
+def test_residue_mod5(x):
+    if x.denominator % 5:
+        r = residue_mod5(x)
+        assert 0 <= r < 5 and (x - r).numerator % 5 == 0
+    else:
+        with pytest.raises(ValueError):
+            residue_mod5(x)
 
 
 def test_square_unit_truth_table():
@@ -131,7 +149,7 @@ def test_artin_schreier_valuation_shape():
     for _ in range(20):
         u = rand_unit(rng)
         y4 = 256 * u ** 4 / (625 * (5 * u ** 4 - 9))
-        assert v5(y4) == Valuation5(-4)
+        assert v5(y4) == -4
 
 
 def mutated_y4(numerator):

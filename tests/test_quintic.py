@@ -11,14 +11,23 @@ from hypothesis import strategies as st
 from icosahedral import quintic
 from icosahedral.exact import sqrt_exact
 from icosahedral.quintic import (
-    Quintic, TrinomialClass, canonical_trinomial, family_quintic,
-    hyperelliptic_3adic, invariants, j_candidates, resolvent_coeffs,
-    scaling_equivalent, solvable_family, solvability_obstruction, trinomial_t,
+    Quintic, family_quintic, hyperelliptic_3adic, invariants, j_candidates,
+    resolvent_coeffs, solvable_family, solvability_obstruction, trinomial_t,
 )
 
 
 def rand_frac(rng, lo=-12, hi=12, den=7):
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+
+
+def rescaling(b1, c1, b2, c2):
+    """The c with (b2, c2) = (b1 c^4, c1 c^5), or None when there is none.
+
+    For b1, b2 != 0 the only candidate is c = (c2/c1) / (b2/b1), as in
+    trinomial_t's docstring.
+    """
+    c = Fraction(c2, c1) / Fraction(b2, b1)
+    return c if (b1 * c ** 4, c1 * c ** 5) == (b2, c2) else None
 
 
 def test_disc_against_sympy():
@@ -73,13 +82,13 @@ def test_j_candidates_t1_row():
     qb = -1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + iv.delta ** 5)
     qc = 1728 ** 2 * iv.gamma4 ** 3
     for r in roots:
-        assert not r.is_rational()
+        assert r.coords[1]  # not rational
         assert (r * r * qa + r * qb + qc) == 0
-    assert (roots[0] + roots[1]).rational_value() == -qb / qa
-    assert (roots[0] * roots[1]).rational_value() == qc / qa
+    assert roots[0] + roots[1] == -qb / qa
+    assert roots[0] * roots[1] == qc / qa
     # r^2 = 5*disc in the ambient algebra
     gen = roots[0].field.gen(1)
-    assert (gen * gen).rational_value() == 5 * iv.disc
+    assert gen * gen == 5 * iv.disc
 
 
 def test_j_candidates_rational_split():
@@ -133,13 +142,17 @@ def test_resolvent_roundtrip_through_j_equation():
 
 
 def test_family_quintic_table_rows():
+    # the table's principal forms 5x^5 + 20x + 16, 5x^5 - 20x + 16 and
+    # x^5 + 20x + 16 are q_1, q_3 and q_{3/5}: the same t, and the c of
+    # trinomial_t's docstring takes one to the other
     q1 = family_quintic(1)
     assert (q1.a, q1.b, q1.c) == (0, 4, Fraction(16, 5))
-    assert canonical_trinomial(1, q1.b, q1.c) == (5, 20, 16)
-    q3 = family_quintic(3)
-    assert canonical_trinomial(1, q3.b, q3.c) == (5, -20, 16)
-    q35 = family_quintic(Fraction(3, 5))
-    assert canonical_trinomial(1, q35.b, q35.c) == (1, 20, 16)
+    for t, (c5, b, c) in ((1, (5, 20, 16)), (3, (5, -20, 16)),
+                          (Fraction(3, 5), (1, 20, 16))):
+        q = family_quintic(t)
+        assert trinomial_t(Fraction(b, c5), Fraction(c, c5)) == t
+        assert rescaling(q.b, q.c, Fraction(b, c5), Fraction(c, c5)) \
+            in (1, -1)
     with pytest.raises(ValueError):
         family_quintic(0)
 
@@ -178,41 +191,18 @@ def test_trinomial_t_recovers_family_parameter():
         assert trinomial_t(q.b, q.c) == abs(t)
 
 
-def test_trinomial_t_scaling_invariance():
-    rng = random.Random(37)
-    done = 0
-    while done < 20:
-        b, c = rand_frac(rng), rand_frac(rng)
-        k = rand_frac(rng, -8, 8, 5)
-        if not c or not k:
-            continue
-        assert trinomial_t(b, c) == trinomial_t(b * k ** 4, c * k ** 5)
-        done += 1
-
-
-def test_trinomial_class():
-    tc = TrinomialClass.from_coeffs(4, Fraction(16, 5))
-    assert tc.t == 1
-    assert TrinomialClass.from_coeffs(1, 1).t is None
-    assert TrinomialClass.from_coeffs(3, 0).t is None
-
-
-def test_canonical_trinomial():
-    assert canonical_trinomial(1, 4, Fraction(16, 5)) == (5, 20, 16)
-    assert canonical_trinomial(5, -20, -16) == (5, -20, 16)
-    assert canonical_trinomial(5, 20, 16) == (5, 20, 16)
-    assert canonical_trinomial(-2, 4, -6) == (1, -2, 3)
-
-
 def test_scaling_equivalent():
+    # the table's 5x^5 + 5x + 8 is q_{4/3} under x -> 2x
     q43 = family_quintic(Fraction(4, 3))
-    assert canonical_trinomial(1, q43.b, q43.c) == (80, 5, 4)
-    assert scaling_equivalent((1, q43.b, q43.c), (5, 5, 8))
-    assert not scaling_equivalent((5, 20, 16), (5, -20, 16))
-    assert scaling_equivalent((5, 20, 16), (5, 20, 16))
-    # pure fifth-power scaling when B = 0
-    assert scaling_equivalent((1, 0, 3), (1, 0, 3 * 2 ** 5))
-    assert not scaling_equivalent((1, 0, 3), (1, 0, 6))
+    assert (q43.b, q43.c) == (Fraction(1, 16), Fraction(1, 20))
+    assert trinomial_t(q43.b, q43.c) == trinomial_t(1, Fraction(8, 5)) \
+        == Fraction(4, 3)
+    assert rescaling(q43.b, q43.c, 1, Fraction(8, 5)) == 2
+    # rows 2 and 3: different t, and no rescaling between them
+    assert trinomial_t(4, Fraction(16, 5)) != trinomial_t(-4, Fraction(16, 5))
+    assert rescaling(4, Fraction(16, 5), -4, Fraction(16, 5)) is None
+    # with B = 0 the radicand 3125 C^4 is never a square: t is undefined
+    assert trinomial_t(0, 3) is None and trinomial_t(0, 3 * 2 ** 5) is None
 
 
 def test_solvable_family():
@@ -248,7 +238,8 @@ def test_obstruction_consistency_with_family():
         if not C:
             continue
         q = family_quintic(t)
-        assert scaling_equivalent((1, q.b, q.c), (1, B, C))
+        assert trinomial_t(B, C) == abs(t)
+        assert rescaling(q.b, q.c, B, C) is not None
         done += 1
 
 
@@ -477,9 +468,9 @@ def test_j_roots_solve_the_j_equation(abc):
     if isinstance(roots[0], Fraction):
         assert roots[0] + roots[1] == -qb / qa
     else:
-        assert (roots[0] + roots[1]).rational_value() == -qb / qa
+        assert roots[0] + roots[1] == -qb / qa
         gen = roots[0].field.gen(1)
-        assert (gen * gen).rational_value() == 5 * iv.disc
+        assert gen * gen == 5 * iv.disc
 
 
 @PROPERTY
@@ -499,3 +490,31 @@ def test_trinomial_t_on_rescaled_family(t, k):
     # x -> kx takes q_t to x^5 + B k^4 x + C k^5, with the same parameter
     q = family_quintic(t)
     assert trinomial_t(q.b * k ** 4, q.c * k ** 5) == t
+
+
+@PROPERTY
+@given(rationals, nonzero_rationals, nonzero_rationals)
+@example(4, Fraction(16, 5), 3)
+@example(Fraction(1, 16), Fraction(1, 20), Fraction(-2, 7))
+def test_trinomial_t_scaling_invariance(B, C, c):
+    assert trinomial_t(B * c ** 4, C * c ** 5) == trinomial_t(B, C)
+
+
+# parameters of the table rows, with signs; t and -t give the same q_t
+TABLE_T = tuple(s * t for t in (Fraction(15, 11), Fraction(1), Fraction(3),
+                                Fraction(3, 2), Fraction(4, 3), Fraction(3, 5))
+                for s in (1, -1))
+
+
+@PROPERTY
+@given(st.sampled_from(TABLE_T), st.sampled_from(TABLE_T),
+       nonzero_rationals, nonzero_rationals)
+def test_equal_t_means_rescaling(t1, t2, k1, k2):
+    # rescaled q_t1 and q_t2 share t exactly when |t1| = |t2|, and then
+    # the c of trinomial_t's docstring relates them
+    q1, q2 = family_quintic(t1), family_quintic(t2)
+    b1, c1 = q1.b * k1 ** 4, q1.c * k1 ** 5
+    b2, c2 = q2.b * k2 ** 4, q2.c * k2 ** 5
+    same = trinomial_t(b1, c1) == trinomial_t(b2, c2)
+    assert same == (abs(t1) == abs(t2))
+    assert rescaling(b1, c1, b2, c2) == (k2 / k1 if same else None)

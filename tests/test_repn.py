@@ -26,10 +26,9 @@ def test_varpi_coords():
     w = varpi()
     assert w.coords == (Fraction(-1), Fraction(0), Fraction(1), Fraction(1))
     assert w == I * (EPS + 1) - 1
-    assert varpi(True) == w.conj("conj")
-    assert not w.is_rational()
     assert residue_hom(w) == 0
-    assert residue_hom(varpi(True), True) == 0
+    # the conjugate generates the other prime above 5: it is a unit here
+    assert residue_hom(w.conj("conj")) != 0
 
 
 def test_residue_hom_values():
@@ -39,7 +38,6 @@ def test_residue_hom_values():
     assert residue_hom(EPS * EPS + EPS - 1) == 0
     assert residue_hom(I * I + 1) == 0
     assert residue_hom(EPS * 2 + 1) == 0      # sqrt5
-    assert residue_hom(I, True) == 3
 
 
 def test_residue_hom_is_ring_hom():
@@ -64,7 +62,6 @@ def test_teichmuller():
     assert teichmuller(4) == -QEPSI.one
     for a in range(1, 5):
         assert residue_hom(teichmuller(a)) == a
-        assert residue_hom(teichmuller(a, True), True) == a
         for b in range(1, 5):
             assert teichmuller(a) * teichmuller(b) == teichmuller(a * b)
     with pytest.raises(ValueError):
@@ -75,7 +72,6 @@ def test_teichmuller():
 
 def test_varpi_identities():
     assert verify_varpi_identities()
-    assert verify_varpi_identities(True)
     w = varpi()
     wc = w.conj("conj")
     assert QEPSI.from_scalar(2) - EPS == EPS * EPS * w * wc
@@ -150,7 +146,7 @@ def test_homomorphism_certificate(monkeypatch):
     S, T, _ = pi_generators()
     pairs = repn._admissible_pairs()
     lifts = [S, T] + [_diag_lift(a, d) for a, d in pairs]
-    assert lift_table_from(lifts) == repn._lift_table(False)
+    assert lift_table_from(lifts) == repn._lift_table()
     # -T, and the lifts of U(2, 3) and U(3, 2) swapped, each break it
     neg_t = lifts[:1] + [RepMatrix(0, 1, -1, 0)] + lifts[2:]
     swapped = list(lifts)
@@ -158,15 +154,71 @@ def test_homomorphism_certificate(monkeypatch):
     swapped[i], swapped[j] = lifts[j], lifts[i]
     for bad in (neg_t, swapped):
         table = lift_table_from(bad)
-        monkeypatch.setattr(repn, "_lift_table", lambda branch=False: table)
+        monkeypatch.setattr(repn, "_lift_table", lambda: table)
         assert not verify_homomorphism()
 
 
+def zepsi_mul(x, y):
+    """Product in Z[eps, i] of integer 4-vectors on 1, eps, i, i*eps.
+
+    x = u + i v with u, v in Z[eps], and eps^2 = 1 - eps, i^2 = -1.
+    """
+    def zeps(a, b, c, d):  # (a + b eps)(c + d eps)
+        return a * c + b * d, a * d + b * c - b * d
+
+    a, b, c, d = x
+    e, f, g, h = y
+    uu, vv = zeps(a, b, e, f), zeps(c, d, g, h)
+    uv, vu = zeps(a, b, g, h), zeps(c, d, e, f)
+    return (uu[0] - vv[0], uu[1] - vv[1], uv[0] + vu[0], uv[1] + vu[1])
+
+
+def _halved(k, ints):
+    """(k, ints) for ints / 2^k with k as small as possible, as 2x2 rows."""
+    while k and not any(v & 1 for v in ints):
+        k -= 1
+        ints = [v >> 1 for v in ints]
+    return k, tuple(tuple(ints[n:n + 4]) for n in range(0, 16, 4))
+
+
+def scaled_int_matrix(m):
+    """A RepMatrix, whose denominators are powers of 2, as integer
+    4-vectors over one power of 2."""
+    coords = [c for e in (m.a, m.b, m.c, m.d) for c in e.coords]
+    k = max(c.denominator for c in coords).bit_length() - 1
+    return _halved(k, [int(c * 2 ** k) for c in coords])
+
+
+def scaled_int_product(x, y):
+    """The product of two scaled integer matrices, in the same form."""
+    (kx, (a, b, c, d)), (ky, (e, f, g, h)) = x, y
+
+    def dot(p, q, r, s):  # p q + r s in Z[eps, i]
+        return [u + v for u, v in zip(zepsi_mul(p, q), zepsi_mul(r, s))]
+
+    ints = (dot(a, e, b, g) + dot(a, f, b, h)
+            + dot(c, e, d, g) + dot(c, f, d, h))
+    return _halved(kx + ky, ints)
+
+
+def test_scaled_int_product_matches_rep_matrix():
+    assert zepsi_mul((0, 1, 0, 0), (0, 1, 0, 0)) == (1, -1, 0, 0)  # eps^2
+    assert zepsi_mul((0, 0, 1, 0), (0, 0, 1, 0)) == (-1, 0, 0, 0)  # i^2
+    rng = random.Random(23)
+    for _ in range(30):
+        x, y = (RepMatrix(*(rand_order_element(rng) for _ in range(4)))
+                for _ in range(2))
+        assert scaled_int_product(scaled_int_matrix(x),
+                                  scaled_int_matrix(y)) \
+            == scaled_int_matrix(x * y)
+
+
 def test_homomorphism_exhaustive():
-    # all 240^2 pairs: the oracle for the Cayley-graph certificate
+    # all 240^2 pairs: the oracle for the Cayley-graph certificate, with
+    # the products taken in integers apart from RepMatrix
     order = enumerate_group()
-    table = {g: lift_pi(g) for g in order}
-    assert all(table[g] * table[h] == table[g * h]
+    table = {g: scaled_int_matrix(lift_pi(g)) for g in order}
+    assert all(scaled_int_product(table[g], table[h]) == table[g * h]
                for g in order for h in order)
 
 
@@ -189,7 +241,6 @@ def test_relation_failure_at_nonsquare_ratio():
 
 def test_congruence_and_faithfulness():
     assert verify_congruence()
-    assert verify_congruence(True)
 
 
 def test_image_denominators_and_determinants():
