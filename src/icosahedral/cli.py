@@ -71,6 +71,15 @@ _TABLE_ROWS = (
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
+# str() refuses an int of more than 4300 digits.  The j-equation has weight
+# 60 in A, B, C of weights 3, 4, 5, so it has degree at most 20, 15 and 12 in
+# them, and with numerators and denominators of N digits the longest
+# integer analyze prints has about (20 + 15 + 12) N = 47 N digits: 3760 at
+# the bound, which leaves room for the equation's integer coefficients.
+MAX_INPUT_DIGITS = 80
+_INPUT_BOUND = 10 ** MAX_INPUT_DIGITS
+_TOO_LONG = f"more than {MAX_INPUT_DIGITS} digits in numerator or denominator"
+
 
 def _fmt(x) -> str:
     return str(x if isinstance(x, Fraction) else Fraction(x))
@@ -82,6 +91,10 @@ def _exact_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not an exact decimal-free rational: {text!r}")
     return Fraction(text)
+
+
+def _too_long(x: Fraction) -> bool:
+    return abs(x.numerator) >= _INPUT_BOUND or x.denominator >= _INPUT_BOUND
 
 
 def _primes_below(n: int) -> tuple:
@@ -210,16 +223,18 @@ def _emit(text: str, out_path) -> None:
 # -- analyze -----------------------------------------------------------------
 
 def _record_fraction(value, key: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"field {key!r} must be an exact rational string")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, int) and not isinstance(value, bool):
+        x = Fraction(value)
+    elif isinstance(value, str):
         try:
-            return _exact_rational(value)
+            x = _exact_rational(value)
         except ZeroDivisionError:
             raise ValueError(f"field {key!r} has a zero denominator")
-    raise ValueError(f"field {key!r} must be an exact rational string")
+    else:
+        raise ValueError(f"field {key!r} must be an exact rational string")
+    if _too_long(x):
+        raise ValueError(f"field {key!r}: {_TOO_LONG}")
+    return x
 
 
 def _parse_record(obj) -> dict:
@@ -348,10 +363,23 @@ def _suite_icosa(samples, seed):
         "icosa/resolvent-grid",
         "resolvents x_0..x_4 solve x^5 + Ax^2 + Bx + C at (m, n/12, j) "
         "for all (m, n), as forms in (m, n)",
-        mismatch is None,
-        "all 21 coefficients of X^k m^i n^j agree" if mismatch is None
-        else "first mismatched coefficient: (X^%d, m^%d n^%d)" % mismatch))
+        mismatch is None, _resolvent_witness(mismatch)))
     return checks
+
+
+def _resolvent_witness(mismatch) -> str:
+    """The witness of icosa/resolvent-grid; see resolvent_identity_mismatch."""
+    if mismatch is None:
+        return ("the 6 coefficients of m^i n^(5-i) vanish in Q[L]; "
+                "j(zeta5 z) = j(z); lambda(zeta5 z) != lambda(z)")
+    fact, e = mismatch
+    if fact == "quintic":
+        return f"nonzero coefficient of m^{e} n^{5 - e} in Q[L]"
+    if fact == "j":
+        return f"j has a term z^{e}, exponent not 0 mod 5"
+    if e is None:
+        return "lambda(zeta5 z) = lambda(z)"
+    return f"the denominator of lambda has a term z^{e}, exponent not 1 mod 5"
 
 
 def _suite_klein_link(samples, seed):
@@ -578,9 +606,23 @@ def cmd_table(args) -> int:
 
 def _rational_arg(text: str) -> Fraction:
     try:
-        return _exact_rational(text)
+        x = _exact_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+    if _too_long(x):
+        raise argparse.ArgumentTypeError(_TOO_LONG)
+    return x
+
+
+def _samples_arg(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"must be from 1 to {MAX_SAMPLES}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -609,7 +651,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    pv.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+    pv.add_argument("--samples", type=_samples_arg, default=DEFAULT_SAMPLES,
                     help="number of seeded j values for klein-link/"
                          "random-samples, the only check that reads it "
                          "(1 to 10000, default 20)")
@@ -631,20 +673,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("ICOSAHEDRAL_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # getLevelName maps exactly the level names to ints
+    level = logging.getLevelName(
+        os.environ.get("ICOSAHEDRAL_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int)
+                        else logging.WARNING,
                         stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "analyze" and args.file is None and args.c is None:
         parser.error("--c is required with --b")
-    if args.command == "verify" and args.samples < 1:
-        parser.error("--samples must be at least 1")
-    if args.command == "verify" and args.samples > MAX_SAMPLES:
-        print(f"error: --samples must be at most {MAX_SAMPLES}",
-              file=sys.stderr)
-        return 2
     if args.command == "analyze" and args.file is not None and \
             (args.c is not None or args.a is not None):
         parser.error("--c and --a apply only to an inline quintic")

@@ -634,15 +634,6 @@ class Poly:
         """Numerator of self(p/q): sum a_k p^k q^(n-k), n = deg(self)."""
         return compose_homogeneous((self,), p, q, self.degree())[0]
 
-    def scale_arg(self, c):
-        """self(c*x): multiply coefficient k by c^k."""
-        out = []
-        p = self.dom.one
-        for a in self.coeffs:
-            out.append(a * p)
-            p = p * c
-        return Poly(out, self.dom)
-
     def map_coeffs(self, fn, dom=None):
         return Poly([fn(c) for c in self.coeffs], dom if dom is not None else self.dom)
 

@@ -21,8 +21,10 @@ and proves that for all m, n the five resolvents
 
 are exactly the roots of x^5 + A x^2 + B x + C with the coefficient
 functions of quintic.RESOLVENT_TABLE, the table quintic.resolvent_coeffs
-evaluates, at (m, n/12, j(z)), by comparing both sides as forms in (m, n)
-coefficient by coefficient.
+evaluates, at (m, n/12, j(z)).  Every x_nu is one rational function x(L)
+at L = L_nu, so the proof is one polynomial identity in Q[L], that x(L)
+solves the quintic at j = J(L), plus the S-rotation: j is fixed by
+z -> zeta5 z and lambda is moved, both read off the exponents mod 5.
 
 Although lambda is assembled from quadratics with eps = (sqrt5-1)/2 in their
 coefficients, the eps-parts cancel on expansion: lambda, mu, j all have
@@ -35,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from . import quintic
 from .exact import QDOM, QSQRT5, QZETA5, Poly, compose_homogeneous
@@ -46,7 +49,6 @@ __all__ = [
     "build_invariants",
     "verify_fundamental_identity",
     "verify_invariance",
-    "resolvent_functions",
     "resolvent_identity_mismatch",
 ]
 
@@ -194,140 +196,95 @@ def verify_invariance(gen):
 
 # -- resolvent quintic -------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _resolvent_parts():
-    """(m, n)-independent polynomials entering the resolvent identity.
+def _resolvent_x(lam):
+    """(U, V, W) with x = (m U + n V)/W = m/(l+3) + n/((l+3)(l^2+10l+45)).
 
-    With lambda = P/Q the resolvent x_nu is (m U_nu + n V_nu)/W_nu where
-
-        U = Q (P^2 + 10 P Q + 45 Q^2),  V = Q^3,
-        W = (P + 3 Q)(P^2 + 10 P Q + 45 Q^2),
-
-    all rotated by z -> zeta5^nu z, and j = Jn/Jd with
-    Jn = (P+3Q)^3 (P^2+11PQ+64Q^2), Jd = Q^5.
+    l = lambda = P/Q, so U = Q c, V = Q^3 and W = (P+3Q) c, with
+    c = P^2 + 10 PQ + 45 Q^2.
     """
-    inv = build_invariants()
-    P, Q = _lift_pair(inv.lam, QZETA5)
-    zeta = QZETA5.gen(1)
-
-    U, V, W = [], [], []
-    for nu in range(5):
-        rot = zeta ** nu
-        Pr = P.scale_arg(rot)
-        Qr = Q.scale_arg(rot)
-        core = Pr * Pr + Pr * Qr * 10 + Qr * Qr * 45
-        U.append(Qr * core)
-        V.append(Qr * Qr * Qr)
-        W.append((Pr + Qr * 3) * core)
-
-    Jn, Jd = inv.j
-    D = Jn * (-1) + Jd * 1728  # 1728 Jd - Jn, clearing 1728 - j
-    prodW_zeta = W[0] * W[1] * W[2] * W[3] * W[4]
-    prodW = _project_rational(prodW_zeta)
-    return U, V, W, prodW, Jn, Jd, D
+    P, Q = lam
+    c = P * P + P * Q * 10 + Q * Q * 45
+    return Q * c, Q ** 3, (P + Q * 3) * c
 
 
-def _project_rational(poly):
-    """Assert a Q(zeta5)-coefficient polynomial is rational; project to Q."""
-    coeffs = []
-    for c in poly.coeffs:
-        if any(c.coords[1:]):
-            raise AssertionError("expected rational coefficients after symmetrization")
-        coeffs.append(c.coords[0])
-    return Poly(coeffs, QDOM)
+def _exponent_off(poly, r):
+    """The first exponent e of a term of poly with e != r mod 5, or None."""
+    return next((e for e, c in enumerate(poly.coeffs) if c and e % 5 != r),
+                None)
 
 
-def resolvent_functions(m, n):
-    """The five resolvents x_0..x_4 as (num, den) pairs over Q(zeta5)."""
-    m, n = Fraction(m), Fraction(n)
-    if not m and not n:
-        raise ValueError("m and n must not both be zero")
-    U, V, W, *_ = _resolvent_parts()
-    out = []
-    for nu in range(5):
-        out.append((U[nu] * m + V[nu] * n, W[nu]))
-    return tuple(out)
+def resolvent_identity_mismatch(w_per_n=Fraction(1, 12), lam=None, j=None):
+    """Prove that the resolvents are the roots of x^5 + A x^2 + B x + C.
 
+    Each resolvent is x_nu(z) = x(lambda(zeta5^nu z)) for the one rational
+    function x(L) = m/(L+3) + n/((L+3)(L^2+10L+45)), and j = J(lambda) with
+    J(L) = (L+3)^3 (L^2+11L+64).  Three facts over Q prove the identity:
 
-@lru_cache(maxsize=1)
-def _resolvent_forms():
-    """prod_nu (X W_nu - m U_nu - n V_nu) as forms in (m, n) over Q.
+    (i) x(L) is a root of X^5 + A X^2 + B X + C, with (A, B, C) the terms
+        of quintic.RESOLVENT_TABLE at (m, w_per_n n, J(L)), for an
+        indeterminate L.  This is lambda dehomogenized: U, V, W at
+        (P, Q) = (L, 1).  With D = 1728 - J and q the largest power of
+        1/D in the table, the quintic at X = x cleared by W^5 J D^q is a
+        form of degree 5 in (m, n) over Q[L]; its six coefficients of
+        m^i n^(5-i) vanish.
+    (ii) Every exponent of the numerator and the denominator of j is
+        0 mod 5, so j(zeta5 z) = j(z).
+    (iii) Every exponent of Q is 1 mod 5, so Q(zeta5 z) = zeta5 Q(z), and
+        P has an exponent that is not 1 mod 5 (P(0) != 0), so
+        P(zeta5^nu z) != zeta5^nu P(z) for nu = 1..4.  Then
+        lambda(zeta5^nu z) != lambda(z), and with z -> zeta5^a z the five
+        lambda_nu = lambda(zeta5^nu z) are distinct.
 
-    forms[k][i] is c_{k,i}(z), the coefficient of X^k m^i n^(5-k-i), for
-    k = 0..5 and i = 0..5-k.  The product is expanded once over Q(zeta5)
-    with m and n kept symbolic; the conjugations zeta5 -> zeta5^a only
-    permute its factors, and each c_{k,i} is asserted rational rather than
-    assumed so.
-    """
-    U, V, W, *_ = _resolvent_parts()
-    acc = {(0, 0): Poly.one(QZETA5.domain())}
-    for u, v, w in zip(U, V, W):
-        steps = (((1, 0), w), ((0, 1), -u), ((0, 0), -v))
-        nxt = {}
-        for (k, i), c in acc.items():
-            for (dk, di), f in steps:
-                key = (k + dk, i + di)
-                term = c * f
-                nxt[key] = nxt[key] + term if key in nxt else term
-        acc = nxt
-    return tuple(tuple(_project_rational(acc[k, i]) for i in range(6 - k))
-                 for k in range(6))
+    lambda_nu is not constant, so no nonzero polynomial in L vanishes at
+    it, and (i) holds at L = lambda_nu, where J(lambda_nu) = j(zeta5^nu z)
+    = j(z) by (ii).  So over Q(zeta5)(z, m, n) each x_nu is a root of the
+    one quintic at (m, n/12, j).  The x_nu are linear in (m, n), and at
+    (1, 0) they are the distinct 1/(lambda_nu + 3) by (iii); so they are
+    distinct, and five distinct roots of a monic quintic are all of its
+    roots: prod_nu (X - x_nu) = X^5 + A X^2 + B X + C for all (m, n).
 
-
-def _resolvent_rhs(w_per_n):
-    """prodW (X^5 + A X^2 + B X + C) as forms in (m, n), with w = w_per_n n.
-
-    Entry k is (den_k, nums_k) such that the identity's X^k coefficient
-    reads c_{k,i} den_k = prodW nums_k[i] for every i.  A, B, C are the
-    terms of quintic.RESOLVENT_TABLE at (m, w, j), with j = Jn/Jd, so
-    1/j = Jd/Jn and e = 1/(1728 - j) = Jd/D.  For X^k with largest e-power
-    q, den_k = Jn D^q, and the term (i, p, c) adds
-    outer c Jd^(p+1) D^(q-p) w_per_n^(d-i) to nums_k[i], d = 5 - k.
-    """
-    _, _, _, _, Jn, Jd, D = _resolvent_parts()
-    one, zero = Poly.one(QDOM), Poly((), QDOM)
-    products = {}  # Jd^a D^b, each built once
-
-    def jd_d(a, b):
-        if (a, b) not in products:
-            products[a, b] = Jd ** a * D ** b
-        return products[a, b]
-
-    rhs = {5: (one, (one,)), 4: (one, (zero,) * 2), 3: (one, (zero,) * 3)}
-    for k, (outer, terms) in quintic.RESOLVENT_TABLE.items():
-        d = 5 - k
-        q = max(p for _, p, _ in terms)
-        nums = [zero] * (d + 1)
-        for i, p, c in terms:
-            nums[i] = nums[i] + jd_d(p + 1, q - p).scale(
-                outer * c * w_per_n ** (d - i))
-        rhs[k] = (Jn * jd_d(0, q), tuple(nums))
-    return tuple(rhs[k] for k in range(6))
-
-
-def _first_mismatch(forms, rhs):
-    """The first (k, i, j) with c_{k,i} den_k != prodW nums_k[i], or None."""
-    prodW = _resolvent_parts()[3]
-    for k in range(5, -1, -1):
-        den, nums = rhs[k]
-        for i, (c, num) in enumerate(zip(forms[k], nums)):
-            if c * den != prodW * num:
-                return k, i, 5 - k - i
-    return None
-
-
-def resolvent_identity_mismatch():
-    """Prove the resolvent identity for all (m, n) at once.
-
-    Both sides of prod_nu (X W_nu - m U_nu - n V_nu)
-    = prodW (X^5 + A X^2 + B X + C), with (A, B, C) at (m, n/12, j) and
-    denominators cleared, are forms in (m, n) with z-polynomial
-    coefficients; they are compared monomial by monomial, which is the
-    identity for every (m, n).  Returns None when every coefficient
-    matches, else (k, i, j) naming the first mismatch at X^k m^i n^j.
+    Returns None when all three facts hold, else the first failure:
+    ("quintic", i) for a nonzero coefficient of m^i n^(5-i) in (i),
+    ("j", e) for a term z^e of j with e != 0 mod 5, ("lambda", e) for a
+    term z^e of Q with e != 1 mod 5, or ("lambda", None) when every
+    exponent of P is 1 mod 5, which makes lambda(zeta5 z) = lambda(z).
 
     The coefficient functions take n/12, not n: the resolvents and
     quintic.resolvent_coeffs normalize the second parameter differently,
-    and with n itself the comparison fails.
+    and with w_per_n = 1 fact (i) fails.  w_per_n, lam and j default to
+    the true values and are parameters for mutation tests.
     """
-    return _first_mismatch(_resolvent_forms(), _resolvent_rhs(Fraction(1, 12)))
+    inv = build_invariants()
+    line = (Poly.over_q([0, 1]), Poly.one(QDOM))
+    U, V, W = _resolvent_x(line)
+    J = _j_from_lambda(line)[0]
+    D = 1728 - J
+    table = quintic.RESOLVENT_TABLE
+    q = max(p for _, terms in table.values() for _, p, _ in terms)
+    # x^k W^5 = (m U + n V)^k W^(5-k), whose m^s n^(k-s) part has the
+    # coefficient comb(k, s) U^s V^(k-s) W^(5-k); the X^k coefficient times
+    # J D^q is the sum of outer c w_per_n^(d-i) m^i n^(d-i) D^(q-p) over
+    # the table's terms (i, p, c), d = 5 - k
+    forms = [U ** i * V ** (5 - i) * J * D ** q * comb(5, i)
+             for i in range(6)]
+    for k, (outer, terms) in table.items():
+        d = 5 - k
+        for i, p, c in terms:
+            base = D ** (q - p) * W ** d
+            for s in range(k + 1):
+                forms[i + s] += (base * U ** s * V ** (k - s)).scale(
+                    outer * c * w_per_n ** (d - i) * comb(k, s))
+    for i, form in enumerate(forms):
+        if form:
+            return "quintic", i
+    for poly in j or inv.j:
+        e = _exponent_off(poly, 0)
+        if e is not None:
+            return "j", e
+    P, Q = lam or inv.lam
+    e = _exponent_off(Q, 1)
+    if e is not None:
+        return "lambda", e
+    if _exponent_off(P, 1) is None:
+        return "lambda", None
+    return None

@@ -164,8 +164,7 @@ def test_12_mutation_suite(monkeypatch):
     assert not icosa.verify_fundamental_identity(lam=(Poly(coeffs, QDOM), Q))
 
     # resolvent quintic: the n-normalization (n in place of n/12)
-    assert icosa._first_mismatch(icosa._resolvent_forms(),
-                                 icosa._resolvent_rhs(Fraction(1))) is not None
+    assert icosa.resolvent_identity_mismatch(w_per_n=Fraction(1)) is not None
 
     # disc identity: wrong exponent on (9 - 5t^2)
     lhs, k = family_disc_t10(sp.symbols("t"))

@@ -336,7 +336,10 @@ json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
     st.floats(allow_nan=False, allow_infinity=False), exact_texts,
     st.text(max_size=6))
+# numerators and denominators on both sides of cli.MAX_INPUT_DIGITS
+long_texts = st.from_regex(r"[+-]?[0-9]{78,82}(/[0-9]{1,82})?", fullmatch=True)
 field_values = st.one_of(st.integers(-10 ** 6, 10 ** 6), exact_texts,
+                         long_texts, st.integers(-10 ** 82, 10 ** 82),
                          json_leaves, st.lists(json_leaves, max_size=2))
 records = st.one_of(
     st.fixed_dictionaries({"B": field_values, "C": field_values},
@@ -374,6 +377,9 @@ def expected_record(obj):
             rec[key] = Fraction(num, int(m.group(3) or 1))
         else:
             return None
+        x = rec[key]
+        if len(str(abs(x.numerator))) > 80 or len(str(x.denominator)) > 80:
+            return None
     if "label" in obj:
         rec["label"] = str(obj["label"])
     return rec
@@ -395,10 +401,15 @@ def test_parse_record_accepts_exact_rationals_only(obj):
         assert cli._parse_record(obj) == want
 
 
+SEVENS = "7" * 870
+
+
 @PROPERTY
 @given(st.lists(json_values, min_size=1, max_size=3))
 @example([{"B": "4", "C": "16/5"}, {"B": "0", "C": "0"}])
 @example([{"B": "4", "C": "16/5"}, [1]])
+@example([{"B": "4", "C": "16/5"}, {"B": SEVENS, "C": "1"}])
+@example([{"B": "1/" + SEVENS[:81], "C": True}, {"A": 0.5}])
 def test_analyze_exit_codes(values):
     # exit 0 with one line per record and the report, or exit 2 with
     # nothing on stdout; an exception would end the test with a traceback
@@ -410,10 +421,68 @@ def test_analyze_exit_codes(values):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(["analyze", "--file", path, "--json"])
     assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()
     if rc == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
     else:
         assert len(json_lines(out.getvalue())) == len(values) + 1
+
+
+def test_analyze_digit_bound(tmp_path, capsys):
+    # the worst case at the bound: 80-digit numerators and pairwise coprime
+    # 80-digit denominators; the longest printed integer stays below the
+    # 4300 digits str() accepts
+    top = 10 ** cli.MAX_INPUT_DIGITS
+    args = [f"{top - 2}/{top - 1}", f"-{top - 4}/{top - 3}",
+            f"{top - 8}/{top - 9}"]
+    rc, out, _ = run_cli(capsys, "analyze", "--a", args[0], "--b=" + args[1],
+                         "--c", args[2])
+    assert rc == 0
+    record, = json_lines(out)
+    assert record["status"] == "ok"
+    longest = max(len(d) for d in re.findall(r"\d+", out))
+    assert 3700 < longest < 4300
+    # one digit over exits 2: inline as a usage error, from a file with
+    # the line number before any output
+    over = str(top)
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["analyze", "--b", f"1/{over}", "--c", "1"])
+    assert exited.value.code == 2
+    assert "argument --b: more than 80 digits" in capsys.readouterr().err
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text('{"B": "4", "C": "16/5"}\n'
+                     f'{{"B": 4, "C": {over}}}\n')
+    rc, out, err = run_cli(capsys, "analyze", "--file", str(batch))
+    assert rc == 2 and out == ""
+    assert err == (f"error: {batch}:2: field 'C': more than 80 digits in "
+                   "numerator or denominator\n")
+
+
+@pytest.mark.parametrize("level", ["BASIC_FORMAT", "no-such-level", "info"])
+def test_log_level_names_only(level):
+    # BASIC_FORMAT is an attribute of logging but not a level name
+    env = child_env()
+    env["ICOSAHEDRAL_LOG"] = level
+    done = subprocess.run(
+        [sys.executable, "-m", "icosahedral.cli", "verify", "localfield"],
+        capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr.decode() == (
+        "INFO icosahedral.cli: running suite localfield\n"
+        if level == "info" else "")
+
+
+def test_readme_library_example():
+    # every print in the README's Library-use block prints its comment
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme,
+                      re.S).group(1)
+    expected = [re.fullmatch(r"print\(.*\)\s+# (.*)", line).group(1)
+                for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert expected and out.getvalue().splitlines() == expected
 
 
 def test_analyze_file_not_utf8(tmp_path, capsys):
@@ -544,20 +613,23 @@ def test_verify_samples_below_one(capsys):
         with pytest.raises(SystemExit) as exited:
             cli.main(["verify", *argv])
         assert exited.value.code == 2
-        assert "--samples must be at least 1" in capsys.readouterr().err
+        assert f"argument --samples: must be from 1 to {cli.MAX_SAMPLES}\n" \
+            in capsys.readouterr().err
 
 
 def test_verify_samples_above_bound(capsys):
     # the sampler's range holds only 1,216,673 distinct j, so a count above
     # it would never finish; the bound rejects it before any check runs
     started = time.monotonic()
-    rc, out, err = run_cli(capsys, "verify", "klein-link",
-                           "--samples", "1216674")
-    assert rc == 2 and out == ""
-    assert err == f"error: --samples must be at most {cli.MAX_SAMPLES}\n"
+    for count in ("1216674", str(cli.MAX_SAMPLES + 1)):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["verify", "klein-link", "--samples", count])
+        assert exited.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("icosahedral verify: error: argument --samples: "
+                            f"must be from 1 to {cli.MAX_SAMPLES}\n")
     assert time.monotonic() - started < 1
-    assert run_cli(capsys, "verify", "hecke", "--samples",
-                   str(cli.MAX_SAMPLES + 1))[0] == 2
 
 
 def test_check_ids_match_the_benchmark(monkeypatch):
@@ -597,8 +669,9 @@ def test_verify_icosa(capsys):
     assert rc == 0
     report = json.loads(out)
     by_id = {c["id"]: c for c in report["checks"]}
-    assert by_id["icosa/resolvent-grid"]["witness"] == \
-        "all 21 coefficients of X^k m^i n^j agree"
+    assert by_id["icosa/resolvent-grid"]["witness"] == (
+        "the 6 coefficients of m^i n^(5-i) vanish in Q[L]; "
+        "j(zeta5 z) = j(z); lambda(zeta5 z) != lambda(z)")
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
@@ -614,14 +687,20 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_verify_resolvent_failure_witness(capsys, monkeypatch):
-    monkeypatch.setattr(cli.icosa, "resolvent_identity_mismatch",
-                        lambda: (2, 0, 3))
-    rc, out, _ = run_cli(capsys, "verify", "icosa")
-    assert rc == 1
-    check = {c["id"]: c for c in json.loads(out)["checks"]}[
-        "icosa/resolvent-grid"]
-    assert check["status"] == "fail"
-    assert check["witness"] == "first mismatched coefficient: (X^2, m^0 n^3)"
+    for mismatch, witness in (
+            (("quintic", 2), "nonzero coefficient of m^2 n^3 in Q[L]"),
+            (("j", 1), "j has a term z^1, exponent not 0 mod 5"),
+            (("lambda", 2), "the denominator of lambda has a term z^2, "
+                            "exponent not 1 mod 5"),
+            (("lambda", None), "lambda(zeta5 z) = lambda(z)")):
+        monkeypatch.setattr(cli.icosa, "resolvent_identity_mismatch",
+                            lambda: mismatch)
+        rc, out, _ = run_cli(capsys, "verify", "icosa")
+        assert rc == 1
+        check = {c["id"]: c for c in json.loads(out)["checks"]}[
+            "icosa/resolvent-grid"]
+        assert check["status"] == "fail"
+        assert check["witness"] == witness
 
 
 def test_verify_timings_flag(capsys):

@@ -318,9 +318,8 @@ def test_poly_eval_compose():
     assert num == expected
 
 
-def test_poly_scale_arg_and_derivative():
+def test_poly_derivative():
     p = Poly.over_q([5, 0, 1])  # x^2 + 5
-    assert p.scale_arg(Fraction(3)) == Poly.over_q([5, 0, 9])
     assert p.derivative() == Poly.over_q([0, 2])
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -5,13 +6,14 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+import sympy as sp
 
 from icosahedral import icosa, quintic
 from icosahedral.exact import QDOM, QZETA5, Poly, poly_gcd
 
 mp.mp.dps = 60
 
-# -- the pointwise resolvent check: an oracle for the all-(m, n) proof ------
+# -- the Q(zeta5) product: an oracle for the proof in Q[L] ------------------
 
 # each elementary symmetric function of the resolvents, cleared of
 # denominators, has degree at most 5 in each of m and n, so agreement on
@@ -22,11 +24,78 @@ RESOLVENT_N_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                       Fraction(3), Fraction(1, 3))
 
 
+def rotate(poly, c):
+    """poly(c z): coefficient k times c^k."""
+    return Poly([a * c ** k for k, a in enumerate(poly.coeffs)], poly.dom)
+
+
+def project_rational(poly):
+    """Assert a Q(zeta5)-coefficient polynomial is rational; project to Q."""
+    assert not any(any(c.coords[1:]) for c in poly.coeffs)
+    return Poly([c.coords[0] for c in poly.coeffs], QDOM)
+
+
+@functools.lru_cache(maxsize=1)
+def resolvent_parts():
+    """The z-polynomials of the resolvents, built over Q(zeta5).
+
+    With lambda = P/Q the resolvent x_nu is (m U_nu + n V_nu)/W_nu where
+
+        U = Q (P^2 + 10 P Q + 45 Q^2),  V = Q^3,
+        W = (P + 3 Q)(P^2 + 10 P Q + 45 Q^2),
+
+    all rotated by z -> zeta5^nu z, and j = Jn/Jd with
+    Jn = (P+3Q)^3 (P^2+11PQ+64Q^2), Jd = Q^5; D = 1728 Jd - Jn.
+    """
+    inv = icosa.build_invariants()
+    P, Q = icosa._lift_pair(inv.lam, QZETA5)
+    zeta = QZETA5.gen(1)
+    U, V, W = [], [], []
+    for nu in range(5):
+        Pr, Qr = rotate(P, zeta ** nu), rotate(Q, zeta ** nu)
+        core = Pr * Pr + Pr * Qr * 10 + Qr * Qr * 45
+        U.append(Qr * core)
+        V.append(Qr * Qr * Qr)
+        W.append((Pr + Qr * 3) * core)
+    Jn, Jd = inv.j
+    prodW = project_rational(W[0] * W[1] * W[2] * W[3] * W[4])
+    return U, V, W, prodW, Jn, Jd, Jd * 1728 - Jn
+
+
+def resolvent_functions(m, n):
+    """The five resolvents x_0..x_4 as (num, den) pairs over Q(zeta5)."""
+    U, V, W, *_ = resolvent_parts()
+    return tuple((u * m + v * n, w) for u, v, w in zip(U, V, W))
+
+
+@functools.lru_cache(maxsize=1)
+def resolvent_forms():
+    """prod_nu (X W_nu - m U_nu - n V_nu) as forms in (m, n) over Q.
+
+    forms[k][i] is c_{k,i}(z), the coefficient of X^k m^i n^(5-k-i), for
+    k = 0..5 and i = 0..5-k, expanded once over Q(zeta5) with m and n kept
+    symbolic; each c_{k,i} is asserted rational.
+    """
+    U, V, W, *_ = resolvent_parts()
+    acc = {(0, 0): Poly.one(QZETA5.domain())}
+    for u, v, w in zip(U, V, W):
+        steps = (((1, 0), w), ((0, 1), -u), ((0, 0), -v))
+        nxt = {}
+        for (k, i), c in acc.items():
+            for (dk, di), f in steps:
+                key = (k + dk, i + di)
+                term = c * f
+                nxt[key] = nxt[key] + term if key in nxt else term
+        acc = nxt
+    return tuple(tuple(project_rational(acc[k, i]) for i in range(6 - k))
+                 for k in range(6))
+
+
 def resolvent_coeff_polys(m, n):
     """Coefficients c_k(z) over Q of prod_nu (X W_nu - (m U_nu + n V_nu))
     in X, from the cached forms evaluated at (m, n)."""
     out = []
-    for k, row in enumerate(icosa._resolvent_forms()):
+    for k, row in enumerate(resolvent_forms()):
         acc = Poly((), QDOM)
         for i, form in enumerate(row):
             s = m ** i * n ** (5 - k - i)
@@ -40,13 +109,13 @@ def resolvent_quintic_holds(m, n):
     """Whether, at one rational (m, n), x_0..x_4 are the roots of
     x^5 + A x^2 + B x + C with (A, B, C) at (m, n/12, j(z)).
 
-    The right-hand side is written out here apart from icosa._resolvent_rhs;
+    The right-hand side is written out here apart from quintic's table;
     all five elementary symmetric functions are compared, cleared of
     fractions, as polynomial identities over Q.
     """
     m, n = Fraction(m), Fraction(n)
     w = n / 12
-    _, _, _, prodW, Jn, Jd, D = icosa._resolvent_parts()
+    _, _, _, prodW, Jn, Jd, D = resolvent_parts()
     c0, c1, c2, c3, c4, c5 = resolvent_coeff_polys(m, n)
     if not c4.is_zero() or not c3.is_zero() or c5 != prodW:
         return False
@@ -173,20 +242,18 @@ def test_mobius_gen_validation():
 
 def test_resolvent_functions_specializations():
     inv = icosa.build_invariants()
-    xs_m = icosa.resolvent_functions(1, 0)
-    xs_n = icosa.resolvent_functions(0, 1)
+    xs_m = resolvent_functions(1, 0)
+    xs_n = resolvent_functions(0, 1)
     lam_z = at(inv.lam, Fraction(1, 3))
     x0_m = at(xs_m[0], QZETA5.from_scalar(Fraction(1, 3)))
     assert x0_m == QZETA5.from_scalar(1 / (lam_z + 3))
     x0_n = at(xs_n[0], QZETA5.from_scalar(Fraction(1, 3)))
     assert x0_n == QZETA5.from_scalar(1 / ((lam_z + 3) * (lam_z ** 2 + 10 * lam_z + 45)))
-    with pytest.raises(ValueError):
-        icosa.resolvent_functions(0, 0)
 
 
 def test_resolvent_rotation():
     # x_1(z) = x_0(zeta5 z)
-    xs = icosa.resolvent_functions(2, 3)
+    xs = resolvent_functions(2, 3)
     zeta = QZETA5.gen(1)
     z0 = QZETA5.from_scalar(Fraction(2, 7))
     assert at(xs[1], z0) == at(xs[0], zeta * z0)
@@ -252,7 +319,7 @@ def test_resolvent_grid_oracle():
 def test_resolvent_quintic_mutation():
     # with the wrong normalization (n instead of n/12) the check must fail
     m, n = Fraction(0), Fraction(1)
-    _, _, _, prodW, Jn, Jd, D = icosa._resolvent_parts()
+    _, _, _, prodW, Jn, Jd, D = resolvent_parts()
     acc = resolvent_coeff_polys(m, n)
     c2 = acc[2]
     alpha = 2 * m ** 3 + 3 * m ** 2 * n
@@ -278,7 +345,7 @@ def test_random_mn_resolvent():
 def _direct_coeff_polys(m, n):
     """Reference: expand prod_nu (X W_nu - (m U_nu + n V_nu)) over Q(zeta5)
     at one (m, n), then project each X^k coefficient to Q."""
-    U, V, W, *_ = icosa._resolvent_parts()
+    U, V, W, *_ = resolvent_parts()
     dom = QZETA5.domain()
     acc = [Poly.one(dom)]
     for nu in range(5):
@@ -286,7 +353,7 @@ def _direct_coeff_polys(m, n):
         shifted = [Poly((), dom)] + [c * W[nu] for c in acc]
         lowered = [c * (-Pnu) for c in acc] + [Poly((), dom)]
         acc = [s + l for s, l in zip(shifted, lowered)]
-    return [icosa._project_rational(c) for c in acc]
+    return [project_rational(c) for c in acc]
 
 
 @pytest.mark.parametrize("mn", [(Fraction(2), Fraction(3)), _seeded_mn()])
@@ -294,32 +361,88 @@ def test_resolvent_forms_match_direct_product(mn):
     assert resolvent_coeff_polys(*mn) == _direct_coeff_polys(*mn)
 
 
-def test_resolvent_identity_all_mn():
+class NoQZeta5:
+    def __getattr__(self, name):
+        raise AssertionError("the proof in Q[L] must not use Q(zeta5)")
+
+
+def test_resolvent_identity_all_mn(monkeypatch):
+    icosa.build_invariants()
+    monkeypatch.setattr(icosa, "QZETA5", NoQZeta5())
     started = time.monotonic()
     assert icosa.resolvent_identity_mismatch() is None
-    assert time.monotonic() - started < 10
+    assert time.monotonic() - started < 1
+
+
+def test_resolvent_identity_sympy():
+    # fact (i) on its own: x(L) solves the quintic at (m, n/12, J(L)), with
+    # the coefficient functions written out apart from quintic's table
+    L, m, n = sp.symbols("L m n")
+    x = m / (L + 3) + n / ((L + 3) * (L ** 2 + 10 * L + 45))
+    J = (L + 3) ** 3 * (L ** 2 + 11 * L + 64)
+    w, e = n / 12, 1 / (1728 - J)
+    A = -20 / J * (2 * m ** 3 + 3 * m ** 2 * w + 432 * (6 * m * w ** 2 + w ** 3) * e)
+    B = -5 / J * (m ** 4 - 864 * (3 * m ** 2 * w ** 2 + 2 * m * w ** 3) * e
+                  - 559872 * w ** 4 * e ** 2)
+    C = -1 / J * (m ** 5 - 1440 * m ** 3 * w ** 2 * e
+                  + 62208 * (15 * m * w ** 4 + 4 * w ** 5) * e ** 2)
+    num, _ = sp.fraction(sp.together(x ** 5 + A * x ** 2 + B * x + C))
+    assert sp.expand(num) == 0
 
 
 def test_resolvent_identity_mutation_n_normalization():
-    # the right-hand side at (m, n, j) instead of (m, n/12, j)
-    rhs = icosa._resolvent_rhs(Fraction(1))
-    assert icosa._first_mismatch(icosa._resolvent_forms(), rhs) is not None
+    # the coefficient functions at (m, n, j) instead of (m, n/12, j)
+    assert icosa.resolvent_identity_mismatch(w_per_n=Fraction(1)) \
+        == ("quintic", 0)
 
 
-def test_resolvent_identity_mutation_one_coefficient():
-    # c_{1,2}, the coefficient of X m^2 n^2, with one z-coefficient off by 1
-    forms = [list(row) for row in icosa._resolvent_forms()]
-    coeffs = list(forms[1][2].coeffs)
-    coeffs[7] += 1
-    forms[1][2] = Poly(coeffs, forms[1][2].dom)
-    rhs = icosa._resolvent_rhs(Fraction(1, 12))
-    assert icosa._first_mismatch(forms, rhs) == (1, 2, 2)
+def test_resolvent_identity_mutation_one_coefficient(monkeypatch):
+    # 45 -> 46 in x's quadratic L^2 + 10 L + 45: c gains Q^2
+    exact = icosa._resolvent_x
+
+    def bumped(lam):
+        U, V, W = exact(lam)
+        P, Q = lam
+        return U + Q ** 3, V, W + (P + Q * 3) * Q * Q
+
+    monkeypatch.setattr(icosa, "_resolvent_x", bumped)
+    assert icosa.resolvent_identity_mismatch() == ("quintic", 0)
+
+
+def test_resolvent_identity_mutation_j_quadratic(monkeypatch):
+    # 64 -> 65 in J's quadratic L^2 + 11 L + 64
+    icosa.build_invariants()
+    exact = icosa._j_from_lambda
+
+    def bumped(lam):
+        Jn, Jd = exact(lam)
+        P, Q = lam
+        return Jn + (P + Q * 3) ** 3 * Q * Q, Jd
+
+    monkeypatch.setattr(icosa, "_j_from_lambda", bumped)
+    assert icosa.resolvent_identity_mismatch() == ("quintic", 0)
+
+
+def test_resolvent_identity_mutation_rotation():
+    # (ii): j with a term z^1; (iii): lambda's denominator with a term z^2,
+    # and a lambda whose every exponent is 1 mod 5, fixed by z -> zeta5 z
+    inv = icosa.build_invariants()
+    (Jn, Jd), (P, Q) = inv.j, inv.lam
+    z = Poly.over_q([0, 1])
+    assert icosa.resolvent_identity_mismatch(j=(Jn + z, Jd)) == ("j", 1)
+    assert icosa.resolvent_identity_mismatch(j=(Jn, Jd + z)) == ("j", 1)
+    assert icosa.resolvent_identity_mismatch(lam=(P, Q + z * z)) \
+        == ("lambda", 2)
+    fixed = Poly.over_q([0, 1, 0, 0, 0, 0, 3])
+    assert icosa.resolvent_identity_mismatch(lam=(fixed, Q)) \
+        == ("lambda", None)
 
 
 @pytest.mark.parametrize("k, term", [(2, 2), (1, 0), (0, 3)])
 def test_resolvent_identity_mutation_table_entry(monkeypatch, k, term):
     # the proof reads quintic.RESOLVENT_TABLE, the table resolvent_coeffs
-    # evaluates: one coefficient c bumped by 1 must break the identity
+    # evaluates: one coefficient c bumped by 1 must break the identity, at
+    # the lowest m-power of its terms that (m U + n V)^k reaches
     before = quintic.resolvent_coeffs(1, 1, 2)
     table = dict(quintic.RESOLVENT_TABLE)
     outer, terms = table[k]
@@ -327,4 +450,4 @@ def test_resolvent_identity_mutation_table_entry(monkeypatch, k, term):
     table[k] = (outer, terms[:term] + ((i, p, c + 1),) + terms[term + 1:])
     monkeypatch.setattr(quintic, "RESOLVENT_TABLE", table)
     assert quintic.resolvent_coeffs(1, 1, 2) != before
-    assert icosa.resolvent_identity_mismatch() == (k, i, 5 - k - i)
+    assert icosa.resolvent_identity_mismatch() == ("quintic", i)
