@@ -77,6 +77,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 # integer analyze prints has about (20 + 15 + 12) N = 47 N digits: 3760 at
 # the bound, which leaves room for the equation's integer coefficients.
 MAX_INPUT_DIGITS = 80
+_INT_STR_DIGITS = 4300
 _INPUT_BOUND = 10 ** MAX_INPUT_DIGITS
 _TOO_LONG = f"more than {MAX_INPUT_DIGITS} digits in numerator or denominator"
 
@@ -561,13 +562,17 @@ _SUITES = {
 def cmd_verify(args) -> int:
     started = time.monotonic()
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    checks = []
+    checks, suite_ms = [], {}
     for name in names:
         log.info("running suite %s", name)
+        suite_started = time.monotonic()
         checks.extend(_SUITES[name](args.samples, args.seed))
+        suite_ms[name] = int((time.monotonic() - suite_started) * 1000)
     wall = int((time.monotonic() - started) * 1000) if args.timings else None
     report = _report(args.suite, checks, args.seed, args.samples,
                      args.height, wall)
+    if args.timings:
+        report["suite_wall_time_ms"] = suite_ms
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if report["status"] == "pass" else 1
 
@@ -673,6 +678,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # inputs are bounded for the default int-to-str limit, so a lower one
+    # (PYTHONINTMAXSTRDIGITS) is raised to it while main runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < _INT_STR_DIGITS:
+        sys.set_int_max_str_digits(_INT_STR_DIGITS)
+    try:
+        return _main(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _main(argv):
     # getLevelName maps exactly the level names to ints
     level = logging.getLevelName(
         os.environ.get("ICOSAHEDRAL_LOG", "WARNING").upper())

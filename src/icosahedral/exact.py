@@ -7,9 +7,10 @@ immutable and exact; there is no floating point anywhere.
 Scalars are ``fractions.Fraction``.  An algebra element is a vector of
 Fraction coordinates over a :class:`FieldDescriptor` holding a
 basis-by-basis multiplication table; only the fixed algebras needed by the
-rest of the package are provided (Q(sqrt5), Q(zeta5), Q(eps,i), plus
-ad-hoc quadratic and power-basis extensions); a rational is a Fraction,
-not an element of a one-dimensional algebra.  Polynomials are dense
+rest of the package are provided (Q(sqrt5), Q(eps,i), plus ad-hoc
+quadratic and power-basis extensions, and Q(zeta5), which no check uses
+and the tests' oracles do); a rational is a Fraction, not an element of a
+one-dimensional algebra.  Polynomials are dense
 coefficient tuples, lowest degree first, over Q or over an algebra.  A
 rational function is a cleared (numerator, denominator) pair of such
 polynomials; two pairs are equal when their cross products are.  An
@@ -44,7 +45,6 @@ from fractions import Fraction
 __all__ = [
     "AlgElement",
     "QSQRT5",
-    "QZETA5",
     "QEPSI",
     "QDOM",
     "Poly",
@@ -660,11 +660,11 @@ class Poly:
 def compose_homogeneous(polys, p, q, n):
     """Each f in polys as f(p/q) q^n, for n at least every deg f.
 
-    The powers of p and of q are built once and shared by all of polys.
-    Over Q they are integer powers of the cleared p = a/dp and q = b/dq,
-    and each f = c/df is summed over the one denominator df dp^e dq^n,
-    e = deg f, which scales the term c_k a^k b^(n-k) by the integer
-    dp^(e-k) dq^k.
+    The powers of p and of q, and each product p^k q^(n-k), are built
+    once and shared by all of polys.  Over Q they are integer powers of
+    the cleared p = a/dp and q = b/dq, and each f = c/df is summed over
+    the one denominator df dp^e dq^n, e = deg f, which scales the term
+    c_k a^k b^(n-k) by the integer dp^(e-k) dq^k.
     """
     m = max(f.degree() for f in polys)
     if p.dom.kind == "q":
@@ -675,12 +675,15 @@ def compose_homogeneous(polys, p, q, n):
     ppows = [Poly.one(p.dom)]
     for _ in range(m):
         ppows.append(ppows[-1] * p)
+    terms = {}
     out = []
     for f in polys:
         acc = Poly((), p.dom)
         for k, c in enumerate(f.coeffs):
             if c:
-                acc = acc + (ppows[k] * qpows[n - k]).scale(c)
+                if k not in terms:
+                    terms[k] = ppows[k] * qpows[n - k]
+                acc = acc + terms[k].scale(c)
         out.append(acc)
     return out
 

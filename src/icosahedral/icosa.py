@@ -15,6 +15,9 @@ transformations
 
     S: z -> zeta5 z,   T: z -> (eps z + 1)/(z - eps),   U: z -> -1/z,
 
+each in the smallest field it needs (U over Q, T over Q(sqrt5), and S
+read off the exponents mod 5, with mu fixed and lambda moved), which
+proves it over Q(zeta5),
 and proves that for all m, n the five resolvents
 
     x_nu = m/(L_nu+3) + n/((L_nu+3)(L_nu^2+10 L_nu+45)),  L_nu = lambda(zeta5^nu z),
@@ -40,12 +43,10 @@ from functools import lru_cache
 from math import comb
 
 from . import quintic
-from .exact import QDOM, QSQRT5, QZETA5, Poly, compose_homogeneous
+from .exact import QDOM, QSQRT5, AlgElement, Poly, compose_homogeneous
 
 __all__ = [
     "InvariantFns",
-    "MobiusGen",
-    "mobius_gen",
     "build_invariants",
     "verify_fundamental_identity",
     "verify_invariance",
@@ -66,45 +67,18 @@ class InvariantFns:
     j: tuple
 
 
-@dataclass(frozen=True)
-class MobiusGen:
-    """A Moebius generator z -> (az+b)/(cz+d) with entries in Q(zeta5)."""
-
-    label: str
-    matrix: tuple
-
-    def __post_init__(self):
-        (a, b), (c, d) = self.matrix
-        if not (a * d - b * c):
-            raise ValueError("singular Moebius matrix")
-
-    def entries(self):
-        (a, b), (c, d) = self.matrix
-        return a, b, c, d
-
-
-def mobius_gen(label):
-    """The generator S, T or U."""
-    zeta = QZETA5.gen(1)
-    one = QZETA5.one
-    zero = QZETA5.zero
-    eps = zeta + zeta ** 4  # (sqrt5 - 1)/2
-    if label == "S":
-        return MobiusGen("S", ((zeta, zero), (zero, one)))
-    if label == "T":
-        return MobiusGen("T", ((eps, one), (one, -eps)))
-    if label == "U":
-        return MobiusGen("U", ((zero, -one), (one, zero)))
-    raise ValueError(f"unknown generator {label!r}")
+_EPS = (QSQRT5.gen(1) - 1) / 2
+# T and U as matrices ((a, b), (c, d)) of z -> (az+b)/(cz+d), each in the
+# smallest field holding its entries
+_GENERATORS = {"T": ((_EPS, 1), (1, -_EPS)), "U": ((0, -1), (1, 0))}
 
 
 def _lambda_numerator_over_qsqrt5():
     dom = QSQRT5.domain()
     one = QSQRT5.one
-    eps = (QSQRT5.gen(1) - 1) / 2
-    eps_inv = eps + 1  # eps (eps + 1) = eps^2 + eps = 1
+    eps_inv = _EPS + 1  # eps (eps + 1) = eps^2 + eps = 1
     f1 = Poly([one, QSQRT5.zero, one], dom)                 # z^2 + 1
-    f2 = Poly([-one, -(eps * 2), one], dom)                 # z^2 - 2 eps z - 1
+    f2 = Poly([-one, -(_EPS * 2), one], dom)                # z^2 - 2 eps z - 1
     f3 = Poly([-one, eps_inv * 2, one], dom)                # z^2 + 2 eps^{-1} z - 1
     prod = f1 * f2 * f3
     return prod * prod
@@ -150,48 +124,31 @@ def verify_fundamental_identity(lam=None):
     return Jn * M * N ** 5 == (M * M + M * N * 10 + N * N * 5) ** 3 * Jd
 
 
-def _lift_pair(f, field):
-    dom = field.domain()
-    return tuple(p.map_coeffs(field.from_scalar, dom) for p in f)
-
-
-def _compose_mobius_raw(num, den, gen):
-    """(num/den)((az+b)/(cz+d)) as an unnormalized numerator/denominator pair."""
-    a, b, c, d = gen.entries()
-    p = Poly([b, a], num.dom)
-    q = Poly([d, c], num.dom)
-    n = max(num.degree(), den.degree())
-    return tuple(compose_homogeneous((num, den), p, q, n))
-
-
-def verify_invariance(gen):
+def verify_invariance(gen, inv=None):
     """j o gen = j over Q(zeta5); for S also mu o S = mu and lambda o S != lambda.
 
-    Equality of rational functions is decided by cross-multiplication of the
-    raw composed numerator/denominator against the original, which avoids
-    normalizing degree-sixty compositions over Q(zeta5).
+    gen is "S", "T", "U" or a matrix ((a, b), (c, d)) of z -> (az+b)/(cz+d)
+    over Q or over one algebra.  Cross-multiplied, an identity between
+    rational functions over a subfield K of Q(zeta5) is a polynomial over K
+    vanishing, so it holds over Q(zeta5) iff it holds over K: U composes
+    over Q, T (eps = (sqrt5 - 1)/2) over Q(sqrt5), and S needs no
+    composition, as _rotation_mismatch reads it off exponents mod 5.  The
+    raw composed pair is cross-multiplied with j, not normalized.  inv
+    defaults to build_invariants(); it is a parameter for mutation tests.
     """
-    if isinstance(gen, str):
-        gen = mobius_gen(gen)
-    inv = build_invariants()
-    jn, jd = _lift_pair(inv.j, QZETA5)
-
-    def composes_to_self(num, den):
-        cn, cd = _compose_mobius_raw(num, den, gen)
-        if cd.is_zero():
-            return False
-        return cn * den == num * cd
-
-    if not composes_to_self(jn, jd):
-        return False
-    if gen.label == "S":
-        mn, md = _lift_pair(inv.mu, QZETA5)
-        if not composes_to_self(mn, md):
-            return False
-        ln, ld = _lift_pair(inv.lam, QZETA5)
-        if composes_to_self(ln, ld):
-            return False  # lambda must move under S; only mu has trivial S-action
-    return True
+    inv = inv or build_invariants()
+    if gen == "S":
+        return _rotation_mismatch(inv.lam, {"j": inv.j, "mu": inv.mu}) is None
+    (a, b), (c, d) = _GENERATORS[gen] if isinstance(gen, str) else gen
+    num, den = inv.j
+    dom = next((x.field.domain() for x in (a, b, c, d)
+                if isinstance(x, AlgElement)), QDOM)
+    if dom is not QDOM:
+        num, den = (f.map_coeffs(dom.field.from_scalar, dom) for f in (num, den))
+    z = Poly([dom.zero, dom.one], dom)
+    cn, cd = compose_homogeneous((num, den), z * a + b, z * c + d,
+                                 max(num.degree(), den.degree()))
+    return bool(cd) and cn * den == num * cd
 
 
 # -- resolvent quintic -------------------------------------------------------
@@ -213,6 +170,31 @@ def _exponent_off(poly, r):
                 None)
 
 
+def _rotation_mismatch(lam, fixed):
+    """The rotation z -> zeta5 z, read off exponents mod 5.
+
+    Each (num, den) in fixed, a dict by name, has only exponents 0 mod 5,
+    so f(zeta5 z) = f(z).  lambda = P/Q: Q has only exponents 1 mod 5, so
+    Q(zeta5 z) = zeta5 Q(z), and P has one that is not, so
+    lambda(zeta5^nu z) != lambda(z) for nu = 1..4.  Returns None, else the
+    first failure: (name, e) for a term z^e of a fixed pair, e != 0 mod 5;
+    ("lambda", e) for a term z^e of Q, e != 1 mod 5; ("lambda", None) when
+    every exponent of P is 1 mod 5, so that lambda(zeta5 z) = lambda(z).
+    """
+    for name, pair in fixed.items():
+        for poly in pair:
+            e = _exponent_off(poly, 0)
+            if e is not None:
+                return name, e
+    P, Q = lam
+    e = _exponent_off(Q, 1)
+    if e is not None:
+        return "lambda", e
+    if _exponent_off(P, 1) is None:
+        return "lambda", None
+    return None
+
+
 def resolvent_identity_mismatch(w_per_n=Fraction(1, 12), lam=None, j=None):
     """Prove that the resolvents are the roots of x^5 + A x^2 + B x + C.
 
@@ -227,13 +209,10 @@ def resolvent_identity_mismatch(w_per_n=Fraction(1, 12), lam=None, j=None):
         1/D in the table, the quintic at X = x cleared by W^5 J D^q is a
         form of degree 5 in (m, n) over Q[L]; its six coefficients of
         m^i n^(5-i) vanish.
-    (ii) Every exponent of the numerator and the denominator of j is
-        0 mod 5, so j(zeta5 z) = j(z).
-    (iii) Every exponent of Q is 1 mod 5, so Q(zeta5 z) = zeta5 Q(z), and
-        P has an exponent that is not 1 mod 5 (P(0) != 0), so
-        P(zeta5^nu z) != zeta5^nu P(z) for nu = 1..4.  Then
-        lambda(zeta5^nu z) != lambda(z), and with z -> zeta5^a z the five
-        lambda_nu = lambda(zeta5^nu z) are distinct.
+    (ii) j(zeta5 z) = j(z), and (iii) lambda(zeta5^nu z) != lambda(z)
+        for nu = 1..4, so with z -> zeta5^a z the five
+        lambda_nu = lambda(zeta5^nu z) are distinct.  _rotation_mismatch
+        reads both off the exponents mod 5.
 
     lambda_nu is not constant, so no nonzero polynomial in L vanishes at
     it, and (i) holds at L = lambda_nu, where J(lambda_nu) = j(zeta5^nu z)
@@ -244,10 +223,8 @@ def resolvent_identity_mismatch(w_per_n=Fraction(1, 12), lam=None, j=None):
     roots: prod_nu (X - x_nu) = X^5 + A X^2 + B X + C for all (m, n).
 
     Returns None when all three facts hold, else the first failure:
-    ("quintic", i) for a nonzero coefficient of m^i n^(5-i) in (i),
-    ("j", e) for a term z^e of j with e != 0 mod 5, ("lambda", e) for a
-    term z^e of Q with e != 1 mod 5, or ("lambda", None) when every
-    exponent of P is 1 mod 5, which makes lambda(zeta5 z) = lambda(z).
+    ("quintic", i) for a nonzero coefficient of m^i n^(5-i) in (i), else
+    ("j", e), ("lambda", e) or ("lambda", None) from _rotation_mismatch.
 
     The coefficient functions take n/12, not n: the resolvents and
     quintic.resolvent_coeffs normalize the second parameter differently,
@@ -277,14 +254,4 @@ def resolvent_identity_mismatch(w_per_n=Fraction(1, 12), lam=None, j=None):
     for i, form in enumerate(forms):
         if form:
             return "quintic", i
-    for poly in j or inv.j:
-        e = _exponent_off(poly, 0)
-        if e is not None:
-            return "j", e
-    P, Q = lam or inv.lam
-    e = _exponent_off(Q, 1)
-    if e is not None:
-        return "lambda", e
-    if _exponent_off(P, 1) is None:
-        return "lambda", None
-    return None
+    return _rotation_mismatch(lam or inv.lam, {"j": j or inv.j})

@@ -26,7 +26,9 @@ Cayley graph (each element times each generator), verify_relations checks
 the braid-like generator relations together with the documented failure
 at a/d = +-2, and verify_congruence checks that the residue homomorphism
 applied entrywise is the identity on all 240 elements and that the lift is
-faithful.
+faithful.  Nine of the ten generator lifts are monomial with entries in
+{+-1, +-i}, so only the S edges of the lift table and of the Cayley graph
+multiply over the order; the others permute and negate coordinates.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import QEPSI
+from .exact import AlgElement, QEPSI
 from .localfield import residue_mod5
 
 __all__ = [
@@ -55,6 +57,9 @@ __all__ = [
 
 _WORD_CAP = 40
 _SQUARES = (1, 4)
+# omega5(a) = i^k for 2^k = a mod 5, since omega5 is multiplicative and
+# omega5(2) = i
+_OMEGA5_LOG = {pow(2, k, 5): k for k in range(4)}
 
 
 def _oe(x):
@@ -73,8 +78,20 @@ def teichmuller(a: int):
     a %= 5
     if a == 0:
         raise ValueError("0 has no multiplicative lift")
-    i = QEPSI.gen(2)
-    return (QEPSI.one, i, -i, -QEPSI.one)[a - 1]
+    return AlgElement(QEPSI, _times_i(QEPSI.one.coords, _OMEGA5_LOG[a]))
+
+
+def _times_i(c, k):
+    """The coordinates of x i^k from those of x, k = 0..3: on 1, eps, i,
+    i*eps a factor i maps (x0, x1, x2, x3) to (-x2, -x3, x0, x1)."""
+    x0, x1, x2, x3 = c
+    if k == 0:
+        return c
+    if k == 1:
+        return -x2, -x3, x0, x1
+    if k == 2:
+        return -x0, -x1, -x2, -x3
+    return x2, x3, -x0, -x1
 
 
 def residue_hom(x) -> int:
@@ -180,7 +197,12 @@ class RepMatrix:
     def key(self):
         return (self.a.coords, self.b.coords, self.c.coords, self.d.coords)
 
+    @classmethod
+    def from_key(cls, key) -> "RepMatrix":
+        return cls(*(AlgElement(QEPSI, c) for c in key))
 
+
+@lru_cache(maxsize=1)
 def _admissible_pairs():
     return tuple((a, d) for a in range(1, 5) for d in range(1, 5)
                  if a * d % 5 in _SQUARES)
@@ -190,6 +212,7 @@ def _diag_lift(a: int, d: int) -> RepMatrix:
     return RepMatrix(teichmuller(a), 0, 0, teichmuller(d))
 
 
+@lru_cache(maxsize=1)
 def pi_generators():
     """(S, T, U) with U a builder requiring ad to be a nonzero square mod 5."""
     eps = QEPSI.gen(1)
@@ -248,17 +271,33 @@ def enumerate_group():
     return list(_group_data()[0])
 
 
+def _times_generator(key, idx):
+    """The key of M L(s) from the key of M, s the generator idx.
+
+    idx 0 is S, a product over the order.  The other lifts are monomial
+    with entries in {+-1, +-i}: M T = [[b, -a], [d, -c]], and
+    M diag(i^p, i^q) multiplies column 1 by i^p and column 2 by i^q, which
+    permutes and negates coordinates (_times_i); so this is exactly the
+    key of M * L(s).
+    """
+    if idx == 0:
+        return (RepMatrix.from_key(key) * pi_generators()[0]).key()
+    a, b, c, d = key
+    if idx == 1:
+        return b, _times_i(a, 2), d, _times_i(c, 2)
+    p, q = _admissible_pairs()[idx - 2]
+    p, q = _OMEGA5_LOG[p], _OMEGA5_LOG[q]
+    return _times_i(a, p), _times_i(b, q), _times_i(c, p), _times_i(d, q)
+
+
 @lru_cache(maxsize=1)
 def _lift_table():
-    S, T, _ = pi_generators()
-    lifts = [S, T]
-    lifts.extend(_diag_lift(a, d) for a, d in _admissible_pairs())
     order, _, parents = _group_data()
-    table = {order[0]: RepMatrix.identity()}
+    keys = {order[0]: RepMatrix.identity().key()}
     for g in order[1:]:
         parent, idx = parents[g]
-        table[g] = table[parent] * lifts[idx]
-    return table
+        keys[g] = _times_generator(keys[parent], idx)
+    return {g: RepMatrix.from_key(k) for g, k in keys.items()}
 
 
 def lift_pi(g: F5Matrix) -> RepMatrix:
@@ -276,12 +315,14 @@ def verify_homomorphism() -> bool:
     and the 10 generator shadows s.  Every h is a word s_1 ... s_k in the
     generators, so by induction on k, L(gh) = L(g) L(s_1) ... L(s_k); at
     g = 1, where L(1) = 1, this reads L(h) = L(s_1) ... L(s_k), and so
-    L(gh) = L(g) L(h).
+    L(gh) = L(g) L(h).  Each L(g) L(s) is _times_generator on the
+    coordinate keys, so only the 240 edges by S multiply over the order;
+    all 2400 edges are compared exactly.
     """
-    table = _lift_table()
+    keys = {g: m.key() for g, m in _lift_table().items()}
     gens = _shadow_generators()
-    return all(table[g] * table[s] == table[g * s]
-               for g in _group_data()[0] for s in gens)
+    return all(_times_generator(keys[g], idx) == keys[g * s]
+               for g in _group_data()[0] for idx, s in enumerate(gens))
 
 
 def verify_relations() -> bool:

@@ -458,6 +458,30 @@ def test_analyze_digit_bound(tmp_path, capsys):
                    "numerator or denominator\n")
 
 
+def test_analyze_digit_bound_under_lowered_int_limit():
+    # the 80-digit worst case prints integers of more than 640 digits; a
+    # lowered int-to-str limit is raised to the default while the CLI runs
+    nines = "9" * cli.MAX_INPUT_DIGITS
+
+    def analyze(a, limit):
+        env = child_env()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        return subprocess.run(
+            [sys.executable, "-m", "icosahedral.cli", "analyze", "--a", a,
+             "--b", f"7/{nines}", "--c", "5"],
+            capture_output=True, env=env, timeout=60)
+
+    default, lowered = analyze(nines, None), analyze(nines, "640")
+    assert default.returncode == lowered.returncode == 0
+    assert lowered.stdout == default.stdout
+    assert max(len(d) for d in re.findall(rb"\d+", lowered.stdout)) > 640
+    over = analyze(nines + "9", "640")
+    assert over.returncode == 2 and over.stdout == b""
+    assert b"more than 80 digits" in over.stderr
+
+
 @pytest.mark.parametrize("level", ["BASIC_FORMAT", "no-such-level", "info"])
 def test_log_level_names_only(level):
     # BASIC_FORMAT is an attribute of logging but not a level name
@@ -707,6 +731,18 @@ def test_verify_timings_flag(capsys):
     rc, out, _ = run_cli(capsys, "verify", "hecke", "--timings")
     assert rc == 0
     assert isinstance(json.loads(out)["wall_time_ms"], int)
+
+
+def test_verify_suite_timings(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "all", "--timings")
+    assert rc == 0
+    report = json.loads(out)
+    suite_ms = report["suite_wall_time_ms"]
+    assert list(suite_ms) == list(cli.SUITE_NAMES)
+    assert all(isinstance(ms, int) and ms >= 0 for ms in suite_ms.values())
+    assert sum(suite_ms.values()) <= report["wall_time_ms"]
+    rc, out, _ = run_cli(capsys, "verify", "hecke")
+    assert "suite_wall_time_ms" not in json.loads(out)
 
 
 def test_verify_unknown_suite():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -8,10 +9,40 @@ import mpmath as mp
 import pytest
 import sympy as sp
 
-from icosahedral import icosa, quintic
-from icosahedral.exact import QDOM, QZETA5, Poly, poly_gcd
+from icosahedral import exact, icosa, quintic
+from icosahedral.exact import (
+    QDOM, QSQRT5, QZETA5, AlgElement, Poly, compose_homogeneous, poly_gcd,
+)
 
 mp.mp.dps = 60
+
+# -- composition over Q(zeta5): an oracle for the invariance checks --------
+
+def lift_pair(f, field=QZETA5):
+    """A (num, den) pair over Q with its coefficients in field."""
+    dom = field.domain()
+    return tuple(p.map_coeffs(field.from_scalar, dom) for p in f)
+
+
+def zeta5_matrix(label):
+    """S, T or U as ((a, b), (c, d)) over Q(zeta5), eps = zeta5 + zeta5^4."""
+    zeta, one, zero = QZETA5.gen(1), QZETA5.one, QZETA5.zero
+    eps = zeta + zeta ** 4  # (sqrt5 - 1)/2
+    return {"S": ((zeta, zero), (zero, one)),
+            "T": ((eps, one), (one, -eps)),
+            "U": ((zero, -one), (one, zero))}[label]
+
+
+def zeta5_fixes(f, matrix):
+    """Whether f((az+b)/(cz+d)) = f(z) for f = (num, den) over Q, composed
+    over Q(zeta5) and cross-multiplied."""
+    num, den = lift_pair(f)
+    (a, b), (c, d) = matrix
+    cn, cd = compose_homogeneous((num, den), Poly([b, a], num.dom),
+                                 Poly([d, c], num.dom),
+                                 max(num.degree(), den.degree()))
+    return not cd.is_zero() and cn * den == num * cd
+
 
 # -- the Q(zeta5) product: an oracle for the proof in Q[L] ------------------
 
@@ -48,7 +79,7 @@ def resolvent_parts():
     Jn = (P+3Q)^3 (P^2+11PQ+64Q^2), Jd = Q^5; D = 1728 Jd - Jn.
     """
     inv = icosa.build_invariants()
-    P, Q = icosa._lift_pair(inv.lam, QZETA5)
+    P, Q = lift_pair(inv.lam)
     zeta = QZETA5.gen(1)
     U, V, W = [], [], []
     for nu in range(5):
@@ -207,37 +238,68 @@ def test_invariance_generators():
         assert icosa.verify_invariance(label)
 
 
-def test_invariance_details():
+def test_invariance_matches_zeta5_oracle():
+    # the composition over Q(zeta5) agrees with each check in its own
+    # field: S, T and U fix j; S fixes mu and moves lambda; U fixes lambda
     inv = icosa.build_invariants()
-    S = icosa.mobius_gen("S")
-    mn, md = icosa._lift_pair(inv.mu, QZETA5)
-    cn, cd = icosa._compose_mobius_raw(mn, md, S)
-    assert cn * md == mn * cd  # mu o S = mu
-    ln, ld = icosa._lift_pair(inv.lam, QZETA5)
-    cn, cd = icosa._compose_mobius_raw(ln, ld, S)
-    assert cn * ld != ln * cd  # lambda moves under S
-    # lambda and mu are both fixed by U (an easy hand check for mu)
-    U = icosa.mobius_gen("U")
-    cn, cd = icosa._compose_mobius_raw(ln, ld, U)
-    assert cn * ld == ln * cd
+    for label in "STU":
+        assert zeta5_fixes(inv.j, zeta5_matrix(label))
+        assert icosa.verify_invariance(label)
+    assert zeta5_fixes(inv.mu, zeta5_matrix("S"))
+    assert not zeta5_fixes(inv.lam, zeta5_matrix("S"))
+    assert zeta5_fixes(inv.lam, zeta5_matrix("U"))
+    # a z^7 term in j breaks all three, in the oracle and in the checks
+    z = Poly.over_q([0, 1])
+    Jn, Jd = inv.j
+    bad = dataclasses.replace(inv, j=(Jn + z ** 7, Jd))
+    for label in "STU":
+        assert not zeta5_fixes(bad.j, zeta5_matrix(label))
+        assert not icosa.verify_invariance(label, inv=bad)
 
 
 def test_invariance_mutation():
-    # a non-icosahedral Moebius map must move j
-    zeta = QZETA5.gen(1)
-    one, zero = QZETA5.one, QZETA5.zero
-    bad = icosa.MobiusGen("S", ((zeta * zeta, zero), (zero, one)))
-    # z -> zeta^2 z is in the group; z -> 2z is not
-    assert icosa.verify_invariance(bad)
-    worse = icosa.MobiusGen("S", ((one * 2, zero), (zero, one)))
-    assert not icosa.verify_invariance(worse)
+    # Moebius maps outside the group must move j: z -> 2z and z -> 1/z
+    # over Q, T with eps + 1 or -eps in place of eps over Q(sqrt5)
+    eps = (QSQRT5.gen(1) - 1) / 2
+    one = QSQRT5.one
+    for matrix in (((2, 0), (0, 1)), ((0, 1), (1, 0)),
+                   ((eps + 1, one), (one, -(eps + 1))),
+                   ((-eps, one), (one, eps))):
+        assert not icosa.verify_invariance(matrix)
+    # T with the Galois-conjugate eps' = -1 - eps is T conjugated by sigma,
+    # and fixes j because j is rational
+    conj = -1 - eps
+    assert icosa.verify_invariance(((conj, one), (one, -conj)))
+    # z -> -1/z over Q, as a matrix, is U
+    assert icosa.verify_invariance(((0, -1), (1, 0)))
 
 
-def test_mobius_gen_validation():
-    with pytest.raises(ValueError):
-        icosa.mobius_gen("V")
-    with pytest.raises(ValueError):
-        icosa.MobiusGen("X", ((QZETA5.one, QZETA5.one), (QZETA5.one, QZETA5.one)))
+def test_invariance_s_mutation():
+    # invariance-S reads exponents mod 5: a z^1 term in mu's numerator, a
+    # lambda whose every exponent is 1 mod 5
+    inv = icosa.build_invariants()
+    z = Poly.over_q([0, 1])
+    Mn, Md = inv.mu
+    Q = inv.lam[1]
+    fixed = Poly.over_q([0, 1, 0, 0, 0, 0, 3])
+    for bad in (dataclasses.replace(inv, mu=(Mn + z, Md)),
+                dataclasses.replace(inv, lam=(fixed, Q))):
+        assert not icosa.verify_invariance("S", inv=bad)
+    assert not zeta5_fixes((Mn + z, Md), zeta5_matrix("S"))
+    assert zeta5_fixes((fixed, Q), zeta5_matrix("S"))
+
+
+def test_invariance_validation():
+    with pytest.raises(KeyError):
+        icosa.verify_invariance("V")
+    # a singular matrix maps z to a constant, which does not fix j
+    assert not icosa.verify_invariance(((1, 1), (1, 1)))
+
+
+def test_invariance_without_qzeta5(no_qzeta5):
+    icosa.build_invariants()
+    for label in "STU":
+        assert icosa.verify_invariance(label)
 
 
 def test_resolvent_functions_specializations():
@@ -363,12 +425,25 @@ def test_resolvent_forms_match_direct_product(mn):
 
 class NoQZeta5:
     def __getattr__(self, name):
-        raise AssertionError("the proof in Q[L] must not use Q(zeta5)")
+        raise AssertionError("the proofs in src/ must not use Q(zeta5)")
 
 
-def test_resolvent_identity_all_mn(monkeypatch):
+@pytest.fixture
+def no_qzeta5(monkeypatch):
+    """Fail on any use of Q(zeta5): exact.QZETA5 becomes a stand-in that
+    raises, and building an element of the real field raises."""
+    monkeypatch.setattr(exact, "QZETA5", NoQZeta5())
+    init = AlgElement.__init__
+
+    def guarded(self, field, coords):
+        assert field is not QZETA5, "an element of Q(zeta5) was built"
+        init(self, field, coords)
+
+    monkeypatch.setattr(AlgElement, "__init__", guarded)
+
+
+def test_resolvent_identity_all_mn(no_qzeta5):
     icosa.build_invariants()
-    monkeypatch.setattr(icosa, "QZETA5", NoQZeta5())
     started = time.monotonic()
     assert icosa.resolvent_identity_mismatch() is None
     assert time.monotonic() - started < 1

@@ -141,11 +141,24 @@ def lift_table_from(lifts):
     return table
 
 
+def generator_lifts():
+    S, T, _ = pi_generators()
+    return [S, T] + [_diag_lift(a, d) for a, d in repn._admissible_pairs()]
+
+
+def test_unit_edges_match_products():
+    # the helper of the certificate against the plain product, on all
+    # 2400 Cayley-graph edges
+    lifts = generator_lifts()
+    for m in repn._lift_table().values():
+        for idx, s in enumerate(lifts):
+            assert repn._times_generator(m.key(), idx) == (m * s).key()
+
+
 def test_homomorphism_certificate(monkeypatch):
     assert verify_homomorphism()
-    S, T, _ = pi_generators()
+    lifts = generator_lifts()
     pairs = repn._admissible_pairs()
-    lifts = [S, T] + [_diag_lift(a, d) for a, d in pairs]
     assert lift_table_from(lifts) == repn._lift_table()
     # -T, and the lifts of U(2, 3) and U(3, 2) swapped, each break it
     neg_t = lifts[:1] + [RepMatrix(0, 1, -1, 0)] + lifts[2:]
@@ -156,6 +169,13 @@ def test_homomorphism_certificate(monkeypatch):
         table = lift_table_from(bad)
         monkeypatch.setattr(repn, "_lift_table", lambda: table)
         assert not verify_homomorphism()
+
+
+def test_homomorphism_certificate_unit_helper(monkeypatch):
+    # the helper with omega5(2) = -i in place of i breaks the certificate
+    repn._lift_table()
+    monkeypatch.setattr(repn, "_OMEGA5_LOG", {**repn._OMEGA5_LOG, 2: 3})
+    assert not verify_homomorphism()
 
 
 def zepsi_mul(x, y):
