@@ -54,7 +54,6 @@ __all__ = [
     "resultant_pencil",
     "poly_divides",
     "sqrt_exact",
-    "poly_sqrt",
 ]
 
 
@@ -77,7 +76,8 @@ class FieldDescriptor:
     """A finite-dimensional commutative Q-algebra by structure constants.
 
     ``table[i][j]`` holds the Fraction coordinates of basis_i * basis_j, and
-    every element has Fraction coordinates.
+    every element has Fraction coordinates.  ``involutions`` maps a name to
+    a diagonal involution, given by its tuple of +-1 signs on the basis.
     """
 
     def __init__(self, name, basis, table):
@@ -261,18 +261,10 @@ class AlgElement:
         return result
 
     def conj(self, name):
-        """Apply a named involution (a coordinate-matrix map) of the algebra."""
-        mat = self.field.involutions[name]
-        n = self.field.dim
-        out = []
-        for i in range(n):
-            acc = Fraction(0)
-            for j in range(n):
-                s = mat[i][j]
-                if s:
-                    acc = acc + self.coords[j] * s
-            out.append(acc)
-        return AlgElement(self.field, tuple(out))
+        """Apply a named involution: negate the coordinates it signs -1."""
+        signs = self.field.involutions[name]
+        return AlgElement(self.field, tuple(
+            a if s > 0 else -a for a, s in zip(self.coords, signs)))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -321,16 +313,9 @@ def power_basis_algebra(name, dim, top, gen_name="y"):
     return FieldDescriptor(name, basis, table)
 
 
-def _neg_identity_signs(signs):
-    """Diagonal involution matrix from a tuple of +-1 signs."""
-    n = len(signs)
-    return tuple(tuple(Fraction(signs[i]) if i == j else Fraction(0) for j in range(n))
-                 for i in range(n))
-
-
 def _make_qsqrt5():
     fd = power_basis_algebra("Qsqrt5", 2, (Fraction(5), Fraction(0)), gen_name="s5")
-    fd.involutions["sigma"] = _neg_identity_signs((1, -1))
+    fd.involutions["sigma"] = (1, -1)
     return fd
 
 
@@ -353,7 +338,7 @@ def _make_qepsi():
         [v(0, 0, 0, 1), v(0, 0, 1, -1), v(0, -1), v(-1, 1)],
     ]
     fd = FieldDescriptor("QepsI", ("1", "eps", "i", "i*eps"), table)
-    fd.involutions["conj"] = _neg_identity_signs((1, 1, -1, -1))
+    fd.involutions["conj"] = (1, 1, -1, -1)
     return fd
 
 
@@ -951,34 +936,3 @@ def poly_divides(g, f):
     a, _ = _clear_denominators(f.coeffs)
     b, _ = _clear_denominators(g.coeffs)
     return not _pseudo_rem_int(_primitive(a), _primitive(b))
-
-
-def poly_sqrt(p):
-    """Return (c, g) with p = c * g^2, g monic, or None if no such square.
-
-    The coefficient domain must be a field of characteristic 0.
-    """
-    if p.is_zero():
-        return p.dom.zero, Poly((), p.dom)
-    n = p.degree()
-    if n % 2:
-        return None
-    m = n // 2
-    c = p.lc()
-    inv_c = p.dom.one / c
-    ph = [a * inv_c for a in p.coeffs]
-    g = [p.dom.zero] * (m + 1)
-    g[m] = p.dom.one
-    two = p.dom.one + p.dom.one
-    for k in range(1, m + 1):
-        # coefficient of x^(2m-k) in g^2 must equal ph[2m-k]
-        acc = p.dom.zero
-        for i in range(m - k + 1, m):
-            j = 2 * m - k - i
-            if m - k < j <= m:
-                acc = acc + g[i] * g[j]
-        g[m - k] = (ph[2 * m - k] - acc) / two
-    gp = Poly(g, p.dom)
-    if gp * gp == Poly(ph, p.dom):
-        return c, gp
-    return None

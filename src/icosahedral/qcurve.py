@@ -22,8 +22,9 @@ j-equation of q_t is an identity in r, proved by the same kind of degree
 bound in j_equation_family_mismatch.
 
 For E_j the module computes the 5-division polynomial, the monic sextic
-g(S) whose roots are the sums x_P + x_{2P} over 5-torsion P, and the link
-between g and q'(mu) = (mu^2+10mu+5)^3 - j mu through the transforms
+g(S) whose roots are the sums x_P + x_{2P} over 5-torsion P (a closed form
+in b and c), and the link between g and q'(mu) = (mu^2+10mu+5)^3 - j mu
+through the transforms
 
     x = -2(mu^2+10mu+5)/(mu^2+4mu-1),
     mu = 31104 x^3 / ((x+2)^5 j - 1728 x^3 (x^2+10x+34)).
@@ -33,9 +34,12 @@ q'(mu) by the cleared forward transform (x+2)mu^2 + 4(x+5)mu + (10-x) is
 exactly [1728x^3(x^2+10x+34) - j(x+2)^5] mu + 31104x^3.
 
 The forward transform is 2-to-1: its deck involution mu -> -(mu+5)/(mu+1)
-carries q' to a second sextic, and the cleared composite g(x(mu)) factors
-as a scalar times the product of the two.  verify_klein_link checks that
-factorization and the mu(x) direction modulo g.
+carries q' to a second sextic, and the cleared composite g(x(mu)) is
+(1 + k)^2 times the product of the two, where k = j/(1728 - j).  In k, E_j
+is y^2 = x^3 + 3kx + 2k, and that factorization, the mu(x) direction
+modulo g and the resultant that defines g are identities in k of degree
+at most 24, proved for every j at once at 25 values of k
+(klein_link_family_mismatch).
 """
 
 from __future__ import annotations
@@ -43,9 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    QSQRT5, Poly, poly_divides, poly_gcd, poly_sqrt, resultant_pencil,
-)
+from .exact import QSQRT5, Poly, poly_divides, poly_gcd, resultant_pencil
 from .quintic import Quintic, invariants, j_equation
 
 __all__ = [
@@ -60,8 +62,9 @@ __all__ = [
     "j_equation_family_mismatch",
     "division_poly5",
     "x5sum_resolvent",
-    "x5sum_resolvent_scaled",
     "mu_sextic",
+    "klein_link_mismatch",
+    "klein_link_family_mismatch",
     "verify_klein_link",
 ]
 
@@ -286,52 +289,34 @@ def division_poly5(E: EllipticCurve) -> Poly:
     return (f * f * g6).scale(32) - psi3 ** 3
 
 
-def x5sum_resolvent_scaled(E: EllipticCurve):
-    """(scalar, g) with Res_x(psi5, duplication relation) = scalar * g^2.
+def x5sum_resolvent(E: EllipticCurve) -> Poly:
+    """Monic sextic whose roots are the sums x_P + x_{2P}, P of order 5.
 
-    The second resultant argument is q0(x) + S q1(x) with
-    q0 = -4xf(x) - (x^4-2bx^2-8cx+b^2) and q1 = 4f(x), i.e. the clearing of
-    S = x + x_dup(x); its roots in S pair each 5-torsion x with its
-    doubling, so the degree-12 resultant in S is a square up to the
-    recorded scalar and g is monic of degree 6.
+    For y^2 = x^3 + bx + c it is the closed form
 
-    The resultant is taken by interpolation in S (exact.resultant_pencil).
-    Of the 16 rows of the Sylvester matrix, the 4 rows from psi5 do not
-    involve S and the 12 rows from q0 + S q1 are linear in S, so the
-    resultant has S-degree at most 12.  Its leading x-coefficients are
-    lc(psi5) = 5 and lc(q0) = -5, free of S because deg q1 = 3 < 4 =
-    deg q0; so setting S = s leaves the matrix shape unchanged, and the
-    resultant in S specializes to the resultant at s.  The 13 values at
-    s = 0..12 therefore determine it.
+        g(S) = S^6 + 20b S^4 + 160c S^3 - 80b^2 S^2 - 128bc S - 80c^2,
+
+    and klein_link_mismatch proves Res_x(psi5, q0 + S q1)
+    = 5 2^24 (4b^3 + 27c^2)^6 g(S)^2, where q0 + S q1 clears
+    S = x + x([2]P): the roots in S of the resultant pair each 5-torsion x
+    with its doubling.
     """
     b, c = _rational_bc(E)
-    psi5 = division_poly5(E)
-    q0 = Poly.over_q([-b * b, 4 * c, -2 * b, 0, -5])
-    q1 = Poly.over_q([4 * c, 4 * b, 0, 4])
-    res = resultant_pencil(psi5, q0, q1)
-    if res.degree() != 12:
-        raise ArithmeticError("resultant degenerated; unexpected torsion collision")
-    root = poly_sqrt(res)
-    if root is None:
-        raise ArithmeticError("resultant is not a square up to scalar")
-    scalar, g = root
-    if g.degree() != 6:
-        raise ArithmeticError("square root has unexpected degree")
-    return scalar, g
+    return Poly.over_q([-80 * c * c, -128 * b * c, -80 * b * b, 160 * c,
+                        20 * b, 0, 1])
 
 
-def x5sum_resolvent(E: EllipticCurve) -> Poly:
-    """Monic sextic whose roots are the sums x_P + x_{2P}, P of order 5."""
-    return x5sum_resolvent_scaled(E)[1]
-
-
-# the j-independent parts of the klein-link polynomials, built once; j
+# the k-independent parts of the klein-link polynomials, built once; k
 # enters each by scale
 _MU_CORE_CUBED = Poly.over_q([5, 10, 1]) ** 3  # (mu^2+10mu+5)^3
-# (mu+5)(mu+1)^5, (x+2)^5 and 1728x^3(x^2+10x+34)
-_PULLBACK_J_TERM = Poly.over_q([5, 1]) * Poly.over_q([1, 1]) ** 5
-_INVERSE_DEN_J_TERM = Poly.over_q([2, 1]) ** 5
-_INVERSE_DEN_CONSTANT = Poly.over_q([0, 0, 0, 1728]) * Poly.over_q([34, 10, 1])
+# (mu+5)(mu+1)^5, (x+2)^5 and x^3(x^2+10x+34)
+_PULLBACK_K_TERM = Poly.over_q([5, 1]) * Poly.over_q([1, 1]) ** 5
+_INVERSE_DEN_K_TERM = Poly.over_q([2, 1]) ** 5
+_INVERSE_DEN_CONSTANT = Poly.over_q([0, 0, 0, 1]) * Poly.over_q([34, 10, 1])
+
+# values of k for klein_link_family_mismatch: 25 rationals outside {0, -1},
+# one more than the largest degree bound 24
+_KLEIN_LINK_K = tuple(Fraction(k) for k in range(1, 26))
 
 
 def mu_sextic(j) -> Poly:
@@ -340,42 +325,94 @@ def mu_sextic(j) -> Poly:
     return _MU_CORE_CUBED - Poly.over_q([0, j])
 
 
-def _proportional(p: Poly, q: Poly) -> bool:
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    return p.scale(q.lc()) == q.scale(p.lc())
+def klein_link_mismatch(k):
+    """The link between the 5-torsion sextic of E_j and q'(mu), at one k.
 
+    E_j is y^2 = x^3 + bx + c with b = 3k, c = 2k, k = j/(1728 - j), so
+    j = 1728k/(1 + k).  With g = x5sum_resolvent(E_j), three exact facts:
 
-def verify_klein_link(j) -> bool:
-    """Link the 5-torsion sextic of E_j with q'(mu), both directions.
+    * "resultant": Res_x(psi5, q0 + S q1) = 5 2^24 (4b^3 + 27c^2)^6 g(S)^2,
+      where q0 = -4xf - (x^4 - 2bx^2 - 8cx + b^2) and q1 = 4f,
+      f = x^3 + bx + c, so that q0 + S q1 clears S = x + x([2]P);
+    * "(a)": g(-2(mu^2+10mu+5)/(mu^2+4mu-1)) (mu^2+4mu-1)^6
+      = [(1+k) q'(mu)] [(1+k) pullback(mu)], where the pullback
+      64(mu^2+10mu+5)^3 - j(mu+5)(mu+1)^5 is q' under the deck involution
+      mu -> -(mu+5)/(mu+1) of that transform, cleared;
+    * "(b)": g divides F = (1+k) D^6 q'(N/D), N = 31104(1+k)x^3 and
+      D = 1728(k(x+2)^5 - (1+k)x^3(x^2+10x+34)): N/D is the inverse
+      transform 31104x^3/((x+2)^5 j - 1728x^3(x^2+10x+34)).
 
-    (a) the composite g(-2(mu^2+10mu+5)/(mu^2+4mu-1)), cleared by
-        (mu^2+4mu-1)^6, is a nonzero scalar times q'(mu) times the pullback
-        of q' under the deck involution mu -> -(mu+5)/(mu+1) of that
-        transform (the cleared pullback is 64(mu^2+10mu+5)^3
-        - j(mu+5)(mu+1)^5);
-    (b) q'(31104x^3/((x+2)^5 j - 1728x^3(x^2+10x+34))), cleared of its
-        denominator, vanishes modulo g(x).
+    Returns None, or (fact, k) for the first that fails.  A clearing
+    denominator sharing a root with q' or with g raises ArithmeticError.
 
-    Degenerate sharing of roots between a clearing denominator and q' or g
-    is reported as an error rather than silently cleared.
+    Each fact is an identity in k of bounded degree, so it holds for every
+    k once it holds at one more k than the bound:
+
+    * resultant, 24.  psi5 and q0 + S q1 are isobaric of weights 12 and 4
+      = their x-degrees, for x, b, c, S of weights 1, 2, 3, 1, so their
+      resultant is isobaric of weight 48 in b, c, S, as is the right side;
+      b^i c^l S^m of weight 2i + 3l + m = 48 has k-degree i + l <= 24.  The
+      leading coefficients 5 and -5 are free of k and S, so the resultant
+      at one k specializes the resultant in Q[k][S].
+    * (a), 2.  The coefficients of g have k-degree at most 2, and (1+k) q'
+      and (1+k) pullback each have k-degree 1.
+    * (b), 22.  For x and k of weights 1 and 2, N has weight at most 5, D
+      at most 7 and F = (1+k)(N^2 + 10ND + 5D^2)^3 - 1728k N D^5 at most
+      44; every term of g has weight at most 6, and g is monic in x, so
+      each division step keeps weight <= 44, and so does the remainder R
+      of F mod g, of x-degree below 6: a term k^a x^e has 2a + e <= 44, so
+      a <= 22.  Division by a monic g commutes with setting k.
+
+    The resultant identity is isobaric in (b, c), and
+    (b, c) -> (lambda^2 b, lambda^3 c) takes the curves y^2 = x^3 + 3kx + 2k
+    to every y^2 = x^3 + bx + c with bc != 0, so it holds for all (b, c).
     """
-    j = Fraction(j)
-    E = curve_from_j(j)
+    k = Fraction(k)
+    E = EllipticCurve(0, 3 * k, 2 * k)
+    b, c = E.a4, E.a6
     g = x5sum_resolvent(E)
-    qp = mu_sextic(j)
+    q0 = Poly.over_q([-b * b, 4 * c, -2 * b, 0, -5])
+    q1 = Poly.over_q([4 * c, 4 * b, 0, 4])
+    res = resultant_pencil(division_poly5(E), q0, q1)
+    if res != (g * g).scale(5 * 2 ** 24 * (4 * b ** 3 + 27 * c * c) ** 6):
+        return "resultant", k
 
-    num_a = Poly.over_q([-10, -20, -2])
+    qp = mu_sextic(1728 * k / (1 + k)).scale(1 + k)
     den_a = Poly.over_q([-1, 4, 1])
     if poly_gcd(den_a, qp).degree() > 0:
         raise ArithmeticError("transform denominator shares a root with q'")
-    comp_a = g.compose_frac(num_a, den_a)
-    pullback = _MU_CORE_CUBED.scale(64) - _PULLBACK_J_TERM.scale(j)
-    if not _proportional(comp_a, qp * pullback):
-        return False
+    pullback = _MU_CORE_CUBED.scale(64 * (1 + k)) \
+        - _PULLBACK_K_TERM.scale(1728 * k)
+    if g.compose_frac(Poly.over_q([-10, -20, -2]), den_a) != qp * pullback:
+        return "(a)", k
 
-    num_b = Poly.over_q([0, 0, 0, 31104])
-    den_b = _INVERSE_DEN_J_TERM.scale(j) - _INVERSE_DEN_CONSTANT
+    den_b = (_INVERSE_DEN_K_TERM.scale(k)
+             - _INVERSE_DEN_CONSTANT.scale(1 + k)).scale(1728)
     if poly_gcd(den_b, g).degree() > 0:
         raise ArithmeticError("transform denominator shares a root with g")
-    return poly_divides(g, qp.compose_frac(num_b, den_b))
+    if not poly_divides(g, qp.compose_frac(
+            Poly.over_q([0, 0, 0, 31104 * (1 + k)]), den_b)):
+        return "(b)", k
+    return None
+
+
+def klein_link_family_mismatch():
+    """Prove the klein link for every j outside {0, 1728}, by a degree bound.
+
+    Returns None, or the first (fact, k) of klein_link_mismatch at the 25
+    values k = 1, ..., 25 of _KLEIN_LINK_K.  The largest of the degree
+    bounds derived there is 24, so each fact holds identically in k, and
+    every rational j outside {0, 1728} has k = j/(1728 - j) outside
+    {0, -1}.
+    """
+    for k in _KLEIN_LINK_K:
+        mismatch = klein_link_mismatch(k)
+        if mismatch is not None:
+            return mismatch
+    return None
+
+
+def verify_klein_link(j) -> bool:
+    """klein_link_mismatch at k = j/(1728 - j), which is a6/2 on
+    curve_from_j(j); that rejects j in {0, 1728}."""
+    return klein_link_mismatch(curve_from_j(j).a6 / 2) is None

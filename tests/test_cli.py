@@ -21,6 +21,7 @@ from sympy import factorint
 
 import icosahedral
 from icosahedral import cli
+from icosahedral.exact import Poly
 
 # the src/ directory of the checkout under test, and its pyproject.toml
 SRC = Path(icosahedral.__file__).resolve().parents[1]
@@ -554,8 +555,39 @@ def test_verify_klein_link(capsys):
     assert rc == 0
     report = json.loads(out)
     assert report["status"] == "pass"
-    random_check = report["checks"][1]
-    assert random_check["witness"] == "6 seeded rational j values"
+    proof = report["checks"][1]
+    assert proof["id"] == "klein-link/random-samples"
+    assert proof["witness"] == ("the resultant identity, (a) and (b) hold at "
+                                "the 25 values k = 1, ..., 25")
+
+
+def _mutate_x5sum(monkeypatch):
+    # 20b -> 21b in the S^4 coefficient of the closed-form sextic
+    x5sum = cli.qcurve.x5sum_resolvent
+    monkeypatch.setattr(cli.qcurve, "x5sum_resolvent",
+                        lambda E: x5sum(E) + Poly.over_q([0, 0, 0, 0, E.a4]))
+
+
+@pytest.mark.parametrize("mutate, fact", [
+    (_mutate_x5sum, "resultant"),
+    # (x+2)^5 -> (x+3)^5 in the denominator D of the inverse transform
+    (lambda mp: mp.setattr(cli.qcurve, "_INVERSE_DEN_K_TERM",
+                           Poly.over_q([3, 1]) ** 5), "(b)"),
+    # (mu+1)^5 -> (mu+1)^4 in the pullback of q'
+    (lambda mp: mp.setattr(cli.qcurve, "_PULLBACK_K_TERM",
+                           Poly.over_q([5, 1]) * Poly.over_q([1, 1]) ** 4),
+     "(a)"),
+])
+def test_verify_klein_link_mutations(capsys, monkeypatch, mutate, fact):
+    # mutation companions of the proof in k: each fails its own fact at the
+    # first certificate value, and the witness names both
+    mutate(monkeypatch)
+    rc, out, _ = run_cli(capsys, "verify", "klein-link")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["klein-link/random-samples"]["status"] == "fail"
+    assert by_id["klein-link/random-samples"]["witness"] == \
+        f"the {fact} identity fails at k = 1"
 
 
 def test_verify_repn(capsys):
@@ -616,17 +648,19 @@ def test_verify_isogeny_failure_witness(capsys, monkeypatch):
 
 
 def test_proved_suites_ignore_samples_and_height(capsys):
-    # only klein-link/random-samples reads --samples and no check reads
-    # --height, so these reports differ only in the options they record
-    for suite in ("qcurve", "repn", "localfield"):
+    # no check reads --samples, --seed or --height, so these reports differ
+    # only in the seed and options they record
+    for suite in ("klein-link", "qcurve", "repn", "localfield"):
         reports = []
-        for samples, height in ((1, 0), (500, 5000)):
+        for samples, height, seed in ((1, 0, 1), (10000, 5000, 7)):
             rc, out, _ = run_cli(capsys, "verify", suite, "--samples",
-                                 str(samples), "--height", str(height))
+                                 str(samples), "--height", str(height),
+                                 "--seed", str(seed))
             assert rc == 0
             report = json.loads(out)
             assert report.pop("options") == {"samples": samples,
                                              "height": height}
+            assert report.pop("seed") == seed
             reports.append(report)
         assert reports[0] == reports[1]
 
@@ -642,8 +676,8 @@ def test_verify_samples_below_one(capsys):
 
 
 def test_verify_samples_above_bound(capsys):
-    # the sampler's range holds only 1,216,673 distinct j, so a count above
-    # it would never finish; the bound rejects it before any check runs
+    # --samples reaches no check, but a count above the bound is still a
+    # usage error, rejected before any check runs
     started = time.monotonic()
     for count in ("1216674", str(cli.MAX_SAMPLES + 1)):
         with pytest.raises(SystemExit) as exited:

@@ -12,7 +12,7 @@ from icosahedral import exact
 from icosahedral.exact import (
     QDOM, QEPSI, QSQRT5, QZETA5,
     AlgElement, Poly, _kron_mul_int, _kron_pack, _kron_unpack,
-    compose_homogeneous, poly_divides, poly_gcd, poly_sqrt, quadratic_field,
+    compose_homogeneous, poly_divides, poly_gcd, quadratic_field,
     resultant, resultant_pencil, sqrt_exact,
 )
 
@@ -161,6 +161,9 @@ def test_quadratic_field_and_zero_divisor():
 
 
 def test_involutions():
+    # an involution is its diagonal of signs on the basis
+    assert QSQRT5.involutions == {"sigma": (1, -1)}
+    assert QEPSI.involutions == {"conj": (1, 1, -1, -1)}
     s5 = QSQRT5.gen(1)
     assert s5.conj("sigma") == -s5
     assert (1 + s5 * 2).conj("sigma") == 1 - s5 * 2
@@ -652,19 +655,3 @@ def test_sqrt_exact_examples():
     assert sqrt_exact(Fraction(9, 4)) == Fraction(3, 2)
     assert sqrt_exact(Fraction(-9, 4)) is None
     assert sqrt_exact(0) == 0
-
-
-def test_poly_sqrt():
-    rng = random.Random(11)
-    for _ in range(15):
-        g = rand_poly(rng, rng.randint(1, 6))
-        if g.is_zero() or g.degree() < 1:
-            continue
-        g = g.monic()
-        c = Fraction(rng.randint(1, 20), rng.randint(1, 7))
-        p = (g * g).scale(c)
-        got = poly_sqrt(p)
-        assert got is not None
-        assert got[0] == c and got[1] == g
-    assert poly_sqrt(Poly.over_q([1, 1])) is None
-    assert poly_sqrt(Poly.over_q([1, 1, 1])) is None

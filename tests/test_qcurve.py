@@ -9,12 +9,14 @@ from icosahedral.cli import KLEIN_FIXED_J
 from icosahedral.exact import Poly, QSQRT5, poly_divides, poly_gcd
 from icosahedral.qcurve import (
     EllipticCurve, curve_from_j, curve_from_t, discriminant,
-    division_poly5, j_equation_family_mismatch, j_invariant, mu_sextic,
+    division_poly5, j_equation_family_mismatch, j_invariant,
+    klein_link_family_mismatch, klein_link_mismatch, mu_sextic,
     verify_isogeny_codomain, verify_isogeny_composition, verify_klein_link,
-    x5sum_resolvent, x5sum_resolvent_scaled,
+    x5sum_resolvent,
 )
 from icosahedral.qcurve import (
-    _ISOGENY_R_DEGREE, _J_EQUATION_R, _isogeny_identities, isogeny_mismatch,
+    _ISOGENY_R_DEGREE, _J_EQUATION_R, _KLEIN_LINK_K, _isogeny_identities,
+    isogeny_mismatch,
 )
 from icosahedral.quintic import Quintic, invariants, j_candidates, j_equation
 
@@ -500,15 +502,18 @@ def test_x5sum_matches_duplication_formula():
 
 
 def test_x5sum_scaled():
-    scalar, g = x5sum_resolvent_scaled(curve_from_j(2))
-    assert scalar
+    # the resultant in S is 5 2^24 (4b^3 + 27c^2)^6 times the closed form^2
+    E = curve_from_j(2)
+    g = x5sum_resolvent(E)
     assert g.degree() == 6 and g.lc() == 1
     assert list(g.coeffs) == [
         Fraction(-320, 744769), Fraction(-768, 744769),
         Fraction(-720, 744769), Fraction(320, 863), Fraction(60, 863),
         0, 1,
     ]
-    assert x5sum_resolvent(curve_from_j(2)) == g
+    scalar = 5 * 2 ** 24 * (4 * E.a4 ** 3 + 27 * E.a6 ** 2) ** 6
+    assert exact.resultant_pencil(*duplication_pencil(2)) == \
+        (g * g).scale(scalar)
 
 
 # -- the resultant in S: sympy as an oracle independent of the interpolation --
@@ -548,12 +553,12 @@ def test_resultant_pencil_matches_oracles(j):
 
 def test_resultant_pencil_needs_all_13_points(monkeypatch):
     # mutation companion: through s = 0..11 only, the interpolant is the
-    # resultant minus lc * S(S-1)...(S-11), of degree below 12, and
-    # x5sum_resolvent_scaled must refuse it
+    # resultant minus lc * S(S-1)...(S-11), of degree below 12, and the
+    # resultant fact of the klein-link proof must fail
     interpolate = exact._interpolate_int
     monkeypatch.setattr(exact, "_interpolate_int", lambda v: interpolate(v[:-1]))
-    with pytest.raises(ArithmeticError, match="resultant degenerated"):
-        x5sum_resolvent_scaled(curve_from_j(2))
+    assert klein_link_mismatch(1) == ("resultant", 1)
+    assert klein_link_family_mismatch() == ("resultant", 1)
 
 
 def test_mu_sextic_expansion():
@@ -566,8 +571,94 @@ def test_mu_sextic_expansion():
 
 
 def test_klein_link():
-    for j in (2, Fraction(-25, 3), 100, Fraction(5, 7), -1, 64):
+    # the per-j check at fixed and at seeded j, a test-side oracle for the
+    # proof in k
+    for j in (2, Fraction(-25, 3), 100, Fraction(5, 7), -1, 64, *seeded_j(20)):
         assert verify_klein_link(j)
+    for j in (0, 1728):
+        with pytest.raises(ValueError):
+            verify_klein_link(j)
+
+
+def test_klein_link_family():
+    assert _KLEIN_LINK_K == tuple(Fraction(k) for k in range(1, 26))
+    assert klein_link_family_mismatch() is None
+
+
+# -- the klein-link proof in k: sympy expansions of its identities and bounds --
+
+x_, S_, b_, c_, k_, mu_ = sp.symbols("x S b c k mu")
+
+
+def sym_x5sum(b, c, s):
+    return (s ** 6 + 20 * b * s ** 4 + 160 * c * s ** 3 - 80 * b ** 2 * s ** 2
+            - 128 * b * c * s - 80 * c ** 2)
+
+
+def sym_duplication_resultant():
+    """Res_x(psi5, q0 + S q1) in Q[b, c, S]."""
+    x, b, c = x_, b_, c_
+    f = x ** 3 + b * x + c
+    psi5 = 32 * f ** 2 * (x ** 6 + 5 * b * x ** 4 + 20 * c * x ** 3
+                          - 5 * b ** 2 * x ** 2 - 4 * b * c * x - 8 * c ** 2
+                          - b ** 3) \
+        - (3 * x ** 4 + 6 * b * x ** 2 + 12 * c * x - b ** 2) ** 3
+    q = -4 * x * f - (x ** 4 - 2 * b * x ** 2 - 8 * c * x + b ** 2) \
+        + S_ * 4 * f
+    return sp.resultant(sp.Poly(psi5, x), sp.Poly(q, x)).as_expr()
+
+
+def test_klein_link_resultant_identity_in_b_c():
+    # the identity the proof carries to every (b, c) by scaling
+    res = sym_duplication_resultant()
+    want = 5 * 2 ** 24 * (4 * b_ ** 3 + 27 * c_ ** 2) ** 6 \
+        * sym_x5sum(b_, c_, S_) ** 2
+    assert sp.expand(res - want) == 0
+    E = EllipticCurve(0, 3, -7)
+    g = x5sum_resolvent(E)
+    assert [sp.Rational(v) for v in g.coeffs] == \
+        sp.Poly(sym_x5sum(3, -7, S_), S_).all_coeffs()[::-1]
+
+
+def test_klein_link_degree_bounds():
+    # the bounds of klein_link_mismatch against the true expansions in k
+    k, x, mu = k_, x_, mu_
+    res_k = sp.Poly(sym_duplication_resultant().subs({b_: 3 * k, c_: 2 * k}),
+                    S_, k)
+    assert res_k.degree(k) == 22 <= 24
+    # (a): g(-2 core/den) den^6 = [(1+k) q'] [(1+k) pullback], of k-degree 2
+    core = sp.Poly(mu ** 2 + 10 * mu + 5, mu, k)
+    den = sp.Poly(mu ** 2 + 4 * mu - 1, mu, k)
+    g_s = sp.Poly(sym_x5sum(3 * k, 2 * k, S_), S_)
+    comp = sum((cf * (-2 * core) ** e * den ** (6 - e)
+                for (e,), cf in g_s.terms()), sp.Poly(0, mu, k))
+    qp = (1 + k) * core ** 3 - 1728 * k * mu
+    pullback = 64 * (1 + k) * core ** 3 \
+        - 1728 * k * (mu + 5) * (mu + 1) ** 5
+    assert comp == qp * pullback
+    assert comp.degree(k) == 2
+    # (b): F has weight <= 44 and g <= 6 for x, k of weights 1, 2, so the
+    # remainder of F mod g has k-degree <= 22; it is 0, and with (x+3)^5 in
+    # place of (x+2)^5 it is not, within the same bound
+
+    def weight(poly):
+        return max(e + 2 * a for e, a in poly.monoms())
+
+    g_k = sp.Poly(sym_x5sum(3 * k, 2 * k, x), x, k)
+    assert weight(g_k) == 6
+    for shift, vanishes in ((2, True), (3, False)):
+        D = sp.Poly(1728 * (k * (x + shift) ** 5
+                            - (1 + k) * x ** 3 * (x ** 2 + 10 * x + 34)), x, k)
+        N = sp.Poly(31104 * (1 + k) * x ** 3, x, k)
+        F = (1 + k) * (N ** 2 + 10 * N * D + 5 * D ** 2) ** 3 \
+            - 1728 * k * N * D ** 5
+        assert weight(F) <= 44
+        _, rem = sp.div(sp.Poly(F.as_expr(), x, domain="ZZ[k]"),
+                        sp.Poly(g_k.as_expr(), x, domain="ZZ[k]"))
+        assert rem.is_zero is vanishes
+        if not vanishes:
+            rem = sp.Poly(rem.as_expr(), x, k)
+            assert weight(rem) <= 44 and rem.degree(k) <= 22
 
 
 def test_klein_link_mutations():
