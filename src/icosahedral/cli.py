@@ -350,13 +350,10 @@ def _suite_icosa():
                "(l+3)^3 (l^2+11l+64) = (m^2+10m+5)^3 / m as normalized "
                "rational functions in z",
                icosa.verify_fundamental_identity()),
-        _check("icosa/invariance-S",
-               "j o S = j over Q(zeta5); m o S = m; l o S != l",
-               icosa.verify_invariance("S")),
-        _check("icosa/invariance-T", "j o T = j over Q(zeta5)",
-               icosa.verify_invariance("T")),
-        _check("icosa/invariance-U", "j o U = j over Q(zeta5)",
-               icosa.verify_invariance("U")),
+        _invariance_check("S", "j o S = j over Q(zeta5); m o S = m; "
+                               "l o S != l"),
+        _invariance_check("T", "j o T = j over Q(zeta5)"),
+        _invariance_check("U", "j o U = j over Q(zeta5)"),
     ]
     mismatch = icosa.resolvent_identity_mismatch()
     checks.append(_check(
@@ -367,6 +364,25 @@ def _suite_icosa():
     return checks
 
 
+def _invariance_check(label, description) -> dict:
+    """icosa/invariance-<label>; on failure the witness names the part of
+    the proof that fails, see icosa.invariance_mismatch."""
+    holds = icosa.verify_invariance(label)
+    witness = None
+    if not holds:
+        part, at = icosa.invariance_mismatch(label)
+        if part == "identity":
+            witness = "j != -H^3/f^5 in Q[z]"
+        elif part in ("f", "H"):
+            witness = (f"{part}(az+b, cz+d) != c_{part} {part}(z, 1) "
+                       f"at z = {_fmt(at)}")
+        elif part == "constant":
+            witness = "c_H^3 != c_f^5"
+        else:
+            witness = _rotation_witness(part, at)
+    return _check(f"icosa/invariance-{label}", description, holds, witness)
+
+
 def _resolvent_witness(mismatch) -> str:
     """The witness of icosa/resolvent-grid; see resolvent_identity_mismatch."""
     if mismatch is None:
@@ -375,8 +391,13 @@ def _resolvent_witness(mismatch) -> str:
     fact, e = mismatch
     if fact == "quintic":
         return f"nonzero coefficient of m^{e} n^{5 - e} in Q[L]"
-    if fact == "j":
-        return f"j has a term z^{e}, exponent not 0 mod 5"
+    return _rotation_witness(fact, e)
+
+
+def _rotation_witness(fact, e) -> str:
+    """A failure of icosa._rotation_mismatch, in words."""
+    if fact != "lambda":
+        return f"{fact} has a term z^{e}, exponent not 0 mod 5"
     if e is None:
         return "lambda(zeta5 z) = lambda(z)"
     return f"the denominator of lambda has a term z^{e}, exponent not 1 mod 5"

@@ -1,40 +1,34 @@
 """Exact arithmetic kernel.
 
 Rationals, a handful of small Q-algebras given by explicit structure
-constants, dense polynomials, gcds and resultants.  Everything is
+constants, dense polynomials over Q, gcds and resultants.  Everything is
 immutable and exact; there is no floating point anywhere.
 
 Scalars are ``fractions.Fraction``.  An algebra element is a vector of
 Fraction coordinates over a :class:`FieldDescriptor` holding a
 basis-by-basis multiplication table; only the fixed algebras needed by the
 rest of the package are provided (Q(sqrt5), Q(eps,i), plus ad-hoc
-quadratic and power-basis extensions, and Q(zeta5), which no check uses
-and the tests' oracles do); a rational is a Fraction, not an element of a
-one-dimensional algebra.  Polynomials are dense
-coefficient tuples, lowest degree first, over Q or over an algebra.  A
-rational function is a cleared (numerator, denominator) pair of such
+quadratic and power-basis extensions); a rational is a Fraction, not an
+element of a one-dimensional algebra.  Algebras give scalars only: a
+polynomial has Fraction coefficients, held as a dense tuple, lowest degree
+first.  A rational function is a cleared (numerator, denominator) pair of
 polynomials; two pairs are equal when their cross products are.  An
-identity in a further parameter is proved at one more rational value of
-the parameter than its degree.
+identity in a further parameter, or one over an algebra, is proved at one
+more rational value of its variable than its degree.
 Multiplication works on integer lists under one common denominator per
-operand: the coordinate lists are packed into big integers (Kronecker
-substitution) instead of schoolbook convolution, recombined with the
-structure constants as integers over one table denominator, and a
-``Fraction`` is built once per output coordinate.  That is what keeps the
-large identity checks cheap.  Composition f(p/q) q^n over Q works the same
-way.
+operand: a polynomial's numerators are packed into one big integer
+(Kronecker substitution) instead of schoolbook convolution, and an algebra
+product sums integer products with the structure constants over one table
+denominator; a ``Fraction`` is built once per output coefficient.  That is
+what keeps the large identity checks cheap.  Composition f(p/q) q^n works
+the same way.
 
-Gcds and resultants are taken over Q in integers.  For a resultant both
-operands are cleared once, an integer subresultant PRS runs with checked
-exact divisions, and one Fraction is built at the end.  A resultant that
-depends linearly on a second variable S, Res_x(p, q0 + S q1), is taken by
+Gcds and resultants are taken in integers.  For a resultant both operands
+are cleared once, an integer subresultant PRS runs with checked exact
+divisions, and one Fraction is built at the end.  A resultant that depends
+linearly on a second variable S, Res_x(p, q0 + S q1), is taken by
 evaluation at S = 0..deg p and exact integer interpolation
 (:func:`resultant_pencil`).
-
-Resultant sign convention: ``resultant(p, q)`` is the determinant of the
-Sylvester matrix with the rows built from p listed first, equivalently
-lc(p)^deg(q) * prod q(a) over the roots a of p, so
-resultant(x - a, x - b) = a - b.
 """
 
 from __future__ import annotations
@@ -46,10 +40,8 @@ __all__ = [
     "AlgElement",
     "QSQRT5",
     "QEPSI",
-    "QDOM",
     "Poly",
     "quadratic_field",
-    "compose_homogeneous",
     "poly_gcd",
     "resultant_pencil",
     "poly_divides",
@@ -93,10 +85,9 @@ class FieldDescriptor:
     def _integer_table(self):
         """The table as integers over one denominator.
 
-        Returns ``(rows, den, weight)``: ``rows[i][j]`` lists the pairs
-        ``(k, s)`` with s a nonzero integer, so that basis_i * basis_j is the
-        sum of (s / den) * basis_k, and ``weight`` is the largest sum of |s|
-        over the pairs with the same k.  Built on the first product and kept.
+        Returns ``(rows, den)``: ``rows[i][j]`` lists the pairs ``(k, s)``
+        with s a nonzero integer, so that basis_i * basis_j is the sum of
+        (s / den) * basis_k.  Built on the first product and kept.
         """
         if self._int_table is None:
             d = self.dim
@@ -106,8 +97,7 @@ class FieldDescriptor:
             rows = tuple(tuple(tuple((k, s) for k, s in enumerate(cells[i * d + j]) if s)
                                for j in range(d))
                          for i in range(d))
-            weight = max(sum(abs(cell[k]) for cell in cells) for k in range(d))
-            self._int_table = (rows, den, weight)
+            self._int_table = (rows, den)
         return self._int_table
 
     def element(self, coords):
@@ -134,9 +124,6 @@ class FieldDescriptor:
         coords = [Fraction(0)] * self.dim
         coords[i] = Fraction(1)
         return AlgElement(self, tuple(coords))
-
-    def domain(self):
-        return Domain(self.zero, self.one, "alg", self)
 
     def __repr__(self):
         return f"FieldDescriptor({self.name})"
@@ -193,7 +180,7 @@ class AlgElement:
         if o is NotImplemented:
             return NotImplemented
         f = self.field
-        rows, dt, _ = f._integer_table()
+        rows, dt = f._integer_table()
         a_ints, da = _clear_denominators(self.coords)
         b_ints, db = _clear_denominators(o.coords)
         out = [0] * f.dim
@@ -319,11 +306,6 @@ def _make_qsqrt5():
     return fd
 
 
-def _make_qzeta5():
-    # zeta^4 = -1 - zeta - zeta^2 - zeta^3
-    return power_basis_algebra("Qzeta5", 4, (Fraction(-1),) * 4, gen_name="z5")
-
-
 def _make_qepsi():
     # basis 1, eps, i, i*eps with eps^2 = 1 - eps and i^2 = -1
     F = Fraction
@@ -343,7 +325,6 @@ def _make_qepsi():
 
 
 QSQRT5 = _make_qsqrt5()
-QZETA5 = _make_qzeta5()
 QEPSI = _make_qepsi()
 
 
@@ -353,25 +334,6 @@ def quadratic_field(d):
     zero, one = Fraction(0), Fraction(1)
     return FieldDescriptor(f"Qadj({d})", ("1", "r"),
                            (((one, zero), (zero, one)), ((zero, one), (d, zero))))
-
-
-class Domain:
-    """Coefficient domain marker for polynomials.
-
-    kind is "q" (Fraction scalars, Kronecker fast path) or "alg"
-    (AlgElement coefficients, coordinatewise Kronecker).
-    """
-
-    __slots__ = ("zero", "one", "kind", "field")
-
-    def __init__(self, zero, one, kind, field=None):
-        self.zero = zero
-        self.one = one
-        self.kind = kind
-        self.field = field
-
-
-QDOM = Domain(Fraction(0), Fraction(1), "q")
 
 
 def _kron_pack(ints, L):
@@ -427,26 +389,25 @@ def _mul_frac_lists(f, g):
 
 
 class Poly:
-    """Dense polynomial over an exact coefficient domain."""
+    """Dense polynomial over Q: a tuple of Fraction coefficients."""
 
-    __slots__ = ("coeffs", "dom")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, dom):
+    def __init__(self, coeffs):
         coeffs = list(coeffs)
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-        self.dom = dom
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def one(dom):
-        return Poly((dom.one,), dom)
+    def one():
+        return Poly((Fraction(1),))
 
     @staticmethod
     def over_q(coeffs):
-        return Poly(tuple(Fraction(c) for c in coeffs), QDOM)
+        return Poly(tuple(Fraction(c) for c in coeffs))
 
     # -- basics ------------------------------------------------------------
 
@@ -464,14 +425,14 @@ class Poly:
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return self.dom.zero
+        return Fraction(0)
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and self.dom.kind == "q":
-            other = Poly((Fraction(other),), self.dom)
+        if isinstance(other, (int, Fraction)):
+            other = Poly.over_q((other,))
         if not isinstance(other, Poly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -482,7 +443,7 @@ class Poly:
     # -- ring operations ----------------------------------------------------
 
     def _pad(self, n):
-        return list(self.coeffs) + [self.dom.zero] * (n - len(self.coeffs))
+        return list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
 
     def __add__(self, other):
         other = self._lift(other)
@@ -490,7 +451,7 @@ class Poly:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         a, b = self._pad(n), other._pad(n)
-        return Poly([x + y for x, y in zip(a, b)], self.dom)
+        return Poly([x + y for x, y in zip(a, b)])
 
     __radd__ = __add__
 
@@ -500,86 +461,39 @@ class Poly:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         a, b = self._pad(n), other._pad(n)
-        return Poly([x - y for x, y in zip(a, b)], self.dom)
+        return Poly([x - y for x, y in zip(a, b)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.dom)
+        return Poly([-c for c in self.coeffs])
 
-    def _lift(self, other):
+    @staticmethod
+    def _lift(other):
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            if self.dom.kind == "q":
-                return Poly((Fraction(other),), self.dom)
-            return Poly((self.dom.one * other,), self.dom)
-        if isinstance(other, AlgElement) and self.dom.kind == "alg":
-            return Poly((other,), self.dom)
+            return Poly.over_q((other,))
         return NotImplemented
 
     def scale(self, c):
-        """Multiply every coefficient by a scalar of the domain."""
-        return Poly([a * c for a in self.coeffs], self.dom)
+        """Multiply every coefficient by a rational."""
+        return Poly([a * c for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if isinstance(other, AlgElement) and self.dom.kind == "alg":
-            return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return Poly((), self.dom)
-        if self.dom.kind == "q":
-            return Poly(_mul_frac_lists(list(self.coeffs), list(other.coeffs)), self.dom)
-        return self._mul_alg(other)
+            return Poly(())
+        return Poly(_mul_frac_lists(list(self.coeffs), list(other.coeffs)))
 
     __rmul__ = __mul__
 
-    def _mul_alg(self, other):
-        """Coordinatewise Kronecker products recombined by structure constants.
-
-        Each operand's coordinates are cleared to integers over one
-        denominator and each coordinate list is packed once.  The packed
-        products are summed per output coordinate with the integer table,
-        so there is one unpacking per coordinate and one Fraction per
-        output entry.
-        """
-        field = self.dom.field
-        d = field.dim
-        rows, dt, weight = field._integer_table()
-        n1, n2 = len(self.coeffs), len(other.coeffs)
-        nout = n1 + n2 - 1
-        fi, df = _clear_denominators([x for c in self.coeffs for x in c.coords])
-        gi, dg = _clear_denominators([x for c in other.coeffs for x in c.coords])
-        fcomps = [fi[k::d] for k in range(d)]
-        gcomps = [gi[k::d] for k in range(d)]
-        mf = max(abs(c) for c in fi)
-        mg = max(abs(c) for c in gi)
-        # an output slot sums at most weight * min(n1, n2) products of entries
-        L = (mf * mg * min(n1, n2) * weight).bit_length() + 2
-        fpacked = [_kron_pack(comp, L) for comp in fcomps]
-        gpacked = [_kron_pack(comp, L) for comp in gcomps]
-        acc = [0] * d
-        for i, F in enumerate(fpacked):
-            if not F:
-                continue
-            for j, G in enumerate(gpacked):
-                if not G:
-                    continue
-                prod = F * G
-                for k, s in rows[i][j]:
-                    acc[k] += s * prod
-        den = df * dg * dt
-        out = [[Fraction(c, den) for c in _kron_unpack(N, nout, L)] for N in acc]
-        coeffs = [AlgElement(field, tuple(out[k][t] for k in range(d)))
-                  for t in range(nout)]
-        return Poly(coeffs, self.dom)
-
     def __pow__(self, n):
-        result = Poly.one(self.dom)
+        result = Poly.one()
         base = self
         while n:
             if n & 1:
@@ -592,24 +506,21 @@ class Poly:
         if self.is_zero():
             return self
         lc = self.lc()
-        if lc == self.dom.one:
+        if lc == 1:
             return self
-        inv = self.dom.one / lc
-        return Poly([c * inv for c in self.coeffs], self.dom)
+        return Poly([c / lc for c in self.coeffs])
 
     # -- calculus and substitution -------------------------------------------
 
     def derivative(self):
         if len(self.coeffs) <= 1:
-            return Poly((), self.dom)
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:], self.dom)
+            return Poly(())
+        return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
-        """Evaluate by Horner; x may be a scalar, AlgElement or Poly."""
+        """Evaluate by Horner at a rational or a Poly."""
         if self.is_zero():
-            if isinstance(x, (Poly, AlgElement)):
-                return x * 0
-            return self.dom.zero
+            return Poly(()) if isinstance(x, Poly) else Fraction(0)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
@@ -618,9 +529,6 @@ class Poly:
     def compose_frac(self, p, q):
         """Numerator of self(p/q): sum a_k p^k q^(n-k), n = deg(self)."""
         return compose_homogeneous((self,), p, q, self.degree())[0]
-
-    def map_coeffs(self, fn, dom=None):
-        return Poly([fn(c) for c in self.coeffs], dom if dom is not None else self.dom)
 
     def to_str(self, var="x"):
         if self.is_zero():
@@ -646,34 +554,12 @@ def compose_homogeneous(polys, p, q, n):
     """Each f in polys as f(p/q) q^n, for n at least every deg f.
 
     The powers of p and of q, and each product p^k q^(n-k), are built
-    once and shared by all of polys.  Over Q they are integer powers of
-    the cleared p = a/dp and q = b/dq, and each f = c/df is summed over
-    the one denominator df dp^e dq^n, e = deg f, which scales the term
+    once and shared by all of polys.  They are integer powers of the
+    cleared p = a/dp and q = b/dq, and each f = c/df is summed over the one
+    denominator df dp^e dq^n, e = deg f, which scales the term
     c_k a^k b^(n-k) by the integer dp^(e-k) dq^k.
     """
     m = max(f.degree() for f in polys)
-    if p.dom.kind == "q":
-        return _compose_homogeneous_q(polys, p, q, n, m)
-    qpows = [Poly.one(q.dom)]
-    for _ in range(n):
-        qpows.append(qpows[-1] * q)
-    ppows = [Poly.one(p.dom)]
-    for _ in range(m):
-        ppows.append(ppows[-1] * p)
-    terms = {}
-    out = []
-    for f in polys:
-        acc = Poly((), p.dom)
-        for k, c in enumerate(f.coeffs):
-            if c:
-                if k not in terms:
-                    terms[k] = ppows[k] * qpows[n - k]
-                acc = acc + terms[k].scale(c)
-        out.append(acc)
-    return out
-
-
-def _compose_homogeneous_q(polys, p, q, n, m):
     a, dp = _clear_denominators(p.coeffs)
     b, dq = _clear_denominators(q.coeffs)
     apows, bpows = [[1]], [[1]]
@@ -702,7 +588,7 @@ def _compose_homogeneous_q(polys, p, q, n, m):
             for i, v in enumerate(t):
                 acc[i] += w * v
         den = df * dp ** deg * dq ** n
-        out.append(Poly([Fraction(v, den) for v in acc], QDOM))
+        out.append(Poly([Fraction(v, den) for v in acc]))
     return out
 
 
@@ -781,13 +667,18 @@ def _pseudo_rem_int(a, b):
     return r
 
 
-def _gcd_q(p, q):
+def poly_gcd(p, q):
+    """Monic gcd over Q, as a primitive PRS in integers."""
+    if p.is_zero():
+        return q.monic()
+    if q.is_zero():
+        return p.monic()
     f, _ = _clear_denominators(list(p.coeffs))
     g, _ = _clear_denominators(list(q.coeffs))
     for prime in _GCD_TEST_PRIMES:
         d = _int_lists_gcd_mod_p(f, g, prime)
         if d == 0:
-            return Poly.one(QDOM)
+            return Poly.one()
         if d is not None:
             break
     a, b = _primitive(f), _primitive(g)
@@ -797,18 +688,7 @@ def _gcd_q(p, q):
         r = _pseudo_rem_int(a, b)
         a, b = b, _primitive(r)
     lc = a[-1]
-    return Poly([Fraction(c, lc) for c in a], QDOM)
-
-
-def poly_gcd(p, q):
-    """Monic gcd over Q."""
-    if p.dom.kind != "q":
-        raise ValueError("gcd is taken over Q")
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    return _gcd_q(p, q)
+    return Poly([Fraction(c, lc) for c in a])
 
 
 # -- resultant -------------------------------------------------------------
@@ -826,7 +706,7 @@ def _resultant_int(a, b):
 
     The algorithm of Cohen, A Course in Computational Algebraic Number
     Theory, section 3.3: every division by g h^d is exact, so it stays in
-    the integers.  Same sign convention as :func:`resultant`.
+    the integers.  Same sign convention as :func:`resultant_pencil`.
     """
     if len(b) == 1:
         return b[0] ** (len(a) - 1)
@@ -855,22 +735,6 @@ def _resultant_int(a, b):
     da = len(a) - 1
     res = _exact_div_int(b[0] ** da, h ** (da - 1)) if da > 1 else b[0] ** da
     return -res if s < 0 else res
-
-
-def resultant(p, q):
-    """Res(p, q) over Q; see the module docstring for the sign.
-
-    p = a/dp and q = b/dq with integer a, b, so
-    Res(p, q) = Res(a, b) / (dp^deg(q) dq^deg(p)), and Res(a, b) is an
-    integer subresultant PRS.
-    """
-    if p.is_zero() or q.is_zero():
-        raise ValueError("resultant of a zero polynomial")
-    if p.dom.kind != "q":
-        raise ValueError("resultant is taken over Q")
-    a, dp = _clear_denominators(p.coeffs)
-    b, dq = _clear_denominators(q.coeffs)
-    return Fraction(_resultant_int(a, b), dp ** q.degree() * dq ** p.degree())
 
 
 def _interpolate_int(values):
@@ -910,6 +774,12 @@ def resultant_pencil(p, q0, q1):
     With p = a/dp and q0, q1 = b0/dq, b1/dq over one denominator, the
     values are integers Res(a, b0 + s b1) over dp^deg(q0) dq^deg(p),
     interpolated in integers, with one Fraction per coefficient.
+
+    Sign convention: Res_x(p, q) is the determinant of the Sylvester matrix
+    with the rows built from p listed first, equivalently
+    lc(p)^deg(q) * prod q(a) over the roots a of p, so
+    Res_x(x - a, x - b) = a - b.  With q1 = 0 this is the resultant of p
+    and q0, as the constant polynomial.
     """
     if p.is_zero() or q0.is_zero():
         raise ValueError("resultant of a zero polynomial")
@@ -922,7 +792,7 @@ def resultant_pencil(p, q0, q1):
     values = [_resultant_int(a, [u + s * v for u, v in zip(b0, b1)])
               for s in range(len(a))]
     den = dp ** q0.degree() * dq ** p.degree()
-    return Poly([Fraction(c, den) for c in _interpolate_int(values)], QDOM)
+    return Poly([Fraction(c, den) for c in _interpolate_int(values)])
 
 
 def poly_divides(g, f):

@@ -7,18 +7,20 @@ pair of polynomials in z over Q, coprime with a monic denominator,
                 / (-z (z^10 + 11 z^5 - 1)),
     mu(z)     = -125 z^5 / (z^10 + 11 z^5 - 1),
     j(z)      = (lambda+3)^3 (lambda^2 + 11 lambda + 64)
-              = (mu^2 + 10 mu + 5)^3 / mu,
+              = (mu^2 + 10 mu + 5)^3 / mu = -H^3 / f^5,
 
-proves the fundamental identity between the two forms of j by cross
-multiplication, checks that j is invariant under the Moebius
+with Klein's vertex form f = z^11 + 11 z^6 - z of degree 12 (lambda's
+denominator) and face form H = z^20 - 228 z^15 + 494 z^10 + 228 z^5 + 1
+of degree 20.  It proves the fundamental identity between the two forms
+of j by cross multiplication, and that j is invariant under the Moebius
 transformations
 
     S: z -> zeta5 z,   T: z -> (eps z + 1)/(z - eps),   U: z -> -1/z,
 
-each in the smallest field it needs (U over Q, T over Q(sqrt5), and S
-read off the exponents mod 5, with mu fixed and lambda moved), which
-proves it over Q(zeta5),
-and proves that for all m, n the five resolvents
+each in the smallest field it needs: T (over Q(sqrt5)) and U (over Q)
+multiply f and H by constants, and S is read off the exponents mod 5, with
+mu fixed and lambda moved; so j is invariant over Q(zeta5).
+It also proves that for all m, n the five resolvents
 
     x_nu = m/(L_nu+3) + n/((L_nu+3)(L_nu^2+10 L_nu+45)),  L_nu = lambda(zeta5^nu z),
 
@@ -30,9 +32,11 @@ solves the quintic at j = J(L), plus the S-rotation: j is fixed by
 z -> zeta5 z and lambda is moved, both read off the exponents mod 5.
 
 Although lambda is assembled from quadratics with eps = (sqrt5-1)/2 in their
-coefficients, the eps-parts cancel on expansion: lambda, mu, j all have
-rational coefficients.  The construction goes through Q(sqrt5) and asserts
-the cancellation rather than assuming it.
+coefficients, the two eps-quadratics multiply to the rational quartic
+z^4 + 2z^3 - 6z^2 - 2z + 1, so lambda, mu, j all have rational
+coefficients.  build_invariants proves that product in Q(sqrt5) rather
+than assuming it.  Every polynomial is over Q; Q(sqrt5) appears only as
+the scalars of that product and of T.
 """
 
 from __future__ import annotations
@@ -40,16 +44,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from . import quintic
-from .exact import QDOM, QSQRT5, AlgElement, Poly, compose_homogeneous
+from .exact import QSQRT5, Poly
 
 __all__ = [
     "InvariantFns",
     "build_invariants",
     "verify_fundamental_identity",
     "verify_invariance",
+    "invariance_mismatch",
     "resolvent_identity_mismatch",
 ]
 
@@ -71,32 +76,31 @@ _EPS = (QSQRT5.gen(1) - 1) / 2
 # T and U as matrices ((a, b), (c, d)) of z -> (az+b)/(cz+d), each in the
 # smallest field holding its entries
 _GENERATORS = {"T": ((_EPS, 1), (1, -_EPS)), "U": ((0, -1), (1, 0))}
-
-
-def _lambda_numerator_over_qsqrt5():
-    dom = QSQRT5.domain()
-    one = QSQRT5.one
-    eps_inv = _EPS + 1  # eps (eps + 1) = eps^2 + eps = 1
-    f1 = Poly([one, QSQRT5.zero, one], dom)                 # z^2 + 1
-    f2 = Poly([-one, -(_EPS * 2), one], dom)                # z^2 - 2 eps z - 1
-    f3 = Poly([-one, eps_inv * 2, one], dom)                # z^2 + 2 eps^{-1} z - 1
-    prod = f1 * f2 * f3
-    return prod * prod
+# z^2 - 2 eps z - 1 and z^2 + 2 eps^{-1} z - 1, lowest degree first, with
+# eps^{-1} = eps + 1; their product is _QUARTIC
+_EPS_QUADRATICS = ((-1, -2 * _EPS, 1), (-1, 2 * (_EPS + 1), 1))
+_QUARTIC = Poly.over_q([1, -2, -6, 2, 1])
+# the face form H of degree 20; the vertex form f is lambda's denominator
+_FACE = Poly.over_q([1, 0, 0, 0, 0, 228, 0, 0, 0, 0, 494,
+                     0, 0, 0, 0, -228, 0, 0, 0, 0, 1])
 
 
 @lru_cache(maxsize=1)
 def build_invariants():
-    """Construct lambda, mu, j and verify they collapse to Q coefficients.
+    """Construct lambda, mu, j over Q, proving the eps-parts cancel.
 
-    lambda = P/Q is written with the sign moved into the numerator, so
-    that Q = z (z^10 + 11 z^5 - 1) is monic; P and Q are coprime.  Then
-    j = Jn/Q^5 with Jn = (P+3Q)^3 (P^2+11PQ+64Q^2) is coprime as well,
-    since Jn = P^5 mod Q.
+    The product of the two eps-quadratics and _QUARTIC both have degree 4,
+    so they are equal once they agree at the 5 values z = 0..4, computed
+    in Q(sqrt5).  lambda = P/Q is written with the sign moved into the
+    numerator, P = -((z^2+1) quartic)^2, so that Q = z (z^10 + 11 z^5 - 1)
+    is monic; P and Q are coprime.  Then j = Jn/Q^5 with
+    Jn = (P+3Q)^3 (P^2+11PQ+64Q^2) is coprime as well, since Jn = P^5 mod Q.
     """
-    num = _lambda_numerator_over_qsqrt5()
-    if any(c.coords[1] for c in num.coeffs):
-        raise AssertionError("eps-part of lambda's numerator failed to cancel")
-    P = Poly([-c.coords[0] for c in num.coeffs], QDOM)
+    for z in range(5):
+        if prod(sum(c * z ** k for k, c in enumerate(quadratic))
+                for quadratic in _EPS_QUADRATICS) != _QUARTIC(Fraction(z)):
+            raise AssertionError("eps-part of lambda's numerator failed to cancel")
+    P = -((Poly.over_q([1, 0, 1]) * _QUARTIC) ** 2)
     Q = Poly.over_q([0, -1] + [0] * 4 + [11] + [0] * 4 + [1])
     mu = (Poly.over_q([0] * 5 + [-125]),
           Poly.over_q([-1] + [0] * 4 + [11] + [0] * 4 + [1]))
@@ -128,27 +132,65 @@ def verify_invariance(gen, inv=None):
     """j o gen = j over Q(zeta5); for S also mu o S = mu and lambda o S != lambda.
 
     gen is "S", "T", "U" or a matrix ((a, b), (c, d)) of z -> (az+b)/(cz+d)
-    over Q or over one algebra.  Cross-multiplied, an identity between
-    rational functions over a subfield K of Q(zeta5) is a polynomial over K
-    vanishing, so it holds over Q(zeta5) iff it holds over K: U composes
-    over Q, T (eps = (sqrt5 - 1)/2) over Q(sqrt5), and S needs no
-    composition, as _rotation_mismatch reads it off exponents mod 5.  The
-    raw composed pair is cross-multiplied with j, not normalized.  inv
+    over Q or over one algebra; invariance_mismatch is the proof.  inv
     defaults to build_invariants(); it is a parameter for mutation tests.
+    """
+    return invariance_mismatch(gen, inv) is None
+
+
+def _form_at(F, n, x, y):
+    """The form of degree n with dehomogenization F at (x, y)."""
+    return sum(c * x ** k * y ** (n - k) for k, c in enumerate(F.coeffs) if c)
+
+
+def invariance_mismatch(gen, inv=None):
+    """Prove j o gen = j; None, or the first part of the proof that fails.
+
+    S is read off the exponents mod 5 by _rotation_mismatch, whose
+    failures it returns.  For a matrix g = ((a, b), (c, d)) over a field K
+    (T over Q(sqrt5), U over Q) the proof has three parts:
+
+    (i) j = -H^3/f^5, with f lambda's denominator.  The pair of j is
+        normalized, and so is (-H^3, f^5), since f is monic and prime to
+        H, so this is equality of pairs in Q[z].  Else ("identity", None).
+    (ii) F(az+b, cz+d) = c_F F(z, 1) as forms, for F = f of degree 12 and
+        F = H of degree 20.  Each side is a polynomial in z over K of
+        degree at most deg F, so the identity holds once it holds at the
+        deg F + 1 values z = 0..deg F, computed in K; c_F is read off the
+        first of them with F(z, 1) != 0.  Else (name, z) at the first
+        failing z.
+    (iii) c_H^3 = c_f^5.  Else ("constant", None).
+
+    If: j(gz) = -H(az+b, cz+d)^3 / f(az+b, cz+d)^5, as the factors
+    (cz+d)^60 of the two dehomogenizations cancel, which is
+    -c_H^3 H^3 / (c_f^5 f^5) = j by (ii) and (iii).  Only if: f and H are
+    the squarefree forms of the poles and the zeros of j, so a g that fixes
+    j permutes the zeros of each, and a form is fixed up to a constant by
+    its zeros; so (ii) holds, and then (iii) follows from j o g = j.  True
+    forms therefore never fail (iii) alone; it is part of the argument.
+    A singular g sends every z to one point, so F(az+b, cz+d) is a
+    constant times the deg F-th power of one linear form, a multiple of
+    the squarefree F only when it is 0; f and H have no common zero, so
+    one of them fails (ii).  A proof over K holds over Q(zeta5), where S lives.
     """
     inv = inv or build_invariants()
     if gen == "S":
-        return _rotation_mismatch(inv.lam, {"j": inv.j, "mu": inv.mu}) is None
+        return _rotation_mismatch(inv.lam, {"j": inv.j, "mu": inv.mu})
+    f = inv.lam[1]
+    if inv.j != (-(_FACE ** 3), f ** 5):
+        return "identity", None
     (a, b), (c, d) = _GENERATORS[gen] if isinstance(gen, str) else gen
-    num, den = inv.j
-    dom = next((x.field.domain() for x in (a, b, c, d)
-                if isinstance(x, AlgElement)), QDOM)
-    if dom is not QDOM:
-        num, den = (f.map_coeffs(dom.field.from_scalar, dom) for f in (num, den))
-    z = Poly([dom.zero, dom.one], dom)
-    cn, cd = compose_homogeneous((num, den), z * a + b, z * c + d,
-                                 max(num.degree(), den.degree()))
-    return bool(cd) and cn * den == num * cd
+    consts = {}
+    for name, F, n in (("f", f, 12), ("H", _FACE, 20)):
+        for z in map(Fraction, range(n + 1)):
+            moved, value = _form_at(F, n, a * z + b, c * z + d), F(z)
+            if name not in consts and value:
+                consts[name] = moved / value
+            if moved != consts.get(name, 0) * value:
+                return name, z
+    if consts["H"] ** 3 != consts["f"] ** 5:
+        return "constant", None
+    return None
 
 
 # -- resolvent quintic -------------------------------------------------------
@@ -232,7 +274,7 @@ def resolvent_identity_mismatch(w_per_n=Fraction(1, 12), lam=None, j=None):
     the true values and are parameters for mutation tests.
     """
     inv = build_invariants()
-    line = (Poly.over_q([0, 1]), Poly.one(QDOM))
+    line = (Poly.over_q([0, 1]), Poly.one())
     U, V, W = _resolvent_x(line)
     J = _j_from_lambda(line)[0]
     D = 1728 - J

@@ -8,7 +8,7 @@ from fractions import Fraction
 import sympy as sp
 
 from icosahedral import hecke, icosa, localfield, qcurve, repn
-from icosahedral.exact import Poly, QDOM, QEPSI, QSQRT5, poly_divides
+from icosahedral.exact import Poly, QEPSI, QSQRT5, poly_divides
 from icosahedral.quintic import (
     Quintic, family_quintic, hyperelliptic_3adic, invariants, j_equation,
     trinomial_t,
@@ -161,7 +161,7 @@ def test_12_mutation_suite(monkeypatch):
     P, Q = icosa.build_invariants().lam
     coeffs = list(P.coeffs)
     coeffs[3] += 1
-    assert not icosa.verify_fundamental_identity(lam=(Poly(coeffs, QDOM), Q))
+    assert not icosa.verify_fundamental_identity(lam=(Poly(coeffs), Q))
 
     # resolvent quintic: the n-normalization (n in place of n/12)
     assert icosa.resolvent_identity_mismatch(w_per_n=Fraction(1)) is not None

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -757,6 +758,56 @@ def test_verify_resolvent_failure_witness(capsys, monkeypatch):
         assert rc == 1
         check = {c["id"]: c for c in json.loads(out)["checks"]}[
             "icosa/resolvent-grid"]
+        assert check["status"] == "fail"
+        assert check["witness"] == witness
+
+
+def _icosa_checks(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "icosa")
+    assert rc == 1
+    return {c["id"]: c for c in json.loads(out)["checks"]}
+
+
+def test_verify_invariance_identity_witness(capsys, monkeypatch):
+    # a z^7 term in j: T and U fail j = -H^3/f^5, S reads the exponent
+    inv = cli.icosa.build_invariants()
+    Jn, Jd = inv.j
+    bad = dataclasses.replace(inv, j=(Jn + Poly.over_q([0] * 7 + [1]), Jd))
+    monkeypatch.setattr(cli.icosa, "build_invariants", lambda: bad)
+    by_id = _icosa_checks(capsys)
+    for label in "TU":
+        assert by_id[f"icosa/invariance-{label}"]["witness"] == \
+            "j != -H^3/f^5 in Q[z]"
+    assert by_id["icosa/invariance-S"]["witness"] == \
+        "j has a term z^7, exponent not 0 mod 5"
+
+
+def test_verify_invariance_form_witness(capsys, monkeypatch):
+    # z -> 2z in place of T moves the vertex form f; the singular z -> 0 in
+    # place of U fixes f, which vanishes at 0, and moves the face form H
+    monkeypatch.setattr(cli.icosa, "_GENERATORS",
+                        {"T": ((2, 0), (0, 1)), "U": ((0, 0), (1, 1))})
+    by_id = _icosa_checks(capsys)
+    assert by_id["icosa/invariance-T"]["witness"] == \
+        "f(az+b, cz+d) != c_f f(z, 1) at z = 2"
+    assert by_id["icosa/invariance-U"]["witness"] == \
+        "H(az+b, cz+d) != c_H H(z, 1) at z = 1"
+    assert by_id["icosa/invariance-S"]["status"] == "pass"
+    assert "witness" not in by_id["icosa/invariance-S"]
+
+
+def test_verify_invariance_rotation_witness(capsys, monkeypatch):
+    # S reads exponents mod 5: a z^1 term in mu's numerator, then a lambda
+    # whose every exponent is 1 mod 5
+    inv = cli.icosa.build_invariants()
+    (Mn, Md), Q = inv.mu, inv.lam[1]
+    for bad, witness in (
+            (dataclasses.replace(inv, mu=(Mn + Poly.over_q([0, 1]), Md)),
+             "mu has a term z^1, exponent not 0 mod 5"),
+            (dataclasses.replace(inv, lam=(Poly.over_q([0, 1]), Q)),
+             "lambda(zeta5 z) = lambda(z)")):
+        monkeypatch.setattr(cli.icosa, "build_invariants", lambda: bad)
+        check = _icosa_checks(capsys)["icosa/invariance-S"]
         assert check["status"] == "fail"
         assert check["witness"] == witness
 

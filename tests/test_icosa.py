@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,39 +10,137 @@ import mpmath as mp
 import pytest
 import sympy as sp
 
-from icosahedral import exact, icosa, quintic
+from icosahedral import cli, icosa, quintic
 from icosahedral.exact import (
-    QDOM, QSQRT5, QZETA5, AlgElement, Poly, compose_homogeneous, poly_gcd,
+    QEPSI, QSQRT5, AlgElement, Poly, _clear_denominators, _kron_mul_int,
+    poly_gcd,
 )
 
 mp.mp.dps = 60
 
-# -- composition over Q(zeta5): an oracle for the invariance checks --------
+# -- Q(zeta5)[z] on the test side: the oracles' arithmetic -----------------
 
-def lift_pair(f, field=QZETA5):
-    """A (num, den) pair over Q with its coefficients in field."""
-    dom = field.domain()
-    return tuple(p.map_coeffs(field.from_scalar, dom) for p in f)
+
+class Z5:
+    """sum_r zeta5^r A_r(z) / den, held as five integer coefficient lists
+    A_0..A_4, lowest degree first, over one positive integer den.
+
+    Products are cyclic convolutions, since zeta5^5 = 1.  As
+    1 + zeta5 + ... + zeta5^4 = 0, adding one polynomial to every A_r
+    changes nothing: an element is zero iff A_0 = ... = A_4, and it lies in
+    Q[z] iff A_1 = ... = A_4, where it equals (A_0 - A_1)/den.
+    """
+
+    __slots__ = ("parts", "den")
+
+    def __init__(self, parts, den=1):
+        self.parts = tuple(parts)
+        self.den = den
+
+    @staticmethod
+    def lift(p, r=0):
+        """p(z) zeta5^r for p over Q, or a rational p."""
+        ints, den = _clear_denominators(
+            p.coeffs if isinstance(p, Poly) else [Fraction(p)])
+        return Z5([ints if k == r else [] for k in range(5)], den)
+
+    @staticmethod
+    def rotate(p, nu):
+        """p(zeta5^nu z) for p over Q: its z^k term goes to zeta5^(nu k)."""
+        ints, den = _clear_denominators(p.coeffs)
+        parts = [[0] * len(ints) for _ in range(5)]
+        for k, c in enumerate(ints):
+            parts[nu * k % 5][k] = c
+        return Z5(parts, den)
+
+    def _over(self, den):
+        """The parts over den, a multiple of self.den."""
+        m = den // self.den
+        return [[c * m for c in a] for a in self.parts]
+
+    def __add__(self, other):
+        den = self.den * other.den // math.gcd(self.den, other.den)
+        return Z5(map(_add_ints, self._over(den), other._over(den)), den)
+
+    def __neg__(self):
+        return Z5([[-c for c in a] for a in self.parts], self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, Z5):
+            other = Z5.lift(other)
+        out = [[] for _ in range(5)]
+        for r, a in enumerate(self.parts):
+            for s, b in enumerate(other.parts):
+                if a and b:
+                    t = (r + s) % 5
+                    out[t] = _add_ints(out[t], _kron_mul_int(a, b))
+        return Z5(out, self.den * other.den)
+
+    def __pow__(self, n):
+        out = Z5.lift(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def _diffs(self):
+        """A_r - A_0 for r = 1..4, with trailing zeros stripped."""
+        return [Poly.over_q(_add_ints(a, [-c for c in self.parts[0]]))
+                for a in self.parts[1:]]
+
+    def __eq__(self, other):
+        return not any((self - other)._diffs())
+
+    def rational(self):
+        """The element as a polynomial over Q, asserting that it is one."""
+        d1, *rest = self._diffs()
+        assert all(d == d1 for d in rest)
+        return (-d1).scale(Fraction(1, self.den))
+
+    def at(self, z):
+        """The value at a rational z, as a constant element."""
+        values = [Poly.over_q(a)(z) / self.den for a in self.parts]
+        ints, den = _clear_denominators(values)
+        return Z5([[c] for c in ints], den)
+
+
+def _add_ints(a, b):
+    """The sum of two integer coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+ZETA = Z5.lift(1, 1)
+EPS = ZETA + ZETA ** 4  # (sqrt5 - 1)/2
 
 
 def zeta5_matrix(label):
     """S, T or U as ((a, b), (c, d)) over Q(zeta5), eps = zeta5 + zeta5^4."""
-    zeta, one, zero = QZETA5.gen(1), QZETA5.one, QZETA5.zero
-    eps = zeta + zeta ** 4  # (sqrt5 - 1)/2
-    return {"S": ((zeta, zero), (zero, one)),
-            "T": ((eps, one), (one, -eps)),
+    one, zero = Z5.lift(1), Z5.lift(0)
+    return {"S": ((ZETA, zero), (zero, one)),
+            "T": ((EPS, one), (one, -EPS)),
             "U": ((zero, -one), (one, zero))}[label]
 
 
 def zeta5_fixes(f, matrix):
     """Whether f((az+b)/(cz+d)) = f(z) for f = (num, den) over Q, composed
     over Q(zeta5) and cross-multiplied."""
-    num, den = lift_pair(f)
+    num, den = f
     (a, b), (c, d) = matrix
-    cn, cd = compose_homogeneous((num, den), Poly([b, a], num.dom),
-                                 Poly([d, c], num.dom),
-                                 max(num.degree(), den.degree()))
-    return not cd.is_zero() and cn * den == num * cd
+    z = Z5.lift(Poly.over_q([0, 1]))
+    x, y = a * z + b, c * z + d
+    n = max(num.degree(), den.degree())
+    xpows, ypows = [Z5.lift(1)], [Z5.lift(1)]
+    for _ in range(n):
+        xpows.append(xpows[-1] * x)
+        ypows.append(ypows[-1] * y)
+    cn, cd = (functools.reduce(Z5.__add__, (
+        xpows[k] * ypows[n - k] * c for k, c in enumerate(g.coeffs) if c))
+        for g in (num, den))
+    return cd != Z5.lift(0) and cn * Z5.lift(den) == Z5.lift(num) * cd
 
 
 # -- the Q(zeta5) product: an oracle for the proof in Q[L] ------------------
@@ -53,17 +152,6 @@ RESOLVENT_M_VALUES = (Fraction(0), Fraction(1), Fraction(2), Fraction(3),
                       Fraction(5), Fraction(1, 2))
 RESOLVENT_N_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                       Fraction(3), Fraction(1, 3))
-
-
-def rotate(poly, c):
-    """poly(c z): coefficient k times c^k."""
-    return Poly([a * c ** k for k, a in enumerate(poly.coeffs)], poly.dom)
-
-
-def project_rational(poly):
-    """Assert a Q(zeta5)-coefficient polynomial is rational; project to Q."""
-    assert not any(any(c.coords[1:]) for c in poly.coeffs)
-    return Poly([c.coords[0] for c in poly.coeffs], QDOM)
 
 
 @functools.lru_cache(maxsize=1)
@@ -79,17 +167,16 @@ def resolvent_parts():
     Jn = (P+3Q)^3 (P^2+11PQ+64Q^2), Jd = Q^5; D = 1728 Jd - Jn.
     """
     inv = icosa.build_invariants()
-    P, Q = lift_pair(inv.lam)
-    zeta = QZETA5.gen(1)
+    P, Q = inv.lam
     U, V, W = [], [], []
     for nu in range(5):
-        Pr, Qr = rotate(P, zeta ** nu), rotate(Q, zeta ** nu)
+        Pr, Qr = Z5.rotate(P, nu), Z5.rotate(Q, nu)
         core = Pr * Pr + Pr * Qr * 10 + Qr * Qr * 45
         U.append(Qr * core)
         V.append(Qr * Qr * Qr)
         W.append((Pr + Qr * 3) * core)
     Jn, Jd = inv.j
-    prodW = project_rational(W[0] * W[1] * W[2] * W[3] * W[4])
+    prodW = (W[0] * W[1] * W[2] * W[3] * W[4]).rational()
     return U, V, W, prodW, Jn, Jd, Jd * 1728 - Jn
 
 
@@ -108,7 +195,7 @@ def resolvent_forms():
     symbolic; each c_{k,i} is asserted rational.
     """
     U, V, W, *_ = resolvent_parts()
-    acc = {(0, 0): Poly.one(QZETA5.domain())}
+    acc = {(0, 0): Z5.lift(1)}
     for u, v, w in zip(U, V, W):
         steps = (((1, 0), w), ((0, 1), -u), ((0, 0), -v))
         nxt = {}
@@ -118,7 +205,7 @@ def resolvent_forms():
                 term = c * f
                 nxt[key] = nxt[key] + term if key in nxt else term
         acc = nxt
-    return tuple(tuple(project_rational(acc[k, i]) for i in range(6 - k))
+    return tuple(tuple(acc[k, i].rational() for i in range(6 - k))
                  for k in range(6))
 
 
@@ -127,7 +214,7 @@ def resolvent_coeff_polys(m, n):
     in X, from the cached forms evaluated at (m, n)."""
     out = []
     for k, row in enumerate(resolvent_forms()):
-        acc = Poly((), QDOM)
+        acc = Poly(())
         for i, form in enumerate(row):
             s = m ** i * n ** (5 - k - i)
             if s:
@@ -230,12 +317,47 @@ def test_fundamental_identity_mutation():
     P, Q = icosa.build_invariants().lam
     coeffs = list(P.coeffs)
     coeffs[3] += 1
-    assert not icosa.verify_fundamental_identity(lam=(Poly(coeffs, QDOM), Q))
+    assert not icosa.verify_fundamental_identity(lam=(Poly(coeffs), Q))
+
+
+@pytest.mark.parametrize("which, k", [(0, 1), (1, 0), (1, 1)])
+def test_eps_quadratic_mutation(monkeypatch, which, k):
+    # one coefficient of z^2 - 2 eps z - 1 or z^2 + 2 eps^-1 z - 1 bumped
+    # by 1: the product is no longer the rational quartic
+    quadratics = [list(q) for q in icosa._EPS_QUADRATICS]
+    quadratics[which][k] += 1
+    monkeypatch.setattr(icosa, "_EPS_QUADRATICS", quadratics)
+    with pytest.raises(AssertionError):
+        icosa.build_invariants.__wrapped__()
 
 
 def test_invariance_generators():
     for label in "STU":
         assert icosa.verify_invariance(label)
+
+
+def test_invariance_forms_sympy():
+    # j = -H^3/f^5 in Q[z], and T multiplies the forms f (degree 12) and H
+    # (degree 20) by c_f = 1125 - 500 sqrt5 and c_H = (384375 - 171875
+    # sqrt5)/2, with c_H^3 = c_f^5; written out apart from icosa
+    z, s5 = sp.Symbol("z"), sp.sqrt(5)
+    K = sp.QQ.algebraic_field(s5)
+    f = sp.Poly(z ** 11 + 11 * z ** 6 - z, z, domain=K)
+    H = sp.Poly(z ** 20 - 228 * z ** 15 + 494 * z ** 10 + 228 * z ** 5 + 1,
+                z, domain=K)
+    Jn, Jd = icosa.build_invariants().j
+    assert sp.Poly(Jn.coeffs[::-1], z, domain=K) == -H ** 3
+    assert sp.Poly(Jd.coeffs[::-1], z, domain=K) == f ** 5
+    eps = (s5 - 1) / 2
+    x = sp.Poly(eps * z + 1, z, domain=K)
+    y = sp.Poly(z - eps, z, domain=K)
+    c_f = 1125 - 500 * s5
+    c_H = (384375 - 171875 * s5) / 2
+    for form, n, c in ((f, 12, c_f), (H, 20, c_H)):
+        moved = sum((x ** k * y ** (n - k) * a for (k,), a in form.terms()),
+                    sp.Poly(0, z, domain=K))
+        assert moved == form * sp.Poly(c, z, domain=K)
+    assert sp.expand(c_H ** 3 - c_f ** 5) == 0
 
 
 def test_invariance_matches_zeta5_oracle():
@@ -255,17 +377,38 @@ def test_invariance_matches_zeta5_oracle():
     for label in "STU":
         assert not zeta5_fixes(bad.j, zeta5_matrix(label))
         assert not icosa.verify_invariance(label, inv=bad)
+    assert icosa.invariance_mismatch("S", inv=bad) == ("j", 7)
+    assert icosa.invariance_mismatch("T", inv=bad) == ("identity", None)
+
+
+def test_invariance_identity_mutation(monkeypatch):
+    # j = -H^3/f^5 fails for an H coefficient bumped (494 -> 495) and for
+    # f's z^6 coefficient 11 -> 12 in lambda's denominator
+    inv = icosa.build_invariants()
+    P, Q = inv.lam
+    z6 = Poly.over_q([0] * 6 + [1])
+    for label in "TU":
+        assert icosa.invariance_mismatch(
+            label, inv=dataclasses.replace(inv, lam=(P, Q + z6))) \
+            == ("identity", None)
+    face = icosa._FACE
+    monkeypatch.setattr(icosa, "_FACE", face + Poly.over_q([0] * 10 + [1]))
+    for label in "TU":
+        assert icosa.invariance_mismatch(label) == ("identity", None)
 
 
 def test_invariance_mutation():
     # Moebius maps outside the group must move j: z -> 2z and z -> 1/z
-    # over Q, T with eps + 1 or -eps in place of eps over Q(sqrt5)
+    # over Q, T with eps + 1 or -eps in place of eps over Q(sqrt5); each
+    # fails on the vertex form f, at the first z where f(gz) is no constant
+    # multiple of f(z)
     eps = (QSQRT5.gen(1) - 1) / 2
     one = QSQRT5.one
-    for matrix in (((2, 0), (0, 1)), ((0, 1), (1, 0)),
-                   ((eps + 1, one), (one, -(eps + 1))),
-                   ((-eps, one), (one, eps))):
+    for matrix, z in ((((2, 0), (0, 1)), 2), (((0, 1), (1, 0)), 2),
+                      (((eps + 1, one), (one, -(eps + 1))), 0),
+                      (((-eps, one), (one, eps)), 0)):
         assert not icosa.verify_invariance(matrix)
+        assert icosa.invariance_mismatch(matrix) == ("f", z)
     # T with the Galois-conjugate eps' = -1 - eps is T conjugated by sigma,
     # and fixes j because j is rational
     conj = -1 - eps
@@ -282,9 +425,10 @@ def test_invariance_s_mutation():
     Mn, Md = inv.mu
     Q = inv.lam[1]
     fixed = Poly.over_q([0, 1, 0, 0, 0, 0, 3])
-    for bad in (dataclasses.replace(inv, mu=(Mn + z, Md)),
-                dataclasses.replace(inv, lam=(fixed, Q))):
+    for bad, mismatch in ((dataclasses.replace(inv, mu=(Mn + z, Md)), ("mu", 1)),
+                          (dataclasses.replace(inv, lam=(fixed, Q)), ("lambda", None))):
         assert not icosa.verify_invariance("S", inv=bad)
+        assert icosa.invariance_mismatch("S", inv=bad) == mismatch
     assert not zeta5_fixes((Mn + z, Md), zeta5_matrix("S"))
     assert zeta5_fixes((fixed, Q), zeta5_matrix("S"))
 
@@ -292,33 +436,37 @@ def test_invariance_s_mutation():
 def test_invariance_validation():
     with pytest.raises(KeyError):
         icosa.verify_invariance("V")
-    # a singular matrix maps z to a constant, which does not fix j
+    # a singular matrix maps z to a constant, which does not fix j: f fails
+    # unless the constant is a zero of f, and then H fails
     assert not icosa.verify_invariance(((1, 1), (1, 1)))
+    assert icosa.invariance_mismatch(((1, 1), (1, 1))) == ("f", 0)
+    assert icosa.invariance_mismatch(((0, 0), (1, 1))) == ("H", 1)
 
 
-def test_invariance_without_qzeta5(no_qzeta5):
-    icosa.build_invariants()
+def test_invariance_without_qzeta5(over_q_only):
+    icosa.build_invariants.__wrapped__()
     for label in "STU":
         assert icosa.verify_invariance(label)
 
 
 def test_resolvent_functions_specializations():
+    # x_0 has rational coefficients
     inv = icosa.build_invariants()
-    xs_m = resolvent_functions(1, 0)
-    xs_n = resolvent_functions(0, 1)
-    lam_z = at(inv.lam, Fraction(1, 3))
-    x0_m = at(xs_m[0], QZETA5.from_scalar(Fraction(1, 3)))
-    assert x0_m == QZETA5.from_scalar(1 / (lam_z + 3))
-    x0_n = at(xs_n[0], QZETA5.from_scalar(Fraction(1, 3)))
-    assert x0_n == QZETA5.from_scalar(1 / ((lam_z + 3) * (lam_z ** 2 + 10 * lam_z + 45)))
+    z = Fraction(1, 3)
+    lam_z = at(inv.lam, z)
+    num_m, den_m = resolvent_functions(1, 0)[0]
+    num_n, den_n = resolvent_functions(0, 1)[0]
+    assert at((num_m.rational(), den_m.rational()), z) == 1 / (lam_z + 3)
+    assert at((num_n.rational(), den_n.rational()), z) \
+        == 1 / ((lam_z + 3) * (lam_z ** 2 + 10 * lam_z + 45))
 
 
 def test_resolvent_rotation():
-    # x_1(z) = x_0(zeta5 z)
-    xs = resolvent_functions(2, 3)
-    zeta = QZETA5.gen(1)
-    z0 = QZETA5.from_scalar(Fraction(2, 7))
-    assert at(xs[1], z0) == at(xs[0], zeta * z0)
+    # x_1(z) = x_0(zeta5 z), cross-multiplied at z = 2/7
+    (num0, den0), (num1, den1) = resolvent_functions(2, 3)[:2]
+    z0 = Fraction(2, 7)
+    num0r, den0r = (Z5.rotate(p.rational(), 1).at(z0) for p in (num0, den0))
+    assert num1.at(z0) * den0r == num0r * den1.at(z0)
 
 
 def test_resolvent_quintic_examples():
@@ -408,14 +556,14 @@ def _direct_coeff_polys(m, n):
     """Reference: expand prod_nu (X W_nu - (m U_nu + n V_nu)) over Q(zeta5)
     at one (m, n), then project each X^k coefficient to Q."""
     U, V, W, *_ = resolvent_parts()
-    dom = QZETA5.domain()
-    acc = [Poly.one(dom)]
+    zero = Z5.lift(0)
+    acc = [Z5.lift(1)]
     for nu in range(5):
         Pnu = U[nu] * m + V[nu] * n
-        shifted = [Poly((), dom)] + [c * W[nu] for c in acc]
-        lowered = [c * (-Pnu) for c in acc] + [Poly((), dom)]
+        shifted = [zero] + [c * W[nu] for c in acc]
+        lowered = [c * (-Pnu) for c in acc] + [zero]
         acc = [s + l for s, l in zip(shifted, lowered)]
-    return [project_rational(c) for c in acc]
+    return [c.rational() for c in acc]
 
 
 @pytest.mark.parametrize("mn", [(Fraction(2), Fraction(3)), _seeded_mn()])
@@ -423,26 +571,35 @@ def test_resolvent_forms_match_direct_product(mn):
     assert resolvent_coeff_polys(*mn) == _direct_coeff_polys(*mn)
 
 
-class NoQZeta5:
-    def __getattr__(self, name):
-        raise AssertionError("the proofs in src/ must not use Q(zeta5)")
-
-
 @pytest.fixture
-def no_qzeta5(monkeypatch):
-    """Fail on any use of Q(zeta5): exact.QZETA5 becomes a stand-in that
-    raises, and building an element of the real field raises."""
-    monkeypatch.setattr(exact, "QZETA5", NoQZeta5())
-    init = AlgElement.__init__
+def over_q_only(monkeypatch):
+    """Fail when a Poly gets a coefficient that is not a Fraction, or an
+    algebra element is built outside Q(sqrt5) and Q(eps, i)."""
+    poly_init, alg_init = Poly.__init__, AlgElement.__init__
 
-    def guarded(self, field, coords):
-        assert field is not QZETA5, "an element of Q(zeta5) was built"
-        init(self, field, coords)
+    def poly_guarded(self, coeffs):
+        poly_init(self, coeffs)
+        assert all(type(c) is Fraction for c in self.coeffs), \
+            f"a Poly coefficient is not a Fraction: {self.coeffs}"
 
-    monkeypatch.setattr(AlgElement, "__init__", guarded)
+    def alg_guarded(self, field, coords):
+        assert field is QSQRT5 or field is QEPSI, \
+            f"an element of {field.name} was built"
+        alg_init(self, field, coords)
+
+    monkeypatch.setattr(Poly, "__init__", poly_guarded)
+    monkeypatch.setattr(AlgElement, "__init__", alg_guarded)
 
 
-def test_resolvent_identity_all_mn(no_qzeta5):
+def test_verify_all_over_q_only(over_q_only, capsys):
+    # every polynomial that verify all builds is over Q, and every algebra
+    # element is a scalar of Q(sqrt5) or Q(eps, i)
+    icosa.build_invariants.cache_clear()
+    assert cli.main(["verify", "all"]) == 0
+    capsys.readouterr()
+
+
+def test_resolvent_identity_all_mn(over_q_only):
     icosa.build_invariants()
     started = time.monotonic()
     assert icosa.resolvent_identity_mismatch() is None
