@@ -415,8 +415,8 @@ def _suite_klein_link():
                "the same transforms for every j outside {0, 1728}, as "
                "identities in k = j/(1728 - j) of degree <= 24",
                mismatch is None,
-               "the resultant identity, (a) and (b) hold at the 25 values "
-               "k = 1, ..., 25" if mismatch is None
+               "the resultant identity holds at k = 1, ..., 9, (a) at "
+               "k = 1, 2, 3 and (b) at k = 1, ..., 23" if mismatch is None
                else f"the {mismatch[0]} identity fails at "
                     f"k = {_fmt(mismatch[1])}"),
     ]
@@ -497,14 +497,8 @@ def _suite_repn():
         _check("repn/faithful",
                "the 240 exact lifts are pairwise distinct",
                len({m.key() for m in lifts}) == len(group) == 240),
-        _check("repn/relations",
-               "S^5 = T^4 = U^4 = 1 and relations (1)-(3) hold for all "
-               "admissible (a, d); (2) fails for a/d = +-2 as documented",
-               repn.verify_relations()),
-        _check("repn/homomorphism",
-               "lift(g) lift(h) = lift(gh) for all g, h, as lift(g) "
-               "lift(s) = lift(gs) for all 240 g and the 10 generators s",
-               repn.verify_homomorphism()),
+        _repn_relations_check(),
+        _repn_homomorphism_check(),
         _check("repn/congruence",
                "reducing each lift entrywise mod the prime above 5 returns "
                "the lifted matrix",
@@ -514,6 +508,35 @@ def _suite_repn():
                "residue(pi(g)) = g on all 240 elements"),
     ]
     return checks
+
+
+def _repn_relations_check() -> dict:
+    """repn/relations; on failure the witness names the first failing
+    relation, see repn.relations_mismatch."""
+    holds = repn.verify_relations()
+    witness = None
+    if not holds:
+        witness = f"the relation {repn.relations_mismatch()} fails"
+    return _check("repn/relations",
+                  "S^5 = T^4 = U^4 = 1 and relations (1)-(3) hold for all "
+                  "admissible (a, d); (2) fails for a/d = +-2 as documented",
+                  holds, witness)
+
+
+def _repn_homomorphism_check() -> dict:
+    """repn/homomorphism; on failure the witness is the first failing
+    Cayley-graph edge (g, s), see repn.homomorphism_mismatch."""
+    holds = repn.verify_homomorphism()
+    witness = None
+    if not holds:
+        g, idx = repn.homomorphism_mismatch()
+        witness = (f"lift(g) lift(s) != lift(gs) at g = "
+                   f"[[{g.a}, {g.b}], [{g.c}, {g.d}]], "
+                   f"s = {repn.generator_name(idx)}")
+    return _check("repn/homomorphism",
+                  "lift(g) lift(h) = lift(gh) for all g, h, as lift(g) "
+                  "lift(s) = lift(gs) for all 240 g and the 10 generators s",
+                  holds, witness)
 
 
 def _suite_hecke():

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, lcm, prod
 
 from . import quintic
 from .exact import QSQRT5, Poly
@@ -138,9 +138,23 @@ def verify_invariance(gen, inv=None):
     return invariance_mismatch(gen, inv) is None
 
 
-def _form_at(F, n, x, y):
-    """The form of degree n with dehomogenization F at (x, y)."""
-    return sum(c * x ** k * y ** (n - k) for k, c in enumerate(F.coeffs) if c)
+def _form_at(coeffs, n, x, y):
+    """The form of degree n with dehomogenization sum(coeffs[k] z^k) at
+    (x, y)."""
+    return sum(c * x ** k * y ** (n - k) for k, c in enumerate(coeffs) if c)
+
+
+def _int_coeffs(F):
+    """F's coefficients times the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in F.coeffs))
+    return [c.numerator * (den // c.denominator) for c in F.coeffs]
+
+
+@lru_cache(maxsize=4)
+def _is_klein_j(j, f, face):
+    """Part (i) of invariance_mismatch: j = (-H^3, f^5) as pairs in Q[z].
+    Cached, so that T and U share one proof for one j, f and H."""
+    return j == (-(face ** 3), f ** 5)
 
 
 def invariance_mismatch(gen, inv=None):
@@ -156,10 +170,17 @@ def invariance_mismatch(gen, inv=None):
     (ii) F(az+b, cz+d) = c_F F(z, 1) as forms, for F = f of degree 12 and
         F = H of degree 20.  Each side is a polynomial in z over K of
         degree at most deg F, so the identity holds once it holds at the
-        deg F + 1 values z = 0..deg F, computed in K; c_F is read off the
-        first of them with F(z, 1) != 0.  Else (name, z) at the first
+        deg F + 1 values z = 0..deg F, computed in K; c_F is the ratio of
+        the two sides at the first of them with F(z, 1) != 0, and each
+        later z is compared cross-multiplied.  Else (name, z) at the first
         failing z.
-    (iii) c_H^3 = c_f^5.  Else ("constant", None).
+    (iii) c_H^3 = c_f^5, cross-multiplied.  Else ("constant", None).
+
+    Part (i) is proved once for each j, f and H (_is_klein_j).  Over Q,
+    g and each F are first scaled to integers, so that (ii) is computed
+    in integers: scaling F scales both sides of (ii), and scaling g by
+    t != 0 multiplies c_f by t^12 and c_H by t^20, so both sides of (iii)
+    by t^60.
 
     If: j(gz) = -H(az+b, cz+d)^3 / f(az+b, cz+d)^5, as the factors
     (cz+d)^60 of the two dehomogenizations cancel, which is
@@ -177,18 +198,25 @@ def invariance_mismatch(gen, inv=None):
     if gen == "S":
         return _rotation_mismatch(inv.lam, {"j": inv.j, "mu": inv.mu})
     f = inv.lam[1]
-    if inv.j != (-(_FACE ** 3), f ** 5):
+    if not _is_klein_j(inv.j, f, _FACE):
         return "identity", None
     (a, b), (c, d) = _GENERATORS[gen] if isinstance(gen, str) else gen
+    if all(isinstance(e, (int, Fraction)) for e in (a, b, c, d)):
+        den = lcm(*(Fraction(e).denominator for e in (a, b, c, d)))
+        a, b, c, d = (int(e * den) for e in (a, b, c, d))
     consts = {}
     for name, F, n in (("f", f, 12), ("H", _FACE, 20)):
-        for z in map(Fraction, range(n + 1)):
-            moved, value = _form_at(F, n, a * z + b, c * z + d), F(z)
+        coeffs = _int_coeffs(F)
+        for z in range(n + 1):
+            moved = _form_at(coeffs, n, a * z + b, c * z + d)
+            value = _form_at(coeffs, n, z, 1)
             if name not in consts and value:
-                consts[name] = moved / value
-            if moved != consts.get(name, 0) * value:
+                consts[name] = moved, value
+            moved_0, value_0 = consts.get(name, (0, 1))
+            if moved * value_0 != moved_0 * value:
                 return name, z
-    if consts["H"] ** 3 != consts["f"] ** 5:
+    (moved_f, value_f), (moved_h, value_h) = consts["f"], consts["H"]
+    if moved_h ** 3 * value_f ** 5 != moved_f ** 5 * value_h ** 3:
         return "constant", None
     return None
 

@@ -37,8 +37,8 @@ The forward transform is 2-to-1: its deck involution mu -> -(mu+5)/(mu+1)
 carries q' to a second sextic, and the cleared composite g(x(mu)) is
 (1 + k)^2 times the product of the two, where k = j/(1728 - j).  In k, E_j
 is y^2 = x^3 + 3kx + 2k, and that factorization, the mu(x) direction
-modulo g and the resultant that defines g are identities in k of degree
-at most 24, proved for every j at once at 25 values of k
+modulo g and the resultant that defines g are identities in k, each
+proved for every j at once at one more value of k than its degree bound
 (klein_link_family_mismatch).
 """
 
@@ -314,9 +314,9 @@ _PULLBACK_K_TERM = Poly.over_q([5, 1]) * Poly.over_q([1, 1]) ** 5
 _INVERSE_DEN_K_TERM = Poly.over_q([2, 1]) ** 5
 _INVERSE_DEN_CONSTANT = Poly.over_q([0, 0, 0, 1]) * Poly.over_q([34, 10, 1])
 
-# values of k for klein_link_family_mismatch: 25 rationals outside {0, -1},
-# one more than the largest degree bound 24
-_KLEIN_LINK_K = tuple(Fraction(k) for k in range(1, 26))
+# klein_link_family_mismatch proves each fact at k = 1, ..., n, n one more
+# than its degree bound in klein_link_mismatch
+_KLEIN_LINK_FACTS = {"resultant": 9, "(a)": 3, "(b)": 23}
 
 
 def mu_sextic(j) -> Poly:
@@ -325,7 +325,7 @@ def mu_sextic(j) -> Poly:
     return _MU_CORE_CUBED - Poly.over_q([0, j])
 
 
-def klein_link_mismatch(k):
+def klein_link_mismatch(k, facts=tuple(_KLEIN_LINK_FACTS)):
     """The link between the 5-torsion sextic of E_j and q'(mu), at one k.
 
     E_j is y^2 = x^3 + bx + c with b = 3k, c = 2k, k = j/(1728 - j), so
@@ -342,18 +342,23 @@ def klein_link_mismatch(k):
       D = 1728(k(x+2)^5 - (1+k)x^3(x^2+10x+34)): N/D is the inverse
       transform 31104x^3/((x+2)^5 j - 1728x^3(x^2+10x+34)).
 
-    Returns None, or (fact, k) for the first that fails.  A clearing
-    denominator sharing a root with q' or with g raises ArithmeticError.
+    facts names the facts to check, in this order.  Returns None, or
+    (fact, k) for the first that fails.  A clearing denominator sharing a
+    root with q' (checked with (a)) or with g (checked with (b)) raises
+    ArithmeticError.
 
-    Each fact is an identity in k of bounded degree, so it holds for every
-    k once it holds at one more k than the bound:
+    Each fact is an identity in k, so it holds for every k once it holds
+    at one more nonzero k than its degree bound:
 
-    * resultant, 24.  psi5 and q0 + S q1 are isobaric of weights 12 and 4
+    * resultant, 8.  psi5 and q0 + S q1 are isobaric of weights 12 and 4
       = their x-degrees, for x, b, c, S of weights 1, 2, 3, 1, so their
-      resultant is isobaric of weight 48 in b, c, S, as is the right side;
-      b^i c^l S^m of weight 2i + 3l + m = 48 has k-degree i + l <= 24.  The
-      leading coefficients 5 and -5 are free of k and S, so the resultant
-      at one k specializes the resultant in Q[k][S].
+      resultant is isobaric of weight 48 in b, c, S, as is the right side.
+      A term b^i c^l S^m has 2i + 3l = w = 48 - m and k-degree i + l, with
+      w/3 <= i + l <= w/2; so the coefficient of S^m is k^ceil(w/3) times
+      a polynomial in k of degree at most floor(w/2) - ceil(w/3) <= 8
+      (8 at w = 48), and k^ceil(w/3) != 0 for k != 0.  The leading
+      coefficients 5 and -5 are free of k and S, so the resultant at one
+      k specializes the resultant in Q[k][S].
     * (a), 2.  The coefficients of g have k-degree at most 2, and (1+k) q'
       and (1+k) pullback each have k-degree 1.
     * (b), 22.  For x and k of weights 1 and 2, N has weight at most 5, D
@@ -371,42 +376,51 @@ def klein_link_mismatch(k):
     E = EllipticCurve(0, 3 * k, 2 * k)
     b, c = E.a4, E.a6
     g = x5sum_resolvent(E)
-    q0 = Poly.over_q([-b * b, 4 * c, -2 * b, 0, -5])
-    q1 = Poly.over_q([4 * c, 4 * b, 0, 4])
-    res = resultant_pencil(division_poly5(E), q0, q1)
-    if res != (g * g).scale(5 * 2 ** 24 * (4 * b ** 3 + 27 * c * c) ** 6):
-        return "resultant", k
-
     qp = mu_sextic(1728 * k / (1 + k)).scale(1 + k)
-    den_a = Poly.over_q([-1, 4, 1])
-    if poly_gcd(den_a, qp).degree() > 0:
-        raise ArithmeticError("transform denominator shares a root with q'")
-    pullback = _MU_CORE_CUBED.scale(64 * (1 + k)) \
-        - _PULLBACK_K_TERM.scale(1728 * k)
-    if g.compose_frac(Poly.over_q([-10, -20, -2]), den_a) != qp * pullback:
-        return "(a)", k
-
-    den_b = (_INVERSE_DEN_K_TERM.scale(k)
-             - _INVERSE_DEN_CONSTANT.scale(1 + k)).scale(1728)
-    if poly_gcd(den_b, g).degree() > 0:
-        raise ArithmeticError("transform denominator shares a root with g")
-    if not poly_divides(g, qp.compose_frac(
-            Poly.over_q([0, 0, 0, 31104 * (1 + k)]), den_b)):
-        return "(b)", k
+    for fact in facts:
+        if fact == "resultant":
+            q0 = Poly.over_q([-b * b, 4 * c, -2 * b, 0, -5])
+            q1 = Poly.over_q([4 * c, 4 * b, 0, 4])
+            res = resultant_pencil(division_poly5(E), q0, q1)
+            holds = res == (g * g).scale(
+                5 * 2 ** 24 * (4 * b ** 3 + 27 * c * c) ** 6)
+        elif fact == "(a)":
+            den_a = Poly.over_q([-1, 4, 1])
+            if poly_gcd(den_a, qp).degree() > 0:
+                raise ArithmeticError(
+                    "transform denominator shares a root with q'")
+            pullback = _MU_CORE_CUBED.scale(64 * (1 + k)) \
+                - _PULLBACK_K_TERM.scale(1728 * k)
+            holds = g.compose_frac(Poly.over_q([-10, -20, -2]), den_a) \
+                == qp * pullback
+        elif fact == "(b)":
+            den_b = (_INVERSE_DEN_K_TERM.scale(k)
+                     - _INVERSE_DEN_CONSTANT.scale(1 + k)).scale(1728)
+            if poly_gcd(den_b, g).degree() > 0:
+                raise ArithmeticError(
+                    "transform denominator shares a root with g")
+            holds = poly_divides(g, qp.compose_frac(
+                Poly.over_q([0, 0, 0, 31104 * (1 + k)]), den_b))
+        else:
+            raise ValueError(f"unknown klein-link fact {fact!r}")
+        if not holds:
+            return fact, k
     return None
 
 
 def klein_link_family_mismatch():
-    """Prove the klein link for every j outside {0, 1728}, by a degree bound.
+    """Prove the klein link for every j outside {0, 1728}, by degree bounds.
 
-    Returns None, or the first (fact, k) of klein_link_mismatch at the 25
-    values k = 1, ..., 25 of _KLEIN_LINK_K.  The largest of the degree
-    bounds derived there is 24, so each fact holds identically in k, and
-    every rational j outside {0, 1728} has k = j/(1728 - j) outside
-    {0, -1}.
+    Each fact of klein_link_mismatch is checked at k = 1, ..., n, with n
+    from _KLEIN_LINK_FACTS one more than its degree bound derived there:
+    the resultant identity at 9 values, (a) at 3 and (b) at 23.  So each
+    fact holds identically in k, and every rational j outside {0, 1728}
+    has k = j/(1728 - j) outside {0, -1}.  Returns None, or the first
+    (fact, k) that fails, in the order of k and then of the facts.
     """
-    for k in _KLEIN_LINK_K:
-        mismatch = klein_link_mismatch(k)
+    for k in range(1, max(_KLEIN_LINK_FACTS.values()) + 1):
+        facts = [f for f, n in _KLEIN_LINK_FACTS.items() if k <= n]
+        mismatch = klein_link_mismatch(k, facts)
         if mismatch is not None:
             return mismatch
     return None

@@ -23,12 +23,18 @@ of F5^x fixed by omega5(x) = x under the residue homomorphism.  lift_pi
 sends each group element to the product of lifted generators along its
 first-discovery word; verify_homomorphism proves multiplicativity on the
 Cayley graph (each element times each generator), verify_relations checks
-the braid-like generator relations together with the documented failure
-at a/d = +-2, and verify_congruence checks that the residue homomorphism
-applied entrywise is the identity on all 240 elements and that the lift is
-faithful.  Nine of the ten generator lifts are monomial with entries in
-{+-1, +-i}, so only the S edges of the lift table and of the Cayley graph
-multiply over the order; the others permute and negate coordinates.
+the generator orders and the braid-like relations together with the
+documented failure at a/d = +-2, and verify_congruence checks that the
+residue homomorphism applied entrywise is the identity on all 240 elements
+and that the lift is faithful.
+
+All four run on integer keys: every lift L has coordinate denominators in
+{1, 2}, so 2L is 16 integers.  Right multiplication by S is one fixed
+integer linear map followed by an exact halving; the other nine generator
+lifts are monomial with entries in {+-1, +-i}, so multiplying by them
+permutes and negates the integers.  The certificate compares the keys
+along the 2400 edges the BFS recorded, and computes no product over the
+order or over F5.
 """
 
 from __future__ import annotations
@@ -50,7 +56,10 @@ __all__ = [
     "pi_generators",
     "enumerate_group",
     "lift_pi",
+    "generator_name",
+    "homomorphism_mismatch",
     "verify_homomorphism",
+    "relations_mismatch",
     "verify_relations",
     "verify_congruence",
 ]
@@ -197,10 +206,6 @@ class RepMatrix:
     def key(self):
         return (self.a.coords, self.b.coords, self.c.coords, self.d.coords)
 
-    @classmethod
-    def from_key(cls, key) -> "RepMatrix":
-        return cls(*(AlgElement(QEPSI, c) for c in key))
-
 
 @lru_cache(maxsize=1)
 def _admissible_pairs():
@@ -239,6 +244,8 @@ def _shadow_generators():
 def _group_data():
     """BFS closure of the shadow generators.
 
+    Returns (order, words, parents, edges): edges holds every (g, idx, h)
+    with h = g s_idx, for each g in order and each generator index idx.
     Discovery order is deterministic: the queue advances in layers and each
     layer multiplies by the generators in a fixed order, so elements appear
     sorted by (word length, word) lexicographically.
@@ -247,6 +254,7 @@ def _group_data():
     ident = F5Matrix.identity()
     words = {ident: ()}
     parents = {}
+    edges = []
     order = [ident]
     frontier = [ident]
     while frontier:
@@ -257,13 +265,14 @@ def _group_data():
                 raise ArithmeticError("generator word exceeded the length cap")
             for idx, s in enumerate(gens):
                 h = g * s
+                edges.append((g, idx, h))
                 if h not in words:
                     words[h] = w + (idx,)
                     parents[h] = (g, idx)
                     order.append(h)
                     nxt.append(h)
         frontier = nxt
-    return tuple(order), words, parents
+    return tuple(order), words, parents, tuple(edges)
 
 
 def enumerate_group():
@@ -271,33 +280,119 @@ def enumerate_group():
     return list(_group_data()[0])
 
 
-def _times_generator(key, idx):
-    """The key of M L(s) from the key of M, s the generator idx.
+# -- integer keys --------------------------------------------------------------
+#
+# The key of a lift L is the 16 integers 2 L: the coordinates on 1, eps, i,
+# i*eps of 2a, 2b, 2c, 2d for L = [[a, b], [c, d]].  Every lift has
+# coordinate denominators in {1, 2}, so its key is integral and determines it.
 
-    idx 0 is S, a product over the order.  The other lifts are monomial
-    with entries in {+-1, +-i}: M T = [[b, -a], [d, -c]], and
-    M diag(i^p, i^q) multiplies column 1 by i^p and column 2 by i^q, which
-    permutes and negates coordinates (_times_i); so this is exactly the
-    key of M * L(s).
+_IDENTITY_KEY = (2, 0, 0, 0) + (0,) * 8 + (2, 0, 0, 0)
+
+
+def _int_key(m: RepMatrix):
+    """The key 2 m; ValueError if a coordinate of 2 m is not an integer."""
+    key = []
+    for entry in (m.a, m.b, m.c, m.d):
+        for x in entry.coords:
+            if x.denominator > 2:
+                raise ValueError("coordinate denominator does not divide 2")
+            key.append(x.numerator * 2 // x.denominator)
+    return tuple(key)
+
+
+@lru_cache(maxsize=None)
+def _half(v: int) -> Fraction:
+    return Fraction(v, 2)
+
+
+def _from_int_key(key) -> RepMatrix:
+    return RepMatrix(*(AlgElement(QEPSI, tuple(map(_half, key[n:n + 4])))
+                       for n in range(0, 16, 4)))
+
+
+def _right_map(m: RepMatrix):
+    """The integer linear map K -> K (2m) on keys, as 16 rows.
+
+    Output coordinate n of the key product is sum(c * K[i] for i, c in
+    rows[n]); it is 4 times a coordinate of M m for K the key of M.  Right
+    multiplication by a fixed y in Z[eps, i] is linear in x, with the
+    coordinates of e_k y on the basis e_k, read off in QEPSI.
     """
-    if idx == 0:
-        return (RepMatrix.from_key(key) * pi_generators()[0]).key()
-    a, b, c, d = key
-    if idx == 1:
-        return b, _times_i(a, 2), d, _times_i(c, 2)
-    p, q = _admissible_pairs()[idx - 2]
-    p, q = _OMEGA5_LOG[p], _OMEGA5_LOG[q]
-    return _times_i(a, p), _times_i(b, q), _times_i(c, p), _times_i(d, q)
+    _int_key(m)  # 2m is integral, so each coordinate below is an integer
+    # cols[n][k][l]: coordinate l of e_k y for y entry n of 2m
+    cols = [[(QEPSI.gen(k) * (entry * 2)).coords for k in range(4)]
+            for entry in (m.a, m.b, m.c, m.d)]
+    rows = []
+    # [[A, B], [C, D]] [[p, q], [r, s]] = [[Ap + Br, Aq + Bs], [Cp + Dr, Cq + Ds]]
+    for left in (0, 8):
+        for top, bottom in ((cols[0], cols[2]), (cols[1], cols[3])):
+            for coord in range(4):
+                terms = [(left + k, top[k][coord]) for k in range(4)] \
+                    + [(left + 4 + k, bottom[k][coord]) for k in range(4)]
+                rows.append(tuple((i, int(c)) for i, c in terms if c))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=1)
+def _s_map():
+    return _right_map(pi_generators()[0])
+
+
+def _times_letter(key, letter, s_map):
+    """The key of M L from the key of M, L the lift a letter names.
+
+    A letter is "S", "T", or a pair (a, d) for diag(omega5(a), omega5(d)).
+    For S, s_map is its _right_map, and the key of M S is half of K (2S):
+    an odd coordinate means M S leaves the half-integral lifts, and raises
+    ArithmeticError.  The other lifts are monomial with entries in
+    {+-1, +-i}: M T = [[b, -a], [d, -c]], and M diag(i^p, i^q) multiplies
+    column 1 by i^p and column 2 by i^q, which permutes and negates
+    coordinates (_times_i).
+    """
+    if letter == "S":
+        out = []
+        for terms in s_map:
+            v = sum(c * key[i] for i, c in terms)
+            if v & 1:
+                raise ArithmeticError("a coordinate of the product is not "
+                                      "in (1/2) Z")
+            out.append(v >> 1)
+        return tuple(out)
+    a, b, c, d = key[:4], key[4:8], key[8:12], key[12:]
+    if letter == "T":
+        return b + _times_i(a, 2) + d + _times_i(c, 2)
+    p, q = _OMEGA5_LOG[letter[0]], _OMEGA5_LOG[letter[1]]
+    return _times_i(a, p) + _times_i(b, q) + _times_i(c, p) + _times_i(d, q)
+
+
+def _letter(idx):
+    """The letter of the generator with index idx: "S" for 0, "T" for 1,
+    then the pairs of _admissible_pairs(), as in _shadow_generators."""
+    return "ST"[idx] if idx < 2 else _admissible_pairs()[idx - 2]
+
+
+def _letter_name(letter) -> str:
+    return letter if isinstance(letter, str) else "U({}, {})".format(*letter)
+
+
+def generator_name(idx: int) -> str:
+    """"S", "T" or "U(a, d)" for the generator with index idx."""
+    return _letter_name(_letter(idx))
+
+
+def _times_generator(key, idx):
+    """The key of M L(s) from the key of M, s the generator idx."""
+    return _times_letter(key, _letter(idx), _s_map())
 
 
 @lru_cache(maxsize=1)
 def _lift_table():
-    order, _, parents = _group_data()
-    keys = {order[0]: RepMatrix.identity().key()}
+    order, _, parents, _ = _group_data()
+    keys = {order[0]: _IDENTITY_KEY}
     for g in order[1:]:
         parent, idx = parents[g]
         keys[g] = _times_generator(keys[parent], idx)
-    return {g: RepMatrix.from_key(k) for g, k in keys.items()}
+    return {g: _from_int_key(k) for g, k in keys.items()}
 
 
 def lift_pi(g: F5Matrix) -> RepMatrix:
@@ -308,56 +403,118 @@ def lift_pi(g: F5Matrix) -> RepMatrix:
     return table[g]
 
 
+def _table_keys():
+    return {g: _int_key(m) for g, m in _lift_table().items()}
+
+
+def homomorphism_mismatch():
+    """The Cayley-graph certificate: None, or the first edge (g, idx) with
+    L(g) L(s_idx) != L(g s_idx), in BFS order of g and then of idx.
+
+    The keys come from _lift_table(), and the edges g s = h from the BFS,
+    which computed each F5 product once; each L(g) L(s) is
+    _times_generator on keys, so only the 240 edges by S multiply, by one
+    integer linear map, and all 2400 are compared as integer tuples.
+    """
+    keys = _table_keys()
+    for g, idx, h in _group_data()[3]:
+        if _times_generator(keys[g], idx) != keys[h]:
+            return g, idx
+    return None
+
+
 def verify_homomorphism() -> bool:
     """Prove lift_pi(g) lift_pi(h) = lift_pi(gh) for all g, h.
 
     The certificate is the Cayley graph: L(g) L(s) = L(gs) for all 240 g
-    and the 10 generator shadows s.  Every h is a word s_1 ... s_k in the
-    generators, so by induction on k, L(gh) = L(g) L(s_1) ... L(s_k); at
-    g = 1, where L(1) = 1, this reads L(h) = L(s_1) ... L(s_k), and so
-    L(gh) = L(g) L(h).  Each L(g) L(s) is _times_generator on the
-    coordinate keys, so only the 240 edges by S multiply over the order;
-    all 2400 edges are compared exactly.
+    and the 10 generator shadows s (homomorphism_mismatch).  Every h is a
+    word s_1 ... s_k in the generators, so by induction on k,
+    L(gh) = L(g) L(s_1) ... L(s_k); at g = 1, where L(1) = 1, this reads
+    L(h) = L(s_1) ... L(s_k), and so L(gh) = L(g) L(h).
     """
-    keys = {g: m.key() for g, m in _lift_table().items()}
-    gens = _shadow_generators()
-    return all(_times_generator(keys[g], idx) == keys[g * s]
-               for g in _group_data()[0] for idx, s in enumerate(gens))
+    return homomorphism_mismatch() is None
+
+
+def _relations():
+    """(name, lhs, rhs, holds) for each relation verify_relations checks.
+
+    lhs and rhs are words of letters (see _times_letter), and holds says
+    whether their lifts must be equal or must differ.  Inverses are
+    positive powers: T^-1 = T^3, S^-1 = S^4 and
+    U(a, d)^-1 = U(a^-1, d^-1).
+    """
+    def u(a, d):
+        return _letter_name((a, d))
+
+    def inverse(a, d):
+        return pow(a, -1, 5), pow(d, -1, 5)
+
+    rels = [("S^5 = 1", ("S",) * 5, (), True),
+            ("T^4 = 1", ("T",) * 4, (), True)]
+    rels += [(f"{u(a, d)}^4 = 1", ((a, d),) * 4, (), True)
+             for a, d in _admissible_pairs()]
+    for a, d in _admissible_pairs():
+        n = a * pow(d, -1, 5) % 5
+        rels.append((f"T {u(a, d)} T^-1 = {u(d, a)}",
+                     ("T", (a, d)) + ("T",) * 3, ((d, a),), True))
+        rels.append((f"{u(a, d)} S {u(a, d)}^-1 = S^{n}",
+                     ((a, d), "S", inverse(a, d)), ("S",) * n, True))
+    for a, d in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        rels.append((f"T S^{d} T^-1 = {u(a, d)} S^-{d} T^-1 S^-{a}",
+                     ("T",) + ("S",) * d + ("T",) * 3,
+                     ((a, d),) + ("S",) * (5 - d) + ("T",) * 3
+                     + ("S",) * (5 - a), True))
+    for a, d in ((2, 1), (3, 1), (1, 2), (1, 3)):
+        n = a * pow(d, -1, 5) % 5
+        rels.append((f"{u(a, d)} S {u(a, d)}^-1 != S^{n}",
+                     ((a, d), "S", inverse(a, d)), ("S",) * n, False))
+    return rels
+
+
+def relations_mismatch(S=None):
+    """None, or the name of the first relation of verify_relations that
+    fails, each side a word in the generator lifts evaluated on keys.
+
+    S defaults to the lift pi_generators()[0]; it is a parameter for
+    mutation tests.
+    """
+    s_map = _s_map() if S is None else _right_map(S)
+
+    def word_key(word):
+        key = _IDENTITY_KEY
+        for letter in word:
+            key = _times_letter(key, letter, s_map)
+        return key
+
+    for name, lhs, rhs, holds in _relations():
+        if (word_key(lhs) == word_key(rhs)) != holds:
+            return name
+    return None
 
 
 def verify_relations() -> bool:
     """Check the generator relations, including the documented failure.
 
+    (0) S^5 = 1, T^4 = 1 and U(a,d)^4 = 1 for all admissible (a, d);
     (1) T U(a,d) T^-1 = U(d,a) for all admissible (a, d);
     (2) U(a,d) S U(a,d)^-1 = S^n with n = a/d, which is +-1 for admissible
         pairs; diagonal lifts with a/d = +-2 must violate it;
     (3) T S^d T^-1 = U(a,d) S^-d T^-1 S^-a whenever ad = 1 mod 5.
     """
-    S, T, U = pi_generators()
-    Tinv = T.inv()
-    for a, d in _admissible_pairs():
-        if T * U(a, d) * Tinv != U(d, a):
-            return False
-        n = a * pow(d, -1, 5) % 5
-        if U(a, d) * S * U(a, d).inv() != S ** n:
-            return False
-    for a, d in ((1, 1), (2, 3), (3, 2), (4, 4)):
-        lhs = T * S ** d * Tinv
-        rhs = U(a, d) * S ** (5 - d) * Tinv * S ** (5 - a)
-        if lhs != rhs:
-            return False
-    for a, d in ((2, 1), (3, 1), (1, 2), (1, 3)):
-        n = a * pow(d, -1, 5) % 5
-        M = _diag_lift(a, d)
-        if M * S * M.inv() == S ** n:
-            return False
-    return True
+    return relations_mismatch() is None
+
+
+def _key_residue(key) -> F5Matrix:
+    """The residue of the lift with this key: eps -> 2, i -> 2, 1/2 -> 3,
+    so a coordinate v/2 reduces to 3v."""
+    return F5Matrix(*(3 * (key[n] + 2 * key[n + 1] + 2 * key[n + 2]
+                           + 4 * key[n + 3]) for n in range(0, 16, 4)))
 
 
 def verify_congruence() -> bool:
     """residue_hom o lift_pi is the identity on all 240 elements; lift faithful."""
     order = enumerate_group()
-    table = _lift_table()
-    if any(table[g].residue() != g for g in order):
+    keys = _table_keys()
+    if any(_key_residue(keys[g]) != g for g in order):
         return False
-    return len({table[g].key() for g in order}) == len(order)
+    return len({keys[g] for g in order}) == len(order)

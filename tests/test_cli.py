@@ -558,8 +558,9 @@ def test_verify_klein_link(capsys):
     assert report["status"] == "pass"
     proof = report["checks"][1]
     assert proof["id"] == "klein-link/random-samples"
-    assert proof["witness"] == ("the resultant identity, (a) and (b) hold at "
-                                "the 25 values k = 1, ..., 25")
+    assert proof["witness"] == ("the resultant identity holds at k = 1, ..., "
+                                "9, (a) at k = 1, 2, 3 and (b) at "
+                                "k = 1, ..., 23")
 
 
 def _mutate_x5sum(monkeypatch):
@@ -601,6 +602,26 @@ def test_verify_repn(capsys):
     # the report must flag the unsatisfiable literal congruence reading
     assert "literal reading" in by_id["repn/congruence"]["witness"]
     assert "all 240 elements" in by_id["repn/congruence"]["witness"]
+    for cid in ("repn/relations", "repn/homomorphism"):
+        assert by_id[cid]["status"] == "pass"
+        assert "witness" not in by_id[cid]
+
+
+def test_verify_repn_witnesses(capsys, monkeypatch):
+    # -S in place of S: the relations name S^5 = 1, and the certificate
+    # its first edge, the identity times S, against the cached lift table
+    repn = cli.repn
+    repn._lift_table()
+    S = repn.pi_generators()[0]
+    minus_s = repn._right_map(repn.RepMatrix(-S.a, -S.b, -S.c, -S.d))
+    monkeypatch.setattr(repn, "_s_map", lambda: minus_s)
+    rc, out, _ = run_cli(capsys, "verify", "repn")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["repn/relations"]["witness"] == "the relation S^5 = 1 fails"
+    assert by_id["repn/homomorphism"]["witness"] == \
+        "lift(g) lift(s) != lift(gs) at g = [[1, 0], [0, 1]], s = S"
+    assert by_id["repn/congruence"]["status"] == "pass"
 
 
 def test_verify_qcurve_options_recorded(capsys):

@@ -413,8 +413,22 @@ def test_invariance_mutation():
     # and fixes j because j is rational
     conj = -1 - eps
     assert icosa.verify_invariance(((conj, one), (one, -conj)))
-    # z -> -1/z over Q, as a matrix, is U
+    # z -> -1/z over Q, as a matrix, is U, also scaled by 1/2; z -> z/2 is
+    # not in the group
     assert icosa.verify_invariance(((0, -1), (1, 0)))
+    half = Fraction(1, 2)
+    assert icosa.verify_invariance(((0, -half), (half, 0)))
+    assert icosa.invariance_mismatch(((half, 0), (0, 1))) == ("f", 2)
+
+
+def test_invariance_identity_proved_once():
+    # T and U share the proof of j = -H^3/f^5 for one j, f and H
+    icosa.build_invariants()
+    icosa._is_klein_j.cache_clear()
+    for label in "TU":
+        assert icosa.verify_invariance(label)
+    info = icosa._is_klein_j.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_invariance_s_mutation():

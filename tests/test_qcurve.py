@@ -15,7 +15,7 @@ from icosahedral.qcurve import (
     x5sum_resolvent,
 )
 from icosahedral.qcurve import (
-    _ISOGENY_R_DEGREE, _J_EQUATION_R, _KLEIN_LINK_K, _isogeny_identities,
+    _ISOGENY_R_DEGREE, _J_EQUATION_R, _KLEIN_LINK_FACTS, _isogeny_identities,
     isogeny_mismatch,
 )
 from icosahedral.quintic import Quintic, invariants, j_candidates, j_equation
@@ -580,9 +580,28 @@ def test_klein_link():
             verify_klein_link(j)
 
 
-def test_klein_link_family():
-    assert _KLEIN_LINK_K == tuple(Fraction(k) for k in range(1, 26))
+def test_klein_link_family(monkeypatch):
+    assert _KLEIN_LINK_FACTS == {"resultant": 9, "(a)": 3, "(b)": 23}
     assert klein_link_family_mismatch() is None
+    # each fact, and each shared-root guard, runs at its own k = 1..n only
+    checked = {}
+    check = qcurve.klein_link_mismatch
+
+    def record(k, facts):
+        for fact in facts:
+            checked.setdefault(fact, []).append(k)
+        return check(k, facts)
+
+    gcd_calls = []
+    monkeypatch.setattr(qcurve, "klein_link_mismatch", record)
+    monkeypatch.setattr(qcurve, "poly_gcd",
+                        lambda *a: gcd_calls.append(a) or poly_gcd(*a))
+    assert klein_link_family_mismatch() is None
+    assert checked == {"resultant": list(range(1, 10)),
+                       "(a)": [1, 2, 3], "(b)": list(range(1, 24))}
+    assert len(gcd_calls) == 3 + 23
+    with pytest.raises(ValueError):
+        check(1, ["(c)"])
 
 
 # -- the klein-link proof in k: sympy expansions of its identities and bounds --
@@ -626,6 +645,18 @@ def test_klein_link_degree_bounds():
     res_k = sp.Poly(sym_duplication_resultant().subs({b_: 3 * k, c_: 2 * k}),
                     S_, k)
     assert res_k.degree(k) == 22 <= 24
+    # the coefficient of S^m is k^ceil(w/3) times a polynomial of degree
+    # <= 8 in k, w = 48 - m
+    quotient_degrees = []
+    for m in range(res_k.degree(S_) + 1):
+        w = 48 - m
+        coeff = sp.Poly(res_k.as_expr().coeff(S_, m), k)
+        if coeff.is_zero:
+            continue
+        low = min(e for (e,) in coeff.monoms())
+        assert low >= -(-w // 3)
+        quotient_degrees.append(coeff.degree() - -(-w // 3))
+    assert max(quotient_degrees) == 7 <= 8
     # (a): g(-2 core/den) den^6 = [(1+k) q'] [(1+k) pullback], of k-degree 2
     core = sp.Poly(mu ** 2 + 10 * mu + 5, mu, k)
     den = sp.Poly(mu ** 2 + 4 * mu - 1, mu, k)

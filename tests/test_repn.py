@@ -133,7 +133,7 @@ def test_lift_pi():
 
 def lift_table_from(lifts):
     """Each element's lift along its BFS word, from the generator lifts."""
-    order, _, parents = repn._group_data()
+    order, _, parents, _ = repn._group_data()
     table = {order[0]: RepMatrix.identity()}
     for g in order[1:]:
         parent, idx = parents[g]
@@ -147,12 +147,66 @@ def generator_lifts():
 
 
 def test_unit_edges_match_products():
-    # the helper of the certificate against the plain product, on all
-    # 2400 Cayley-graph edges
+    # the helper of the certificate on integer keys against the plain
+    # product, on all 2400 Cayley-graph edges
     lifts = generator_lifts()
     for m in repn._lift_table().values():
+        key = repn._int_key(m)
+        assert repn._from_int_key(key) == m
         for idx, s in enumerate(lifts):
-            assert repn._times_generator(m.key(), idx) == (m * s).key()
+            assert repn._times_generator(key, idx) == repn._int_key(m * s)
+
+
+def test_group_edges_are_the_cayley_graph():
+    order, _, _, edges = repn._group_data()
+    gens = repn._shadow_generators()
+    assert edges == tuple((g, idx, g * s) for g in order
+                          for idx, s in enumerate(gens))
+    assert [repn.generator_name(i) for i in (0, 1, 2, 9)] == \
+        ["S", "T", "U(1, 1)", "U(4, 4)"]
+
+
+def test_int_keys_are_exact():
+    S, T, _ = pi_generators()
+    assert repn._int_key(RepMatrix.identity()) == repn._IDENTITY_KEY
+    assert repn._int_key(S)[:8] == (0, 1, 0, 0, 1, 0, 1, 1)
+    # a coordinate 1/4 has no integer key
+    with pytest.raises(ValueError):
+        repn._int_key(RepMatrix(Fraction(1, 4), 0, 0, 1))
+    # (1/2) I times S has coordinates in (1/4) Z: the halving raises
+    half = repn._int_key(RepMatrix(Fraction(1, 2), 0, 0, Fraction(1, 2)))
+    with pytest.raises(ArithmeticError):
+        repn._times_generator(half, 0)
+    # the residue of a key reads 1/2 as 3, as residue_hom does
+    for m in (S, T, S * T * S):
+        assert repn._key_residue(repn._int_key(m)) == m.residue()
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(*args):
+        calls.append(None)
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_certificate_makes_no_matrix_products(monkeypatch):
+    # the lift table, the certificate and the relations run on integer
+    # keys: no product over the order, and the certificate reads the BFS
+    # edges instead of multiplying over F5
+    repn._group_data()
+    rep_calls = _count_calls(monkeypatch, RepMatrix, "__mul__")
+    repn._lift_table.cache_clear()
+    repn._lift_table()
+    f5_calls = _count_calls(monkeypatch, F5Matrix, "__mul__")
+    assert verify_homomorphism()
+    assert f5_calls == []
+    assert verify_relations()
+    assert rep_calls == []
 
 
 def test_homomorphism_certificate(monkeypatch):
@@ -169,6 +223,16 @@ def test_homomorphism_certificate(monkeypatch):
         table = lift_table_from(bad)
         monkeypatch.setattr(repn, "_lift_table", lambda: table)
         assert not verify_homomorphism()
+
+
+def test_homomorphism_witness(monkeypatch):
+    # the first failing edge in BFS order: with -T, the identity times T
+    assert repn.homomorphism_mismatch() is None
+    lifts = generator_lifts()
+    neg_t = lifts[:1] + [RepMatrix(0, 1, -1, 0)] + lifts[2:]
+    table = lift_table_from(neg_t)
+    monkeypatch.setattr(repn, "_lift_table", lambda: table)
+    assert repn.homomorphism_mismatch() == (F5Matrix.identity(), 1)
 
 
 def test_homomorphism_certificate_unit_helper(monkeypatch):
@@ -244,6 +308,23 @@ def test_homomorphism_exhaustive():
 
 def test_relations():
     assert verify_relations()
+    assert repn.relations_mismatch() is None
+    names = [name for name, *_ in repn._relations()]
+    assert names[:3] == ["S^5 = 1", "T^4 = 1", "U(1, 1)^4 = 1"]
+    assert len(names) == 2 + 8 + 16 + 4 + 4
+
+
+def test_relations_order_mutation(monkeypatch):
+    # -S has order 10, so S^5 = 1 fails before any other relation
+    S, _, _ = pi_generators()
+    minus_s = RepMatrix(-S.a, -S.b, -S.c, -S.d)
+    assert minus_s ** 5 != RepMatrix.identity()
+    assert repn.relations_mismatch(S=minus_s) == "S^5 = 1"
+    # with omega5(2) = -i, U(2, 2) and its inverse U(3, 3) are both -i, so
+    # U(2, 2) S U(2, 2)^-1 = -S
+    monkeypatch.setattr(repn, "_OMEGA5_LOG", {**repn._OMEGA5_LOG, 2: 3})
+    assert not verify_relations()
+    assert repn.relations_mismatch() == "U(2, 2) S U(2, 2)^-1 = S^1"
 
 
 def test_relation_failure_at_nonsquare_ratio():
