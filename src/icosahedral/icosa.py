@@ -176,11 +176,9 @@ def invariance_mismatch(gen, inv=None):
         failing z.
     (iii) c_H^3 = c_f^5, cross-multiplied.  Else ("constant", None).
 
-    Part (i) is proved once for each j, f and H (_is_klein_j).  Over Q,
-    g and each F are first scaled to integers, so that (ii) is computed
-    in integers: scaling F scales both sides of (ii), and scaling g by
-    t != 0 multiplies c_f by t^12 and c_H by t^20, so both sides of (iii)
-    by t^60.
+    Part (i) is proved once for each j, f and H (_is_klein_j).  Each F is
+    first scaled to integers, which scales both sides of (ii), so that U's
+    (ii) is computed in integers.
 
     If: j(gz) = -H(az+b, cz+d)^3 / f(az+b, cz+d)^5, as the factors
     (cz+d)^60 of the two dehomogenizations cancel, which is
@@ -201,9 +199,6 @@ def invariance_mismatch(gen, inv=None):
     if not _is_klein_j(inv.j, f, _FACE):
         return "identity", None
     (a, b), (c, d) = _GENERATORS[gen] if isinstance(gen, str) else gen
-    if all(isinstance(e, (int, Fraction)) for e in (a, b, c, d)):
-        den = lcm(*(Fraction(e).denominator for e in (a, b, c, d)))
-        a, b, c, d = (int(e * den) for e in (a, b, c, d))
     consts = {}
     for name, F, n in (("f", f, 12), ("H", _FACE, 20)):
         coeffs = _int_coeffs(F)

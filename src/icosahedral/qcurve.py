@@ -314,10 +314,6 @@ _PULLBACK_K_TERM = Poly.over_q([5, 1]) * Poly.over_q([1, 1]) ** 5
 _INVERSE_DEN_K_TERM = Poly.over_q([2, 1]) ** 5
 _INVERSE_DEN_CONSTANT = Poly.over_q([0, 0, 0, 1]) * Poly.over_q([34, 10, 1])
 
-# klein_link_family_mismatch proves each fact at k = 1, ..., n, n one more
-# than its degree bound in klein_link_mismatch
-_KLEIN_LINK_FACTS = {"resultant": 9, "(a)": 3, "(b)": 23}
-
 
 def mu_sextic(j) -> Poly:
     """q'(mu) = (mu^2 + 10mu + 5)^3 - j mu."""
@@ -325,7 +321,56 @@ def mu_sextic(j) -> Poly:
     return _MU_CORE_CUBED - Poly.over_q([0, j])
 
 
-def klein_link_mismatch(k, facts=tuple(_KLEIN_LINK_FACTS)):
+def _klein_link_curve(k):
+    """E_j, g = x5sum_resolvent(E_j) and (1+k) q'(mu) at one k."""
+    E = EllipticCurve(0, 3 * k, 2 * k)
+    qp = mu_sextic(1728 * k / (1 + k)).scale(1 + k)
+    return E, x5sum_resolvent(E), qp
+
+
+def _resultant_holds(k) -> bool:
+    """The resultant fact of klein_link_mismatch at k."""
+    E, g, _ = _klein_link_curve(k)
+    b, c = E.a4, E.a6
+    q0 = Poly.over_q([-b * b, 4 * c, -2 * b, 0, -5])
+    q1 = Poly.over_q([4 * c, 4 * b, 0, 4])
+    return resultant_pencil(division_poly5(E), q0, q1) == (g * g).scale(
+        5 * 2 ** 24 * (4 * b ** 3 + 27 * c * c) ** 6)
+
+
+def _transform_holds(k) -> bool:
+    """Fact (a) of klein_link_mismatch at k; ArithmeticError if the
+    transform denominator shares a root with q'."""
+    _, g, qp = _klein_link_curve(k)
+    den_a = Poly.over_q([-1, 4, 1])
+    if poly_gcd(den_a, qp).degree() > 0:
+        raise ArithmeticError("transform denominator shares a root with q'")
+    pullback = _MU_CORE_CUBED.scale(64 * (1 + k)) \
+        - _PULLBACK_K_TERM.scale(1728 * k)
+    return g.compose_frac(Poly.over_q([-10, -20, -2]), den_a) \
+        == qp * pullback
+
+
+def _inverse_divides(k) -> bool:
+    """Fact (b) of klein_link_mismatch at k; ArithmeticError if the
+    inverse transform denominator shares a root with g."""
+    _, g, qp = _klein_link_curve(k)
+    den_b = (_INVERSE_DEN_K_TERM.scale(k)
+             - _INVERSE_DEN_CONSTANT.scale(1 + k)).scale(1728)
+    if poly_gcd(den_b, g).degree() > 0:
+        raise ArithmeticError("transform denominator shares a root with g")
+    return poly_divides(g, qp.compose_frac(
+        Poly.over_q([0, 0, 0, 31104 * (1 + k)]), den_b))
+
+
+# each fact of klein_link_mismatch by name, with the n of its proof at
+# k = 1, ..., n in klein_link_family_mismatch, one more than its degree bound
+_KLEIN_LINK_FACTS = {"resultant": (_resultant_holds, 9),
+                     "(a)": (_transform_holds, 3),
+                     "(b)": (_inverse_divides, 23)}
+
+
+def klein_link_mismatch(k):
     """The link between the 5-torsion sextic of E_j and q'(mu), at one k.
 
     E_j is y^2 = x^3 + bx + c with b = 3k, c = 2k, k = j/(1728 - j), so
@@ -342,10 +387,9 @@ def klein_link_mismatch(k, facts=tuple(_KLEIN_LINK_FACTS)):
       D = 1728(k(x+2)^5 - (1+k)x^3(x^2+10x+34)): N/D is the inverse
       transform 31104x^3/((x+2)^5 j - 1728x^3(x^2+10x+34)).
 
-    facts names the facts to check, in this order.  Returns None, or
-    (fact, k) for the first that fails.  A clearing denominator sharing a
-    root with q' (checked with (a)) or with g (checked with (b)) raises
-    ArithmeticError.
+    Returns None, or (fact, k) for the first that fails, in this order.  A
+    clearing denominator sharing a root with q' (checked with (a)) or with
+    g (checked with (b)) raises ArithmeticError.
 
     Each fact is an identity in k, so it holds for every k once it holds
     at one more nonzero k than its degree bound:
@@ -373,37 +417,8 @@ def klein_link_mismatch(k, facts=tuple(_KLEIN_LINK_FACTS)):
     to every y^2 = x^3 + bx + c with bc != 0, so it holds for all (b, c).
     """
     k = Fraction(k)
-    E = EllipticCurve(0, 3 * k, 2 * k)
-    b, c = E.a4, E.a6
-    g = x5sum_resolvent(E)
-    qp = mu_sextic(1728 * k / (1 + k)).scale(1 + k)
-    for fact in facts:
-        if fact == "resultant":
-            q0 = Poly.over_q([-b * b, 4 * c, -2 * b, 0, -5])
-            q1 = Poly.over_q([4 * c, 4 * b, 0, 4])
-            res = resultant_pencil(division_poly5(E), q0, q1)
-            holds = res == (g * g).scale(
-                5 * 2 ** 24 * (4 * b ** 3 + 27 * c * c) ** 6)
-        elif fact == "(a)":
-            den_a = Poly.over_q([-1, 4, 1])
-            if poly_gcd(den_a, qp).degree() > 0:
-                raise ArithmeticError(
-                    "transform denominator shares a root with q'")
-            pullback = _MU_CORE_CUBED.scale(64 * (1 + k)) \
-                - _PULLBACK_K_TERM.scale(1728 * k)
-            holds = g.compose_frac(Poly.over_q([-10, -20, -2]), den_a) \
-                == qp * pullback
-        elif fact == "(b)":
-            den_b = (_INVERSE_DEN_K_TERM.scale(k)
-                     - _INVERSE_DEN_CONSTANT.scale(1 + k)).scale(1728)
-            if poly_gcd(den_b, g).degree() > 0:
-                raise ArithmeticError(
-                    "transform denominator shares a root with g")
-            holds = poly_divides(g, qp.compose_frac(
-                Poly.over_q([0, 0, 0, 31104 * (1 + k)]), den_b))
-        else:
-            raise ValueError(f"unknown klein-link fact {fact!r}")
-        if not holds:
+    for fact, (holds, _) in _KLEIN_LINK_FACTS.items():
+        if not holds(k):
             return fact, k
     return None
 
@@ -416,13 +431,12 @@ def klein_link_family_mismatch():
     the resultant identity at 9 values, (a) at 3 and (b) at 23.  So each
     fact holds identically in k, and every rational j outside {0, 1728}
     has k = j/(1728 - j) outside {0, -1}.  Returns None, or the first
-    (fact, k) that fails, in the order of k and then of the facts.
+    (fact, k) that fails, in the order of the facts and then of k.
     """
-    for k in range(1, max(_KLEIN_LINK_FACTS.values()) + 1):
-        facts = [f for f, n in _KLEIN_LINK_FACTS.items() if k <= n]
-        mismatch = klein_link_mismatch(k, facts)
-        if mismatch is not None:
-            return mismatch
+    for fact, (holds, n) in _KLEIN_LINK_FACTS.items():
+        for k in range(1, n + 1):
+            if not holds(Fraction(k)):
+                return fact, Fraction(k)
     return None
 
 

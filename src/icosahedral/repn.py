@@ -338,11 +338,11 @@ def _s_map():
     return _right_map(pi_generators()[0])
 
 
-def _times_letter(key, letter, s_map):
+def _times_letter(key, letter):
     """The key of M L from the key of M, L the lift a letter names.
 
     A letter is "S", "T", or a pair (a, d) for diag(omega5(a), omega5(d)).
-    For S, s_map is its _right_map, and the key of M S is half of K (2S):
+    For S, the key of M S is half of K (2S), by the map _s_map():
     an odd coordinate means M S leaves the half-integral lifts, and raises
     ArithmeticError.  The other lifts are monomial with entries in
     {+-1, +-i}: M T = [[b, -a], [d, -c]], and M diag(i^p, i^q) multiplies
@@ -351,7 +351,7 @@ def _times_letter(key, letter, s_map):
     """
     if letter == "S":
         out = []
-        for terms in s_map:
+        for terms in _s_map():
             v = sum(c * key[i] for i, c in terms)
             if v & 1:
                 raise ArithmeticError("a coordinate of the product is not "
@@ -382,7 +382,7 @@ def generator_name(idx: int) -> str:
 
 def _times_generator(key, idx):
     """The key of M L(s) from the key of M, s the generator idx."""
-    return _times_letter(key, _letter(idx), _s_map())
+    return _times_letter(key, _letter(idx))
 
 
 @lru_cache(maxsize=1)
@@ -404,7 +404,15 @@ def lift_pi(g: F5Matrix) -> RepMatrix:
 
 
 def _table_keys():
-    return {g: _int_key(m) for g, m in _lift_table().items()}
+    """The key of each lift in _lift_table(), or None for a lift with a
+    coordinate outside (1/2) Z."""
+    keys = {}
+    for g, m in _lift_table().items():
+        try:
+            keys[g] = _int_key(m)
+        except ValueError:
+            keys[g] = None
+    return keys
 
 
 def homomorphism_mismatch():
@@ -415,10 +423,17 @@ def homomorphism_mismatch():
     which computed each F5 product once; each L(g) L(s) is
     _times_generator on keys, so only the 240 edges by S multiply, by one
     integer linear map, and all 2400 are compared as integer tuples.
+
+    Every lift must lie in (1/2) Z: an edge from a lift outside it fails,
+    and so does an edge by S whose product leaves it (ArithmeticError),
+    as L(g s) does not.
     """
     keys = _table_keys()
     for g, idx, h in _group_data()[3]:
-        if _times_generator(keys[g], idx) != keys[h]:
+        try:
+            if keys[g] is None or _times_generator(keys[g], idx) != keys[h]:
+                return g, idx
+        except ArithmeticError:
             return g, idx
     return None
 
@@ -471,23 +486,24 @@ def _relations():
     return rels
 
 
-def relations_mismatch(S=None):
+def relations_mismatch():
     """None, or the name of the first relation of verify_relations that
     fails, each side a word in the generator lifts evaluated on keys.
 
-    S defaults to the lift pi_generators()[0]; it is a parameter for
-    mutation tests.
+    A relation with a side whose product leaves (1/2) Z (ArithmeticError)
+    fails: every lift lies in (1/2) Z.
     """
-    s_map = _s_map() if S is None else _right_map(S)
-
     def word_key(word):
         key = _IDENTITY_KEY
         for letter in word:
-            key = _times_letter(key, letter, s_map)
+            key = _times_letter(key, letter)
         return key
 
     for name, lhs, rhs, holds in _relations():
-        if (word_key(lhs) == word_key(rhs)) != holds:
+        try:
+            if (word_key(lhs) == word_key(rhs)) != holds:
+                return name
+        except ArithmeticError:
             return name
     return None
 
@@ -515,6 +531,6 @@ def verify_congruence() -> bool:
     """residue_hom o lift_pi is the identity on all 240 elements; lift faithful."""
     order = enumerate_group()
     keys = _table_keys()
-    if any(_key_residue(keys[g]) != g for g in order):
+    if any(keys[g] is None or _key_residue(keys[g]) != g for g in order):
         return False
     return len({keys[g] for g in order}) == len(order)

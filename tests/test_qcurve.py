@@ -581,27 +581,24 @@ def test_klein_link():
 
 
 def test_klein_link_family(monkeypatch):
-    assert _KLEIN_LINK_FACTS == {"resultant": 9, "(a)": 3, "(b)": 23}
+    assert {fact: n for fact, (_, n) in _KLEIN_LINK_FACTS.items()} == \
+        {"resultant": 9, "(a)": 3, "(b)": 23}
     assert klein_link_family_mismatch() is None
     # each fact, and each shared-root guard, runs at its own k = 1..n only
     checked = {}
-    check = qcurve.klein_link_mismatch
-
-    def record(k, facts):
-        for fact in facts:
+    for fact, (holds, n) in _KLEIN_LINK_FACTS.items():
+        def record(k, fact=fact, holds=holds):
             checked.setdefault(fact, []).append(k)
-        return check(k, facts)
+            return holds(k)
+        monkeypatch.setitem(_KLEIN_LINK_FACTS, fact, (record, n))
 
     gcd_calls = []
-    monkeypatch.setattr(qcurve, "klein_link_mismatch", record)
     monkeypatch.setattr(qcurve, "poly_gcd",
                         lambda *a: gcd_calls.append(a) or poly_gcd(*a))
     assert klein_link_family_mismatch() is None
     assert checked == {"resultant": list(range(1, 10)),
                        "(a)": [1, 2, 3], "(b)": list(range(1, 24))}
     assert len(gcd_calls) == 3 + 23
-    with pytest.raises(ValueError):
-        check(1, ["(c)"])
 
 
 # -- the klein-link proof in k: sympy expansions of its identities and bounds --

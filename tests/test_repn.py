@@ -235,6 +235,19 @@ def test_homomorphism_witness(monkeypatch):
     assert repn.homomorphism_mismatch() == (F5Matrix.identity(), 1)
 
 
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(1, 4)])
+def test_homomorphism_lift_outside_half_integers(monkeypatch, scale):
+    # L(1) = (1/2) I is in (1/2) Z but L(1) S is not; L(1) = (1/4) I is not
+    # in (1/2) Z: each fails the certificate at its first edge, 1 times S,
+    # and the congruence, without raising
+    table = dict(repn._lift_table())
+    table[F5Matrix.identity()] = RepMatrix(scale, 0, 0, scale)
+    monkeypatch.setattr(repn, "_lift_table", lambda: table)
+    assert repn.homomorphism_mismatch() == (F5Matrix.identity(), 0)
+    assert not verify_homomorphism()
+    assert not repn.verify_congruence()
+
+
 def test_homomorphism_certificate_unit_helper(monkeypatch):
     # the helper with omega5(2) = -i in place of i breaks the certificate
     repn._lift_table()
@@ -319,7 +332,17 @@ def test_relations_order_mutation(monkeypatch):
     S, _, _ = pi_generators()
     minus_s = RepMatrix(-S.a, -S.b, -S.c, -S.d)
     assert minus_s ** 5 != RepMatrix.identity()
-    assert repn.relations_mismatch(S=minus_s) == "S^5 = 1"
+    minus_s_map = repn._right_map(minus_s)
+    with monkeypatch.context() as mp:
+        mp.setattr(repn, "_s_map", lambda: minus_s_map)
+        assert repn.relations_mismatch() == "S^5 = 1"
+    # with (1/2) I for S, S^2 leaves (1/2) Z: S^5 = 1 fails, it does not
+    # raise
+    half = Fraction(1, 2)
+    half_s_map = repn._right_map(RepMatrix(half, 0, 0, half))
+    with monkeypatch.context() as mp:
+        mp.setattr(repn, "_s_map", lambda: half_s_map)
+        assert repn.relations_mismatch() == "S^5 = 1"
     # with omega5(2) = -i, U(2, 2) and its inverse U(3, 3) are both -i, so
     # U(2, 2) S U(2, 2)^-1 = -S
     monkeypatch.setattr(repn, "_OMEGA5_LOG", {**repn._OMEGA5_LOG, 2: 3})
