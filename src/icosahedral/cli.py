@@ -12,6 +12,12 @@ Three subcommands:
   with fields unramified outside 2, 5 and infinity and compare them with the
   listed values.
 
+Each subcommand imports only the modules it runs: ``--help`` none of the
+domain modules, ``table`` only ``quintic`` (and ``exact`` through it),
+``analyze`` ``quintic`` and ``localfield``, and ``verify`` the modules of
+the suites it runs.  A process then compiles and runs no module body it
+does not use.
+
 Exit codes: 0 when every check passes, 1 on a verification failure, 2 on a
 usage or parse error or an ``--out`` file that cannot be written.  Reports
 are byte-stable for fixed inputs and seed; wall-clock timing is only
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -32,12 +39,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, hecke, icosa, localfield, qcurve, repn
-from .exact import QSQRT5
-from .quintic import (
-    Quintic, family_quintic, hyperelliptic_3adic, invariants, j_equation,
-    j_roots, trinomial_t,
-)
+from . import __version__
 
 __all__ = ["main"]
 
@@ -106,9 +108,11 @@ def _primes_below(n: int) -> tuple:
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
-# the product of the primes up to 10^4, whose square part _square_part
-# takes out; fixed, so its work per call is bounded
-_SMALL_PRIMORIAL = math.prod(_primes_below(10 ** 4 + 1))
+@functools.cache
+def _small_primorial() -> int:
+    """The product of the primes up to 10^4, whose square part _square_part
+    takes out; fixed, so its work per call is bounded."""
+    return math.prod(_primes_below(10 ** 4 + 1))
 
 
 def _square_part(n: int) -> int:
@@ -125,7 +129,7 @@ def _square_part(n: int) -> int:
     """
     square = 1
     if n:
-        g = math.gcd(n, _SMALL_PRIMORIAL)
+        g = math.gcd(n, _small_primorial())
         even = False
         while g > 1:
             n //= g
@@ -254,20 +258,28 @@ def _parse_record(obj) -> dict:
     return rec
 
 
+@functools.cache
+def _analysis_modules():
+    """(quintic, localfield), imported by the first record analyzed."""
+    from . import localfield, quintic
+    return quintic, localfield
+
+
 def _analyze_one(rec: dict) -> dict:
+    quintic, localfield = _analysis_modules()
     a, b, c = rec["A"], rec["B"], rec["C"]
     out = {}
     if "label" in rec:
         out["label"] = rec["label"]
     out.update(quintic=_quintic_str(a, b, c), A=_fmt(a), B=_fmt(b), C=_fmt(c))
-    iv = invariants(Quintic(a, b, c))
+    iv = quintic.invariants(quintic.Quintic(a, b, c))
     out["delta"] = _fmt(iv.delta)
     out["gamma4"] = _fmt(iv.gamma4)
     out["gamma6"] = _fmt(iv.gamma6)
     out["disc"] = _fmt(iv.disc)
     errors = []
     try:
-        roots = j_roots(iv)
+        roots = quintic.j_roots(iv)
         if isinstance(roots[0], Fraction):
             out["j_candidates"] = [_fmt(r) for r in roots]
         else:
@@ -282,7 +294,7 @@ def _analyze_one(rec: dict) -> dict:
         if not c:
             errors.append("C must be nonzero for t")
         else:
-            t = trinomial_t(b, c)
+            t = quintic.trinomial_t(b, c)
             out["t"] = None if t is None else _fmt(t)
             out["hypothesis"] = (t is not None
                                  and localfield.is_square_5adic_unit(t))
@@ -345,6 +357,7 @@ def cmd_analyze(args) -> int:
 # -- verification suites -----------------------------------------------------
 
 def _suite_icosa():
+    from . import icosa
     checks = [
         _check("icosa/fundamental-identity",
                "(l+3)^3 (l^2+11l+64) = (m^2+10m+5)^3 / m as normalized "
@@ -367,6 +380,7 @@ def _suite_icosa():
 def _invariance_check(label, description) -> dict:
     """icosa/invariance-<label>; on failure the witness names the part of
     the proof that fails, see icosa.invariance_mismatch."""
+    from . import icosa
     holds = icosa.verify_invariance(label)
     witness = None
     if not holds:
@@ -404,6 +418,7 @@ def _rotation_witness(fact, e) -> str:
 
 
 def _suite_klein_link():
+    from . import qcurve
     mismatch = qcurve.klein_link_family_mismatch()
     return [
         _check("klein-link/fixed-samples",
@@ -423,6 +438,9 @@ def _suite_klein_link():
 
 
 def _j_equation_t1() -> bool:
+    from . import qcurve
+    from .exact import QSQRT5
+    from .quintic import family_quintic, invariants, j_equation
     qa, qb, qc = j_equation(invariants(family_quintic(1)))
     j = qcurve.j_invariant(qcurve.curve_from_t(1))
     return j * j * qa + j * qb + qc == QSQRT5.zero
@@ -431,6 +449,7 @@ def _j_equation_t1() -> bool:
 def _isogeny_check(cid, description, holds, names) -> dict:
     """A 2-isogeny proof; on failure the witness names the first identity
     and r at which it fails."""
+    from . import qcurve
     witness = None
     if not holds:
         name, r = qcurve.isogeny_mismatch(names)
@@ -439,6 +458,8 @@ def _isogeny_check(cid, description, holds, names) -> dict:
 
 
 def _suite_qcurve():
+    from . import qcurve, quintic
+    from .exact import QSQRT5
     checks = [
         _isogeny_check("qcurve/isogeny-codomain",
                        "the 2-isogeny formulas land on the sigma-conjugate "
@@ -471,7 +492,7 @@ def _suite_qcurve():
         "the cleared equation vanishes at the 37 values r = 2, ..., 38"
         if bad_r is None
         else f"the cleared equation does not vanish at r = {_fmt(bad_r)}"))
-    v3, zeros = hyperelliptic_3adic()
+    v3, zeros = quintic.hyperelliptic_3adic()
     checks.append(_check(
         "qcurve/hyperelliptic-points",
         "y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2) has no rational "
@@ -484,8 +505,8 @@ def _suite_qcurve():
 
 
 def _suite_repn():
+    from . import repn
     group = repn.enumerate_group()
-    lifts = [repn.lift_pi(g) for g in group]
     checks = [
         _check("repn/varpi-identities",
                "2-eps = eps^2 pi pi-bar, 2-i = eps pi (eps pi-bar - 1), "
@@ -496,7 +517,7 @@ def _suite_repn():
                len(group) == 240, f"{len(group)} elements enumerated"),
         _check("repn/faithful",
                "the 240 exact lifts are pairwise distinct",
-               len({m.key() for m in lifts}) == len(group) == 240),
+               repn.verify_faithful()),
         _repn_relations_check(),
         _repn_homomorphism_check(),
         _check("repn/congruence",
@@ -513,6 +534,7 @@ def _suite_repn():
 def _repn_relations_check() -> dict:
     """repn/relations; on failure the witness names the first failing
     relation, see repn.relations_mismatch."""
+    from . import repn
     holds = repn.verify_relations()
     witness = None
     if not holds:
@@ -526,6 +548,7 @@ def _repn_relations_check() -> dict:
 def _repn_homomorphism_check() -> dict:
     """repn/homomorphism; on failure the witness is the first failing
     Cayley-graph edge (g, s), see repn.homomorphism_mismatch."""
+    from . import repn
     holds = repn.verify_homomorphism()
     witness = None
     if not holds:
@@ -540,6 +563,7 @@ def _repn_homomorphism_check() -> dict:
 
 
 def _suite_hecke():
+    from . import hecke
     vg = hecke.omega_value_group()
     eps_exp = hecke.omega_epsilon().exponent
     return [
@@ -562,6 +586,7 @@ def _suite_hecke():
 
 
 def _suite_localfield():
+    from . import localfield
     truth = {Fraction(1): True, Fraction(3): False, Fraction(3, 5): False,
              Fraction(4, 9): True}
     table_ok = all(localfield.is_square_5adic_unit(t) is want
@@ -622,6 +647,7 @@ def cmd_verify(args) -> int:
 # -- table -------------------------------------------------------------------
 
 def cmd_table(args) -> int:
+    from .quintic import trinomial_t
     started = time.monotonic()
     checks = []
     for row, (original, principal, listed, extra) in enumerate(_TABLE_ROWS,

@@ -24,11 +24,11 @@ sends each group element to the product of lifted generators along its
 first-discovery word; verify_homomorphism proves multiplicativity on the
 Cayley graph (each element times each generator), verify_relations checks
 the generator orders and the braid-like relations together with the
-documented failure at a/d = +-2, and verify_congruence checks that the
-residue homomorphism applied entrywise is the identity on all 240 elements
-and that the lift is faithful.
+documented failure at a/d = +-2, verify_congruence checks that the residue
+homomorphism applied entrywise is the identity on all 240 elements, and
+verify_faithful that the 240 lifts are distinct.
 
-All four run on integer keys: every lift L has coordinate denominators in
+All five run on integer keys: every lift L has coordinate denominators in
 {1, 2}, so 2L is 16 integers.  Right multiplication by S is one fixed
 integer linear map followed by an exact halving; the other nine generator
 lifts are monomial with entries in {+-1, +-i}, so multiplying by them
@@ -62,6 +62,7 @@ __all__ = [
     "relations_mismatch",
     "verify_relations",
     "verify_congruence",
+    "verify_faithful",
 ]
 
 _WORD_CAP = 40
@@ -249,13 +250,15 @@ def _group_data():
     Discovery order is deterministic: the queue advances in layers and each
     layer multiplies by the generators in a fixed order, so elements appear
     sorted by (word length, word) lexicographically.
+
+    The closure multiplies entry 4-tuples mod 5 and builds each of the 240
+    F5Matrix objects once, at the end.
     """
-    gens = _shadow_generators()
-    ident = F5Matrix.identity()
+    gens = [(s.a, s.b, s.c, s.d) for s in _shadow_generators()]
+    ident = (1, 0, 0, 1)
     words = {ident: ()}
     parents = {}
     edges = []
-    order = [ident]
     frontier = [ident]
     while frontier:
         nxt = []
@@ -263,16 +266,21 @@ def _group_data():
             w = words[g]
             if len(w) >= _WORD_CAP:
                 raise ArithmeticError("generator word exceeded the length cap")
-            for idx, s in enumerate(gens):
-                h = g * s
+            a, b, c, d = g
+            for idx, (p, q, r, s) in enumerate(gens):
+                h = ((a * p + b * r) % 5, (a * q + b * s) % 5,
+                     (c * p + d * r) % 5, (c * q + d * s) % 5)
                 edges.append((g, idx, h))
                 if h not in words:
                     words[h] = w + (idx,)
                     parents[h] = (g, idx)
-                    order.append(h)
                     nxt.append(h)
         frontier = nxt
-    return tuple(order), words, parents, tuple(edges)
+    mat = {g: F5Matrix(*g) for g in words}
+    return (tuple(mat.values()),
+            {mat[g]: w for g, w in words.items()},
+            {mat[h]: (mat[g], idx) for h, (g, idx) in parents.items()},
+            tuple((mat[g], idx, mat[h]) for g, idx, h in edges))
 
 
 def enumerate_group():
@@ -527,10 +535,15 @@ def _key_residue(key) -> F5Matrix:
                            + 4 * key[n + 3]) for n in range(0, 16, 4)))
 
 
+def verify_faithful() -> bool:
+    """The 240 lifts are pairwise distinct: their integer keys are 240
+    distinct tuples.  A lift with a coordinate outside (1/2) Z fails."""
+    keys = _table_keys().values()
+    return None not in keys and len(set(keys)) == 240
+
+
 def verify_congruence() -> bool:
-    """residue_hom o lift_pi is the identity on all 240 elements; lift faithful."""
-    order = enumerate_group()
+    """residue_hom o lift_pi is the identity on all 240 elements."""
     keys = _table_keys()
-    if any(keys[g] is None or _key_residue(keys[g]) != g for g in order):
-        return False
-    return len({keys[g] for g in order}) == len(order)
+    return all(keys[g] is not None and _key_residue(keys[g]) == g
+               for g in enumerate_group())

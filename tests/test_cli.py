@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 import icosahedral
-from icosahedral import cli
+from icosahedral import cli, hecke, icosa, localfield, qcurve, quintic, repn
 from icosahedral.exact import Poly
 
 # the src/ directory of the checkout under test, and its pyproject.toml
@@ -71,7 +71,6 @@ def test_analyze_inline_json(capsys):
 
 
 def test_analyze_one_computes_invariants_once(monkeypatch):
-    from icosahedral import localfield, quintic
     calls = {"invariants": 0, "_square_part": 0, "trinomial_t": 0}
 
     def counted(module, name):
@@ -82,8 +81,8 @@ def test_analyze_one_computes_invariants_once(monkeypatch):
             return orig(*args)
         return wrapper
 
-    for name, modules in (("invariants", (quintic, cli)),
-                          ("trinomial_t", (quintic, cli, localfield))):
+    for name, modules in (("invariants", (quintic,)),
+                          ("trinomial_t", (quintic, localfield))):
         for module in modules:
             monkeypatch.setattr(module, name, counted(module, name))
     monkeypatch.setattr(cli, "_square_part", counted(cli, "_square_part"))
@@ -565,18 +564,18 @@ def test_verify_klein_link(capsys):
 
 def _mutate_x5sum(monkeypatch):
     # 20b -> 21b in the S^4 coefficient of the closed-form sextic
-    x5sum = cli.qcurve.x5sum_resolvent
-    monkeypatch.setattr(cli.qcurve, "x5sum_resolvent",
+    x5sum = qcurve.x5sum_resolvent
+    monkeypatch.setattr(qcurve, "x5sum_resolvent",
                         lambda E: x5sum(E) + Poly.over_q([0, 0, 0, 0, E.a4]))
 
 
 @pytest.mark.parametrize("mutate, fact", [
     (_mutate_x5sum, "resultant"),
     # (x+2)^5 -> (x+3)^5 in the denominator D of the inverse transform
-    (lambda mp: mp.setattr(cli.qcurve, "_INVERSE_DEN_K_TERM",
+    (lambda mp: mp.setattr(qcurve, "_INVERSE_DEN_K_TERM",
                            Poly.over_q([3, 1]) ** 5), "(b)"),
     # (mu+1)^5 -> (mu+1)^4 in the pullback of q'
-    (lambda mp: mp.setattr(cli.qcurve, "_PULLBACK_K_TERM",
+    (lambda mp: mp.setattr(qcurve, "_PULLBACK_K_TERM",
                            Poly.over_q([5, 1]) * Poly.over_q([1, 1]) ** 4),
      "(a)"),
 ])
@@ -607,10 +606,23 @@ def test_verify_repn(capsys):
         assert "witness" not in by_id[cid]
 
 
+def test_verify_repn_faithful_mutation(capsys, monkeypatch):
+    # two elements with one lift: repn/faithful fails, and the Cayley
+    # certificate with it
+    table = dict(repn._lift_table())
+    order = repn.enumerate_group()
+    table[order[2]] = table[order[1]]
+    monkeypatch.setattr(repn, "_lift_table", lambda: table)
+    rc, out, _ = run_cli(capsys, "verify", "repn")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["repn/faithful"]["status"] == "fail"
+    assert by_id["repn/homomorphism"]["status"] == "fail"
+
+
 def test_verify_repn_witnesses(capsys, monkeypatch):
     # -S in place of S: the relations name S^5 = 1, and the certificate
     # its first edge, the identity times S, against the cached lift table
-    repn = cli.repn
     repn._lift_table()
     S = repn.pi_generators()[0]
     minus_s = repn._right_map(repn.RepMatrix(-S.a, -S.b, -S.c, -S.d))
@@ -639,8 +651,8 @@ def test_verify_qcurve_options_recorded(capsys):
 
 
 def test_verify_qcurve_failure_witnesses(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "hyperelliptic_3adic", lambda: (2, ((1, 1),)))
-    monkeypatch.setattr(cli.qcurve, "j_equation_family_mismatch",
+    monkeypatch.setattr(quintic, "hyperelliptic_3adic", lambda: (2, ((1, 1),)))
+    monkeypatch.setattr(qcurve, "j_equation_family_mismatch",
                         lambda: Fraction(7, 2))
     rc, out, _ = run_cli(capsys, "verify", "qcurve")
     assert rc == 1
@@ -655,8 +667,8 @@ def test_verify_qcurve_failure_witnesses(capsys, monkeypatch):
 def test_verify_isogeny_failure_witness(capsys, monkeypatch):
     # r^sigma = 2 - r in place of 1 - r breaks both isogeny proofs, and each
     # witness names the first identity and r that fail
-    identities = cli.qcurve._isogeny_identities
-    monkeypatch.setattr(cli.qcurve, "_isogeny_identities",
+    identities = qcurve._isogeny_identities
+    monkeypatch.setattr(qcurve, "_isogeny_identities",
                         lambda r, **kw: identities(r, r_sigma=lambda r: 2 - r))
     rc, out, _ = run_cli(capsys, "verify", "qcurve")
     assert rc == 1
@@ -756,7 +768,7 @@ def test_verify_icosa(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli.hecke, "verify_sigma_identity", lambda: False)
+    monkeypatch.setattr(hecke, "verify_sigma_identity", lambda: False)
     rc, out, _ = run_cli(capsys, "verify", "hecke")
     assert rc == 1
     report = json.loads(out)
@@ -773,7 +785,7 @@ def test_verify_resolvent_failure_witness(capsys, monkeypatch):
             (("lambda", 2), "the denominator of lambda has a term z^2, "
                             "exponent not 1 mod 5"),
             (("lambda", None), "lambda(zeta5 z) = lambda(z)")):
-        monkeypatch.setattr(cli.icosa, "resolvent_identity_mismatch",
+        monkeypatch.setattr(icosa, "resolvent_identity_mismatch",
                             lambda: mismatch)
         rc, out, _ = run_cli(capsys, "verify", "icosa")
         assert rc == 1
@@ -791,10 +803,10 @@ def _icosa_checks(capsys):
 
 def test_verify_invariance_identity_witness(capsys, monkeypatch):
     # a z^7 term in j: T and U fail j = -H^3/f^5, S reads the exponent
-    inv = cli.icosa.build_invariants()
+    inv = icosa.build_invariants()
     Jn, Jd = inv.j
     bad = dataclasses.replace(inv, j=(Jn + Poly.over_q([0] * 7 + [1]), Jd))
-    monkeypatch.setattr(cli.icosa, "build_invariants", lambda: bad)
+    monkeypatch.setattr(icosa, "build_invariants", lambda: bad)
     by_id = _icosa_checks(capsys)
     for label in "TU":
         assert by_id[f"icosa/invariance-{label}"]["witness"] == \
@@ -806,7 +818,7 @@ def test_verify_invariance_identity_witness(capsys, monkeypatch):
 def test_verify_invariance_form_witness(capsys, monkeypatch):
     # z -> 2z in place of T moves the vertex form f; the singular z -> 0 in
     # place of U fixes f, which vanishes at 0, and moves the face form H
-    monkeypatch.setattr(cli.icosa, "_GENERATORS",
+    monkeypatch.setattr(icosa, "_GENERATORS",
                         {"T": ((2, 0), (0, 1)), "U": ((0, 0), (1, 1))})
     by_id = _icosa_checks(capsys)
     assert by_id["icosa/invariance-T"]["witness"] == \
@@ -820,14 +832,14 @@ def test_verify_invariance_form_witness(capsys, monkeypatch):
 def test_verify_invariance_rotation_witness(capsys, monkeypatch):
     # S reads exponents mod 5: a z^1 term in mu's numerator, then a lambda
     # whose every exponent is 1 mod 5
-    inv = cli.icosa.build_invariants()
+    inv = icosa.build_invariants()
     (Mn, Md), Q = inv.mu, inv.lam[1]
     for bad, witness in (
             (dataclasses.replace(inv, mu=(Mn + Poly.over_q([0, 1]), Md)),
              "mu has a term z^1, exponent not 0 mod 5"),
             (dataclasses.replace(inv, lam=(Poly.over_q([0, 1]), Q)),
              "lambda(zeta5 z) = lambda(z)")):
-        monkeypatch.setattr(cli.icosa, "build_invariants", lambda: bad)
+        monkeypatch.setattr(icosa, "build_invariants", lambda: bad)
         check = _icosa_checks(capsys)["icosa/invariance-S"]
         assert check["status"] == "fail"
         assert check["witness"] == witness
@@ -898,6 +910,37 @@ def test_out_unwritable(tmp_path, capsys, argv):
         assert err.startswith(f"error: cannot write {path}: ")
         assert err.count("\n") == 1
     assert not missing.parent.exists()
+
+
+_LOADED = """
+import contextlib, io, json, sys
+from icosahedral import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "icosahedral")))
+"""
+_START = ["icosahedral", "icosahedral.cli"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["--help"], []),
+    (["table"], ["exact", "quintic"]),
+    (["analyze", "--b", "1", "--c", "1"], ["exact", "localfield", "quintic"]),
+    (["verify", "hecke"], ["hecke"]),
+    (["verify", "all"], ["exact", "hecke", "icosa", "localfield", "qcurve",
+                         "quintic", "repn"]),
+], ids=["help", "table", "analyze", "verify-hecke", "verify-all"])
+def test_subcommand_loads_only_its_modules(argv, extra):
+    # each subcommand imports only what it runs, in a fresh interpreter: a
+    # module-level import in cli would add its module to every set
+    done = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, check=True, env=child_env())
+    assert json.loads(done.stdout) == \
+        _START + [f"icosahedral.{m}" for m in extra]
 
 
 def test_reports_byte_stable_across_processes():

@@ -157,6 +157,41 @@ def test_unit_edges_match_products():
             assert repn._times_generator(key, idx) == repn._int_key(m * s)
 
 
+def reference_group_data():
+    """The BFS closure of the shadow generators with F5Matrix products."""
+    gens = repn._shadow_generators()
+    ident = F5Matrix.identity()
+    words, parents, edges = {ident: ()}, {}, []
+    order, frontier = [ident], [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for idx, s in enumerate(gens):
+                h = g * s
+                edges.append((g, idx, h))
+                if h not in words:
+                    words[h] = words[g] + (idx,)
+                    parents[h] = (g, idx)
+                    order.append(h)
+                    nxt.append(h)
+        frontier = nxt
+    return tuple(order), words, parents, tuple(edges)
+
+
+def test_group_data_matches_matrix_products(monkeypatch):
+    # the BFS on entry 4-tuples against one on F5Matrix products: the same
+    # order, words, parents and edges, in the same discovery order, and no
+    # F5Matrix product
+    want = reference_group_data()
+    f5_calls = _count_calls(monkeypatch, F5Matrix, "__mul__")
+    repn._group_data.cache_clear()
+    got = repn._group_data()
+    assert f5_calls == []
+    assert got == want
+    assert list(got[1]) == list(want[1]) and list(got[2]) == list(want[2])
+    assert all(type(g) is F5Matrix for g in got[0])
+
+
 def test_group_edges_are_the_cayley_graph():
     order, _, _, edges = repn._group_data()
     gens = repn._shadow_generators()
@@ -365,6 +400,19 @@ def test_relation_failure_at_nonsquare_ratio():
 
 def test_congruence_and_faithfulness():
     assert verify_congruence()
+    assert repn.verify_faithful()
+
+
+def test_faithful_mutation(monkeypatch):
+    # two elements with one lift fail; so does a lift outside (1/2) Z,
+    # without raising
+    order = enumerate_group()
+    for bad in (repn._lift_table()[order[1]],
+                RepMatrix(Fraction(1, 4), 0, 0, 1)):
+        table = dict(repn._lift_table())
+        table[order[2]] = bad
+        monkeypatch.setattr(repn, "_lift_table", lambda: table)
+        assert not repn.verify_faithful()
 
 
 def test_image_denominators_and_determinants():
