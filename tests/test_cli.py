@@ -756,6 +756,28 @@ def test_report_matches_golden(capsys, argv, golden):
     assert out.encode() == (Path(__file__).parent / "golden" / golden).read_bytes()
 
 
+GOLDEN_ANALYZE_INPUT = Path(__file__).parent / "golden" / "analyze_input.jsonl"
+
+
+def golden_analyze_records():
+    return [cli._parse_record(json.loads(line))
+            for line in GOLDEN_ANALYZE_INPUT.read_text().splitlines()]
+
+
+def test_analyze_matches_golden(capsys):
+    # the record path on every branch: rational j-candidates (a double root,
+    # 5*disc a square), radicands that keep the square of a prime above
+    # 10^4, A != 0, t with the hypothesis true and false, each error record,
+    # integer, lowercase, signed and 80-digit fields; regenerated with
+    # python -m icosahedral.cli analyze --file tests/golden/analyze_input.jsonl
+    #     --json > tests/golden/analyze.jsonl
+    rc, out, _ = run_cli(capsys, "analyze", "--file",
+                         str(GOLDEN_ANALYZE_INPUT), "--json")
+    assert rc == 0
+    golden = GOLDEN_ANALYZE_INPUT.with_name("analyze.jsonl")
+    assert out.encode() == golden.read_bytes()
+
+
 def test_verify_icosa(capsys):
     rc, out, _ = run_cli(capsys, "verify", "icosa")
     assert rc == 0

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from icosahedral import quintic
 from icosahedral.exact import sqrt_exact
 from icosahedral.quintic import (
-    Quintic, family_quintic, hyperelliptic_3adic, invariants, j_candidates,
-    resolvent_coeffs, solvable_family, solvability_obstruction, trinomial_t,
+    Quintic, QuinticInvariants, family_quintic, hyperelliptic_3adic,
+    invariants, j_candidates, resolvent_coeffs, solvable_family,
+    solvability_obstruction, trinomial_t,
 )
 
 
@@ -89,6 +90,24 @@ def test_j_candidates_t1_row():
     # r^2 = 5*disc in the ambient algebra
     gen = roots[0].field.gen(1)
     assert gen * gen == 5 * iv.disc
+
+
+@pytest.mark.parametrize("abc", [(0, 4, Fraction(16, 5)),
+                                 (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5))])
+@pytest.mark.parametrize("step", [Fraction(1), Fraction(-1, 7)])
+def test_j_roots_certificate_mutations(abc, step):
+    # the certificate that disc_j is 5*disc times a square fails on a
+    # perturbed gamma6; disc = 0 under a nonzero disc_j fails on its own
+    iv = invariants(Quintic(*abc))
+    bad = QuinticInvariants(iv.delta, iv.gamma4, iv.gamma6 + step, iv.disc)
+    qa, qb, qc = quintic.j_equation(bad)
+    assert qb * qb - 4 * qa * qc
+    with pytest.raises(ArithmeticError, match="not 5\\*disc times a square"):
+        quintic.j_roots(bad)
+    flat = QuinticInvariants(iv.delta, iv.gamma4, iv.gamma6, Fraction(0))
+    with pytest.raises(ArithmeticError,
+                       match="simple roots with vanishing discriminant"):
+        quintic.j_roots(flat)
 
 
 def test_j_candidates_rational_split():
