@@ -13,10 +13,16 @@ Three subcommands:
   listed values.
 
 Each subcommand imports only the modules it runs: ``--help`` none of the
-domain modules, ``table`` only ``quintic`` (and ``exact`` through it),
-``analyze`` ``quintic`` and ``localfield``, and ``verify`` the modules of
+domain modules, ``table`` only ``quintic``, ``analyze`` ``quintic`` and
+``localfield`` (and ``exact`` through it), and ``verify`` the modules of
 the suites it runs.  A process then compiles and runs no module body it
 does not use.
+
+``analyze`` works on integers past the invariants: each field is parsed
+once from its regular-expression match, the j-candidates come from
+quintic.j_roots as base +- off*sqrt(5*disc), and every product, sum and
+reduction in the rendered strings is taken on numerator and denominator,
+so no algebra and no further Fraction is built per record.
 
 Exit codes: 0 when every check passes, 1 on a verification failure, 2 on a
 usage or parse error or an ``--out`` file that cannot be written.  Reports
@@ -70,7 +76,7 @@ _TABLE_ROWS = (
 
 # -- serialization helpers ---------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 # str() refuses an int of more than 4300 digits.  The j-equation has weight
 # 60 in A, B, C of weights 3, 4, 5, so it has degree at most 20, 15 and 12 in
@@ -87,12 +93,29 @@ def _fmt(x) -> str:
     return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
+def _ratio(n: int, d: int) -> str:
+    """n/d as _fmt renders it, for coprime n and d > 0."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _reduced(n: int, d: int) -> tuple:
+    """n/d in lowest terms, for d > 0."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 def _exact_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q"; decimal forms are rejected as inexact-looking."""
+    """Parse "p" or "p/q"; decimal forms are rejected as inexact-looking.
+
+    The match gives p and q as integers, and q = 0 raises
+    ZeroDivisionError.
+    """
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
         raise ValueError(f"not an exact decimal-free rational: {text!r}")
-    return Fraction(text)
+    num, den = m.groups()
+    return Fraction(int(num), int(den) if den else 1)
 
 
 def _too_long(x: Fraction) -> bool:
@@ -143,37 +166,45 @@ def _square_part(n: int) -> int:
     return square
 
 
-def _split_radicand(d) -> tuple:
-    """(radicand, scale) with sqrt(d) = scale*sqrt(radicand), d rational.
+def _split_radicand(n: int, d: int) -> tuple:
+    """(radicand, scale) with sqrt(n/d) = scale*sqrt(radicand), for d > 0.
 
-    The radicand is the integer num(d)*den(d) divided by the square
+    The radicand is the integer n*d divided by the square s^2 that
     _square_part finds: squarefree unless it keeps the square of a prime
-    above 10^4.  The identity is exact either way.
+    above 10^4.  The identity is exact either way.  scale is the pair
+    (s, d), for s/d not always in lowest terms.
     """
-    d = Fraction(d)
-    n = d.numerator * d.denominator
-    square = _square_part(abs(n))
-    return n // (square * square), Fraction(square, d.denominator)
+    m = n * d
+    square = _square_part(abs(m))
+    return m // (square * square), (square, d)
 
 
 def _quad_string(a, b, radicand, scale) -> str:
-    """Render a + b*sqrt(d), where (radicand, scale) = _split_radicand(d)."""
-    coef = b * scale
-    if radicand == 1 or not coef:
-        return _fmt(a + coef * radicand if radicand == 1 else a)
-    op = "-" if coef < 0 else "+"
-    return f"{_fmt(a)} {op} {_fmt(abs(coef))}*sqrt({radicand})"
+    """Render a + b*sqrt(r), where (radicand, scale) = _split_radicand(r).
+
+    a and b are pairs (n, d) of integers with d > 0, a in lowest terms.
+    """
+    an, ad = a
+    cn, cd = _reduced(b[0] * scale[0], b[1] * scale[1])
+    if not cn:
+        return _ratio(an, ad)
+    if radicand == 1:
+        return _ratio(*_reduced(an * cd + cn * ad, ad * cd))
+    op = "-" if cn < 0 else "+"
+    return f"{_ratio(an, ad)} {op} {_ratio(abs(cn), cd)}*sqrt({radicand})"
 
 
 def _quintic_str(a, b, c) -> str:
+    """x^5 + ax^2 + bx + c for ints or Fractions a, b and c."""
     parts = ["x^5"]
     for coef, mono in ((a, "x^2"), (b, "x"), (c, "")):
-        if not coef:
+        n, d = coef.numerator, coef.denominator
+        if not n:
             continue
-        mag = _fmt(abs(coef))
+        mag = _ratio(abs(n), d)
         if mono:
-            mag = "" if mag == "1" else (f"({mag})" if "/" in mag else mag)
-        parts.append(f"{'-' if coef < 0 else '+'} {mag}{mono}")
+            mag = "" if mag == "1" else (f"({mag})" if d != 1 else mag)
+        parts.append(f"{'-' if n < 0 else '+'} {mag}{mono}")
     return " ".join(parts)
 
 
@@ -241,11 +272,14 @@ def _record_fraction(value, key: str) -> Fraction:
     return x
 
 
+_ZERO = Fraction(0)
+
+
 def _parse_record(obj) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     rec = {}
-    for key, default in (("A", Fraction(0)), ("B", None), ("C", None)):
+    for key, default in (("A", _ZERO), ("B", None), ("C", None)):
         value = obj.get(key, obj.get(key.lower()))
         if value is None:
             if default is None:
@@ -271,20 +305,21 @@ def _analyze_one(rec: dict) -> dict:
     out = {}
     if "label" in rec:
         out["label"] = rec["label"]
-    out.update(quintic=_quintic_str(a, b, c), A=_fmt(a), B=_fmt(b), C=_fmt(c))
+    # every field below is a Fraction, which str() renders as _fmt does
+    out.update(quintic=_quintic_str(a, b, c), A=str(a), B=str(b), C=str(c))
     iv = quintic.invariants(quintic.Quintic(a, b, c))
-    out["delta"] = _fmt(iv.delta)
-    out["gamma4"] = _fmt(iv.gamma4)
-    out["gamma6"] = _fmt(iv.gamma6)
-    out["disc"] = _fmt(iv.disc)
+    out["delta"] = str(iv.delta)
+    out["gamma4"] = str(iv.gamma4)
+    out["gamma6"] = str(iv.gamma6)
+    out["disc"] = str(iv.disc)
     errors = []
     try:
-        roots = quintic.j_roots(iv)
-        if isinstance(roots[0], Fraction):
-            out["j_candidates"] = [_fmt(r) for r in roots]
-        else:
-            split = _split_radicand(5 * iv.disc)
-            out["j_candidates"] = [_quad_string(*r.coords, *split) for r in roots]
+        base, off = quintic.j_roots(iv)
+        mid = (base.numerator, base.denominator)
+        n, d = off.numerator, off.denominator
+        split = _split_radicand(5 * iv.disc.numerator, iv.disc.denominator)
+        out["j_candidates"] = [_quad_string(mid, (sign * n, d), *split)
+                               for sign in (1, -1)]
     except (ValueError, ArithmeticError) as exc:
         out["j_candidates"] = None
         errors.append(str(exc))
@@ -295,7 +330,7 @@ def _analyze_one(rec: dict) -> dict:
             errors.append("C must be nonzero for t")
         else:
             t = quintic.trinomial_t(b, c)
-            out["t"] = None if t is None else _fmt(t)
+            out["t"] = None if t is None else str(t)
             out["hypothesis"] = (t is not None
                                  and localfield.is_square_5adic_unit(t))
     out["status"] = "error" if errors else "ok"
@@ -567,13 +602,16 @@ def _suite_hecke():
     vg = hecke.omega_value_group()
     eps_exp = hecke.omega_epsilon().exponent
     return [
-        _check("hecke/sigma-identity",
-               "omega(sigma x)/omega(x) = (-2/N(x)) on all 192 units mod "
-               "8 sqrt5",
-               hecke.verify_sigma_identity()),
-        _check("hecke/square-identity",
-               "omega(x)^2 = chi_{-4}(N x) omega5(N x)^-1 on all 192 units",
-               hecke.verify_square_identity()),
+        _unit_identity_check("hecke/sigma-identity",
+                             "omega(sigma x)/omega(x) = (-2/N(x)) on all 192 "
+                             "units mod 8 sqrt5",
+                             hecke.verify_sigma_identity(),
+                             hecke.sigma_identity_mismatch),
+        _unit_identity_check("hecke/square-identity",
+                             "omega(x)^2 = chi_{-4}(N x) omega5(N x)^-1 on "
+                             "all 192 units",
+                             hecke.verify_square_identity(),
+                             hecke.square_identity_mismatch),
         _check("hecke/positive-units",
                "omega is trivial on the totally positive units eps^2n",
                hecke.verify_positive_units()),
@@ -583,6 +621,16 @@ def _suite_hecke():
                f"omega(eps) = zeta24^{eps_exp}; "
                f"image exponents in mu24: {list(vg)}"),
     ]
+
+
+def _unit_identity_check(cid, description, holds, mismatch) -> dict:
+    """An identity over the units mod 8 sqrt5; on failure the witness is
+    the first failing unit x, from mismatch()."""
+    witness = None
+    if not holds:
+        a, b = mismatch()
+        witness = f"fails at the unit x = {a} + {b} eps mod 8 sqrt5"
+    return _check(cid, description, holds, witness)
 
 
 def _suite_localfield():

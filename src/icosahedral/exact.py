@@ -7,9 +7,9 @@ immutable and exact; there is no floating point anywhere.
 Scalars are ``fractions.Fraction``.  An algebra element is a vector of
 Fraction coordinates over a :class:`FieldDescriptor` holding a
 basis-by-basis multiplication table; only the fixed algebras needed by the
-rest of the package are provided (Q(sqrt5), Q(eps,i), plus ad-hoc
-quadratic and power-basis extensions); a rational is a Fraction, not an
-element of a one-dimensional algebra.  Algebras give scalars only: a
+rest of the package are provided (Q(sqrt5), Q(eps,i), plus power-basis
+extensions); a rational is a Fraction, not an element of a
+one-dimensional algebra.  Algebras give scalars only: a
 polynomial has Fraction coefficients, held as a dense tuple, lowest degree
 first.  A rational function is a cleared (numerator, denominator) pair of
 polynomials; two pairs are equal when their cross products are.  An
@@ -41,27 +41,10 @@ __all__ = [
     "QSQRT5",
     "QEPSI",
     "Poly",
-    "quadratic_field",
     "poly_gcd",
     "resultant_pencil",
     "poly_divides",
-    "sqrt_exact",
 ]
-
-
-def sqrt_exact(x):
-    """Return the nonnegative rational square root of x, or None.
-
-    Non-square input is a normal outcome, not an error.
-    """
-    x = Fraction(x)
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return Fraction(rn, rd)
 
 
 class FieldDescriptor:
@@ -326,14 +309,6 @@ def _make_qepsi():
 
 QSQRT5 = _make_qsqrt5()
 QEPSI = _make_qepsi()
-
-
-def quadratic_field(d):
-    """Q[r]/(r^2 - d) for a rational d (a field iff d is not a square)."""
-    d = Fraction(d)
-    zero, one = Fraction(0), Fraction(1)
-    return FieldDescriptor(f"Qadj({d})", ("1", "r"),
-                           (((one, zero), (zero, one)), ((zero, one), (d, zero))))
 
 
 def _kron_pack(ints, L):

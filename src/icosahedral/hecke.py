@@ -44,7 +44,9 @@ __all__ = [
     "omega8",
     "omega5",
     "omega",
+    "sigma_identity_mismatch",
     "verify_sigma_identity",
+    "square_identity_mismatch",
     "verify_square_identity",
     "verify_positive_units",
 ]
@@ -294,16 +296,37 @@ def _norm_residue(ring: ResidueRing, x, modulus: int) -> int:
     return n
 
 
-def verify_sigma_identity() -> bool:
-    """Check omega(sigma x) / omega(x) = (-2 / N(x)) on all 192 units."""
+def sigma_identity_mismatch(w=None):
+    """None, or the first unit x mod 8 sqrt5, as its pair (a, b) for
+    a + b*eps, with w(sigma x) / w(x) != (-2 / N(x)); w defaults to omega."""
     ring = residue_ring("8sqrt5")
-    w = omega()
+    w = omega() if w is None else w
     for x in ring.units():
         lhs = w(ring.sigma(x)) * w(x).inv()
         rhs = RootOfUnity.sign(KRONECKER_M2[_norm_residue(ring, x, 8)])
         if lhs != rhs:
-            return False
-    return True
+            return x
+    return None
+
+
+def verify_sigma_identity() -> bool:
+    """Check omega(sigma x) / omega(x) = (-2 / N(x)) on all 192 units."""
+    return sigma_identity_mismatch() is None
+
+
+def square_identity_mismatch(w=None):
+    """None, or the first unit x mod 8 sqrt5, as its pair (a, b) for
+    a + b*eps, with w(x)^2 != chi_{-4}(N(x)) * omega5(N(x))^-1; w defaults
+    to omega."""
+    ring = residue_ring("8sqrt5")
+    w = omega() if w is None else w
+    for x in ring.units():
+        lhs = w(x) ** 2
+        chi4 = RootOfUnity.sign(1 if _norm_residue(ring, x, 4) == 1 else -1)
+        teich = RootOfUnity(TEICHMULLER_EXP[_norm_residue(ring, x, 5)])
+        if lhs != chi4 * teich.inv():
+            return x
+    return None
 
 
 def verify_square_identity() -> bool:
@@ -312,15 +335,7 @@ def verify_square_identity() -> bool:
     chi_{-4} is the nontrivial character mod 4 and omega5 on the right is
     the Teichmuller character mod 5 with 2 -> i.
     """
-    ring = residue_ring("8sqrt5")
-    w = omega()
-    for x in ring.units():
-        lhs = w(x) ** 2
-        chi4 = RootOfUnity.sign(1 if _norm_residue(ring, x, 4) == 1 else -1)
-        teich = RootOfUnity(TEICHMULLER_EXP[_norm_residue(ring, x, 5)])
-        if lhs != chi4 * teich.inv():
-            return False
-    return True
+    return square_identity_mismatch() is None
 
 
 def verify_positive_units() -> bool:

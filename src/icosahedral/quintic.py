@@ -33,7 +33,9 @@ forms of weight 12, 20, 30 and 20.  So ``invariants`` and ``trinomial_t``
 multiply out the common denominator D as a = A D^3, b = B D^4, c = C D^5,
 and ``j_equation`` clears the weight-60 j-equation by one integer.  They
 evaluate their forms on integers and build a Fraction only for each value
-they return.
+they return.  ``j_roots`` certifies that the j-equation's discriminant is
+5*disc times a square by one integer square test, and returns its roots as
+base +- off*sqrt(5*disc) without building a quadratic field.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Optional
-
-from .exact import AlgElement, quadratic_field, sqrt_exact
 
 __all__ = [
     "Quintic",
@@ -62,6 +62,11 @@ __all__ = [
 ]
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction; a Fraction itself is returned without a copy."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 @dataclass(frozen=True)
 class Quintic:
     """The quintic x^5 + a*x^2 + b*x + c."""
@@ -71,9 +76,9 @@ class Quintic:
     c: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
+        object.__setattr__(self, "a", _rational(self.a))
+        object.__setattr__(self, "b", _rational(self.b))
+        object.__setattr__(self, "c", _rational(self.c))
 
     def __call__(self, x):
         x = Fraction(x)
@@ -154,10 +159,16 @@ def j_equation(inv: QuinticInvariants):
 def j_roots(inv: QuinticInvariants):
     """Solve the j-equation given by a quintic's invariants exactly.
 
-    Returns the two roots (with multiplicity) as Fractions when the
-    quadratic splits over Q, otherwise as conjugate elements of the
-    quadratic algebra Q[r]/(r^2 - 5*disc).  The quadratic's discriminant
-    is checked to be 5*disc times a rational square before taking roots.
+    Returns Fractions (base, off) such that the two roots, with
+    multiplicity, are base + off*sqrt(5*disc) and base - off*sqrt(5*disc):
+    off = 0 for a double root, and the roots are rational when 5*disc is a
+    square.
+
+    The certificate is one integer square test.  Write 5*disc = n5/d5 and
+    qa j^2 + qb j + qc for the j-equation (j_equation), with discriminant
+    disc_j.  disc_j is 5*disc times a rational square exactly when the
+    integer disc_j*d5*n5 is a square r^2, and then disc_j =
+    (r/|n5|)^2 * 5*disc, so base = -qb/(2qa) and off = r/(2 qa |n5|).
 
     Requires delta != 0; otherwise the j-equation degenerates.
     """
@@ -165,22 +176,18 @@ def j_roots(inv: QuinticInvariants):
         raise ValueError("degenerate quintic: delta = 0")
     qa, qb, qc = j_equation(inv)
     disc_j = qb * qb - 4 * qa * qc
+    base = Fraction(-qb, 2 * qa)
     if not disc_j:
         # the square cofactor in disc_j = 5*disc*(cofactor)^2 can vanish
-        root = Fraction(-qb, 2 * qa)
-        return (root, root)
+        return base, Fraction(0)
     if not inv.disc:
         raise ArithmeticError("simple roots with vanishing discriminant")
-    disc5 = 5 * inv.disc
-    cof = sqrt_exact(Fraction(disc_j * disc5.denominator, disc5.numerator))
-    if cof is None:
+    n5 = 5 * inv.disc.numerator
+    w = disc_j * inv.disc.denominator * n5
+    r = isqrt(max(w, 0))
+    if r * r != w:
         raise ArithmeticError("j-equation discriminant is not 5*disc times a square")
-    s = sqrt_exact(disc5)
-    if s is not None:
-        return ((-qb + cof * s) / (2 * qa), (-qb - cof * s) / (2 * qa))
-    fld = quadratic_field(disc5)
-    base, off = Fraction(-qb, 2 * qa), cof / (2 * qa)
-    return (AlgElement(fld, (base, off)), AlgElement(fld, (base, -off)))
+    return base, Fraction(r, 2 * qa * abs(n5))
 
 
 # The coefficient of X^k in x^5 + A x^2 + B x + C at (m, n, j): with d = 5 - k
@@ -244,7 +251,7 @@ def trinomial_t(B, C) -> Optional[Fraction]:
     t > 0 fixes B^5/C^4.  Equal B^5/C^4 for (B1, C1) and (B2, C2) give
     c = (C2/C1) / (B2/B1) with c^4 = B2/B1 and c^5 = C2/C1.
     """
-    B, C = Fraction(B), Fraction(C)
+    B, C = _rational(B), _rational(C)
     if not C:
         raise ValueError("C must be nonzero")
     # with b = B D^4 and c = C D^5 the radicand is R / D^20, and

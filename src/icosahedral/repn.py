@@ -411,9 +411,11 @@ def lift_pi(g: F5Matrix) -> RepMatrix:
     return table[g]
 
 
+@lru_cache(maxsize=1)
 def _table_keys():
     """The key of each lift in _lift_table(), or None for a lift with a
-    coordinate outside (1/2) Z."""
+    coordinate outside (1/2) Z; cached like the table, as the three
+    checks on keys read it."""
     keys = {}
     for g, m in _lift_table().items():
         try:

@@ -71,7 +71,8 @@ def test_analyze_inline_json(capsys):
 
 
 def test_analyze_one_computes_invariants_once(monkeypatch):
-    calls = {"invariants": 0, "_square_part": 0, "trinomial_t": 0}
+    calls = {"invariants": 0, "j_roots": 0, "_square_part": 0,
+             "trinomial_t": 0}
 
     def counted(module, name):
         orig = getattr(module, name)
@@ -81,17 +82,19 @@ def test_analyze_one_computes_invariants_once(monkeypatch):
             return orig(*args)
         return wrapper
 
-    for name, modules in (("invariants", (quintic,)),
+    for name, modules in (("invariants", (quintic,)), ("j_roots", (quintic,)),
                           ("trinomial_t", (quintic, localfield))):
         for module in modules:
             monkeypatch.setattr(module, name, counted(module, name))
     monkeypatch.setattr(cli, "_square_part", counted(cli, "_square_part"))
-    # A = 0 and C != 0: t and the hypothesis come from one trinomial_t call
+    # A = 0 and C != 0: t and the hypothesis come from one trinomial_t call;
+    # both j-candidates come from one (base, off) and one radicand split
     record = cli._analyze_one({"A": Fraction(0), "B": Fraction(4), "C": Fraction(16, 5)})
     assert record["j_candidates"] == ["86048 - 38496*sqrt(5)",
                                       "86048 + 38496*sqrt(5)"]
     assert record["t"] == "1" and record["hypothesis"] is True
-    assert calls == {"invariants": 1, "_square_part": 1, "trinomial_t": 1}
+    assert calls == {"invariants": 1, "j_roots": 1, "_square_part": 1,
+                     "trinomial_t": 1}
 
 
 def test_analyze_second_table_row(capsys):
@@ -196,6 +199,10 @@ def assert_quad_exact(text, a, b, d):
     assert c * c * r == b * b * d and (c > 0) == (b > 0)
 
 
+def pair(x):
+    return x.numerator, x.denominator
+
+
 def test_quad_string_radicand_matches_factorint():
     rng = random.Random(20260815)
     for _ in range(300):
@@ -220,7 +227,7 @@ def test_quad_string_radicand_matches_factorint():
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
         b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
                      rng.randint(1, 9))
-        text = cli._quad_string(a, b, *cli._split_radicand(d))
+        text = cli._quad_string(pair(a), pair(b), *cli._split_radicand(*pair(d)))
         want = d.numerator * d.denominator
         want //= square_part_reference(abs(want)) ** 2
         assert parse_quad(text)[2] == want
@@ -236,8 +243,7 @@ def test_quad_string_large_square_kept():
     n = 2 ** 2 * 3 * p * p * q
     assert cli._square_part(n) == 2
     d = Fraction(-n, 5)
-    text = cli._quad_string(Fraction(1, 3), Fraction(-7, 2),
-                            *cli._split_radicand(d))
+    text = cli._quad_string((1, 3), (-7, 2), *cli._split_radicand(*pair(d)))
     assert parse_quad(text)[2] == -3 * 5 * p * p * q
     assert_quad_exact(text, Fraction(1, 3), Fraction(-7, 2), d)
 
@@ -606,13 +612,13 @@ def test_verify_repn(capsys):
         assert "witness" not in by_id[cid]
 
 
-def test_verify_repn_faithful_mutation(capsys, monkeypatch):
+def test_verify_repn_faithful_mutation(capsys, lift_table):
     # two elements with one lift: repn/faithful fails, and the Cayley
     # certificate with it
     table = dict(repn._lift_table())
     order = repn.enumerate_group()
     table[order[2]] = table[order[1]]
-    monkeypatch.setattr(repn, "_lift_table", lambda: table)
+    lift_table(table)
     rc, out, _ = run_cli(capsys, "verify", "repn")
     assert rc == 1
     by_id = {c["id"]: c for c in json.loads(out)["checks"]}
@@ -778,6 +784,25 @@ def test_analyze_matches_golden(capsys):
     assert out.encode() == golden.read_bytes()
 
 
+def test_analyze_builds_no_algebra(monkeypatch):
+    # the record path runs on integers and Fractions: with every algebra
+    # and algebra element refused, each golden record still gives its line
+    from icosahedral.exact import AlgElement, FieldDescriptor
+
+    def refused(*args, **kwargs):
+        raise AssertionError("analyze built an algebra object")
+
+    cli._analysis_modules()
+    monkeypatch.setattr(FieldDescriptor, "__init__", refused)
+    monkeypatch.setattr(AlgElement, "__init__", refused)
+    golden = GOLDEN_ANALYZE_INPUT.with_name("analyze.jsonl")
+    lines = golden.read_text().splitlines()
+    records = golden_analyze_records()
+    assert len(lines) == len(records) + 1
+    for rec, line in zip(records, lines):
+        assert json.dumps(cli._analyze_one(rec), separators=(",", ":")) == line
+
+
 def test_verify_icosa(capsys):
     rc, out, _ = run_cli(capsys, "verify", "icosa")
     assert rc == 0
@@ -790,14 +815,35 @@ def test_verify_icosa(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(hecke, "verify_sigma_identity", lambda: False)
+    # (-2/3) = -1 in place of 1: the sigma identity fails first at the
+    # unit 1 + 5 eps, whose norm is 3 mod 8, and names it
+    monkeypatch.setitem(hecke.KRONECKER_M2, 3, -1)
     rc, out, _ = run_cli(capsys, "verify", "hecke")
     assert rc == 1
     report = json.loads(out)
     assert report["status"] == "fail"
-    statuses = {c["id"]: c["status"] for c in report["checks"]}
-    assert statuses["hecke/sigma-identity"] == "fail"
-    assert statuses["hecke/square-identity"] == "pass"
+    by_id = {c["id"]: c for c in report["checks"]}
+    assert by_id["hecke/sigma-identity"]["status"] == "fail"
+    assert by_id["hecke/sigma-identity"]["witness"] == \
+        "fails at the unit x = 1 + 5 eps mod 8 sqrt5"
+    assert by_id["hecke/square-identity"]["status"] == "pass"
+    assert "witness" not in by_id["hecke/square-identity"]
+
+
+def test_verify_hecke_square_identity_witness(capsys, monkeypatch):
+    # omega times zeta4 at the unit x0 = 3 + 5 eps alone: omega(x0)^2 changes
+    # sign, so the square identity fails first at x0
+    ring = hecke.residue_ring("8sqrt5")
+    x0 = (3, 5)
+    w = hecke.omega()
+    bad = hecke.Character(ring, {**w.table,
+                                 x0: w.table[x0] * hecke.RootOfUnity(6)})
+    monkeypatch.setattr(hecke, "omega", lambda: bad)
+    rc, out, _ = run_cli(capsys, "verify", "hecke")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["hecke/square-identity"]["witness"] == \
+        "fails at the unit x = 3 + 5 eps mod 8 sqrt5"
 
 
 def test_verify_resolvent_failure_witness(capsys, monkeypatch):
@@ -950,7 +996,7 @@ _START = ["icosahedral", "icosahedral.cli"]
 
 @pytest.mark.parametrize("argv, extra", [
     (["--help"], []),
-    (["table"], ["exact", "quintic"]),
+    (["table"], ["quintic"]),
     (["analyze", "--b", "1", "--c", "1"], ["exact", "localfield", "quintic"]),
     (["verify", "hecke"], ["hecke"]),
     (["verify", "all"], ["exact", "hecke", "icosa", "localfield", "qcurve",

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ from icosahedral.exact import (
     QEPSI, QSQRT5,
     Poly, _kron_mul_int, _kron_pack, _kron_unpack,
     compose_homogeneous, poly_divides, poly_gcd, power_basis_algebra,
-    quadratic_field, resultant_pencil, sqrt_exact,
+    resultant_pencil,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -22,6 +23,18 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
 # Q(zeta5), which no check uses: zeta^4 = -1 - zeta - zeta^2 - zeta^3
 QZETA5 = power_basis_algebra("Qzeta5", 4, (Fraction(-1),) * 4, gen_name="z5")
 ALL_FIELDS = (QSQRT5, QZETA5, QEPSI)
+
+
+def quadratic_field(d):
+    """Q[r]/(r^2 - d) for a rational d, a field iff d is not a square."""
+    return power_basis_algebra(f"Qadj({d})", 2, (Fraction(d), Fraction(0)),
+                               gen_name="r")
+
+
+def is_square(d):
+    """Whether the Fraction d is the square of a rational."""
+    n, m = d.numerator, d.denominator
+    return n >= 0 and math.isqrt(n) ** 2 == n and math.isqrt(m) ** 2 == m
 
 
 def rand_poly(rng, deg, lo=-9, hi=9):
@@ -236,10 +249,6 @@ def test_scalar_product_builds_no_integer_table():
     assert fd._int_table is None
     x * r
     assert fd._int_table is not None
-    # analyze solves the j-equation in a fresh quadratic field per record
-    from icosahedral.quintic import Quintic, j_candidates
-    lo, hi = j_candidates(Quintic(0, 4, Fraction(16, 5)))
-    assert lo.field is hi.field and lo.field._int_table is None
 
 
 def test_kron_mul_int_edge_cases():
@@ -291,7 +300,7 @@ wide_fractions = st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20),
                            st.integers(1, 10 ** 6))
 # d with Q[r]/(r^2 - d) a field
 nonsquares = st.builds(Fraction, st.integers(-50, 50),
-                       st.integers(1, 20)).filter(lambda d: sqrt_exact(d) is None)
+                       st.integers(1, 20)).filter(lambda d: not is_square(d))
 LAW_FIELDS = st.sampled_from((QZETA5, QEPSI)) | nonsquares.map(quadratic_field)
 
 
@@ -567,14 +576,3 @@ def test_compose_homogeneous_matches_sum_and_values():
             x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             if q(x):
                 assert got(x) == f(p(x) / q(x)) * q(x) ** n
-
-
-# -- square roots --------------------------------------------------------------
-
-def test_sqrt_exact_examples():
-    assert sqrt_exact(1024000000) == 32000
-    assert sqrt_exact(589824) == 768
-    assert sqrt_exact(2) is None
-    assert sqrt_exact(Fraction(9, 4)) == Fraction(3, 2)
-    assert sqrt_exact(Fraction(-9, 4)) is None
-    assert sqrt_exact(0) == 0

@@ -8,8 +8,9 @@ from icosahedral.exact import QEPSI
 from icosahedral.hecke import (
     Character, KRONECKER_M2, ResidueRing, RootOfUnity, TEICHMULLER_EXP,
     char_from_generators, omega, omega4, omega5, omega8, omega_epsilon,
-    omega_value_group, residue_ring, verify_positive_units,
-    verify_sigma_identity, verify_square_identity,
+    omega_value_group, residue_ring, sigma_identity_mismatch,
+    square_identity_mismatch, verify_positive_units, verify_sigma_identity,
+    verify_square_identity,
 )
 
 
@@ -235,3 +236,20 @@ def test_identity_mutations():
         if mutated(x) ** 2 != chi4 * teich.inv():
             square_bad += 1
     assert sigma_bad > 0 and square_bad > 0
+
+
+@pytest.mark.parametrize("index", [0, 68, 191])
+def test_identity_witnesses(index):
+    # omega times zeta4 at one unit x0 alone: omega(x0)^2 changes sign, so
+    # the square identity fails first at x0, and the sigma identity, which
+    # compares omega at x and sigma x, first at x0 or sigma x0
+    ring = residue_ring("8sqrt5")
+    units = ring.units()
+    assert sigma_identity_mismatch() is None
+    assert square_identity_mismatch() is None
+    x0 = units[index]
+    w = omega()
+    bad = Character(ring, {**w.table, x0: w.table[x0] * RootOfUnity(6)})
+    assert square_identity_mismatch(bad) == x0
+    assert sigma_identity_mismatch(bad) == \
+        min(x0, ring.sigma(x0), key=units.index)

@@ -324,13 +324,11 @@ def test_j_equation_degree_bound_sympy():
 
 
 def test_family_j_matches_j_candidates():
-    # 5*disc = 5120000000 = 5 * 32000^2, so r maps to 32000 sqrt5
-    lo, hi = j_candidates(Quintic(0, 20, -16))
+    # 5*disc = 5120000000 = 5 * 32000^2, so sqrt(5*disc) = 32000 sqrt5
+    base, off = j_candidates(Quintic(0, 20, -16))
     s5 = QSQRT5.gen(1)
-    mapped = []
-    for cand in (lo, hi):
-        a, b = cand.coords
-        mapped.append(QSQRT5.from_scalar(a) + s5 * (b * 32000))
+    mapped = [QSQRT5.from_scalar(base) + s5 * (sign * off * 32000)
+              for sign in (1, -1)]
     j1 = j_invariant(curve_from_t(Fraction(3, 5)))
     assert j1 in mapped
     assert j1.conj("sigma") in mapped

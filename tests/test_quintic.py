@@ -9,12 +9,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icosahedral import quintic
-from icosahedral.exact import sqrt_exact
+from icosahedral.exact import power_basis_algebra
 from icosahedral.quintic import (
     Quintic, QuinticInvariants, family_quintic, hyperelliptic_3adic,
     invariants, j_candidates, resolvent_coeffs, solvable_family,
     solvability_obstruction, trinomial_t,
 )
+
+
+def sqrt_exact(x):
+    """The nonnegative rational square root of x, or None."""
+    x = Fraction(x)
+    n, d = x.numerator, x.denominator
+    if n < 0 or isqrt(n) ** 2 != n or isqrt(d) ** 2 != d:
+        return None
+    return Fraction(isqrt(n), isqrt(d))
+
+
+def conjugate_roots(inv):
+    """The roots base +- off*r of j_roots, as elements of Q[r]/(r^2 - 5*disc)."""
+    base, off = quintic.j_roots(inv)
+    fld = power_basis_algebra("Qadj", 2, (5 * inv.disc, Fraction(0)),
+                              gen_name="r")
+    return (fld.element((base, off)), fld.element((base, -off)))
 
 
 def rand_frac(rng, lo=-12, hi=12, den=7):
@@ -76,9 +93,10 @@ def test_jequation_discriminant_factorization():
 
 
 def test_j_candidates_t1_row():
-    roots = j_candidates(Quintic(0, 4, Fraction(16, 5)))
     iv = invariants(Quintic(0, 4, Fraction(16, 5)))
+    assert j_candidates(Quintic(0, 4, Fraction(16, 5))) == quintic.j_roots(iv)
     # irrational conjugate pair in Q[r]/(r^2 - 5*disc)
+    roots = conjugate_roots(iv)
     qa = iv.delta ** 5
     qb = -1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + iv.delta ** 5)
     qc = 1728 ** 2 * iv.gamma4 ** 3
@@ -112,19 +130,19 @@ def test_j_roots_certificate_mutations(abc, step):
 
 def test_j_candidates_rational_split():
     # x^5 + 2x: the square cofactor vanishes, leaving a double rational root
-    assert j_candidates(Quintic(0, 2, 0)) == (1728, 1728)
+    assert j_candidates(Quintic(0, 2, 0)) == (1728, 0)
     with pytest.raises(ValueError):
         j_candidates(Quintic(0, 0, 1))  # delta = 0
 
 
 def test_j_candidates_split_when_5disc_square():
     # quintics built from rational (m, n, j) have 5*disc a rational square,
-    # so the quadratic splits and both roots come back as Fractions
+    # so the quadratic splits into two rational roots base +- off*s
     q = Quintic(*resolvent_coeffs(1, 1, 2))
-    iv = invariants(q)
-    assert sqrt_exact(5 * iv.disc) is not None
-    roots = j_candidates(q)
-    assert all(isinstance(r, Fraction) for r in roots)
+    s = sqrt_exact(5 * invariants(q).disc)
+    assert s is not None
+    base, off = j_candidates(q)
+    roots = (base + off * s, base - off * s)
     assert Fraction(2) in roots and roots[0] != roots[1]
 
 
@@ -156,7 +174,9 @@ def test_resolvent_roundtrip_through_j_equation():
         q = Quintic(*resolvent_coeffs(m, n, j))
         if not invariants(q).delta:
             continue
-        assert j in j_candidates(q)
+        base, off = j_candidates(q)
+        s = sqrt_exact(5 * invariants(q).disc)
+        assert j in (base + off * s, base - off * s)
         done += 1
 
 
@@ -479,17 +499,13 @@ def test_j_roots_solve_the_j_equation(abc):
     ia, ib, ic = quintic.j_equation(iv)
     m = ia / qa
     assert m > 0 and (ib, ic) == (m * qb, m * qc)
-    roots = quintic.j_roots(iv)
-    assert len(roots) == 2
-    for r in roots:
-        # in Q, or in Q[r]/(r^2 - 5*disc) for a conjugate pair
+    base, off = quintic.j_roots(iv)
+    # base +- off*r with r^2 = 5*disc solve qa j^2 + qb j + qc = 0: the
+    # rational part and the coefficient of r vanish
+    assert qa * (base * base + off * off * 5 * iv.disc) + qb * base + qc == 0
+    assert off * (2 * qa * base + qb) == 0
+    for r in conjugate_roots(iv):
         assert r * r * qa + r * qb + qc == 0
-    if isinstance(roots[0], Fraction):
-        assert roots[0] + roots[1] == -qb / qa
-    else:
-        assert roots[0] + roots[1] == -qb / qa
-        gen = roots[0].field.gen(1)
-        assert gen * gen == 5 * iv.disc
 
 
 @PROPERTY

@@ -244,7 +244,7 @@ def test_certificate_makes_no_matrix_products(monkeypatch):
     assert rep_calls == []
 
 
-def test_homomorphism_certificate(monkeypatch):
+def test_homomorphism_certificate(lift_table):
     assert verify_homomorphism()
     lifts = generator_lifts()
     pairs = repn._admissible_pairs()
@@ -256,28 +256,28 @@ def test_homomorphism_certificate(monkeypatch):
     swapped[i], swapped[j] = lifts[j], lifts[i]
     for bad in (neg_t, swapped):
         table = lift_table_from(bad)
-        monkeypatch.setattr(repn, "_lift_table", lambda: table)
+        lift_table(table)
         assert not verify_homomorphism()
 
 
-def test_homomorphism_witness(monkeypatch):
+def test_homomorphism_witness(lift_table):
     # the first failing edge in BFS order: with -T, the identity times T
     assert repn.homomorphism_mismatch() is None
     lifts = generator_lifts()
     neg_t = lifts[:1] + [RepMatrix(0, 1, -1, 0)] + lifts[2:]
     table = lift_table_from(neg_t)
-    monkeypatch.setattr(repn, "_lift_table", lambda: table)
+    lift_table(table)
     assert repn.homomorphism_mismatch() == (F5Matrix.identity(), 1)
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(1, 4)])
-def test_homomorphism_lift_outside_half_integers(monkeypatch, scale):
+def test_homomorphism_lift_outside_half_integers(lift_table, scale):
     # L(1) = (1/2) I is in (1/2) Z but L(1) S is not; L(1) = (1/4) I is not
     # in (1/2) Z: each fails the certificate at its first edge, 1 times S,
     # and the congruence, without raising
     table = dict(repn._lift_table())
     table[F5Matrix.identity()] = RepMatrix(scale, 0, 0, scale)
-    monkeypatch.setattr(repn, "_lift_table", lambda: table)
+    lift_table(table)
     assert repn.homomorphism_mismatch() == (F5Matrix.identity(), 0)
     assert not verify_homomorphism()
     assert not repn.verify_congruence()
@@ -403,7 +403,7 @@ def test_congruence_and_faithfulness():
     assert repn.verify_faithful()
 
 
-def test_faithful_mutation(monkeypatch):
+def test_faithful_mutation(lift_table):
     # two elements with one lift fail; so does a lift outside (1/2) Z,
     # without raising
     order = enumerate_group()
@@ -411,7 +411,7 @@ def test_faithful_mutation(monkeypatch):
                 RepMatrix(Fraction(1, 4), 0, 0, 1)):
         table = dict(repn._lift_table())
         table[order[2]] = bad
-        monkeypatch.setattr(repn, "_lift_table", lambda: table)
+        lift_table(table)
         assert not repn.verify_faithful()
 
 
