@@ -339,6 +339,10 @@ def _analyze_one(rec: dict) -> dict:
     return out
 
 
+# json.dumps builds a new encoder on every call that passes separators
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def cmd_analyze(args) -> int:
     records = []
     if args.file:
@@ -371,7 +375,7 @@ def cmd_analyze(args) -> int:
     with _output(args.out) as fh:
         for i, rec in enumerate(records, start=1):
             r = _analyze_one(rec)
-            fh.write(json.dumps(r, separators=(",", ":")) + "\n")
+            fh.write(_COMPACT_JSON.encode(r) + "\n")
             ok = r["status"] == "ok"
             bad += not ok
             if args.json:
@@ -382,7 +386,7 @@ def cmd_analyze(args) -> int:
         if args.json:
             report = _report("analyze", checks, args.seed, DEFAULT_SAMPLES,
                              DEFAULT_HEIGHT, None)
-            fh.write(json.dumps(report, separators=(",", ":")) + "\n")
+            fh.write(_COMPACT_JSON.encode(report) + "\n")
     if not args.json:
         print(f"{len(records)} record(s), {len(records) - bad} ok, "
               f"{bad} with errors", file=sys.stderr)

@@ -236,6 +236,7 @@ def test_certificate_makes_no_matrix_products(monkeypatch):
     repn._group_data()
     rep_calls = _count_calls(monkeypatch, RepMatrix, "__mul__")
     repn._lift_table.cache_clear()
+    repn._table_keys.cache_clear()
     repn._lift_table()
     f5_calls = _count_calls(monkeypatch, F5Matrix, "__mul__")
     assert verify_homomorphism()
