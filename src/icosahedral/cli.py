@@ -316,10 +316,14 @@ def _analyze_one(rec: dict) -> dict:
     try:
         base, off = quintic.j_roots(iv)
         mid = (base.numerator, base.denominator)
-        n, d = off.numerator, off.denominator
-        split = _split_radicand(5 * iv.disc.numerator, iv.disc.denominator)
-        out["j_candidates"] = [_quad_string(mid, (sign * n, d), *split)
-                               for sign in (1, -1)]
+        if off:
+            n, d = off.numerator, off.denominator
+            split = _split_radicand(5 * iv.disc.numerator,
+                                    iv.disc.denominator)
+            out["j_candidates"] = [_quad_string(mid, (sign * n, d), *split)
+                                   for sign in (1, -1)]
+        else:
+            out["j_candidates"] = [_ratio(*mid)] * 2
     except (ValueError, ArithmeticError) as exc:
         out["j_candidates"] = None
         errors.append(str(exc))
@@ -609,13 +613,11 @@ def _suite_hecke():
         _unit_identity_check("hecke/sigma-identity",
                              "omega(sigma x)/omega(x) = (-2/N(x)) on all 192 "
                              "units mod 8 sqrt5",
-                             hecke.verify_sigma_identity(),
-                             hecke.sigma_identity_mismatch),
+                             hecke.sigma_identity_mismatch()),
         _unit_identity_check("hecke/square-identity",
                              "omega(x)^2 = chi_{-4}(N x) omega5(N x)^-1 on "
                              "all 192 units",
-                             hecke.verify_square_identity(),
-                             hecke.square_identity_mismatch),
+                             hecke.square_identity_mismatch()),
         _check("hecke/positive-units",
                "omega is trivial on the totally positive units eps^2n",
                hecke.verify_positive_units()),
@@ -627,14 +629,12 @@ def _suite_hecke():
     ]
 
 
-def _unit_identity_check(cid, description, holds, mismatch) -> dict:
-    """An identity over the units mod 8 sqrt5; on failure the witness is
-    the first failing unit x, from mismatch()."""
-    witness = None
-    if not holds:
-        a, b = mismatch()
-        witness = f"fails at the unit x = {a} + {b} eps mod 8 sqrt5"
-    return _check(cid, description, holds, witness)
+def _unit_identity_check(cid, description, x) -> dict:
+    """An identity over the units mod 8 sqrt5, given its first failing
+    unit x = (a, b), for a + b*eps, or None when it holds."""
+    witness = (None if x is None
+               else f"fails at the unit x = {x[0]} + {x[1]} eps mod 8 sqrt5")
+    return _check(cid, description, x is None, witness)
 
 
 def _suite_localfield():

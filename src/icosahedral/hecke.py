@@ -296,11 +296,11 @@ def _norm_residue(ring: ResidueRing, x, modulus: int) -> int:
     return n
 
 
-def sigma_identity_mismatch(w=None):
+def sigma_identity_mismatch():
     """None, or the first unit x mod 8 sqrt5, as its pair (a, b) for
-    a + b*eps, with w(sigma x) / w(x) != (-2 / N(x)); w defaults to omega."""
+    a + b*eps, with omega(sigma x) / omega(x) != (-2 / N(x))."""
     ring = residue_ring("8sqrt5")
-    w = omega() if w is None else w
+    w = omega()
     for x in ring.units():
         lhs = w(ring.sigma(x)) * w(x).inv()
         rhs = RootOfUnity.sign(KRONECKER_M2[_norm_residue(ring, x, 8)])
@@ -314,12 +314,11 @@ def verify_sigma_identity() -> bool:
     return sigma_identity_mismatch() is None
 
 
-def square_identity_mismatch(w=None):
+def square_identity_mismatch():
     """None, or the first unit x mod 8 sqrt5, as its pair (a, b) for
-    a + b*eps, with w(x)^2 != chi_{-4}(N(x)) * omega5(N(x))^-1; w defaults
-    to omega."""
+    a + b*eps, with omega(x)^2 != chi_{-4}(N(x)) * omega5(N(x))^-1."""
     ring = residue_ring("8sqrt5")
-    w = omega() if w is None else w
+    w = omega()
     for x in ring.units():
         lhs = w(x) ** 2
         chi4 = RootOfUnity.sign(1 if _norm_residue(ring, x, 4) == 1 else -1)
