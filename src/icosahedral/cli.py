@@ -18,11 +18,14 @@ domain modules, ``table`` only ``quintic``, ``analyze`` ``quintic`` and
 the suites it runs.  A process then compiles and runs no module body it
 does not use.
 
-``analyze`` works on integers past the invariants: each field is parsed
-once from its regular-expression match, the j-candidates come from
-quintic.j_roots as base +- off*sqrt(5*disc), and every product, sum and
-reduction in the rendered strings is taken on numerator and denominator,
-so no algebra and no further Fraction is built per record.
+``analyze`` carries each record as reduced integer pairs (n, d), d > 0,
+from the parse to the printed line: each field is parsed once from its
+regular-expression match, its digits counted before int() is called, and
+reduced by one gcd; the invariants, the j-candidates (quintic.j_root_pairs,
+as base +- off*sqrt(5*disc)) and t come from the pair functions of
+quintic; every product, sum and reduction in the rendered strings is taken
+on numerator and denominator, and every number is rendered by _ratio.  So
+no algebra, no Fraction and no quintic object is built per record.
 
 Exit codes: 0 when every check passes, 1 on a verification failure, 2 on a
 usage or parse error or an ``--out`` file that cannot be written.  Reports
@@ -76,7 +79,7 @@ _TABLE_ROWS = (
 
 # -- serialization helpers ---------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+_RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
 
 # str() refuses an int of more than 4300 digits.  The j-equation has weight
 # 60 in A, B, C of weights 3, 4, 5, so it has degree at most 20, 15 and 12 in
@@ -104,22 +107,33 @@ def _reduced(n: int, d: int) -> tuple:
     return n // g, d // g
 
 
-def _exact_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q"; decimal forms are rejected as inexact-looking.
+class _TooLong(ValueError):
+    """A numerator or denominator with more than MAX_INPUT_DIGITS digits."""
 
-    The match gives p and q as integers, and q = 0 raises
-    ZeroDivisionError.
+
+def _exact_rational(text: str) -> tuple:
+    """Parse "p" or "p/q" into a reduced pair (n, d), d > 0; decimal forms
+    are rejected as inexact-looking.
+
+    q = 0 raises ZeroDivisionError, and a reduced numerator or denominator
+    of more than MAX_INPUT_DIGITS digits _TooLong.  int() refuses more than
+    _INT_STR_DIGITS digits, so p and q are counted before it is called, and
+    longer ones are _TooLong too.
     """
     text = text.strip()
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not an exact decimal-free rational: {text!r}")
-    num, den = m.groups()
-    return Fraction(int(num), int(den) if den else 1)
-
-
-def _too_long(x: Fraction) -> bool:
-    return abs(x.numerator) >= _INPUT_BOUND or x.denominator >= _INPUT_BOUND
+    sign, num, den = m.groups()
+    if len(num) > _INT_STR_DIGITS or den and len(den) > _INT_STR_DIGITS:
+        raise _TooLong(_TOO_LONG)
+    d = int(den) if den else 1
+    if not d:
+        raise ZeroDivisionError(f"zero denominator: {text!r}")
+    n, d = _reduced(-int(num) if sign == "-" else int(num), d)
+    if abs(n) >= _INPUT_BOUND or d >= _INPUT_BOUND:
+        raise _TooLong(_TOO_LONG)
+    return n, d
 
 
 def _primes_below(n: int) -> tuple:
@@ -179,26 +193,28 @@ def _split_radicand(n: int, d: int) -> tuple:
     return m // (square * square), (square, d)
 
 
-def _quad_string(a, b, radicand, scale) -> str:
-    """Render a + b*sqrt(r), where (radicand, scale) = _split_radicand(r).
+def _conjugate_strings(a, b, radicand, scale) -> list:
+    """Render a + b*sqrt(r) and a - b*sqrt(r), where (radicand, scale) =
+    _split_radicand(r).
 
-    a and b are pairs (n, d) of integers with d > 0, a in lowest terms.
+    a and b are pairs (n, d) of integers with d > 0, a in lowest terms and
+    b nonzero.  b*scale is reduced once, for both.
     """
     an, ad = a
     cn, cd = _reduced(b[0] * scale[0], b[1] * scale[1])
-    if not cn:
-        return _ratio(an, ad)
     if radicand == 1:
-        return _ratio(*_reduced(an * cd + cn * ad, ad * cd))
-    op = "-" if cn < 0 else "+"
-    return f"{_ratio(an, ad)} {op} {_ratio(abs(cn), cd)}*sqrt({radicand})"
+        return [_ratio(*_reduced(an * cd + sign * cn * ad, ad * cd))
+                for sign in (1, -1)]
+    base, coef = _ratio(an, ad), _ratio(abs(cn), cd)
+    ops = ("-", "+") if cn < 0 else ("+", "-")
+    return [f"{base} {op} {coef}*sqrt({radicand})" for op in ops]
 
 
 def _quintic_str(a, b, c) -> str:
-    """x^5 + ax^2 + bx + c for ints or Fractions a, b and c."""
+    """x^5 + ax^2 + bx + c for pairs (n, d) a, b and c, each in lowest
+    terms with d > 0."""
     parts = ["x^5"]
-    for coef, mono in ((a, "x^2"), (b, "x"), (c, "")):
-        n, d = coef.numerator, coef.denominator
+    for (n, d), mono in ((a, "x^2"), (b, "x"), (c, "")):
         if not n:
             continue
         mag = _ratio(abs(n), d)
@@ -257,36 +273,35 @@ def _emit(text: str, out_path) -> None:
 
 # -- analyze -----------------------------------------------------------------
 
-def _record_fraction(value, key: str) -> Fraction:
+def _record_pair(value, key: str) -> tuple:
+    """A record field as a reduced pair (n, d), d > 0."""
     if isinstance(value, int) and not isinstance(value, bool):
-        x = Fraction(value)
-    elif isinstance(value, str):
-        try:
-            x = _exact_rational(value)
-        except ZeroDivisionError:
-            raise ValueError(f"field {key!r} has a zero denominator")
-    else:
+        if abs(value) >= _INPUT_BOUND:
+            raise ValueError(f"field {key!r}: {_TOO_LONG}")
+        return value, 1
+    if not isinstance(value, str):
         raise ValueError(f"field {key!r} must be an exact rational string")
-    if _too_long(x):
+    try:
+        return _exact_rational(value)
+    except ZeroDivisionError:
+        raise ValueError(f"field {key!r} has a zero denominator")
+    except _TooLong:
         raise ValueError(f"field {key!r}: {_TOO_LONG}")
-    return x
-
-
-_ZERO = Fraction(0)
 
 
 def _parse_record(obj) -> dict:
+    """A record as {"A", "B", "C"} reduced pairs, and "label" if given."""
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     rec = {}
-    for key, default in (("A", _ZERO), ("B", None), ("C", None)):
+    for key, default in (("A", (0, 1)), ("B", None), ("C", None)):
         value = obj.get(key, obj.get(key.lower()))
         if value is None:
             if default is None:
                 raise ValueError(f"record is missing field {key!r}")
             rec[key] = default
         else:
-            rec[key] = _record_fraction(value, key)
+            rec[key] = _record_pair(value, key)
     if "label" in obj:
         rec["label"] = str(obj["label"])
     return rec
@@ -300,43 +315,40 @@ def _analysis_modules():
 
 
 def _analyze_one(rec: dict) -> dict:
+    """The output record of a parsed record; every rational in it is a
+    reduced pair, rendered by _ratio."""
     quintic, localfield = _analysis_modules()
     a, b, c = rec["A"], rec["B"], rec["C"]
     out = {}
     if "label" in rec:
         out["label"] = rec["label"]
-    # every field below is a Fraction, which str() renders as _fmt does
-    out.update(quintic=_quintic_str(a, b, c), A=str(a), B=str(b), C=str(c))
-    iv = quintic.invariants(quintic.Quintic(a, b, c))
-    out["delta"] = str(iv.delta)
-    out["gamma4"] = str(iv.gamma4)
-    out["gamma6"] = str(iv.gamma6)
-    out["disc"] = str(iv.disc)
+    out.update(quintic=_quintic_str(a, b, c), A=_ratio(*a), B=_ratio(*b),
+               C=_ratio(*c))
+    inv = quintic.invariant_pairs(a, b, c)
+    for name, value in zip(("delta", "gamma4", "gamma6", "disc"), inv):
+        out[name] = _ratio(*value)
     errors = []
     try:
-        base, off = quintic.j_roots(iv)
-        mid = (base.numerator, base.denominator)
-        if off:
-            n, d = off.numerator, off.denominator
-            split = _split_radicand(5 * iv.disc.numerator,
-                                    iv.disc.denominator)
-            out["j_candidates"] = [_quad_string(mid, (sign * n, d), *split)
-                                   for sign in (1, -1)]
+        base, off = quintic.j_root_pairs(inv)
+        if off[0]:
+            disc_n, disc_d = inv[3]
+            out["j_candidates"] = _conjugate_strings(
+                base, off, *_split_radicand(5 * disc_n, disc_d))
         else:
-            out["j_candidates"] = [_ratio(*mid)] * 2
+            out["j_candidates"] = [_ratio(*base)] * 2
     except (ValueError, ArithmeticError) as exc:
         out["j_candidates"] = None
         errors.append(str(exc))
     out["t"] = None
     out["hypothesis"] = None
-    if not a:
-        if not c:
+    if not a[0]:
+        if not c[0]:
             errors.append("C must be nonzero for t")
         else:
-            t = quintic.trinomial_t(b, c)
-            out["t"] = None if t is None else str(t)
+            t = quintic.trinomial_t_pair(b, c)
+            out["t"] = None if t is None else _ratio(*t)
             out["hypothesis"] = (t is not None
-                                 and localfield.is_square_5adic_unit(t))
+                                 and localfield.is_square_unit_pair(*t))
     out["status"] = "error" if errors else "ok"
     if errors:
         out["error"] = "; ".join(errors)
@@ -370,7 +382,7 @@ def cmd_analyze(args) -> int:
             print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
             return 2
     else:
-        records.append({"A": args.a if args.a is not None else Fraction(0),
+        records.append({"A": args.a if args.a is not None else (0, 1),
                         "B": args.b, "C": args.c})
     log.info("analyzing %d record(s)", len(records))
     # every record parsed, so no bad line can follow output; from here each
@@ -699,21 +711,21 @@ def cmd_verify(args) -> int:
 # -- table -------------------------------------------------------------------
 
 def cmd_table(args) -> int:
-    from .quintic import trinomial_t
+    from .quintic import trinomial_t_pair
     started = time.monotonic()
     checks = []
     for row, (original, principal, listed, extra) in enumerate(_TABLE_ROWS,
                                                                start=1):
-        c5, b, c = (Fraction(v) for v in principal)
-        got = trinomial_t(b / c5, c / c5)
-        recomputed = [None if got is None else _fmt(got)]
+        c5, b, c = principal
+        got = trinomial_t_pair((b, c5), (c, c5))
+        recomputed = [None if got is None else _ratio(*got)]
         expected = [listed[0]]
         if extra is not None:
             (oc5, ob, oc), lit = extra
-            got2 = trinomial_t(Fraction(ob, oc5), Fraction(oc, oc5))
-            recomputed.append(None if got2 is None else _fmt(got2))
+            got2 = trinomial_t_pair((ob, oc5), (oc, oc5))
+            recomputed.append(None if got2 is None else _ratio(*got2))
             expected.append(lit)
-        desc = (f"{_quintic_str(0, b, c)} scaled by {_fmt(c5)}"
+        desc = (f"{_quintic_str((0, 1), (b, 1), (c, 1))} scaled by {c5}"
                 f" (principal form of {original})")
         witness = (f"listed t = {', '.join(expected)}; "
                    f"recomputed t = "
@@ -729,14 +741,13 @@ def cmd_table(args) -> int:
 
 # -- entry point -------------------------------------------------------------
 
-def _rational_arg(text: str) -> Fraction:
+def _rational_arg(text: str) -> tuple:
     try:
-        x = _exact_rational(text)
+        return _exact_rational(text)
+    except _TooLong:
+        raise argparse.ArgumentTypeError(_TOO_LONG)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
-    if _too_long(x):
-        raise argparse.ArgumentTypeError(_TOO_LONG)
-    return x
 
 
 def _samples_arg(text: str) -> int:

@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import comb, lcm, prod
 
 from . import quintic
-from .exact import QSQRT5, Poly
+from .exact import QSQRT5, AlgElement, Poly
 
 __all__ = [
     "InvariantFns",
@@ -132,16 +132,59 @@ def verify_invariance(gen, inv=None):
     """j o gen = j over Q(zeta5); for S also mu o S = mu and lambda o S != lambda.
 
     gen is "S", "T", "U" or a matrix ((a, b), (c, d)) of z -> (az+b)/(cz+d)
-    over Q or over one algebra; invariance_mismatch is the proof.  inv
+    over Q or Q(sqrt5); invariance_mismatch is the proof.  inv
     defaults to build_invariants(); it is a parameter for mutation tests.
     """
     return invariance_mismatch(gen, inv) is None
 
 
+def _mul5(x, y):
+    """The product of p + q*sqrt5 and r + s*sqrt5, as integer pairs."""
+    (p, q), (r, s) = x, y
+    return p * r + 5 * q * s, p * s + q * r
+
+
+def _pow5(x, e):
+    """x^e for x = p + q*sqrt5 an integer pair and e >= 0."""
+    out = (1, 0)
+    for _ in range(e):
+        out = _mul5(out, x)
+    return out
+
+
 def _form_at(coeffs, n, x, y):
-    """The form of degree n with dehomogenization sum(coeffs[k] z^k) at
-    (x, y)."""
-    return sum(c * x ** k * y ** (n - k) for k, c in enumerate(coeffs) if c)
+    """The form of degree n with dehomogenization sum(coeffs[k] z^k), over
+    the integers, at integer pairs x and y of Z[sqrt5]."""
+    xk, yk = [(1, 0)], [(1, 0)]
+    for _ in range(n):
+        xk.append(_mul5(xk[-1], x))
+        yk.append(_mul5(yk[-1], y))
+    p = q = 0
+    for k, c in enumerate(coeffs):
+        if c:
+            r, s = _mul5(xk[k], yk[n - k])
+            p += c * r
+            q += c * s
+    return p, q
+
+
+def _sqrt5_coords(x):
+    """x in Q or Q(sqrt5) as rationals (r, s), x = r + s*sqrt5."""
+    if isinstance(x, AlgElement):
+        if x.field is not QSQRT5:
+            raise ValueError(f"a matrix entry in {x.field.name}, not Q(sqrt5)")
+        return x.coords
+    return Fraction(x), Fraction(0)
+
+
+def _scaled_matrix(g):
+    """The entries a, b, c, d of k g as integer pairs (p, q) of p + q*sqrt5,
+    for g over Q(sqrt5), with k the lcm of the denominators of their
+    coordinates."""
+    coords = [_sqrt5_coords(x) for row in g for x in row]
+    k = lcm(*(r.denominator for xy in coords for r in xy))
+    return tuple(tuple(r.numerator * (k // r.denominator) for r in xy)
+                 for xy in coords)
 
 
 def _int_coeffs(F):
@@ -177,8 +220,14 @@ def invariance_mismatch(gen, inv=None):
     (iii) c_H^3 = c_f^5, cross-multiplied.  Else ("constant", None).
 
     Part (i) is proved once for each j, f and H (_is_klein_j).  Each F is
-    first scaled to integers, which scales both sides of (ii), so that U's
-    (ii) is computed in integers.
+    first scaled to integers, which scales both sides of (ii), and g is
+    scaled by the lcm k of the denominators of its coordinates in Q(sqrt5)
+    (k = 2 for T, 1 for U), so that (ii) and (iii) are computed on integer
+    pairs p + q*sqrt5; over Q, q = 0.  This is sound: k g is the same
+    Moebius map, and it multiplies each moved value F(az+b, cz+d) by
+    k^deg F, which (ii) does not see, as each later z is compared
+    cross-multiplied with the first, and both sides of (iii) by k^60, as
+    3 * 20 = 5 * 12 = 60.
 
     If: j(gz) = -H(az+b, cz+d)^3 / f(az+b, cz+d)^5, as the factors
     (cz+d)^60 of the two dehomogenizations cancel, which is
@@ -198,20 +247,23 @@ def invariance_mismatch(gen, inv=None):
     f = inv.lam[1]
     if not _is_klein_j(inv.j, f, _FACE):
         return "identity", None
-    (a, b), (c, d) = _GENERATORS[gen] if isinstance(gen, str) else gen
+    a, b, c, d = _scaled_matrix(
+        _GENERATORS[gen] if isinstance(gen, str) else gen)
     consts = {}
     for name, F, n in (("f", f, 12), ("H", _FACE, 20)):
         coeffs = _int_coeffs(F)
         for z in range(n + 1):
-            moved = _form_at(coeffs, n, a * z + b, c * z + d)
-            value = _form_at(coeffs, n, z, 1)
-            if name not in consts and value:
+            moved = _form_at(coeffs, n, (a[0] * z + b[0], a[1] * z + b[1]),
+                             (c[0] * z + d[0], c[1] * z + d[1]))
+            value = _form_at(coeffs, n, (z, 0), (1, 0))
+            if name not in consts and value[0]:
                 consts[name] = moved, value
-            moved_0, value_0 = consts.get(name, (0, 1))
-            if moved * value_0 != moved_0 * value:
+            moved_0, value_0 = consts.get(name, ((0, 0), (1, 0)))
+            if _mul5(moved, value_0) != _mul5(moved_0, value):
                 return name, z
     (moved_f, value_f), (moved_h, value_h) = consts["f"], consts["H"]
-    if moved_h ** 3 * value_f ** 5 != moved_f ** 5 * value_h ** 3:
+    if _mul5(_pow5(moved_h, 3), _pow5(value_f, 5)) != \
+            _mul5(_pow5(moved_f, 5), _pow5(value_h, 3)):
         return "constant", None
     return None
 

@@ -40,6 +40,7 @@ __all__ = [
     "v5",
     "residue_mod5",
     "is_square_5adic_unit",
+    "is_square_unit_pair",
     "theorem_hypothesis",
     "artin_schreier_identity",
     "verify_family_squares",
@@ -67,16 +68,22 @@ def residue_mod5(x: Fraction) -> int:
 
 
 def is_square_5adic_unit(t) -> bool:
-    """Whether t is the square of a 5-adic unit.
+    """Whether the rational t is the square of a 5-adic unit; see
+    :func:`is_square_unit_pair`."""
+    t = Fraction(t)
+    return is_square_unit_pair(t.numerator, t.denominator)
+
+
+def is_square_unit_pair(n: int, d: int) -> bool:
+    """Whether n/d, in lowest terms with d > 0, is the square of a 5-adic unit.
 
     By Hensel's lemma at the odd prime 5, a unit is a square exactly when
-    its residue is a quadratic residue, so the test is v5(t) = 0 and
-    t mod 5 in {1, 4}.
+    its residue is a quadratic residue.  n/d is a unit when 5 divides
+    neither n nor d, and then its residue is a residue exactly when that of
+    n*d = (n/d) d^2 is; n*d mod 5 is 0 otherwise.  So the test is
+    n*d mod 5 in {1, 4}.
     """
-    t = Fraction(t)
-    if not t or v5(t) != 0:
-        return False
-    return residue_mod5(t) in (1, 4)
+    return n * d % 5 in (1, 4)
 
 
 def theorem_hypothesis(B, C) -> bool:

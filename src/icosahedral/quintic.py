@@ -29,12 +29,16 @@ has 3-adic valuation exactly 1 at every coprime pair of integers.
 
 Under x -> x/k the coefficients A, B and C take the factors k^3, k^4 and
 k^5: they have weights 3, 4 and 5, and delta, gamma4, gamma6 and disc are
-forms of weight 12, 20, 30 and 20.  So ``invariants`` and ``trinomial_t``
-multiply out the common denominator D as a = A D^3, b = B D^4, c = C D^5,
-and ``j_equation`` clears the weight-60 j-equation by one integer.  They
-evaluate their forms on integers and build a Fraction only for each value
-they return.  ``j_roots`` certifies that the j-equation's discriminant is
-5*disc times a square by one integer square test, and returns its roots as
+forms of weight 12, 20, 30 and 20.  So ``invariant_pairs`` and
+``trinomial_t_pair`` multiply out the common denominator D as a = A D^3,
+b = B D^4, c = C D^5, and the j-equation of weight 60 is cleared by one
+integer.  Each formula has one copy, on integers: a rational goes in and
+comes out as a reduced pair (n, d), d > 0, and each value returned is
+reduced by one gcd, so ``analyze`` builds no Fraction per record.
+``invariants``, ``j_equation``, ``j_roots`` and ``trinomial_t`` wrap
+them on Fractions, for qcurve, localfield, the suites and the tests.
+``j_root_pairs`` certifies that the j-equation's discriminant is 5*disc
+times a square by one integer square test, and returns its roots as
 base +- off*sqrt(5*disc) without building a quadratic field.
 """
 
@@ -42,22 +46,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 __all__ = [
     "Quintic",
-    "QuinticInvariants",
     "invariants",
-    "j_candidates",
+    "invariant_pairs",
     "j_equation",
-    "j_roots",
+    "j_root_pairs",
     "RESOLVENT_TABLE",
-    "resolvent_coeffs",
     "family_quintic",
     "trinomial_t",
-    "solvable_family",
-    "solvability_obstruction",
+    "trinomial_t_pair",
     "hyperelliptic_3adic",
 ]
 
@@ -65,6 +66,20 @@ __all__ = [
 def _rational(x) -> Fraction:
     """x as a Fraction; a Fraction itself is returned without a copy."""
     return x if type(x) is Fraction else Fraction(x)
+
+
+def _pair(x) -> tuple:
+    """A rational x as its reduced pair (numerator, denominator)."""
+    x = _rational(x)
+    return x.numerator, x.denominator
+
+
+def _reduced(n: int, d: int) -> tuple:
+    """n/d as a reduced pair with a positive denominator, for d != 0."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
 
 
 @dataclass(frozen=True)
@@ -94,22 +109,36 @@ class QuinticInvariants:
     gamma6: Fraction
     disc: Fraction
 
+    def pairs(self) -> tuple:
+        """The four invariants as reduced pairs, as invariant_pairs gives
+        them."""
+        return tuple(_pair(x) for x in (self.delta, self.gamma4,
+                                        self.gamma6, self.disc))
+
 
 def invariants(q: Quintic) -> QuinticInvariants:
-    """Evaluate the four invariant polynomials in (A, B, C) exactly.
+    """The invariants of q as Fractions; see :func:`invariant_pairs`."""
+    return QuinticInvariants(*(
+        Fraction(n, d)
+        for n, d in invariant_pairs(_pair(q.a), _pair(q.b), _pair(q.c))))
 
-    With D the lcm of the denominators, a = A D^3, b = B D^4 and c = C D^5
-    are integers, and each invariant is an integer form of weight 12, 20,
-    30 or 20 in (a, b, c) over 5^4 D^12, 12^2 5^5 D^20, 12^3 5^10 D^30 or
-    D^20.
+
+def invariant_pairs(A, B, C) -> tuple:
+    """delta, gamma4, gamma6 and disc of x^5 + Ax^2 + Bx + C, exactly.
+
+    A, B and C are pairs (n, d) of integers with d > 0, and so is each
+    invariant returned, in lowest terms.  With D the lcm of the
+    denominators, a = A D^3, b = B D^4 and c = C D^5 are integers, and
+    each invariant is an integer form of weight 12, 20, 30 or 20 in
+    (a, b, c) over 5^4 D^12, 12^2 5^5 D^20, 12^3 5^10 D^30 or D^20.
     """
-    A, B, C = q.a, q.b, q.c
-    D = lcm(A.denominator, B.denominator, C.denominator)
+    (an, ad), (bn, bd), (cn, cd) = A, B, C
+    D = lcm(ad, bd, cd)
     D2 = D * D
     D4 = D2 * D2
-    a = A.numerator * (D // A.denominator) * D2
-    b = B.numerator * (D // B.denominator) * D2 * D
-    c = C.numerator * (D // C.denominator) * D4
+    a = an * (D // ad) * D2
+    b = bn * (D // bd) * D2 * D
+    c = cn * (D // cd) * D4
     a2, b2, c2 = a * a, b * b, c * c
     a3, a4, b3, c3 = a2 * a, a2 * a2, b2 * b, c2 * c
     a5, b5, c4 = a4 * a, b3 * b2, c2 * c2
@@ -126,11 +155,10 @@ def invariants(q: Quintic) -> QuinticInvariants:
               - 2025000 * b5 * c2 - 9765625 * c3 * c3)
     disc = (-27 * a4 * b2 + 108 * a5 * c - 1600 * abc * b2
             + 2250 * a * c * abc + 256 * b5 + 3125 * c4)
-    return QuinticInvariants(
-        Fraction(delta, 5 ** 4 * D12),
-        Fraction(gamma4, 12 ** 2 * 5 ** 5 * D20),
-        Fraction(gamma6, 12 ** 3 * 5 ** 10 * D20 * D4 * D4 * D2),
-        Fraction(disc, D20))
+    return (_reduced(delta, 5 ** 4 * D12),
+            _reduced(gamma4, 12 ** 2 * 5 ** 5 * D20),
+            _reduced(gamma6, 12 ** 3 * 5 ** 10 * D20 * D4 * D4 * D2),
+            _reduced(disc, D20))
 
 
 def j_candidates(q: Quintic):
@@ -145,24 +173,37 @@ def j_equation(inv: QuinticInvariants):
     -1728 (gamma4^3 - gamma6^2 + delta^5), 1728^2 gamma4^3).  Every term
     has weight 60, so one integer M clears all three.
     """
-    d, g4, g6 = inv.delta, inv.gamma4, inv.gamma6
-    den_d5 = d.denominator ** 5
-    den_g43 = g4.denominator ** 3
-    den_g62 = g6.denominator ** 2
+    return _j_equation(*inv.pairs()[:3])
+
+
+def _j_equation(delta, gamma4, gamma6):
+    """j_equation on reduced pairs, as invariant_pairs gives them."""
+    (dn, dd), (g4n, g4d), (g6n, g6d) = delta, gamma4, gamma6
+    den_d5 = dd ** 5
+    den_g43 = g4d ** 3
+    den_g62 = g6d ** 2
     M = lcm(den_d5, den_g43, den_g62)
-    qa = d.numerator ** 5 * (M // den_d5)
-    g43 = g4.numerator ** 3 * (M // den_g43)
-    qb = -1728 * (g43 - g6.numerator ** 2 * (M // den_g62) + qa)
+    qa = dn ** 5 * (M // den_d5)
+    g43 = g4n ** 3 * (M // den_g43)
+    qb = -1728 * (g43 - g6n ** 2 * (M // den_g62) + qa)
     return qa, qb, 1728 ** 2 * g43
 
 
 def j_roots(inv: QuinticInvariants):
+    """The roots of the j-equation as Fractions (base, off); see
+    :func:`j_root_pairs`."""
+    base, off = j_root_pairs(inv.pairs())
+    return Fraction(*base), Fraction(*off)
+
+
+def j_root_pairs(inv):
     """Solve the j-equation given by a quintic's invariants exactly.
 
-    Returns Fractions (base, off) such that the two roots, with
-    multiplicity, are base + off*sqrt(5*disc) and base - off*sqrt(5*disc):
-    off = 0 for a double root, and the roots are rational when 5*disc is a
-    square.
+    inv holds delta, gamma4, gamma6 and disc as reduced pairs, as
+    invariant_pairs gives them.  Returns reduced pairs (base, off) such
+    that the two roots, with multiplicity, are base + off*sqrt(5*disc) and
+    base - off*sqrt(5*disc): off = (0, 1) for a double root, and the roots
+    are rational when 5*disc is a square.
 
     The certificate is one integer square test.  Write 5*disc = n5/d5 and
     qa j^2 + qb j + qc for the j-equation (j_equation), with discriminant
@@ -172,22 +213,23 @@ def j_roots(inv: QuinticInvariants):
 
     Requires delta != 0; otherwise the j-equation degenerates.
     """
-    if not inv.delta:
+    delta, gamma4, gamma6, (disc_n, disc_d) = inv
+    if not delta[0]:
         raise ValueError("degenerate quintic: delta = 0")
-    qa, qb, qc = j_equation(inv)
+    qa, qb, qc = _j_equation(delta, gamma4, gamma6)
     disc_j = qb * qb - 4 * qa * qc
-    base = Fraction(-qb, 2 * qa)
+    base = _reduced(-qb, 2 * qa)
     if not disc_j:
         # the square cofactor in disc_j = 5*disc*(cofactor)^2 can vanish
-        return base, Fraction(0)
-    if not inv.disc:
+        return base, (0, 1)
+    if not disc_n:
         raise ArithmeticError("simple roots with vanishing discriminant")
-    n5 = 5 * inv.disc.numerator
-    w = disc_j * inv.disc.denominator * n5
+    n5 = 5 * disc_n
+    w = disc_j * disc_d * n5
     r = isqrt(max(w, 0))
     if r * r != w:
         raise ArithmeticError("j-equation discriminant is not 5*disc times a square")
-    return base, Fraction(r, 2 * qa * abs(n5))
+    return base, _reduced(r, 2 * qa * abs(n5))
 
 
 # The coefficient of X^k in x^5 + A x^2 + B x + C at (m, n, j): with d = 5 - k
@@ -241,7 +283,8 @@ def trinomial_t(B, C) -> Optional[Fraction]:
     """Recover t = 75 C^2 / sqrt(256 B^5 + 3125 C^4) for x^5 + Bx + C.
 
     Uses the positive square root; returns None when the radicand is not
-    a positive rational square.  Requires C != 0.
+    a positive rational square.  Requires C != 0.  The Fraction form of
+    :func:`trinomial_t_pair`.
 
     Where defined, t is a complete invariant of the rescaling
     (B, C) -> (B c^4, C c^5), c != 0, the monic form of x -> cx.  It is
@@ -251,15 +294,24 @@ def trinomial_t(B, C) -> Optional[Fraction]:
     t > 0 fixes B^5/C^4.  Equal B^5/C^4 for (B1, C1) and (B2, C2) give
     c = (C2/C1) / (B2/B1) with c^4 = B2/B1 and c^5 = C2/C1.
     """
-    B, C = _rational(B), _rational(C)
-    if not C:
+    t = trinomial_t_pair(_pair(B), _pair(C))
+    return None if t is None else Fraction(*t)
+
+
+def trinomial_t_pair(B, C):
+    """trinomial_t on pairs (n, d) of integers with d > 0.
+
+    Returns t as a reduced pair, or None.  With D the lcm of the
+    denominators, b = B D^4 and c = C D^5 are integers, the radicand is
+    R / D^20 with R = 256 b^5 + 3125 c^4, and t = 75 c^2 / sqrt(R).
+    """
+    (bn, bd), (cn, cd) = B, C
+    if not cn:
         raise ValueError("C must be nonzero")
-    # with b = B D^4 and c = C D^5 the radicand is R / D^20, and
-    # t = 75 c^2 / sqrt(R)
-    D = lcm(B.denominator, C.denominator)
+    D = lcm(bd, cd)
     D4 = D ** 4
-    b = B.numerator * (D4 // B.denominator)
-    c = C.numerator * (D4 // C.denominator) * D
+    b = bn * (D4 // bd)
+    c = cn * (D4 // cd) * D
     c2 = c * c
     R = 256 * b ** 5 + 3125 * c2 * c2
     if R <= 0:
@@ -267,7 +319,7 @@ def trinomial_t(B, C) -> Optional[Fraction]:
     root = isqrt(R)
     if root * root != R:
         return None
-    return Fraction(75 * c2, root)
+    return _reduced(75 * c2, root)
 
 
 def solvable_family(v, w):

@@ -71,8 +71,8 @@ def test_analyze_inline_json(capsys):
 
 
 def test_analyze_one_computes_invariants_once(monkeypatch):
-    calls = {"invariants": 0, "j_roots": 0, "_square_part": 0,
-             "trinomial_t": 0}
+    calls = {"invariant_pairs": 0, "j_root_pairs": 0, "_square_part": 0,
+             "trinomial_t_pair": 0}
 
     def counted(module, name):
         orig = getattr(module, name)
@@ -82,19 +82,18 @@ def test_analyze_one_computes_invariants_once(monkeypatch):
             return orig(*args)
         return wrapper
 
-    for name, modules in (("invariants", (quintic,)), ("j_roots", (quintic,)),
-                          ("trinomial_t", (quintic, localfield))):
-        for module in modules:
-            monkeypatch.setattr(module, name, counted(module, name))
+    for name in ("invariant_pairs", "j_root_pairs", "trinomial_t_pair"):
+        monkeypatch.setattr(quintic, name, counted(quintic, name))
     monkeypatch.setattr(cli, "_square_part", counted(cli, "_square_part"))
-    # A = 0 and C != 0: t and the hypothesis come from one trinomial_t call;
-    # both j-candidates come from one (base, off) and one radicand split
-    record = cli._analyze_one({"A": Fraction(0), "B": Fraction(4), "C": Fraction(16, 5)})
+    # A = 0 and C != 0: t and the hypothesis come from one trinomial_t_pair
+    # call; both j-candidates come from one (base, off) and one radicand
+    # split
+    record = cli._analyze_one({"A": (0, 1), "B": (4, 1), "C": (16, 5)})
     assert record["j_candidates"] == ["86048 - 38496*sqrt(5)",
                                       "86048 + 38496*sqrt(5)"]
     assert record["t"] == "1" and record["hypothesis"] is True
-    assert calls == {"invariants": 1, "j_roots": 1, "_square_part": 1,
-                     "trinomial_t": 1}
+    assert calls == {"invariant_pairs": 1, "j_root_pairs": 1,
+                     "_square_part": 1, "trinomial_t_pair": 1}
 
 
 def test_analyze_second_table_row(capsys):
@@ -227,11 +226,13 @@ def test_quad_string_radicand_matches_factorint():
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
         b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
                      rng.randint(1, 9))
-        text = cli._quad_string(pair(a), pair(b), *cli._split_radicand(*pair(d)))
+        plus, minus = cli._conjugate_strings(
+            pair(a), pair(b), *cli._split_radicand(*pair(d)))
         want = d.numerator * d.denominator
         want //= square_part_reference(abs(want)) ** 2
-        assert parse_quad(text)[2] == want
-        assert_quad_exact(text, a, b, d)
+        assert parse_quad(plus)[2] == parse_quad(minus)[2] == want
+        assert_quad_exact(plus, a, b, d)
+        assert_quad_exact(minus, a, -b, d)
 
 
 def test_quad_string_large_square_kept():
@@ -243,9 +244,11 @@ def test_quad_string_large_square_kept():
     n = 2 ** 2 * 3 * p * p * q
     assert cli._square_part(n) == 2
     d = Fraction(-n, 5)
-    text = cli._quad_string((1, 3), (-7, 2), *cli._split_radicand(*pair(d)))
-    assert parse_quad(text)[2] == -3 * 5 * p * p * q
-    assert_quad_exact(text, Fraction(1, 3), Fraction(-7, 2), d)
+    plus, minus = cli._conjugate_strings((1, 3), (-7, 2),
+                                         *cli._split_radicand(*pair(d)))
+    assert parse_quad(plus)[2] == parse_quad(minus)[2] == -3 * 5 * p * p * q
+    assert_quad_exact(plus, Fraction(1, 3), Fraction(-7, 2), d)
+    assert_quad_exact(minus, Fraction(1, 3), Fraction(7, 2), d)
 
 
 PRIMES_TO_10_4 = tuple(p for p in range(2, 10 ** 4 + 1)
@@ -364,7 +367,12 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
 
 
 def expected_record(obj):
-    """What _parse_record should return for obj, or None if it must fail."""
+    """What _parse_record should return for obj, or None if it must fail.
+
+    Each field is the pair (numerator, denominator) of the Fraction it
+    denotes; a numerator or denominator of more than 4300 digits, which
+    int() refuses, fails.
+    """
     if not isinstance(obj, dict):
         return None
     rec = {}
@@ -373,20 +381,22 @@ def expected_record(obj):
         if value is None:
             if key != "A":
                 return None
-            rec[key] = Fraction(0)
+            x = Fraction(0)
         elif isinstance(value, int) and not isinstance(value, bool):
-            rec[key] = Fraction(value)
+            x = Fraction(value)
         elif isinstance(value, str):
             m = re.fullmatch(r"([+-]?)(\d+)(?:/(\d+))?", value.strip())
-            if m is None or m.group(3) is not None and int(m.group(3)) == 0:
+            if m is None or max(len(g or "") for g in m.groups()) > 4300:
+                return None
+            if m.group(3) is not None and int(m.group(3)) == 0:
                 return None
             num = int(m.group(2)) * (-1 if m.group(1) == "-" else 1)
-            rec[key] = Fraction(num, int(m.group(3) or 1))
+            x = Fraction(num, int(m.group(3) or 1))
         else:
             return None
-        x = rec[key]
         if len(str(abs(x.numerator))) > 80 or len(str(x.denominator)) > 80:
             return None
+        rec[key] = (x.numerator, x.denominator)
     if "label" in obj:
         rec["label"] = str(obj["label"])
     return rec
@@ -399,6 +409,8 @@ def expected_record(obj):
 @example({"B": "1/0", "C": "1"})
 @example({"B": True, "C": "1"})
 @example({"B": 0.5, "C": "1"})
+@example({"B": "7" * 5000, "C": "1"})
+@example({"B": "4", "C": "1/" + "0" * 4300 + "3"})
 def test_parse_record_accepts_exact_rationals_only(obj):
     want = expected_record(obj)
     if want is None:
@@ -417,6 +429,7 @@ SEVENS = "7" * 870
 @example([{"B": "4", "C": "16/5"}, [1]])
 @example([{"B": "4", "C": "16/5"}, {"B": SEVENS, "C": "1"}])
 @example([{"B": "1/" + SEVENS[:81], "C": True}, {"A": 0.5}])
+@example([{"B": "4", "C": "16/5"}, {"B": "7" * 5000, "C": "1"}])
 def test_analyze_exit_codes(values):
     # exit 0 with one line per record and the report, or exit 2 with
     # nothing on stdout; an exception would end the test with a traceback
@@ -463,6 +476,20 @@ def test_analyze_digit_bound(tmp_path, capsys):
     assert rc == 2 and out == ""
     assert err == (f"error: {batch}:2: field 'C': more than 80 digits in "
                    "numerator or denominator\n")
+    # more digits than int() converts give the same errors: counted before
+    # int() is called, whatever the reduced value
+    for long in ("7" * 5000, "1/" + "0" * 4300 + "3"):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["analyze", "--b", long, "--c", "1"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "argument --b: more than 80 digits in numerator or denominator\n")
+        batch.write_text('{"B": "4", "C": "16/5"}\n'
+                         f'{{"B": 4, "C": "{long}"}}\n')
+        rc, out, err = run_cli(capsys, "analyze", "--file", str(batch))
+        assert rc == 2 and out == ""
+        assert err == (f"error: {batch}:2: field 'C': more than 80 digits in "
+                       "numerator or denominator\n")
 
 
 def test_analyze_digit_bound_under_lowered_int_limit():
@@ -801,6 +828,34 @@ def test_analyze_builds_no_algebra(monkeypatch):
     assert len(lines) == len(records) + 1
     for rec, line in zip(records, lines):
         assert json.dumps(cli._analyze_one(rec), separators=(",", ":")) == line
+
+
+def test_analyze_builds_no_fraction(capsys, monkeypatch):
+    # each record is carried as integer pairs from the parse to the printed
+    # line: with quintic and localfield imported, analyze on every golden
+    # record builds no Fraction, in the parse or after it
+    cli._analysis_modules()
+    built = {"parse": 0, "analyze": 0}
+    phase = ["parse"]
+    new, analyze_one = Fraction.__new__, cli._analyze_one
+
+    def counted_new(cls, *args, **kwargs):
+        built[phase[0]] += 1
+        return new(cls, *args, **kwargs)
+
+    def analyze_phase(rec):
+        phase[0] = "analyze"
+        return analyze_one(rec)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(cli, "_analyze_one", analyze_phase)
+    rc, out, _ = run_cli(capsys, "analyze", "--file",
+                         str(GOLDEN_ANALYZE_INPUT), "--json")
+    monkeypatch.undo()
+    assert rc == 0 and phase == ["analyze"]
+    golden = GOLDEN_ANALYZE_INPUT.with_name("analyze.jsonl")
+    assert out.encode() == golden.read_bytes()
+    assert built == {"parse": 0, "analyze": 0}
 
 
 def test_verify_icosa(capsys):

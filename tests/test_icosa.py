@@ -419,6 +419,13 @@ def test_invariance_mutation():
     half = Fraction(1, 2)
     assert icosa.verify_invariance(((0, -half), (half, 0)))
     assert icosa.invariance_mismatch(((half, 0), (0, 1))) == ("f", 2)
+    # T with entries over the common denominators 3 and 6 is cleared to
+    # integer pairs like T over 2, and fixes j; eps + 1 in place of eps
+    # still fails at the same z
+    third = Fraction(1, 3)
+    assert icosa.verify_invariance(((eps * third, third), (third, -eps * third)))
+    assert icosa.invariance_mismatch(
+        (((eps + 1) * third, third), (third, -(eps + 1) * third))) == ("f", 0)
 
 
 def test_invariance_identity_proved_once():
@@ -455,6 +462,10 @@ def test_invariance_validation():
     assert not icosa.verify_invariance(((1, 1), (1, 1)))
     assert icosa.invariance_mismatch(((1, 1), (1, 1))) == ("f", 0)
     assert icosa.invariance_mismatch(((0, 0), (1, 1))) == ("H", 1)
+    # the forms are evaluated on integer pairs of Z[sqrt5]: a matrix over
+    # another algebra is refused, not misread
+    with pytest.raises(ValueError, match="not Q\\(sqrt5\\)"):
+        icosa.invariance_mismatch(((QEPSI.one, 0), (0, 1)))
 
 
 def test_invariance_without_qzeta5(over_q_only):

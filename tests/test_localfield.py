@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from icosahedral.exact import Poly
 from icosahedral.localfield import (
-    artin_schreier_identity, is_square_5adic_unit, residue_mod5,
-    theorem_hypothesis, v5, verify_family_squares,
+    artin_schreier_identity, is_square_5adic_unit, is_square_unit_pair,
+    residue_mod5, theorem_hypothesis, v5, verify_family_squares,
 )
 from icosahedral.quintic import family_quintic, trinomial_t
 
@@ -90,6 +90,16 @@ def test_square_unit_truth_table():
     # residues 1 and 4 are the quadratic residues mod 5
     assert is_square_5adic_unit(11) and is_square_5adic_unit(9)
     assert not is_square_5adic_unit(7) and not is_square_5adic_unit(13)
+
+
+@PROPERTY
+@given(st.one_of(st.just(Fraction(0)), nonzero))
+def test_square_unit_pair_matches_valuation_and_residue(x):
+    # n*d mod 5 in {1, 4} is the unit test v5 = 0 and the residue test
+    # residue in {1, 4} at once
+    want = bool(x) and v5(x) == 0 and residue_mod5(x) in (1, 4)
+    assert is_square_unit_pair(x.numerator, x.denominator) is want
+    assert is_square_5adic_unit(x) is want
 
 
 def test_square_unit_ignores_fourth_powers():

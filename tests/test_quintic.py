@@ -1,7 +1,9 @@
+import ast
 import random
 import sys
 from fractions import Fraction
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -506,6 +508,62 @@ def test_j_roots_solve_the_j_equation(abc):
     assert off * (2 * qa * base + qb) == 0
     for r in conjugate_roots(iv):
         assert r * r * qa + r * qb + qc == 0
+
+
+def pair_times(x, k):
+    """x as the pair (n k, d k): the pair functions take any positive
+    denominator, not only the reduced one."""
+    x = Fraction(x)
+    return x.numerator * k, x.denominator * k
+
+
+def is_reduced(pair):
+    n, d = pair
+    return d > 0 and gcd(n, d) == 1
+
+
+@PROPERTY
+@given(coefficients, st.integers(1, 6))
+@example((Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)), 3)
+@example((0, 4, Fraction(16, 5)), 1)
+@example((0, 2, 0), 2)
+def test_pair_functions_match_fraction_formulas(abc, k):
+    # the record path: invariants, j-roots and t on integer pairs, each
+    # returned in lowest terms with a positive denominator
+    A, B, C = (Fraction(x) for x in abc)
+    inv = quintic.invariant_pairs(*(pair_times(x, k) for x in (A, B, C)))
+    assert inv == tuple((x.numerator, x.denominator)
+                        for x in invariants_reference(A, B, C))
+    if inv[0][0]:
+        base, off = quintic.j_root_pairs(inv)
+        assert is_reduced(base) and is_reduced(off)
+        assert (Fraction(*base), Fraction(*off)) == \
+            quintic.j_roots(invariants(Quintic(A, B, C)))
+    if C:
+        t = quintic.trinomial_t_pair(pair_times(B, k), pair_times(C, k))
+        want = trinomial_t_reference(B, C)
+        assert t == (None if want is None else (want.numerator,
+                                                want.denominator))
+        assert t is None or is_reduced(t)
+
+
+def test_quintic_all_is_what_the_package_uses():
+    # quintic.__all__ names exactly what the other modules take from
+    # .quintic, by name or as an attribute of the module
+    used = set()
+    for path in Path(quintic.__file__).parent.glob("*.py"):
+        if path.name == "quintic.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                    and node.module == "quintic":
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "quintic":
+                used.add(node.attr)
+    assert sorted(quintic.__all__) == sorted(used)
 
 
 @PROPERTY
