@@ -1,27 +1,19 @@
 """Exact arithmetic kernel.
 
-Rationals, a handful of small Q-algebras given by explicit structure
-constants, dense polynomials over Q, gcds and resultants.  Everything is
-immutable and exact; there is no floating point anywhere.
+Rationals, Q(sqrt5), dense polynomials over Q, gcds and resultants.
+Everything is immutable and exact; there is no floating point anywhere.
 
-Scalars are ``fractions.Fraction``.  An algebra element is a vector of
-Fraction coordinates over a :class:`FieldDescriptor` holding a
-basis-by-basis multiplication table; only the fixed algebras needed by the
-rest of the package are provided (Q(sqrt5), Q(eps,i), plus power-basis
-extensions); a rational is a Fraction, not an element of a
-one-dimensional algebra.  Algebras give scalars only: a
+Scalars are ``fractions.Fraction``.  An element of Q(sqrt5) is a
+:class:`Sqrt5`, (p + q sqrt5)/d on three integers in lowest terms; it is
+the only algebra here, and a rational is a Fraction, not a Sqrt5.  A
 polynomial has Fraction coefficients, held as a dense tuple, lowest degree
-first.  A rational function is a cleared (numerator, denominator) pair of
-polynomials; two pairs are equal when their cross products are.  An
-identity in a further parameter, or one over an algebra, is proved at one
-more rational value of its variable than its degree.
-Multiplication works on integer lists under one common denominator per
-operand: a polynomial's numerators are packed into one big integer
-(Kronecker substitution) instead of schoolbook convolution, and an algebra
-product sums integer products with the structure constants over one table
-denominator; a ``Fraction`` is built once per output coefficient.  That is
-what keeps the large identity checks cheap.  Composition f(p/q) q^n works
-the same way.
+first.  An identity in a further parameter is proved at one more rational
+value of its variable than its degree.  Multiplication works on integer
+lists under one common denominator per operand: a polynomial's numerators
+are packed into one big integer (Kronecker substitution) instead of
+schoolbook convolution, and a ``Fraction`` is built once per output
+coefficient.  That is what keeps the large identity checks cheap.
+Composition f(p/q) q^n works the same way.
 
 Gcds and resultants are taken in integers.  For a resultant both operands
 are cleared once, an integer subresultant PRS runs with checked exact
@@ -37,9 +29,8 @@ import math
 from fractions import Fraction
 
 __all__ = [
-    "AlgElement",
-    "QSQRT5",
-    "QEPSI",
+    "Sqrt5",
+    "SQRT5",
     "Poly",
     "poly_gcd",
     "resultant_pencil",
@@ -47,268 +38,113 @@ __all__ = [
 ]
 
 
-class FieldDescriptor:
-    """A finite-dimensional commutative Q-algebra by structure constants.
+class Sqrt5:
+    """An element (p + q sqrt5)/d of Q(sqrt5), held as three integers.
 
-    ``table[i][j]`` holds the Fraction coordinates of basis_i * basis_j, and
-    every element has Fraction coordinates.  ``involutions`` maps a name to
-    a diagonal involution, given by its tuple of +-1 signs on the basis.
+    d > 0 and gcd(p, q, d) = 1, so equal values have equal fields (and
+    equal hashes; a rational value hashes as its Fraction).  Arithmetic
+    mixes with int and Fraction on either side.
     """
 
-    def __init__(self, name, basis, table):
-        self.name = name
-        self.basis = tuple(basis)
-        self.dim = len(self.basis)
-        self.table = tuple(tuple(tuple(row) for row in line) for line in table)
-        self.involutions = {}
-        self._int_table = None
-        if len(self.table) != self.dim or any(len(line) != self.dim for line in self.table):
-            raise ValueError("multiplication table shape mismatch")
+    __slots__ = ("p", "q", "d")
 
-    def _integer_table(self):
-        """The table as integers over one denominator.
+    def __init__(self, p, q=0, d=1):
+        if not d:
+            raise ZeroDivisionError("Sqrt5 with denominator 0")
+        if d < 0:
+            p, q, d = -p, -q, -d
+        g = math.gcd(p, q, d)
+        if g > 1:
+            p, q, d = p // g, q // g, d // g
+        self.p, self.q, self.d = p, q, d
 
-        Returns ``(rows, den)``: ``rows[i][j]`` lists the pairs ``(k, s)``
-        with s a nonzero integer, so that basis_i * basis_j is the sum of
-        (s / den) * basis_k.  Built on the first product and kept.
-        """
-        if self._int_table is None:
-            d = self.dim
-            ints, den = _clear_denominators(
-                [s for line in self.table for cell in line for s in cell])
-            cells = [ints[n:n + d] for n in range(0, d ** 3, d)]
-            rows = tuple(tuple(tuple((k, s) for k, s in enumerate(cells[i * d + j]) if s)
-                               for j in range(d))
-                         for i in range(d))
-            self._int_table = (rows, den)
-        return self._int_table
-
-    def element(self, coords):
-        coords = tuple(coords)
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates")
-        return AlgElement(self, tuple(Fraction(c) for c in coords))
-
-    def from_scalar(self, c):
-        coords = [Fraction(0)] * self.dim
-        coords[0] = Fraction(c)
-        return AlgElement(self, tuple(coords))
-
-    @property
-    def zero(self):
-        return self.from_scalar(0)
-
-    @property
-    def one(self):
-        return self.from_scalar(1)
-
-    def gen(self, i):
-        """The i-th basis element as an algebra element."""
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
-        return AlgElement(self, tuple(coords))
-
-    def __repr__(self):
-        return f"FieldDescriptor({self.name})"
-
-
-class AlgElement:
-    """Element of a structure-constant algebra: a coordinate vector."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, coords):
-        self.field = field
-        self.coords = coords
-
-    def _lift(self, other):
-        if isinstance(other, AlgElement):
-            if other.field is not self.field:
-                raise ValueError("mixed algebras")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_scalar(other)
-        return NotImplemented
+    @staticmethod
+    def _ints(x):
+        """(p, q, d) of x, or None for a value outside Q(sqrt5)."""
+        if isinstance(x, Sqrt5):
+            return x.p, x.q, x.d
+        if isinstance(x, int):
+            return x, 0, 1
+        if isinstance(x, Fraction):
+            return x.numerator, 0, x.denominator
+        return None
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = Sqrt5._ints(other)
+        if o is None:
             return NotImplemented
-        return AlgElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        p, q, d = o
+        return Sqrt5(self.p * d + p * self.d, self.q * d + q * self.d,
+                     self.d * d)
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return Sqrt5(-self.p, -self.q, self.d)
+
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return AlgElement(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self + -other
 
     def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return AlgElement(self.field, tuple(-a for a in self.coords))
+        return -self + other
 
     def __mul__(self, other):
-        """Scale by a rational, or multiply in the algebra.
-
-        The algebra product clears both operands to integers, sums integer
-        products with the integer table and builds one Fraction per
-        coordinate.
-        """
-        if isinstance(other, (int, Fraction)):
-            return AlgElement(self.field, tuple(a * other for a in self.coords))
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = Sqrt5._ints(other)
+        if o is None:
             return NotImplemented
-        f = self.field
-        rows, dt = f._integer_table()
-        a_ints, da = _clear_denominators(self.coords)
-        b_ints, db = _clear_denominators(o.coords)
-        out = [0] * f.dim
-        for i, a in enumerate(a_ints):
-            if not a:
-                continue
-            row = rows[i]
-            for j, b in enumerate(b_ints):
-                if not b:
-                    continue
-                ab = a * b
-                for k, s in row[j]:
-                    out[k] += ab * s
-        den = da * db * dt
-        return AlgElement(f, tuple(Fraction(c, den) for c in out))
+        p, q, d = o
+        return Sqrt5(self.p * p + 5 * self.q * q, self.p * q + self.q * p,
+                     self.d * d)
 
     __rmul__ = __mul__
 
     def inv(self):
-        """Inverse via Gaussian elimination on the multiplication matrix."""
-        f = self.field
-        n = f.dim
-        # columns: coordinates of self * basis_j
-        cols = [(self * f.gen(j)).coords for j in range(n)]
-        mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if mat[r][col]), None)
-            if piv is None:
-                raise ZeroDivisionError(f"non-invertible element of {f.name}")
-            if piv != col:
-                mat[col], mat[piv] = mat[piv], mat[col]
-                rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            p = mat[col][col]
-            mat[col] = [x / p for x in mat[col]]
-            rhs[col] = rhs[col] / p
-            for r in range(n):
-                if r != col and mat[r][col]:
-                    m = mat[r][col]
-                    mat[r] = [x - m * y for x, y in zip(mat[r], mat[col])]
-                    rhs[r] = rhs[r] - m * rhs[col]
-        return AlgElement(f, tuple(rhs))
+        """1/x = conj(x) d^2/(p^2 - 5q^2); p^2 = 5q^2 only at x = 0."""
+        p, q, d = self.p, self.q, self.d
+        return Sqrt5(d * p, -d * q, p * p - 5 * q * q)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return AlgElement(self.field, tuple(a / other for a in self.coords))
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = Sqrt5._ints(other)
+        if o is None:
             return NotImplemented
-        return self * o.inv()
+        return self * Sqrt5(*o).inv()
 
     def __rtruediv__(self, other):
         return self.inv() * other
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        result = self.field.one
-        base = self
+        """x^n for an int n >= 0."""
+        base, out = self, Sqrt5(1)
         while n:
             if n & 1:
-                result = result * base
+                out = out * base
             base = base * base
             n >>= 1
-        return result
+        return out
 
-    def conj(self, name):
-        """Apply a named involution: negate the coordinates it signs -1."""
-        signs = self.field.involutions[name]
-        return AlgElement(self.field, tuple(
-            a if s > 0 else -a for a, s in zip(self.coords, signs)))
+    def conj(self):
+        """The Galois conjugate, sqrt5 -> -sqrt5."""
+        return Sqrt5(self.p, -self.q, self.d)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_scalar(other)
-        if not isinstance(other, AlgElement) or other.field is not self.field:
+        o = Sqrt5._ints(other)
+        if o is None:
             return NotImplemented
-        return self.coords == other.coords
+        return (self.p, self.q, self.d) == o
+
+    def __hash__(self):
+        if self.q:
+            return hash((self.p, self.q, self.d))
+        return hash(Fraction(self.p, self.d))
 
     def __bool__(self):
-        return any(bool(c) for c in self.coords)
+        return bool(self.p or self.q)
 
     def __repr__(self):
-        terms = []
-        for c, b in zip(self.coords, self.field.basis):
-            if c:
-                terms.append(f"{c}" if b == "1" else f"{c}*{b}")
-        return " + ".join(terms) if terms else "0"
+        return f"Sqrt5({self.p}, {self.q}, {self.d})"
 
 
-def power_basis_algebra(name, dim, top, gen_name="y"):
-    """Algebra Q[y]/(y^dim - top) with basis 1, y, ..., y^(dim-1).
-
-    ``top`` gives the rational coordinates of y^dim in the power basis.
-    """
-    top = tuple(top)
-    zero, one = Fraction(0), Fraction(1)
-
-    def reduced_power(e):
-        # coordinates of y^e for e < 2*dim - 1
-        if e < dim:
-            v = [zero] * dim
-            v[e] = one
-            return v
-        v = [zero] * dim
-        carry = list(top)  # y^dim
-        for _ in range(e - dim):
-            # multiply carry by y
-            lead = carry[dim - 1]
-            carry = [zero] + carry[:-1]
-            if lead:
-                carry = [c + lead * t for c, t in zip(carry, top)]
-        return carry
-
-    table = [[reduced_power(i + j) for j in range(dim)] for i in range(dim)]
-    basis = ["1"] + [f"{gen_name}^{k}" if k > 1 else gen_name for k in range(1, dim)]
-    return FieldDescriptor(name, basis, table)
-
-
-def _make_qsqrt5():
-    fd = power_basis_algebra("Qsqrt5", 2, (Fraction(5), Fraction(0)), gen_name="s5")
-    fd.involutions["sigma"] = (1, -1)
-    return fd
-
-
-def _make_qepsi():
-    # basis 1, eps, i, i*eps with eps^2 = 1 - eps and i^2 = -1
-    F = Fraction
-
-    def v(a=0, b=0, c=0, d=0):
-        return (F(a), F(b), F(c), F(d))
-
-    table = [
-        [v(1), v(0, 1), v(0, 0, 1), v(0, 0, 0, 1)],
-        [v(0, 1), v(1, -1), v(0, 0, 0, 1), v(0, 0, 1, -1)],
-        [v(0, 0, 1), v(0, 0, 0, 1), v(-1), v(0, -1)],
-        [v(0, 0, 0, 1), v(0, 0, 1, -1), v(0, -1), v(-1, 1)],
-    ]
-    fd = FieldDescriptor("QepsI", ("1", "eps", "i", "i*eps"), table)
-    fd.involutions["conj"] = (1, 1, -1, -1)
-    return fd
-
-
-QSQRT5 = _make_qsqrt5()
-QEPSI = _make_qepsi()
+SQRT5 = Sqrt5(0, 1)
 
 
 def _kron_pack(ints, L):

@@ -47,11 +47,12 @@ from functools import lru_cache
 from math import comb, lcm, prod
 
 from . import quintic
-from .exact import QSQRT5, AlgElement, Poly
+from .exact import SQRT5, Poly, Sqrt5
 
 __all__ = [
     "InvariantFns",
     "build_invariants",
+    "fundamental_identity_mismatch",
     "verify_fundamental_identity",
     "verify_invariance",
     "invariance_mismatch",
@@ -72,7 +73,7 @@ class InvariantFns:
     j: tuple
 
 
-_EPS = (QSQRT5.gen(1) - 1) / 2
+_EPS = (SQRT5 - 1) / 2
 # T and U as matrices ((a, b), (c, d)) of z -> (az+b)/(cz+d), each in the
 # smallest field holding its entries
 _GENERATORS = {"T": ((_EPS, 1), (1, -_EPS)), "U": ((0, -1), (1, 0))}
@@ -113,19 +114,28 @@ def _j_from_lambda(lam):
     return (P + Q * 3) ** 3 * (P * P + P * Q * 11 + Q * Q * 64), Q ** 5
 
 
-def verify_fundamental_identity(lam=None):
+def fundamental_identity_mismatch(lam=None):
     """Prove (lambda+3)^3 (lambda^2+11 lambda+64) = (mu^2+10 mu+5)^3 / mu.
 
     With lambda = P/Q, j = Jn/Q^5 and mu = M/N, the right side is
     (M^2+10MN+5N^2)^3 / (M N^5), so the identity of rational functions is
     the polynomial identity Jn M N^5 = (M^2+10MN+5N^2)^3 Q^5 in Q[z].
-    lam defaults to the invariant (P, Q); it is a parameter for mutation
-    tests.
+    Returns None, or the first k at which the coefficients of z^k of the
+    two sides differ.  lam defaults to the invariant (P, Q); it is a
+    parameter for mutation tests.
     """
     inv = build_invariants()
     Jn, Jd = _j_from_lambda(lam or inv.lam)
     M, N = inv.mu
-    return Jn * M * N ** 5 == (M * M + M * N * 10 + N * N * 5) ** 3 * Jd
+    lhs = Jn * M * N ** 5
+    rhs = (M * M + M * N * 10 + N * N * 5) ** 3 * Jd
+    return next((k for k in range(max(len(lhs.coeffs), len(rhs.coeffs)))
+                 if lhs.coeff(k) != rhs.coeff(k)), None)
+
+
+def verify_fundamental_identity(lam=None):
+    """fundamental_identity_mismatch(lam) is None."""
+    return fundamental_identity_mismatch(lam) is None
 
 
 def verify_invariance(gen, inv=None):
@@ -168,23 +178,22 @@ def _form_at(coeffs, n, x, y):
     return p, q
 
 
-def _sqrt5_coords(x):
-    """x in Q or Q(sqrt5) as rationals (r, s), x = r + s*sqrt5."""
-    if isinstance(x, AlgElement):
-        if x.field is not QSQRT5:
-            raise ValueError(f"a matrix entry in {x.field.name}, not Q(sqrt5)")
-        return x.coords
-    return Fraction(x), Fraction(0)
-
-
 def _scaled_matrix(g):
     """The entries a, b, c, d of k g as integer pairs (p, q) of p + q*sqrt5,
-    for g over Q(sqrt5), with k the lcm of the denominators of their
-    coordinates."""
-    coords = [_sqrt5_coords(x) for row in g for x in row]
-    k = lcm(*(r.denominator for xy in coords for r in xy))
-    return tuple(tuple(r.numerator * (k // r.denominator) for r in xy)
-                 for xy in coords)
+    for g over Q(sqrt5), with k the lcm of the entries' denominators.
+
+    An entry is an int, a Fraction or a Sqrt5; any other raises ValueError.
+    """
+    ints = []
+    for x in (x for row in g for x in row):
+        if isinstance(x, Sqrt5):
+            ints.append((x.p, x.q, x.d))
+        elif isinstance(x, (int, Fraction)):
+            ints.append((x.numerator, 0, x.denominator))
+        else:
+            raise ValueError(f"a matrix entry {x!r}, not in Q(sqrt5)")
+    k = lcm(*(d for _, _, d in ints))
+    return tuple((p * (k // d), q * (k // d)) for p, q, d in ints)
 
 
 def _int_coeffs(F):
@@ -221,7 +230,7 @@ def invariance_mismatch(gen, inv=None):
 
     Part (i) is proved once for each j, f and H (_is_klein_j).  Each F is
     first scaled to integers, which scales both sides of (ii), and g is
-    scaled by the lcm k of the denominators of its coordinates in Q(sqrt5)
+    scaled by the lcm k of the denominators d of its entries (p + q sqrt5)/d
     (k = 2 for T, 1 for U), so that (ii) and (iii) are computed on integer
     pairs p + q*sqrt5; over Q, q = 0.  This is sound: k g is the same
     Moebius map, and it multiplies each moved value F(az+b, cz+d) by

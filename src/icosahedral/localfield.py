@@ -23,9 +23,7 @@ On the family itself the hypothesis holds at t = u^2 for every 5-adic unit
 u, since trinomial_t(q_t) = |t| (verify_family_squares).
 
 v5 returns an int, or math.inf at 0, so valuations add, compare and take
-minima as plain numbers.  residue_mod5 reduces a rational whose denominator
-is prime to 5; it is also the reduction that repn.residue_hom applies to
-each coordinate at the prime above 5.
+minima as plain numbers.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .quintic import trinomial_t
 
 __all__ = [
     "v5",
-    "residue_mod5",
     "is_square_5adic_unit",
     "is_square_unit_pair",
     "theorem_hypothesis",
@@ -60,11 +57,6 @@ def v5(x):
         d //= 5
         v -= 1
     return v
-
-
-def residue_mod5(x: Fraction) -> int:
-    """The residue mod 5 of a rational with denominator prime to 5."""
-    return x.numerator * pow(x.denominator, -1, 5) % 5
 
 
 def is_square_5adic_unit(t) -> bool:

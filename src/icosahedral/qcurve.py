@@ -5,8 +5,8 @@ Two families appear:
     E_t: y^2 = x^3 + 2x^2 + rx,   r = (3 + sqrt5 t)/(2 sqrt5 t)  over Q(sqrt5),
     E_j: y^2 = x^3 + 3j/(1728-j) x + 2j/(1728-j)                 over Q.
 
-The coefficients of E_t are elements of Q(sqrt5); those of E_j, and of any
-curve over Q, are Fractions.
+The coefficient a4 = r of E_t is an exact.Sqrt5; the other coefficients,
+those of E_j and those of any curve over Q are Fractions.
 
 E_t carries the 2-isogeny
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QSQRT5, Poly, poly_divides, poly_gcd, resultant_pencil
+from .exact import SQRT5, Poly, poly_divides, poly_gcd, resultant_pencil
 from .quintic import Quintic, invariants, j_equation
 
 __all__ = [
@@ -73,8 +73,7 @@ __all__ = [
 class EllipticCurve:
     """Model y^2 = x^3 + a2 x^2 + a4 x + a6 with nonzero discriminant.
 
-    A coefficient is a Fraction (an int is converted) or an element of
-    Q(sqrt5).
+    A coefficient is a Fraction (an int is converted) or an exact.Sqrt5.
     """
 
     a2: object
@@ -104,7 +103,7 @@ def _b_invariants(E: EllipticCurve):
 
 
 def j_invariant(E: EllipticCurve):
-    """Exact c4^3/Delta: a Fraction over Q, else an element of Q(sqrt5)."""
+    """Exact c4^3/Delta: a Fraction over Q, else a Sqrt5."""
     b2, b4, _, _ = _b_invariants(E)
     c4 = b2 * b2 - b4 * 24
     return c4 ** 3 / discriminant(E)
@@ -119,9 +118,8 @@ def curve_from_t(t) -> EllipticCurve:
     t = Fraction(t)
     if not t:
         raise ValueError("t must be nonzero")
-    s5t = QSQRT5.gen(1) * t
-    return EllipticCurve(QSQRT5.from_scalar(2), (s5t + 3) / (s5t * 2),
-                         QSQRT5.zero)
+    s5t = SQRT5 * t
+    return EllipticCurve(2, (s5t + 3) / (s5t * 2), 0)
 
 
 def curve_from_j(j) -> EllipticCurve:

@@ -1,15 +1,16 @@
 """The order Z[eps, i][1/2], its prime above 5, and a matrix lift of
 Z(F5)*SL2(F5).
 
-The ambient algebra has basis {1, eps, i, i*eps} with eps^2 = 1 - eps and
-i^2 = -1, so eps is the real quadratic unit with 2*eps + 1 = sqrt5 and the
-order contains Z[eps] and the Gaussian integers at once.  Inverting 2 makes
-the matrix entries below integral.
+An element of Z[eps, i] is an integer 4-tuple on the basis 1, eps, i, i*eps,
+multiplied by the one rule eps^2 = 1 - eps, i^2 = -1 (_mul); eps is the
+real quadratic unit with 2*eps + 1 = sqrt5, and the order contains Z[eps]
+and the Gaussian integers at once.  Inverting 2 makes the matrix entries
+below integral.
 
 varpi = i(eps + 1) - 1 generates a prime above 5: the residue homomorphism
-eps -> 2, i -> 2, 1/2 -> 3 lands in F5 and kills varpi, and the explicit
-identities verified by verify_varpi_identities show 2 - eps, 2 - i, and
-sqrt5 all lie in the kernel.
+eps -> 2, i -> 2 lands in F5 and kills varpi, and the explicit identities
+verified by verify_varpi_identities show 2 - eps, 2 - i, and sqrt5 all lie
+in the kernel.  On Z[eps, i][1/2] the residue sends 1/2 to 3.
 
 The group of 2x2 matrices over F5 whose determinant is a nonzero square
 (order 240) is enumerated by breadth-first closure from the shadows of
@@ -28,27 +29,23 @@ documented failure at a/d = +-2, verify_congruence checks that the residue
 homomorphism applied entrywise is the identity on all 240 elements, and
 verify_faithful that the 240 lifts are distinct.
 
-All five run on integer keys: every lift L has coordinate denominators in
-{1, 2}, so 2L is 16 integers.  Right multiplication by S is one fixed
-integer linear map followed by an exact halving; the other nine generator
-lifts are monomial with entries in {+-1, +-i}, so multiplying by them
-permutes and negates the integers.  The certificate compares the keys
-along the 2400 edges the BFS recorded, and computes no product over the
-order or over F5.
+A lift L is its key: every lift has coordinate denominators in {1, 2}, so
+2L is 16 integers, the coordinates of 2a, 2b, 2c, 2d for
+L = [[a, b], [c, d]].  Right multiplication by S is one fixed integer
+linear map followed by an exact halving; the other nine generator lifts
+are monomial with entries in {+-1, +-i}, so multiplying by them permutes
+and negates the integers.  The certificate compares the keys along the
+2400 edges the BFS recorded, and computes no product over the order or
+over F5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-
-from .exact import AlgElement, QEPSI
-from .localfield import residue_mod5
 
 __all__ = [
     "F5Matrix",
-    "RepMatrix",
     "varpi",
     "teichmuller",
     "residue_hom",
@@ -71,16 +68,42 @@ _SQUARES = (1, 4)
 # omega5(2) = i
 _OMEGA5_LOG = {pow(2, k, 5): k for k in range(4)}
 
+# the basis 1, eps, i, i*eps of Z[eps, i], and 0
+_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+_ONE, _EPS, _I = _BASIS[:3]
+_ZERO = (0, 0, 0, 0)
 
-def _oe(x):
-    if isinstance(x, (int, Fraction)):
-        return QEPSI.from_scalar(x)
-    return x
+
+def _mul(x, y):
+    """The product of x and y in Z[eps, i]: eps^2 = 1 - eps, i^2 = -1.
+
+    With x = u + i v and y = s + i w for u, v, s, w in Z[eps],
+    x y = (u s - v w) + i (u w + v s), and
+    (a + b eps)(c + d eps) = (ac + bd) + (ad + bc - bd) eps.
+    """
+    def zeps(a, b, c, d):
+        return a * c + b * d, a * d + b * c - b * d
+
+    a, b, c, d = x
+    e, f, g, h = y
+    us, vw = zeps(a, b, e, f), zeps(c, d, g, h)
+    uw, vs = zeps(a, b, g, h), zeps(c, d, e, f)
+    return us[0] - vw[0], us[1] - vw[1], uw[0] + vs[0], uw[1] + vs[1]
+
+
+def _sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def _conj(x):
+    """Complex conjugation i -> -i."""
+    a, b, c, d = x
+    return a, b, -c, -d
 
 
 def varpi():
     """The prime generator i(eps + 1) - 1."""
-    return QEPSI.gen(2) * (QEPSI.gen(1) + 1) - 1
+    return _sub(_mul(_I, (1, 1, 0, 0)), _ONE)
 
 
 def teichmuller(a: int):
@@ -88,7 +111,7 @@ def teichmuller(a: int):
     a %= 5
     if a == 0:
         raise ValueError("0 has no multiplicative lift")
-    return AlgElement(QEPSI, _times_i(QEPSI.one.coords, _OMEGA5_LOG[a]))
+    return _times_i(_ONE, _OMEGA5_LOG[a])
 
 
 def _times_i(c, k):
@@ -105,15 +128,9 @@ def _times_i(c, k):
 
 
 def residue_hom(x) -> int:
-    """Reduction to F5 by eps -> 2, i -> 2, 1/2 -> 3.
-
-    Defined on elements whose coordinate denominators are powers of 2; the
-    kernel meets Z[eps, i] in the prime generated by varpi.
-    """
-    coords = _oe(x).coords
-    if any(c.denominator & (c.denominator - 1) for c in coords):
-        raise ValueError("denominator is not a power of 2")
-    a, b, c, d = (residue_mod5(v) for v in coords)
+    """Reduction of x in Z[eps, i] to F5 by eps -> 2, i -> 2; its kernel is
+    the prime generated by varpi."""
+    a, b, c, d = x
     return (a + 2 * b + 2 * c + 4 * d) % 5
 
 
@@ -121,15 +138,15 @@ def verify_varpi_identities() -> bool:
     """Check 2 - eps = eps^2 w w^c, 2 - omega5(2) = eps w (eps w^c - 1),
     and sqrt5 = eps w w^c for w = varpi, plus residue_hom = 0 on each left side.
     """
-    eps = QEPSI.gen(1)
     w = varpi()
-    wc = w.conj("conj")
-    omega2 = teichmuller(2)
-    sqrt5 = eps * 2 + 1
+    w_wc = _mul(w, _conj(w))
+    two = (2, 0, 0, 0)
+    sqrt5 = (1, 2, 0, 0)
     pairs = (
-        (QEPSI.from_scalar(2) - eps, eps * eps * w * wc),
-        (QEPSI.from_scalar(2) - omega2, eps * w * (eps * wc - 1)),
-        (sqrt5, eps * w * wc),
+        (_sub(two, _EPS), _mul(_mul(_EPS, _EPS), w_wc)),
+        (_sub(two, teichmuller(2)),
+         _mul(_mul(_EPS, w), _sub(_mul(_EPS, _conj(w)), _ONE))),
+        (sqrt5, _mul(_EPS, w_wc)),
     )
     return all(lhs == rhs and residue_hom(lhs) == 0
                for lhs, rhs in pairs)
@@ -162,72 +179,28 @@ class F5Matrix:
         return (self.a * self.d - self.b * self.c) % 5
 
 
-@dataclass(frozen=True)
-class RepMatrix:
-    """2x2 matrix over the order, multiplied and inverted exactly."""
-
-    a: object
-    b: object
-    c: object
-    d: object
-
-    def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, _oe(getattr(self, name)))
-
-    @classmethod
-    def identity(cls) -> "RepMatrix":
-        return cls(QEPSI.one, QEPSI.zero, QEPSI.zero, QEPSI.one)
-
-    def __mul__(self, o: "RepMatrix") -> "RepMatrix":
-        return RepMatrix(self.a * o.a + self.b * o.c,
-                         self.a * o.b + self.b * o.d,
-                         self.c * o.a + self.d * o.c,
-                         self.c * o.b + self.d * o.d)
-
-    def __pow__(self, n: int) -> "RepMatrix":
-        if n < 0:
-            return self.inv() ** (-n)
-        out = RepMatrix.identity()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def inv(self) -> "RepMatrix":
-        k = self.det().inv()
-        return RepMatrix(self.d * k, -self.b * k, -self.c * k, self.a * k)
-
-    def residue(self) -> F5Matrix:
-        return F5Matrix(*(residue_hom(v)
-                          for v in (self.a, self.b, self.c, self.d)))
-
-    def key(self):
-        return (self.a.coords, self.b.coords, self.c.coords, self.d.coords)
-
-
 @lru_cache(maxsize=1)
 def _admissible_pairs():
     return tuple((a, d) for a in range(1, 5) for d in range(1, 5)
                  if a * d % 5 in _SQUARES)
 
 
-def _diag_lift(a: int, d: int) -> RepMatrix:
-    return RepMatrix(teichmuller(a), 0, 0, teichmuller(d))
+def _diag_lift(a: int, d: int):
+    """The key of diag(omega5(a), omega5(d))."""
+    return (tuple(2 * v for v in teichmuller(a)) + _ZERO + _ZERO
+            + tuple(2 * v for v in teichmuller(d)))
 
 
 @lru_cache(maxsize=1)
 def pi_generators():
-    """(S, T, U) with U a builder requiring ad to be a nonzero square mod 5."""
-    eps = QEPSI.gen(1)
+    """The keys (S, T, U), U a function of (a, d) requiring ad to be a
+    nonzero square mod 5."""
     w = varpi()
-    half = Fraction(1, 2)
-    S = RepMatrix(eps * half, (w + 2) * half, w * half, eps * half)
-    T = RepMatrix(0, -1, 1, 0)
+    # 2S = [[eps, varpi + 2], [varpi, eps]]
+    S = _EPS + (w[0] + 2,) + w[1:] + w + _EPS
+    T = _ZERO + (-2, 0, 0, 0) + (2, 0, 0, 0) + _ZERO
 
-    def U(a: int, d: int) -> RepMatrix:
+    def U(a: int, d: int):
         if (a * d) % 5 not in _SQUARES:
             raise ValueError("ad must be a nonzero square mod 5")
         return _diag_lift(a, d)
@@ -288,48 +261,21 @@ def enumerate_group():
     return list(_group_data()[0])
 
 
-# -- integer keys --------------------------------------------------------------
-#
-# The key of a lift L is the 16 integers 2 L: the coordinates on 1, eps, i,
-# i*eps of 2a, 2b, 2c, 2d for L = [[a, b], [c, d]].  Every lift has
-# coordinate denominators in {1, 2}, so its key is integral and determines it.
+# -- keys ----------------------------------------------------------------------
 
-_IDENTITY_KEY = (2, 0, 0, 0) + (0,) * 8 + (2, 0, 0, 0)
+_IDENTITY_KEY = (2, 0, 0, 0) + _ZERO * 2 + (2, 0, 0, 0)
 
 
-def _int_key(m: RepMatrix):
-    """The key 2 m; ValueError if a coordinate of 2 m is not an integer."""
-    key = []
-    for entry in (m.a, m.b, m.c, m.d):
-        for x in entry.coords:
-            if x.denominator > 2:
-                raise ValueError("coordinate denominator does not divide 2")
-            key.append(x.numerator * 2 // x.denominator)
-    return tuple(key)
+def _right_map(key):
+    """The integer linear map K -> K key on keys, as 16 rows.
 
-
-@lru_cache(maxsize=None)
-def _half(v: int) -> Fraction:
-    return Fraction(v, 2)
-
-
-def _from_int_key(key) -> RepMatrix:
-    return RepMatrix(*(AlgElement(QEPSI, tuple(map(_half, key[n:n + 4])))
-                       for n in range(0, 16, 4)))
-
-
-def _right_map(m: RepMatrix):
-    """The integer linear map K -> K (2m) on keys, as 16 rows.
-
-    Output coordinate n of the key product is sum(c * K[i] for i, c in
-    rows[n]); it is 4 times a coordinate of M m for K the key of M.  Right
-    multiplication by a fixed y in Z[eps, i] is linear in x, with the
-    coordinates of e_k y on the basis e_k, read off in QEPSI.
+    Output coordinate n of the product is sum(c * K[i] for i, c in
+    rows[n]); it is 4 times a coordinate of M m for K and key the keys of
+    M and m.  Right multiplication by a fixed y in Z[eps, i] is linear in
+    x, with the coordinates of e_k y on the basis e_k.
     """
-    _int_key(m)  # 2m is integral, so each coordinate below is an integer
-    # cols[n][k][l]: coordinate l of e_k y for y entry n of 2m
-    cols = [[(QEPSI.gen(k) * (entry * 2)).coords for k in range(4)]
-            for entry in (m.a, m.b, m.c, m.d)]
+    # cols[n][k][l]: coordinate l of e_k y for y entry n of key
+    cols = [[_mul(e, key[n:n + 4]) for e in _BASIS] for n in range(0, 16, 4)]
     rows = []
     # [[A, B], [C, D]] [[p, q], [r, s]] = [[Ap + Br, Aq + Bs], [Cp + Dr, Cq + Ds]]
     for left in (0, 8):
@@ -337,7 +283,7 @@ def _right_map(m: RepMatrix):
             for coord in range(4):
                 terms = [(left + k, top[k][coord]) for k in range(4)] \
                     + [(left + 4 + k, bottom[k][coord]) for k in range(4)]
-                rows.append(tuple((i, int(c)) for i, c in terms if c))
+                rows.append(tuple((i, c) for i, c in terms if c))
     return tuple(rows)
 
 
@@ -400,29 +346,15 @@ def _lift_table():
     for g in order[1:]:
         parent, idx = parents[g]
         keys[g] = _times_generator(keys[parent], idx)
-    return {g: _from_int_key(k) for g, k in keys.items()}
+    return keys
 
 
-def lift_pi(g: F5Matrix) -> RepMatrix:
-    """The exact lift of g along its BFS generator word."""
+def lift_pi(g: F5Matrix):
+    """The key of the exact lift of g along its BFS generator word."""
     table = _lift_table()
     if g not in table:
         raise ValueError("matrix is not in the square-determinant group")
     return table[g]
-
-
-@lru_cache(maxsize=1)
-def _table_keys():
-    """The key of each lift in _lift_table(), or None for a lift with a
-    coordinate outside (1/2) Z; cached like the table, as the three
-    checks on keys read it."""
-    keys = {}
-    for g, m in _lift_table().items():
-        try:
-            keys[g] = _int_key(m)
-        except ValueError:
-            keys[g] = None
-    return keys
 
 
 def homomorphism_mismatch():
@@ -434,14 +366,13 @@ def homomorphism_mismatch():
     _times_generator on keys, so only the 240 edges by S multiply, by one
     integer linear map, and all 2400 are compared as integer tuples.
 
-    Every lift must lie in (1/2) Z: an edge from a lift outside it fails,
-    and so does an edge by S whose product leaves it (ArithmeticError),
-    as L(g s) does not.
+    Every lift lies in (1/2) Z: an edge by S whose product leaves it
+    (ArithmeticError) fails, as L(g s) does not.
     """
-    keys = _table_keys()
+    keys = _lift_table()
     for g, idx, h in _group_data()[3]:
         try:
-            if keys[g] is None or _times_generator(keys[g], idx) != keys[h]:
+            if _times_generator(keys[g], idx) != keys[h]:
                 return g, idx
         except ArithmeticError:
             return g, idx
@@ -531,21 +462,18 @@ def verify_relations() -> bool:
 
 
 def _key_residue(key) -> F5Matrix:
-    """The residue of the lift with this key: eps -> 2, i -> 2, 1/2 -> 3,
-    so a coordinate v/2 reduces to 3v."""
-    return F5Matrix(*(3 * (key[n] + 2 * key[n + 1] + 2 * key[n + 2]
-                           + 4 * key[n + 3]) for n in range(0, 16, 4)))
+    """The residue of the lift with this key: 1/2 -> 3, so an entry x/2
+    reduces to 3 residue_hom(x)."""
+    return F5Matrix(*(3 * residue_hom(key[n:n + 4]) for n in range(0, 16, 4)))
 
 
 def verify_faithful() -> bool:
-    """The 240 lifts are pairwise distinct: their integer keys are 240
-    distinct tuples.  A lift with a coordinate outside (1/2) Z fails."""
-    keys = _table_keys().values()
-    return None not in keys and len(set(keys)) == 240
+    """The 240 lifts are pairwise distinct: their keys are 240 distinct
+    tuples."""
+    return len(set(_lift_table().values())) == 240
 
 
 def verify_congruence() -> bool:
     """residue_hom o lift_pi is the identity on all 240 elements."""
-    keys = _table_keys()
-    return all(keys[g] is not None and _key_residue(keys[g]) == g
-               for g in enumerate_group())
+    keys = _lift_table()
+    return all(_key_residue(keys[g]) == g for g in enumerate_group())

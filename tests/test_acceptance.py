@@ -8,12 +8,13 @@ from fractions import Fraction
 import sympy as sp
 
 from icosahedral import hecke, icosa, localfield, qcurve, repn
-from icosahedral.exact import Poly, QEPSI, QSQRT5, poly_divides
+from icosahedral.exact import SQRT5, Poly, poly_divides
 from icosahedral.quintic import (
     Quintic, family_quintic, hyperelliptic_3adic, invariants, j_equation,
     trinomial_t,
 )
 from test_quintic import hyperelliptic_search
+from test_repn import IDENTITY_KEY, conj, key_pow, zepsi_mul
 
 SEED = 20260815
 
@@ -64,15 +65,13 @@ def _j_equation_member(t):
     qb = -1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + iv.delta ** 5)
     qc = 1728 ** 2 * iv.gamma4 ** 3
     j = qcurve.j_invariant(qcurve.curve_from_t(t))
-    return j * j * qa + j * qb + QSQRT5.from_scalar(qc) == QSQRT5.zero
+    return j * j * qa + j * qb + qc == 0
 
 
 def test_06_qcurve_bundle():
     assert qcurve.verify_isogeny_codomain()
     assert qcurve.verify_isogeny_composition()
-    s5 = QSQRT5.gen(1)
-    published = qcurve.EllipticCurve(QSQRT5.from_scalar(5) - s5, s5,
-                                     QSQRT5.zero)
+    published = qcurve.EllipticCurve(5 - SQRT5, SQRT5, 0)
     assert qcurve.j_invariant(qcurve.curve_from_t(1)) \
         == qcurve.j_invariant(published)
     assert _j_equation_member(Fraction(1))
@@ -101,14 +100,14 @@ def test_08_representation_bundle_under_1min():
     group = repn.enumerate_group()
     assert len(group) == 240
     lifts = {g: repn.lift_pi(g) for g in group}
-    assert len({m.key() for m in lifts.values()}) == 240
+    assert len(set(lifts.values())) == 240
     S, T, U = repn.pi_generators()
-    assert S ** 5 == repn.RepMatrix.identity()
-    assert T ** 4 == repn.RepMatrix.identity()
+    assert key_pow(S, 5) == IDENTITY_KEY
+    assert key_pow(T, 4) == IDENTITY_KEY
     for a in range(1, 5):
         for d in range(1, 5):
             if a * d % 5 in (1, 4):
-                assert U(a, d) ** 4 == repn.RepMatrix.identity()
+                assert key_pow(U(a, d), 4) == IDENTITY_KEY
     assert repn.verify_relations()
     assert repn.verify_homomorphism()
     assert repn.verify_congruence()
@@ -212,11 +211,11 @@ def test_12_mutation_suite(monkeypatch):
     assert not localfield.artin_schreier_identity(w=Fraction(4, 5))
 
     # varpi identity: 2 + eps in place of 2 - eps
-    eps = QEPSI.gen(1)
+    eps = (0, 1, 0, 0)
     w = repn.varpi()
-    wc = w.conj("conj")
-    assert QEPSI.from_scalar(2) - eps == eps * eps * w * wc
-    assert QEPSI.from_scalar(2) + eps != eps * eps * w * wc
+    rhs = zepsi_mul(zepsi_mul(eps, eps), zepsi_mul(w, conj(w)))
+    assert (2, -1, 0, 0) == rhs
+    assert (2, 1, 0, 0) != rhs
 
     # Hecke character: omega4^2 in place of omega4^3 breaks both identities
     ring = hecke.residue_ring("8sqrt5")

@@ -371,7 +371,7 @@ def expected_record(obj):
 
     Each field is the pair (numerator, denominator) of the Fraction it
     denotes; a numerator or denominator of more than 4300 digits, which
-    int() refuses, fails.
+    int() refuses, fails, and so does a label that is not a string.
     """
     if not isinstance(obj, dict):
         return None
@@ -398,13 +398,16 @@ def expected_record(obj):
             return None
         rec[key] = (x.numerator, x.denominator)
     if "label" in obj:
-        rec["label"] = str(obj["label"])
+        if not isinstance(obj["label"], str):
+            return None
+        rec["label"] = obj["label"]
     return rec
 
 
 @PROPERTY
 @given(json_values)
 @example({"B": "4", "C": "16/5", "label": ["row", 1]})
+@example({"B": "4", "C": "16/5", "label": "row 1"})
 @example({"b": 1, "C": " -3/4 "})
 @example({"B": "1/0", "C": "1"})
 @example({"B": True, "C": "1"})
@@ -423,6 +426,25 @@ def test_parse_record_accepts_exact_rationals_only(obj):
 SEVENS = "7" * 870
 
 
+class RawLine(str):
+    """An input line written as it is, not through json.dumps."""
+
+
+# what may follow "error: <file>:<line>: " when analyze exits 2: the
+# record messages, for each field name, and json's syntax errors
+FIELD = r"field '(A|B|C)'"
+ANALYZE_ERRORS = re.compile("|".join((
+    "record must be a JSON object",
+    "record nests too deeply",
+    "record is missing field '(B|C)'",
+    FIELD + " must be an exact rational string",
+    FIELD + " has a zero denominator",
+    FIELD + ": more than 80 digits in numerator or denominator",
+    "field 'label' must be a string",
+    r"[A-Z][a-z ',]+: line \d+ column \d+ \(char \d+\)",
+)))
+
+
 @PROPERTY
 @given(st.lists(json_values, min_size=1, max_size=3))
 @example([{"B": "4", "C": "16/5"}, {"B": "0", "C": "0"}])
@@ -430,20 +452,30 @@ SEVENS = "7" * 870
 @example([{"B": "4", "C": "16/5"}, {"B": SEVENS, "C": "1"}])
 @example([{"B": "1/" + SEVENS[:81], "C": True}, {"A": 0.5}])
 @example([{"B": "4", "C": "16/5"}, {"B": "7" * 5000, "C": "1"}])
+@example([{"B": "4", "C": "16/5", "label": ["x"]}])
+@example([{"B": "x/2", "C": "1"}])
+@example([RawLine('{"B": ' + "7" * 5000 + ', "C": 1}')])
+@example([RawLine("[" * 20000)])
+@example([RawLine('{"B": "4", "C": 16/5}')])
 def test_analyze_exit_codes(values):
     # exit 0 with one line per record and the report, or exit 2 with
-    # nothing on stdout; an exception would end the test with a traceback
+    # nothing on stdout and one line on stderr whose message comes from a
+    # fixed set; an exception would end the test with a traceback
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.jsonl")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(v) + "\n" for v in values)
+            fh.writelines((v if isinstance(v, RawLine) else json.dumps(v))
+                          + "\n" for v in values)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(["analyze", "--file", path, "--json"])
     assert rc in (0, 2)
     assert "Traceback" not in err.getvalue()
     if rc == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert out.getvalue() == ""
+        m = re.fullmatch(r"error: (.*):\d+: (.*)\n", err.getvalue())
+        assert m and m.group(1) == path
+        assert ANALYZE_ERRORS.fullmatch(m.group(2)), m.group(2)
     else:
         assert len(json_lines(out.getvalue())) == len(values) + 1
 
@@ -490,6 +522,14 @@ def test_analyze_digit_bound(tmp_path, capsys):
         assert rc == 2 and out == ""
         assert err == (f"error: {batch}:2: field 'C': more than 80 digits in "
                        "numerator or denominator\n")
+    # the same for a JSON number, written by hand as json.dumps refuses it:
+    # its digits are counted before int() is called
+    batch.write_text('{"B": "4", "C": "16/5"}\n'
+                     f'{{"B": {"7" * 5000}, "C": 1}}\n')
+    rc, out, err = run_cli(capsys, "analyze", "--file", str(batch))
+    assert rc == 2 and out == ""
+    assert err == (f"error: {batch}:2: field 'B': more than 80 digits in "
+                   "numerator or denominator\n")
 
 
 def test_analyze_digit_bound_under_lowered_int_limit():
@@ -658,7 +698,7 @@ def test_verify_repn_witnesses(capsys, monkeypatch):
     # its first edge, the identity times S, against the cached lift table
     repn._lift_table()
     S = repn.pi_generators()[0]
-    minus_s = repn._right_map(repn.RepMatrix(-S.a, -S.b, -S.c, -S.d))
+    minus_s = repn._right_map(tuple(-v for v in S))
     monkeypatch.setattr(repn, "_s_map", lambda: minus_s)
     rc, out, _ = run_cli(capsys, "verify", "repn")
     assert rc == 1
@@ -812,16 +852,15 @@ def test_analyze_matches_golden(capsys):
 
 
 def test_analyze_builds_no_algebra(monkeypatch):
-    # the record path runs on integers and Fractions: with every algebra
-    # and algebra element refused, each golden record still gives its line
-    from icosahedral.exact import AlgElement, FieldDescriptor
+    # the record path runs on integers and Fractions: with every element of
+    # Q(sqrt5) refused, each golden record still gives its line
+    from icosahedral.exact import Sqrt5
 
     def refused(*args, **kwargs):
-        raise AssertionError("analyze built an algebra object")
+        raise AssertionError("analyze built an element of Q(sqrt5)")
 
     cli._analysis_modules()
-    monkeypatch.setattr(FieldDescriptor, "__init__", refused)
-    monkeypatch.setattr(AlgElement, "__init__", refused)
+    monkeypatch.setattr(Sqrt5, "__init__", refused)
     golden = GOLDEN_ANALYZE_INPUT.with_name("analyze.jsonl")
     lines = golden.read_text().splitlines()
     records = golden_analyze_records()
@@ -922,6 +961,18 @@ def _icosa_checks(capsys):
     rc, out, _ = run_cli(capsys, "verify", "icosa")
     assert rc == 1
     return {c["id"]: c for c in json.loads(out)["checks"]}
+
+
+def test_verify_fundamental_identity_witness(capsys, monkeypatch):
+    # a z^3 term added to lambda's numerator: the cleared sides first
+    # differ at z^8, as test_fundamental_identity_mutation derives
+    inv = icosa.build_invariants()
+    P, Q = inv.lam
+    bad = dataclasses.replace(inv, lam=(P + Poly.over_q([0, 0, 0, 1]), Q))
+    monkeypatch.setattr(icosa, "build_invariants", lambda: bad)
+    check = _icosa_checks(capsys)["icosa/fundamental-identity"]
+    assert check["status"] == "fail"
+    assert check["witness"] == "the cleared sides differ at z^8"
 
 
 def test_verify_invariance_identity_witness(capsys, monkeypatch):
@@ -1054,9 +1105,11 @@ _START = ["icosahedral", "icosahedral.cli"]
     (["table"], ["quintic"]),
     (["analyze", "--b", "1", "--c", "1"], ["exact", "localfield", "quintic"]),
     (["verify", "hecke"], ["hecke"]),
+    (["verify", "repn"], ["repn"]),
     (["verify", "all"], ["exact", "hecke", "icosa", "localfield", "qcurve",
                          "quintic", "repn"]),
-], ids=["help", "table", "analyze", "verify-hecke", "verify-all"])
+], ids=["help", "table", "analyze", "verify-hecke", "verify-repn",
+        "verify-all"])
 def test_subcommand_loads_only_its_modules(argv, extra):
     # each subcommand imports only what it runs, in a fresh interpreter: a
     # module-level import in cli would add its module to every set

@@ -9,32 +9,26 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icosahedral import exact
+from icosahedral import exact, repn
 from icosahedral.exact import (
-    QEPSI, QSQRT5,
-    Poly, _kron_mul_int, _kron_pack, _kron_unpack,
-    compose_homogeneous, poly_divides, poly_gcd, power_basis_algebra,
-    resultant_pencil,
+    SQRT5, Poly, Sqrt5, _kron_mul_int, _kron_pack, _kron_unpack,
+    compose_homogeneous, poly_divides, poly_gcd, resultant_pencil,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
 
-# Q(zeta5), which no check uses: zeta^4 = -1 - zeta - zeta^2 - zeta^3
-QZETA5 = power_basis_algebra("Qzeta5", 4, (Fraction(-1),) * 4, gen_name="z5")
-ALL_FIELDS = (QSQRT5, QZETA5, QEPSI)
+# the basis 1, eps, i, i*eps of Z[eps, i], as repn's integer 4-tuples
+ZEPSI_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def quadratic_field(d):
-    """Q[r]/(r^2 - d) for a rational d, a field iff d is not a square."""
-    return power_basis_algebra(f"Qadj({d})", 2, (Fraction(d), Fraction(0)),
-                               gen_name="r")
+def sqrt5_of(r, s):
+    """r + s sqrt5 for rationals r and s."""
+    return r + s * SQRT5
 
 
-def is_square(d):
-    """Whether the Fraction d is the square of a rational."""
-    n, m = d.numerator, d.denominator
-    return n >= 0 and math.isqrt(n) ** 2 == n and math.isqrt(m) ** 2 == m
+def to_sympy_sqrt5(x):
+    return (x.p + x.q * sp.sqrt(5)) / x.d
 
 
 def rand_poly(rng, deg, lo=-9, hi=9):
@@ -106,91 +100,68 @@ def rem_reference(f, g):
     return Poly(r)
 
 
-# -- field descriptors ------------------------------------------------------
+# -- Q(sqrt5) and the product of Z[eps, i] ------------------------------------
 
 def test_tables_commutative_associative():
-    # exhaustively on the basis
-    for fd in ALL_FIELDS:
-        gens = [fd.gen(i) for i in range(fd.dim)]
+    # exhaustively on the bases 1, sqrt5 and 1, eps, i, i*eps
+    for gens, mul in (((Sqrt5(1), SQRT5), lambda a, b: a * b),
+                      (ZEPSI_BASIS, repn._mul)):
         for a in gens:
             for b in gens:
-                assert a * b == b * a
+                assert mul(a, b) == mul(b, a)
                 for c in gens:
-                    assert (a * b) * c == a * (b * c)
+                    assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 def test_named_field_examples():
-    s5 = QSQRT5.gen(1)
-    assert s5 * s5 == QSQRT5.from_scalar(5)
-    eps = QEPSI.gen(1)
-    assert eps * eps == QEPSI.one - eps
-    i = QEPSI.gen(2)
-    assert i * i == -QEPSI.one
-    z = QZETA5.gen(1)
-    assert z ** 4 == QZETA5.element((-1, -1, -1, -1))
-    assert z ** 5 == QZETA5.one
+    assert SQRT5 * SQRT5 == 5
+    _, eps, i, _ = ZEPSI_BASIS
+    assert repn._mul(eps, eps) == (1, -1, 0, 0)  # 1 - eps
+    assert repn._mul(i, i) == (-1, 0, 0, 0)
 
 
 def test_eps_matches_sqrt5_definition():
-    # eps = (sqrt5 - 1)/2 satisfies eps^2 + eps = 1, in Q(sqrt5) and as
-    # zeta + zeta^4 in Q(zeta5), the form icosa.mobius_gen uses
-    s5 = QSQRT5.gen(1)
-    eps = (s5 - 1) / 2
-    assert eps * eps + eps == QSQRT5.one
-    z = QZETA5.gen(1)
-    eps = z + z ** 4
-    assert eps * eps + eps == QZETA5.one
+    # eps = (sqrt5 - 1)/2 satisfies eps^2 + eps = 1, the form icosa uses
+    eps = (SQRT5 - 1) / 2
+    assert eps * eps + eps == 1
+    assert (eps.p, eps.q, eps.d) == (-1, 1, 2)
 
 
 def test_embeddings_square():
-    # sqrt5 goes to 1 + 2 eps in Q(zeta5) (eps = zeta + zeta^4) and in Q(eps, i)
-    z = QZETA5.gen(1)
-    for eps in (z + z ** 4, QEPSI.gen(1)):
-        s5 = 1 + eps * 2
-        assert s5 * s5 == eps.field.from_scalar(5)
+    # sqrt5 goes to 1 + 2 eps in Q(sqrt5) (eps = (sqrt5 - 1)/2) and in
+    # Z[eps, i]
+    assert 1 + (SQRT5 - 1) / 2 * 2 == SQRT5
+    assert repn._mul((1, 2, 0, 0), (1, 2, 0, 0)) == (5, 0, 0, 0)
 
 
 def test_inverse_roundtrip_random():
     rng = random.Random(20260815)
-    for fd in ALL_FIELDS:
-        count = 0
-        while count < 100:
-            x = fd.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                            for _ in range(fd.dim)])
-            if not x:
-                continue
-            assert x * x.inv() == fd.one
-            count += 1
+    count = 0
+    while count < 100:
+        x = sqrt5_of(*(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                       for _ in range(2)))
+        if not x:
+            continue
+        assert x * x.inv() == 1
+        assert x.inv() == 1 / x
+        count += 1
 
 
 def test_zero_not_invertible():
     with pytest.raises(ZeroDivisionError):
-        QZETA5.zero.inv()
-
-
-def test_quadratic_field_and_zero_divisor():
-    fd = quadratic_field(Fraction(45))
-    r = fd.gen(1)
-    assert (r + 1) * (r - 1) == fd.from_scalar(44)
-    # d a perfect square gives zero divisors: (r-3)(r+3) = 0 for d = 9
-    fd9 = quadratic_field(9)
-    r = fd9.gen(1)
-    assert not (r - 3) * (r + 3)
+        Sqrt5(0).inv()
     with pytest.raises(ZeroDivisionError):
-        (r - 3).inv()
+        SQRT5 / 0
+    with pytest.raises(ZeroDivisionError):
+        Sqrt5(1, 1, 0)
 
 
 def test_involutions():
-    # an involution is its diagonal of signs on the basis
-    assert QSQRT5.involutions == {"sigma": (1, -1)}
-    assert QEPSI.involutions == {"conj": (1, 1, -1, -1)}
-    s5 = QSQRT5.gen(1)
-    assert s5.conj("sigma") == -s5
-    assert (1 + s5 * 2).conj("sigma") == 1 - s5 * 2
-    i = QEPSI.gen(2)
-    eps = QEPSI.gen(1)
-    x = eps * 3 + i * 2 - 1
-    assert x.conj("conj") == eps * 3 - i * 2 - 1
+    # sigma: sqrt5 -> -sqrt5, and complex conjugation of Z[eps, i]
+    assert SQRT5.conj() == -SQRT5
+    assert (1 + SQRT5 * 2).conj() == 1 - SQRT5 * 2
+    assert repn._conj((-1, 3, 2, 0)) == (-1, 3, -2, 0)
+    assert repn._conj((0, 0, 0, 5)) == (0, 0, 0, -5)
 
 
 # -- polynomials ------------------------------------------------------------
@@ -204,51 +175,23 @@ def test_poly_mul_matches_schoolbook_q():
         assert fast == mul_schoolbook(p, q)
 
 
-# The structure constant r^2 = 5/4 is not an integer, so the integer table
-# of this field has denominator 4.
-QHALF5 = quadratic_field(Fraction(5, 4))
-RATIONAL_FIELDS = (QSQRT5, QZETA5, QEPSI, QHALF5)
-
-
-def rand_frac_coords(rng, fd):
+def rand_frac_coords(rng):
     """Seeded coordinates with denominators 1-12, some zero, mixed signs."""
     return [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) if rng.random() < 0.8
-            else Fraction(0) for _ in range(fd.dim)]
-
-
-def reference_product(x, y):
-    """x * y computed from field.table with Fraction arithmetic only."""
-    fd = x.field
-    out = [Fraction(0)] * fd.dim
-    for i, a in enumerate(x.coords):
-        for j, b in enumerate(y.coords):
-            for k, s in enumerate(fd.table[i][j]):
-                out[k] += a * b * s
-    return out
+            else Fraction(0) for _ in range(2)]
 
 
 def test_alg_mul_fraction_coords_matches_table():
+    # the product of r + s sqrt5 against Fraction arithmetic on (r, s)
     rng = random.Random(5)
-    for fd in RATIONAL_FIELDS:
-        for _ in range(40):
-            x = fd.element(rand_frac_coords(rng, fd))
-            y = fd.element(rand_frac_coords(rng, fd))
-            prod = x * y
-            assert list(prod.coords) == reference_product(x, y)
-            assert all(type(c) is Fraction for c in prod.coords)
-    r = QHALF5.gen(1)
-    assert r * r == QHALF5.from_scalar(Fraction(5, 4))
-    assert (r * Fraction(2, 3)) * (r * 6) == QHALF5.from_scalar(5)
-
-
-def test_scalar_product_builds_no_integer_table():
-    fd = quadratic_field(Fraction(7, 3))
-    r = fd.gen(1)
-    x = r * Fraction(5, 2) + 1
-    assert x.coords == (Fraction(1), Fraction(5, 2))
-    assert fd._int_table is None
-    x * r
-    assert fd._int_table is not None
+    for _ in range(40):
+        (r1, s1), (r2, s2) = rand_frac_coords(rng), rand_frac_coords(rng)
+        prod = sqrt5_of(r1, s1) * sqrt5_of(r2, s2)
+        assert prod == sqrt5_of(r1 * r2 + 5 * s1 * s2, r1 * s2 + s1 * r2)
+        assert all(type(v) is int for v in (prod.p, prod.q, prod.d))
+    r = SQRT5 / 2
+    assert r * r == Fraction(5, 4)
+    assert (r * Fraction(2, 3)) * (r * 6) == 5
 
 
 def test_kron_mul_int_edge_cases():
@@ -293,32 +236,57 @@ def test_poly_derivative():
     assert p.derivative() == Poly.over_q([0, 2])
 
 
-# -- algebra laws and the integer kernel, as properties ---------------------
+# -- field laws and the integer kernel, as properties ------------------------
 
 small_fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 wide_fractions = st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20),
                            st.integers(1, 10 ** 6))
-# d with Q[r]/(r^2 - d) a field
-nonsquares = st.builds(Fraction, st.integers(-50, 50),
-                       st.integers(1, 20)).filter(lambda d: not is_square(d))
-LAW_FIELDS = st.sampled_from((QZETA5, QEPSI)) | nonsquares.map(quadratic_field)
-
-
-def elements(fd, coords=small_fractions):
-    return st.lists(coords, min_size=fd.dim, max_size=fd.dim).map(fd.element)
+sqrt5s = st.builds(sqrt5_of, small_fractions, small_fractions)
 
 
 @PROPERTY
-@given(LAW_FIELDS.flatmap(lambda fd: st.tuples(elements(fd), elements(fd),
-                                               elements(fd))))
-def test_algebra_laws(xyz):
-    x, y, z = xyz
+@given(sqrt5s, sqrt5s, sqrt5s)
+def test_algebra_laws(x, y, z):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert x * y == y * x
+    assert (x + y).conj() == x.conj() + y.conj()
+    assert (x * y).conj() == x.conj() * y.conj()
+    assert x - y + y == x
+    assert x ** 3 == x * x * x and x ** 0 == 1
     if x:
-        assert x * x.inv() == x.field.one
+        assert x * x.inv() == 1
         assert (y / x) * x == y
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(sqrt5s, sqrt5s, small_fractions)
+def test_sqrt5_matches_sympy(x, y, c):
+    sx, sy, sc = to_sympy_sqrt5(x), to_sympy_sqrt5(y), sp.Rational(c)
+    for got, want in ((x + y, sx + sy), (x - c, sx - sc), (c - x, sc - sx),
+                      (x * y, sx * sy), (c * x, sc * sx), (x ** 3, sx ** 3),
+                      (x.conj(), sx.subs(sp.sqrt(5), -sp.sqrt(5)))):
+        assert sp.expand(to_sympy_sqrt5(got) - want) == 0
+    if y:
+        assert sp.radsimp(to_sympy_sqrt5(x / y) - sx / sy) == 0
+        assert sp.radsimp(to_sympy_sqrt5(c / y) - sc / sy) == 0
+
+
+@PROPERTY
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(1, 10 ** 6), st.integers(-50, 50).filter(bool))
+def test_sqrt5_equal_values_have_equal_fields(p, q, d, k):
+    # (kp + kq sqrt5)/(kd) is the same value, in the same lowest terms
+    x, y = Sqrt5(p, q, d), Sqrt5(k * p, k * q, k * d)
+    assert x == y
+    assert (x.p, x.q, x.d) == (y.p, y.q, y.d)
+    assert x.d > 0 and math.gcd(x.p, x.q, x.d) == 1
+    assert hash(x) == hash(y)
+    # a rational value equals, and hashes as, its Fraction
+    r = Sqrt5(p, 0, d)
+    assert r == Fraction(p, d) and hash(r) == hash(Fraction(p, d))
+    assert r == Fraction(p, d) + 0 * SQRT5
+    assert (Fraction(p, d) + SQRT5 != Fraction(p, d)) and bool(x) == bool(p or q)
 
 
 @PROPERTY

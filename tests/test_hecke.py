@@ -4,7 +4,6 @@ import pytest
 from sympy import jacobi_symbol
 
 from icosahedral import hecke, repn
-from icosahedral.exact import QEPSI
 from icosahedral.hecke import (
     Character, KRONECKER_M2, ResidueRing, RootOfUnity, TEICHMULLER_EXP,
     char_from_generators, omega, omega4, omega5, omega8, omega_epsilon,
@@ -213,7 +212,9 @@ def test_teichmuller_compatibility():
     # the conductor-sqrt5 character agrees with the multiplicative lift
     ring5 = residue_ring("sqrt5")
     w5 = omega5()
-    lifts = {0: QEPSI.one, 6: QEPSI.gen(2), 12: -QEPSI.one, 18: -QEPSI.gen(2)}
+    # 1, i, -1, -i on the basis 1, eps, i, i*eps
+    lifts = {0: (1, 0, 0, 0), 6: (0, 0, 1, 0), 12: (-1, 0, 0, 0),
+             18: (0, 0, -1, 0)}
     for a in range(1, 5):
         val = w5(ring5.reduce((a, 0)))
         assert val == RootOfUnity(TEICHMULLER_EXP[a])

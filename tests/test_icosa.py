@@ -12,7 +12,7 @@ import sympy as sp
 
 from icosahedral import cli, icosa, quintic
 from icosahedral.exact import (
-    QEPSI, QSQRT5, AlgElement, Poly, _clear_denominators, _kron_mul_int,
+    SQRT5, Poly, _clear_denominators, _kron_mul_int,
     poly_gcd,
 )
 
@@ -318,6 +318,11 @@ def test_fundamental_identity_mutation():
     coeffs = list(P.coeffs)
     coeffs[3] += 1
     assert not icosa.verify_fundamental_identity(lam=(Poly(coeffs), Q))
+    # the witness: near z = 0, P = -1 and Q, M, N = O(z), -125 z^5, -1 + O(z^5),
+    # so Jn = P^5 + O(z) moves by 5 P^4 z^3 and the left side Jn M N^5 by
+    # 5 z^3 (-125 z^5)(-1) = 625 z^8; no lower coefficient changes
+    assert icosa.fundamental_identity_mismatch() is None
+    assert icosa.fundamental_identity_mismatch(lam=(Poly(coeffs), Q)) == 8
 
 
 @pytest.mark.parametrize("which, k", [(0, 1), (1, 0), (1, 1)])
@@ -402,8 +407,8 @@ def test_invariance_mutation():
     # over Q, T with eps + 1 or -eps in place of eps over Q(sqrt5); each
     # fails on the vertex form f, at the first z where f(gz) is no constant
     # multiple of f(z)
-    eps = (QSQRT5.gen(1) - 1) / 2
-    one = QSQRT5.one
+    eps = (SQRT5 - 1) / 2
+    one = 1
     for matrix, z in ((((2, 0), (0, 1)), 2), (((0, 1), (1, 0)), 2),
                       (((eps + 1, one), (one, -(eps + 1))), 0),
                       (((-eps, one), (one, eps)), 0)):
@@ -462,10 +467,12 @@ def test_invariance_validation():
     assert not icosa.verify_invariance(((1, 1), (1, 1)))
     assert icosa.invariance_mismatch(((1, 1), (1, 1))) == ("f", 0)
     assert icosa.invariance_mismatch(((0, 0), (1, 1))) == ("H", 1)
-    # the forms are evaluated on integer pairs of Z[sqrt5]: a matrix over
-    # another algebra is refused, not misread
-    with pytest.raises(ValueError, match="not Q\\(sqrt5\\)"):
-        icosa.invariance_mismatch(((QEPSI.one, 0), (0, 1)))
+    # the forms are evaluated on integer pairs of Z[sqrt5]: an entry of
+    # another ring, such as 1 in Z[eps, i] as repn holds it, is refused,
+    # not misread
+    for entry in ((1, 0, 0, 0), 0.5):
+        with pytest.raises(ValueError, match="not in Q\\(sqrt5\\)"):
+            icosa.invariance_mismatch(((entry, 0), (0, 1)))
 
 
 def test_invariance_without_qzeta5(over_q_only):
@@ -598,27 +605,19 @@ def test_resolvent_forms_match_direct_product(mn):
 
 @pytest.fixture
 def over_q_only(monkeypatch):
-    """Fail when a Poly gets a coefficient that is not a Fraction, or an
-    algebra element is built outside Q(sqrt5) and Q(eps, i)."""
-    poly_init, alg_init = Poly.__init__, AlgElement.__init__
+    """Fail when a Poly gets a coefficient that is not a Fraction."""
+    poly_init = Poly.__init__
 
     def poly_guarded(self, coeffs):
         poly_init(self, coeffs)
         assert all(type(c) is Fraction for c in self.coeffs), \
             f"a Poly coefficient is not a Fraction: {self.coeffs}"
 
-    def alg_guarded(self, field, coords):
-        assert field is QSQRT5 or field is QEPSI, \
-            f"an element of {field.name} was built"
-        alg_init(self, field, coords)
-
     monkeypatch.setattr(Poly, "__init__", poly_guarded)
-    monkeypatch.setattr(AlgElement, "__init__", alg_guarded)
 
 
 def test_verify_all_over_q_only(over_q_only, capsys):
-    # every polynomial that verify all builds is over Q, and every algebra
-    # element is a scalar of Q(sqrt5) or Q(eps, i)
+    # every polynomial that verify all builds is over Q
     icosa.build_invariants.cache_clear()
     assert cli.main(["verify", "all"]) == 0
     capsys.readouterr()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from icosahedral.exact import Poly
 from icosahedral.localfield import (
     artin_schreier_identity, is_square_5adic_unit, is_square_unit_pair,
-    residue_mod5, theorem_hypothesis, v5, verify_family_squares,
+    theorem_hypothesis, v5, verify_family_squares,
 )
 from icosahedral.quintic import family_quintic, trinomial_t
 
@@ -68,17 +68,6 @@ def test_valuation_ordering():
     assert v5(0) + v5(Fraction(1, 5)) == math.inf
 
 
-@PROPERTY
-@given(nonzero)
-def test_residue_mod5(x):
-    if x.denominator % 5:
-        r = residue_mod5(x)
-        assert 0 <= r < 5 and (x - r).numerator % 5 == 0
-    else:
-        with pytest.raises(ValueError):
-            residue_mod5(x)
-
-
 def test_square_unit_truth_table():
     assert is_square_5adic_unit(1)
     assert not is_square_5adic_unit(3)
@@ -97,7 +86,8 @@ def test_square_unit_truth_table():
 def test_square_unit_pair_matches_valuation_and_residue(x):
     # n*d mod 5 in {1, 4} is the unit test v5 = 0 and the residue test
     # residue in {1, 4} at once
-    want = bool(x) and v5(x) == 0 and residue_mod5(x) in (1, 4)
+    want = bool(x) and v5(x) == 0 and \
+        x.numerator * pow(x.denominator, -1, 5) % 5 in (1, 4)
     assert is_square_unit_pair(x.numerator, x.denominator) is want
     assert is_square_5adic_unit(x) is want
 

@@ -6,7 +6,7 @@ import sympy as sp
 
 from icosahedral import exact, qcurve
 from icosahedral.cli import KLEIN_FIXED_J
-from icosahedral.exact import Poly, QSQRT5, poly_divides, poly_gcd
+from icosahedral.exact import SQRT5, Poly, poly_divides, poly_gcd
 from icosahedral.qcurve import (
     EllipticCurve, curve_from_j, curve_from_t, discriminant,
     division_poly5, j_equation_family_mismatch, j_invariant,
@@ -180,13 +180,12 @@ def brute_points(b, c, p):
 
 def test_family_curve_values():
     E = curve_from_t(1)
-    s5 = QSQRT5.gen(1)
-    assert E.a2 == 2 and E.a6 == QSQRT5.zero
-    assert E.a4 == QSQRT5.from_scalar(Fraction(1, 2)) + s5 * Fraction(3, 10)
-    assert E.a4 + E.a4.conj("sigma") == QSQRT5.one
+    assert E.a2 == 2 and E.a6 == 0
+    assert E.a4 == Fraction(1, 2) + SQRT5 * Fraction(3, 10)
+    assert E.a4 + E.a4.conj() == 1
     assert curve_from_t(Fraction(3, 5)).a4 == \
-        QSQRT5.from_scalar(Fraction(1, 2)) + s5 * Fraction(1, 2)
-    assert curve_from_t(-1).a4 == E.a4.conj("sigma")
+        Fraction(1, 2) + SQRT5 * Fraction(1, 2)
+    assert curve_from_t(-1).a4 == E.a4.conj()
     with pytest.raises(ValueError):
         curve_from_t(0)
 
@@ -208,8 +207,8 @@ def test_family_curve_symbolic():
         E = curve_from_t(t0)
         a4 = E.a4
         assert discriminant(E)
-        assert a4 + a4.conj("sigma") == QSQRT5.one
-        assert a4 * (a4 - 1) == QSQRT5.from_scalar((9 - 5 * t0 ** 2) / (20 * t0 ** 2))
+        assert a4 + a4.conj() == 1
+        assert a4 * (a4 - 1) == (9 - 5 * t0 ** 2) / (20 * t0 ** 2)
         assert j_invariant(E) == (4 - a4 * 3) ** 3 * 64 / (a4 * a4 * (1 - a4))
 
 
@@ -254,11 +253,10 @@ def test_singular_models_rejected():
 
 
 def test_published_model_j():
-    s5 = QSQRT5.gen(1)
-    published = EllipticCurve(QSQRT5.from_scalar(5) - s5, s5, QSQRT5.zero)
+    published = EllipticCurve(5 - SQRT5, SQRT5, 0)
     j1 = j_invariant(curve_from_t(1))
     assert j_invariant(published) == j1
-    assert j1 == QSQRT5.from_scalar(86048) - s5 * 38496
+    assert j1 == 86048 - SQRT5 * 38496
 
 
 def test_family_j_satisfies_quintic_j_equation():
@@ -273,7 +271,7 @@ def test_family_j_satisfies_quintic_j_equation():
         d5 = iv.delta ** 5
         mid = 1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + d5)
         last = 1728 ** 2 * iv.gamma4 ** 3
-        return j * j * d5 - j * mid + QSQRT5.from_scalar(last)
+        return j * j * d5 - j * mid + last
 
     for t, q in pairs:
         assert not j_equation_value(q, j_invariant(curve_from_t(t)))
@@ -326,13 +324,11 @@ def test_j_equation_degree_bound_sympy():
 def test_family_j_matches_j_candidates():
     # 5*disc = 5120000000 = 5 * 32000^2, so sqrt(5*disc) = 32000 sqrt5
     base, off = j_candidates(Quintic(0, 20, -16))
-    s5 = QSQRT5.gen(1)
-    mapped = [QSQRT5.from_scalar(base) + s5 * (sign * off * 32000)
-              for sign in (1, -1)]
+    mapped = [base + SQRT5 * (sign * off * 32000) for sign in (1, -1)]
     j1 = j_invariant(curve_from_t(Fraction(3, 5)))
     assert j1 in mapped
-    assert j1.conj("sigma") in mapped
-    assert j1 == QSQRT5.from_scalar(10400) - s5 * 4640
+    assert j1.conj() in mapped
+    assert j1 == 10400 - SQRT5 * 4640
 
 
 def test_isogeny_codomain():
@@ -340,7 +336,7 @@ def test_isogeny_codomain():
     # the proof's r^sigma = 1 - r is the conjugate of a4 on every E_t
     for t in (1, Fraction(3, 5), -2):
         r = curve_from_t(t).a4
-        assert r.conj("sigma") == 1 - r
+        assert r.conj() == 1 - r
 
 
 def test_isogeny_codomain_mutation():
@@ -454,7 +450,7 @@ def test_division_poly5_shape():
         division_poly5(EllipticCurve(1, 2, 3))
     # a model over Q(sqrt5), even with a2 = 0, is not over Q
     with pytest.raises(ValueError, match="over Q"):
-        division_poly5(EllipticCurve(0, QSQRT5.gen(1), 0))
+        division_poly5(EllipticCurve(0, SQRT5, 0))
 
 
 def test_division_poly5_matches_group_law():

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icosahedral import quintic
-from icosahedral.exact import power_basis_algebra
 from icosahedral.quintic import (
     Quintic, QuinticInvariants, family_quintic, hyperelliptic_3adic,
     invariants, j_candidates, resolvent_coeffs, solvable_family,
@@ -29,11 +28,22 @@ def sqrt_exact(x):
 
 
 def conjugate_roots(inv):
-    """The roots base +- off*r of j_roots, as elements of Q[r]/(r^2 - 5*disc)."""
+    """The roots base +- off*r of j_roots, as pairs (base, +-off) of
+    Q[r]/(r^2 - 5*disc)."""
     base, off = quintic.j_roots(inv)
-    fld = power_basis_algebra("Qadj", 2, (5 * inv.disc, Fraction(0)),
-                              gen_name="r")
-    return (fld.element((base, off)), fld.element((base, -off)))
+    return (base, off), (base, -off)
+
+
+def adj_mul(x, y, square):
+    """The product of pairs x0 + x1 r and y0 + y1 r in Q[r]/(r^2 - square)."""
+    return x[0] * y[0] + square * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def j_equation_at(r, coeffs, square):
+    """qa r^2 + qb r + qc in Q[r]/(r^2 - square), as a pair."""
+    qa, qb, qc = coeffs
+    r2 = adj_mul(r, r, square)
+    return qa * r2[0] + qb * r[0] + qc, qa * r2[1] + qb * r[1]
 
 
 def rand_frac(rng, lo=-12, hi=12, den=7):
@@ -102,14 +112,15 @@ def test_j_candidates_t1_row():
     qa = iv.delta ** 5
     qb = -1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + iv.delta ** 5)
     qc = 1728 ** 2 * iv.gamma4 ** 3
+    square = 5 * iv.disc
     for r in roots:
-        assert r.coords[1]  # not rational
-        assert (r * r * qa + r * qb + qc) == 0
-    assert roots[0] + roots[1] == -qb / qa
-    assert roots[0] * roots[1] == qc / qa
+        assert r[1]  # not rational
+        assert j_equation_at(r, (qa, qb, qc), square) == (0, 0)
+    assert (roots[0][0] + roots[1][0], roots[0][1] + roots[1][1]) \
+        == (-qb / qa, 0)
+    assert adj_mul(roots[0], roots[1], square) == (qc / qa, 0)
     # r^2 = 5*disc in the ambient algebra
-    gen = roots[0].field.gen(1)
-    assert gen * gen == 5 * iv.disc
+    assert adj_mul((0, 1), (0, 1), square) == (square, 0)
 
 
 @pytest.mark.parametrize("abc", [(0, 4, Fraction(16, 5)),
@@ -507,7 +518,7 @@ def test_j_roots_solve_the_j_equation(abc):
     assert qa * (base * base + off * off * 5 * iv.disc) + qb * base + qc == 0
     assert off * (2 * qa * base + qb) == 0
     for r in conjugate_roots(iv):
-        assert r * r * qa + r * qb + qc == 0
+        assert j_equation_at(r, (qa, qb, qc), 5 * iv.disc) == (0, 0)
 
 
 def pair_times(x, k):

@@ -3,67 +3,157 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icosahedral import repn
-from icosahedral.exact import QEPSI
 from icosahedral.repn import (
-    F5Matrix, RepMatrix, enumerate_group, lift_pi, pi_generators, residue_hom,
+    F5Matrix, enumerate_group, lift_pi, pi_generators, residue_hom,
     teichmuller, varpi, verify_congruence, verify_homomorphism,
     verify_relations, verify_varpi_identities,
 )
 from icosahedral.repn import _diag_lift
 
-EPS = QEPSI.gen(1)
-I = QEPSI.gen(2)
+ONE = (1, 0, 0, 0)
+EPS = (0, 1, 0, 0)
+I = (0, 0, 1, 0)
+ZERO = (0, 0, 0, 0)
+IDENTITY_KEY = (2, 0, 0, 0) + ZERO + ZERO + (2, 0, 0, 0)
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+def add(*xs):
+    return tuple(sum(c) for c in zip(*xs))
+
+
+def neg(x):
+    return tuple(-c for c in x)
+
+
+def conj(x):
+    a, b, c, d = x
+    return a, b, -c, -d
 
 
 def rand_order_element(rng):
-    return QEPSI.element([Fraction(rng.randint(-20, 20), 2 ** rng.randint(0, 3))
-                          for _ in range(4)])
+    return tuple(rng.randint(-20, 20) for _ in range(4))
+
+
+def zepsi_mul(x, y):
+    """Product in Z[eps, i] of integer 4-vectors on 1, eps, i, i*eps.
+
+    x = u + i v with u, v in Z[eps], and eps^2 = 1 - eps, i^2 = -1.
+    """
+    def zeps(a, b, c, d):  # (a + b eps)(c + d eps)
+        return a * c + b * d, a * d + b * c - b * d
+
+    a, b, c, d = x
+    e, f, g, h = y
+    uu, vv = zeps(a, b, e, f), zeps(c, d, g, h)
+    uv, vu = zeps(a, b, g, h), zeps(c, d, e, f)
+    return (uu[0] - vv[0], uu[1] - vv[1], uv[0] + vu[0], uv[1] + vu[1])
+
+
+def to_sympy(x):
+    """x on 1, eps, i, i*eps as a sympy number, eps = (sqrt5 - 1)/2."""
+    eps = (sp.sqrt(5) - 1) / 2
+    a, b, c, d = x
+    return a + b * eps + sp.I * (c + d * eps)
+
+
+def _halved(k, ints):
+    """(k, ints) for ints / 2^k with k as small as possible, as 2x2 rows."""
+    while k and not any(v & 1 for v in ints):
+        k -= 1
+        ints = [v >> 1 for v in ints]
+    return k, tuple(tuple(ints[n:n + 4]) for n in range(0, 16, 4))
+
+
+def scaled_int_matrix(key):
+    """The lift with this key, 2L, as integer 4-vectors over one power of
+    2."""
+    return _halved(1, list(key))
+
+
+def scaled_int_product(x, y):
+    """The product of two scaled integer matrices, in the same form."""
+    (kx, (a, b, c, d)), (ky, (e, f, g, h)) = x, y
+
+    def dot(p, q, r, s):  # p q + r s in Z[eps, i]
+        return [u + v for u, v in zip(zepsi_mul(p, q), zepsi_mul(r, s))]
+
+    ints = (dot(a, e, b, g) + dot(a, f, b, h)
+            + dot(c, e, d, g) + dot(c, f, d, h))
+    return _halved(kx + ky, ints)
+
+
+def key_of(scaled):
+    """The key of a scaled integer matrix whose entries lie in (1/2) Z."""
+    k, rows = scaled
+    assert k <= 1
+    return tuple(v << (1 - k) for row in rows for v in row)
+
+
+def key_mul(x, y):
+    """The key of L M from the keys of L and M, by scaled_int_product."""
+    return key_of(scaled_int_product(scaled_int_matrix(x),
+                                     scaled_int_matrix(y)))
+
+
+def key_pow(x, n):
+    out = IDENTITY_KEY
+    for _ in range(n):
+        out = key_mul(out, x)
+    return out
+
+
+def key_det(x):
+    """4 det L from the key x = 2L, in Z[eps, i]."""
+    a, b, c, d = (x[n:n + 4] for n in range(0, 16, 4))
+    return add(zepsi_mul(a, d), neg(zepsi_mul(b, c)))
 
 
 def test_varpi_coords():
     w = varpi()
-    assert w.coords == (Fraction(-1), Fraction(0), Fraction(1), Fraction(1))
-    assert w == I * (EPS + 1) - 1
+    assert w == (-1, 0, 1, 1)
+    assert w == add(zepsi_mul(I, add(EPS, ONE)), neg(ONE))
     assert residue_hom(w) == 0
     # the conjugate generates the other prime above 5: it is a unit here
-    assert residue_hom(w.conj("conj")) != 0
+    assert residue_hom(conj(w)) != 0
 
 
 def test_residue_hom_values():
     assert residue_hom(EPS) == 2
     assert residue_hom(I) == 2
-    assert residue_hom(QEPSI.from_scalar(Fraction(1, 2))) == 3
-    assert residue_hom(EPS * EPS + EPS - 1) == 0
-    assert residue_hom(I * I + 1) == 0
-    assert residue_hom(EPS * 2 + 1) == 0      # sqrt5
+    # an entry x/2 of a lift reduces to 3 residue_hom(x): 1/2 -> 3
+    assert repn._key_residue((1, 0, 0, 0) * 4) == F5Matrix(3, 3, 3, 3)
+    assert residue_hom(add(zepsi_mul(EPS, EPS), EPS, neg(ONE))) == 0
+    assert residue_hom(add(zepsi_mul(I, I), ONE)) == 0
+    assert residue_hom((1, 2, 0, 0)) == 0      # sqrt5
 
 
 def test_residue_hom_is_ring_hom():
     rng = random.Random(21)
     for _ in range(40):
         x, y = rand_order_element(rng), rand_order_element(rng)
-        assert residue_hom(x * y) == residue_hom(x) * residue_hom(y) % 5
-        assert residue_hom(x + y) == (residue_hom(x) + residue_hom(y)) % 5
-
-
-def test_residue_hom_rejects_odd_denominators():
-    with pytest.raises(ValueError):
-        residue_hom(QEPSI.from_scalar(Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        residue_hom(QEPSI.from_scalar(Fraction(1, 6)))
+        assert residue_hom(repn._mul(x, y)) == \
+            residue_hom(x) * residue_hom(y) % 5
+        assert residue_hom(add(x, y)) == (residue_hom(x) + residue_hom(y)) % 5
 
 
 def test_teichmuller():
-    assert teichmuller(1) == QEPSI.one
+    assert teichmuller(1) == ONE
     assert teichmuller(2) == I
-    assert teichmuller(3) == -I
-    assert teichmuller(4) == -QEPSI.one
+    assert teichmuller(3) == neg(I)
+    assert teichmuller(4) == neg(ONE)
     for a in range(1, 5):
         assert residue_hom(teichmuller(a)) == a
         for b in range(1, 5):
-            assert teichmuller(a) * teichmuller(b) == teichmuller(a * b)
+            assert zepsi_mul(teichmuller(a), teichmuller(b)) \
+                == teichmuller(a * b)
     with pytest.raises(ValueError):
         teichmuller(0)
     with pytest.raises(ValueError):
@@ -73,35 +163,37 @@ def test_teichmuller():
 def test_varpi_identities():
     assert verify_varpi_identities()
     w = varpi()
-    wc = w.conj("conj")
-    assert QEPSI.from_scalar(2) - EPS == EPS * EPS * w * wc
-    assert EPS * 2 + 1 == EPS * w * wc
-    assert QEPSI.from_scalar(2) - I == EPS * w * (EPS * wc - 1)
+    w_wc = zepsi_mul(w, conj(w))
+    eps2 = zepsi_mul(EPS, EPS)
+    assert (2, -1, 0, 0) == zepsi_mul(eps2, w_wc)             # 2 - eps
+    assert (1, 2, 0, 0) == zepsi_mul(EPS, w_wc)               # sqrt5
+    assert (2, 0, -1, 0) == zepsi_mul(                        # 2 - i
+        zepsi_mul(EPS, w), add(zepsi_mul(EPS, conj(w)), neg(ONE)))
     # mutation: flipping the sign of eps breaks the first identity
-    assert QEPSI.from_scalar(2) + EPS != EPS * EPS * w * wc
+    assert (2, 1, 0, 0) != zepsi_mul(eps2, w_wc)
 
 
 def test_generator_matrices():
     S, T, U = pi_generators()
-    half = Fraction(1, 2)
     w = varpi()
-    assert S == RepMatrix(EPS * half, (w + 2) * half, w * half, EPS * half)
-    assert S.det() == QEPSI.one
-    assert T.det() == QEPSI.one
-    assert U(2, 3).det() == QEPSI.one
-    assert S ** 5 == RepMatrix.identity()
-    assert T ** 4 == RepMatrix.identity()
-    assert U(2, 3) ** 4 == RepMatrix.identity()
+    assert S == EPS + add(w, (2, 0, 0, 0)) + w + EPS
+    assert T == ZERO + (-2, 0, 0, 0) + (2, 0, 0, 0) + ZERO
+    assert key_det(S) == (4, 0, 0, 0)
+    assert key_det(T) == (4, 0, 0, 0)
+    assert key_det(U(2, 3)) == (4, 0, 0, 0)
+    assert key_pow(S, 5) == IDENTITY_KEY
+    assert key_pow(T, 4) == IDENTITY_KEY
+    assert key_pow(U(2, 3), 4) == IDENTITY_KEY
     with pytest.raises(ValueError):
         U(2, 1)
 
 
 def test_generator_residues():
     S, T, U = pi_generators()
-    assert S.residue() == F5Matrix(1, 1, 0, 1)
-    assert T.residue() == F5Matrix(0, -1, 1, 0)
+    assert repn._key_residue(S) == F5Matrix(1, 1, 0, 1)
+    assert repn._key_residue(T) == F5Matrix(0, -1, 1, 0)
     for a, d in ((1, 1), (2, 3), (4, 4)):
-        assert U(a, d).residue() == F5Matrix(a, 0, 0, d)
+        assert repn._key_residue(U(a, d)) == F5Matrix(a, 0, 0, d)
 
 
 def test_enumerate_group():
@@ -123,7 +215,7 @@ def test_group_is_square_determinant_gl2():
 
 def test_lift_pi():
     S, T, U = pi_generators()
-    assert lift_pi(F5Matrix.identity()) == RepMatrix.identity()
+    assert lift_pi(F5Matrix.identity()) == IDENTITY_KEY
     assert lift_pi(F5Matrix(1, 1, 0, 1)) == S
     assert lift_pi(F5Matrix(0, -1, 1, 0)) == T
     assert lift_pi(F5Matrix(2, 0, 0, 3)) == U(2, 3)
@@ -132,12 +224,12 @@ def test_lift_pi():
 
 
 def lift_table_from(lifts):
-    """Each element's lift along its BFS word, from the generator lifts."""
+    """Each element's key along its BFS word, from the generator keys."""
     order, _, parents, _ = repn._group_data()
-    table = {order[0]: RepMatrix.identity()}
+    table = {order[0]: IDENTITY_KEY}
     for g in order[1:]:
         parent, idx = parents[g]
-        table[g] = table[parent] * lifts[idx]
+        table[g] = key_mul(table[parent], lifts[idx])
     return table
 
 
@@ -146,15 +238,17 @@ def generator_lifts():
     return [S, T] + [_diag_lift(a, d) for a, d in repn._admissible_pairs()]
 
 
+# -T, whose key is that of [[0, 1], [-1, 0]]
+NEG_T = ZERO + (2, 0, 0, 0) + (-2, 0, 0, 0) + ZERO
+
+
 def test_unit_edges_match_products():
-    # the helper of the certificate on integer keys against the plain
-    # product, on all 2400 Cayley-graph edges
+    # the helper of the certificate on keys against the plain product, on
+    # all 2400 Cayley-graph edges
     lifts = generator_lifts()
-    for m in repn._lift_table().values():
-        key = repn._int_key(m)
-        assert repn._from_int_key(key) == m
+    for key in repn._lift_table().values():
         for idx, s in enumerate(lifts):
-            assert repn._times_generator(key, idx) == repn._int_key(m * s)
+            assert repn._times_generator(key, idx) == key_mul(key, s)
 
 
 def reference_group_data():
@@ -203,46 +297,45 @@ def test_group_edges_are_the_cayley_graph():
 
 def test_int_keys_are_exact():
     S, T, _ = pi_generators()
-    assert repn._int_key(RepMatrix.identity()) == repn._IDENTITY_KEY
-    assert repn._int_key(S)[:8] == (0, 1, 0, 0, 1, 0, 1, 1)
-    # a coordinate 1/4 has no integer key
-    with pytest.raises(ValueError):
-        repn._int_key(RepMatrix(Fraction(1, 4), 0, 0, 1))
+    assert lift_pi(F5Matrix.identity()) == repn._IDENTITY_KEY
+    assert S[:8] == (0, 1, 0, 0, 1, 0, 1, 1)
     # (1/2) I times S has coordinates in (1/4) Z: the halving raises
-    half = repn._int_key(RepMatrix(Fraction(1, 2), 0, 0, Fraction(1, 2)))
+    half = (1, 0, 0, 0) + ZERO + ZERO + (1, 0, 0, 0)
     with pytest.raises(ArithmeticError):
         repn._times_generator(half, 0)
-    # the residue of a key reads 1/2 as 3, as residue_hom does
-    for m in (S, T, S * T * S):
-        assert repn._key_residue(repn._int_key(m)) == m.residue()
+    # the residue of a key reads 1/2 as 3, and is multiplicative
+    S5, T5 = F5Matrix(1, 1, 0, 1), F5Matrix(0, -1, 1, 0)
+    for key, shadow in ((S, S5), (T, T5),
+                        (key_mul(key_mul(S, T), S), S5 * T5 * S5)):
+        assert repn._key_residue(key) == shadow
 
 
-def _count_calls(monkeypatch, cls, name):
+def _count_calls(monkeypatch, owner, name):
     calls = []
-    method = getattr(cls, name)
+    method = getattr(owner, name)
 
     def counted(*args):
         calls.append(None)
         return method(*args)
 
-    monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def test_certificate_makes_no_matrix_products(monkeypatch):
-    # the lift table, the certificate and the relations run on integer
-    # keys: no product over the order, and the certificate reads the BFS
-    # edges instead of multiplying over F5
+    # the lift table, the certificate and the relations run on keys: no
+    # product in Z[eps, i] once the map of S is built, and the certificate
+    # reads the BFS edges instead of multiplying over F5
     repn._group_data()
-    rep_calls = _count_calls(monkeypatch, RepMatrix, "__mul__")
+    repn._s_map()
+    mul_calls = _count_calls(monkeypatch, repn, "_mul")
     repn._lift_table.cache_clear()
-    repn._table_keys.cache_clear()
     repn._lift_table()
     f5_calls = _count_calls(monkeypatch, F5Matrix, "__mul__")
     assert verify_homomorphism()
     assert f5_calls == []
     assert verify_relations()
-    assert rep_calls == []
+    assert mul_calls == []
 
 
 def test_homomorphism_certificate(lift_table):
@@ -251,7 +344,7 @@ def test_homomorphism_certificate(lift_table):
     pairs = repn._admissible_pairs()
     assert lift_table_from(lifts) == repn._lift_table()
     # -T, and the lifts of U(2, 3) and U(3, 2) swapped, each break it
-    neg_t = lifts[:1] + [RepMatrix(0, 1, -1, 0)] + lifts[2:]
+    neg_t = lifts[:1] + [NEG_T] + lifts[2:]
     swapped = list(lifts)
     i, j = 2 + pairs.index((2, 3)), 2 + pairs.index((3, 2))
     swapped[i], swapped[j] = lifts[j], lifts[i]
@@ -265,19 +358,19 @@ def test_homomorphism_witness(lift_table):
     # the first failing edge in BFS order: with -T, the identity times T
     assert repn.homomorphism_mismatch() is None
     lifts = generator_lifts()
-    neg_t = lifts[:1] + [RepMatrix(0, 1, -1, 0)] + lifts[2:]
-    table = lift_table_from(neg_t)
+    table = lift_table_from(lifts[:1] + [NEG_T] + lifts[2:])
     lift_table(table)
     assert repn.homomorphism_mismatch() == (F5Matrix.identity(), 1)
 
 
-@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(1, 4)])
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(-1, 2)])
 def test_homomorphism_lift_outside_half_integers(lift_table, scale):
-    # L(1) = (1/2) I is in (1/2) Z but L(1) S is not; L(1) = (1/4) I is not
-    # in (1/2) Z: each fails the certificate at its first edge, 1 times S,
-    # and the congruence, without raising
+    # L(1) = +-(1/2) I is in (1/2) Z but L(1) S is not: each fails the
+    # certificate at its first edge, 1 times S, and the congruence, as
+    # +-(1/2) reduces to 3 or 2, without raising
     table = dict(repn._lift_table())
-    table[F5Matrix.identity()] = RepMatrix(scale, 0, 0, scale)
+    k = int(2 * scale)
+    table[F5Matrix.identity()] = (k, 0, 0, 0) + ZERO + ZERO + (k, 0, 0, 0)
     lift_table(table)
     assert repn.homomorphism_mismatch() == (F5Matrix.identity(), 0)
     assert not verify_homomorphism()
@@ -291,64 +384,28 @@ def test_homomorphism_certificate_unit_helper(monkeypatch):
     assert not verify_homomorphism()
 
 
-def zepsi_mul(x, y):
-    """Product in Z[eps, i] of integer 4-vectors on 1, eps, i, i*eps.
-
-    x = u + i v with u, v in Z[eps], and eps^2 = 1 - eps, i^2 = -1.
-    """
-    def zeps(a, b, c, d):  # (a + b eps)(c + d eps)
-        return a * c + b * d, a * d + b * c - b * d
-
-    a, b, c, d = x
-    e, f, g, h = y
-    uu, vv = zeps(a, b, e, f), zeps(c, d, g, h)
-    uv, vu = zeps(a, b, g, h), zeps(c, d, e, f)
-    return (uu[0] - vv[0], uu[1] - vv[1], uv[0] + vu[0], uv[1] + vu[1])
-
-
-def _halved(k, ints):
-    """(k, ints) for ints / 2^k with k as small as possible, as 2x2 rows."""
-    while k and not any(v & 1 for v in ints):
-        k -= 1
-        ints = [v >> 1 for v in ints]
-    return k, tuple(tuple(ints[n:n + 4]) for n in range(0, 16, 4))
-
-
-def scaled_int_matrix(m):
-    """A RepMatrix, whose denominators are powers of 2, as integer
-    4-vectors over one power of 2."""
-    coords = [c for e in (m.a, m.b, m.c, m.d) for c in e.coords]
-    k = max(c.denominator for c in coords).bit_length() - 1
-    return _halved(k, [int(c * 2 ** k) for c in coords])
-
-
-def scaled_int_product(x, y):
-    """The product of two scaled integer matrices, in the same form."""
-    (kx, (a, b, c, d)), (ky, (e, f, g, h)) = x, y
-
-    def dot(p, q, r, s):  # p q + r s in Z[eps, i]
-        return [u + v for u, v in zip(zepsi_mul(p, q), zepsi_mul(r, s))]
-
-    ints = (dot(a, e, b, g) + dot(a, f, b, h)
-            + dot(c, e, d, g) + dot(c, f, d, h))
-    return _halved(kx + ky, ints)
-
-
 def test_scaled_int_product_matches_rep_matrix():
     assert zepsi_mul((0, 1, 0, 0), (0, 1, 0, 0)) == (1, -1, 0, 0)  # eps^2
     assert zepsi_mul((0, 0, 1, 0), (0, 0, 1, 0)) == (-1, 0, 0, 0)  # i^2
+    # the product of two lifts against sympy's, with eps = (sqrt5 - 1)/2
+
+    def sympy_matrix(scaled):
+        k, rows = scaled
+        return sp.Matrix(2, 2, [to_sympy(r) / 2 ** k for r in rows])
+
     rng = random.Random(23)
-    for _ in range(30):
-        x, y = (RepMatrix(*(rand_order_element(rng) for _ in range(4)))
+    for _ in range(8):
+        x, y = (sum((rand_order_element(rng) for _ in range(4)), ())
                 for _ in range(2))
-        assert scaled_int_product(scaled_int_matrix(x),
-                                  scaled_int_matrix(y)) \
-            == scaled_int_matrix(x * y)
+        got = scaled_int_product(scaled_int_matrix(x), scaled_int_matrix(y))
+        want = sympy_matrix(scaled_int_matrix(x)) \
+            * sympy_matrix(scaled_int_matrix(y))
+        assert (sympy_matrix(got) - want).expand() == sp.zeros(2, 2)
 
 
 def test_homomorphism_exhaustive():
     # all 240^2 pairs: the oracle for the Cayley-graph certificate, with
-    # the products taken in integers apart from RepMatrix
+    # the products taken by the test's own integer product
     order = enumerate_group()
     table = {g: scaled_int_matrix(lift_pi(g)) for g in order}
     assert all(scaled_int_product(table[g], table[h]) == table[g * h]
@@ -366,16 +423,15 @@ def test_relations():
 def test_relations_order_mutation(monkeypatch):
     # -S has order 10, so S^5 = 1 fails before any other relation
     S, _, _ = pi_generators()
-    minus_s = RepMatrix(-S.a, -S.b, -S.c, -S.d)
-    assert minus_s ** 5 != RepMatrix.identity()
+    minus_s = neg(S)
+    assert key_pow(minus_s, 5) != IDENTITY_KEY
     minus_s_map = repn._right_map(minus_s)
     with monkeypatch.context() as mp:
         mp.setattr(repn, "_s_map", lambda: minus_s_map)
         assert repn.relations_mismatch() == "S^5 = 1"
     # with (1/2) I for S, S^2 leaves (1/2) Z: S^5 = 1 fails, it does not
     # raise
-    half = Fraction(1, 2)
-    half_s_map = repn._right_map(RepMatrix(half, 0, 0, half))
+    half_s_map = repn._right_map((1, 0, 0, 0) + ZERO + ZERO + (1, 0, 0, 0))
     with monkeypatch.context() as mp:
         mp.setattr(repn, "_s_map", lambda: half_s_map)
         assert repn.relations_mismatch() == "S^5 = 1"
@@ -388,8 +444,9 @@ def test_relations_order_mutation(monkeypatch):
 
 def test_relation_failure_at_nonsquare_ratio():
     S, _, _ = pi_generators()
-    M = _diag_lift(2, 1)
-    assert M * S * M.inv() != S ** 2
+    M, M_inv = _diag_lift(2, 1), _diag_lift(3, 1)
+    assert key_mul(M, M_inv) == IDENTITY_KEY
+    assert key_mul(key_mul(M, S), M_inv) != key_pow(S, 2)
     # the F5 shadow of relation (3) at (a, d) = (2, 3)
     T5 = F5Matrix(0, -1, 1, 0)
     T5inv = F5Matrix(0, 1, -1, 0)
@@ -405,22 +462,42 @@ def test_congruence_and_faithfulness():
 
 
 def test_faithful_mutation(lift_table):
-    # two elements with one lift fail; so does a lift outside (1/2) Z,
-    # without raising
+    # two elements with one lift fail
     order = enumerate_group()
-    for bad in (repn._lift_table()[order[1]],
-                RepMatrix(Fraction(1, 4), 0, 0, 1)):
-        table = dict(repn._lift_table())
-        table[order[2]] = bad
-        lift_table(table)
-        assert not repn.verify_faithful()
+    table = dict(repn._lift_table())
+    table[order[2]] = table[order[1]]
+    lift_table(table)
+    assert not repn.verify_faithful()
 
 
 def test_image_denominators_and_determinants():
+    # each key is 16 integers, so each coordinate of a lift lies in
+    # (1/2) Z; det L = key_det / 4 reduces to det g, as 1/4 -> 4
     for g in enumerate_group():
-        m = lift_pi(g)
-        for entry in (m.a, m.b, m.c, m.d):
-            for coord in entry.coords:
-                den = coord.denominator
-                assert den & (den - 1) == 0
-        assert residue_hom(m.det()) == g.det()
+        key = lift_pi(g)
+        assert len(key) == 16 and all(type(v) is int for v in key)
+        assert residue_hom(key_det(key)) * 4 % 5 == g.det()
+
+
+# -- the product of Z[eps, i], against sympy ------------------------------------
+
+elements = st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4)
+
+
+def test_mul_matches_sympy():
+    # the product rule on symbolic coordinates: one expansion in sympy
+    # covers every pair of elements
+    x, y = sp.symbols("a:d"), sp.symbols("e:h")
+    assert sp.expand(to_sympy(repn._mul(x, y)) - to_sympy(x) * to_sympy(y)) \
+        == 0
+
+
+@PROPERTY
+@given(elements, elements, elements)
+def test_mul_ring_laws(x, y, z):
+    mul = repn._mul
+    assert mul(x, y) == mul(y, x)
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert mul(x, ONE) == x
+
