@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import Poly
 from .quintic import trinomial_t
 
 __all__ = [
@@ -39,7 +38,9 @@ __all__ = [
     "is_square_5adic_unit",
     "is_square_unit_pair",
     "theorem_hypothesis",
+    "artin_schreier_mismatch",
     "artin_schreier_identity",
+    "family_squares_mismatch",
     "verify_family_squares",
 ]
 
@@ -89,10 +90,14 @@ def theorem_hypothesis(B, C) -> bool:
     return t is not None and is_square_5adic_unit(t)
 
 
-def artin_schreier_identity(
-        y4=(Poly.over_q([0, 0, 0, 0, 256]),
-            Poly.over_q([-5625, 0, 0, 0, 3125])),
-        w=Fraction(5, 4)) -> bool:
+def _first_difference(name, lhs, rhs):
+    """None if the polynomials lhs and rhs are equal, else (name, e, c): the
+    lowest power e at which lhs - rhs has a nonzero coefficient, c."""
+    return next(((name, e, c) for e, c in enumerate((lhs - rhs).coeffs)
+                 if c), None)
+
+
+def artin_schreier_mismatch(y4=None, w=Fraction(5, 4)):
     """Prove q_t(x/(wy)) * (wy)^5 = x^5 - x - y in Q(u)[y]/(y^4 - y4)[x].
 
     Here t = u^2, y4 = 256u^4/(625(5u^4 - 9)) and w = 5/4, so the family
@@ -103,24 +108,43 @@ def artin_schreier_identity(
     is a basis of the algebra over Q(u), the identity holds exactly when
     B w^4 y4 = -1 and C w^5 y4 = -1, two identities in Q(u).  With
     k = 9 - 5u^4 and y4 = n/d they are checked cleared of denominators, as
-    k w^4 n = -u^4 d and 4k w^5 n = -5u^4 d in Q[u].  y4, a (num, den)
-    pair, and w are parameters for mutation tests.
+    k w^4 n = -u^4 d and 4k w^5 n = -5u^4 d in Q[u].  Returns None, or for
+    the first that fails (identity, e, c), its sides' first difference c u^e.
+    y4, a (num, den) pair, and w are parameters for mutation tests.
     """
-    n, d = y4
-    u4 = Poly.over_q([0, 0, 0, 0, 1])
+    from .exact import Poly
+    n, d = y4 or (Poly.over_q([0, 0, 0, 0, 256]),
+                  Poly.over_q([-5625, 0, 0, 0, 3125]))
+    u4d = Poly.over_q([0, 0, 0, 0, 1]) * d
     kn = Poly.over_q([9, 0, 0, 0, -5]) * n
-    return (kn.scale(w ** 4) == -(u4 * d)
-            and kn.scale(4 * w ** 5) == -(u4 * d).scale(5))
+    return (_first_difference("k w^4 n = -u^4 d", kn.scale(w ** 4), -u4d)
+            or _first_difference("4k w^5 n = -5u^4 d", kn.scale(4 * w ** 5),
+                                 -u4d.scale(5)))
 
 
-def verify_family_squares(k=Poly.over_q([9, 0, -5])) -> bool:
+def artin_schreier_identity(y4=None, w=Fraction(5, 4)) -> bool:
+    """artin_schreier_mismatch(y4, w) is None."""
+    return artin_schreier_mismatch(y4, w) is None
+
+
+def family_squares_mismatch(k=None):
     """Prove 256k^5 + 1280k^4 t^2 = (48k^2)^2 in Q[t], k = 9 - 5t^2.
 
     q_t has B = k/t^2 and C = 4k/(5t^2), so 256B^5 + 3125C^4 is
     (256k^5 + 1280k^4 t^2)/t^10 = (48k^2/t^5)^2 and
     trinomial_t(q_t) = 75C^2/(48k^2/|t|^5) = |t| for every rational t != 0.
+    Returns None, or (identity, e, c), its sides' first difference c t^e.
     k is a parameter for mutation tests.
     """
+    from .exact import Poly
+    k = Poly.over_q([9, 0, -5]) if k is None else k
     k4 = k ** 4
     t2 = Poly.over_q([0, 0, 1])
-    return (k4 * k).scale(256) + (k4 * t2).scale(1280) == (k * k).scale(48) ** 2
+    return _first_difference("256k^5 + 1280k^4 t^2 = (48k^2)^2",
+                             (k4 * k).scale(256) + (k4 * t2).scale(1280),
+                             (k * k).scale(48) ** 2)
+
+
+def verify_family_squares(k=None) -> bool:
+    """family_squares_mismatch(k) is None."""
+    return family_squares_mismatch(k) is None

@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Optional
 
 __all__ = [
     "Quintic",
@@ -279,7 +278,7 @@ def family_quintic(t) -> Quintic:
     return Quintic(Fraction(0), k / t ** 2, 4 * k / (5 * t ** 2))
 
 
-def trinomial_t(B, C) -> Optional[Fraction]:
+def trinomial_t(B, C) -> Fraction | None:
     """Recover t = 75 C^2 / sqrt(256 B^5 + 3125 C^4) for x^5 + Bx + C.
 
     Uses the positive square root; returns None when the radicand is not

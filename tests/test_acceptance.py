@@ -194,6 +194,8 @@ def test_12_mutation_suite(monkeypatch):
 
     # family squares: k = 9 - 4t^2 in place of 9 - 5t^2
     assert not localfield.verify_family_squares(Poly.over_q([9, 0, -4]))
+    assert localfield.family_squares_mismatch(Poly.over_q([9, 0, -4]))[1:] \
+        == (2, 6 ** 8)
 
     # linking transform: 31104 -> 31105 in the inverse map
     j = Fraction(2)
@@ -208,7 +210,11 @@ def test_12_mutation_suite(monkeypatch):
     # Artin-Schreier: 256 -> 255 in the numerator of y^4, and w = 4/5
     y4 = (Poly.over_q([0, 0, 0, 0, 255]), Poly.over_q([-5625, 0, 0, 0, 3125]))
     assert not localfield.artin_schreier_identity(y4=y4)
+    assert localfield.artin_schreier_mismatch(y4=y4) == (
+        "k w^4 n = -u^4 d", 4, Fraction(-5625, 256))
     assert not localfield.artin_schreier_identity(w=Fraction(4, 5))
+    assert localfield.artin_schreier_mismatch(w=Fraction(4, 5))[:2] == (
+        "k w^4 n = -u^4 d", 4)
 
     # varpi identity: 2 + eps in place of 2 - eps
     eps = (0, 1, 0, 0)

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 import icosahedral
-from icosahedral import cli, hecke, icosa, localfield, qcurve, quintic, repn
+from icosahedral import (
+    analyze, cli, hecke, icosa, localfield, qcurve, quintic, repn)
 from icosahedral.exact import Poly
 
 # the src/ directory of the checkout under test, and its pyproject.toml
@@ -84,11 +85,12 @@ def test_analyze_one_computes_invariants_once(monkeypatch):
 
     for name in ("invariant_pairs", "j_root_pairs", "trinomial_t_pair"):
         monkeypatch.setattr(quintic, name, counted(quintic, name))
-    monkeypatch.setattr(cli, "_square_part", counted(cli, "_square_part"))
+    monkeypatch.setattr(analyze, "_square_part",
+                        counted(analyze, "_square_part"))
     # A = 0 and C != 0: t and the hypothesis come from one trinomial_t_pair
     # call; both j-candidates come from one (base, off) and one radicand
     # split
-    record = cli._analyze_one({"A": (0, 1), "B": (4, 1), "C": (16, 5)})
+    record = analyze._analyze_one({"A": (0, 1), "B": (4, 1), "C": (16, 5)})
     assert record["j_candidates"] == ["86048 - 38496*sqrt(5)",
                                       "86048 + 38496*sqrt(5)"]
     assert record["t"] == "1" and record["hypothesis"] is True
@@ -145,13 +147,13 @@ def test_analyze_writes_each_record_before_the_next(tmp_path, monkeypatch):
     buf = io.StringIO()
     monkeypatch.setattr(sys, "stdout", buf)
     written = []
-    analyze_one = cli._analyze_one
+    analyze_one = analyze._analyze_one
 
     def recording(rec):
         written.append(buf.getvalue().count("\n"))
         return analyze_one(rec)
 
-    monkeypatch.setattr(cli, "_analyze_one", recording)
+    monkeypatch.setattr(analyze, "_analyze_one", recording)
     assert cli.main(["analyze", "--file", str(path), "--json"]) == 0
     assert written == [0, 1, 2]
     assert buf.getvalue().count("\n") == 4
@@ -220,14 +222,14 @@ def test_quad_string_radicand_matches_factorint():
         elif kind == 3:
             m *= large[0] ** 2
         n = s * s * m
-        assert cli._square_part(n) == square_part_reference(n)
+        assert analyze._square_part(n) == square_part_reference(n)
         den = rng.choice((1, 1, 4, 5, 12, 9973 ** 2))
         d = Fraction(rng.choice((-1, 1)) * n, den)
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
         b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
                      rng.randint(1, 9))
-        plus, minus = cli._conjugate_strings(
-            pair(a), pair(b), *cli._split_radicand(*pair(d)))
+        plus, minus = analyze._conjugate_strings(
+            pair(a), pair(b), *analyze._split_radicand(*pair(d)))
         want = d.numerator * d.denominator
         want //= square_part_reference(abs(want)) ** 2
         assert parse_quad(plus)[2] == parse_quad(minus)[2] == want
@@ -242,10 +244,10 @@ def test_quad_string_large_square_kept():
     p, q = 10007, 10009
     assert p * p * q >= 10 ** 12
     n = 2 ** 2 * 3 * p * p * q
-    assert cli._square_part(n) == 2
+    assert analyze._square_part(n) == 2
     d = Fraction(-n, 5)
-    plus, minus = cli._conjugate_strings((1, 3), (-7, 2),
-                                         *cli._split_radicand(*pair(d)))
+    plus, minus = analyze._conjugate_strings(
+        (1, 3), (-7, 2), *analyze._split_radicand(*pair(d)))
     assert parse_quad(plus)[2] == parse_quad(minus)[2] == -3 * 5 * p * p * q
     assert_quad_exact(plus, Fraction(1, 3), Fraction(-7, 2), d)
     assert_quad_exact(minus, Fraction(1, 3), Fraction(7, 2), d)
@@ -289,7 +291,7 @@ factored = st.lists(
 @example(9973 ** 4 * 10007)
 @example(10007 ** 2 * 10009)
 def test_square_part_matches_trial_division(n):
-    assert cli._square_part(n) == square_part_trial_division(n)
+    assert analyze._square_part(n) == square_part_trial_division(n)
 
 
 def test_analyze_large_input_within_budget():
@@ -346,7 +348,7 @@ json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
     st.floats(allow_nan=False, allow_infinity=False), exact_texts,
     st.text(max_size=6))
-# numerators and denominators on both sides of cli.MAX_INPUT_DIGITS
+# numerators and denominators on both sides of analyze.MAX_INPUT_DIGITS
 long_texts = st.from_regex(r"[+-]?[0-9]{78,82}(/[0-9]{1,82})?", fullmatch=True)
 field_values = st.one_of(st.integers(-10 ** 6, 10 ** 6), exact_texts,
                          long_texts, st.integers(-10 ** 82, 10 ** 82),
@@ -418,9 +420,9 @@ def test_parse_record_accepts_exact_rationals_only(obj):
     want = expected_record(obj)
     if want is None:
         with pytest.raises(ValueError):
-            cli._parse_record(obj)
+            analyze._parse_record(obj)
     else:
-        assert cli._parse_record(obj) == want
+        assert analyze._parse_record(obj) == want
 
 
 SEVENS = "7" * 870
@@ -484,7 +486,7 @@ def test_analyze_digit_bound(tmp_path, capsys):
     # the worst case at the bound: 80-digit numerators and pairwise coprime
     # 80-digit denominators; the longest printed integer stays below the
     # 4300 digits str() accepts
-    top = 10 ** cli.MAX_INPUT_DIGITS
+    top = 10 ** analyze.MAX_INPUT_DIGITS
     args = [f"{top - 2}/{top - 1}", f"-{top - 4}/{top - 3}",
             f"{top - 8}/{top - 9}"]
     rc, out, _ = run_cli(capsys, "analyze", "--a", args[0], "--b=" + args[1],
@@ -535,9 +537,9 @@ def test_analyze_digit_bound(tmp_path, capsys):
 def test_analyze_digit_bound_under_lowered_int_limit():
     # the 80-digit worst case prints integers of more than 640 digits; a
     # lowered int-to-str limit is raised to the default while the CLI runs
-    nines = "9" * cli.MAX_INPUT_DIGITS
+    nines = "9" * analyze.MAX_INPUT_DIGITS
 
-    def analyze(a, limit):
+    def run_analyze(a, limit):
         env = child_env()
         env.pop("PYTHONINTMAXSTRDIGITS", None)
         if limit:
@@ -547,11 +549,11 @@ def test_analyze_digit_bound_under_lowered_int_limit():
              "--b", f"7/{nines}", "--c", "5"],
             capture_output=True, env=env, timeout=60)
 
-    default, lowered = analyze(nines, None), analyze(nines, "640")
+    default, lowered = run_analyze(nines, None), run_analyze(nines, "640")
     assert default.returncode == lowered.returncode == 0
     assert lowered.stdout == default.stdout
     assert max(len(d) for d in re.findall(rb"\d+", lowered.stdout)) > 640
-    over = analyze(nines + "9", "640")
+    over = run_analyze(nines + "9", "640")
     assert over.returncode == 2 and over.stdout == b""
     assert b"more than 80 digits" in over.stderr
 
@@ -833,7 +835,7 @@ GOLDEN_ANALYZE_INPUT = Path(__file__).parent / "golden" / "analyze_input.jsonl"
 
 
 def golden_analyze_records():
-    return [cli._parse_record(json.loads(line))
+    return [analyze._parse_record(json.loads(line))
             for line in GOLDEN_ANALYZE_INPUT.read_text().splitlines()]
 
 
@@ -859,24 +861,23 @@ def test_analyze_builds_no_algebra(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("analyze built an element of Q(sqrt5)")
 
-    cli._analysis_modules()
     monkeypatch.setattr(Sqrt5, "__init__", refused)
     golden = GOLDEN_ANALYZE_INPUT.with_name("analyze.jsonl")
     lines = golden.read_text().splitlines()
     records = golden_analyze_records()
     assert len(lines) == len(records) + 1
     for rec, line in zip(records, lines):
-        assert json.dumps(cli._analyze_one(rec), separators=(",", ":")) == line
+        assert json.dumps(analyze._analyze_one(rec),
+                          separators=(",", ":")) == line
 
 
 def test_analyze_builds_no_fraction(capsys, monkeypatch):
     # each record is carried as integer pairs from the parse to the printed
     # line: with quintic and localfield imported, analyze on every golden
     # record builds no Fraction, in the parse or after it
-    cli._analysis_modules()
     built = {"parse": 0, "analyze": 0}
     phase = ["parse"]
-    new, analyze_one = Fraction.__new__, cli._analyze_one
+    new, analyze_one = Fraction.__new__, analyze._analyze_one
 
     def counted_new(cls, *args, **kwargs):
         built[phase[0]] += 1
@@ -887,7 +888,7 @@ def test_analyze_builds_no_fraction(capsys, monkeypatch):
         return analyze_one(rec)
 
     monkeypatch.setattr(Fraction, "__new__", counted_new)
-    monkeypatch.setattr(cli, "_analyze_one", analyze_phase)
+    monkeypatch.setattr(analyze, "_analyze_one", analyze_phase)
     rc, out, _ = run_cli(capsys, "analyze", "--file",
                          str(GOLDEN_ANALYZE_INPUT), "--json")
     monkeypatch.undo()
@@ -938,6 +939,29 @@ def test_verify_hecke_square_identity_witness(capsys, monkeypatch):
     by_id = {c["id"]: c for c in json.loads(out)["checks"]}
     assert by_id["hecke/square-identity"]["witness"] == \
         "fails at the unit x = 3 + 5 eps mod 8 sqrt5"
+
+
+def test_verify_localfield_identity_witnesses(capsys, monkeypatch):
+    # the mutations of the two localfield proofs, run through the suite:
+    # each witness names the identity and its first nonzero coefficient
+    y4 = (Poly.over_q([0, 0, 0, 0, 255]), Poly.over_q([-5625, 0, 0, 0, 3125]))
+    schreier = localfield.artin_schreier_mismatch
+    squares = localfield.family_squares_mismatch
+    monkeypatch.setattr(localfield, "artin_schreier_mismatch",
+                        lambda *args: schreier(y4))
+    monkeypatch.setattr(localfield, "family_squares_mismatch",
+                        lambda *args: squares(Poly.over_q([9, 0, -4])))
+    rc, out, _ = run_cli(capsys, "verify", "localfield")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["localfield/artin-schreier"]["witness"] == \
+        "k w^4 n = -u^4 d fails: left minus right has the coefficient " \
+        "-5625/256 at u^4"
+    assert by_id["localfield/family-squares"]["witness"] == \
+        "256k^5 + 1280k^4 t^2 = (48k^2)^2 fails: left minus right has the " \
+        "coefficient 1679616 at t^2"
+    assert [c["status"] for c in by_id.values()] == \
+        ["fail", "pass", "pass", "fail"]
 
 
 def test_verify_resolvent_failure_witness(capsys, monkeypatch):
@@ -1086,37 +1110,59 @@ def test_out_unwritable(tmp_path, capsys, argv):
     assert not missing.parent.exists()
 
 
+# the modules a CLI run adds to an interpreter started without site, one a
+# line; sys.modules is read before the probe imports anything (io is
+# loaded at start-up)
 _LOADED = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)
+import io
+out, sys.stdout = sys.stdout, io.StringIO()
 from icosahedral import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        cli.main(sys.argv[1:])
-    except SystemExit:
-        pass
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "icosahedral")))
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+sys.stdout = out
+print("\\n".join(sorted(set(sys.modules) - before)))
 """
 _START = ["icosahedral", "icosahedral.cli"]
+# stdlib modules that --help, which runs no subcommand, does not use
+_NOT_FOR_HELP = {"json", "logging", "fractions", "decimal", "dataclasses",
+                 "inspect"}
 
 
-@pytest.mark.parametrize("argv, extra", [
-    (["--help"], []),
-    (["table"], ["quintic"]),
-    (["analyze", "--b", "1", "--c", "1"], ["exact", "localfield", "quintic"]),
-    (["verify", "hecke"], ["hecke"]),
-    (["verify", "repn"], ["repn"]),
+def loaded_modules(argv, log=None):
+    env = child_env()
+    env.pop("ICOSAHEDRAL_LOG", None)
+    if log is not None:
+        env["ICOSAHEDRAL_LOG"] = log
+    done = subprocess.run([sys.executable, "-S", "-c", _LOADED, *argv],
+                          capture_output=True, check=True, env=env)
+    return done.stdout.decode().split()
+
+
+@pytest.mark.parametrize("argv, extra, absent", [
+    (["--help"], [], _NOT_FOR_HELP),
+    (["table"], ["quintic", "reports", "suites"], {"typing"}),
+    (["analyze", "--b", "1", "--c", "1"],
+     ["analyze", "localfield", "quintic", "reports"], {"typing"}),
+    (["verify", "hecke"], ["hecke", "reports", "suites"], set()),
+    (["verify", "repn"], ["repn", "reports", "suites"], set()),
     (["verify", "all"], ["exact", "hecke", "icosa", "localfield", "qcurve",
-                         "quintic", "repn"]),
+                         "quintic", "repn", "reports", "suites"], set()),
 ], ids=["help", "table", "analyze", "verify-hecke", "verify-repn",
         "verify-all"])
-def test_subcommand_loads_only_its_modules(argv, extra):
+def test_subcommand_loads_only_its_modules(argv, extra, absent):
     # each subcommand imports only what it runs, in a fresh interpreter: a
-    # module-level import in cli would add its module to every set
-    done = subprocess.run([sys.executable, "-c", _LOADED, *argv],
-                          capture_output=True, check=True, env=child_env())
-    assert json.loads(done.stdout) == \
-        _START + [f"icosahedral.{m}" for m in extra]
+    # module-level import in cli would add its module to every set, and
+    # logging is imported only when ICOSAHEDRAL_LOG is set
+    loaded = loaded_modules(argv)
+    assert [m for m in loaded if m.split(".")[0] == "icosahedral"] == \
+        sorted(_START + [f"icosahedral.{m}" for m in extra])
+    assert not (absent | {"logging"}) & set(loaded)
+    if argv == ["verify", "hecke"]:
+        assert "logging" in loaded_modules(argv, log="INFO")
 
 
 def test_reports_byte_stable_across_processes():

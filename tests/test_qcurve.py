@@ -5,7 +5,6 @@ import pytest
 import sympy as sp
 
 from icosahedral import exact, qcurve
-from icosahedral.cli import KLEIN_FIXED_J
 from icosahedral.exact import SQRT5, Poly, poly_divides, poly_gcd
 from icosahedral.qcurve import (
     EllipticCurve, curve_from_j, curve_from_t, discriminant,
@@ -19,6 +18,7 @@ from icosahedral.qcurve import (
     isogeny_mismatch,
 )
 from icosahedral.quintic import Quintic, invariants, j_candidates, j_equation
+from icosahedral.suites import KLEIN_FIXED_J
 
 # -- point arithmetic mod p: an oracle independent of the isogeny proofs --
 
