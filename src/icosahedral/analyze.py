@@ -8,14 +8,23 @@ as base +- off*sqrt(5*disc)) and t come from the pair functions of
 quintic; every product, sum and reduction in the rendered strings is taken
 on numerator and denominator, and every number is rendered by _ratio.  So
 no algebra, no Fraction and no quintic object is built per record.
+
+A batch is split into contiguous shards of at least _MIN_SHARD records,
+one per CPU of the affinity mask.  Shard 0 is analyzed here, each record
+written before the next; each other shard in a child forked onto its own
+CPU, whose pipe is read to EOF before it is reaped (so no payload can
+block both) and written here in shard order: the same bytes at any k.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import marshal
 import math
+import os
 import re
+import signal
 import sys
 
 from . import localfield, quintic
@@ -253,6 +262,38 @@ def _analyze_one(rec: dict) -> dict:
 
 # json.dumps builds a new encoder on every call that passes separators
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+_MIN_SHARD = 500  # the fewest records in a shard, about 45 ms of work
+
+
+def _analyze_records(start, records, write) -> list:
+    """Records start + 1, ... analyzed and written in turn; their checks."""
+    checks = []
+    for i, rec in enumerate(records, start + 1):
+        r = _analyze_one(rec)
+        write(_COMPACT_JSON.encode(r) + "\n")
+        checks.append(_check(f"record-{i}", r.get("label", r["quintic"]),
+                             "pass" if r["status"] == "ok" else "skipped",
+                             r.get("error")))
+    return checks
+
+
+def _fork_shard(start, records, cpu) -> tuple:
+    """(pid, pipe) of a child on CPU cpu that marshals _analyze_records'
+    joined lines and checks down the pipe, then leaves by os._exit."""
+    r, w = os.pipe()
+    if pid := os.fork():
+        os.close(w)
+        return pid, open(r, "rb")
+    try:
+        os.close(r)
+        os.sched_setaffinity(0, {cpu})
+        lines = []
+        checks = _analyze_records(start, records, lines.append)
+        with open(w, "wb") as pipe:
+            pipe.write(marshal.dumps(("".join(lines), checks)))
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def cmd_analyze(args) -> int:
@@ -279,25 +320,43 @@ def cmd_analyze(args) -> int:
     else:
         records.append({"A": args.a if args.a is not None else (0, 1),
                         "B": args.b, "C": args.c})
-    _log_info("analyzing %d record(s)", len(records))
-    # every record parsed, so no bad line can follow output; from here each
-    # record is analyzed and written before the next
-    checks, bad = [], 0
-    with _output(args.out) as fh:
-        for i, rec in enumerate(records, start=1):
-            r = _analyze_one(rec)
-            fh.write(_COMPACT_JSON.encode(r) + "\n")
-            ok = r["status"] == "ok"
-            bad += not ok
+    cpus = [None]  # one shard where os has no fork or no affinity mask
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)[:max(1, len(records) // _MIN_SHARD)]
+    n, k = len(records), len(cpus)
+    shards = [(n * i // k, records[n * i // k:n * (i + 1) // k])
+              for i in range(k)]
+    _log_info("analyzing %d record(s) in %d process(es)", n, k)
+    # every record parsed, so no bad line can follow output
+    children = []
+    try:
+        for shard, cpu in zip(shards[1:], cpus[1:]):
+            children.append(_fork_shard(*shard, cpu))
+        if k > 1:
+            os.sched_setaffinity(0, {cpus[0]})
+        with _output(args.out) as fh:
+            checks = _analyze_records(*shards[0], fh.write)
+            while children:
+                with children[0][1] as pipe:
+                    data = pipe.read()
+                if os.waitpid(children.pop(0)[0], 0)[1]:
+                    raise RuntimeError("an analyze shard process failed")
+                text, more = marshal.loads(data)
+                fh.write(text)
+                checks += more
             if args.json:
-                checks.append(_check(f"record-{i}",
-                                     r.get("label", r["quintic"]),
-                                     "pass" if ok else "skipped",
-                                     r.get("error")))
-        if args.json:
-            fh.write(_COMPACT_JSON.encode(
-                _report("analyze", checks, args, None)) + "\n")
+                fh.write(_COMPACT_JSON.encode(
+                    _report("analyze", checks, args, None)) + "\n")
+    finally:
+        for pid, pipe in children:  # not yet read: killed and reaped
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+        if k > 1:
+            os.sched_setaffinity(0, mask)
     if not args.json:
-        print(f"{len(records)} record(s), {len(records) - bad} ok, "
-              f"{bad} with errors", file=sys.stderr)
+        bad = sum(c["status"] != "pass" for c in checks)
+        print(f"{n} record(s), {n - bad} ok, {bad} with errors",
+              file=sys.stderr)
     return 0

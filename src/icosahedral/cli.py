@@ -4,8 +4,8 @@ Three subcommands:
 
 * ``analyze``: compute invariants, j-candidates, the scaling parameter t and
   the square-unit hypothesis for quintics given inline or as a JSON-lines
-  file.  One compact JSON object per quintic is written to stdout; with
-  ``--json`` a final report object follows the records.
+  file, a batch in one forked process per CPU.  One compact JSON object per
+  quintic is written to stdout, in input order; ``--json`` adds a report.
 * ``verify``: run a named verification suite (or ``all``) and emit a JSON
   report with per-check status.
 * ``table``: recompute the scaling parameters of the five principal quintics
@@ -20,9 +20,9 @@ from this one, which ``python -m icosahedral.cli`` runs as ``__main__``: a
 second copy would hold a second class of each name.
 
 Exit codes: 0 when every check passes, 1 on a verification failure, 2 on a
-usage or parse error or an ``--out`` file that cannot be written.  Reports
-are byte-stable for fixed inputs and seed; wall-clock timing is only
-included under ``--timings`` because it would break that stability.
+usage or parse error or an ``--out`` file or stdout that cannot be written.
+Reports are byte-stable for fixed inputs and seed, at any CPU count; wall
+time is only included under ``--timings``, as it would break that.
 Exact rationals are serialized as "p/q" strings.
 """
 

@@ -54,24 +54,32 @@ def _report(suite, checks, args, wall_ms) -> dict:
 
 
 class _CannotWrite(Exception):
-    """The --out file could not be opened or written."""
+    """The --out file or stdout could not be opened or written."""
 
 
 @contextlib.contextmanager
 def _output(out_path):
-    """The output: the file out_path, else stdout.
+    """The output: the file out_path, else stdout, flushed at the end.
 
-    An OSError opening or writing out_path leaves as _CannotWrite, which
-    cli.main reports on one stderr line with exit code 2.
+    An OSError leaves as _CannotWrite, which cli.main reports on one stderr
+    line with exit code 2; stdout then goes to os.devnull, for a quiet exit.
     """
-    if not out_path:
-        yield sys.stdout
-        return
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            yield fh
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                yield fh
+        else:
+            yield sys.stdout
+            sys.stdout.flush()
     except OSError as exc:
-        raise _CannotWrite(f"cannot write {out_path}: {exc.strerror or exc}")
+        if not out_path:
+            with contextlib.suppress(OSError, ValueError):  # no fileno()
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        raise _CannotWrite(f"cannot write {out_path or 'stdout'}: "
+                           f"{exc.strerror or exc}")
 
 
 def _emit(text: str, out_path) -> None:

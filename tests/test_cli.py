@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import importlib.util
 import io
 import json
@@ -1110,6 +1111,205 @@ def test_out_unwritable(tmp_path, capsys, argv):
     assert not missing.parent.exists()
 
 
+def cli_process(*argv, env=None, **kwargs):
+    """A CLI process on this checkout, with stdout and stderr piped."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.Popen(
+        [sys.executable, "-m", "icosahedral.cli", *argv],
+        stderr=subprocess.PIPE, env=env or child_env(), **kwargs)
+
+
+def read_early_then_close(proc, size=100):
+    """Read size bytes of proc's stdout, close it, and wait: the exit code
+    and stderr."""
+    proc.stdout.read(size)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
+
+
+def stdout_env(buffered):
+    """child_env, with stdout block-buffered, as is the default for a pipe
+    or a file, or unbuffered (PYTHONUNBUFFERED)."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ("verify", "all"),
+    ("table",),
+    ("analyze", "--b", "4", "--c", "16/5"),
+    ("analyze", "--file", str(GOLDEN_ANALYZE_INPUT), "--json"),
+])
+def test_stdout_full(argv, buffered):
+    # a stdout that cannot be written is a usage-level failure: exit 2 and
+    # one stderr line, like an --out file that cannot be written; buffered,
+    # a short output fails only when it is flushed
+    with open("/dev/full", "wb") as full:
+        proc = cli_process(*argv, stdout=full, env=stdout_env(buffered))
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode() == ("error: cannot write stdout: "
+                            f"{os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv, size", [
+    (("analyze", "--file", str(GOLDEN_ANALYZE_INPUT), "--json"), 100),
+    (("verify", "hecke"), 0),
+])
+def test_stdout_closed_early(argv, size, buffered):
+    # the golden output is larger than a pipe holds, and hecke's report is
+    # written after the reader has gone; each write then fails with EPIPE
+    proc = cli_process(*argv, env=stdout_env(buffered))
+    rc, err = read_early_then_close(proc, size)
+    assert rc == 2
+    assert err.decode() == ("error: cannot write stdout: "
+                            f"{os.strerror(errno.EPIPE)}\n")
+
+
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the affinity mask has fewer than 2 CPUs")
+
+
+def sharded_batch(tmp_path):
+    """The golden input repeated to at least three minimum shards, with
+    blank lines mixed in; its path and its number of records."""
+    lines = GOLDEN_ANALYZE_INPUT.read_text().splitlines()
+    reps = -(-3 * analyze._MIN_SHARD // len(lines))
+    body = "".join(line + ("\n\n" if i % 50 == 7 else "\n")
+                   for i, line in enumerate(lines))
+    path = tmp_path / "sharded.jsonl"
+    path.write_text((body + "  \n") * reps)
+    return path, len(lines) * reps
+
+
+def on_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@two_cpus
+def test_analyze_shards_write_the_same_bytes(tmp_path):
+    # with the full mask the batch runs in several processes, pinned to one
+    # CPU in one; stdout, stderr and --out are the same bytes either way:
+    # the golden records in input order, then the golden report's checks
+    # numbered on
+    path, n = sharded_batch(tmp_path)
+    golden = GOLDEN_ANALYZE_INPUT.with_name("analyze.jsonl").read_bytes()
+    *records, report = golden.splitlines(keepends=True)
+    reps = n // len(records)
+    checks = [dict(check, id=f"record-{i}") for i, check in enumerate(
+        json.loads(report)["checks"] * reps, start=1)]
+    out = tmp_path / "out.jsonl"
+    for flags in (["--json"], []):
+        argv = [sys.executable, "-m", "icosahedral.cli", "analyze", "--file",
+                str(path), *flags]
+        full, one = (subprocess.run(argv, capture_output=True, check=True,
+                                    env=child_env(), preexec_fn=preexec,
+                                    timeout=120)
+                     for preexec in (None, on_one_cpu))
+        assert (full.stdout, full.stderr) == (one.stdout, one.stderr)
+        subprocess.run(argv + ["--out", str(out)], capture_output=True,
+                       check=True, env=child_env(), timeout=120)
+        assert out.read_bytes() == full.stdout
+        lines = full.stdout.splitlines(keepends=True)
+        assert lines[:n] == records * reps
+        assert len(lines) == n + bool(flags)
+        if flags:
+            assert json.loads(lines[-1])["checks"] == checks
+
+
+@two_cpus
+@pytest.mark.parametrize("bad", [b"not json\n",
+                                 b'{"B": "4", "C": "1\xe96/5"}\n'])
+def test_analyze_bad_line_in_last_shard(tmp_path, bad):
+    # every record is parsed before any fork or output: the message, line
+    # number and exit code are those of the same line alone in a file
+    alone = tmp_path / "alone.jsonl"
+    alone.write_bytes(bad)
+    err = cli_process("analyze", "--file", str(alone)).communicate()[1]
+    message = err.split(b":1: ", 1)[1]
+    path, _ = sharded_batch(tmp_path)
+    data = path.read_bytes()
+    lineno = data.count(b"\n") + 1
+    path.write_bytes(data + bad + b'{"B": "4", "C": "16/5"}\n')
+    proc = cli_process("analyze", "--file", str(path), "--json")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2 and out == b""
+    assert err == f"error: {path}:{lineno}: ".encode() + message
+
+
+@two_cpus
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("end", ["normal", "out-full", "stdout-closed"])
+def test_analyze_leaves_no_process(tmp_path, end):
+    # the CLI's process group, its own session, is empty once it has exited:
+    # each shard process has been reaped, on success and on failure
+    path, _ = sharded_batch(tmp_path)
+    argv = ("analyze", "--file", str(path), "--json")
+    if end == "out-full":
+        argv += ("--out", "/dev/full")
+    proc = cli_process(*argv, start_new_session=True)
+    if end == "stdout-closed":
+        rc, err = read_early_then_close(proc)
+    else:
+        err = proc.communicate(timeout=120)[1]
+        rc = proc.returncode
+    assert rc == (0 if end == "normal" else 2)
+    assert err.count(b"\n") == (rc != 0) and b"Traceback" not in err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@two_cpus
+def test_analyze_failed_shard_raises(tmp_path, capsys, monkeypatch):
+    # a shard process that fails makes the parent raise at once, with every
+    # child reaped and the caller's affinity mask as it was
+    path, _ = sharded_batch(tmp_path)
+    with path.open("a") as fh:
+        fh.write('{"B": "4", "C": "16/5", "label": "fails"}\n')
+    analyze_one = analyze._analyze_one
+
+    def failing(rec):
+        if rec.get("label") == "fails":
+            raise ZeroDivisionError("a fault in the last shard")
+        return analyze_one(rec)
+
+    monkeypatch.setattr(analyze, "_analyze_one", failing)
+    mask = os.sched_getaffinity(0)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="shard process failed"):
+        cli.main(["analyze", "--file", str(path), "--json"])
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == mask
+
+
+@two_cpus
+def test_analyze_logs_its_process_count(tmp_path):
+    # only the parent logs, once; unset, the log adds nothing to stderr
+    path, n = sharded_batch(tmp_path)
+    k = min(len(os.sched_getaffinity(0)), n // analyze._MIN_SHARD)
+    env = child_env()
+    for log, want in (("info", "INFO icosahedral.cli: analyzing "
+                               f"{n} record(s) in {k} process(es)\n"),
+                      (None, "")):
+        env.pop("ICOSAHEDRAL_LOG", None)
+        if log:
+            env["ICOSAHEDRAL_LOG"] = log
+        proc = cli_process("analyze", "--file", str(path), "--json", env=env)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0 and err.decode() == want
+
+
 # the modules a CLI run adds to an interpreter started without site, one a
 # line; sys.modules is read before the probe imports anything (io is
 # loaded at start-up)
@@ -1144,9 +1344,11 @@ def loaded_modules(argv, log=None):
 
 @pytest.mark.parametrize("argv, extra, absent", [
     (["--help"], [], _NOT_FOR_HELP),
-    (["table"], ["quintic", "reports", "suites"], {"typing"}),
+    (["table"], ["quintic", "reports", "suites"],
+     {"typing", "dataclasses", "inspect"}),
     (["analyze", "--b", "1", "--c", "1"],
-     ["analyze", "localfield", "quintic", "reports"], {"typing"}),
+     ["analyze", "localfield", "quintic", "reports"],
+     {"typing", "dataclasses", "inspect"}),
     (["verify", "hecke"], ["hecke", "reports", "suites"], set()),
     (["verify", "repn"], ["repn", "reports", "suites"], set()),
     (["verify", "all"], ["exact", "hecke", "icosa", "localfield", "qcurve",
