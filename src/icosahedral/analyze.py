@@ -10,14 +10,16 @@ on numerator and denominator, and every number is rendered by _ratio.  So
 no algebra, no Fraction and no quintic object is built per record.
 
 A batch is split into contiguous shards of at least _MIN_SHARD records,
-one per CPU of the affinity mask.  Shard 0 is analyzed here, each record
-written before the next; each other shard in a child forked onto its own
-CPU, whose pipe is read to EOF before it is reaped (so no payload can
-block both) and written here in shard order: the same bytes at any k.
+at most one per CPU of the affinity mask.  Shard 0 is analyzed here, each
+record written before the next; each other shard in a forked child, whose
+pipe is read to EOF before it is reaped (so no payload can block both) and
+written here in shard order: the same bytes at any k.  A child that fails
+sends its traceback, which the RuntimeError raised here carries.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import marshal
@@ -262,7 +264,9 @@ def _analyze_one(rec: dict) -> dict:
 
 # json.dumps builds a new encoder on every call that passes separators
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
-_MIN_SHARD = 500  # the fewest records in a shard, about 45 ms of work
+# the fewest records in a shard: on 2 vCPUs, two shards of 2000 records
+# or fewer were no faster than one process, and two of 3000 were
+_MIN_SHARD = 3000
 
 
 def _analyze_records(start, records, write) -> list:
@@ -277,23 +281,48 @@ def _analyze_records(start, records, write) -> list:
     return checks
 
 
-def _fork_shard(start, records, cpu) -> tuple:
-    """(pid, pipe) of a child on CPU cpu that marshals _analyze_records'
-    joined lines and checks down the pipe, then leaves by os._exit."""
+def _fork_shard(start, records) -> tuple:
+    """(pid, pipe) of a child that marshals (True, _analyze_records' joined
+    lines, its checks), or (False, its traceback), down the pipe, then
+    leaves by os._exit."""
     r, w = os.pipe()
     if pid := os.fork():
         os.close(w)
         return pid, open(r, "rb")
     try:
         os.close(r)
-        os.sched_setaffinity(0, {cpu})
-        lines = []
-        checks = _analyze_records(start, records, lines.append)
+        try:
+            lines = []
+            checks = _analyze_records(start, records, lines.append)
+            result = True, "".join(lines), checks
+        except BaseException:
+            import traceback
+            result = False, traceback.format_exc()
         with open(w, "wb") as pipe:
-            pipe.write(marshal.dumps(("".join(lines), checks)))
-        os._exit(0)
+            pipe.write(marshal.dumps(result))
     finally:
-        os._exit(1)
+        os._exit(0)  # never back into the caller's code
+
+
+def _next_shard(children) -> list:
+    """[text, checks] of the child children[0], whose pipe is read to EOF
+    before it is reaped and dropped; RuntimeError where it failed."""
+    pid, pipe = children[0]
+    try:
+        with pipe:
+            data = pipe.read()
+        with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored
+            os.waitpid(pid, 0)
+    except OSError as exc:  # the shard's fault, not the output's
+        raise RuntimeError(f"an analyze shard process failed: {exc}")
+    del children[0]
+    try:
+        ok, *result = marshal.loads(data)
+    except (EOFError, ValueError):
+        ok, result = False, ["it sent no result"]
+    if not ok:
+        raise RuntimeError(f"an analyze shard process failed:\n{result[0]}")
+    return result
 
 
 def cmd_analyze(args) -> int:
@@ -320,41 +349,32 @@ def cmd_analyze(args) -> int:
     else:
         records.append({"A": args.a if args.a is not None else (0, 1),
                         "B": args.b, "C": args.c})
-    cpus = [None]  # one shard where os has no fork or no affinity mask
+    n, k = len(records), 1  # one shard where os has no fork or affinity
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        mask = os.sched_getaffinity(0)
-        cpus = sorted(mask)[:max(1, len(records) // _MIN_SHARD)]
-    n, k = len(records), len(cpus)
+        k = min(len(os.sched_getaffinity(0)), max(1, n // _MIN_SHARD))
     shards = [(n * i // k, records[n * i // k:n * (i + 1) // k])
               for i in range(k)]
     _log_info("analyzing %d record(s) in %d process(es)", n, k)
     # every record parsed, so no bad line can follow output
     children = []
     try:
-        for shard, cpu in zip(shards[1:], cpus[1:]):
-            children.append(_fork_shard(*shard, cpu))
-        if k > 1:
-            os.sched_setaffinity(0, {cpus[0]})
+        for shard in shards[1:]:
+            children.append(_fork_shard(*shard))
         with _output(args.out) as fh:
             checks = _analyze_records(*shards[0], fh.write)
             while children:
-                with children[0][1] as pipe:
-                    data = pipe.read()
-                if os.waitpid(children.pop(0)[0], 0)[1]:
-                    raise RuntimeError("an analyze shard process failed")
-                text, more = marshal.loads(data)
+                text, more = _next_shard(children)
                 fh.write(text)
                 checks += more
             if args.json:
                 fh.write(_COMPACT_JSON.encode(
                     _report("analyze", checks, args, None)) + "\n")
     finally:
-        for pid, pipe in children:  # not yet read: killed and reaped
-            os.kill(pid, signal.SIGKILL)
+        for pid, pipe in children:  # not yet reaped: killed and reaped
             pipe.close()
-            os.waitpid(pid, 0)
-        if k > 1:
-            os.sched_setaffinity(0, mask)
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     if not args.json:
         bad = sum(c["status"] != "pass" for c in checks)
         print(f"{n} record(s), {n - bad} ok, {bad} with errors",

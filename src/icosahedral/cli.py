@@ -4,8 +4,9 @@ Three subcommands:
 
 * ``analyze``: compute invariants, j-candidates, the scaling parameter t and
   the square-unit hypothesis for quintics given inline or as a JSON-lines
-  file, a batch in one forked process per CPU.  One compact JSON object per
-  quintic is written to stdout, in input order; ``--json`` adds a report.
+  file, a large batch in one forked process per CPU.  One compact JSON
+  object per quintic is written to stdout, in input order; ``--json`` adds
+  a report.
 * ``verify``: run a named verification suite (or ``all``) and emit a JSON
   report with per-check status.
 * ``table``: recompute the scaling parameters of the five principal quintics

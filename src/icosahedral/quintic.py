@@ -44,6 +44,7 @@ base +- off*sqrt(5*disc) without building a quadratic field.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -80,52 +81,29 @@ def _reduced(n: int, d: int) -> tuple:
     return n // g, d // g
 
 
-class _Record:
-    """Fields named by __slots__, compared and shown as a dataclass's are."""
+class Quintic(namedtuple("Quintic", "a b c")):
+    """The quintic x^5 + a*x^2 + b*x + c; a, b and c are Fractions."""
 
     __slots__ = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            setattr(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return (self._values() == other._values()
-                if type(other) is type(self) else NotImplemented)
-
-    def __repr__(self):
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({', '.join(fields)})"
-
-
-class Quintic(_Record):
-    """The quintic x^5 + a*x^2 + b*x + c; a, b and c are Fractions."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a, b, c):
-        super().__init__(_rational(a), _rational(b), _rational(c))
+    def __new__(cls, a, b, c):
+        return super().__new__(cls, _rational(a), _rational(b), _rational(c))
 
     def __call__(self, x):
         x = Fraction(x)
         return x ** 5 + self.a * x ** 2 + self.b * x + self.c
 
 
-class QuinticInvariants(_Record):
+class QuinticInvariants(namedtuple("QuinticInvariants",
+                                   "delta gamma4 gamma6 disc")):
     """delta, gamma4, gamma6 and the discriminant of a principal quintic."""
 
-    __slots__ = ("delta", "gamma4", "gamma6", "disc")
-
-    def __init__(self, delta, gamma4, gamma6, disc):
-        super().__init__(delta, gamma4, gamma6, disc)
+    __slots__ = ()
 
     def pairs(self) -> tuple:
         """The four invariants as reduced pairs, as invariant_pairs gives
         them."""
-        return tuple(_pair(x) for x in self._values())
+        return tuple(map(_pair, self))
 
 
 def invariants(q: Quintic) -> QuinticInvariants:

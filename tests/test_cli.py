@@ -9,6 +9,7 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1195,12 +1196,17 @@ def on_one_cpu():
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
+def sigchld_ignored():
+    # kept across exec: the kernel then reaps each child as it exits
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+
+
 @two_cpus
 def test_analyze_shards_write_the_same_bytes(tmp_path):
     # with the full mask the batch runs in several processes, pinned to one
-    # CPU in one; stdout, stderr and --out are the same bytes either way:
-    # the golden records in input order, then the golden report's checks
-    # numbered on
+    # CPU in one; stdout, stderr and --out are the same bytes either way,
+    # and with SIGCHLD ignored: the golden records in input order, then the
+    # golden report's checks numbered on
     path, n = sharded_batch(tmp_path)
     golden = GOLDEN_ANALYZE_INPUT.with_name("analyze.jsonl").read_bytes()
     *records, report = golden.splitlines(keepends=True)
@@ -1211,11 +1217,12 @@ def test_analyze_shards_write_the_same_bytes(tmp_path):
     for flags in (["--json"], []):
         argv = [sys.executable, "-m", "icosahedral.cli", "analyze", "--file",
                 str(path), *flags]
-        full, one = (subprocess.run(argv, capture_output=True, check=True,
-                                    env=child_env(), preexec_fn=preexec,
-                                    timeout=120)
-                     for preexec in (None, on_one_cpu))
-        assert (full.stdout, full.stderr) == (one.stdout, one.stderr)
+        full, *others = (subprocess.run(argv, capture_output=True,
+                                        check=True, env=child_env(),
+                                        preexec_fn=preexec, timeout=120)
+                         for preexec in (None, on_one_cpu, sigchld_ignored))
+        for other in others:
+            assert (full.stdout, full.stderr) == (other.stdout, other.stderr)
         subprocess.run(argv + ["--out", str(out)], capture_output=True,
                        check=True, env=child_env(), timeout=120)
         assert out.read_bytes() == full.stdout
@@ -1248,15 +1255,16 @@ def test_analyze_bad_line_in_last_shard(tmp_path, bad):
 
 @two_cpus
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("sigchld", [None, sigchld_ignored])
 @pytest.mark.parametrize("end", ["normal", "out-full", "stdout-closed"])
-def test_analyze_leaves_no_process(tmp_path, end):
+def test_analyze_leaves_no_process(tmp_path, end, sigchld):
     # the CLI's process group, its own session, is empty once it has exited:
     # each shard process has been reaped, on success and on failure
     path, _ = sharded_batch(tmp_path)
     argv = ("analyze", "--file", str(path), "--json")
     if end == "out-full":
         argv += ("--out", "/dev/full")
-    proc = cli_process(*argv, start_new_session=True)
+    proc = cli_process(*argv, start_new_session=True, preexec_fn=sigchld)
     if end == "stdout-closed":
         rc, err = read_early_then_close(proc)
     else:
@@ -1269,9 +1277,11 @@ def test_analyze_leaves_no_process(tmp_path, end):
 
 
 @two_cpus
-def test_analyze_failed_shard_raises(tmp_path, capsys, monkeypatch):
-    # a shard process that fails makes the parent raise at once, with every
-    # child reaped and the caller's affinity mask as it was
+@pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN],
+                         ids=["SIG_DFL", "SIG_IGN"])
+def test_analyze_failed_shard_raises(tmp_path, capsys, monkeypatch, sigchld):
+    # a shard process that fails makes the parent raise at once, with the
+    # child's exception in the message and every child reaped
     path, _ = sharded_batch(tmp_path)
     with path.open("a") as fh:
         fh.write('{"B": "4", "C": "16/5", "label": "fails"}\n')
@@ -1283,14 +1293,17 @@ def test_analyze_failed_shard_raises(tmp_path, capsys, monkeypatch):
         return analyze_one(rec)
 
     monkeypatch.setattr(analyze, "_analyze_one", failing)
-    mask = os.sched_getaffinity(0)
-    started = time.monotonic()
-    with pytest.raises(RuntimeError, match="shard process failed"):
-        cli.main(["analyze", "--file", str(path), "--json"])
-    assert time.monotonic() - started < 30
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert os.sched_getaffinity(0) == mask
+    previous = signal.signal(signal.SIGCHLD, sigchld)
+    try:
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="(?s)shard process failed:"
+                           ".*ZeroDivisionError: a fault in the last shard"):
+            cli.main(["analyze", "--file", str(path), "--json"])
+        assert time.monotonic() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
 
 
 @two_cpus
