@@ -114,6 +114,8 @@ class Sqrt5:
 
     def __pow__(self, n):
         """x^n for an int n >= 0."""
+        if n < 0:
+            raise ValueError("negative power")
         base, out = self, Sqrt5(1)
         while n:
             if n & 1:
@@ -304,6 +306,9 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self^n for an int n >= 0."""
+        if n < 0:
+            raise ValueError("negative power")
         result = Poly.one()
         base = self
         while n:
@@ -338,8 +343,34 @@ class Poly:
         return acc
 
     def compose_frac(self, p, q):
-        """Numerator of self(p/q): sum a_k p^k q^(n-k), n = deg(self)."""
-        return compose_homogeneous((self,), p, q, self.degree())[0]
+        """Numerator of self(p/q): sum a_k p^k q^(n-k), n = deg(self).
+
+        With self = c/df and the cleared p = a/dp and q = b/dq, the sum is
+        over the one denominator df dp^n dq^n, which scales the term
+        c_k a^k b^(n-k) by the integer dp^(n-k) dq^k.
+        """
+        if self.is_zero():
+            return self
+        c, df = _clear_denominators(self.coeffs)
+        a, dp = _clear_denominators(p.coeffs)
+        b, dq = _clear_denominators(q.coeffs)
+        n = len(c) - 1
+        apows, bpows = [[1]], [[1]]
+        for _ in range(n):
+            apows.append(_kron_mul_int(apows[-1], a))
+            bpows.append(_kron_mul_int(bpows[-1], b))
+        acc = []
+        for k, ck in enumerate(c):
+            if not ck:
+                continue
+            t = _kron_mul_int(apows[k], bpows[n - k])
+            w = ck * dp ** (n - k) * dq ** k
+            if len(acc) < len(t):
+                acc.extend([0] * (len(t) - len(acc)))
+            for i, v in enumerate(t):
+                acc[i] += w * v
+        den = df * dp ** n * dq ** n
+        return Poly([Fraction(v, den) for v in acc])
 
     def to_str(self, var="x"):
         if self.is_zero():
@@ -359,48 +390,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{self.to_str()}]"
-
-
-def compose_homogeneous(polys, p, q, n):
-    """Each f in polys as f(p/q) q^n, for n at least every deg f.
-
-    The powers of p and of q, and each product p^k q^(n-k), are built
-    once and shared by all of polys.  They are integer powers of the
-    cleared p = a/dp and q = b/dq, and each f = c/df is summed over the one
-    denominator df dp^e dq^n, e = deg f, which scales the term
-    c_k a^k b^(n-k) by the integer dp^(e-k) dq^k.
-    """
-    m = max(f.degree() for f in polys)
-    a, dp = _clear_denominators(p.coeffs)
-    b, dq = _clear_denominators(q.coeffs)
-    apows, bpows = [[1]], [[1]]
-    for _ in range(m):
-        apows.append(_kron_mul_int(apows[-1], a))
-    for _ in range(n):
-        bpows.append(_kron_mul_int(bpows[-1], b))
-    terms = {}
-    out = []
-    for f in polys:
-        if f.is_zero():
-            out.append(f)
-            continue
-        c, df = _clear_denominators(f.coeffs)
-        deg = len(c) - 1
-        acc = []
-        for k, ck in enumerate(c):
-            if not ck:
-                continue
-            if k not in terms:
-                terms[k] = _kron_mul_int(apows[k], bpows[n - k])
-            w = ck * dp ** (deg - k) * dq ** k
-            t = terms[k]
-            if len(acc) < len(t):
-                acc.extend([0] * (len(t) - len(acc)))
-            for i, v in enumerate(t):
-                acc[i] += w * v
-        den = df * dp ** deg * dq ** n
-        out.append(Poly([Fraction(v, den) for v in acc]))
-    return out
 
 
 # -- gcd -----------------------------------------------------------------

@@ -6,12 +6,13 @@ Elements a + b*eps are reduced modulo one of the ideals (4), (8), (sqrt5),
 groups have orders 12, 48, 4, and 192.  As 2 is inert and sqrt5 ramified in
 Z[eps], a residue class x is a unit exactly when gcd(N(x), N(m)) = 1.
 
-Characters on those unit groups take values in the cyclic group of 24th
-roots of unity, stored as exponents mod 24 (the smallest group containing
--1, zeta6, zeta12, and zeta4).  char_from_generators assigns values on a
-generating set and propagates them multiplicatively, rejecting assignments
-that are inconsistent with the relations of the unit group or that fail to
-reach every unit.
+Characters on those unit groups take values in the cyclic group mu24 of
+24th roots of unity (the smallest group containing -1, zeta6, zeta12, and
+zeta4).  A value zeta24^k is its exponent k in 0..23, so a product is a
+sum mod 24 and an inverse a negation mod 24.  char_from_generators
+assigns values on a generating set and propagates them multiplicatively,
+rejecting assignments that are inconsistent with the relations of the
+unit group or that fail to reach every unit.
 
 The character of interest is omega = omega4^3 * omega8^3 * omega5 on the
 units mod 8 sqrt5, built from
@@ -30,67 +31,21 @@ N(x + 8 sqrt5 z) = N(x) mod 40.  sigma is the conjugation eps -> -1-eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
 __all__ = [
-    "RootOfUnity",
-    "ResidueRing",
-    "Character",
-    "residue_ring",
-    "char_from_generators",
-    "omega4",
-    "omega8",
-    "omega5",
-    "omega",
     "sigma_identity_mismatch",
-    "verify_sigma_identity",
     "square_identity_mismatch",
-    "verify_square_identity",
     "verify_positive_units",
+    "omega_epsilon",
+    "omega_value_group",
 ]
 
 KRONECKER_M2 = {1: 1, 3: 1, 5: -1, 7: -1}
 TEICHMULLER_EXP = {1: 0, 2: 6, 3: 18, 4: 12}   # values 1, i, -i, -1 in mu24
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """zeta24^exponent with multiplication as exponent addition."""
-
-    exponent: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % 24)
-
-    def __mul__(self, o: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.exponent + o.exponent)
-
-    def __pow__(self, n: int) -> "RootOfUnity":
-        return RootOfUnity(self.exponent * n)
-
-    def inv(self) -> "RootOfUnity":
-        return RootOfUnity(-self.exponent)
-
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    @classmethod
-    def one(cls) -> "RootOfUnity":
-        return cls(0)
-
-    @classmethod
-    def minus_one(cls) -> "RootOfUnity":
-        return cls(12)
-
-    @classmethod
-    def sign(cls, s: int) -> "RootOfUnity":
-        if s == 1:
-            return cls(0)
-        if s == -1:
-            return cls(12)
-        raise ValueError("sign must be +1 or -1")
+_SIGN = {1: 0, -1: 12}                          # +-1 in mu24
 
 
 class ResidueRing:
@@ -100,8 +55,7 @@ class ResidueRing:
     canonical form reduces against the Hermite form of that lattice.
     """
 
-    def __init__(self, label: str, modulus):
-        self.label = label
+    def __init__(self, modulus):
         x, y = modulus
         self.modulus = (x, y)
         r1, r2 = (x, y), (y, x - y)
@@ -176,12 +130,7 @@ class ResidueRing:
         return tuple(x for x in self.elements() if gcd(self.norm(x), nm) == 1)
 
 
-_SUPPORTED = {
-    "4": ("4", (4, 0)),
-    "8": ("8", (8, 0)),
-    "sqrt5": ("sqrt5", (1, 2)),
-    "8sqrt5": ("8sqrt5", (8, 16)),
-}
+_SUPPORTED = {"4": (4, 0), "8": (8, 0), "sqrt5": (1, 2), "8sqrt5": (8, 16)}
 
 
 @lru_cache(maxsize=None)
@@ -190,18 +139,16 @@ def residue_ring(m) -> ResidueRing:
     key = str(m)
     if key not in _SUPPORTED:
         raise ValueError(f"unsupported modulus {m!r}")
-    label, coords = _SUPPORTED[key]
-    return ResidueRing(label, coords)
+    return ResidueRing(_SUPPORTED[key])
 
 
-@dataclass(frozen=True)
-class Character:
-    """A multiplicative map from the units of a residue ring into mu24."""
+class Character(namedtuple("Character", "ring table")):
+    """A multiplicative map from the units of a residue ring into mu24;
+    table maps each unit to its value's exponent."""
 
-    ring: ResidueRing
-    table: dict
+    __slots__ = ()
 
-    def __call__(self, x) -> RootOfUnity:
+    def __call__(self, x) -> int:
         x = self.ring.reduce(x)
         if x not in self.table:
             raise ValueError("argument is not a unit of the ring")
@@ -209,7 +156,7 @@ class Character:
 
     def is_multiplicative(self) -> bool:
         units = self.ring.units()
-        return all(self(self.ring.mul(x, y)) == self(x) * self(y)
+        return all(self(self.ring.mul(x, y)) == (self(x) + self(y)) % 24
                    for x in units for y in units)
 
 
@@ -226,14 +173,14 @@ def char_from_generators(m, gens, images) -> Character:
     for g in gens:
         if g not in units:
             raise ValueError("generator is not a unit")
-    table = {ring.one: RootOfUnity.one()}
+    table = {ring.one: 0}
     frontier = [ring.one]
     while frontier:
         nxt = []
         for x in frontier:
             for g, img in zip(gens, images):
                 y = ring.mul(x, g)
-                val = table[x] * img
+                val = (table[x] + img) % 24
                 if y in table:
                     if table[y] != val:
                         raise ValueError("images are inconsistent with the "
@@ -253,7 +200,7 @@ def omega4() -> Character:
     ring = residue_ring(4)
     return char_from_generators(
         4, [ring.neg(ring.one), ring.eps],
-        [RootOfUnity.minus_one(), RootOfUnity(4)])
+        [12, 4])
 
 
 @lru_cache(maxsize=1)
@@ -262,14 +209,13 @@ def omega8() -> Character:
     ring = residue_ring(8)
     return char_from_generators(
         8, [ring.neg(ring.one), ring.reduce((1, 4)), ring.eps],
-        [RootOfUnity.minus_one(), RootOfUnity.minus_one(), RootOfUnity(2)])
+        [12, 12, 2])
 
 
 @lru_cache(maxsize=1)
 def omega5() -> Character:
     """Conductor-sqrt5 component: eps -> zeta4."""
-    return char_from_generators("sqrt5", [residue_ring("sqrt5").eps],
-                                [RootOfUnity(6)])
+    return char_from_generators("sqrt5", [residue_ring("sqrt5").eps], [6])
 
 
 @lru_cache(maxsize=1)
@@ -282,10 +228,7 @@ def omega() -> Character:
     """
     ring = residue_ring("8sqrt5")
     w4, w8, w5 = omega4(), omega8(), omega5()
-    table = {}
-    for x in ring.units():
-        val = w4(x) ** 3 * w8(x) ** 3 * w5(x)
-        table[x] = val
+    table = {x: (3 * w4(x) + 3 * w8(x) + w5(x)) % 24 for x in ring.units()}
     return Character(ring, table)
 
 
@@ -302,8 +245,8 @@ def sigma_identity_mismatch():
     ring = residue_ring("8sqrt5")
     w = omega()
     for x in ring.units():
-        lhs = w(ring.sigma(x)) * w(x).inv()
-        rhs = RootOfUnity.sign(KRONECKER_M2[_norm_residue(ring, x, 8)])
+        lhs = (w(ring.sigma(x)) - w(x)) % 24
+        rhs = _SIGN[KRONECKER_M2[_norm_residue(ring, x, 8)]]
         if lhs != rhs:
             return x
     return None
@@ -320,10 +263,10 @@ def square_identity_mismatch():
     ring = residue_ring("8sqrt5")
     w = omega()
     for x in ring.units():
-        lhs = w(x) ** 2
-        chi4 = RootOfUnity.sign(1 if _norm_residue(ring, x, 4) == 1 else -1)
-        teich = RootOfUnity(TEICHMULLER_EXP[_norm_residue(ring, x, 5)])
-        if lhs != chi4 * teich.inv():
+        lhs = 2 * w(x) % 24
+        chi4 = _SIGN[1 if _norm_residue(ring, x, 4) == 1 else -1]
+        teich = TEICHMULLER_EXP[_norm_residue(ring, x, 5)]
+        if lhs != (chi4 - teich) % 24:
             return x
     return None
 
@@ -342,14 +285,15 @@ def verify_positive_units() -> bool:
     ring = residue_ring("8sqrt5")
     w = omega()
     eps2 = ring.mul(ring.eps, ring.eps)
-    return w(eps2).is_one() and w(ring.mul(eps2, eps2)).is_one()
+    return w(eps2) == 0 and w(ring.mul(eps2, eps2)) == 0
 
 
-def omega_epsilon() -> RootOfUnity:
-    """The computed value omega(eps), reported rather than assumed."""
+def omega_epsilon() -> int:
+    """The exponent of the computed value omega(eps), reported rather than
+    assumed."""
     return omega()(residue_ring("8sqrt5").eps)
 
 
 def omega_value_group() -> tuple:
     """Sorted exponents of the subgroup of mu24 actually hit by omega."""
-    return tuple(sorted({v.exponent for v in omega().table.values()}))
+    return tuple(sorted(set(omega().table.values())))

@@ -41,7 +41,7 @@ the scalars of that product and of T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
@@ -50,8 +50,6 @@ from . import quintic
 from .exact import SQRT5, Poly, Sqrt5
 
 __all__ = [
-    "InvariantFns",
-    "build_invariants",
     "fundamental_identity_mismatch",
     "verify_fundamental_identity",
     "verify_invariance",
@@ -60,17 +58,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InvariantFns:
+class InvariantFns(namedtuple("InvariantFns", "lam mu j")):
     """The three invariant rational functions over Q, as (num, den) pairs.
 
     Each pair is coprime with a monic denominator.  ``lam`` stands for
     lambda, which is a Python keyword.
     """
 
-    lam: tuple
-    mu: tuple
-    j: tuple
+    __slots__ = ()
 
 
 _EPS = (SQRT5 - 1) / 2

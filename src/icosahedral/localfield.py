@@ -34,7 +34,6 @@ from fractions import Fraction
 from .quintic import trinomial_t
 
 __all__ = [
-    "v5",
     "is_square_5adic_unit",
     "is_square_unit_pair",
     "theorem_hypothesis",

@@ -44,7 +44,7 @@ proved for every j at once at one more value of k than its degree bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import SQRT5, Poly, poly_divides, poly_gcd, resultant_pencil
@@ -53,40 +53,30 @@ from .quintic import Quintic, invariants, j_equation
 __all__ = [
     "EllipticCurve",
     "curve_from_t",
-    "curve_from_j",
     "j_invariant",
-    "discriminant",
     "isogeny_mismatch",
     "verify_isogeny_codomain",
     "verify_isogeny_composition",
     "j_equation_family_mismatch",
-    "division_poly5",
-    "x5sum_resolvent",
-    "mu_sextic",
-    "klein_link_mismatch",
     "klein_link_family_mismatch",
     "verify_klein_link",
 ]
 
 
-@dataclass(frozen=True)
-class EllipticCurve:
+class EllipticCurve(namedtuple("EllipticCurve", "a2 a4 a6")):
     """Model y^2 = x^3 + a2 x^2 + a4 x + a6 with nonzero discriminant.
 
     A coefficient is a Fraction (an int is converted) or an exact.Sqrt5.
     """
 
-    a2: object
-    a4: object
-    a6: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a2", "a4", "a6"):
-            v = getattr(self, name)
-            if isinstance(v, int):
-                object.__setattr__(self, name, Fraction(v))
-        if not discriminant(self):
+    def __new__(cls, a2, a4, a6):
+        E = super().__new__(cls, *(Fraction(v) if isinstance(v, int) else v
+                                   for v in (a2, a4, a6)))
+        if not discriminant(E):
             raise ValueError("singular curve")
+        return E
 
 
 def discriminant(E: EllipticCurve):

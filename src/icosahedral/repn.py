@@ -12,7 +12,8 @@ eps -> 2, i -> 2 lands in F5 and kills varpi, and the explicit identities
 verified by verify_varpi_identities show 2 - eps, 2 - i, and sqrt5 all lie
 in the kernel.  On Z[eps, i][1/2] the residue sends 1/2 to 3.
 
-The group of 2x2 matrices over F5 whose determinant is a nonzero square
+A 2x2 matrix [[a, b], [c, d]] over F5 is its entry 4-tuple (a, b, c, d),
+entries in 0..4.  The group of those whose determinant is a nonzero square
 (order 240) is enumerated by breadth-first closure from the shadows of
 
     S = (1/2) [[eps, varpi + 2], [varpi, eps]],
@@ -41,18 +42,11 @@ over F5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
-    "F5Matrix",
-    "varpi",
-    "teichmuller",
-    "residue_hom",
     "verify_varpi_identities",
-    "pi_generators",
     "enumerate_group",
-    "lift_pi",
     "generator_name",
     "homomorphism_mismatch",
     "verify_homomorphism",
@@ -152,33 +146,6 @@ def verify_varpi_identities() -> bool:
                for lhs, rhs in pairs)
 
 
-@dataclass(frozen=True)
-class F5Matrix:
-    """2x2 matrix over F5; entries stored as integers in 0..4."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, getattr(self, name) % 5)
-
-    @classmethod
-    def identity(cls) -> "F5Matrix":
-        return cls(1, 0, 0, 1)
-
-    def __mul__(self, o: "F5Matrix") -> "F5Matrix":
-        return F5Matrix(self.a * o.a + self.b * o.c,
-                        self.a * o.b + self.b * o.d,
-                        self.c * o.a + self.d * o.c,
-                        self.c * o.b + self.d * o.d)
-
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % 5
-
-
 @lru_cache(maxsize=1)
 def _admissible_pairs():
     return tuple((a, d) for a in range(1, 5) for d in range(1, 5)
@@ -209,9 +176,9 @@ def pi_generators():
 
 
 def _shadow_generators():
-    gens = [F5Matrix(1, 1, 0, 1), F5Matrix(0, -1, 1, 0)]
-    gens.extend(F5Matrix(a, 0, 0, d) for a, d in _admissible_pairs())
-    return tuple(gens)
+    """The residues of S, T and the U(a, d), as entry 4-tuples."""
+    return ((1, 1, 0, 1), (0, 4, 1, 0)) + tuple(
+        (a, 0, 0, d) for a, d in _admissible_pairs())
 
 
 @lru_cache(maxsize=1)
@@ -223,11 +190,8 @@ def _group_data():
     Discovery order is deterministic: the queue advances in layers and each
     layer multiplies by the generators in a fixed order, so elements appear
     sorted by (word length, word) lexicographically.
-
-    The closure multiplies entry 4-tuples mod 5 and builds each of the 240
-    F5Matrix objects once, at the end.
     """
-    gens = [(s.a, s.b, s.c, s.d) for s in _shadow_generators()]
+    gens = _shadow_generators()
     ident = (1, 0, 0, 1)
     words = {ident: ()}
     parents = {}
@@ -249,11 +213,7 @@ def _group_data():
                     parents[h] = (g, idx)
                     nxt.append(h)
         frontier = nxt
-    mat = {g: F5Matrix(*g) for g in words}
-    return (tuple(mat.values()),
-            {mat[g]: w for g, w in words.items()},
-            {mat[h]: (mat[g], idx) for h, (g, idx) in parents.items()},
-            tuple((mat[g], idx, mat[h]) for g, idx, h in edges))
+    return tuple(words), words, parents, tuple(edges)
 
 
 def enumerate_group():
@@ -349,9 +309,11 @@ def _lift_table():
     return keys
 
 
-def lift_pi(g: F5Matrix):
-    """The key of the exact lift of g along its BFS generator word."""
+def lift_pi(g):
+    """The key of the exact lift of g = (a, b, c, d), entries taken mod 5,
+    along its BFS generator word."""
     table = _lift_table()
+    g = tuple(x % 5 for x in g)
     if g not in table:
         raise ValueError("matrix is not in the square-determinant group")
     return table[g]
@@ -461,10 +423,10 @@ def verify_relations() -> bool:
     return relations_mismatch() is None
 
 
-def _key_residue(key) -> F5Matrix:
+def _key_residue(key):
     """The residue of the lift with this key: 1/2 -> 3, so an entry x/2
-    reduces to 3 residue_hom(x)."""
-    return F5Matrix(*(3 * residue_hom(key[n:n + 4]) for n in range(0, 16, 4)))
+    reduces to 3 residue_hom(x) % 5."""
+    return tuple(3 * residue_hom(key[n:n + 4]) % 5 for n in range(0, 16, 4))
 
 
 def verify_faithful() -> bool:

@@ -224,9 +224,9 @@ def _repn_homomorphism_check() -> dict:
     holds = repn.verify_homomorphism()
     witness = None
     if not holds:
-        g, idx = repn.homomorphism_mismatch()
+        (a, b, c, d), idx = repn.homomorphism_mismatch()
         witness = (f"lift(g) lift(s) != lift(gs) at g = "
-                   f"[[{g.a}, {g.b}], [{g.c}, {g.d}]], "
+                   f"[[{a}, {b}], [{c}, {d}]], "
                    f"s = {repn.generator_name(idx)}")
     return _check("repn/homomorphism",
                   "lift(g) lift(h) = lift(gh) for all g, h, as lift(g) "
@@ -237,7 +237,7 @@ def _repn_homomorphism_check() -> dict:
 def _suite_hecke():
     from . import hecke
     vg = hecke.omega_value_group()
-    eps_exp = hecke.omega_epsilon().exponent
+    eps_exp = hecke.omega_epsilon()
     return [
         _unit_identity_check("hecke/sigma-identity",
                              "omega(sigma x)/omega(x) = (-2/N(x)) on all 192 "

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import errno
 import importlib.util
 import io
@@ -713,6 +712,21 @@ def test_verify_repn_witnesses(capsys, monkeypatch):
     assert by_id["repn/congruence"]["status"] == "pass"
 
 
+def test_verify_repn_witness_reads_entries_by_row(capsys, lift_table):
+    # -L(S^2) in place of L(S^2): the first failing edge is the one that
+    # discovered S^2 = (1, 2, 0, 1), from S = [[1, 1], [0, 1]] by S, so
+    # the witness names a matrix that is not its own transpose
+    table = dict(repn._lift_table())
+    assert repn._group_data()[2][(1, 2, 0, 1)] == ((1, 1, 0, 1), 0)
+    table[(1, 2, 0, 1)] = tuple(-v for v in table[(1, 2, 0, 1)])
+    lift_table(table)
+    rc, out, _ = run_cli(capsys, "verify", "repn")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["repn/homomorphism"]["witness"] == \
+        "lift(g) lift(s) != lift(gs) at g = [[1, 1], [0, 1]], s = S"
+
+
 def test_verify_qcurve_options_recorded(capsys):
     rc, out, _ = run_cli(capsys, "verify", "qcurve", "--samples", "5",
                          "--seed", "7", "--height", "50")
@@ -933,8 +947,7 @@ def test_verify_hecke_square_identity_witness(capsys, monkeypatch):
     ring = hecke.residue_ring("8sqrt5")
     x0 = (3, 5)
     w = hecke.omega()
-    bad = hecke.Character(ring, {**w.table,
-                                 x0: w.table[x0] * hecke.RootOfUnity(6)})
+    bad = hecke.Character(ring, {**w.table, x0: (w.table[x0] + 6) % 24})
     monkeypatch.setattr(hecke, "omega", lambda: bad)
     rc, out, _ = run_cli(capsys, "verify", "hecke")
     assert rc == 1
@@ -994,7 +1007,7 @@ def test_verify_fundamental_identity_witness(capsys, monkeypatch):
     # differ at z^8, as test_fundamental_identity_mutation derives
     inv = icosa.build_invariants()
     P, Q = inv.lam
-    bad = dataclasses.replace(inv, lam=(P + Poly.over_q([0, 0, 0, 1]), Q))
+    bad = inv._replace(lam=(P + Poly.over_q([0, 0, 0, 1]), Q))
     monkeypatch.setattr(icosa, "build_invariants", lambda: bad)
     check = _icosa_checks(capsys)["icosa/fundamental-identity"]
     assert check["status"] == "fail"
@@ -1005,7 +1018,7 @@ def test_verify_invariance_identity_witness(capsys, monkeypatch):
     # a z^7 term in j: T and U fail j = -H^3/f^5, S reads the exponent
     inv = icosa.build_invariants()
     Jn, Jd = inv.j
-    bad = dataclasses.replace(inv, j=(Jn + Poly.over_q([0] * 7 + [1]), Jd))
+    bad = inv._replace(j=(Jn + Poly.over_q([0] * 7 + [1]), Jd))
     monkeypatch.setattr(icosa, "build_invariants", lambda: bad)
     by_id = _icosa_checks(capsys)
     for label in "TU":
@@ -1035,9 +1048,9 @@ def test_verify_invariance_rotation_witness(capsys, monkeypatch):
     inv = icosa.build_invariants()
     (Mn, Md), Q = inv.mu, inv.lam[1]
     for bad, witness in (
-            (dataclasses.replace(inv, mu=(Mn + Poly.over_q([0, 1]), Md)),
+            (inv._replace(mu=(Mn + Poly.over_q([0, 1]), Md)),
              "mu has a term z^1, exponent not 0 mod 5"),
-            (dataclasses.replace(inv, lam=(Poly.over_q([0, 1]), Q)),
+            (inv._replace(lam=(Poly.over_q([0, 1]), Q)),
              "lambda(zeta5 z) = lambda(z)")):
         monkeypatch.setattr(icosa, "build_invariants", lambda: bad)
         check = _icosa_checks(capsys)["icosa/invariance-S"]
@@ -1362,10 +1375,13 @@ def loaded_modules(argv, log=None):
     (["analyze", "--b", "1", "--c", "1"],
      ["analyze", "localfield", "quintic", "reports"],
      {"typing", "dataclasses", "inspect"}),
-    (["verify", "hecke"], ["hecke", "reports", "suites"], set()),
-    (["verify", "repn"], ["repn", "reports", "suites"], set()),
+    (["verify", "hecke"], ["hecke", "reports", "suites"],
+     {"dataclasses", "inspect"}),
+    (["verify", "repn"], ["repn", "reports", "suites"],
+     {"dataclasses", "inspect"}),
     (["verify", "all"], ["exact", "hecke", "icosa", "localfield", "qcurve",
-                         "quintic", "repn", "reports", "suites"], set()),
+                         "quintic", "repn", "reports", "suites"],
+     {"dataclasses", "inspect"}),
 ], ids=["help", "table", "analyze", "verify-hecke", "verify-repn",
         "verify-all"])
 def test_subcommand_loads_only_its_modules(argv, extra, absent):

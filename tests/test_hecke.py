@@ -5,24 +5,20 @@ from sympy import jacobi_symbol
 
 from icosahedral import hecke, repn
 from icosahedral.hecke import (
-    Character, KRONECKER_M2, ResidueRing, RootOfUnity, TEICHMULLER_EXP,
+    Character, KRONECKER_M2, ResidueRing, TEICHMULLER_EXP,
     char_from_generators, omega, omega4, omega5, omega8, omega_epsilon,
     omega_value_group, residue_ring, sigma_identity_mismatch,
     square_identity_mismatch, verify_positive_units, verify_sigma_identity,
     verify_square_identity,
 )
 
+# a value zeta24^k in mu24 is its exponent k in 0..23
+MINUS_ONE = 12
 
-def test_root_of_unity():
-    z = RootOfUnity(4)
-    assert z * z == RootOfUnity(8)
-    assert z ** 6 == RootOfUnity.one()
-    assert z.inv() == RootOfUnity(20)
-    assert RootOfUnity(25) == RootOfUnity(1)
-    assert RootOfUnity.sign(1).is_one()
-    assert RootOfUnity.sign(-1) == RootOfUnity.minus_one()
-    with pytest.raises(ValueError):
-        RootOfUnity.sign(0)
+
+def sign(s):
+    """+-1 in mu24."""
+    return {1: 0, -1: MINUS_ONE}[s]
 
 
 def test_ring_sizes():
@@ -120,23 +116,24 @@ def test_char_from_generators_errors():
     ring4 = residue_ring(4)
     with pytest.raises(ValueError):
         # zeta24^3 has order 8, but eps has order 6 mod 4
-        char_from_generators(4, [ring4.eps], [RootOfUnity(3)])
+        char_from_generators(4, [ring4.eps], [3])
     with pytest.raises(ValueError):
         # eps alone only reaches 6 of the 12 units
-        char_from_generators(4, [ring4.eps], [RootOfUnity(4)])
+        char_from_generators(4, [ring4.eps], [4])
     with pytest.raises(ValueError):
-        char_from_generators(4, [ring4.reduce((2, 0))], [RootOfUnity(0)])
+        char_from_generators(4, [ring4.reduce((2, 0))], [0])
 
 
 def test_component_characters():
     ring4, ring8 = residue_ring(4), residue_ring(8)
-    assert omega4()(ring4.eps) == RootOfUnity(4)           # zeta6
-    assert omega4()(ring4.neg(ring4.one)) == RootOfUnity.minus_one()
-    assert omega8()(ring8.eps) == RootOfUnity(2)           # zeta12
-    assert omega8()((1, 4)) == RootOfUnity.minus_one()
-    assert omega5()(residue_ring("sqrt5").eps) == RootOfUnity(6)   # zeta4
+    assert omega4()(ring4.eps) == 4           # zeta6
+    assert omega4()(ring4.neg(ring4.one)) == MINUS_ONE
+    assert omega8()(ring8.eps) == 2           # zeta12
+    assert omega8()((1, 4)) == MINUS_ONE
+    assert omega5()(residue_ring("sqrt5").eps) == 6   # zeta4
     for chi in (omega4(), omega8(), omega5(), omega()):
         assert chi.is_multiplicative()
+        assert all(type(v) is int and 0 <= v < 24 for v in chi.table.values())
     # eps has order 6 mod 4 and order 12 mod 8
     assert ring4.pow(ring4.eps, 6) == ring4.one
     assert all(ring4.pow(ring4.eps, k) != ring4.one for k in range(1, 6))
@@ -146,9 +143,9 @@ def test_component_characters():
 def test_omega_values():
     ring = residue_ring("8sqrt5")
     w = omega()
-    assert omega_epsilon().is_one()
-    assert w(ring.neg(ring.one)) == RootOfUnity.minus_one()
-    assert w(ring.one).is_one()
+    assert omega_epsilon() == 0
+    assert w(ring.neg(ring.one)) == MINUS_ONE
+    assert w(ring.one) == 0
     # the image is exactly the fourth roots of unity inside mu24
     assert omega_value_group() == (0, 6, 12, 18)
     with pytest.raises(ValueError):
@@ -167,9 +164,9 @@ def test_omega_factors_through_crt():
     w4, w8, w5 = omega4(), omega8(), omega5()
     w = omega()
     for x in ring.units():
-        recomputed = w4(ring8.reduce(x)) ** 3 * w8(ring8.reduce(x)) ** 3 \
-            * w5(ring5.reduce(x))
-        assert w(x) == recomputed
+        recomputed = 3 * w4(ring8.reduce(x)) + 3 * w8(ring8.reduce(x)) \
+            + w5(ring5.reduce(x))
+        assert w(x) == recomputed % 24
 
 
 def test_kronecker_table_against_sympy():
@@ -185,7 +182,7 @@ def test_sigma_identity():
     w = omega()
     x = ring.eps
     assert ring.norm(x) == -1
-    assert w(ring.sigma(x)) * w(x).inv() == RootOfUnity.minus_one()
+    assert (w(ring.sigma(x)) - w(x)) % 24 == MINUS_ONE
 
 
 def test_square_identity():
@@ -193,8 +190,8 @@ def test_square_identity():
     # at x = eps: 1 = chi4(3) * omega5(4)^-1 = (-1)(-1)
     ring = residue_ring("8sqrt5")
     w = omega()
-    assert (w(ring.eps) ** 2).is_one()
-    assert RootOfUnity(TEICHMULLER_EXP[4]).inv() == RootOfUnity.minus_one()
+    assert 2 * w(ring.eps) % 24 == 0
+    assert -TEICHMULLER_EXP[4] % 24 == MINUS_ONE
 
 
 def test_positive_units():
@@ -205,7 +202,7 @@ def test_positive_units():
     acc = ring.one
     for _ in range(6):
         acc = ring.mul(acc, eps2)
-        assert w(acc).is_one()
+        assert w(acc) == 0
 
 
 def test_teichmuller_compatibility():
@@ -217,24 +214,24 @@ def test_teichmuller_compatibility():
              18: (0, 0, -1, 0)}
     for a in range(1, 5):
         val = w5(ring5.reduce((a, 0)))
-        assert val == RootOfUnity(TEICHMULLER_EXP[a])
-        assert lifts[val.exponent] == repn.teichmuller(a)
+        assert val == TEICHMULLER_EXP[a]
+        assert lifts[val] == repn.teichmuller(a)
 
 
 def test_identity_mutations():
     # omega4^2 in place of omega4^3 must break both identities somewhere
     ring = residue_ring("8sqrt5")
     w4, w8, w5 = omega4(), omega8(), omega5()
-    mutated = Character(ring, {x: w4(x) ** 2 * w8(x) ** 3 * w5(x)
+    mutated = Character(ring, {x: (2 * w4(x) + 3 * w8(x) + w5(x)) % 24
                                for x in ring.units()})
     sigma_bad = square_bad = 0
     for x in ring.units():
-        lhs = mutated(ring.sigma(x)) * mutated(x).inv()
-        if lhs != RootOfUnity.sign(KRONECKER_M2[ring.norm(x) % 8]):
+        lhs = (mutated(ring.sigma(x)) - mutated(x)) % 24
+        if lhs != sign(KRONECKER_M2[ring.norm(x) % 8]):
             sigma_bad += 1
-        chi4 = RootOfUnity.sign(1 if ring.norm(x) % 4 == 1 else -1)
-        teich = RootOfUnity(TEICHMULLER_EXP[ring.norm(x) % 5])
-        if mutated(x) ** 2 != chi4 * teich.inv():
+        chi4 = sign(1 if ring.norm(x) % 4 == 1 else -1)
+        teich = TEICHMULLER_EXP[ring.norm(x) % 5]
+        if 2 * mutated(x) % 24 != (chi4 - teich) % 24:
             square_bad += 1
     assert sigma_bad > 0 and square_bad > 0
 
@@ -250,7 +247,7 @@ def test_identity_witnesses(index, monkeypatch):
     assert square_identity_mismatch() is None
     x0 = units[index]
     w = omega()
-    bad = Character(ring, {**w.table, x0: w.table[x0] * RootOfUnity(6)})
+    bad = Character(ring, {**w.table, x0: (w.table[x0] + 6) % 24})
     monkeypatch.setattr(hecke, "omega", lambda: bad)
     assert square_identity_mismatch() == x0
     assert sigma_identity_mismatch() == \

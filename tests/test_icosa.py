@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -378,7 +377,7 @@ def test_invariance_matches_zeta5_oracle():
     # a z^7 term in j breaks all three, in the oracle and in the checks
     z = Poly.over_q([0, 1])
     Jn, Jd = inv.j
-    bad = dataclasses.replace(inv, j=(Jn + z ** 7, Jd))
+    bad = inv._replace(j=(Jn + z ** 7, Jd))
     for label in "STU":
         assert not zeta5_fixes(bad.j, zeta5_matrix(label))
         assert not icosa.verify_invariance(label, inv=bad)
@@ -394,7 +393,7 @@ def test_invariance_identity_mutation(monkeypatch):
     z6 = Poly.over_q([0] * 6 + [1])
     for label in "TU":
         assert icosa.invariance_mismatch(
-            label, inv=dataclasses.replace(inv, lam=(P, Q + z6))) \
+            label, inv=inv._replace(lam=(P, Q + z6))) \
             == ("identity", None)
     face = icosa._FACE
     monkeypatch.setattr(icosa, "_FACE", face + Poly.over_q([0] * 10 + [1]))
@@ -451,8 +450,8 @@ def test_invariance_s_mutation():
     Mn, Md = inv.mu
     Q = inv.lam[1]
     fixed = Poly.over_q([0, 1, 0, 0, 0, 0, 3])
-    for bad, mismatch in ((dataclasses.replace(inv, mu=(Mn + z, Md)), ("mu", 1)),
-                          (dataclasses.replace(inv, lam=(fixed, Q)), ("lambda", None))):
+    for bad, mismatch in ((inv._replace(mu=(Mn + z, Md)), ("mu", 1)),
+                          (inv._replace(lam=(fixed, Q)), ("lambda", None))):
         assert not icosa.verify_invariance("S", inv=bad)
         assert icosa.invariance_mismatch("S", inv=bad) == mismatch
     assert not zeta5_fixes((Mn + z, Md), zeta5_matrix("S"))

@@ -1,9 +1,7 @@
-import ast
 import random
 import sys
 from fractions import Fraction
 from math import gcd, isqrt
-from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -556,25 +554,6 @@ def test_pair_functions_match_fraction_formulas(abc, k):
         assert t == (None if want is None else (want.numerator,
                                                 want.denominator))
         assert t is None or is_reduced(t)
-
-
-def test_quintic_all_is_what_the_package_uses():
-    # quintic.__all__ names exactly what the other modules take from
-    # .quintic, by name or as an attribute of the module
-    used = set()
-    for path in Path(quintic.__file__).parent.glob("*.py"):
-        if path.name == "quintic.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1 \
-                    and node.module == "quintic":
-                used.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Attribute) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "quintic":
-                used.add(node.attr)
-    assert sorted(quintic.__all__) == sorted(used)
 
 
 @PROPERTY

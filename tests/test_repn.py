@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from icosahedral import repn
 from icosahedral.repn import (
-    F5Matrix, enumerate_group, lift_pi, pi_generators, residue_hom,
+    enumerate_group, lift_pi, pi_generators, residue_hom,
     teichmuller, varpi, verify_congruence, verify_homomorphism,
     verify_relations, verify_varpi_identities,
 )
@@ -20,6 +20,8 @@ EPS = (0, 1, 0, 0)
 I = (0, 0, 1, 0)
 ZERO = (0, 0, 0, 0)
 IDENTITY_KEY = (2, 0, 0, 0) + ZERO + ZERO + (2, 0, 0, 0)
+# 2x2 matrices over F5 as entry 4-tuples (a, b, c, d), entries in 0..4
+F5_ONE = (1, 0, 0, 1)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -36,6 +38,21 @@ def neg(x):
 def conj(x):
     a, b, c, d = x
     return a, b, -c, -d
+
+
+def f5_mul(*ms):
+    """The product of 2x2 matrices over F5, each its entry 4-tuple."""
+    out = F5_ONE
+    for p, q, r, s in ms:
+        a, b, c, d = out
+        out = ((a * p + b * r) % 5, (a * q + b * s) % 5,
+               (c * p + d * r) % 5, (c * q + d * s) % 5)
+    return out
+
+
+def f5_det(g):
+    a, b, c, d = g
+    return (a * d - b * c) % 5
 
 
 def rand_order_element(rng):
@@ -129,7 +146,7 @@ def test_residue_hom_values():
     assert residue_hom(EPS) == 2
     assert residue_hom(I) == 2
     # an entry x/2 of a lift reduces to 3 residue_hom(x): 1/2 -> 3
-    assert repn._key_residue((1, 0, 0, 0) * 4) == F5Matrix(3, 3, 3, 3)
+    assert repn._key_residue((1, 0, 0, 0) * 4) == (3, 3, 3, 3)
     assert residue_hom(add(zepsi_mul(EPS, EPS), EPS, neg(ONE))) == 0
     assert residue_hom(add(zepsi_mul(I, I), ONE)) == 0
     assert residue_hom((1, 2, 0, 0)) == 0      # sqrt5
@@ -190,23 +207,24 @@ def test_generator_matrices():
 
 def test_generator_residues():
     S, T, U = pi_generators()
-    assert repn._key_residue(S) == F5Matrix(1, 1, 0, 1)
-    assert repn._key_residue(T) == F5Matrix(0, -1, 1, 0)
+    assert repn._key_residue(S) == (1, 1, 0, 1)
+    assert repn._key_residue(T) == (0, 4, 1, 0)
     for a, d in ((1, 1), (2, 3), (4, 4)):
-        assert repn._key_residue(U(a, d)) == F5Matrix(a, 0, 0, d)
+        assert repn._key_residue(U(a, d)) == (a, 0, 0, d)
 
 
 def test_enumerate_group():
     group = enumerate_group()
     assert len(group) == 240
-    assert group[0] == F5Matrix.identity()
-    assert all(g.det() in (1, 4) for g in group)
+    assert group[0] == F5_ONE
+    assert all(f5_det(g) in (1, 4) for g in group)
+    assert all(0 <= x < 5 for g in group for x in g)
     assert enumerate_group() == group
 
 
 def test_group_is_square_determinant_gl2():
     # independent oracle: enumerate GL2(F5) directly and filter by det
-    want = {F5Matrix(a, b, c, d)
+    want = {(a, b, c, d)
             for a, b, c, d in product(range(5), repeat=4)
             if (a * d - b * c) % 5 in (1, 4)}
     assert len(want) == 240
@@ -215,12 +233,13 @@ def test_group_is_square_determinant_gl2():
 
 def test_lift_pi():
     S, T, U = pi_generators()
-    assert lift_pi(F5Matrix.identity()) == IDENTITY_KEY
-    assert lift_pi(F5Matrix(1, 1, 0, 1)) == S
-    assert lift_pi(F5Matrix(0, -1, 1, 0)) == T
-    assert lift_pi(F5Matrix(2, 0, 0, 3)) == U(2, 3)
+    assert lift_pi(F5_ONE) == IDENTITY_KEY
+    assert lift_pi((1, 1, 0, 1)) == S
+    # entries are read mod 5
+    assert lift_pi((0, -1, 1, 0)) == lift_pi((0, 4, 6, 5)) == T
+    assert lift_pi((2, 0, 0, 3)) == U(2, 3)
     with pytest.raises(ValueError):
-        lift_pi(F5Matrix(2, 0, 0, 1))   # det 2 is not a square
+        lift_pi((2, 0, 0, 1))   # det 2 is not a square
 
 
 def lift_table_from(lifts):
@@ -252,16 +271,17 @@ def test_unit_edges_match_products():
 
 
 def reference_group_data():
-    """The BFS closure of the shadow generators with F5Matrix products."""
+    """The BFS closure of the shadow generators with the test's own F5
+    products."""
     gens = repn._shadow_generators()
-    ident = F5Matrix.identity()
+    ident = F5_ONE
     words, parents, edges = {ident: ()}, {}, []
     order, frontier = [ident], [ident]
     while frontier:
         nxt = []
         for g in frontier:
             for idx, s in enumerate(gens):
-                h = g * s
+                h = f5_mul(g, s)
                 edges.append((g, idx, h))
                 if h not in words:
                     words[h] = words[g] + (idx,)
@@ -272,24 +292,20 @@ def reference_group_data():
     return tuple(order), words, parents, tuple(edges)
 
 
-def test_group_data_matches_matrix_products(monkeypatch):
-    # the BFS on entry 4-tuples against one on F5Matrix products: the same
-    # order, words, parents and edges, in the same discovery order, and no
-    # F5Matrix product
+def test_group_data_matches_matrix_products():
+    # the module's BFS against the test's: the same order, words, parents
+    # and edges, in the same discovery order
     want = reference_group_data()
-    f5_calls = _count_calls(monkeypatch, F5Matrix, "__mul__")
     repn._group_data.cache_clear()
     got = repn._group_data()
-    assert f5_calls == []
     assert got == want
     assert list(got[1]) == list(want[1]) and list(got[2]) == list(want[2])
-    assert all(type(g) is F5Matrix for g in got[0])
 
 
 def test_group_edges_are_the_cayley_graph():
     order, _, _, edges = repn._group_data()
     gens = repn._shadow_generators()
-    assert edges == tuple((g, idx, g * s) for g in order
+    assert edges == tuple((g, idx, f5_mul(g, s)) for g in order
                           for idx, s in enumerate(gens))
     assert [repn.generator_name(i) for i in (0, 1, 2, 9)] == \
         ["S", "T", "U(1, 1)", "U(4, 4)"]
@@ -297,16 +313,16 @@ def test_group_edges_are_the_cayley_graph():
 
 def test_int_keys_are_exact():
     S, T, _ = pi_generators()
-    assert lift_pi(F5Matrix.identity()) == repn._IDENTITY_KEY
+    assert lift_pi(F5_ONE) == repn._IDENTITY_KEY
     assert S[:8] == (0, 1, 0, 0, 1, 0, 1, 1)
     # (1/2) I times S has coordinates in (1/4) Z: the halving raises
     half = (1, 0, 0, 0) + ZERO + ZERO + (1, 0, 0, 0)
     with pytest.raises(ArithmeticError):
         repn._times_generator(half, 0)
     # the residue of a key reads 1/2 as 3, and is multiplicative
-    S5, T5 = F5Matrix(1, 1, 0, 1), F5Matrix(0, -1, 1, 0)
+    S5, T5 = (1, 1, 0, 1), (0, 4, 1, 0)
     for key, shadow in ((S, S5), (T, T5),
-                        (key_mul(key_mul(S, T), S), S5 * T5 * S5)):
+                        (key_mul(key_mul(S, T), S), f5_mul(S5, T5, S5))):
         assert repn._key_residue(key) == shadow
 
 
@@ -324,16 +340,13 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_certificate_makes_no_matrix_products(monkeypatch):
     # the lift table, the certificate and the relations run on keys: no
-    # product in Z[eps, i] once the map of S is built, and the certificate
-    # reads the BFS edges instead of multiplying over F5
+    # product in Z[eps, i] once the map of S is built
     repn._group_data()
     repn._s_map()
     mul_calls = _count_calls(monkeypatch, repn, "_mul")
     repn._lift_table.cache_clear()
     repn._lift_table()
-    f5_calls = _count_calls(monkeypatch, F5Matrix, "__mul__")
     assert verify_homomorphism()
-    assert f5_calls == []
     assert verify_relations()
     assert mul_calls == []
 
@@ -360,7 +373,7 @@ def test_homomorphism_witness(lift_table):
     lifts = generator_lifts()
     table = lift_table_from(lifts[:1] + [NEG_T] + lifts[2:])
     lift_table(table)
-    assert repn.homomorphism_mismatch() == (F5Matrix.identity(), 1)
+    assert repn.homomorphism_mismatch() == (F5_ONE, 1)
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(-1, 2)])
@@ -370,9 +383,9 @@ def test_homomorphism_lift_outside_half_integers(lift_table, scale):
     # +-(1/2) reduces to 3 or 2, without raising
     table = dict(repn._lift_table())
     k = int(2 * scale)
-    table[F5Matrix.identity()] = (k, 0, 0, 0) + ZERO + ZERO + (k, 0, 0, 0)
+    table[F5_ONE] = (k, 0, 0, 0) + ZERO + ZERO + (k, 0, 0, 0)
     lift_table(table)
-    assert repn.homomorphism_mismatch() == (F5Matrix.identity(), 0)
+    assert repn.homomorphism_mismatch() == (F5_ONE, 0)
     assert not verify_homomorphism()
     assert not repn.verify_congruence()
 
@@ -408,7 +421,7 @@ def test_homomorphism_exhaustive():
     # the products taken by the test's own integer product
     order = enumerate_group()
     table = {g: scaled_int_matrix(lift_pi(g)) for g in order}
-    assert all(scaled_int_product(table[g], table[h]) == table[g * h]
+    assert all(scaled_int_product(table[g], table[h]) == table[f5_mul(g, h)]
                for g in order for h in order)
 
 
@@ -448,12 +461,10 @@ def test_relation_failure_at_nonsquare_ratio():
     assert key_mul(M, M_inv) == IDENTITY_KEY
     assert key_mul(key_mul(M, S), M_inv) != key_pow(S, 2)
     # the F5 shadow of relation (3) at (a, d) = (2, 3)
-    T5 = F5Matrix(0, -1, 1, 0)
-    T5inv = F5Matrix(0, 1, -1, 0)
-    S5 = F5Matrix(1, 1, 0, 1)
-    lhs = T5 * S5 * S5 * S5 * T5inv
-    rhs = F5Matrix(2, 0, 0, 3) * S5 * S5 * T5inv * (S5 * S5 * S5)
-    assert lhs == rhs == F5Matrix(1, 0, -3, 1)
+    T5, T5inv, S5 = (0, 4, 1, 0), (0, 1, 4, 0), (1, 1, 0, 1)
+    lhs = f5_mul(T5, S5, S5, S5, T5inv)
+    rhs = f5_mul((2, 0, 0, 3), S5, S5, T5inv, S5, S5, S5)
+    assert lhs == rhs == (1, 0, 2, 1)
 
 
 def test_congruence_and_faithfulness():
@@ -476,7 +487,7 @@ def test_image_denominators_and_determinants():
     for g in enumerate_group():
         key = lift_pi(g)
         assert len(key) == 16 and all(type(v) is int for v in key)
-        assert residue_hom(key_det(key)) * 4 % 5 == g.det()
+        assert residue_hom(key_det(key)) * 4 % 5 == f5_det(g)
 
 
 # -- the product of Z[eps, i], against sympy ------------------------------------
