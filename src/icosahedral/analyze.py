@@ -3,18 +3,22 @@
 Each record is carried as reduced integer pairs (n, d), d > 0, from the
 parse to the printed line: each field is parsed once from its
 regular-expression match, its digits counted before int() is called, and
-reduced by one gcd; the invariants, the j-candidates (quintic.j_root_pairs,
-as base +- off*sqrt(5*disc)) and t come from the pair functions of
-quintic; every product, sum and reduction in the rendered strings is taken
-on numerator and denominator, and every number is rendered by _ratio.  So
-no algebra, no Fraction and no quintic object is built per record.
+reduced by one gcd; the invariants (quintic.invariants), the j-candidates
+(quintic.j_roots, as base +- off*sqrt(5*disc)) and t (quintic.trinomial_t)
+are computed on pairs, and so is the hypothesis
+(localfield.is_square_5adic_unit); every product, sum and reduction in the
+rendered strings is taken on numerator and denominator, and every number
+is rendered by _ratio.  So no algebra and no Fraction is built per record.
 
 A batch is split into contiguous shards of at least _MIN_SHARD records,
 at most one per CPU of the affinity mask.  Shard 0 is analyzed here, each
 record written before the next; each other shard in a forked child, whose
 pipe is read to EOF before it is reaped (so no payload can block both) and
 written here in shard order: the same bytes at any k.  A child that fails
-sends its traceback, which the RuntimeError raised here carries.
+sends its traceback, which the RuntimeError raised here carries.  Where
+os.pipe or os.fork fails (EAGAIN at a process limit, EMFILE), the shards
+not yet forked are analyzed here, after those that were: the same bytes
+again.  k follows the affinity mask, not a cgroup CPU quota.
 """
 
 from __future__ import annotations
@@ -231,12 +235,12 @@ def _analyze_one(rec: dict) -> dict:
         out["label"] = rec["label"]
     out.update(quintic=_quintic_str(a, b, c), A=_ratio(*a), B=_ratio(*b),
                C=_ratio(*c))
-    inv = quintic.invariant_pairs(a, b, c)
+    inv = quintic.invariants(a, b, c)
     for name, value in zip(("delta", "gamma4", "gamma6", "disc"), inv):
         out[name] = _ratio(*value)
     errors = []
     try:
-        base, off = quintic.j_root_pairs(inv)
+        base, off = quintic.j_roots(inv)
         if off[0]:
             disc_n, disc_d = inv[3]
             out["j_candidates"] = _conjugate_strings(
@@ -252,10 +256,10 @@ def _analyze_one(rec: dict) -> dict:
         if not c[0]:
             errors.append("C must be nonzero for t")
         else:
-            t = quintic.trinomial_t_pair(b, c)
+            t = quintic.trinomial_t(b, c)
             out["t"] = None if t is None else _ratio(*t)
             out["hypothesis"] = (t is not None
-                                 and localfield.is_square_unit_pair(*t))
+                                 and localfield.is_square_5adic_unit(*t))
     out["status"] = "error" if errors else "ok"
     if errors:
         out["error"] = "; ".join(errors)
@@ -286,7 +290,13 @@ def _fork_shard(start, records) -> tuple:
     lines, its checks), or (False, its traceback), down the pipe, then
     leaves by os._exit."""
     r, w = os.pipe()
-    if pid := os.fork():
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
         os.close(w)
         return pid, open(r, "rb")
     try:
@@ -354,18 +364,23 @@ def cmd_analyze(args) -> int:
         k = min(len(os.sched_getaffinity(0)), max(1, n // _MIN_SHARD))
     shards = [(n * i // k, records[n * i // k:n * (i + 1) // k])
               for i in range(k)]
-    _log_info("analyzing %d record(s) in %d process(es)", n, k)
     # every record parsed, so no bad line can follow output
     children = []
     try:
-        for shard in shards[1:]:
-            children.append(_fork_shard(*shard))
+        with contextlib.suppress(OSError):  # no process or pipe to be had
+            for shard in shards[1:]:
+                children.append(_fork_shard(*shard))
+        unforked = shards[1 + len(children):]
+        _log_info("analyzing %d record(s) in %d process(es)", n,
+                  1 + len(children))
         with _output(args.out) as fh:
             checks = _analyze_records(*shards[0], fh.write)
             while children:
                 text, more = _next_shard(children)
                 fh.write(text)
                 checks += more
+            for shard in unforked:
+                checks += _analyze_records(*shard, fh.write)
             if args.json:
                 fh.write(_COMPACT_JSON.encode(
                     _report("analyze", checks, args, None)) + "\n")

@@ -259,7 +259,12 @@ def verify_sigma_identity() -> bool:
 
 def square_identity_mismatch():
     """None, or the first unit x mod 8 sqrt5, as its pair (a, b) for
-    a + b*eps, with omega(x)^2 != chi_{-4}(N(x)) * omega5(N(x))^-1."""
+    a + b*eps, with omega(x)^2 != chi_{-4}(N(x)) * omega5(N(x))^-1.
+
+    The check cannot tell omega5(N(x))^-1 from omega5(N(x)):
+    N(a + b eps) = a^2 - ab - b^2 = (a - 3b)^2 mod 5, so the norm of a unit
+    is 1 or 4 mod 5, omega5(N(x)) is +-1 and equals its own inverse.
+    """
     ring = residue_ring("8sqrt5")
     w = omega()
     for x in ring.units():

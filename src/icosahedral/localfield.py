@@ -35,7 +35,6 @@ from .quintic import trinomial_t
 
 __all__ = [
     "is_square_5adic_unit",
-    "is_square_unit_pair",
     "theorem_hypothesis",
     "artin_schreier_mismatch",
     "artin_schreier_identity",
@@ -59,14 +58,7 @@ def v5(x):
     return v
 
 
-def is_square_5adic_unit(t) -> bool:
-    """Whether the rational t is the square of a 5-adic unit; see
-    :func:`is_square_unit_pair`."""
-    t = Fraction(t)
-    return is_square_unit_pair(t.numerator, t.denominator)
-
-
-def is_square_unit_pair(n: int, d: int) -> bool:
+def is_square_5adic_unit(n: int, d: int) -> bool:
     """Whether n/d, in lowest terms with d > 0, is the square of a 5-adic unit.
 
     By Hensel's lemma at the odd prime 5, a unit is a square exactly when
@@ -81,12 +73,13 @@ def is_square_unit_pair(n: int, d: int) -> bool:
 def theorem_hypothesis(B, C) -> bool:
     """Whether x^5 + Bx + C has a parameter t that is a square unit.
 
-    True iff 256B^5 + 3125C^4 is a positive rational square (so t exists)
-    and t = 75C^2/sqrt(256B^5 + 3125C^4) is the square of a 5-adic unit.
+    B and C are reduced pairs (n, d), d > 0.  True iff 256B^5 + 3125C^4 is
+    a positive rational square (so t exists) and
+    t = 75C^2/sqrt(256B^5 + 3125C^4) is the square of a 5-adic unit.
     Requires C != 0.
     """
     t = trinomial_t(B, C)
-    return t is not None and is_square_5adic_unit(t)
+    return t is not None and is_square_5adic_unit(*t)
 
 
 def _first_difference(name, lhs, rhs):

@@ -48,7 +48,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import SQRT5, Poly, poly_divides, poly_gcd, resultant_pencil
-from .quintic import Quintic, invariants, j_equation
+from .quintic import invariants, j_equation
 
 __all__ = [
     "EllipticCurve",
@@ -67,6 +67,9 @@ class EllipticCurve(namedtuple("EllipticCurve", "a2 a4 a6")):
     """Model y^2 = x^3 + a2 x^2 + a4 x + a6 with nonzero discriminant.
 
     A coefficient is a Fraction (an int is converted) or an exact.Sqrt5.
+    The namedtuple's _replace bypasses __new__, so a copy made by it skips
+    the int conversion and the ``singular curve`` check; nothing in the
+    package calls it.
     """
 
     __slots__ = ()
@@ -223,8 +226,8 @@ def verify_isogeny_composition() -> bool:
 
 
 # values of r = a4(E_t) for j_equation_family_mismatch: 37 distinct
-# rationals outside {0, 1}, one more than the degree bound 36
-_J_EQUATION_R = tuple(Fraction(k) for k in range(2, 39))
+# integers outside {0, 1}, one more than the degree bound 36
+_J_EQUATION_R = range(2, 39)
 
 
 def j_equation_family_mismatch():
@@ -245,7 +248,8 @@ def j_equation_family_mismatch():
     """
     for r in _J_EQUATION_R:
         rr = r * (r - 1)
-        qa, qb, qc = j_equation(invariants(Quintic(0, 20 * rr, 16 * rr)))
+        qa, qb, qc = j_equation(invariants((0, 1), (20 * rr, 1),
+                                           (16 * rr, 1)))
         j = j_invariant(EllipticCurve(2, r, 0))
         if qa * j * j + qb * j + qc:
             return r

@@ -29,48 +29,31 @@ has 3-adic valuation exactly 1 at every coprime pair of integers.
 
 Under x -> x/k the coefficients A, B and C take the factors k^3, k^4 and
 k^5: they have weights 3, 4 and 5, and delta, gamma4, gamma6 and disc are
-forms of weight 12, 20, 30 and 20.  So ``invariant_pairs`` and
-``trinomial_t_pair`` multiply out the common denominator D as a = A D^3,
-b = B D^4, c = C D^5, and the j-equation of weight 60 is cleared by one
-integer.  Each formula has one copy, on integers: a rational goes in and
-comes out as a reduced pair (n, d), d > 0, and each value returned is
-reduced by one gcd, so ``analyze`` builds no Fraction per record.
-``invariants``, ``j_equation``, ``j_roots`` and ``trinomial_t`` wrap
-them on Fractions, for qcurve, localfield, the suites and the tests.
-``j_root_pairs`` certifies that the j-equation's discriminant is 5*disc
-times a square by one integer square test, and returns its roots as
-base +- off*sqrt(5*disc) without building a quadratic field.
+forms of weight 12, 20, 30 and 20.  So ``invariants`` and ``trinomial_t``
+multiply out the common denominator D as a = A D^3, b = B D^4, c = C D^5,
+and the j-equation of weight 60 is cleared by one integer.  Each formula
+has one copy, on integers: a rational goes in and comes out as a reduced
+pair (n, d), d > 0, and each value returned is reduced by one gcd, so
+``analyze`` builds no Fraction per record.  ``j_roots`` certifies that the
+j-equation's discriminant is 5*disc times a square by one integer square
+test, and returns its roots as base +- off*sqrt(5*disc) without building a
+quadratic field.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 __all__ = [
-    "Quintic",
     "invariants",
-    "invariant_pairs",
     "j_equation",
-    "j_root_pairs",
+    "j_roots",
     "RESOLVENT_TABLE",
     "family_quintic",
     "trinomial_t",
-    "trinomial_t_pair",
     "hyperelliptic_3adic",
 ]
-
-
-def _rational(x) -> Fraction:
-    """x as a Fraction; a Fraction itself is returned without a copy."""
-    return x if type(x) is Fraction else Fraction(x)
-
-
-def _pair(x) -> tuple:
-    """A rational x as its reduced pair (numerator, denominator)."""
-    x = _rational(x)
-    return x.numerator, x.denominator
 
 
 def _reduced(n: int, d: int) -> tuple:
@@ -81,39 +64,7 @@ def _reduced(n: int, d: int) -> tuple:
     return n // g, d // g
 
 
-class Quintic(namedtuple("Quintic", "a b c")):
-    """The quintic x^5 + a*x^2 + b*x + c; a, b and c are Fractions."""
-
-    __slots__ = ()
-
-    def __new__(cls, a, b, c):
-        return super().__new__(cls, _rational(a), _rational(b), _rational(c))
-
-    def __call__(self, x):
-        x = Fraction(x)
-        return x ** 5 + self.a * x ** 2 + self.b * x + self.c
-
-
-class QuinticInvariants(namedtuple("QuinticInvariants",
-                                   "delta gamma4 gamma6 disc")):
-    """delta, gamma4, gamma6 and the discriminant of a principal quintic."""
-
-    __slots__ = ()
-
-    def pairs(self) -> tuple:
-        """The four invariants as reduced pairs, as invariant_pairs gives
-        them."""
-        return tuple(map(_pair, self))
-
-
-def invariants(q: Quintic) -> QuinticInvariants:
-    """The invariants of q as Fractions; see :func:`invariant_pairs`."""
-    return QuinticInvariants(*(
-        Fraction(n, d)
-        for n, d in invariant_pairs(_pair(q.a), _pair(q.b), _pair(q.c))))
-
-
-def invariant_pairs(A, B, C) -> tuple:
+def invariants(A, B, C) -> tuple:
     """delta, gamma4, gamma6 and disc of x^5 + Ax^2 + Bx + C, exactly.
 
     A, B and C are pairs (n, d) of integers with d > 0, and so is each
@@ -151,24 +102,16 @@ def invariant_pairs(A, B, C) -> tuple:
             _reduced(disc, D20))
 
 
-def j_candidates(q: Quintic):
-    """Solve the j-equation of q exactly; see :func:`j_roots`."""
-    return j_roots(invariants(q))
-
-
-def j_equation(inv: QuinticInvariants):
+def j_equation(inv):
     """The j-equation qa j^2 + qb j + qc = 0 of a quintic, over the integers.
 
-    (qa, qb, qc) is a positive integer multiple of (delta^5,
-    -1728 (gamma4^3 - gamma6^2 + delta^5), 1728^2 gamma4^3).  Every term
-    has weight 60, so one integer M clears all three.
+    inv holds delta, gamma4 and gamma6 as reduced pairs, in the first three
+    entries of what invariants returns.  (qa, qb, qc) is a positive integer
+    multiple of (delta^5, -1728 (gamma4^3 - gamma6^2 + delta^5),
+    1728^2 gamma4^3).  Every term has weight 60, so one integer M clears
+    all three.
     """
-    return _j_equation(*inv.pairs()[:3])
-
-
-def _j_equation(delta, gamma4, gamma6):
-    """j_equation on reduced pairs, as invariant_pairs gives them."""
-    (dn, dd), (g4n, g4d), (g6n, g6d) = delta, gamma4, gamma6
+    (dn, dd), (g4n, g4d), (g6n, g6d) = inv[:3]
     den_d5 = dd ** 5
     den_g43 = g4d ** 3
     den_g62 = g6d ** 2
@@ -179,18 +122,11 @@ def _j_equation(delta, gamma4, gamma6):
     return qa, qb, 1728 ** 2 * g43
 
 
-def j_roots(inv: QuinticInvariants):
-    """The roots of the j-equation as Fractions (base, off); see
-    :func:`j_root_pairs`."""
-    base, off = j_root_pairs(inv.pairs())
-    return Fraction(*base), Fraction(*off)
-
-
-def j_root_pairs(inv):
+def j_roots(inv):
     """Solve the j-equation given by a quintic's invariants exactly.
 
     inv holds delta, gamma4, gamma6 and disc as reduced pairs, as
-    invariant_pairs gives them.  Returns reduced pairs (base, off) such
+    invariants gives them.  Returns reduced pairs (base, off) such
     that the two roots, with multiplicity, are base + off*sqrt(5*disc) and
     base - off*sqrt(5*disc): off = (0, 1) for a double root, and the roots
     are rational when 5*disc is a square.
@@ -203,10 +139,10 @@ def j_root_pairs(inv):
 
     Requires delta != 0; otherwise the j-equation degenerates.
     """
-    delta, gamma4, gamma6, (disc_n, disc_d) = inv
+    delta, _, _, (disc_n, disc_d) = inv
     if not delta[0]:
         raise ValueError("degenerate quintic: delta = 0")
-    qa, qb, qc = _j_equation(delta, gamma4, gamma6)
+    qa, qb, qc = j_equation(inv)
     disc_j = qb * qb - 4 * qa * qc
     base = _reduced(-qb, 2 * qa)
     if not disc_j:
@@ -256,25 +192,31 @@ def resolvent_coeffs(m, n, j):
     return tuple(out)
 
 
-def family_quintic(t) -> Quintic:
+def family_quintic(t) -> tuple:
     """The trinomial q_t = x^5 + ((9-5t^2)/t^2) x + (4(9-5t^2)/(5t^2)).
 
-    Requires t != 0.  9 - 5t^2 cannot vanish at rational t.
+    Returns its coefficients (A, B, C) as reduced pairs, so that
+    invariants(*family_quintic(t)) is defined.  With t = p/q in lowest
+    terms, B = k/p^2 and C = 4k/(5p^2) for k = 9q^2 - 5p^2.  Requires
+    t != 0.  9 - 5t^2 cannot vanish at rational t.
     """
     t = Fraction(t)
-    if not t:
+    p, q = t.numerator, t.denominator
+    if not p:
         raise ValueError("t must be nonzero")
-    k = 9 - 5 * t ** 2
+    k = 9 * q * q - 5 * p * p
     assert k != 0
-    return Quintic(Fraction(0), k / t ** 2, 4 * k / (5 * t ** 2))
+    return (0, 1), _reduced(k, p * p), _reduced(4 * k, 5 * p * p)
 
 
-def trinomial_t(B, C) -> Fraction | None:
+def trinomial_t(B, C):
     """Recover t = 75 C^2 / sqrt(256 B^5 + 3125 C^4) for x^5 + Bx + C.
 
-    Uses the positive square root; returns None when the radicand is not
-    a positive rational square.  Requires C != 0.  The Fraction form of
-    :func:`trinomial_t_pair`.
+    B and C are pairs (n, d) of integers with d > 0.  Uses the positive
+    square root; returns t as a reduced pair, or None when the radicand is
+    not a positive rational square.  Requires C != 0.  With D the lcm of
+    the denominators, b = B D^4 and c = C D^5 are integers, the radicand
+    is R / D^20 with R = 256 b^5 + 3125 c^4, and t = 75 c^2 / sqrt(R).
 
     Where defined, t is a complete invariant of the rescaling
     (B, C) -> (B c^4, C c^5), c != 0, the monic form of x -> cx.  It is
@@ -283,17 +225,6 @@ def trinomial_t(B, C) -> Fraction | None:
     a defined t has B != 0, and t^2 = 5625 / (256 B^5/C^4 + 3125) with
     t > 0 fixes B^5/C^4.  Equal B^5/C^4 for (B1, C1) and (B2, C2) give
     c = (C2/C1) / (B2/B1) with c^4 = B2/B1 and c^5 = C2/C1.
-    """
-    t = trinomial_t_pair(_pair(B), _pair(C))
-    return None if t is None else Fraction(*t)
-
-
-def trinomial_t_pair(B, C):
-    """trinomial_t on pairs (n, d) of integers with d > 0.
-
-    Returns t as a reduced pair, or None.  With D the lcm of the
-    denominators, b = B D^4 and c = C D^5 are integers, the radicand is
-    R / D^20 with R = 256 b^5 + 3125 c^4, and t = 75 c^2 / sqrt(R).
     """
     (bn, bd), (cn, cd) = B, C
     if not cn:

@@ -10,8 +10,7 @@ import sympy as sp
 from icosahedral import hecke, icosa, localfield, qcurve, repn
 from icosahedral.exact import SQRT5, Poly, poly_divides
 from icosahedral.quintic import (
-    Quintic, family_quintic, hyperelliptic_3adic, invariants, j_equation,
-    trinomial_t,
+    family_quintic, hyperelliptic_3adic, invariants, j_equation, trinomial_t,
 )
 from test_quintic import hyperelliptic_search
 from test_repn import IDENTITY_KEY, conj, key_pow, zepsi_mul
@@ -39,12 +38,12 @@ def test_03_resolvent_grid_under_10min():
 
 
 def test_04_table_parameters_exact():
-    assert trinomial_t(20, -16) == Fraction(3, 5)
-    assert trinomial_t(Fraction(-25, 4), Fraction(25, 2)) == Fraction(15, 11)
-    assert trinomial_t(4, Fraction(16, 5)) == 1
-    assert trinomial_t(-4, Fraction(16, 5)) == 3
-    assert trinomial_t(-1, Fraction(4, 5)) == Fraction(3, 2)
-    assert trinomial_t(1, Fraction(8, 5)) == Fraction(4, 3)
+    assert trinomial_t((20, 1), (-16, 1)) == (3, 5)
+    assert trinomial_t((-25, 4), (25, 2)) == (15, 11)
+    assert trinomial_t((4, 1), (16, 5)) == (1, 1)
+    assert trinomial_t((-4, 1), (16, 5)) == (3, 1)
+    assert trinomial_t((-1, 1), (4, 5)) == (3, 2)
+    assert trinomial_t((1, 1), (8, 5)) == (4, 3)
 
 
 def family_disc_t10(t):
@@ -60,10 +59,11 @@ def test_05_disc_identity_symbolic():
 
 
 def _j_equation_member(t):
-    iv = invariants(family_quintic(t))
-    qa = iv.delta ** 5
-    qb = -1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + iv.delta ** 5)
-    qc = 1728 ** 2 * iv.gamma4 ** 3
+    delta, gamma4, gamma6, _ = (Fraction(*p) for p in
+                                invariants(*family_quintic(t)))
+    qa = delta ** 5
+    qb = -1728 * (gamma4 ** 3 - gamma6 ** 2 + delta ** 5)
+    qc = 1728 ** 2 * gamma4 ** 3
     j = qcurve.j_invariant(qcurve.curve_from_t(t))
     return j * j * qa + j * qb + qc == 0
 
@@ -126,22 +126,21 @@ def test_09_hecke_identities_under_10s():
 def test_10_localfield_bundle():
     assert localfield.artin_schreier_identity()
     assert localfield.verify_family_squares()
-    truth = {Fraction(1): True, Fraction(3): False, Fraction(3, 5): False,
-             Fraction(4, 9): True}
+    truth = {(1, 1): True, (3, 1): False, (3, 5): False, (4, 9): True}
     for t, want in truth.items():
-        assert localfield.is_square_5adic_unit(t) is want
+        assert localfield.is_square_5adic_unit(*t) is want
     rng = random.Random(SEED)
     count = 0
     while count < 20:
         u = Fraction(rng.randint(-400, 400), rng.randint(1, 60))
         if not u or localfield.v5(u) != 0:
             continue
-        q = family_quintic(u * u)
-        assert localfield.theorem_hypothesis(q.b, q.c)
+        _, b, c = family_quintic(u * u)
+        assert localfield.theorem_hypothesis(b, c)
         count += 1
-    assert localfield.theorem_hypothesis(4, Fraction(16, 5)) is True
-    assert localfield.theorem_hypothesis(20, -16) is False
-    assert localfield.theorem_hypothesis(-4, Fraction(16, 5)) is False
+    assert localfield.theorem_hypothesis((4, 1), (16, 5)) is True
+    assert localfield.theorem_hypothesis((20, 1), (-16, 1)) is False
+    assert localfield.theorem_hypothesis((-4, 1), (16, 5)) is False
 
 
 def test_11_hyperelliptic_search_under_1min():

@@ -73,8 +73,8 @@ def test_analyze_inline_json(capsys):
 
 
 def test_analyze_one_computes_invariants_once(monkeypatch):
-    calls = {"invariant_pairs": 0, "j_root_pairs": 0, "_square_part": 0,
-             "trinomial_t_pair": 0}
+    calls = {"invariants": 0, "j_roots": 0, "_square_part": 0,
+             "trinomial_t": 0}
 
     def counted(module, name):
         orig = getattr(module, name)
@@ -84,19 +84,19 @@ def test_analyze_one_computes_invariants_once(monkeypatch):
             return orig(*args)
         return wrapper
 
-    for name in ("invariant_pairs", "j_root_pairs", "trinomial_t_pair"):
+    for name in ("invariants", "j_roots", "trinomial_t"):
         monkeypatch.setattr(quintic, name, counted(quintic, name))
     monkeypatch.setattr(analyze, "_square_part",
                         counted(analyze, "_square_part"))
-    # A = 0 and C != 0: t and the hypothesis come from one trinomial_t_pair
+    # A = 0 and C != 0: t and the hypothesis come from one trinomial_t
     # call; both j-candidates come from one (base, off) and one radicand
     # split
     record = analyze._analyze_one({"A": (0, 1), "B": (4, 1), "C": (16, 5)})
     assert record["j_candidates"] == ["86048 - 38496*sqrt(5)",
                                       "86048 + 38496*sqrt(5)"]
     assert record["t"] == "1" and record["hypothesis"] is True
-    assert calls == {"invariant_pairs": 1, "j_root_pairs": 1,
-                     "_square_part": 1, "trinomial_t_pair": 1}
+    assert calls == {"invariants": 1, "j_roots": 1,
+                     "_square_part": 1, "trinomial_t": 1}
 
 
 def test_analyze_second_table_row(capsys):
@@ -869,6 +869,19 @@ def test_analyze_matches_golden(capsys):
     assert out.encode() == golden.read_bytes()
 
 
+def test_analyze_hypothesis_is_theorem_hypothesis():
+    # the analyze path and the verify path decide the hypothesis alike: on
+    # every golden trinomial with C != 0, the record's field is
+    # localfield.theorem_hypothesis of its reduced pairs B and C
+    trinomials = [rec for rec in golden_analyze_records()
+                  if not rec["A"][0] and rec["C"][0]]
+    assert {analyze._analyze_one(rec)["hypothesis"]
+            for rec in trinomials} == {True, False}
+    for rec in trinomials:
+        assert analyze._analyze_one(rec)["hypothesis"] is \
+            localfield.theorem_hypothesis(rec["B"], rec["C"])
+
+
 def test_analyze_builds_no_algebra(monkeypatch):
     # the record path runs on integers and Fractions: with every element of
     # Q(sqrt5) refused, each golden record still gives its line
@@ -1317,6 +1330,42 @@ def test_analyze_failed_shard_raises(tmp_path, capsys, monkeypatch, sigchld):
             os.waitpid(-1, os.WNOHANG)
     finally:
         signal.signal(signal.SIGCHLD, previous)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd to count open files")
+@pytest.mark.parametrize("name, fails_at", [("fork", 1), ("fork", 2),
+                                             ("pipe", 2)])
+def test_analyze_survives_a_failing_fork(tmp_path, capsys, monkeypatch,
+                                         name, fails_at):
+    # three shards of the golden input; os.fork (EAGAIN, a process limit)
+    # or os.pipe (EMFILE) fails at the given call, after any earlier call
+    # has forked a real shard: the shards not forked run in this process,
+    # with the one-shard run's bytes on stdout and in --out, and no pipe
+    # left open
+    out = tmp_path / "out.jsonl"
+    argv = ["analyze", "--file", str(GOLDEN_ANALYZE_INPUT), "--json"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    rc, one_shard, one_err = run_cli(capsys, *argv)
+    assert rc == 0
+    monkeypatch.setattr(analyze, "_MIN_SHARD", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    real, calls = getattr(os, name), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) % fails_at == 0:  # the same call of each run
+            code = errno.EAGAIN if name == "fork" else errno.EMFILE
+            raise OSError(code, os.strerror(code))
+        return real(*args)
+
+    monkeypatch.setattr(os, name, failing)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert run_cli(capsys, *argv) == (0, one_shard, one_err)
+    assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_text() == one_shard
+    assert len(calls) == 2 * fails_at
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 @two_cpus

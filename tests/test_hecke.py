@@ -219,7 +219,13 @@ def test_teichmuller_compatibility():
 
 
 def test_identity_mutations():
-    # omega4^2 in place of omega4^3 must break both identities somewhere
+    """omega4^2 in place of omega4^3 must break both identities somewhere.
+
+    No mutation test can catch omega5(N(x)) in place of omega5(N(x))^-1 in
+    the square identity: N(a + b eps) = (a - 3b)^2 mod 5, so omega5 of a
+    unit norm is +-1, its own inverse, and the two sides agree on every
+    unit either way.
+    """
     ring = residue_ring("8sqrt5")
     w4, w8, w5 = omega4(), omega8(), omega5()
     mutated = Character(ring, {x: (2 * w4(x) + 3 * w8(x) + w5(x)) % 24

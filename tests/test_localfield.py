@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 from icosahedral.exact import Poly
 from icosahedral.localfield import (
     artin_schreier_identity, artin_schreier_mismatch, family_squares_mismatch,
-    is_square_5adic_unit, is_square_unit_pair, theorem_hypothesis, v5,
-    verify_family_squares,
+    is_square_5adic_unit, theorem_hypothesis, v5, verify_family_squares,
 )
 from icosahedral.quintic import family_quintic, trinomial_t
+
+
+def pair(x):
+    """The rational x as its reduced pair (n, d), d > 0."""
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def rand_nonzero(rng):
@@ -70,16 +75,16 @@ def test_valuation_ordering():
 
 
 def test_square_unit_truth_table():
-    assert is_square_5adic_unit(1)
-    assert not is_square_5adic_unit(3)
-    assert not is_square_5adic_unit(Fraction(3, 5))
-    assert is_square_5adic_unit(Fraction(4, 9))
-    assert not is_square_5adic_unit(0)
-    assert not is_square_5adic_unit(5)
-    assert not is_square_5adic_unit(Fraction(1, 5))
+    assert is_square_5adic_unit(1, 1)
+    assert not is_square_5adic_unit(3, 1)
+    assert not is_square_5adic_unit(3, 5)
+    assert is_square_5adic_unit(4, 9)
+    assert not is_square_5adic_unit(0, 1)
+    assert not is_square_5adic_unit(5, 1)
+    assert not is_square_5adic_unit(1, 5)
     # residues 1 and 4 are the quadratic residues mod 5
-    assert is_square_5adic_unit(11) and is_square_5adic_unit(9)
-    assert not is_square_5adic_unit(7) and not is_square_5adic_unit(13)
+    assert is_square_5adic_unit(11, 1) and is_square_5adic_unit(9, 1)
+    assert not is_square_5adic_unit(7, 1) and not is_square_5adic_unit(13, 1)
 
 
 @PROPERTY
@@ -89,25 +94,25 @@ def test_square_unit_pair_matches_valuation_and_residue(x):
     # residue in {1, 4} at once
     want = bool(x) and v5(x) == 0 and \
         x.numerator * pow(x.denominator, -1, 5) % 5 in (1, 4)
-    assert is_square_unit_pair(x.numerator, x.denominator) is want
-    assert is_square_5adic_unit(x) is want
+    assert is_square_5adic_unit(x.numerator, x.denominator) is want
 
 
 def test_square_unit_ignores_fourth_powers():
     rng = random.Random(13)
     for _ in range(25):
         u, w = rand_unit(rng), rand_unit(rng)
-        assert is_square_5adic_unit(u ** 4 * w) == is_square_5adic_unit(w)
+        assert is_square_5adic_unit(*pair(u ** 4 * w)) == \
+            is_square_5adic_unit(*pair(w))
 
 
 def test_theorem_hypothesis_examples():
-    assert theorem_hypothesis(4, Fraction(16, 5))        # t = 1
-    assert not theorem_hypothesis(20, -16)               # t = 3/5
-    assert not theorem_hypothesis(-4, Fraction(16, 5))   # t = 3
+    assert theorem_hypothesis((4, 1), (16, 5))          # t = 1
+    assert not theorem_hypothesis((20, 1), (-16, 1))    # t = 3/5
+    assert not theorem_hypothesis((-4, 1), (16, 5))     # t = 3
     # radicand 256 + 3125 is not a square, so no parameter exists
-    assert not theorem_hypothesis(1, 1)
+    assert not theorem_hypothesis((1, 1), (1, 1))
     with pytest.raises(ValueError):
-        theorem_hypothesis(1, 0)
+        theorem_hypothesis((1, 1), (0, 1))
 
 
 def test_family_squares_proof():
@@ -126,15 +131,15 @@ def test_theorem_hypothesis_on_family():
     rng = random.Random(14)
     for _ in range(20):
         u = rand_unit(rng)
-        q = family_quintic(u * u)
-        assert trinomial_t(q.b, q.c) == u * u
-        assert theorem_hypothesis(q.b, q.c)
+        _, b, c = family_quintic(u * u)
+        assert trinomial_t(b, c) == pair(u * u)
+        assert theorem_hypothesis(b, c)
     for t in (Fraction(-3, 7), Fraction(2), Fraction(-1, 9)):
-        q = family_quintic(t)
-        assert trinomial_t(q.b, q.c) == abs(t)
+        _, b, c = family_quintic(t)
+        assert trinomial_t(b, c) == pair(abs(t))
     # a parameter with positive valuation fails the unit requirement
-    q = family_quintic(25)
-    assert not theorem_hypothesis(q.b, q.c)
+    _, b, c = family_quintic(25)
+    assert not theorem_hypothesis(b, c)
 
 
 def test_artin_schreier_identity():

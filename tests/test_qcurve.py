@@ -17,7 +17,7 @@ from icosahedral.qcurve import (
     _ISOGENY_R_DEGREE, _J_EQUATION_R, _KLEIN_LINK_FACTS, _isogeny_identities,
     isogeny_mismatch,
 )
-from icosahedral.quintic import Quintic, invariants, j_candidates, j_equation
+from icosahedral.quintic import invariants, j_equation, j_roots
 from icosahedral.suites import KLEIN_FIXED_J
 
 # -- point arithmetic mod p: an oracle independent of the isogeny proofs --
@@ -262,15 +262,15 @@ def test_published_model_j():
 def test_family_j_satisfies_quintic_j_equation():
     # each table parameter solves the j-equation of its own quintic only
     pairs = [
-        (Fraction(3, 5), Quintic(0, 20, -16)),
-        (Fraction(15, 11), Quintic(0, Fraction(-25, 4), Fraction(25, 2))),
+        (Fraction(3, 5), ((0, 1), (20, 1), (-16, 1))),
+        (Fraction(15, 11), ((0, 1), (-25, 4), (25, 2))),
     ]
 
     def j_equation_value(q, j):
-        iv = invariants(q)
-        d5 = iv.delta ** 5
-        mid = 1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + d5)
-        last = 1728 ** 2 * iv.gamma4 ** 3
+        delta, gamma4, gamma6, _ = (Fraction(*p) for p in invariants(*q))
+        d5 = delta ** 5
+        mid = 1728 * (gamma4 ** 3 - gamma6 ** 2 + d5)
+        last = 1728 ** 2 * gamma4 ** 3
         return j * j * d5 - j * mid + last
 
     for t, q in pairs:
@@ -323,7 +323,8 @@ def test_j_equation_degree_bound_sympy():
 
 def test_family_j_matches_j_candidates():
     # 5*disc = 5120000000 = 5 * 32000^2, so sqrt(5*disc) = 32000 sqrt5
-    base, off = j_candidates(Quintic(0, 20, -16))
+    base, off = (Fraction(*p) for p in
+                 j_roots(invariants((0, 1), (20, 1), (-16, 1))))
     mapped = [base + SQRT5 * (sign * off * 32000) for sign in (1, -1)]
     j1 = j_invariant(curve_from_t(Fraction(3, 5)))
     assert j1 in mapped

@@ -8,12 +8,37 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icosahedral import quintic
 from icosahedral.quintic import (
-    Quintic, QuinticInvariants, family_quintic, hyperelliptic_3adic,
-    invariants, j_candidates, resolvent_coeffs, solvable_family,
-    solvability_obstruction, trinomial_t,
+    family_quintic, hyperelliptic_3adic, invariants, j_equation, j_roots,
+    resolvent_coeffs, solvable_family, solvability_obstruction, trinomial_t,
 )
+
+
+def pair(x):
+    """The rational x as its reduced pair (n, d), d > 0."""
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def fractions(pairs):
+    """A tuple of reduced pairs as a tuple of Fractions."""
+    return tuple(Fraction(*p) for p in pairs)
+
+
+def invariants_of(A, B, C):
+    """delta, gamma4, gamma6 and disc of x^5 + Ax^2 + Bx + C as Fractions."""
+    return fractions(invariants(pair(A), pair(B), pair(C)))
+
+
+def t_of(B, C):
+    """trinomial_t of x^5 + Bx + C for rationals B, C: a Fraction, or None."""
+    t = trinomial_t(pair(B), pair(C))
+    return None if t is None else Fraction(*t)
+
+
+def family(t):
+    """family_quintic(t) as the Fractions (A, B, C)."""
+    return fractions(family_quintic(t))
 
 
 def sqrt_exact(x):
@@ -26,9 +51,9 @@ def sqrt_exact(x):
 
 
 def conjugate_roots(inv):
-    """The roots base +- off*r of j_roots, as pairs (base, +-off) of
-    Q[r]/(r^2 - 5*disc)."""
-    base, off = quintic.j_roots(inv)
+    """The roots base +- off*r of j_roots on the invariant pairs inv, as
+    pairs (base, +-off) of Fractions in Q[r]/(r^2 - 5*disc)."""
+    base, off = fractions(j_roots(inv))
     return (base, off), (base, -off)
 
 
@@ -63,10 +88,10 @@ def test_disc_against_sympy():
     generic = sp.discriminant(x ** 5 + A * x ** 2 + B * x + C, x)
     rng = random.Random(101)
     for _ in range(8):
-        q = Quintic(rand_frac(rng), rand_frac(rng), rand_frac(rng))
-        want = generic.subs({A: sp.Rational(q.a), B: sp.Rational(q.b),
-                             C: sp.Rational(q.c)})
-        assert sp.Rational(invariants(q).disc) == want
+        a, b, c = rand_frac(rng), rand_frac(rng), rand_frac(rng)
+        want = generic.subs({A: sp.Rational(a), B: sp.Rational(b),
+                             C: sp.Rational(c)})
+        assert sp.Rational(invariants_of(a, b, c)[3]) == want
 
 
 def test_disc_trinomial_form():
@@ -74,25 +99,25 @@ def test_disc_trinomial_form():
     rng = random.Random(5)
     for _ in range(6):
         b, c = rand_frac(rng), rand_frac(rng)
-        assert invariants(Quintic(0, b, c)).disc == 256 * b ** 5 + 3125 * c ** 4
-    assert invariants(Quintic(0, 4, Fraction(16, 5))).disc == 589824 == 768 ** 2
-    assert invariants(Quintic(0, 20, -16)).disc == 1024000000 == 32000 ** 2
+        assert invariants_of(0, b, c)[3] == 256 * b ** 5 + 3125 * c ** 4
+    assert invariants((0, 1), (4, 1), (16, 5))[3] == (589824, 1)
+    assert 589824 == 768 ** 2
+    assert invariants((0, 1), (20, 1), (-16, 1))[3] == (1024000000, 1)
+    assert 1024000000 == 32000 ** 2
 
 
 def test_jequation_discriminant_factorization():
     # quadratic discriminant of the j-equation = 5*disc times an explicit square
     rng = random.Random(17)
     for _ in range(20):
-        q = Quintic(rand_frac(rng), rand_frac(rng), rand_frac(rng))
-        iv = invariants(q)
-        if not iv.delta or not iv.disc:
+        A, B, C = rand_frac(rng), rand_frac(rng), rand_frac(rng)
+        iv = invariants_of(A, B, C)
+        delta, _, _, disc = iv
+        if not delta or not disc:
             continue
-        qa = iv.delta ** 5
-        qb = -1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + iv.delta ** 5)
-        qc = 1728 ** 2 * iv.gamma4 ** 3
-        ratio = (qb * qb - 4 * qa * qc) / (5 * iv.disc)
+        qa, qb, qc = j_coeffs_reference(iv)
+        ratio = (qb * qb - 4 * qa * qc) / (5 * disc)
         assert sqrt_exact(ratio) is not None
-        A, B, C = q.a, q.b, q.c
         f1 = (8 * A ** 5 * C + 8 * A ** 4 * B ** 2 - 250 * A ** 2 * B * C ** 2
               - 225 * A * B ** 3 * C + 81 * B ** 5 + 3125 * C ** 4)
         f2 = (64 * A ** 10 + 1000 * A ** 7 * B * C - 800 * A ** 6 * B ** 3
@@ -103,14 +128,11 @@ def test_jequation_discriminant_factorization():
 
 
 def test_j_candidates_t1_row():
-    iv = invariants(Quintic(0, 4, Fraction(16, 5)))
-    assert j_candidates(Quintic(0, 4, Fraction(16, 5))) == quintic.j_roots(iv)
+    iv = invariants((0, 1), (4, 1), (16, 5))
     # irrational conjugate pair in Q[r]/(r^2 - 5*disc)
     roots = conjugate_roots(iv)
-    qa = iv.delta ** 5
-    qb = -1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + iv.delta ** 5)
-    qc = 1728 ** 2 * iv.gamma4 ** 3
-    square = 5 * iv.disc
+    qa, qb, qc = j_coeffs_reference(fractions(iv))
+    square = 5 * Fraction(*iv[3])
     for r in roots:
         assert r[1]  # not rational
         assert j_equation_at(r, (qa, qb, qc), square) == (0, 0)
@@ -127,32 +149,33 @@ def test_j_candidates_t1_row():
 def test_j_roots_certificate_mutations(abc, step):
     # the certificate that disc_j is 5*disc times a square fails on a
     # perturbed gamma6; disc = 0 under a nonzero disc_j fails on its own
-    iv = invariants(Quintic(*abc))
-    bad = QuinticInvariants(iv.delta, iv.gamma4, iv.gamma6 + step, iv.disc)
-    qa, qb, qc = quintic.j_equation(bad)
+    iv = invariants(*map(pair, abc))
+    delta, gamma4, gamma6, disc = iv
+    bad = (delta, gamma4, pair(Fraction(*gamma6) + step), disc)
+    qa, qb, qc = j_equation(bad)
     assert qb * qb - 4 * qa * qc
     with pytest.raises(ArithmeticError, match="not 5\\*disc times a square"):
-        quintic.j_roots(bad)
-    flat = QuinticInvariants(iv.delta, iv.gamma4, iv.gamma6, Fraction(0))
+        j_roots(bad)
+    flat = (delta, gamma4, gamma6, (0, 1))
     with pytest.raises(ArithmeticError,
                        match="simple roots with vanishing discriminant"):
-        quintic.j_roots(flat)
+        j_roots(flat)
 
 
 def test_j_candidates_rational_split():
     # x^5 + 2x: the square cofactor vanishes, leaving a double rational root
-    assert j_candidates(Quintic(0, 2, 0)) == (1728, 0)
+    assert j_roots(invariants((0, 1), (2, 1), (0, 1))) == ((1728, 1), (0, 1))
     with pytest.raises(ValueError):
-        j_candidates(Quintic(0, 0, 1))  # delta = 0
+        j_roots(invariants((0, 1), (0, 1), (1, 1)))  # delta = 0
 
 
 def test_j_candidates_split_when_5disc_square():
     # quintics built from rational (m, n, j) have 5*disc a rational square,
     # so the quadratic splits into two rational roots base +- off*s
-    q = Quintic(*resolvent_coeffs(1, 1, 2))
-    s = sqrt_exact(5 * invariants(q).disc)
+    iv = invariants(*map(pair, resolvent_coeffs(1, 1, 2)))
+    s = sqrt_exact(5 * Fraction(*iv[3]))
     assert s is not None
-    base, off = j_candidates(q)
+    base, off = fractions(j_roots(iv))
     roots = (base + off * s, base - off * s)
     assert Fraction(2) in roots and roots[0] != roots[1]
 
@@ -182,11 +205,11 @@ def test_resolvent_roundtrip_through_j_equation():
         j = Fraction(rng.randint(1, 4000), rng.randint(1, 7))
         if j == 1728 or (not m and not n):
             continue
-        q = Quintic(*resolvent_coeffs(m, n, j))
-        if not invariants(q).delta:
+        iv = invariants(*map(pair, resolvent_coeffs(m, n, j)))
+        if not iv[0][0]:
             continue
-        base, off = j_candidates(q)
-        s = sqrt_exact(5 * invariants(q).disc)
+        base, off = fractions(j_roots(iv))
+        s = sqrt_exact(5 * Fraction(*iv[3]))
         assert j in (base + off * s, base - off * s)
         done += 1
 
@@ -195,13 +218,13 @@ def test_family_quintic_table_rows():
     # the table's principal forms 5x^5 + 20x + 16, 5x^5 - 20x + 16 and
     # x^5 + 20x + 16 are q_1, q_3 and q_{3/5}: the same t, and the c of
     # trinomial_t's docstring takes one to the other
-    q1 = family_quintic(1)
-    assert (q1.a, q1.b, q1.c) == (0, 4, Fraction(16, 5))
+    assert family_quintic(1) == ((0, 1), (4, 1), (16, 5))
     for t, (c5, b, c) in ((1, (5, 20, 16)), (3, (5, -20, 16)),
                           (Fraction(3, 5), (1, 20, 16))):
-        q = family_quintic(t)
-        assert trinomial_t(Fraction(b, c5), Fraction(c, c5)) == t
-        assert rescaling(q.b, q.c, Fraction(b, c5), Fraction(c, c5)) \
+        _, qb, qc = family(t)
+        assert trinomial_t(pair(Fraction(b, c5)), pair(Fraction(c, c5))) \
+            == pair(t)
+        assert rescaling(qb, qc, Fraction(b, c5), Fraction(c, c5)) \
             in (1, -1)
     with pytest.raises(ValueError):
         family_quintic(0)
@@ -221,14 +244,14 @@ def test_family_disc_identity_symbolic():
 
 
 def test_trinomial_t_table_values():
-    assert trinomial_t(4, Fraction(16, 5)) == 1
-    assert trinomial_t(Fraction(-25, 4), Fraction(25, 2)) == Fraction(15, 11)
-    assert trinomial_t(1, Fraction(8, 5)) == Fraction(4, 3)
-    assert trinomial_t(-1, Fraction(4, 5)) == Fraction(3, 2)
-    assert trinomial_t(1, 1) is None          # 3381 is not a square
-    assert trinomial_t(-1, Fraction(1, 2)) is None  # negative radicand
+    assert trinomial_t((4, 1), (16, 5)) == (1, 1)
+    assert trinomial_t((-25, 4), (25, 2)) == (15, 11)
+    assert trinomial_t((1, 1), (8, 5)) == (4, 3)
+    assert trinomial_t((-1, 1), (4, 5)) == (3, 2)
+    assert trinomial_t((1, 1), (1, 1)) is None     # 3381 is not a square
+    assert trinomial_t((-1, 1), (1, 2)) is None    # negative radicand
     with pytest.raises(ValueError):
-        trinomial_t(4, 0)
+        trinomial_t((4, 1), (0, 1))
 
 
 def test_trinomial_t_recovers_family_parameter():
@@ -237,22 +260,22 @@ def test_trinomial_t_recovers_family_parameter():
         t = rand_frac(rng, -15, 15, 8)
         if not t:
             continue
-        q = family_quintic(t)
-        assert trinomial_t(q.b, q.c) == abs(t)
+        _, b, c = family_quintic(t)
+        assert trinomial_t(b, c) == pair(abs(t))
 
 
 def test_scaling_equivalent():
     # the table's 5x^5 + 5x + 8 is q_{4/3} under x -> 2x
-    q43 = family_quintic(Fraction(4, 3))
-    assert (q43.b, q43.c) == (Fraction(1, 16), Fraction(1, 20))
-    assert trinomial_t(q43.b, q43.c) == trinomial_t(1, Fraction(8, 5)) \
-        == Fraction(4, 3)
-    assert rescaling(q43.b, q43.c, 1, Fraction(8, 5)) == 2
+    _, b43, c43 = family_quintic(Fraction(4, 3))
+    assert (b43, c43) == ((1, 16), (1, 20))
+    assert trinomial_t(b43, c43) == trinomial_t((1, 1), (8, 5)) == (4, 3)
+    assert rescaling(Fraction(*b43), Fraction(*c43), 1, Fraction(8, 5)) == 2
     # rows 2 and 3: different t, and no rescaling between them
-    assert trinomial_t(4, Fraction(16, 5)) != trinomial_t(-4, Fraction(16, 5))
+    assert trinomial_t((4, 1), (16, 5)) != trinomial_t((-4, 1), (16, 5))
     assert rescaling(4, Fraction(16, 5), -4, Fraction(16, 5)) is None
     # with B = 0 the radicand 3125 C^4 is never a square: t is undefined
-    assert trinomial_t(0, 3) is None and trinomial_t(0, 3 * 2 ** 5) is None
+    assert trinomial_t((0, 1), (3, 1)) is None
+    assert trinomial_t((0, 1), (3 * 2 ** 5, 1)) is None
 
 
 def test_solvable_family():
@@ -287,9 +310,9 @@ def test_obstruction_consistency_with_family():
         B, C = solvable_family(v, w)
         if not C:
             continue
-        q = family_quintic(t)
-        assert trinomial_t(B, C) == abs(t)
-        assert rescaling(q.b, q.c, B, C) is not None
+        _, qb, qc = family(t)
+        assert t_of(B, C) == abs(t)
+        assert rescaling(qb, qc, B, C) is not None
         done += 1
 
 
@@ -450,10 +473,12 @@ def invariants_reference(A, B, C):
 
 
 def j_coeffs_reference(iv):
-    """(qa, qb, qc) of the j-equation, on Fractions."""
-    qa = iv.delta ** 5
-    qb = -1728 * (iv.gamma4 ** 3 - iv.gamma6 ** 2 + iv.delta ** 5)
-    qc = 1728 ** 2 * iv.gamma4 ** 3
+    """(qa, qb, qc) of the j-equation, on the Fractions delta, gamma4,
+    gamma6 (and disc) of iv."""
+    delta, gamma4, gamma6 = iv[:3]
+    qa = delta ** 5
+    qb = -1728 * (gamma4 ** 3 - gamma6 ** 2 + delta ** 5)
+    qc = 1728 ** 2 * gamma4 ** 3
     return qa, qb, qc
 
 
@@ -486,9 +511,8 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
 @example((Fraction(-7, 12), 0, Fraction(5, 8)))
 def test_invariants_match_fraction_formulas(abc):
     A, B, C = abc
-    iv = invariants(Quintic(A, B, C))
-    assert (iv.delta, iv.gamma4, iv.gamma6, iv.disc) == \
-        invariants_reference(Fraction(A), Fraction(B), Fraction(C))
+    assert invariants(pair(A), pair(B), pair(C)) == tuple(map(
+        pair, invariants_reference(Fraction(A), Fraction(B), Fraction(C))))
 
 
 @PROPERTY
@@ -500,23 +524,24 @@ def test_invariants_match_fraction_formulas(abc):
 # at k = 7 the denominator of delta^5 alone holds the largest power of 7
 @example((Fraction(-4, 7 ** 3), Fraction(-4, 7 ** 4), Fraction(1, 7 ** 5)))
 def test_j_roots_solve_the_j_equation(abc):
-    iv = invariants(Quintic(*abc))
-    if not iv.delta:
+    iv = invariants(*map(pair, abc))
+    if not iv[0][0]:
         with pytest.raises(ValueError, match="delta = 0"):
-            quintic.j_roots(iv)
+            j_roots(iv)
         return
-    qa, qb, qc = j_coeffs_reference(iv)
+    disc = Fraction(*iv[3])
+    qa, qb, qc = j_coeffs_reference(fractions(iv))
     # j_equation: the same coefficients times one positive integer
-    ia, ib, ic = quintic.j_equation(iv)
+    ia, ib, ic = j_equation(iv)
     m = ia / qa
     assert m > 0 and (ib, ic) == (m * qb, m * qc)
-    base, off = quintic.j_roots(iv)
+    base, off = fractions(j_roots(iv))
     # base +- off*r with r^2 = 5*disc solve qa j^2 + qb j + qc = 0: the
     # rational part and the coefficient of r vanish
-    assert qa * (base * base + off * off * 5 * iv.disc) + qb * base + qc == 0
+    assert qa * (base * base + off * off * 5 * disc) + qb * base + qc == 0
     assert off * (2 * qa * base + qb) == 0
     for r in conjugate_roots(iv):
-        assert j_equation_at(r, (qa, qb, qc), 5 * iv.disc) == (0, 0)
+        assert j_equation_at(r, (qa, qb, qc), 5 * disc) == (0, 0)
 
 
 def pair_times(x, k):
@@ -540,19 +565,15 @@ def test_pair_functions_match_fraction_formulas(abc, k):
     # the record path: invariants, j-roots and t on integer pairs, each
     # returned in lowest terms with a positive denominator
     A, B, C = (Fraction(x) for x in abc)
-    inv = quintic.invariant_pairs(*(pair_times(x, k) for x in (A, B, C)))
-    assert inv == tuple((x.numerator, x.denominator)
-                        for x in invariants_reference(A, B, C))
+    inv = invariants(*(pair_times(x, k) for x in (A, B, C)))
+    assert inv == tuple(map(pair, invariants_reference(A, B, C)))
     if inv[0][0]:
-        base, off = quintic.j_root_pairs(inv)
+        base, off = j_roots(inv)
         assert is_reduced(base) and is_reduced(off)
-        assert (Fraction(*base), Fraction(*off)) == \
-            quintic.j_roots(invariants(Quintic(A, B, C)))
     if C:
-        t = quintic.trinomial_t_pair(pair_times(B, k), pair_times(C, k))
+        t = trinomial_t(pair_times(B, k), pair_times(C, k))
         want = trinomial_t_reference(B, C)
-        assert t == (None if want is None else (want.numerator,
-                                                want.denominator))
+        assert t == (None if want is None else pair(want))
         assert t is None or is_reduced(t)
 
 
@@ -562,7 +583,7 @@ def test_pair_functions_match_fraction_formulas(abc, k):
 @example(Fraction(-25, 4), Fraction(25, 2))
 @example(-1, Fraction(1, 2))
 def test_trinomial_t_matches_fraction_formula(B, C):
-    assert trinomial_t(B, C) == trinomial_t_reference(Fraction(B), Fraction(C))
+    assert t_of(B, C) == trinomial_t_reference(Fraction(B), Fraction(C))
 
 
 @PROPERTY
@@ -571,8 +592,8 @@ def test_trinomial_t_matches_fraction_formula(B, C):
        nonzero_rationals)
 def test_trinomial_t_on_rescaled_family(t, k):
     # x -> kx takes q_t to x^5 + B k^4 x + C k^5, with the same parameter
-    q = family_quintic(t)
-    assert trinomial_t(q.b * k ** 4, q.c * k ** 5) == t
+    _, b, c = family(t)
+    assert t_of(b * k ** 4, c * k ** 5) == t
 
 
 @PROPERTY
@@ -580,7 +601,7 @@ def test_trinomial_t_on_rescaled_family(t, k):
 @example(4, Fraction(16, 5), 3)
 @example(Fraction(1, 16), Fraction(1, 20), Fraction(-2, 7))
 def test_trinomial_t_scaling_invariance(B, C, c):
-    assert trinomial_t(B * c ** 4, C * c ** 5) == trinomial_t(B, C)
+    assert t_of(B * c ** 4, C * c ** 5) == t_of(B, C)
 
 
 # parameters of the table rows, with signs; t and -t give the same q_t
@@ -595,9 +616,9 @@ TABLE_T = tuple(s * t for t in (Fraction(15, 11), Fraction(1), Fraction(3),
 def test_equal_t_means_rescaling(t1, t2, k1, k2):
     # rescaled q_t1 and q_t2 share t exactly when |t1| = |t2|, and then
     # the c of trinomial_t's docstring relates them
-    q1, q2 = family_quintic(t1), family_quintic(t2)
-    b1, c1 = q1.b * k1 ** 4, q1.c * k1 ** 5
-    b2, c2 = q2.b * k2 ** 4, q2.c * k2 ** 5
-    same = trinomial_t(b1, c1) == trinomial_t(b2, c2)
+    (_, q1b, q1c), (_, q2b, q2c) = family(t1), family(t2)
+    b1, c1 = q1b * k1 ** 4, q1c * k1 ** 5
+    b2, c2 = q2b * k2 ** 4, q2c * k2 ** 5
+    same = t_of(b1, c1) == t_of(b2, c2)
     assert same == (abs(t1) == abs(t2))
     assert rescaling(b1, c1, b2, c2) == (k2 / k1 if same else None)
