@@ -13,7 +13,7 @@ Three subcommands:
   with fields unramified outside 2, 5 and infinity and compare them with the
   listed values.
 
-This module imports only argparse and sys; _main imports the module of
+This module imports only argparse, re and sys; _main imports the module of
 the subcommand it runs, ``analyze`` or ``suites`` (both use ``reports``),
 which import json, fractions, time and the domain modules they run;
 logging is imported only when ICOSAHEDRAL_LOG is set.  No module imports
@@ -30,6 +30,7 @@ Exact rationals are serialized as "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 __all__ = ["main"]
@@ -83,6 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="constant coefficient (required with --b)")
     pa.add_argument("--a", type=_rational_arg, metavar="A",
                     help="x^2-coefficient (default 0)")
+    # argparse before 3.13 takes a token that starts with "-" for an option
+    # string unless it reads like -5 or -.5; -p/q is a value as well, so
+    # "--b -1/5" gives --b the value -1/5
+    pa._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     pa.add_argument("--json", action="store_true",
                     help="append a JSON report object after the records")
     pa.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -240,8 +240,9 @@ def _norm_residue(ring: ResidueRing, x, modulus: int) -> int:
 
 
 def sigma_identity_mismatch():
-    """None, or the first unit x mod 8 sqrt5, as its pair (a, b) for
-    a + b*eps, with omega(sigma x) / omega(x) != (-2 / N(x))."""
+    """Check omega(sigma x) / omega(x) = (-2 / N(x)) on all 192 units:
+    None, or the first unit x mod 8 sqrt5, as its pair (a, b) for
+    a + b*eps, at which it fails."""
     ring = residue_ring("8sqrt5")
     w = omega()
     for x in ring.units():
@@ -252,18 +253,16 @@ def sigma_identity_mismatch():
     return None
 
 
-def verify_sigma_identity() -> bool:
-    """Check omega(sigma x) / omega(x) = (-2 / N(x)) on all 192 units."""
-    return sigma_identity_mismatch() is None
-
-
 def square_identity_mismatch():
-    """None, or the first unit x mod 8 sqrt5, as its pair (a, b) for
-    a + b*eps, with omega(x)^2 != chi_{-4}(N(x)) * omega5(N(x))^-1.
+    """Check omega(x)^2 = chi_{-4}(N(x)) * omega5(N(x))^-1 on all 192
+    units: None, or the first unit x mod 8 sqrt5, as its pair (a, b) for
+    a + b*eps, at which it fails.
 
-    The check cannot tell omega5(N(x))^-1 from omega5(N(x)):
-    N(a + b eps) = a^2 - ab - b^2 = (a - 3b)^2 mod 5, so the norm of a unit
-    is 1 or 4 mod 5, omega5(N(x)) is +-1 and equals its own inverse.
+    chi_{-4} is the nontrivial character mod 4 and omega5 on the right is
+    the Teichmuller character mod 5 with 2 -> i.  The check cannot tell
+    omega5(N(x))^-1 from omega5(N(x)): N(a + b eps) = a^2 - ab - b^2
+    = (a - 3b)^2 mod 5, so the norm of a unit is 1 or 4 mod 5, and
+    omega5(N(x)) is +-1 and equals its own inverse.
     """
     ring = residue_ring("8sqrt5")
     w = omega()
@@ -274,15 +273,6 @@ def square_identity_mismatch():
         if lhs != (chi4 - teich) % 24:
             return x
     return None
-
-
-def verify_square_identity() -> bool:
-    """Check omega(x)^2 = chi_{-4}(N(x)) * omega5(N(x))^-1 on all 192 units.
-
-    chi_{-4} is the nontrivial character mod 4 and omega5 on the right is
-    the Teichmuller character mod 5 with 2 -> i.
-    """
-    return square_identity_mismatch() is None
 
 
 def verify_positive_units() -> bool:

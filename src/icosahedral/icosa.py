@@ -51,8 +51,6 @@ from .exact import SQRT5, Poly, Sqrt5
 
 __all__ = [
     "fundamental_identity_mismatch",
-    "verify_fundamental_identity",
-    "verify_invariance",
     "invariance_mismatch",
     "resolvent_identity_mismatch",
 ]
@@ -128,21 +126,6 @@ def fundamental_identity_mismatch(lam=None):
                  if lhs.coeff(k) != rhs.coeff(k)), None)
 
 
-def verify_fundamental_identity(lam=None):
-    """fundamental_identity_mismatch(lam) is None."""
-    return fundamental_identity_mismatch(lam) is None
-
-
-def verify_invariance(gen, inv=None):
-    """j o gen = j over Q(zeta5); for S also mu o S = mu and lambda o S != lambda.
-
-    gen is "S", "T", "U" or a matrix ((a, b), (c, d)) of z -> (az+b)/(cz+d)
-    over Q or Q(sqrt5); invariance_mismatch is the proof.  inv
-    defaults to build_invariants(); it is a parameter for mutation tests.
-    """
-    return invariance_mismatch(gen, inv) is None
-
-
 def _mul5(x, y):
     """The product of p + q*sqrt5 and r + s*sqrt5, as integer pairs."""
     (p, q), (r, s) = x, y
@@ -205,7 +188,12 @@ def _is_klein_j(j, f, face):
 
 
 def invariance_mismatch(gen, inv=None):
-    """Prove j o gen = j; None, or the first part of the proof that fails.
+    """Prove j o gen = j over Q(zeta5), and for S also mu o S = mu and
+    lambda o S != lambda; None, or the first part of the proof that fails.
+
+    gen is "S", "T", "U" or a matrix ((a, b), (c, d)) of z -> (az+b)/(cz+d)
+    over Q or Q(sqrt5).  inv defaults to build_invariants(); it is a
+    parameter for mutation tests.
 
     S is read off the exponents mod 5 by _rotation_mismatch, whose
     failures it returns.  For a matrix g = ((a, b), (c, d)) over a field K

@@ -14,13 +14,13 @@ and y a root of y^4 = 256u^4/(625(5u^4 - 9)),
 
 holds identically in x over Q(u)[y]/(y^4 - 256u^4/(625(5u^4 - 9))).  As
 (5y/4)^4 is a scalar of Q(u), it comes down to two identities in Q(u), which
-artin_schreier_identity checks cleared of denominators, in Q[u].  Since
+artin_schreier_mismatch checks cleared of denominators, in Q[u].  Since
 v5(y^4) = -4 for any 5-adic unit u, y has valuation -1/1 in a totally
 ramified quartic extension, the shape that makes x^5 - x - y an
 Artin-Schreier equation at 5.
 
 On the family itself the hypothesis holds at t = u^2 for every 5-adic unit
-u, since trinomial_t(q_t) = |t| (verify_family_squares).
+u, since trinomial_t(q_t) = |t| (family_squares_mismatch).
 
 v5 returns an int, or math.inf at 0, so valuations add, compare and take
 minima as plain numbers.
@@ -37,9 +37,7 @@ __all__ = [
     "is_square_5adic_unit",
     "theorem_hypothesis",
     "artin_schreier_mismatch",
-    "artin_schreier_identity",
     "family_squares_mismatch",
-    "verify_family_squares",
 ]
 
 
@@ -114,11 +112,6 @@ def artin_schreier_mismatch(y4=None, w=Fraction(5, 4)):
                                  -u4d.scale(5)))
 
 
-def artin_schreier_identity(y4=None, w=Fraction(5, 4)) -> bool:
-    """artin_schreier_mismatch(y4, w) is None."""
-    return artin_schreier_mismatch(y4, w) is None
-
-
 def family_squares_mismatch(k=None):
     """Prove 256k^5 + 1280k^4 t^2 = (48k^2)^2 in Q[t], k = 9 - 5t^2.
 
@@ -135,8 +128,3 @@ def family_squares_mismatch(k=None):
     return _first_difference("256k^5 + 1280k^4 t^2 = (48k^2)^2",
                              (k4 * k).scale(256) + (k4 * t2).scale(1280),
                              (k * k).scale(48) ** 2)
-
-
-def verify_family_squares(k=None) -> bool:
-    """family_squares_mismatch(k) is None."""
-    return family_squares_mismatch(k) is None

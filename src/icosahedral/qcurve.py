@@ -55,8 +55,6 @@ __all__ = [
     "curve_from_t",
     "j_invariant",
     "isogeny_mismatch",
-    "verify_isogeny_codomain",
-    "verify_isogeny_composition",
     "j_equation_family_mismatch",
     "klein_link_family_mismatch",
     "verify_klein_link",
@@ -183,6 +181,11 @@ _ISOGENY_R_DEGREE = {"codomain": 3, "x": 4, "y": 5}
 def isogeny_mismatch(names, **mutation):
     """Prove the named 2-isogeny identities for every t, by a degree bound.
 
+    "codomain" proves that phi maps E_t onto its sigma-conjugate; "x" and
+    "y" prove phi^sigma o phi = [-2] on E_t: the x-coordinates of
+    phi^sigma(phi(P)) and [-2]P agree, and so do their y-coordinates
+    divided by y.
+
     Returns None, or (name, r) for the first identity and r of the
     certificate at which it fails.  In the sides of _isogeny_identities,
     with r^sigma = 1 - r, the x-coefficients of f, g, N, dup_den, f^sigma
@@ -195,7 +198,9 @@ def isogeny_mismatch(names, **mutation):
     (fs_nd dup_den and N^2 dup_num) and 5 for "y" (g g^sigma f dup_den and
     N^2 dup_y), the bounds in _ISOGENY_R_DEGREE.  An identity holds in
     Q[r][x] once it holds in Q[x] at one more rational r than its bound,
-    here r = 2, 3, ..., and it then holds on every E_t.  mutation goes to
+    here r = 2, 3, ...; it then holds on every E_t, for every t, since
+    r = (3 + sqrt5 t)/(2 sqrt5 t) has r + r^sigma = 1, so the identity in
+    r with r^sigma = 1 - r specializes to each E_t.  mutation goes to
     _isogeny_identities.
     """
     for name in names:
@@ -204,25 +209,6 @@ def isogeny_mismatch(names, **mutation):
             if lhs != rhs:
                 return name, Fraction(r)
     return None
-
-
-def verify_isogeny_codomain() -> bool:
-    """Prove that phi maps E_t onto its sigma-conjugate, for every t.
-
-    r = (3 + sqrt5 t)/(2 sqrt5 t) has r + r^sigma = 1, so the identity in
-    r with r^sigma = 1 - r specializes to every E_t.
-    """
-    return isogeny_mismatch(("codomain",)) is None
-
-
-def verify_isogeny_composition() -> bool:
-    """Prove phi^sigma o phi = [-2] on E_t, for every t.
-
-    Both coordinates are checked as identities in r with r^sigma = 1 - r:
-    the x-coordinates of phi^sigma(phi(P)) and [-2]P agree, and so do
-    their y-coordinates divided by y.
-    """
-    return isogeny_mismatch(("x", "y")) is None
 
 
 # values of r = a4(E_t) for j_equation_family_mismatch: 37 distinct

@@ -23,9 +23,9 @@ entries in 0..4.  The group of those whose determinant is a nonzero square
 where omega5 is the multiplicative lift 1 -> 1, 2 -> i, 3 -> -i, 4 -> -1
 of F5^x fixed by omega5(x) = x under the residue homomorphism.  lift_pi
 sends each group element to the product of lifted generators along its
-first-discovery word; verify_homomorphism proves multiplicativity on the
-Cayley graph (each element times each generator), verify_relations checks
-the generator orders and the braid-like relations together with the
+first-discovery word; homomorphism_mismatch proves multiplicativity on
+the Cayley graph (each element times each generator), relations_mismatch
+checks the generator orders and the braid-like relations together with the
 documented failure at a/d = +-2, verify_congruence checks that the residue
 homomorphism applied entrywise is the identity on all 240 elements, and
 verify_faithful that the 240 lifts are distinct.
@@ -49,9 +49,7 @@ __all__ = [
     "enumerate_group",
     "generator_name",
     "homomorphism_mismatch",
-    "verify_homomorphism",
     "relations_mismatch",
-    "verify_relations",
     "verify_congruence",
     "verify_faithful",
 ]
@@ -320,8 +318,15 @@ def lift_pi(g):
 
 
 def homomorphism_mismatch():
-    """The Cayley-graph certificate: None, or the first edge (g, idx) with
-    L(g) L(s_idx) != L(g s_idx), in BFS order of g and then of idx.
+    """Prove lift_pi(g) lift_pi(h) = lift_pi(gh) for all g, h: None, or the
+    first edge (g, idx) with L(g) L(s_idx) != L(g s_idx), in BFS order of g
+    and then of idx.
+
+    The certificate is the Cayley graph: L(g) L(s) = L(gs) for all 240 g
+    and the 10 generator shadows s.  Every h is a word s_1 ... s_k in the
+    generators, so by induction on k, L(gh) = L(g) L(s_1) ... L(s_k); at
+    g = 1, where L(1) = 1, this reads L(h) = L(s_1) ... L(s_k), and so
+    L(gh) = L(g) L(h).
 
     The keys come from _lift_table(), and the edges g s = h from the BFS,
     which computed each F5 product once; each L(g) L(s) is
@@ -341,20 +346,8 @@ def homomorphism_mismatch():
     return None
 
 
-def verify_homomorphism() -> bool:
-    """Prove lift_pi(g) lift_pi(h) = lift_pi(gh) for all g, h.
-
-    The certificate is the Cayley graph: L(g) L(s) = L(gs) for all 240 g
-    and the 10 generator shadows s (homomorphism_mismatch).  Every h is a
-    word s_1 ... s_k in the generators, so by induction on k,
-    L(gh) = L(g) L(s_1) ... L(s_k); at g = 1, where L(1) = 1, this reads
-    L(h) = L(s_1) ... L(s_k), and so L(gh) = L(g) L(h).
-    """
-    return homomorphism_mismatch() is None
-
-
 def _relations():
-    """(name, lhs, rhs, holds) for each relation verify_relations checks.
+    """(name, lhs, rhs, holds) for each relation relations_mismatch checks.
 
     lhs and rhs are words of letters (see _times_letter), and holds says
     whether their lifts must be equal or must differ.  Inverses are
@@ -390,8 +383,15 @@ def _relations():
 
 
 def relations_mismatch():
-    """None, or the name of the first relation of verify_relations that
-    fails, each side a word in the generator lifts evaluated on keys.
+    """Check the generator relations, including the documented failure:
+    None, or the name of the first relation that fails, each side a word
+    in the generator lifts evaluated on keys.
+
+    (0) S^5 = 1, T^4 = 1 and U(a,d)^4 = 1 for all admissible (a, d);
+    (1) T U(a,d) T^-1 = U(d,a) for all admissible (a, d);
+    (2) U(a,d) S U(a,d)^-1 = S^n with n = a/d, which is +-1 for admissible
+        pairs; diagonal lifts with a/d = +-2 must violate it;
+    (3) T S^d T^-1 = U(a,d) S^-d T^-1 S^-a whenever ad = 1 mod 5.
 
     A relation with a side whose product leaves (1/2) Z (ArithmeticError)
     fails: every lift lies in (1/2) Z.
@@ -409,18 +409,6 @@ def relations_mismatch():
         except ArithmeticError:
             return name
     return None
-
-
-def verify_relations() -> bool:
-    """Check the generator relations, including the documented failure.
-
-    (0) S^5 = 1, T^4 = 1 and U(a,d)^4 = 1 for all admissible (a, d);
-    (1) T U(a,d) T^-1 = U(d,a) for all admissible (a, d);
-    (2) U(a,d) S U(a,d)^-1 = S^n with n = a/d, which is +-1 for admissible
-        pairs; diagonal lifts with a/d = +-2 must violate it;
-    (3) T S^d T^-1 = U(a,d) S^-d T^-1 S^-a whenever ad = 1 mod 5.
-    """
-    return relations_mismatch() is None
 
 
 def _key_residue(key):

@@ -30,18 +30,19 @@ def _fmt(x) -> str:
 
 def _suite_icosa():
     from . import icosa
-    holds = icosa.verify_fundamental_identity()
+    k = icosa.fundamental_identity_mismatch()
     checks = [
         _check("icosa/fundamental-identity",
                "(l+3)^3 (l^2+11l+64) = (m^2+10m+5)^3 / m as normalized "
                "rational functions in z",
-               holds,
-               None if holds else "the cleared sides differ at z^"
-               f"{icosa.fundamental_identity_mismatch()}"),
+               k is None,
+               None if k is None else f"the cleared sides differ at z^{k}"),
         _invariance_check("S", "j o S = j over Q(zeta5); m o S = m; "
-                               "l o S != l"),
-        _invariance_check("T", "j o T = j over Q(zeta5)"),
-        _invariance_check("U", "j o U = j over Q(zeta5)"),
+                               "l o S != l", icosa.invariance_mismatch("S")),
+        _invariance_check("T", "j o T = j over Q(zeta5)",
+                          icosa.invariance_mismatch("T")),
+        _invariance_check("U", "j o U = j over Q(zeta5)",
+                          icosa.invariance_mismatch("U")),
     ]
     mismatch = icosa.resolvent_identity_mismatch()
     checks.append(_check(
@@ -52,14 +53,12 @@ def _suite_icosa():
     return checks
 
 
-def _invariance_check(label, description) -> dict:
-    """icosa/invariance-<label>; on failure the witness names the part of
-    the proof that fails, see icosa.invariance_mismatch."""
-    from . import icosa
-    holds = icosa.verify_invariance(label)
+def _invariance_check(label, description, mismatch) -> dict:
+    """icosa/invariance-<label>, given icosa.invariance_mismatch(label); on
+    failure the witness names the part of the proof that fails."""
     witness = None
-    if not holds:
-        part, at = icosa.invariance_mismatch(label)
+    if mismatch is not None:
+        part, at = mismatch
         if part == "identity":
             witness = "j != -H^3/f^5 in Q[z]"
         elif part in ("f", "H"):
@@ -69,7 +68,8 @@ def _invariance_check(label, description) -> dict:
             witness = "c_H^3 != c_f^5"
         else:
             witness = _rotation_witness(part, at)
-    return _check(f"icosa/invariance-{label}", description, holds, witness)
+    return _check(f"icosa/invariance-{label}", description, mismatch is None,
+                  witness)
 
 
 def _resolvent_witness(mismatch) -> str:
@@ -120,15 +120,14 @@ def _j_equation_t1() -> bool:
     return j * j * qa + j * qb + qc == 0
 
 
-def _isogeny_check(cid, description, holds, names) -> dict:
-    """A 2-isogeny proof; on failure the witness names the first identity
-    and r at which it fails."""
-    from . import qcurve
+def _isogeny_check(cid, description, mismatch) -> dict:
+    """A 2-isogeny proof, given its qcurve.isogeny_mismatch; on failure the
+    witness names the first identity and r at which it fails."""
     witness = None
-    if not holds:
-        name, r = qcurve.isogeny_mismatch(names)
+    if mismatch is not None:
+        name, r = mismatch
         witness = f"the {name} identity fails at r = {_fmt(r)}"
-    return _check(cid, description, holds, witness)
+    return _check(cid, description, mismatch is None, witness)
 
 
 def _suite_qcurve():
@@ -139,11 +138,11 @@ def _suite_qcurve():
                        "the 2-isogeny formulas land on the sigma-conjugate "
                        "curve, as an identity in Q[r][x] with "
                        "r^sigma = 1 - r (all t)",
-                       qcurve.verify_isogeny_codomain(), ("codomain",)),
+                       qcurve.isogeny_mismatch(("codomain",))),
         _isogeny_check("qcurve/isogeny-composition",
                        "phi^sigma o phi = [-2] on x and on y/y, as "
                        "identities in Q[r][x] with r^sigma = 1 - r (all t)",
-                       qcurve.verify_isogeny_composition(), ("x", "y")),
+                       qcurve.isogeny_mismatch(("x", "y"))),
     ]
     published = qcurve.EllipticCurve(5 - SQRT5, SQRT5, 0)
     checks.append(_check(
@@ -190,8 +189,8 @@ def _suite_repn():
         _check("repn/faithful",
                "the 240 exact lifts are pairwise distinct",
                repn.verify_faithful()),
-        _repn_relations_check(),
-        _repn_homomorphism_check(),
+        _repn_relations_check(repn.relations_mismatch()),
+        _repn_homomorphism_check(repn.homomorphism_mismatch()),
         _check("repn/congruence",
                "reducing each lift entrywise mod the prime above 5 returns "
                "the lifted matrix",
@@ -203,35 +202,30 @@ def _suite_repn():
     return checks
 
 
-def _repn_relations_check() -> dict:
-    """repn/relations; on failure the witness names the first failing
-    relation, see repn.relations_mismatch."""
-    from . import repn
-    holds = repn.verify_relations()
-    witness = None
-    if not holds:
-        witness = f"the relation {repn.relations_mismatch()} fails"
+def _repn_relations_check(name) -> dict:
+    """repn/relations, given repn.relations_mismatch(); on failure the
+    witness names the first failing relation."""
     return _check("repn/relations",
                   "S^5 = T^4 = U^4 = 1 and relations (1)-(3) hold for all "
                   "admissible (a, d); (2) fails for a/d = +-2 as documented",
-                  holds, witness)
+                  name is None,
+                  None if name is None else f"the relation {name} fails")
 
 
-def _repn_homomorphism_check() -> dict:
-    """repn/homomorphism; on failure the witness is the first failing
-    Cayley-graph edge (g, s), see repn.homomorphism_mismatch."""
+def _repn_homomorphism_check(edge) -> dict:
+    """repn/homomorphism, given repn.homomorphism_mismatch(); on failure the
+    witness is the first failing Cayley-graph edge (g, s)."""
     from . import repn
-    holds = repn.verify_homomorphism()
     witness = None
-    if not holds:
-        (a, b, c, d), idx = repn.homomorphism_mismatch()
+    if edge is not None:
+        (a, b, c, d), idx = edge
         witness = (f"lift(g) lift(s) != lift(gs) at g = "
                    f"[[{a}, {b}], [{c}, {d}]], "
                    f"s = {repn.generator_name(idx)}")
     return _check("repn/homomorphism",
                   "lift(g) lift(h) = lift(gh) for all g, h, as lift(g) "
                   "lift(s) = lift(gs) for all 240 g and the 10 generators s",
-                  holds, witness)
+                  edge is None, witness)
 
 
 def _suite_hecke():
@@ -280,8 +274,7 @@ def _suite_localfield():
         _identity_check("localfield/artin-schreier",
                         "q_t(x/w) w^5 = x^5 - x - y for w = 5y/4 in "
                         "Q(u)[y]/(y^4 - 256u^4/(625(5u^4-9)))",
-                        localfield.artin_schreier_identity(),
-                        localfield.artin_schreier_mismatch, "u"),
+                        localfield.artin_schreier_mismatch(), "u"),
         _check("localfield/square-unit-table",
                "is_square_5adic_unit on {1, 3, 3/5, 4/9} = {T, F, F, T}",
                table_ok),
@@ -293,20 +286,20 @@ def _suite_localfield():
                         "the hypothesis holds on q_t for t = u^2 and every "
                         "5-adic unit u: trinomial_t(q_t) = |t|, as 256k^5 + "
                         "1280k^4 t^2 = (48k^2)^2 in Q[t] with k = 9 - 5t^2",
-                        localfield.verify_family_squares(),
-                        localfield.family_squares_mismatch, "t"),
+                        localfield.family_squares_mismatch(), "t"),
     ]
 
 
-def _identity_check(cid, description, holds, mismatch, var) -> dict:
-    """A polynomial identity in var; on failure the witness is
-    mismatch(), see localfield._first_difference."""
+def _identity_check(cid, description, mismatch, var) -> dict:
+    """A polynomial identity in var, given its mismatch, see
+    localfield._first_difference; on failure the witness is its first
+    difference."""
     witness = None
-    if not holds:
-        name, e, c = mismatch()
+    if mismatch is not None:
+        name, e, c = mismatch
         witness = (f"{name} fails: left minus right has the coefficient "
                    f"{_fmt(c)} at {var}^{e}")
-    return _check(cid, description, holds, witness)
+    return _check(cid, description, mismatch is None, witness)
 
 
 _SUITES = {

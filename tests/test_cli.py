@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import errno
 import importlib.util
@@ -23,7 +24,7 @@ from sympy import factorint
 
 import icosahedral
 from icosahedral import (
-    analyze, cli, hecke, icosa, localfield, qcurve, quintic, repn)
+    analyze, cli, hecke, icosa, localfield, qcurve, quintic, repn, suites)
 from icosahedral.exact import Poly
 
 # the src/ directory of the checkout under test, and its pyproject.toml
@@ -321,6 +322,20 @@ def test_analyze_usage_errors(capsys):
         cli.main(["analyze", "--b", "0.5", "--c", "1"])
     assert exited.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["--b", "-1/5", "--c", "1"], {"A": "0", "B": "-1/5", "C": "1"}),
+    (["--a", "-2/3", "--b", "4", "--c", "-16/5"],
+     {"A": "-2/3", "B": "4", "C": "-16/5"}),
+])
+def test_analyze_inline_negative_fractions(capsys, argv, echoed):
+    # a negative fraction follows its option as the next word; argparse
+    # before 3.13 takes "-1/5" for an option string unless told otherwise
+    rc, out, _ = run_cli(capsys, "analyze", *argv)
+    assert rc == 0
+    record, = json_lines(out)
+    assert {k: record[k] for k in echoed} == echoed
 
 
 def test_analyze_parse_failures(tmp_path, capsys):
@@ -990,6 +1005,56 @@ def test_verify_localfield_identity_witnesses(capsys, monkeypatch):
         "coefficient 1679616 at t^2"
     assert [c["status"] for c in by_id.values()] == \
         ["fail", "pass", "pass", "fail"]
+
+
+# (suite, module, proof, its failure from its arguments, the witness of
+# each check that runs it)
+_ONE_RUN_FAILURES = [
+    ("icosa", icosa, "fundamental_identity_mismatch", lambda: 8,
+     {"icosa/fundamental-identity": "the cleared sides differ at z^8"}),
+    ("icosa", icosa, "invariance_mismatch", lambda gen: ("f", 3),
+     {f"icosa/invariance-{gen}": "f(az+b, cz+d) != c_f f(z, 1) at z = 3"
+      for gen in "STU"}),
+    ("qcurve", qcurve, "isogeny_mismatch",
+     lambda names: (names[0], Fraction(5, 2)),
+     {"qcurve/isogeny-codomain": "the codomain identity fails at r = 5/2",
+      "qcurve/isogeny-composition": "the x identity fails at r = 5/2"}),
+    ("repn", repn, "relations_mismatch", lambda: "T^4 = 1",
+     {"repn/relations": "the relation T^4 = 1 fails"}),
+    ("repn", repn, "homomorphism_mismatch", lambda: ((1, 2, 0, 1), 1),
+     {"repn/homomorphism":
+      "lift(g) lift(s) != lift(gs) at g = [[1, 2], [0, 1]], s = T"}),
+    ("localfield", localfield, "artin_schreier_mismatch",
+     lambda: ("k w^4 n = -u^4 d", 4, Fraction(-3, 2)),
+     {"localfield/artin-schreier": "k w^4 n = -u^4 d fails: left minus "
+                                   "right has the coefficient -3/2 at u^4"}),
+    ("localfield", localfield, "family_squares_mismatch",
+     lambda: ("256k^5 + 1280k^4 t^2 = (48k^2)^2", 2, Fraction(7)),
+     {"localfield/family-squares": "256k^5 + 1280k^4 t^2 = (48k^2)^2 fails: "
+                                   "left minus right has the coefficient 7 "
+                                   "at t^2"}),
+]
+
+
+@pytest.mark.parametrize("suite, module, proof, failure, witnesses",
+                         _ONE_RUN_FAILURES,
+                         ids=[row[2] for row in _ONE_RUN_FAILURES])
+def test_failing_proof_runs_once(monkeypatch, suite, module, proof, failure,
+                                 witnesses):
+    # a check takes its status and its witness from one run of its proof:
+    # the fake counts its runs by argument, one argument for each check
+    runs = collections.Counter()
+
+    def fake(*args):
+        runs[args] += 1
+        return failure(*args)
+
+    monkeypatch.setattr(module, proof, fake)
+    by_id = {c["id"]: c for c in suites._SUITES[suite]()}
+    assert sorted(runs.values()) == [1] * len(witnesses)
+    for cid, witness in witnesses.items():
+        assert by_id[cid]["status"] == "fail"
+        assert by_id[cid]["witness"] == witness
 
 
 def test_verify_resolvent_failure_witness(capsys, monkeypatch):

@@ -301,7 +301,7 @@ def test_j_two_expressions_at_one():
 
 
 def test_fundamental_identity():
-    assert icosa.verify_fundamental_identity()
+    assert icosa.fundamental_identity_mismatch() is None
     # both sides evaluated at a few rational points
     inv = icosa.build_invariants()
     for z in (Fraction(2), Fraction(1, 3), Fraction(-5, 7), Fraction(9, 4),
@@ -316,7 +316,6 @@ def test_fundamental_identity_mutation():
     P, Q = icosa.build_invariants().lam
     coeffs = list(P.coeffs)
     coeffs[3] += 1
-    assert not icosa.verify_fundamental_identity(lam=(Poly(coeffs), Q))
     # the witness: near z = 0, P = -1 and Q, M, N = O(z), -125 z^5, -1 + O(z^5),
     # so Jn = P^5 + O(z) moves by 5 P^4 z^3 and the left side Jn M N^5 by
     # 5 z^3 (-125 z^5)(-1) = 625 z^8; no lower coefficient changes
@@ -337,7 +336,7 @@ def test_eps_quadratic_mutation(monkeypatch, which, k):
 
 def test_invariance_generators():
     for label in "STU":
-        assert icosa.verify_invariance(label)
+        assert icosa.invariance_mismatch(label) is None
 
 
 def test_invariance_forms_sympy():
@@ -370,7 +369,7 @@ def test_invariance_matches_zeta5_oracle():
     inv = icosa.build_invariants()
     for label in "STU":
         assert zeta5_fixes(inv.j, zeta5_matrix(label))
-        assert icosa.verify_invariance(label)
+        assert icosa.invariance_mismatch(label) is None
     assert zeta5_fixes(inv.mu, zeta5_matrix("S"))
     assert not zeta5_fixes(inv.lam, zeta5_matrix("S"))
     assert zeta5_fixes(inv.lam, zeta5_matrix("U"))
@@ -378,11 +377,10 @@ def test_invariance_matches_zeta5_oracle():
     z = Poly.over_q([0, 1])
     Jn, Jd = inv.j
     bad = inv._replace(j=(Jn + z ** 7, Jd))
-    for label in "STU":
+    for label, mismatch in (("S", ("j", 7)), ("T", ("identity", None)),
+                            ("U", ("identity", None))):
         assert not zeta5_fixes(bad.j, zeta5_matrix(label))
-        assert not icosa.verify_invariance(label, inv=bad)
-    assert icosa.invariance_mismatch("S", inv=bad) == ("j", 7)
-    assert icosa.invariance_mismatch("T", inv=bad) == ("identity", None)
+        assert icosa.invariance_mismatch(label, inv=bad) == mismatch
 
 
 def test_invariance_identity_mutation(monkeypatch):
@@ -411,23 +409,23 @@ def test_invariance_mutation():
     for matrix, z in ((((2, 0), (0, 1)), 2), (((0, 1), (1, 0)), 2),
                       (((eps + 1, one), (one, -(eps + 1))), 0),
                       (((-eps, one), (one, eps)), 0)):
-        assert not icosa.verify_invariance(matrix)
         assert icosa.invariance_mismatch(matrix) == ("f", z)
     # T with the Galois-conjugate eps' = -1 - eps is T conjugated by sigma,
     # and fixes j because j is rational
     conj = -1 - eps
-    assert icosa.verify_invariance(((conj, one), (one, -conj)))
+    assert icosa.invariance_mismatch(((conj, one), (one, -conj))) is None
     # z -> -1/z over Q, as a matrix, is U, also scaled by 1/2; z -> z/2 is
     # not in the group
-    assert icosa.verify_invariance(((0, -1), (1, 0)))
+    assert icosa.invariance_mismatch(((0, -1), (1, 0))) is None
     half = Fraction(1, 2)
-    assert icosa.verify_invariance(((0, -half), (half, 0)))
+    assert icosa.invariance_mismatch(((0, -half), (half, 0))) is None
     assert icosa.invariance_mismatch(((half, 0), (0, 1))) == ("f", 2)
     # T with entries over the common denominators 3 and 6 is cleared to
     # integer pairs like T over 2, and fixes j; eps + 1 in place of eps
     # still fails at the same z
     third = Fraction(1, 3)
-    assert icosa.verify_invariance(((eps * third, third), (third, -eps * third)))
+    assert icosa.invariance_mismatch(
+        ((eps * third, third), (third, -eps * third))) is None
     assert icosa.invariance_mismatch(
         (((eps + 1) * third, third), (third, -(eps + 1) * third))) == ("f", 0)
 
@@ -437,7 +435,7 @@ def test_invariance_identity_proved_once():
     icosa.build_invariants()
     icosa._is_klein_j.cache_clear()
     for label in "TU":
-        assert icosa.verify_invariance(label)
+        assert icosa.invariance_mismatch(label) is None
     info = icosa._is_klein_j.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
@@ -452,7 +450,6 @@ def test_invariance_s_mutation():
     fixed = Poly.over_q([0, 1, 0, 0, 0, 0, 3])
     for bad, mismatch in ((inv._replace(mu=(Mn + z, Md)), ("mu", 1)),
                           (inv._replace(lam=(fixed, Q)), ("lambda", None))):
-        assert not icosa.verify_invariance("S", inv=bad)
         assert icosa.invariance_mismatch("S", inv=bad) == mismatch
     assert not zeta5_fixes((Mn + z, Md), zeta5_matrix("S"))
     assert zeta5_fixes((fixed, Q), zeta5_matrix("S"))
@@ -460,10 +457,9 @@ def test_invariance_s_mutation():
 
 def test_invariance_validation():
     with pytest.raises(KeyError):
-        icosa.verify_invariance("V")
+        icosa.invariance_mismatch("V")
     # a singular matrix maps z to a constant, which does not fix j: f fails
     # unless the constant is a zero of f, and then H fails
-    assert not icosa.verify_invariance(((1, 1), (1, 1)))
     assert icosa.invariance_mismatch(((1, 1), (1, 1))) == ("f", 0)
     assert icosa.invariance_mismatch(((0, 0), (1, 1))) == ("H", 1)
     # the forms are evaluated on integer pairs of Z[sqrt5]: an entry of
@@ -477,7 +473,7 @@ def test_invariance_validation():
 def test_invariance_without_qzeta5(over_q_only):
     icosa.build_invariants.__wrapped__()
     for label in "STU":
-        assert icosa.verify_invariance(label)
+        assert icosa.invariance_mismatch(label) is None
 
 
 def test_resolvent_functions_specializations():

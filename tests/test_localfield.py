@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from icosahedral.exact import Poly
 from icosahedral.localfield import (
-    artin_schreier_identity, artin_schreier_mismatch, family_squares_mismatch,
-    is_square_5adic_unit, theorem_hypothesis, v5, verify_family_squares,
+    artin_schreier_mismatch, family_squares_mismatch, is_square_5adic_unit,
+    theorem_hypothesis, v5,
 )
 from icosahedral.quintic import family_quintic, trinomial_t
 
@@ -116,18 +116,16 @@ def test_theorem_hypothesis_examples():
 
 
 def test_family_squares_proof():
-    assert verify_family_squares()
     assert family_squares_mismatch() is None
     # k = 9 - 4t^2 in place of 9 - 5t^2: 256k^5 + 1280k^4 t^2 - (48k^2)^2
     # has the t^2 coefficient 256*5*9^4*(-4) + 1280*9^4 = 6^8
     k = Poly.over_q([9, 0, -4])
-    assert not verify_family_squares(k)
     assert family_squares_mismatch(k) == (
         "256k^5 + 1280k^4 t^2 = (48k^2)^2", 2, 1679616)
 
 
 def test_theorem_hypothesis_on_family():
-    # seeded units, an oracle for verify_family_squares
+    # seeded units, an oracle for family_squares_mismatch
     rng = random.Random(14)
     for _ in range(20):
         u = rand_unit(rng)
@@ -143,7 +141,7 @@ def test_theorem_hypothesis_on_family():
 
 
 def test_artin_schreier_identity():
-    assert artin_schreier_identity()
+    assert artin_schreier_mismatch() is None
 
 
 def test_artin_schreier_x_coefficient_reduction():
@@ -173,18 +171,14 @@ def test_artin_schreier_mutation():
     # 256 -> 255 in the numerator of y^4, and w = 4/5 in place of 5/4,
     # must each break the identity; each names the first cleared identity
     # that fails and the lowest power of u at which its sides differ
-    assert artin_schreier_identity(y4=mutated_y4(256))
     assert artin_schreier_mismatch(y4=mutated_y4(256)) is None
-    assert not artin_schreier_identity(y4=mutated_y4(255))
     # (9 - 5u^4) 255u^4 (5/4)^4 + u^4 (3125u^4 - 5625) at u^4
     assert artin_schreier_mismatch(y4=mutated_y4(255)) == (
         "k w^4 n = -u^4 d", 4, Fraction(9 * 255 * 625, 256) - 5625)
-    assert not artin_schreier_identity(w=Fraction(4, 5))
     assert artin_schreier_mismatch(w=Fraction(4, 5)) == (
         "k w^4 n = -u^4 d", 4, Fraction(9 * 256 * 256, 625) - 5625)
     # w = -5/4 keeps w^4, so only the y-coefficient identity fails, by
     # twice its left side: 2 * 4 * 9 * 256 * (-5/4)^5 at u^4
-    assert not artin_schreier_identity(w=Fraction(-5, 4))
     assert artin_schreier_mismatch(w=Fraction(-5, 4)) == (
         "4k w^5 n = -5u^4 d", 4, -56250)
 
@@ -205,6 +199,6 @@ def artin_schreier_remainder(y4_numerator):
 
 def test_artin_schreier_sympy_oracle():
     # an independent reduction of the whole identity, not of the two
-    # coefficient identities that artin_schreier_identity checks
+    # coefficient identities that artin_schreier_mismatch checks
     assert artin_schreier_remainder(256).is_zero
     assert not artin_schreier_remainder(255).is_zero

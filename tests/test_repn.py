@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from icosahedral import repn
 from icosahedral.repn import (
     enumerate_group, lift_pi, pi_generators, residue_hom,
-    teichmuller, varpi, verify_congruence, verify_homomorphism,
-    verify_relations, verify_varpi_identities,
+    teichmuller, varpi, verify_congruence, verify_varpi_identities,
 )
 from icosahedral.repn import _diag_lift
 
@@ -346,25 +345,26 @@ def test_certificate_makes_no_matrix_products(monkeypatch):
     mul_calls = _count_calls(monkeypatch, repn, "_mul")
     repn._lift_table.cache_clear()
     repn._lift_table()
-    assert verify_homomorphism()
-    assert verify_relations()
+    assert repn.homomorphism_mismatch() is None
+    assert repn.relations_mismatch() is None
     assert mul_calls == []
 
 
 def test_homomorphism_certificate(lift_table):
-    assert verify_homomorphism()
+    assert repn.homomorphism_mismatch() is None
     lifts = generator_lifts()
     pairs = repn._admissible_pairs()
     assert lift_table_from(lifts) == repn._lift_table()
-    # -T, and the lifts of U(2, 3) and U(3, 2) swapped, each break it
+    # -T, and the lifts of U(2, 3) and U(3, 2) swapped, each break it at
+    # the first edge, the identity times T or U(2, 3)
     neg_t = lifts[:1] + [NEG_T] + lifts[2:]
     swapped = list(lifts)
     i, j = 2 + pairs.index((2, 3)), 2 + pairs.index((3, 2))
     swapped[i], swapped[j] = lifts[j], lifts[i]
-    for bad in (neg_t, swapped):
+    for bad, idx in ((neg_t, 1), (swapped, i)):
         table = lift_table_from(bad)
         lift_table(table)
-        assert not verify_homomorphism()
+        assert repn.homomorphism_mismatch() == (F5_ONE, idx)
 
 
 def test_homomorphism_witness(lift_table):
@@ -386,15 +386,16 @@ def test_homomorphism_lift_outside_half_integers(lift_table, scale):
     table[F5_ONE] = (k, 0, 0, 0) + ZERO + ZERO + (k, 0, 0, 0)
     lift_table(table)
     assert repn.homomorphism_mismatch() == (F5_ONE, 0)
-    assert not verify_homomorphism()
     assert not repn.verify_congruence()
 
 
 def test_homomorphism_certificate_unit_helper(monkeypatch):
-    # the helper with omega5(2) = -i in place of i breaks the certificate
+    # the helper with omega5(2) = -i in place of i breaks the certificate,
+    # first at the identity times U(2, 2), against the cached lift table
     repn._lift_table()
     monkeypatch.setattr(repn, "_OMEGA5_LOG", {**repn._OMEGA5_LOG, 2: 3})
-    assert not verify_homomorphism()
+    assert repn.homomorphism_mismatch() == \
+        (F5_ONE, 2 + repn._admissible_pairs().index((2, 2)))
 
 
 def test_scaled_int_product_matches_rep_matrix():
@@ -426,7 +427,6 @@ def test_homomorphism_exhaustive():
 
 
 def test_relations():
-    assert verify_relations()
     assert repn.relations_mismatch() is None
     names = [name for name, *_ in repn._relations()]
     assert names[:3] == ["S^5 = 1", "T^4 = 1", "U(1, 1)^4 = 1"]
@@ -451,7 +451,6 @@ def test_relations_order_mutation(monkeypatch):
     # with omega5(2) = -i, U(2, 2) and its inverse U(3, 3) are both -i, so
     # U(2, 2) S U(2, 2)^-1 = -S
     monkeypatch.setattr(repn, "_OMEGA5_LOG", {**repn._OMEGA5_LOG, 2: 3})
-    assert not verify_relations()
     assert repn.relations_mismatch() == "U(2, 2) S U(2, 2)^-1 = S^1"
 
 
