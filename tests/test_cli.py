@@ -24,7 +24,7 @@ from sympy import factorint
 
 import icosahedral
 from icosahedral import (
-    analyze, cli, hecke, icosa, localfield, qcurve, quintic, repn, suites)
+    analyze, cli, hecke, icosa, localfield, qcurve, quintic, repn)
 from icosahedral.exact import Poly
 
 # the src/ directory of the checkout under test, and its pyproject.toml
@@ -583,9 +583,27 @@ def test_log_level_names_only(level):
         [sys.executable, "-m", "icosahedral.cli", "verify", "localfield"],
         capture_output=True, env=env, timeout=60)
     assert done.returncode == 0
+    checks = ("artin-schreier", "square-unit-table", "hypothesis-triple",
+              "family-squares")
     assert done.stderr.decode() == (
         "INFO icosahedral.cli: running suite localfield\n"
+        + "".join(f"INFO icosahedral.cli: check localfield/{c} pass\n"
+                  for c in checks)
         if level == "info" else "")
+
+
+def test_log_one_event_per_check():
+    # one event per check, in report order, after the suite's
+    env = child_env()
+    env["ICOSAHEDRAL_LOG"] = "INFO"
+    done = subprocess.run(
+        [sys.executable, "-m", "icosahedral.cli", "verify", "hecke"],
+        capture_output=True, env=env, timeout=60, check=True)
+    ids = [c["id"] for c in json.loads(done.stdout)["checks"]]
+    assert len(ids) == 4
+    assert done.stderr.decode().splitlines() == [
+        "INFO icosahedral.cli: running suite hecke",
+        *(f"INFO icosahedral.cli: check {cid} pass" for cid in ids)]
 
 
 def test_readme_library_example():
@@ -857,6 +875,7 @@ def test_report_matches_golden(capsys, argv, golden):
     # the committed reports at the default seed; a changed report string
     # must show up as a diff of tests/golden/, regenerated with
     # python -m icosahedral.cli verify all > tests/golden/verify_all.json
+    # python -m icosahedral.cli table > tests/golden/table.json
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
     assert out.encode() == (Path(__file__).parent / "golden" / golden).read_bytes()
@@ -1033,14 +1052,27 @@ _ONE_RUN_FAILURES = [
      {"localfield/family-squares": "256k^5 + 1280k^4 t^2 = (48k^2)^2 fails: "
                                    "left minus right has the coefficient 7 "
                                    "at t^2"}),
+    ("icosa", icosa, "resolvent_identity_mismatch", lambda: ("quintic", 2),
+     {"icosa/resolvent-grid": "nonzero coefficient of m^2 n^3 in Q[L]"}),
+    ("qcurve", qcurve, "j_equation_family_mismatch", lambda: Fraction(5, 2),
+     {"qcurve/j-equation-family":
+      "the cleared equation does not vanish at r = 5/2"}),
+    ("klein-link", qcurve, "klein_link_family_mismatch",
+     lambda: ("resultant", Fraction(3)),
+     {"klein-link/random-samples": "the resultant identity fails at k = 3"}),
+    ("hecke", hecke, "sigma_identity_mismatch", lambda: (3, 1),
+     {"hecke/sigma-identity": "fails at the unit x = 3 + 1 eps mod 8 sqrt5"}),
+    ("hecke", hecke, "square_identity_mismatch", lambda: (0, 5),
+     {"hecke/square-identity":
+      "fails at the unit x = 0 + 5 eps mod 8 sqrt5"}),
 ]
 
 
 @pytest.mark.parametrize("suite, module, proof, failure, witnesses",
                          _ONE_RUN_FAILURES,
                          ids=[row[2] for row in _ONE_RUN_FAILURES])
-def test_failing_proof_runs_once(monkeypatch, suite, module, proof, failure,
-                                 witnesses):
+def test_failing_proof_runs_once(capsys, monkeypatch, suite, module, proof,
+                                 failure, witnesses):
     # a check takes its status and its witness from one run of its proof:
     # the fake counts its runs by argument, one argument for each check
     runs = collections.Counter()
@@ -1050,7 +1082,9 @@ def test_failing_proof_runs_once(monkeypatch, suite, module, proof, failure,
         return failure(*args)
 
     monkeypatch.setattr(module, proof, fake)
-    by_id = {c["id"]: c for c in suites._SUITES[suite]()}
+    rc, out, _ = run_cli(capsys, "verify", suite)
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
     assert sorted(runs.values()) == [1] * len(witnesses)
     for cid, witness in witnesses.items():
         assert by_id[cid]["status"] == "fail"
@@ -1150,8 +1184,33 @@ def test_verify_suite_timings(capsys):
     assert list(suite_ms) == list(cli.SUITE_NAMES)
     assert all(isinstance(ms, int) and ms >= 0 for ms in suite_ms.values())
     assert sum(suite_ms.values()) <= report["wall_time_ms"]
+    # each check's time lies within its suite's, and a sum of truncated
+    # times is at most the truncated sum
+    check_ms = collections.Counter()
+    for check in report["checks"]:
+        ms = check["wall_time_ms"]
+        assert isinstance(ms, int) and ms >= 0
+        check_ms[check["id"].split("/")[0]] += ms
+    assert all(check_ms[name] <= ms for name, ms in suite_ms.items())
     rc, out, _ = run_cli(capsys, "verify", "hecke")
-    assert "suite_wall_time_ms" not in json.loads(out)
+    report = json.loads(out)
+    assert "suite_wall_time_ms" not in report
+    assert not any("wall_time_ms" in c for c in report["checks"])
+
+
+def test_table_timings(capsys):
+    # table times each check and the whole, and has no suite times
+    rc, out, _ = run_cli(capsys, "table", "--timings")
+    assert rc == 0
+    report = json.loads(out)
+    ms = [c["wall_time_ms"] for c in report["checks"]]
+    assert len(ms) == 5 and all(isinstance(t, int) and t >= 0 for t in ms)
+    assert sum(ms) <= report["wall_time_ms"]
+    assert "suite_wall_time_ms" not in report
+    rc, out, _ = run_cli(capsys, "table")
+    report = json.loads(out)
+    assert report["wall_time_ms"] is None
+    assert not any("wall_time_ms" in c for c in report["checks"])
 
 
 def test_verify_unknown_suite():
