@@ -6,18 +6,19 @@ Everything is immutable and exact; there is no floating point anywhere.
 Scalars are ``fractions.Fraction``.  An element of Q(sqrt5) is a
 :class:`Sqrt5`, (p + q sqrt5)/d on three integers in lowest terms; it is
 the only algebra here, and a rational is a Fraction, not a Sqrt5.  A
-polynomial has Fraction coefficients, held as a dense tuple, lowest degree
-first.  An identity in a further parameter is proved at one more rational
-value of its variable than its degree.  Multiplication works on integer
-lists under one common denominator per operand: a polynomial's numerators
-are packed into one big integer (Kronecker substitution) instead of
-schoolbook convolution, and a ``Fraction`` is built once per output
-coefficient.  That is what keeps the large identity checks cheap.
-Composition f(p/q) q^n works the same way.
+polynomial over Q is a :class:`Poly`: its integer numerators, a dense
+tuple lowest degree first, over one positive integer denominator, in
+lowest terms.  An identity in a further parameter is proved at one more
+rational value of its variable than its degree.  Every operation works on
+those integers: only :meth:`Poly.over_q` takes rationals, and a Fraction
+is built only where a coefficient or a value is read out.  A product packs
+each operand's numerators into one big integer (Kronecker substitution)
+instead of schoolbook convolution, which is what keeps the large identity
+checks cheap.  Composition f(p/q) q^n works the same way.
 
-Gcds and resultants are taken in integers.  For a resultant both operands
-are cleared once, an integer subresultant PRS runs with checked exact
-divisions, and one Fraction is built at the end.  A resultant that depends
+Gcds and resultants are taken in integers, on the numerators.  For a
+resultant an integer subresultant PRS runs with checked exact divisions,
+and the denominators enter once, at the end.  A resultant that depends
 linearly on a second variable S, Res_x(p, q0 + S q1), is taken by
 evaluation at S = 0..deg p and exact integer interpolation
 (:func:`resultant_pencil`).
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 __all__ = [
     "Sqrt5",
@@ -183,125 +185,128 @@ def _kron_mul_int(f, g):
     return _kron_unpack(_kron_pack(f, L) * _kron_pack(g, L), len(f) + len(g) - 1, L)
 
 
-def _clear_denominators(coeffs):
-    """Integer numerators over the lcm of the denominators, and that lcm."""
-    den = 1
-    for c in coeffs:
-        q = c.denominator
-        if den % q:
-            den = den // math.gcd(den, q) * q
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _mul_frac_lists(f, g):
-    fi, df = _clear_denominators(f)
-    gi, dg = _clear_denominators(g)
-    prod = _kron_mul_int(fi, gi)
-    d = df * dg
-    return [Fraction(c, d) for c in prod]
-
-
 class Poly:
-    """Dense polynomial over Q: a tuple of Fraction coefficients."""
+    """Dense polynomial over Q: integer numerators num, lowest degree first,
+    over one integer den > 0.
 
-    __slots__ = ("coeffs",)
+    The form is normal: num has no trailing zero, gcd(den, *num) = 1, and
+    zero is ((), 1).  So den is the lcm of the denominators of the reduced
+    coefficients, equal values have equal fields (and equal hashes; a
+    constant hashes as its Fraction), and every Poly is built by
+    ``__init__``, which brings its arguments to that form.
+    """
 
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+    __slots__ = ("num", "den")
+
+    def __init__(self, num=(), den=1):
+        if not den:
+            raise ZeroDivisionError("Poly with denominator 0")
+        num = list(num)
+        while num and not num[-1]:
+            num.pop()
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = math.gcd(den, *num)
+        if g > 1:
+            num, den = [c // g for c in num], den // g
+        self.num, self.den = tuple(num), den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def one():
-        return Poly((Fraction(1),))
+        return Poly((1,))
 
     @staticmethod
     def over_q(coeffs):
-        return Poly(tuple(Fraction(c) for c in coeffs))
+        """The polynomial with the rational (int or Fraction) coefficients
+        coeffs, lowest degree first, cleared over their lcm denominator."""
+        coeffs = list(coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return Poly([c.numerator * (den // c.denominator) for c in coeffs],
+                    den)
 
     # -- basics ------------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def lc(self):
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def coeff(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.over_q((other,))
-        if not isinstance(other, Poly):
+        other = Poly._lift(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        if len(self.num) > 1:
+            return hash((self.num, self.den))
+        return hash(self.coeff(0))
 
     # -- ring operations ----------------------------------------------------
 
-    def _pad(self, n):
-        return list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-
     def __add__(self, other):
-        other = self._lift(other)
+        other = Poly._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b = self._pad(n), other._pad(n)
-        return Poly([x + y for x, y in zip(a, b)])
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Poly([x * a + y * b for x, y in
+                     zip_longest(self.num, other.num, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._lift(other)
+        other = Poly._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b = self._pad(n), other._pad(n)
-        return Poly([x - y for x, y in zip(a, b)])
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly([-c for c in self.num], self.den)
 
     @staticmethod
     def _lift(other):
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly.over_q((other,))
+            return Poly((other.numerator,), other.denominator)
         return NotImplemented
 
     def scale(self, c):
-        """Multiply every coefficient by a rational."""
-        return Poly([a * c for a in self.coeffs])
+        """Multiply every coefficient by a rational (int or Fraction)."""
+        return Poly([a * c.numerator for a in self.num],
+                    self.den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly(())
-        return Poly(_mul_frac_lists(list(self.coeffs), list(other.coeffs)))
+        return Poly(_kron_mul_int(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -319,41 +324,37 @@ class Poly:
         return result
 
     def monic(self):
-        if self.is_zero():
+        """self / lc(self): the numerators over the leading numerator."""
+        if not self.num or self.num[-1] == self.den:
             return self
-        lc = self.lc()
-        if lc == 1:
-            return self
-        return Poly([c / lc for c in self.coeffs])
+        return Poly(self.num, self.num[-1])
 
     # -- calculus and substitution -------------------------------------------
 
     def derivative(self):
-        if len(self.coeffs) <= 1:
-            return Poly(())
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
+        return Poly([c * k for k, c in enumerate(self.num)][1:], self.den)
 
     def __call__(self, x):
         """Evaluate by Horner at a rational or a Poly."""
-        if self.is_zero():
-            return Poly(()) if isinstance(x, Poly) else Fraction(0)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        if isinstance(x, Poly):
+            return self.compose_frac(x, Poly.one())
+        acc = 0
+        for c in reversed(self.num):
             acc = acc * x + c
-        return acc
+        return Fraction(acc, self.den)
 
     def compose_frac(self, p, q):
         """Numerator of self(p/q): sum a_k p^k q^(n-k), n = deg(self).
 
-        With self = c/df and the cleared p = a/dp and q = b/dq, the sum is
-        over the one denominator df dp^n dq^n, which scales the term
-        c_k a^k b^(n-k) by the integer dp^(n-k) dq^k.
+        With self = c/df, p = a/dp and q = b/dq, the sum is over the one
+        denominator df dp^n dq^n, which scales the term c_k a^k b^(n-k) by
+        the integer dp^(n-k) dq^k.
         """
         if self.is_zero():
             return self
-        c, df = _clear_denominators(self.coeffs)
-        a, dp = _clear_denominators(p.coeffs)
-        b, dq = _clear_denominators(q.coeffs)
+        c, df = self.num, self.den
+        a, dp = p.num, p.den
+        b, dq = q.num, q.den
         n = len(c) - 1
         apows, bpows = [[1]], [[1]]
         for _ in range(n):
@@ -369,15 +370,15 @@ class Poly:
                 acc.extend([0] * (len(t) - len(acc)))
             for i, v in enumerate(t):
                 acc[i] += w * v
-        den = df * dp ** n * dq ** n
-        return Poly([Fraction(v, den) for v in acc])
+        return Poly(acc, df * dp ** n * dq ** n)
 
     def to_str(self, var="x"):
         if self.is_zero():
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        coeffs = self.coeffs
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             if k == 0:
@@ -473,8 +474,7 @@ def poly_gcd(p, q):
         return q.monic()
     if q.is_zero():
         return p.monic()
-    f, _ = _clear_denominators(list(p.coeffs))
-    g, _ = _clear_denominators(list(q.coeffs))
+    f, g = p.num, q.num
     for prime in _GCD_TEST_PRIMES:
         d = _int_lists_gcd_mod_p(f, g, prime)
         if d == 0:
@@ -487,8 +487,7 @@ def poly_gcd(p, q):
     while b:
         r = _pseudo_rem_int(a, b)
         a, b = b, _primitive(r)
-    lc = a[-1]
-    return Poly([Fraction(c, lc) for c in a])
+    return Poly(a, a[-1])
 
 
 # -- resultant -------------------------------------------------------------
@@ -573,7 +572,7 @@ def resultant_pencil(p, q0, q1):
     interpolant through s = 0..deg p of those deg p + 1 resultants over Q.
     With p = a/dp and q0, q1 = b0/dq, b1/dq over one denominator, the
     values are integers Res(a, b0 + s b1) over dp^deg(q0) dq^deg(p),
-    interpolated in integers, with one Fraction per coefficient.
+    interpolated in integers over that one denominator.
 
     Sign convention: Res_x(p, q) is the determinant of the Sylvester matrix
     with the rows built from p listed first, equivalently
@@ -585,14 +584,14 @@ def resultant_pencil(p, q0, q1):
         raise ValueError("resultant of a zero polynomial")
     if q1.degree() >= q0.degree():
         raise ValueError("resultant_pencil needs deg q1 < deg q0")
-    a, dp = _clear_denominators(p.coeffs)
-    b, dq = _clear_denominators(q0.coeffs + q1.coeffs)
-    b0, b1 = b[:len(q0.coeffs)], b[len(q0.coeffs):]
-    b1 = b1 + [0] * (len(b0) - len(b1))
+    a, dp = p.num, p.den
+    dq = math.lcm(q0.den, q1.den)
+    b0 = [c * (dq // q0.den) for c in q0.num]
+    b1 = [c * (dq // q1.den) for c in q1.num]
+    b1 += [0] * (len(b0) - len(b1))
     values = [_resultant_int(a, [u + s * v for u, v in zip(b0, b1)])
               for s in range(len(a))]
-    den = dp ** q0.degree() * dq ** p.degree()
-    return Poly([Fraction(c, den) for c in _interpolate_int(values)])
+    return Poly(_interpolate_int(values), dp ** q0.degree() * dq ** p.degree())
 
 
 def poly_divides(g, f):
@@ -603,6 +602,4 @@ def poly_divides(g, f):
     """
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    a, _ = _clear_denominators(f.coeffs)
-    b, _ = _clear_denominators(g.coeffs)
-    return not _pseudo_rem_int(_primitive(a), _primitive(b))
+    return not _pseudo_rem_int(_primitive(f.num), _primitive(g.num))

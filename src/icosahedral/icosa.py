@@ -122,8 +122,7 @@ def fundamental_identity_mismatch(lam=None):
     M, N = inv.mu
     lhs = Jn * M * N ** 5
     rhs = (M * M + M * N * 10 + N * N * 5) ** 3 * Jd
-    return next((k for k in range(max(len(lhs.coeffs), len(rhs.coeffs)))
-                 if lhs.coeff(k) != rhs.coeff(k)), None)
+    return next((k for k, c in enumerate((lhs - rhs).num) if c), None)
 
 
 def _mul5(x, y):
@@ -172,12 +171,6 @@ def _scaled_matrix(g):
             raise ValueError(f"a matrix entry {x!r}, not in Q(sqrt5)")
     k = lcm(*(d for _, _, d in ints))
     return tuple((p * (k // d), q * (k // d)) for p, q, d in ints)
-
-
-def _int_coeffs(F):
-    """F's coefficients times the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in F.coeffs))
-    return [c.numerator * (den // c.denominator) for c in F.coeffs]
 
 
 @lru_cache(maxsize=4)
@@ -243,11 +236,10 @@ def invariance_mismatch(gen, inv=None):
         _GENERATORS[gen] if isinstance(gen, str) else gen)
     consts = {}
     for name, F, n in (("f", f, 12), ("H", _FACE, 20)):
-        coeffs = _int_coeffs(F)
         for z in range(n + 1):
-            moved = _form_at(coeffs, n, (a[0] * z + b[0], a[1] * z + b[1]),
+            moved = _form_at(F.num, n, (a[0] * z + b[0], a[1] * z + b[1]),
                              (c[0] * z + d[0], c[1] * z + d[1]))
-            value = _form_at(coeffs, n, (z, 0), (1, 0))
+            value = _form_at(F.num, n, (z, 0), (1, 0))
             if name not in consts and value[0]:
                 consts[name] = moved, value
             moved_0, value_0 = consts.get(name, ((0, 0), (1, 0)))
@@ -275,7 +267,7 @@ def _resolvent_x(lam):
 
 def _exponent_off(poly, r):
     """The first exponent e of a term of poly with e != r mod 5, or None."""
-    return next((e for e, c in enumerate(poly.coeffs) if c and e % 5 != r),
+    return next((e for e, c in enumerate(poly.num) if c and e % 5 != r),
                 None)
 
 

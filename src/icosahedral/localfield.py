@@ -83,8 +83,9 @@ def theorem_hypothesis(B, C) -> bool:
 def _first_difference(name, lhs, rhs):
     """None if the polynomials lhs and rhs are equal, else (name, e, c): the
     lowest power e at which lhs - rhs has a nonzero coefficient, c."""
-    return next(((name, e, c) for e, c in enumerate((lhs - rhs).coeffs)
-                 if c), None)
+    diff = lhs - rhs
+    return next(((name, e, Fraction(c, diff.den))
+                 for e, c in enumerate(diff.num) if c), None)
 
 
 def artin_schreier_mismatch(y4=None, w=Fraction(5, 4)):

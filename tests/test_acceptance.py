@@ -159,7 +159,8 @@ def test_12_mutation_suite(monkeypatch):
     P, Q = icosa.build_invariants().lam
     coeffs = list(P.coeffs)
     coeffs[3] += 1
-    assert icosa.fundamental_identity_mismatch(lam=(Poly(coeffs), Q)) == 8
+    assert icosa.fundamental_identity_mismatch(
+        lam=(Poly.over_q(coeffs), Q)) == 8
 
     # resolvent quintic: the n-normalization (n in place of n/12)
     assert icosa.resolvent_identity_mismatch(w_per_n=Fraction(1)) is not None

@@ -81,7 +81,30 @@ def mul_schoolbook(p, q):
     for i, a in enumerate(p.coeffs):
         for j, b in enumerate(q.coeffs):
             out[i + j] = out[i + j] + a * b
-    return Poly(out)
+    return Poly.over_q(out)
+
+
+def add_reference(p, q):
+    """The reference sum: coefficient by coefficient, in Fractions."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly.over_q([p.coeff(k) + q.coeff(k) for k in range(n)])
+
+
+def scale_reference(p, c):
+    """The reference c p: each coefficient times c, in Fractions."""
+    return Poly.over_q([a * c for a in p.coeffs])
+
+
+def compose_reference(f, p, q):
+    """The reference f(p/q) q^n, n = deg f: sum_k a_k p^k q^(n-k) by
+    schoolbook products and Fraction sums."""
+    acc = Poly(())
+    for k, a in enumerate(f.coeffs):
+        term = Poly.over_q([a])
+        for g in [p] * k + [q] * (f.degree() - k):
+            term = mul_schoolbook(term, g)
+        acc = add_reference(acc, term)
+    return acc
 
 
 def rem_reference(f, g):
@@ -95,7 +118,7 @@ def rem_reference(f, g):
         r.pop()
         while r and not r[-1]:
             r.pop()
-    return Poly(r)
+    return Poly.over_q(r)
 
 
 # -- Q(sqrt5) and the product of Z[eps, i] ------------------------------------
@@ -213,8 +236,10 @@ def test_kron_mul_int_edge_cases():
 def test_poly_mul_large_coefficients():
     rng = random.Random(3)
     big = 10 ** 30
-    p = Poly([Fraction(rng.randint(-big, big), rng.randint(1, 997)) for _ in range(30)])
-    q = Poly([Fraction(rng.randint(-big, big), rng.randint(1, 997)) for _ in range(25)])
+    p = Poly.over_q([Fraction(rng.randint(-big, big), rng.randint(1, 997))
+                     for _ in range(30)])
+    q = Poly.over_q([Fraction(rng.randint(-big, big), rng.randint(1, 997))
+                     for _ in range(25)])
     assert p * q == mul_schoolbook(p, q)
 
 
@@ -302,8 +327,63 @@ def test_kron_pack_roundtrip(ints, extra):
 @PROPERTY
 @given(st.lists(wide_fractions, max_size=10), st.lists(wide_fractions, max_size=10))
 def test_poly_mul_q_matches_schoolbook_property(f, g):
-    p, q = Poly(f), Poly(g)
+    p, q = Poly.over_q(f), Poly.over_q(g)
     assert p * q == mul_schoolbook(p, q)
+
+
+def assert_normal(p):
+    """p's fields are in normal form: ints, den > 0, no trailing zero and
+    gcd(den, *num) = 1."""
+    assert type(p.den) is int and all(type(c) is int for c in p.num)
+    assert p.den > 0
+    assert not p.num or p.num[-1]
+    assert math.gcd(p.den, *p.num) == 1
+
+
+def assert_same(got, want):
+    """got and want are in normal form with the same value, so they have
+    the same fields and the same hash."""
+    assert_normal(got)
+    assert_normal(want)
+    assert got.coeffs == want.coeffs
+    assert (got.num, got.den) == (want.num, want.den)
+    assert hash(got) == hash(want)
+
+
+small_polys = st.lists(small_fractions, max_size=6).map(Poly.over_q)
+
+
+@PROPERTY
+@given(small_polys, small_polys, small_fractions,
+       st.lists(small_fractions, max_size=4).map(Poly.over_q))
+@example(Poly.over_q([Fraction(1, 2)]), Poly.over_q([Fraction(1, 2)]),
+         Fraction(2), Poly.over_q([Fraction(1, 6), Fraction(-5, 6)]))
+@example(Poly.over_q([1, Fraction(1, 4)]), Poly.over_q([0, Fraction(-1, 4)]),
+         Fraction(0), Poly(()))
+def test_poly_normal_form_property(p, q, c, f):
+    # each operation against its Fraction reference, and equal values
+    # reached along different paths
+    assert_same(p + q, add_reference(p, q))
+    assert_same(p - q, add_reference(p, scale_reference(q, -1)))
+    assert_same(p * q, mul_schoolbook(p, q))
+    assert_same(p.scale(c), scale_reference(p, c))
+    assert_same(f.compose_frac(p, q), compose_reference(f, p, q))
+    assert_same((p + q) - q, p)
+    assert_same(q * p, p * q)
+    assert_same(p * c, p * Poly.over_q([c]))
+    assert_same((p * q).scale(c), p.scale(c) * q)
+    assert_same(p.derivative(), Poly.over_q(
+        [a * k for k, a in enumerate(p.coeffs)][1:]))
+
+
+def test_constant_poly_hashes_as_its_fraction():
+    # == and hash agree: a constant Poly equals its rational and hashes as
+    # it, so either finds the other in a set or a dict
+    for c in (0, 3, -1, Fraction(-2, 7)):
+        p = Poly.over_q([c])
+        assert p == c and hash(p) == hash(c) == hash(Fraction(c))
+        assert c in {p} and p in {c}
+    assert Poly(()) in {0}
 
 
 def test_negative_powers_raise():
@@ -459,7 +539,7 @@ def rational_polys(min_degree=0, max_degree=5):
                      st.integers(1, 6))
     return st.tuples(
         st.lists(coeff, min_size=min_degree, max_size=max_degree), lead,
-    ).map(lambda t: Poly(list(t[0]) + [t[1]]))
+    ).map(lambda t: Poly.over_q(list(t[0]) + [t[1]]))
 
 
 @PROPERTY

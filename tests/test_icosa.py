@@ -10,10 +10,7 @@ import pytest
 import sympy as sp
 
 from icosahedral import cli, icosa, quintic
-from icosahedral.exact import (
-    SQRT5, Poly, _clear_denominators, _kron_mul_int,
-    poly_gcd,
-)
+from icosahedral.exact import SQRT5, Poly, _kron_mul_int, poly_gcd
 
 mp.mp.dps = 60
 
@@ -39,18 +36,17 @@ class Z5:
     @staticmethod
     def lift(p, r=0):
         """p(z) zeta5^r for p over Q, or a rational p."""
-        ints, den = _clear_denominators(
-            p.coeffs if isinstance(p, Poly) else [Fraction(p)])
-        return Z5([ints if k == r else [] for k in range(5)], den)
+        if not isinstance(p, Poly):
+            p = Poly.over_q([p])
+        return Z5([list(p.num) if k == r else [] for k in range(5)], p.den)
 
     @staticmethod
     def rotate(p, nu):
         """p(zeta5^nu z) for p over Q: its z^k term goes to zeta5^(nu k)."""
-        ints, den = _clear_denominators(p.coeffs)
-        parts = [[0] * len(ints) for _ in range(5)]
-        for k, c in enumerate(ints):
+        parts = [[0] * len(p.num) for _ in range(5)]
+        for k, c in enumerate(p.num):
             parts[nu * k % 5][k] = c
-        return Z5(parts, den)
+        return Z5(parts, p.den)
 
     def _over(self, den):
         """The parts over den, a multiple of self.den."""
@@ -101,8 +97,9 @@ class Z5:
     def at(self, z):
         """The value at a rational z, as a constant element."""
         values = [Poly.over_q(a)(z) / self.den for a in self.parts]
-        ints, den = _clear_denominators(values)
-        return Z5([[c] for c in ints], den)
+        den = math.lcm(*(v.denominator for v in values))
+        return Z5([[v.numerator * (den // v.denominator)] for v in values],
+                  den)
 
 
 def _add_ints(a, b):
@@ -320,7 +317,8 @@ def test_fundamental_identity_mutation():
     # so Jn = P^5 + O(z) moves by 5 P^4 z^3 and the left side Jn M N^5 by
     # 5 z^3 (-125 z^5)(-1) = 625 z^8; no lower coefficient changes
     assert icosa.fundamental_identity_mismatch() is None
-    assert icosa.fundamental_identity_mismatch(lam=(Poly(coeffs), Q)) == 8
+    assert icosa.fundamental_identity_mismatch(
+        lam=(Poly.over_q(coeffs), Q)) == 8
 
 
 @pytest.mark.parametrize("which, k", [(0, 1), (1, 0), (1, 1)])
@@ -600,15 +598,19 @@ def test_resolvent_forms_match_direct_product(mn):
 
 @pytest.fixture
 def over_q_only(monkeypatch):
-    """Fail when a Poly gets a coefficient that is not a Fraction."""
-    poly_init = Poly.__init__
+    """Fail when a Poly stores anything but ints.  The guard sits on the
+    num and den slots, which every Poly fills, so it sees each one however
+    it is built."""
+    for name in ("num", "den"):
+        slot = getattr(Poly, name)
 
-    def poly_guarded(self, coeffs):
-        poly_init(self, coeffs)
-        assert all(type(c) is Fraction for c in self.coeffs), \
-            f"a Poly coefficient is not a Fraction: {self.coeffs}"
+        def guarded(self, value, slot=slot, name=name):
+            ints = value if name == "num" else (value,)
+            assert all(type(c) is int for c in ints), \
+                f"Poly.{name} holds a non-int: {value!r}"
+            slot.__set__(self, value)
 
-    monkeypatch.setattr(Poly, "__init__", poly_guarded)
+        monkeypatch.setattr(Poly, name, property(slot.__get__, guarded))
 
 
 def test_verify_all_over_q_only(over_q_only, capsys):
