@@ -1,6 +1,6 @@
 """Exact arithmetic kernel.
 
-Rationals, Q(sqrt5), dense polynomials over Q, gcds and resultants.
+Rationals, Q(sqrt5), dense polynomials over Q and their resultants.
 Everything is immutable and exact; there is no floating point anywhere.
 
 Scalars are ``fractions.Fraction``.  An element of Q(sqrt5) is a
@@ -16,9 +16,9 @@ each operand's numerators into one big integer (Kronecker substitution)
 instead of schoolbook convolution, which is what keeps the large identity
 checks cheap.  Composition f(p/q) q^n works the same way.
 
-Gcds and resultants are taken in integers, on the numerators.  For a
-resultant an integer subresultant PRS runs with checked exact divisions,
-and the denominators enter once, at the end.  A resultant that depends
+Resultants are taken in integers, on the numerators: an integer
+subresultant PRS runs with checked exact divisions, and the denominators
+enter once, at the end (:func:`resultant`).  A resultant that depends
 linearly on a second variable S, Res_x(p, q0 + S q1), is taken by
 evaluation at S = 0..deg p and exact integer interpolation
 (:func:`resultant_pencil`).
@@ -34,7 +34,7 @@ __all__ = [
     "Sqrt5",
     "SQRT5",
     "Poly",
-    "poly_gcd",
+    "resultant",
     "resultant_pencil",
     "poly_divides",
 ]
@@ -323,12 +323,6 @@ class Poly:
             n >>= 1
         return result
 
-    def monic(self):
-        """self / lc(self): the numerators over the leading numerator."""
-        if not self.num or self.num[-1] == self.den:
-            return self
-        return Poly(self.num, self.num[-1])
-
     # -- calculus and substitution -------------------------------------------
 
     def derivative(self):
@@ -393,55 +387,11 @@ class Poly:
         return f"Poly[{self.to_str()}]"
 
 
-# -- gcd -----------------------------------------------------------------
-
-_GCD_TEST_PRIMES = (2305843009213693951, 4611686018427387847, 9223372036854775783)
-
-
-def _int_lists_gcd_mod_p(f, g, p):
-    """Degree of gcd of two integer coefficient lists modulo p, or None."""
-    a = [c % p for c in f]
-    b = [c % p for c in g]
-    while a and not a[-1]:
-        a.pop()
-    while b and not b[-1]:
-        b.pop()
-    if not a or not b:
-        return None
-    if len(a) != len(f) or len(b) != len(g):
-        return None  # leading coefficient vanished; prime is unusable
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        r = a[:]
-        for k in range(len(r) - 1, db - 1, -1):
-            c = r[k]
-            if not c:
-                continue
-            fmul = c * inv % p
-            for j, bc in enumerate(b):
-                r[k - db + j] = (r[k - db + j] - fmul * bc) % p
-        r = r[:db]
-        while r and not r[-1]:
-            r.pop()
-        a, b = b, r
-    return len(a) - 1
-
-
-def _content(ints):
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
+# -- resultants and divisibility ---------------------------------------------
 
 def _primitive(ints):
-    c = _content(ints)
-    if c in (0, 1):
-        return list(ints)
-    return [v // c for v in ints]
+    c = math.gcd(*ints)
+    return [v // c for v in ints] if c > 1 else list(ints)
 
 
 def _pseudo_rem_int(a, b):
@@ -467,30 +417,6 @@ def _pseudo_rem_int(a, b):
         r = [c * m for c in r]
     return r
 
-
-def poly_gcd(p, q):
-    """Monic gcd over Q, as a primitive PRS in integers."""
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    f, g = p.num, q.num
-    for prime in _GCD_TEST_PRIMES:
-        d = _int_lists_gcd_mod_p(f, g, prime)
-        if d == 0:
-            return Poly.one()
-        if d is not None:
-            break
-    a, b = _primitive(f), _primitive(g)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem_int(a, b)
-        a, b = b, _primitive(r)
-    return Poly(a, a[-1])
-
-
-# -- resultant -------------------------------------------------------------
 
 def _exact_div_int(a, b):
     """a / b for integers that must divide exactly; ValueError otherwise."""
@@ -534,6 +460,19 @@ def _resultant_int(a, b):
     da = len(a) - 1
     res = _exact_div_int(b[0] ** da, h ** (da - 1)) if da > 1 else b[0] ** da
     return -res if s < 0 else res
+
+
+def resultant(p, q):
+    """Res_x(p, q) over Q as a Fraction, signed as in resultant_pencil.
+
+    With p = a/dp and q = b/dq it is the integer resultant Res(a, b) over
+    dp^deg(q) dq^deg(p).  The leading coefficient of a nonzero Poly is
+    nonzero, so the resultant vanishes exactly when p and q share a root.
+    """
+    if p.is_zero() or q.is_zero():
+        raise ValueError("resultant of a zero polynomial")
+    return Fraction(_resultant_int(p.num, q.num),
+                    p.den ** q.degree() * q.den ** p.degree())
 
 
 def _interpolate_int(values):

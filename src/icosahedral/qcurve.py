@@ -3,10 +3,12 @@
 Two families appear:
 
     E_t: y^2 = x^3 + 2x^2 + rx,   r = (3 + sqrt5 t)/(2 sqrt5 t)  over Q(sqrt5),
-    E_j: y^2 = x^3 + 3j/(1728-j) x + 2j/(1728-j)                 over Q.
+    E_j: y^2 = x^3 + 3kx + 2k,    k = j/(1728 - j)               over Q.
 
-The coefficient a4 = r of E_t is an exact.Sqrt5; the other coefficients,
-those of E_j and those of any curve over Q are Fractions.
+E_t is an EllipticCurve whose coefficient a4 = r is an exact.Sqrt5; the
+other coefficients, and those of any curve over Q, are Fractions.  E_j is
+its parameter k alone, a Fraction outside {0, -1}, where the model is
+singular; its polynomials are built from b = 3k and c = 2k.
 
 E_t carries the 2-isogeny
 
@@ -35,11 +37,11 @@ exactly [1728x^3(x^2+10x+34) - j(x+2)^5] mu + 31104x^3.
 
 The forward transform is 2-to-1: its deck involution mu -> -(mu+5)/(mu+1)
 carries q' to a second sextic, and the cleared composite g(x(mu)) is
-(1 + k)^2 times the product of the two, where k = j/(1728 - j).  In k, E_j
-is y^2 = x^3 + 3kx + 2k, and that factorization, the mu(x) direction
-modulo g and the resultant that defines g are identities in k, each
-proved for every j at once at one more value of k than its degree bound
-(klein_link_family_mismatch).
+(1 + k)^2 times the product of the two.  That factorization, the mu(x)
+direction modulo g and the resultant that defines g are identities in k,
+each proved for every j at once at one more value of k than its degree
+bound (klein_link_family_mismatch).  A proof builds the polynomials of
+each k once (_klein_link_polys).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import SQRT5, Poly, poly_divides, poly_gcd, resultant_pencil
+from .exact import SQRT5, Poly, poly_divides, resultant, resultant_pencil
 from .quintic import invariants, j_equation
 
 __all__ = [
@@ -57,7 +59,7 @@ __all__ = [
     "isogeny_mismatch",
     "j_equation_family_mismatch",
     "klein_link_family_mismatch",
-    "verify_klein_link",
+    "klein_link_mismatch",
 ]
 
 
@@ -113,18 +115,6 @@ def curve_from_t(t) -> EllipticCurve:
     return EllipticCurve(2, (s5t + 3) / (s5t * 2), 0)
 
 
-def curve_from_j(j) -> EllipticCurve:
-    """y^2 = x^3 + 3j/(1728-j) x + 2j/(1728-j) over Q, invariant j.
-
-    Requires j outside {0, 1728}, where this model degenerates.
-    """
-    j = Fraction(j)
-    if j == 0 or j == 1728:
-        raise ValueError("j must avoid 0 and 1728")
-    k = j / (1728 - j)
-    return EllipticCurve(0, 3 * k, 2 * k)
-
-
 def _conjugate_r(r):
     """r^sigma = 1 - r, since r + r^sigma = 1 for every t."""
     return 1 - r
@@ -135,8 +125,9 @@ def _phi_y_factor(r):
     return Poly.over_q([r, 0, -1])
 
 
-def _isogeny_identities(r, r_sigma=_conjugate_r, mult=-2, phi_y=_phi_y_factor):
-    """Both sides of the three 2-isogeny identities at one r, cleared, in Q[x].
+def _isogeny_identity(name, r, r_sigma=_conjugate_r, mult=-2,
+                      phi_y=_phi_y_factor):
+    """Both sides of the named 2-isogeny identity at one r, cleared, in Q[x].
 
     E: y^2 = f(x) = x^3 + 2x^2 + rx, and phi(x, y) = (X, y g(x)/(c x^2))
     with X = f/(-2x^2) (y^2 = f eliminated), g = phi_y(r) = r - x^2 and
@@ -154,7 +145,7 @@ def _isogeny_identities(r, r_sigma=_conjugate_r, mult=-2, phi_y=_phi_y_factor):
       y([2]P)/y = f'(x)(x - x([2]P))/(2f) - 1 and y([-2]P) = -y([2]P).
 
     The defaults are the paper's maps; the arguments exist for mutation
-    tests.  Returns {name: (lhs, rhs)}.
+    tests.  Returns (lhs, rhs).
     """
     rs = r_sigma(r)
     x = Poly.over_q([0, 1])
@@ -162,16 +153,16 @@ def _isogeny_identities(r, r_sigma=_conjugate_r, mult=-2, phi_y=_phi_y_factor):
     f = Poly.over_q([0, r, 2, 1])
     g = phi_y(r)
     n, d = -f, x2 * 2
-    fs_nd = Poly.over_q([0, rs, 2, 1]).compose_frac(n, d)
     dup_num = Poly.over_q([r * r, 0, -2 * r, 0, 1])
     dup_den = Poly.over_q([0, 4 * r, 8, 4])
-    dup_y = f.derivative() * (x * dup_den - dup_num) - f * dup_den * 2
-    return {
-        "codomain": (fs_nd, -(f * g * g * x2)),
-        "x": (fs_nd * dup_den, -(d * n * n * dup_num) * 2),
-        "y": (g * phi_y(rs).compose_frac(n, d) * f * dup_den * 2,
-              x2 * n * n * dup_y * (-8 * (mult // 2))),
-    }
+    if name == "y":
+        dup_y = f.derivative() * (x * dup_den - dup_num) - f * dup_den * 2
+        return (g * phi_y(rs).compose_frac(n, d) * f * dup_den * 2,
+                x2 * n * n * dup_y * (-8 * (mult // 2)))
+    fs_nd = Poly.over_q([0, rs, 2, 1]).compose_frac(n, d)
+    if name == "codomain":
+        return fs_nd, -(f * g * g * x2)
+    return fs_nd * dup_den, -(d * n * n * dup_num) * 2
 
 
 # the r-degree of both sides of each identity; see isogeny_mismatch
@@ -187,7 +178,7 @@ def isogeny_mismatch(names, **mutation):
     divided by y.
 
     Returns None, or (name, r) for the first identity and r of the
-    certificate at which it fails.  In the sides of _isogeny_identities,
+    certificate at which it fails.  In the sides of _isogeny_identity,
     with r^sigma = 1 - r, the x-coefficients of f, g, N, dup_den, f^sigma
     and g^sigma have r-degree at most 1, those of dup_num at most 2, and
     D is free of r.  f^sigma.compose_frac(N, D) is N^3 + 2N^2 D
@@ -201,11 +192,11 @@ def isogeny_mismatch(names, **mutation):
     here r = 2, 3, ...; it then holds on every E_t, for every t, since
     r = (3 + sqrt5 t)/(2 sqrt5 t) has r + r^sigma = 1, so the identity in
     r with r^sigma = 1 - r specializes to each E_t.  mutation goes to
-    _isogeny_identities.
+    _isogeny_identity, which builds only the identity checked.
     """
     for name in names:
         for r in range(2, _ISOGENY_R_DEGREE[name] + 3):
-            lhs, rhs = _isogeny_identities(Fraction(r), **mutation)[name]
+            lhs, rhs = _isogeny_identity(name, Fraction(r), **mutation)
             if lhs != rhs:
                 return name, Fraction(r)
     return None
@@ -242,16 +233,8 @@ def j_equation_family_mismatch():
     return None
 
 
-def _rational_bc(E: EllipticCurve):
-    if not all(isinstance(v, Fraction) for v in (E.a2, E.a4, E.a6)):
-        raise ValueError("model must be over Q")
-    if E.a2:
-        raise ValueError("model must be y^2 = x^3 + bx + c")
-    return E.a4, E.a6
-
-
-def division_poly5(E: EllipticCurve) -> Poly:
-    """The 5-division polynomial of y^2 = x^3 + bx + c, degree 12.
+def division_poly5(b, c) -> Poly:
+    """The 5-division polynomial of y^2 = x^3 + bx + c over Q, degree 12.
 
     psi5 = 32 f^2 (x^6 + 5bx^4 + 20cx^3 - 5b^2x^2 - 4bcx - 8c^2 - b^3)
          - (3x^4 + 6bx^2 + 12cx - b^2)^3,   f = x^3 + bx + c,
@@ -259,7 +242,6 @@ def division_poly5(E: EllipticCurve) -> Poly:
     which is psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3 at
     m = 2 with y^2 eliminated.
     """
-    b, c = _rational_bc(E)
     f = Poly.over_q([c, b, 0, 1])
     g6 = Poly.over_q([-8 * c * c - b ** 3, -4 * b * c, -5 * b * b,
                       20 * c, 5 * b, 0, 1])
@@ -267,7 +249,7 @@ def division_poly5(E: EllipticCurve) -> Poly:
     return (f * f * g6).scale(32) - psi3 ** 3
 
 
-def x5sum_resolvent(E: EllipticCurve) -> Poly:
+def x5sum_resolvent(b, c) -> Poly:
     """Monic sextic whose roots are the sums x_P + x_{2P}, P of order 5.
 
     For y^2 = x^3 + bx + c it is the closed form
@@ -279,7 +261,6 @@ def x5sum_resolvent(E: EllipticCurve) -> Poly:
     S = x + x([2]P): the roots in S of the resultant pair each 5-torsion x
     with its doubling.
     """
-    b, c = _rational_bc(E)
     return Poly.over_q([-80 * c * c, -128 * b * c, -80 * b * b, 160 * c,
                         20 * b, 0, 1])
 
@@ -293,35 +274,28 @@ _INVERSE_DEN_K_TERM = Poly.over_q([2, 1]) ** 5
 _INVERSE_DEN_CONSTANT = Poly.over_q([0, 0, 0, 1]) * Poly.over_q([34, 10, 1])
 
 
-def mu_sextic(j) -> Poly:
-    """q'(mu) = (mu^2 + 10mu + 5)^3 - j mu."""
-    j = Fraction(j)
-    return _MU_CORE_CUBED - Poly.over_q([0, j])
+def _klein_link_polys(k):
+    """(b, c, g, (1+k) q'(mu)) of E_j at one k: b = 3k, c = 2k,
+    g = x5sum_resolvent(b, c) and, as j = 1728k/(1 + k),
+    (1+k) q' = (1+k)(mu^2 + 10mu + 5)^3 - 1728k mu."""
+    b, c = 3 * k, 2 * k
+    qp = _MU_CORE_CUBED.scale(1 + k) - Poly.over_q([0, 1728 * k])
+    return b, c, x5sum_resolvent(b, c), qp
 
 
-def _klein_link_curve(k):
-    """E_j, g = x5sum_resolvent(E_j) and (1+k) q'(mu) at one k."""
-    E = EllipticCurve(0, 3 * k, 2 * k)
-    qp = mu_sextic(1728 * k / (1 + k)).scale(1 + k)
-    return E, x5sum_resolvent(E), qp
-
-
-def _resultant_holds(k) -> bool:
+def _resultant_holds(k, b, c, g, qp) -> bool:
     """The resultant fact of klein_link_mismatch at k."""
-    E, g, _ = _klein_link_curve(k)
-    b, c = E.a4, E.a6
     q0 = Poly.over_q([-b * b, 4 * c, -2 * b, 0, -5])
     q1 = Poly.over_q([4 * c, 4 * b, 0, 4])
-    return resultant_pencil(division_poly5(E), q0, q1) == (g * g).scale(
+    return resultant_pencil(division_poly5(b, c), q0, q1) == (g * g).scale(
         5 * 2 ** 24 * (4 * b ** 3 + 27 * c * c) ** 6)
 
 
-def _transform_holds(k) -> bool:
+def _transform_holds(k, b, c, g, qp) -> bool:
     """Fact (a) of klein_link_mismatch at k; ArithmeticError if the
     transform denominator shares a root with q'."""
-    _, g, qp = _klein_link_curve(k)
     den_a = Poly.over_q([-1, 4, 1])
-    if poly_gcd(den_a, qp).degree() > 0:
+    if resultant(den_a, qp) == 0:
         raise ArithmeticError("transform denominator shares a root with q'")
     pullback = _MU_CORE_CUBED.scale(64 * (1 + k)) \
         - _PULLBACK_K_TERM.scale(1728 * k)
@@ -329,13 +303,12 @@ def _transform_holds(k) -> bool:
         == qp * pullback
 
 
-def _inverse_divides(k) -> bool:
+def _inverse_divides(k, b, c, g, qp) -> bool:
     """Fact (b) of klein_link_mismatch at k; ArithmeticError if the
     inverse transform denominator shares a root with g."""
-    _, g, qp = _klein_link_curve(k)
     den_b = (_INVERSE_DEN_K_TERM.scale(k)
              - _INVERSE_DEN_CONSTANT.scale(1 + k)).scale(1728)
-    if poly_gcd(den_b, g).degree() > 0:
+    if resultant(den_b, g) == 0:
         raise ArithmeticError("transform denominator shares a root with g")
     return poly_divides(g, qp.compose_frac(
         Poly.over_q([0, 0, 0, 31104 * (1 + k)]), den_b))
@@ -352,7 +325,7 @@ def klein_link_mismatch(k):
     """The link between the 5-torsion sextic of E_j and q'(mu), at one k.
 
     E_j is y^2 = x^3 + bx + c with b = 3k, c = 2k, k = j/(1728 - j), so
-    j = 1728k/(1 + k).  With g = x5sum_resolvent(E_j), three exact facts:
+    j = 1728k/(1 + k).  With g = x5sum_resolvent(b, c), three exact facts:
 
     * "resultant": Res_x(psi5, q0 + S q1) = 5 2^24 (4b^3 + 27c^2)^6 g(S)^2,
       where q0 = -4xf - (x^4 - 2bx^2 - 8cx + b^2) and q1 = 4f,
@@ -365,9 +338,11 @@ def klein_link_mismatch(k):
       D = 1728(k(x+2)^5 - (1+k)x^3(x^2+10x+34)): N/D is the inverse
       transform 31104x^3/((x+2)^5 j - 1728x^3(x^2+10x+34)).
 
-    Returns None, or (fact, k) for the first that fails, in this order.  A
-    clearing denominator sharing a root with q' (checked with (a)) or with
-    g (checked with (b)) raises ArithmeticError.
+    Returns None, or (fact, k) for the first that fails, in this order.
+    k in {0, -1}, where E_j is singular, raises ValueError.  A clearing
+    denominator sharing a root with q' (checked with (a)) or with g
+    (checked with (b)) raises ArithmeticError; the resultant of the two is
+    0 exactly then.
 
     Each fact is an identity in k, so it holds for every k once it holds
     at one more nonzero k than its degree bound:
@@ -395,8 +370,11 @@ def klein_link_mismatch(k):
     to every y^2 = x^3 + bx + c with bc != 0, so it holds for all (b, c).
     """
     k = Fraction(k)
+    if k in (0, -1):
+        raise ValueError("k must avoid 0 and -1, where E_j is singular")
+    polys = _klein_link_polys(k)
     for fact, (holds, _) in _KLEIN_LINK_FACTS.items():
-        if not holds(k):
+        if not holds(k, *polys):
             return fact, k
     return None
 
@@ -409,16 +387,14 @@ def klein_link_family_mismatch():
     the resultant identity at 9 values, (a) at 3 and (b) at 23.  So each
     fact holds identically in k, and every rational j outside {0, 1728}
     has k = j/(1728 - j) outside {0, -1}.  Returns None, or the first
-    (fact, k) that fails, in the order of the facts and then of k.
+    (fact, k) that fails, in the order of the facts and then of k.  The
+    polynomials of each k are built once, for all the facts checked there.
     """
+    polys = {}
     for fact, (holds, n) in _KLEIN_LINK_FACTS.items():
-        for k in range(1, n + 1):
-            if not holds(Fraction(k)):
-                return fact, Fraction(k)
+        for k in map(Fraction, range(1, n + 1)):
+            if k not in polys:
+                polys[k] = _klein_link_polys(k)
+            if not holds(k, *polys[k]):
+                return fact, k
     return None
-
-
-def verify_klein_link(j) -> bool:
-    """klein_link_mismatch at k = j/(1728 - j), which is a6/2 on
-    curve_from_j(j); that rejects j in {0, 1728}."""
-    return klein_link_mismatch(curve_from_j(j).a6 / 2) is None

@@ -113,12 +113,22 @@ def _rotation_witness(fact, e) -> str:
 
 def _suite_klein_link():
     from . import qcurve
+
+    def fixed_mismatch():
+        """The first (fact, j) of KLEIN_FIXED_J that fails, or None."""
+        for j in KLEIN_FIXED_J:
+            mismatch = qcurve.klein_link_mismatch(j / (1728 - j))
+            if mismatch is not None:
+                return mismatch[0], j
+        return None
+
     return (
         ("klein-link/fixed-samples",
          "mu <-> x transforms invert each other and (a) holds on fixed j",
-         _holds(lambda: all(qcurve.verify_klein_link(j)
-                            for j in KLEIN_FIXED_J)),
-         lambda _: "j in {" + ", ".join(map(_fmt, KLEIN_FIXED_J)) + "}"),
+         fixed_mismatch,
+         lambda m: "j in {" + ", ".join(map(_fmt, KLEIN_FIXED_J)) + "}"
+                   if m is None
+                   else f"the {m[0]} identity fails at j = {_fmt(m[1])}"),
         ("klein-link/random-samples",
          "the same transforms for every j outside {0, 1728}, as "
          "identities in k = j/(1728 - j) of degree <= 24",

@@ -674,8 +674,9 @@ def test_verify_klein_link(capsys):
 def _mutate_x5sum(monkeypatch):
     # 20b -> 21b in the S^4 coefficient of the closed-form sextic
     x5sum = qcurve.x5sum_resolvent
-    monkeypatch.setattr(qcurve, "x5sum_resolvent",
-                        lambda E: x5sum(E) + Poly.over_q([0, 0, 0, 0, E.a4]))
+    monkeypatch.setattr(
+        qcurve, "x5sum_resolvent",
+        lambda b, c: x5sum(b, c) + Poly.over_q([0, 0, 0, 0, b]))
 
 
 @pytest.mark.parametrize("mutate, fact", [
@@ -690,7 +691,8 @@ def _mutate_x5sum(monkeypatch):
 ])
 def test_verify_klein_link_mutations(capsys, monkeypatch, mutate, fact):
     # mutation companions of the proof in k: each fails its own fact at the
-    # first certificate value, and the witness names both
+    # first certificate value and at the first fixed j, and each witness
+    # names the fact and the value
     mutate(monkeypatch)
     rc, out, _ = run_cli(capsys, "verify", "klein-link")
     assert rc == 1
@@ -698,6 +700,21 @@ def test_verify_klein_link_mutations(capsys, monkeypatch, mutate, fact):
     assert by_id["klein-link/random-samples"]["status"] == "fail"
     assert by_id["klein-link/random-samples"]["witness"] == \
         f"the {fact} identity fails at k = 1"
+    assert by_id["klein-link/fixed-samples"]["status"] == "fail"
+    assert by_id["klein-link/fixed-samples"]["witness"] == \
+        f"the {fact} identity fails at j = 2"
+
+
+def test_verify_all_builds_each_k_once_per_proof(capsys, monkeypatch):
+    # the family proof builds k = 1..23 once each and the fixed-j check the
+    # k of each of its six j once: 29 builds, and no k twice
+    builds = collections.Counter()
+    polys = qcurve._klein_link_polys
+    monkeypatch.setattr(qcurve, "_klein_link_polys",
+                        lambda k: builds.update([k]) or polys(k))
+    rc, _, _ = run_cli(capsys, "verify", "all")
+    assert rc == 0
+    assert len(builds) == 29 and set(builds.values()) == {1}
 
 
 def test_verify_repn(capsys):
@@ -791,9 +808,10 @@ def test_verify_qcurve_failure_witnesses(capsys, monkeypatch):
 def test_verify_isogeny_failure_witness(capsys, monkeypatch):
     # r^sigma = 2 - r in place of 1 - r breaks both isogeny proofs, and each
     # witness names the first identity and r that fail
-    identities = qcurve._isogeny_identities
-    monkeypatch.setattr(qcurve, "_isogeny_identities",
-                        lambda r, **kw: identities(r, r_sigma=lambda r: 2 - r))
+    identity = qcurve._isogeny_identity
+    monkeypatch.setattr(qcurve, "_isogeny_identity",
+                        lambda name, r, **kw: identity(name, r,
+                                                       r_sigma=lambda r: 2 - r))
     rc, out, _ = run_cli(capsys, "verify", "qcurve")
     assert rc == 1
     by_id = {c["id"]: c for c in json.loads(out)["checks"]}

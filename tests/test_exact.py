@@ -7,10 +7,10 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icosahedral import repn
+from icosahedral import exact, repn
 from icosahedral.exact import (
     SQRT5, Poly, Sqrt5, _kron_mul_int, _kron_pack, _kron_unpack,
-    poly_divides, poly_gcd, resultant_pencil,
+    poly_divides, resultant_pencil,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -395,32 +395,6 @@ def test_negative_powers_raise():
         Poly.over_q([1, 1]) ** -2
 
 
-# -- gcd ---------------------------------------------------------------------
-
-def test_gcd_examples():
-    x2m1 = Poly.over_q([-1, 0, 1])
-    xm1 = Poly.over_q([-1, 1])
-    assert poly_gcd(x2m1, xm1) == xm1
-    p = Poly.over_q([2, 4])
-    assert poly_gcd(p, Poly(())) == p.monic()
-    assert poly_gcd(Poly(()), p) == p.monic()
-
-
-def test_gcd_random_vs_sympy():
-    rng = random.Random(6)
-    x = sp.Symbol("x")
-    for _ in range(25):
-        a = rand_poly(rng, rng.randint(1, 6))
-        b = rand_poly(rng, rng.randint(1, 6))
-        c = rand_poly(rng, rng.randint(0, 4))
-        if a.is_zero() or b.is_zero() or c.is_zero():
-            continue
-        g = poly_gcd(a * c, b * c)
-        expected = sp.gcd(to_sympy(a * c, x), to_sympy(b * c, x), x)
-        expected = sp.Poly(expected, x, domain="QQ").monic().as_expr()
-        assert sp.expand(to_sympy(g, x) - expected) == 0
-
-
 # -- resultants ---------------------------------------------------------------
 
 def test_resultant_linear_convention():
@@ -549,14 +523,16 @@ def rational_polys(min_degree=0, max_degree=5):
 @example(Poly.over_q([Fraction(1, 2), 0, 7]), Poly.over_q([Fraction(-2, 3)]),
          Poly.over_q([1]))
 def test_resultant_matches_sylvester(p, q, c):
-    # degree-0 operands, non-monic and non-integral input; Res(pc, qc)
-    # vanishes when c has a root
-    if p.degree() == q.degree() == 0:
-        assert resultant(p, q) == 1
-    else:
-        assert resultant(p, q) == sylvester_det(p, q)
-    if c.degree() > 0:
-        assert resultant(p * c, q * c) == 0
+    # degree-0 operands, non-monic and non-integral input, through the
+    # pencil at q1 = 0 and through exact.resultant; Res(pc, qc) vanishes
+    # when c has a root
+    for res in (resultant, exact.resultant):
+        if p.degree() == q.degree() == 0:
+            assert res(p, q) == 1
+        else:
+            assert res(p, q) == sylvester_det(p, q)
+        if c.degree() > 0:
+            assert res(p * c, q * c) == 0
 
 
 @PROPERTY

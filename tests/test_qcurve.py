@@ -5,16 +5,15 @@ import pytest
 import sympy as sp
 
 from icosahedral import exact, qcurve
-from icosahedral.exact import SQRT5, Poly, poly_divides, poly_gcd
+from icosahedral.exact import SQRT5, Poly, poly_divides, resultant
 from icosahedral.qcurve import (
-    EllipticCurve, curve_from_j, curve_from_t, discriminant,
+    EllipticCurve, curve_from_t, discriminant,
     division_poly5, j_equation_family_mismatch, j_invariant,
-    klein_link_family_mismatch, klein_link_mismatch, mu_sextic,
-    verify_klein_link, x5sum_resolvent,
+    klein_link_family_mismatch, klein_link_mismatch, x5sum_resolvent,
 )
 from icosahedral.qcurve import (
-    _ISOGENY_R_DEGREE, _J_EQUATION_R, _KLEIN_LINK_FACTS, _isogeny_identities,
-    isogeny_mismatch,
+    _ISOGENY_R_DEGREE, _J_EQUATION_R, _KLEIN_LINK_FACTS, _inverse_divides,
+    _isogeny_identity, _klein_link_polys, _transform_holds, isogeny_mismatch,
 )
 from icosahedral.quintic import invariants, j_equation, j_roots
 from icosahedral.suites import KLEIN_FIXED_J
@@ -211,20 +210,6 @@ def test_family_curve_symbolic():
         assert j_invariant(E) == (4 - a4 * 3) ** 3 * 64 / (a4 * a4 * (1 - a4))
 
 
-def test_curve_from_j_roundtrip():
-    rng = random.Random(47)
-    for _ in range(5):
-        j = Fraction(rng.randint(-3000, 3000), rng.randint(1, 9))
-        if j == 0 or j == 1728:
-            continue
-        E = curve_from_j(j)
-        assert all(type(a) is Fraction for a in (E.a2, E.a4, E.a6))
-        assert j_invariant(E) == j
-    for bad in (0, 1728):
-        with pytest.raises(ValueError):
-            curve_from_j(bad)
-
-
 def test_j_invariant_model_change():
     # x -> u^2 x scales (a2, a4, a6) by (u^-2, u^-4, u^-6) and fixes j
     rng = random.Random(91)
@@ -393,13 +378,12 @@ def test_isogeny_degree_bound_sympy():
         "x": (fs_nd * dup_den, -2 * d * n ** 2 * dup_num),
         "y": (2 * (r - x ** 2) * gs_nd * f * dup_den, 8 * x ** 2 * n ** 2 * dup_y),
     }
-    at_2 = _isogeny_identities(Fraction(2))
     for name, pair in sides.items():
         polys = [sp.Poly(sp.expand(side), r, x) for side in pair]
         assert [p.degree(r) for p in polys] == [_ISOGENY_R_DEGREE[name]] * 2
         assert (polys[0] - polys[1]).is_zero
         # the sympy sides are the ones the proof builds, here at r = 2
-        for side, got in zip(pair, at_2[name]):
+        for side, got in zip(pair, _isogeny_identity(name, Fraction(2))):
             want = sp.Poly(sp.expand(side.subs(r, 2)), x).all_coeffs()[::-1]
             assert list(got.coeffs) == [Fraction(sp.Rational(w)) for w in want]
 
@@ -437,27 +421,20 @@ def test_division_poly5_shape():
     while done < 6:
         b = Fraction(rng.randint(-8, 8))
         c = Fraction(rng.randint(-8, 8))
-        try:
-            E = EllipticCurve(0, b, c)
-        except ValueError:
+        if not 4 * b ** 3 + 27 * c * c:
             continue
-        psi = division_poly5(E)
+        psi = division_poly5(b, c)
         assert psi.degree() == 12
         assert psi.lc() == 5
-        assert poly_gcd(psi, psi.derivative()).degree() == 0
+        # squarefree: psi5 shares no root with its derivative
+        assert resultant(psi, psi.derivative()) != 0
         done += 1
-    with pytest.raises(ValueError):
-        division_poly5(EllipticCurve(1, 2, 3))
-    # a model over Q(sqrt5), even with a2 = 0, is not over Q
-    with pytest.raises(ValueError, match="over Q"):
-        division_poly5(EllipticCurve(0, SQRT5, 0))
 
 
 def test_division_poly5_matches_group_law():
     # y^2 = x^3 + 4 over F_61 has all of its 5-torsion rational
     p, b, c = 61, 0, 4
-    E = EllipticCurve(0, b, c)
-    roots = roots_mod(poly_mod(division_poly5(E), p), p)
+    roots = roots_mod(poly_mod(division_poly5(b, c), p), p)
     assert roots == [1, 9, 13, 28, 32, 35, 40, 47, 50, 56, 57, 59]
     coeffs = (0, b, c)
     order5 = [P for P in brute_points(b, c, p)
@@ -468,8 +445,7 @@ def test_division_poly5_matches_group_law():
 
 def test_x5sum_matches_group_law_sums():
     p, b, c = 61, 0, 4
-    E = EllipticCurve(0, b, c)
-    g = x5sum_resolvent(E)
+    g = x5sum_resolvent(b, c)
     assert list(g.coeffs) == [-1280, 0, 0, 640, 0, 0, 1]
     coeffs = (0, b, c)
     order5 = [P for P in brute_points(b, c, p)
@@ -481,8 +457,7 @@ def test_x5sum_matches_group_law_sums():
 def test_x5sum_matches_duplication_formula():
     # here the 5-torsion x-coordinates are rational but the points are not
     p, b, c = 31, 0, 5
-    E = EllipticCurve(0, b, c)
-    xs = roots_mod(poly_mod(division_poly5(E), p), p)
+    xs = roots_mod(poly_mod(division_poly5(b, c), p), p)
     assert len(xs) == 12
     sums = set()
     for x in xs:
@@ -490,22 +465,33 @@ def test_x5sum_matches_duplication_formula():
         dup = (x ** 4 - 2 * b * x * x - 8 * c * x + b * b) \
             * pow(4 * fx, -1, p) % p
         sums.add((x + dup) % p)
-    g = x5sum_resolvent(E)
+    g = x5sum_resolvent(b, c)
     assert sorted(sums) == roots_mod(poly_mod(g, p), p)
     assert len(sums) == 6
 
 
+def e_j(j):
+    """(b, c) = (3k, 2k) of E_j: y^2 = x^3 + bx + c, k = j/(1728 - j)."""
+    k = Fraction(j) / (1728 - j)
+    return 3 * k, 2 * k
+
+
+def mu_sextic(j):
+    """q'(mu) = (mu^2 + 10mu + 5)^3 - j mu, built independently of qcurve."""
+    return Poly.over_q([5, 10, 1]) ** 3 - Poly.over_q([0, Fraction(j)])
+
+
 def test_x5sum_scaled():
     # the resultant in S is 5 2^24 (4b^3 + 27c^2)^6 times the closed form^2
-    E = curve_from_j(2)
-    g = x5sum_resolvent(E)
+    b, c = e_j(2)
+    g = x5sum_resolvent(b, c)
     assert g.degree() == 6 and g.lc() == 1
     assert list(g.coeffs) == [
         Fraction(-320, 744769), Fraction(-768, 744769),
         Fraction(-720, 744769), Fraction(320, 863), Fraction(60, 863),
         0, 1,
     ]
-    scalar = 5 * 2 ** 24 * (4 * E.a4 ** 3 + 27 * E.a6 ** 2) ** 6
+    scalar = 5 * 2 ** 24 * (4 * b ** 3 + 27 * c ** 2) ** 6
     assert exact.resultant_pencil(*duplication_pencil(2)) == \
         (g * g).scale(scalar)
 
@@ -513,11 +499,10 @@ def test_x5sum_scaled():
 # -- the resultant in S: sympy as an oracle independent of the interpolation --
 
 def duplication_pencil(j):
-    E = curve_from_j(j)
-    b, c = E.a4, E.a6
+    b, c = e_j(j)
     q0 = Poly.over_q([-b * b, 4 * c, -2 * b, 0, -5])
     q1 = Poly.over_q([4 * c, 4 * b, 0, 4])
-    return division_poly5(E), q0, q1
+    return division_poly5(b, c), q0, q1
 
 
 def seeded_j(count, seed=5):
@@ -556,22 +541,46 @@ def test_resultant_pencil_needs_all_13_points(monkeypatch):
 
 
 def test_mu_sextic_expansion():
+    # the per-k builder: b = 3k, c = 2k, g and (1+k) q'(mu) against sympy's
+    # expansion of (1+k)((mu^2+10mu+5)^3 - j mu) at j = 1728k/(1+k)
     m = sp.symbols("m")
     for j in (2, Fraction(-25, 3)):
-        want = sp.Poly((m ** 2 + 10 * m + 5) ** 3 - sp.Rational(j) * m,
+        k = Fraction(j) / (1728 - j)
+        b, c, g, qp = _klein_link_polys(k)
+        assert (b, c) == e_j(j) and g == x5sum_resolvent(b, c)
+        want = sp.Poly((1 + sp.Rational(k))
+                       * ((m ** 2 + 10 * m + 5) ** 3 - sp.Rational(j) * m),
                        m).all_coeffs()[::-1]
-        got = list(mu_sextic(j).coeffs)
-        assert got == [Fraction(sp.Rational(w)) for w in want]
+        assert list(qp.coeffs) == [Fraction(sp.Rational(w)) for w in want]
 
 
 def test_klein_link():
-    # the per-j check at fixed and at seeded j, a test-side oracle for the
-    # proof in k
+    # the per-k check at the k of fixed and of seeded j, a test-side oracle
+    # for the proof in k; k = 0 and k = -1 are the singular curves
     for j in (2, Fraction(-25, 3), 100, Fraction(5, 7), -1, 64, *seeded_j(20)):
-        assert verify_klein_link(j)
-    for j in (0, 1728):
+        assert klein_link_mismatch(Fraction(j) / (1728 - j)) is None
+    for k in (0, -1):
         with pytest.raises(ValueError):
-            verify_klein_link(j)
+            klein_link_mismatch(k)
+
+
+def test_transform_guard_rejects_shared_root():
+    # a q' with a root of mu^2 + 4mu - 1 must raise, not compare
+    k = Fraction(1)
+    b, c, g, _ = _klein_link_polys(k)
+    shared = Poly.over_q([-1, 4, 1]) * Poly.over_q([3, 1])
+    with pytest.raises(ArithmeticError, match="shares a root with q'"):
+        _transform_holds(k, b, c, g, shared)
+
+
+def test_inverse_guard_rejects_shared_root():
+    # a g with a root of the inverse transform denominator must raise
+    k = Fraction(1)
+    b, c, _, qp = _klein_link_polys(k)
+    den_b = Poly.over_q([2, 1]) ** 5 \
+        - Poly.over_q([0, 0, 0, 2]) * Poly.over_q([34, 10, 1])
+    with pytest.raises(ArithmeticError, match="shares a root with g"):
+        _inverse_divides(k, b, c, den_b * Poly.over_q([-5, 1]), qp)
 
 
 def test_klein_link_family(monkeypatch):
@@ -581,18 +590,18 @@ def test_klein_link_family(monkeypatch):
     # each fact, and each shared-root guard, runs at its own k = 1..n only
     checked = {}
     for fact, (holds, n) in _KLEIN_LINK_FACTS.items():
-        def record(k, fact=fact, holds=holds):
+        def record(k, *polys, fact=fact, holds=holds):
             checked.setdefault(fact, []).append(k)
-            return holds(k)
+            return holds(k, *polys)
         monkeypatch.setitem(_KLEIN_LINK_FACTS, fact, (record, n))
 
-    gcd_calls = []
-    monkeypatch.setattr(qcurve, "poly_gcd",
-                        lambda *a: gcd_calls.append(a) or poly_gcd(*a))
+    guard_calls = []
+    monkeypatch.setattr(qcurve, "resultant",
+                        lambda *a: guard_calls.append(a) or resultant(*a))
     assert klein_link_family_mismatch() is None
     assert checked == {"resultant": list(range(1, 10)),
                        "(a)": [1, 2, 3], "(b)": list(range(1, 24))}
-    assert len(gcd_calls) == 3 + 23
+    assert len(guard_calls) == 3 + 23
 
 
 # -- the klein-link proof in k: sympy expansions of its identities and bounds --
@@ -624,8 +633,7 @@ def test_klein_link_resultant_identity_in_b_c():
     want = 5 * 2 ** 24 * (4 * b_ ** 3 + 27 * c_ ** 2) ** 6 \
         * sym_x5sum(b_, c_, S_) ** 2
     assert sp.expand(res - want) == 0
-    E = EllipticCurve(0, 3, -7)
-    g = x5sum_resolvent(E)
+    g = x5sum_resolvent(3, -7)
     assert [sp.Rational(v) for v in g.coeffs] == \
         sp.Poly(sym_x5sum(3, -7, S_), S_).all_coeffs()[::-1]
 
@@ -685,7 +693,7 @@ def test_klein_link_degree_bounds():
 
 def test_klein_link_mutations():
     j = Fraction(2)
-    g = x5sum_resolvent(curve_from_j(j))
+    g = x5sum_resolvent(*e_j(j))
     qp = mu_sextic(j)
     den_b = (Poly.over_q([2, 1]) ** 5).scale(j) \
         - Poly.over_q([0, 0, 0, 1728]) * Poly.over_q([34, 10, 1])
