@@ -3,7 +3,7 @@ correspondence, and the attached family of elliptic curves.
 
 Subpackages are plain modules; import what you need:
 
-- ``exact``: Q(sqrt5) on integers, polynomials over Q, gcds, resultants
+- ``exact``: Z[sqrt5] on integer pairs, polynomials over Q, resultants
 - ``icosa``: the invariants lambda, mu, j and the resolvent quintic
 - ``quintic``: invariants delta, gamma4, gamma6, j-candidates, trinomials
 - ``qcurve``: the curve family, isogeny checks, five-division identities

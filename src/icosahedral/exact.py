@@ -1,11 +1,13 @@
 """Exact arithmetic kernel.
 
-Rationals, Q(sqrt5), dense polynomials over Q and their resultants.
+Rationals, Z[sqrt5], dense polynomials over Q and their resultants.
 Everything is immutable and exact; there is no floating point anywhere.
 
-Scalars are ``fractions.Fraction``.  An element of Q(sqrt5) is a
-:class:`Sqrt5`, (p + q sqrt5)/d on three integers in lowest terms; it is
-the only algebra here, and a rational is a Fraction, not a Sqrt5.  A
+Scalars are ``fractions.Fraction``.  An element of Z[sqrt5] is an integer
+pair (p, q) for p + q sqrt5, multiplied by :func:`mul5`.  Every value in
+Q(sqrt5) that a check needs is cleared to Z[sqrt5] by a stated integer
+scale, and every identity between such values is compared
+cross-multiplied, so no division in the field is ever taken.  A
 polynomial over Q is a :class:`Poly`: its integer numerators, a dense
 tuple lowest degree first, over one positive integer denominator, in
 lowest terms.  An identity in a further parameter is proved at one more
@@ -31,8 +33,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 __all__ = [
-    "Sqrt5",
-    "SQRT5",
+    "mul5",
     "Poly",
     "resultant",
     "resultant_pencil",
@@ -40,115 +41,11 @@ __all__ = [
 ]
 
 
-class Sqrt5:
-    """An element (p + q sqrt5)/d of Q(sqrt5), held as three integers.
-
-    d > 0 and gcd(p, q, d) = 1, so equal values have equal fields (and
-    equal hashes; a rational value hashes as its Fraction).  Arithmetic
-    mixes with int and Fraction on either side.
-    """
-
-    __slots__ = ("p", "q", "d")
-
-    def __init__(self, p, q=0, d=1):
-        if not d:
-            raise ZeroDivisionError("Sqrt5 with denominator 0")
-        if d < 0:
-            p, q, d = -p, -q, -d
-        g = math.gcd(p, q, d)
-        if g > 1:
-            p, q, d = p // g, q // g, d // g
-        self.p, self.q, self.d = p, q, d
-
-    @staticmethod
-    def _ints(x):
-        """(p, q, d) of x, or None for a value outside Q(sqrt5)."""
-        if isinstance(x, Sqrt5):
-            return x.p, x.q, x.d
-        if isinstance(x, int):
-            return x, 0, 1
-        if isinstance(x, Fraction):
-            return x.numerator, 0, x.denominator
-        return None
-
-    def __add__(self, other):
-        o = Sqrt5._ints(other)
-        if o is None:
-            return NotImplemented
-        p, q, d = o
-        return Sqrt5(self.p * d + p * self.d, self.q * d + q * self.d,
-                     self.d * d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Sqrt5(-self.p, -self.q, self.d)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = Sqrt5._ints(other)
-        if o is None:
-            return NotImplemented
-        p, q, d = o
-        return Sqrt5(self.p * p + 5 * self.q * q, self.p * q + self.q * p,
-                     self.d * d)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        """1/x = conj(x) d^2/(p^2 - 5q^2); p^2 = 5q^2 only at x = 0."""
-        p, q, d = self.p, self.q, self.d
-        return Sqrt5(d * p, -d * q, p * p - 5 * q * q)
-
-    def __truediv__(self, other):
-        o = Sqrt5._ints(other)
-        if o is None:
-            return NotImplemented
-        return self * Sqrt5(*o).inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
-
-    def __pow__(self, n):
-        """x^n for an int n >= 0."""
-        if n < 0:
-            raise ValueError("negative power")
-        base, out = self, Sqrt5(1)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conj(self):
-        """The Galois conjugate, sqrt5 -> -sqrt5."""
-        return Sqrt5(self.p, -self.q, self.d)
-
-    def __eq__(self, other):
-        o = Sqrt5._ints(other)
-        if o is None:
-            return NotImplemented
-        return (self.p, self.q, self.d) == o
-
-    def __hash__(self):
-        if self.q:
-            return hash((self.p, self.q, self.d))
-        return hash(Fraction(self.p, self.d))
-
-    def __bool__(self):
-        return bool(self.p or self.q)
-
-    def __repr__(self):
-        return f"Sqrt5({self.p}, {self.q}, {self.d})"
-
-
-SQRT5 = Sqrt5(0, 1)
+def mul5(x, y):
+    """The product of p + q sqrt5 and r + s sqrt5 in Z[sqrt5], as integer
+    pairs."""
+    (p, q), (r, s) = x, y
+    return p * r + 5 * q * s, p * s + q * r
 
 
 def _kron_pack(ints, L):

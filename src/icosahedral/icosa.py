@@ -34,9 +34,11 @@ z -> zeta5 z and lambda is moved, both read off the exponents mod 5.
 Although lambda is assembled from quadratics with eps = (sqrt5-1)/2 in their
 coefficients, the two eps-quadratics multiply to the rational quartic
 z^4 + 2z^3 - 6z^2 - 2z + 1, so lambda, mu, j all have rational
-coefficients.  build_invariants proves that product in Q(sqrt5) rather
+coefficients.  build_invariants proves that product in Z[sqrt5] rather
 than assuming it.  Every polynomial is over Q; Q(sqrt5) appears only as
-the scalars of that product and of T.
+the scalars of that product and of T, each cleared to integer pairs
+p + q sqrt5 of Z[sqrt5] (exact.mul5): the quadratics' coefficients
+2 eps = -1 + sqrt5 and 2 eps^{-1} = 1 + sqrt5, and T as 2T.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb
 
 from . import quintic
-from .exact import SQRT5, Poly, Sqrt5
+from .exact import Poly, mul5
 
 __all__ = [
     "fundamental_identity_mismatch",
@@ -66,13 +68,15 @@ class InvariantFns(namedtuple("InvariantFns", "lam mu j")):
     __slots__ = ()
 
 
-_EPS = (SQRT5 - 1) / 2
-# T and U as matrices ((a, b), (c, d)) of z -> (az+b)/(cz+d), each in the
-# smallest field holding its entries
-_GENERATORS = {"T": ((_EPS, 1), (1, -_EPS)), "U": ((0, -1), (1, 0))}
-# z^2 - 2 eps z - 1 and z^2 + 2 eps^{-1} z - 1, lowest degree first, with
-# eps^{-1} = eps + 1; their product is _QUARTIC
-_EPS_QUADRATICS = ((-1, -2 * _EPS, 1), (-1, 2 * (_EPS + 1), 1))
+# T and U as matrices ((a, b), (c, d)) of z -> (az+b)/(cz+d) with entries
+# p + q sqrt5 in Z[sqrt5] as integer pairs (p, q): T as 2T, from
+# 2 eps = -1 + sqrt5, the same Moebius map
+_GENERATORS = {"T": (((-1, 1), (2, 0)), ((2, 0), (1, -1))),
+               "U": (((0, 0), (-1, 0)), ((1, 0), (0, 0)))}
+# z^2 - 2 eps z - 1 and z^2 + 2 eps^{-1} z - 1, lowest degree first, on
+# integer pairs, with 2 eps = -1 + sqrt5 and 2 eps^{-1} = 1 + sqrt5; their
+# product is _QUARTIC
+_EPS_QUADRATICS = (((-1, 0), (1, -1), (1, 0)), ((-1, 0), (1, 1), (1, 0)))
 _QUARTIC = Poly.over_q([1, -2, -6, 2, 1])
 # the face form H of degree 20; the vertex form f is lambda's denominator
 _FACE = Poly.over_q([1, 0, 0, 0, 0, 228, 0, 0, 0, 0, 494,
@@ -85,14 +89,16 @@ def build_invariants():
 
     The product of the two eps-quadratics and _QUARTIC both have degree 4,
     so they are equal once they agree at the 5 values z = 0..4, computed
-    in Q(sqrt5).  lambda = P/Q is written with the sign moved into the
-    numerator, P = -((z^2+1) quartic)^2, so that Q = z (z^10 + 11 z^5 - 1)
-    is monic; P and Q are coprime.  Then j = Jn/Q^5 with
-    Jn = (P+3Q)^3 (P^2+11PQ+64Q^2) is coprime as well, since Jn = P^5 mod Q.
+    in Z[sqrt5] with mul5.  lambda = P/Q is written with the sign moved
+    into the numerator, P = -((z^2+1) quartic)^2, so that
+    Q = z (z^10 + 11 z^5 - 1) is monic; P and Q are coprime.  Then
+    j = Jn/Q^5 with Jn = (P+3Q)^3 (P^2+11PQ+64Q^2) is coprime as well,
+    since Jn = P^5 mod Q.
     """
     for z in range(5):
-        if prod(sum(c * z ** k for k, c in enumerate(quadratic))
-                for quadratic in _EPS_QUADRATICS) != _QUARTIC(Fraction(z)):
+        values = (tuple(sum(c[i] * z ** k for k, c in enumerate(quadratic))
+                        for i in (0, 1)) for quadratic in _EPS_QUADRATICS)
+        if mul5(*values) != (_QUARTIC(z), 0):
             raise AssertionError("eps-part of lambda's numerator failed to cancel")
     P = -((Poly.over_q([1, 0, 1]) * _QUARTIC) ** 2)
     Q = Poly.over_q([0, -1] + [0] * 4 + [11] + [0] * 4 + [1])
@@ -125,17 +131,11 @@ def fundamental_identity_mismatch(lam=None):
     return next((k for k, c in enumerate((lhs - rhs).num) if c), None)
 
 
-def _mul5(x, y):
-    """The product of p + q*sqrt5 and r + s*sqrt5, as integer pairs."""
-    (p, q), (r, s) = x, y
-    return p * r + 5 * q * s, p * s + q * r
-
-
 def _pow5(x, e):
     """x^e for x = p + q*sqrt5 an integer pair and e >= 0."""
     out = (1, 0)
     for _ in range(e):
-        out = _mul5(out, x)
+        out = mul5(out, x)
     return out
 
 
@@ -144,33 +144,15 @@ def _form_at(coeffs, n, x, y):
     the integers, at integer pairs x and y of Z[sqrt5]."""
     xk, yk = [(1, 0)], [(1, 0)]
     for _ in range(n):
-        xk.append(_mul5(xk[-1], x))
-        yk.append(_mul5(yk[-1], y))
+        xk.append(mul5(xk[-1], x))
+        yk.append(mul5(yk[-1], y))
     p = q = 0
     for k, c in enumerate(coeffs):
         if c:
-            r, s = _mul5(xk[k], yk[n - k])
+            r, s = mul5(xk[k], yk[n - k])
             p += c * r
             q += c * s
     return p, q
-
-
-def _scaled_matrix(g):
-    """The entries a, b, c, d of k g as integer pairs (p, q) of p + q*sqrt5,
-    for g over Q(sqrt5), with k the lcm of the entries' denominators.
-
-    An entry is an int, a Fraction or a Sqrt5; any other raises ValueError.
-    """
-    ints = []
-    for x in (x for row in g for x in row):
-        if isinstance(x, Sqrt5):
-            ints.append((x.p, x.q, x.d))
-        elif isinstance(x, (int, Fraction)):
-            ints.append((x.numerator, 0, x.denominator))
-        else:
-            raise ValueError(f"a matrix entry {x!r}, not in Q(sqrt5)")
-    k = lcm(*(d for _, _, d in ints))
-    return tuple((p * (k // d), q * (k // d)) for p, q, d in ints)
 
 
 @lru_cache(maxsize=4)
@@ -185,8 +167,8 @@ def invariance_mismatch(gen, inv=None):
     lambda o S != lambda; None, or the first part of the proof that fails.
 
     gen is "S", "T", "U" or a matrix ((a, b), (c, d)) of z -> (az+b)/(cz+d)
-    over Q or Q(sqrt5).  inv defaults to build_invariants(); it is a
-    parameter for mutation tests.
+    whose entries p + q sqrt5 of Z[sqrt5] are integer pairs (p, q).  inv
+    defaults to build_invariants(); it is a parameter for mutation tests.
 
     S is read off the exponents mod 5 by _rotation_mismatch, whose
     failures it returns.  For a matrix g = ((a, b), (c, d)) over a field K
@@ -205,14 +187,13 @@ def invariance_mismatch(gen, inv=None):
     (iii) c_H^3 = c_f^5, cross-multiplied.  Else ("constant", None).
 
     Part (i) is proved once for each j, f and H (_is_klein_j).  Each F is
-    first scaled to integers, which scales both sides of (ii), and g is
-    scaled by the lcm k of the denominators d of its entries (p + q sqrt5)/d
-    (k = 2 for T, 1 for U), so that (ii) and (iii) are computed on integer
-    pairs p + q*sqrt5; over Q, q = 0.  This is sound: k g is the same
-    Moebius map, and it multiplies each moved value F(az+b, cz+d) by
-    k^deg F, which (ii) does not see, as each later z is compared
-    cross-multiplied with the first, and both sides of (iii) by k^60, as
-    3 * 20 = 5 * 12 = 60.
+    taken on its integer numerators, which scales both sides of (ii), so
+    (ii) and (iii) are computed on integer pairs; over Q, q = 0.  A matrix
+    over Q(sqrt5) enters cleared to Z[sqrt5] by an integer k (T as 2T).
+    This is sound: k g is the same Moebius map, and it multiplies each
+    moved value F(az+b, cz+d) by k^deg F, which (ii) does not see, as each
+    later z is compared cross-multiplied with the first, and both sides of
+    (iii) by k^60, as 3 * 20 = 5 * 12 = 60.
 
     If: j(gz) = -H(az+b, cz+d)^3 / f(az+b, cz+d)^5, as the factors
     (cz+d)^60 of the two dehomogenizations cancel, which is
@@ -232,8 +213,7 @@ def invariance_mismatch(gen, inv=None):
     f = inv.lam[1]
     if not _is_klein_j(inv.j, f, _FACE):
         return "identity", None
-    a, b, c, d = _scaled_matrix(
-        _GENERATORS[gen] if isinstance(gen, str) else gen)
+    (a, b), (c, d) = _GENERATORS[gen] if isinstance(gen, str) else gen
     consts = {}
     for name, F, n in (("f", f, 12), ("H", _FACE, 20)):
         for z in range(n + 1):
@@ -243,11 +223,11 @@ def invariance_mismatch(gen, inv=None):
             if name not in consts and value[0]:
                 consts[name] = moved, value
             moved_0, value_0 = consts.get(name, ((0, 0), (1, 0)))
-            if _mul5(moved, value_0) != _mul5(moved_0, value):
+            if mul5(moved, value_0) != mul5(moved_0, value):
                 return name, z
     (moved_f, value_f), (moved_h, value_h) = consts["f"], consts["H"]
-    if _mul5(_pow5(moved_h, 3), _pow5(value_f, 5)) != \
-            _mul5(_pow5(moved_f, 5), _pow5(value_h, 3)):
+    if mul5(_pow5(moved_h, 3), _pow5(value_f, 5)) != \
+            mul5(_pow5(moved_f, 5), _pow5(value_h, 3)):
         return "constant", None
     return None
 

@@ -5,10 +5,13 @@ Two families appear:
     E_t: y^2 = x^3 + 2x^2 + rx,   r = (3 + sqrt5 t)/(2 sqrt5 t)  over Q(sqrt5),
     E_j: y^2 = x^3 + 3kx + 2k,    k = j/(1728 - j)               over Q.
 
-E_t is an EllipticCurve whose coefficient a4 = r is an exact.Sqrt5; the
-other coefficients, and those of any curve over Q, are Fractions.  E_j is
-its parameter k alone, a Fraction outside {0, -1}, where the model is
-singular; its polynomials are built from b = 3k and c = 2k.
+Every curve built has a6 = 0, so a curve y^2 = x^3 + a2 x^2 + a4 x is its
+pair (a2, a4), each coefficient an integer pair (p, q) for p + q sqrt5 of
+Z[sqrt5] (exact.mul5), and j_invariant returns j = N/D as the pair (N, D);
+two j are compared cross-multiplied.  E_t at t = p/q enters rescaled by
+m = 10p to integral coefficients (family_curve).  E_j is its parameter k
+alone, a Fraction outside {0, -1}, where the model is singular; its
+polynomials are built from b = 3k and c = 2k.
 
 E_t carries the 2-isogeny
 
@@ -46,16 +49,15 @@ each k once (_klein_link_polys).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
-from .exact import SQRT5, Poly, poly_divides, resultant, resultant_pencil
+from .exact import Poly, mul5, poly_divides, resultant, resultant_pencil
 from .quintic import invariants, j_equation
 
 __all__ = [
-    "EllipticCurve",
-    "curve_from_t",
+    "family_curve",
     "j_invariant",
+    "j_equation_at",
     "isogeny_mismatch",
     "j_equation_family_mismatch",
     "klein_link_family_mismatch",
@@ -63,56 +65,48 @@ __all__ = [
 ]
 
 
-class EllipticCurve(namedtuple("EllipticCurve", "a2 a4 a6")):
-    """Model y^2 = x^3 + a2 x^2 + a4 x + a6 with nonzero discriminant.
+def j_invariant(a2, a4):
+    """j of y^2 = x^3 + a2 x^2 + a4 x, for a2 and a4 integer pairs of
+    Z[sqrt5], as the pair (N, D) of j = N/D.
 
-    A coefficient is a Fraction (an int is converted) or an exact.Sqrt5.
-    The namedtuple's _replace bypasses __new__, so a copy made by it skips
-    the int conversion and the ``singular curve`` check; nothing in the
-    package calls it.
+    With b2 = 4a2, b4 = 2a4, b6 = 0 and b8 = -a4^2, c4^3 = 4096(a2^2 - 3a4)^3
+    and Delta = 16 a4^2 (a2^2 - 4a4), so N = 256(a2^2 - 3a4)^3 and
+    D = a4^2 (a2^2 - 4a4).  D = 0, a singular model, raises ValueError.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, a2, a4, a6):
-        E = super().__new__(cls, *(Fraction(v) if isinstance(v, int) else v
-                                   for v in (a2, a4, a6)))
-        if not discriminant(E):
-            raise ValueError("singular curve")
-        return E
+    a2a2 = mul5(a2, a2)
+    c = (a2a2[0] - 3 * a4[0], a2a2[1] - 3 * a4[1])
+    cube = mul5(mul5(c, c), c)
+    D = mul5(mul5(a4, a4), (a2a2[0] - 4 * a4[0], a2a2[1] - 4 * a4[1]))
+    if D == (0, 0):
+        raise ValueError("singular curve")
+    return (256 * cube[0], 256 * cube[1]), D
 
 
-def discriminant(E: EllipticCurve):
-    b2, b4, b6, b8 = _b_invariants(E)
-    return -(b2 * b2) * b8 - b4 ** 3 * 8 - b6 * b6 * 27 + b2 * b4 * b6 * 9
+def family_curve(t):
+    """E_t at t = p/q as (a2, a4) on integer pairs of Z[sqrt5].
 
-
-def _b_invariants(E: EllipticCurve):
-    b2 = E.a2 * 4
-    b4 = E.a4 * 2
-    b6 = E.a6 * 4
-    b8 = E.a2 * E.a6 * 4 - E.a4 * E.a4
-    return b2, b4, b6, b8
-
-
-def j_invariant(E: EllipticCurve):
-    """Exact c4^3/Delta: a Fraction over Q, else a Sqrt5."""
-    b2, b4, _, _ = _b_invariants(E)
-    c4 = b2 * b2 - b4 * 24
-    return c4 ** 3 / discriminant(E)
-
-
-def curve_from_t(t) -> EllipticCurve:
-    """E_t over Q(sqrt5), with r = (3 + sqrt5 t)/(2 sqrt5 t).
-
-    Requires t != 0; nonsingularity is automatic for rational t since the
-    singular parameters are 0 and +-3/sqrt5.
+    E_t is y^2 = x^3 + 2x^2 + rx with r = (3 + sqrt5 t)/(2 sqrt5 t)
+    = (5p + 3q sqrt5)/(10p).  x -> x/m^2, y -> y/m^3 with m = 10p clears
+    it to y^2 = x^3 + 2m^2 x^2 + r m^4 x = x^3 + 2m^2 x^2
+    + (5p + 3q sqrt5) m^3 x, an isomorphic model with the same j.
+    Requires t != 0.
     """
     t = Fraction(t)
-    if not t:
+    p, q = t.numerator, t.denominator
+    if not p:
         raise ValueError("t must be nonzero")
-    s5t = SQRT5 * t
-    return EllipticCurve(2, (s5t + 3) / (s5t * 2), 0)
+    m = 10 * p
+    return (2 * m * m, 0), (5 * p * m ** 3, 3 * q * m ** 3)
+
+
+def j_equation_at(q, j):
+    """The j-equation q = (qa, qb, qc) at j = N/D from j_invariant, cleared
+    by D^2: the pair qa N^2 + qb N D + qc D^2 of Z[sqrt5], which is (0, 0)
+    exactly when j is a root, as D != 0."""
+    N, D = j
+    terms = (mul5(N, N), mul5(N, D), mul5(D, D))
+    return tuple(sum(c * term[i] for c, term in zip(q, terms))
+                 for i in (0, 1))
 
 
 def _conjugate_r(r):
@@ -218,17 +212,17 @@ def j_equation_family_mismatch():
     j-equation's coefficients have weight 60 in B and C (weights 4 and 5),
     so each monomial B^i C^k has i + k <= 15 and degree at most 30 in r.
     Times (r^2(1-r))^2, the equation at j(E_t) is a polynomial P(r) of
-    degree at most 36.  P vanishes at the 37 rationals of _J_EQUATION_R,
-    computed over Q with invariants and j_invariant, so P = 0 in Q[r].
+    degree at most 36.  P vanishes at the 37 integers of _J_EQUATION_R,
+    computed in integers: j_invariant gives j(E_t) = N/D with
+    N = 256(4 - 3r)^3 and D = 4r^2(1 - r), and j_equation_at the cleared
+    qa N^2 + qb N D + qc D^2 = 16 P(r); so P = 0 in Q[r].
     For rational t, r = a4(E_t) is never 0 or 1, and dividing P(r) by
     (r^2(1-r))^2 gives the j-equation of q_t at j(E_t).
     """
     for r in _J_EQUATION_R:
         rr = r * (r - 1)
-        qa, qb, qc = j_equation(invariants((0, 1), (20 * rr, 1),
-                                           (16 * rr, 1)))
-        j = j_invariant(EllipticCurve(2, r, 0))
-        if qa * j * j + qb * j + qc:
+        q = j_equation(invariants((0, 1), (20 * rr, 1), (16 * rr, 1)))
+        if j_equation_at(q, j_invariant((2, 0), (r, 0))) != (0, 0):
             return r
     return None
 

@@ -28,6 +28,9 @@ _TABLE_ROWS = (
     ("x^5 + 10x^3 - 40x^2 + 60x - 32", ((5, -5, 4), "3/2")),
     ("x^5 - 10x^3 - 20x^2 + 10x + 216", ((5, 5, 8), "4/3")),
 )
+# y^2 = x^3 + (5 - sqrt5) x^2 + sqrt5 x, the published model of E_1, as
+# (a2, a4) on integer pairs (p, q) for p + q sqrt5
+_PUBLISHED_MODEL = ((5, -1), (0, 1))
 _MU4 = (0, 6, 12, 18)  # the fourth roots of unity as exponents in mu24
 _NO_ZEROS = (1, ())  # v_3 = 1 and no zeros: the hyperelliptic certificate
 
@@ -139,18 +142,24 @@ def _suite_klein_link():
     )
 
 
+def _published_model_j() -> bool:
+    from . import qcurve
+    from .exact import mul5
+    (n1, d1), (n2, d2) = (qcurve.j_invariant(*curve) for curve in
+                          (qcurve.family_curve(1), _PUBLISHED_MODEL))
+    return mul5(n1, d2) == mul5(n2, d1)
+
+
 def _j_equation_t1() -> bool:
     from . import qcurve
     from .quintic import family_quintic, invariants, j_equation
-    qa, qb, qc = j_equation(invariants(*family_quintic(1)))
-    j = qcurve.j_invariant(qcurve.curve_from_t(1))
-    return j * j * qa + j * qb + qc == 0
+    q = j_equation(invariants(*family_quintic(1)))
+    j = qcurve.j_invariant(*qcurve.family_curve(1))
+    return qcurve.j_equation_at(q, j) == (0, 0)
 
 
 def _suite_qcurve():
     from . import qcurve, quintic
-    from .exact import SQRT5
-    published = qcurve.EllipticCurve(5 - SQRT5, SQRT5, 0)
     # a 2-isogeny proof fails at its first identity and r
     isogeny_witness = _if_fails(
         lambda m: f"the {m[0]} identity fails at r = {_fmt(m[1])}")
@@ -165,8 +174,7 @@ def _suite_qcurve():
          lambda: qcurve.isogeny_mismatch(("x", "y")), isogeny_witness),
         ("qcurve/published-model-j",
          "j of the t=1 curve equals j of y^2 = x^3 + (5-sqrt5)x^2 + sqrt5 x",
-         _holds(lambda: qcurve.j_invariant(qcurve.curve_from_t(1))
-                == qcurve.j_invariant(published)), _no_witness),
+         _holds(_published_model_j), _no_witness),
         ("qcurve/j-equation-t1",
          "j(E_1) is an exact root of the j-equation of x^5 + 4x + 16/5",
          _holds(_j_equation_t1), _no_witness),

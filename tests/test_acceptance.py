@@ -8,7 +8,7 @@ from fractions import Fraction
 import sympy as sp
 
 from icosahedral import hecke, icosa, localfield, qcurve, repn
-from icosahedral.exact import SQRT5, Poly, poly_divides
+from icosahedral.exact import Poly, mul5, poly_divides
 from icosahedral.quintic import (
     family_quintic, hyperelliptic_3adic, invariants, j_equation, trinomial_t,
 )
@@ -64,16 +64,19 @@ def _j_equation_member(t):
     qa = delta ** 5
     qb = -1728 * (gamma4 ** 3 - gamma6 ** 2 + delta ** 5)
     qc = 1728 ** 2 * gamma4 ** 3
-    j = qcurve.j_invariant(qcurve.curve_from_t(t))
-    return j * j * qa + j * qb + qc == 0
+    # j = N/D on Z[sqrt5] pairs: qa j^2 + qb j + qc = 0 times D^2
+    N, D = qcurve.j_invariant(*qcurve.family_curve(t))
+    nn, nd, dd = mul5(N, N), mul5(N, D), mul5(D, D)
+    return all(qa * nn[i] + qb * nd[i] + qc * dd[i] == 0 for i in (0, 1))
 
 
 def test_06_qcurve_bundle():
     assert qcurve.isogeny_mismatch(("codomain",)) is None
     assert qcurve.isogeny_mismatch(("x", "y")) is None
-    published = qcurve.EllipticCurve(5 - SQRT5, SQRT5, 0)
-    assert qcurve.j_invariant(qcurve.curve_from_t(1)) \
-        == qcurve.j_invariant(published)
+    # y^2 = x^3 + (5 - sqrt5)x^2 + sqrt5 x, cross-multiplied
+    (n1, d1), (n2, d2) = (qcurve.j_invariant(*curve) for curve in
+                          (qcurve.family_curve(1), ((5, -1), (0, 1))))
+    assert mul5(n1, d2) == mul5(n2, d1)
     assert _j_equation_member(Fraction(1))
     assert qcurve.j_equation_family_mismatch() is None
     # seeded t: the oracle for the proof over all t

@@ -24,7 +24,7 @@ from sympy import factorint
 
 import icosahedral
 from icosahedral import (
-    analyze, cli, hecke, icosa, localfield, qcurve, quintic, repn)
+    analyze, cli, hecke, icosa, localfield, qcurve, quintic, repn, suites)
 from icosahedral.exact import Poly
 
 # the src/ directory of the checkout under test, and its pyproject.toml
@@ -823,6 +823,30 @@ def test_verify_isogeny_failure_witness(capsys, monkeypatch):
     assert "witness" not in by_id["qcurve/published-model-j"]
 
 
+def _e_3_5(monkeypatch):
+    # E_{3/5} in place of E_1, whose model published-model-j compares too
+    family_curve = qcurve.family_curve
+    monkeypatch.setattr(qcurve, "family_curve",
+                        lambda t: family_curve(Fraction(3, 5)))
+
+
+@pytest.mark.parametrize("mutate, failing", [
+    (lambda mp: mp.setattr(suites, "_PUBLISHED_MODEL", ((5, -1), (0, 2))),
+     ["qcurve/published-model-j"]),
+    (_e_3_5, ["qcurve/published-model-j", "qcurve/j-equation-t1"]),
+], ids=["published-a4-2sqrt5", "e-3-5-for-e-1"])
+def test_verify_qcurve_t1_mutations(capsys, monkeypatch, mutate, failing):
+    # the published model with a4 = 2 sqrt5 has another j; j(E_{3/5}) is no
+    # root of the j-equation of q_1
+    mutate(monkeypatch)
+    rc, out, _ = run_cli(capsys, "verify", "qcurve")
+    assert rc == 1
+    report = json.loads(out)
+    assert report["status"] == "fail"
+    assert [c["id"] for c in report["checks"] if c["status"] == "fail"] \
+        == failing
+
+
 def test_proved_suites_ignore_samples_and_height(capsys):
     # no check reads --samples, --seed or --height, so these reports differ
     # only in the seed and options they record
@@ -935,14 +959,12 @@ def test_analyze_hypothesis_is_theorem_hypothesis():
 
 
 def test_analyze_builds_no_algebra(monkeypatch):
-    # the record path runs on integers and Fractions: with every element of
-    # Q(sqrt5) refused, each golden record still gives its line
-    from icosahedral.exact import Sqrt5
-
+    # the record path runs on integer pairs: with every polynomial refused,
+    # each golden record still gives its line
     def refused(*args, **kwargs):
-        raise AssertionError("analyze built an element of Q(sqrt5)")
+        raise AssertionError("analyze built a polynomial")
 
-    monkeypatch.setattr(Sqrt5, "__init__", refused)
+    monkeypatch.setattr(Poly, "__init__", refused)
     golden = GOLDEN_ANALYZE_INPUT.with_name("analyze.jsonl")
     lines = golden.read_text().splitlines()
     records = golden_analyze_records()
@@ -1162,7 +1184,8 @@ def test_verify_invariance_form_witness(capsys, monkeypatch):
     # z -> 2z in place of T moves the vertex form f; the singular z -> 0 in
     # place of U fixes f, which vanishes at 0, and moves the face form H
     monkeypatch.setattr(icosa, "_GENERATORS",
-                        {"T": ((2, 0), (0, 1)), "U": ((0, 0), (1, 1))})
+                        {"T": (((2, 0), (0, 0)), ((0, 0), (1, 0))),
+                         "U": (((0, 0), (0, 0)), ((1, 0), (1, 0)))})
     by_id = _icosa_checks(capsys)
     assert by_id["icosa/invariance-T"]["witness"] == \
         "f(az+b, cz+d) != c_f f(z, 1) at z = 2"

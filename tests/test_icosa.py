@@ -10,7 +10,7 @@ import pytest
 import sympy as sp
 
 from icosahedral import cli, icosa, quintic
-from icosahedral.exact import SQRT5, Poly, _kron_mul_int, resultant
+from icosahedral.exact import Poly, _kron_mul_int, resultant
 
 mp.mp.dps = 60
 
@@ -326,7 +326,8 @@ def test_eps_quadratic_mutation(monkeypatch, which, k):
     # one coefficient of z^2 - 2 eps z - 1 or z^2 + 2 eps^-1 z - 1 bumped
     # by 1: the product is no longer the rational quartic
     quadratics = [list(q) for q in icosa._EPS_QUADRATICS]
-    quadratics[which][k] += 1
+    p, q = quadratics[which][k]
+    quadratics[which][k] = p + 1, q
     monkeypatch.setattr(icosa, "_EPS_QUADRATICS", quadratics)
     with pytest.raises(AssertionError):
         icosa.build_invariants.__wrapped__()
@@ -397,35 +398,37 @@ def test_invariance_identity_mutation(monkeypatch):
         assert icosa.invariance_mismatch(label) == ("identity", None)
 
 
+def matrix(a, b, c, d):
+    """((a, b), (c, d)) with entries p + q sqrt5 as integer pairs (p, q),
+    from entries given as ints or pairs."""
+    return tuple(tuple(x if isinstance(x, tuple) else (x, 0) for x in row)
+                 for row in ((a, b), (c, d)))
+
+
 def test_invariance_mutation():
     # Moebius maps outside the group must move j: z -> 2z and z -> 1/z
     # over Q, T with eps + 1 or -eps in place of eps over Q(sqrt5); each
     # fails on the vertex form f, at the first z where f(gz) is no constant
-    # multiple of f(z)
-    eps = (SQRT5 - 1) / 2
-    one = 1
-    for matrix, z in ((((2, 0), (0, 1)), 2), (((0, 1), (1, 0)), 2),
-                      (((eps + 1, one), (one, -(eps + 1))), 0),
-                      (((-eps, one), (one, eps)), 0)):
-        assert icosa.invariance_mismatch(matrix) == ("f", z)
-    # T with the Galois-conjugate eps' = -1 - eps is T conjugated by sigma,
-    # and fixes j because j is rational
-    conj = -1 - eps
-    assert icosa.invariance_mismatch(((conj, one), (one, -conj))) is None
-    # z -> -1/z over Q, as a matrix, is U, also scaled by 1/2; z -> z/2 is
+    # multiple of f(z).  T enters as 2T, with 2 eps = -1 + sqrt5,
+    # 2(eps + 1) = 1 + sqrt5 and -2 eps = 1 - sqrt5
+    for g, z in ((matrix(2, 0, 0, 1), 2), (matrix(0, 1, 1, 0), 2),
+                 (matrix((1, 1), 2, 2, (-1, -1)), 0),
+                 (matrix((1, -1), 2, 2, (-1, 1)), 0)):
+        assert icosa.invariance_mismatch(g) == ("f", z)
+    assert icosa._GENERATORS["T"] == matrix((-1, 1), 2, 2, (1, -1))
+    # T with the Galois-conjugate eps' = -1 - eps, 2 eps' = -1 - sqrt5, is
+    # T conjugated by sigma, and fixes j because j is rational
+    assert icosa.invariance_mismatch(matrix((-1, -1), 2, 2, (1, 1))) is None
+    # z -> -1/z over Q, as a matrix, is U, also scaled by 2; z -> z/2 is
     # not in the group
-    assert icosa.invariance_mismatch(((0, -1), (1, 0))) is None
-    half = Fraction(1, 2)
-    assert icosa.invariance_mismatch(((0, -half), (half, 0))) is None
-    assert icosa.invariance_mismatch(((half, 0), (0, 1))) == ("f", 2)
-    # T with entries over the common denominators 3 and 6 is cleared to
-    # integer pairs like T over 2, and fixes j; eps + 1 in place of eps
-    # still fails at the same z
-    third = Fraction(1, 3)
+    assert icosa.invariance_mismatch(matrix(0, -1, 1, 0)) is None
+    assert icosa.invariance_mismatch(matrix(0, -2, 2, 0)) is None
+    assert icosa.invariance_mismatch(matrix(1, 0, 0, 2)) == ("f", 2)
+    # T scaled by 6 rather than 2 fixes j; eps + 1 in place of eps still
+    # fails at the same z
+    assert icosa.invariance_mismatch(matrix((-3, 3), 6, 6, (3, -3))) is None
     assert icosa.invariance_mismatch(
-        ((eps * third, third), (third, -eps * third))) is None
-    assert icosa.invariance_mismatch(
-        (((eps + 1) * third, third), (third, -(eps + 1) * third))) == ("f", 0)
+        matrix((3, 3), 6, 6, (-3, -3))) == ("f", 0)
 
 
 def test_invariance_identity_proved_once():
@@ -458,14 +461,8 @@ def test_invariance_validation():
         icosa.invariance_mismatch("V")
     # a singular matrix maps z to a constant, which does not fix j: f fails
     # unless the constant is a zero of f, and then H fails
-    assert icosa.invariance_mismatch(((1, 1), (1, 1))) == ("f", 0)
-    assert icosa.invariance_mismatch(((0, 0), (1, 1))) == ("H", 1)
-    # the forms are evaluated on integer pairs of Z[sqrt5]: an entry of
-    # another ring, such as 1 in Z[eps, i] as repn holds it, is refused,
-    # not misread
-    for entry in ((1, 0, 0, 0), 0.5):
-        with pytest.raises(ValueError, match="not in Q\\(sqrt5\\)"):
-            icosa.invariance_mismatch(((entry, 0), (0, 1)))
+    assert icosa.invariance_mismatch(matrix(1, 1, 1, 1)) == ("f", 0)
+    assert icosa.invariance_mismatch(matrix(0, 0, 1, 1)) == ("H", 1)
 
 
 def test_invariance_without_qzeta5(over_q_only):

@@ -5,10 +5,9 @@ import pytest
 import sympy as sp
 
 from icosahedral import exact, qcurve
-from icosahedral.exact import SQRT5, Poly, poly_divides, resultant
+from icosahedral.exact import Poly, mul5, poly_divides, resultant
 from icosahedral.qcurve import (
-    EllipticCurve, curve_from_t, discriminant,
-    division_poly5, j_equation_family_mismatch, j_invariant,
+    division_poly5, family_curve, j_equation_family_mismatch, j_invariant,
     klein_link_family_mismatch, klein_link_mismatch, x5sum_resolvent,
 )
 from icosahedral.qcurve import (
@@ -176,16 +175,27 @@ def brute_points(b, c, p):
             if (y * y - x ** 3 - b * x - c) % p == 0]
 
 
+def sympy_sqrt5(x):
+    """p + q sqrt5 in sympy, for an integer pair (p, q)."""
+    return x[0] + x[1] * sp.sqrt(5)
+
+
+def sympy_j(j):
+    """j = N/D in sympy, for the pair (N, D) of j_invariant."""
+    return sp.expand(sp.radsimp(sympy_sqrt5(j[0]) / sympy_sqrt5(j[1])))
+
+
 def test_family_curve_values():
-    E = curve_from_t(1)
-    assert E.a2 == 2 and E.a6 == 0
-    assert E.a4 == Fraction(1, 2) + SQRT5 * Fraction(3, 10)
-    assert E.a4 + E.a4.conj() == 1
-    assert curve_from_t(Fraction(3, 5)).a4 == \
-        Fraction(1, 2) + SQRT5 * Fraction(1, 2)
-    assert curve_from_t(-1).a4 == E.a4.conj()
+    # E_1 rescaled by m = 10: a2 = 2m^2 and a4 = r m^4 with
+    # r = 1/2 + (3/10) sqrt5, so r + r^sigma = 1 reads 2 p(a4) = m^4
+    a2, a4 = family_curve(1)
+    assert (a2, a4) == ((200, 0), (5000, 3000))
+    assert 2 * a4[0] == 10 ** 4
+    # t = 3/5 has m = 30 and r = 1/2 + (1/2) sqrt5; E_{-1} is E_1^sigma
+    assert family_curve(Fraction(3, 5)) == ((1800, 0), (15 * 30 ** 3,) * 2)
+    assert family_curve(-1) == (a2, (a4[0], -a4[1]))
     with pytest.raises(ValueError):
-        curve_from_t(0)
+        family_curve(0)
 
 
 def test_family_curve_symbolic():
@@ -197,50 +207,60 @@ def test_family_curve_symbolic():
     assert sp.simplify(r + r.subs(s5, -s5) - 1) == 0
     assert sp.simplify(2 * r - 1 - 3 / (s5 * t)) == 0
     assert sp.simplify(r * (r - 1) - (9 - 5 * t ** 2) / (20 * t ** 2)) == 0
-    b2, b4, b6, b8 = 8, 2 * R, 0, -R ** 2
+    # j_invariant's N/D is c4^3/Delta of y^2 = x^3 + a2 x^2 + a4 x
+    A2, A4 = sp.symbols("a2 a4")
+    b2, b4, b6, b8 = 4 * A2, 2 * A4, 0, -A4 ** 2
     c4 = b2 ** 2 - 24 * b4
     delta = -b2 ** 2 * b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b2 * b4 * b6
-    assert sp.simplify(c4 ** 3 / delta - 64 * (4 - 3 * R) ** 3 / (R ** 2 * (1 - R))) == 0
+    assert sp.simplify(c4 ** 3 / delta - 256 * (A2 ** 2 - 3 * A4) ** 3
+                       / (A4 ** 2 * (A2 ** 2 - 4 * A4))) == 0
+    assert sp.simplify((c4 ** 3 / delta).subs(A2, 2).subs(A4, R)
+                       - 64 * (4 - 3 * R) ** 3 / (R ** 2 * (1 - R))) == 0
+    # family_curve(t) is E_t under x -> x/m^2, m = 10p: a2 = 2m^2 and
+    # a4 = r m^4, and its j is j(E_t)
     for t0 in (Fraction(1), Fraction(3, 5), Fraction(-7, 2)):
-        E = curve_from_t(t0)
-        a4 = E.a4
-        assert discriminant(E)
-        assert a4 + a4.conj() == 1
-        assert a4 * (a4 - 1) == (9 - 5 * t0 ** 2) / (20 * t0 ** 2)
-        assert j_invariant(E) == (4 - a4 * 3) ** 3 * 64 / (a4 * a4 * (1 - a4))
+        a2, a4 = family_curve(t0)
+        m = 10 * t0.numerator
+        r0 = r.subs(t, sp.Rational(t0))
+        assert a2 == (2 * m * m, 0)
+        assert sp.simplify(sympy_sqrt5(a4) / m ** 4 - r0) == 0
+        j_t = 64 * (4 - 3 * r0) ** 3 / (r0 ** 2 * (1 - r0))
+        assert sp.simplify(sympy_j(j_invariant(a2, a4)) - j_t) == 0
 
 
 def test_j_invariant_model_change():
-    # x -> u^2 x scales (a2, a4, a6) by (u^-2, u^-4, u^-6) and fixes j
+    # x -> x/u^2 scales (a2, a4) by (u^2, u^4) and fixes j: the rescaling
+    # that family_curve applies, checked cross-multiplied on integer pairs
     rng = random.Random(91)
     done = 0
     while done < 10:
-        a2 = Fraction(rng.randint(-5, 5))
-        a4 = Fraction(rng.randint(-5, 5))
-        a6 = Fraction(rng.randint(-5, 5))
-        u = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        a2, a4 = ((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(2))
+        u = rng.randint(1, 6)
         try:
-            E = EllipticCurve(a2, a4, a6)
+            N, D = j_invariant(a2, a4)
         except ValueError:
             continue
-        scaled = EllipticCurve(a2 / u ** 2, a4 / u ** 4, a6 / u ** 6)
-        assert j_invariant(scaled) == j_invariant(E)
+        scaled = j_invariant((a2[0] * u ** 2, a2[1] * u ** 2),
+                             (a4[0] * u ** 4, a4[1] * u ** 4))
+        assert mul5(scaled[0], D) == mul5(N, scaled[1])
         done += 1
 
 
 def test_singular_models_rejected():
-    with pytest.raises(ValueError):
-        EllipticCurve(0, 0, 0)
-    # y^2 = x^3 - 3x + 2 = (x - 1)^2 (x + 2) is nodal
-    with pytest.raises(ValueError):
-        EllipticCurve(0, -3, 2)
+    # Delta = 0: a4 = 0, and y^2 = x^3 + 2x^2 + x = x(x + 1)^2
+    for a2, a4 in (((0, 0), (0, 0)), ((2, 0), (1, 0))):
+        with pytest.raises(ValueError):
+            j_invariant(a2, a4)
 
 
 def test_published_model_j():
-    published = EllipticCurve(5 - SQRT5, SQRT5, 0)
-    j1 = j_invariant(curve_from_t(1))
-    assert j_invariant(published) == j1
-    assert j1 == 86048 - SQRT5 * 38496
+    # y^2 = x^3 + (5 - sqrt5)x^2 + sqrt5 x has the j of E_1,
+    # 86048 - 38496 sqrt5
+    N1, D1 = j_invariant(*family_curve(1))
+    N2, D2 = j_invariant((5, -1), (0, 1))
+    assert mul5(N1, D2) == mul5(N2, D1)
+    assert N1 == mul5(D1, (86048, -38496))
+    assert sympy_j((N2, D2)) == 86048 - 38496 * sp.sqrt(5)
 
 
 def test_family_j_satisfies_quintic_j_equation():
@@ -250,17 +270,18 @@ def test_family_j_satisfies_quintic_j_equation():
         (Fraction(15, 11), ((0, 1), (-25, 4), (25, 2))),
     ]
 
-    def j_equation_value(q, j):
-        delta, gamma4, gamma6, _ = (Fraction(*p) for p in invariants(*q))
+    def j_equation_value(q, t):
+        delta, gamma4, gamma6, _ = (sp.Rational(*p) for p in invariants(*q))
+        j = sympy_j(j_invariant(*family_curve(t)))
         d5 = delta ** 5
         mid = 1728 * (gamma4 ** 3 - gamma6 ** 2 + d5)
         last = 1728 ** 2 * gamma4 ** 3
-        return j * j * d5 - j * mid + last
+        return sp.expand(j * j * d5 - j * mid + last)
 
     for t, q in pairs:
-        assert not j_equation_value(q, j_invariant(curve_from_t(t)))
-    assert j_equation_value(pairs[0][1], j_invariant(curve_from_t(Fraction(15, 11))))
-    assert j_equation_value(pairs[1][1], j_invariant(curve_from_t(Fraction(3, 5))))
+        assert not j_equation_value(q, t)
+    assert j_equation_value(pairs[0][1], Fraction(15, 11))
+    assert j_equation_value(pairs[1][1], Fraction(3, 5))
 
 
 def test_j_equation_family_proof(monkeypatch):
@@ -307,21 +328,21 @@ def test_j_equation_degree_bound_sympy():
 
 def test_family_j_matches_j_candidates():
     # 5*disc = 5120000000 = 5 * 32000^2, so sqrt(5*disc) = 32000 sqrt5
+    # j(E_{3/5}) = 10400 - 4640 sqrt5 and its conjugate are the two roots
     base, off = (Fraction(*p) for p in
                  j_roots(invariants((0, 1), (20, 1), (-16, 1))))
-    mapped = [base + SQRT5 * (sign * off * 32000) for sign in (1, -1)]
-    j1 = j_invariant(curve_from_t(Fraction(3, 5)))
-    assert j1 in mapped
-    assert j1.conj() in mapped
-    assert j1 == 10400 - SQRT5 * 4640
+    assert (base, abs(off * 32000)) == (10400, 4640)
+    N, D = j_invariant(*family_curve(Fraction(3, 5)))
+    assert N == mul5(D, (10400, -4640))
 
 
 def test_isogeny_codomain():
     assert isogeny_mismatch(("codomain",)) is None
-    # the proof's r^sigma = 1 - r is the conjugate of a4 on every E_t
+    # the proof's r^sigma = 1 - r is the conjugate of a4 on every E_t:
+    # family_curve has a2 = 2m^2 and a4 = r m^4, so it reads 2 p(a4) = m^4
     for t in (1, Fraction(3, 5), -2):
-        r = curve_from_t(t).a4
-        assert r.conj() == 1 - r
+        a2, a4 = family_curve(t)
+        assert 2 * a4[0] == (a2[0] // 2) ** 2
 
 
 def test_isogeny_codomain_mutation():
