@@ -13,10 +13,13 @@ tuple lowest degree first, over one positive integer denominator, in
 lowest terms.  An identity in a further parameter is proved at one more
 rational value of its variable than its degree.  Every operation works on
 those integers: only :meth:`Poly.over_q` takes rationals, and a Fraction
-is built only where a coefficient or a value is read out.  A product packs
-each operand's numerators into one big integer (Kronecker substitution)
-instead of schoolbook convolution, which is what keeps the large identity
-checks cheap.  Composition f(p/q) q^n works the same way.
+is built only where a coefficient or a value is read out.  A product, a
+power and a composition f(p/q) q^n each pack numerators into big integers,
+an L-bit field per coefficient (Kronecker substitution), and unpack one
+big-integer expression once; that, not schoolbook convolution, keeps the
+large identity checks cheap.  Packing at 2^L is a ring homomorphism
+Z[x] -> Z, so L need only fit the result's coefficients (l1 norms bound
+them), not those of the exact intermediate integers.
 
 Resultants are taken in integers, on the numerators: an integer
 subresultant PRS runs with checked exact divisions, and the denominators
@@ -76,8 +79,6 @@ def _kron_mul_int(f, g):
         return []
     mf = max(abs(c) for c in f)
     mg = max(abs(c) for c in g)
-    if mf == 0 or mg == 0:
-        return [0] * (len(f) + len(g) - 1)
     L = (mf * mg * min(len(f), len(g))).bit_length() + 2
     return _kron_unpack(_kron_pack(f, L) * _kron_pack(g, L), len(f) + len(g) - 1, L)
 
@@ -208,17 +209,16 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """self^n for an int n >= 0."""
+        """self^n for an int n >= 0: one integer power of the packed
+        numerators.  Only the result must fit the width; each of its
+        coefficients is at most ||num||_1^n < 2^(n b) in absolute value,
+        b the bit length of ||num||_1."""
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        f = self.num
+        L = n * sum(map(abs, f)).bit_length() + 2
+        return Poly(_kron_unpack(_kron_pack(f, L) ** n, n * (len(f) - 1) + 1, L),
+                    self.den ** n)
 
     # -- calculus and substitution -------------------------------------------
 
@@ -235,33 +235,31 @@ class Poly:
         return Fraction(acc, self.den)
 
     def compose_frac(self, p, q):
-        """Numerator of self(p/q): sum a_k p^k q^(n-k), n = deg(self).
+        """Numerator of self(p/q): sum c_k p^k q^(n-k), n = deg(self).
 
         With self = c/df, p = a/dp and q = b/dq, the sum is over the one
         denominator df dp^n dq^n, which scales the term c_k a^k b^(n-k) by
-        the integer dp^(n-k) dq^k.
+        the integer dp^(n-k) dq^k: the numerator is sum w_k a^k b^(n-k),
+        w_k = c_k dp^(n-k) dq^k.  Horner's rule on the packed A and B,
+        H = w_n, then H = H A + w_k B^(n-k) for k = n-1..0, takes it as one
+        big-integer expression.  Only the result must fit the width, and
+        each of its coefficients is at most sum |w_k| ||a||_1^k ||b||_1^(n-k)
+        in absolute value.
         """
         if self.is_zero():
             return self
-        c, df = self.num, self.den
-        a, dp = p.num, p.den
-        b, dq = q.num, q.den
-        n = len(c) - 1
-        apows, bpows = [[1]], [[1]]
-        for _ in range(n):
-            apows.append(_kron_mul_int(apows[-1], a))
-            bpows.append(_kron_mul_int(bpows[-1], b))
-        acc = []
-        for k, ck in enumerate(c):
-            if not ck:
-                continue
-            t = _kron_mul_int(apows[k], bpows[n - k])
-            w = ck * dp ** (n - k) * dq ** k
-            if len(acc) < len(t):
-                acc.extend([0] * (len(t) - len(acc)))
-            for i, v in enumerate(t):
-                acc[i] += w * v
-        return Poly(acc, df * dp ** n * dq ** n)
+        a, b, n = p.num, q.num, self.degree()
+        w = [c * p.den ** (n - k) * q.den ** k for k, c in enumerate(self.num)]
+        na, nb = sum(map(abs, a)), sum(map(abs, b))
+        L = sum(abs(c) * na ** k * nb ** (n - k)
+                for k, c in enumerate(w)).bit_length() + 2
+        A, B = _kron_pack(a, L), _kron_pack(b, L)
+        H, Bk = w[n], 1
+        for c in reversed(w[:n]):
+            Bk *= B
+            H = H * A + c * Bk
+        return Poly(_kron_unpack(H, n * (max(len(a), len(b)) - 1) + 1, L),
+                    self.den * (p.den * q.den) ** n)
 
     def to_str(self, var="x"):
         if self.is_zero():
@@ -292,26 +290,24 @@ def _primitive(ints):
 
 
 def _pseudo_rem_int(a, b):
-    """prem of integer coefficient lists."""
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    e = da - db + 1
-    while len(r) - 1 >= db and r:
-        if not r[-1]:
-            r.pop()
-            continue
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = [c * lb for c in r]
-        for j, bc in enumerate(b):
-            r[shift + j] -= lr * bc
-        while r and not r[-1]:
-            r.pop()
-        e -= 1
-    if e > 0:
-        m = lb ** e
-        r = [c * m for c in r]
+    """prem(a, b) = lb^e (a mod b) of integer coefficient lists, with
+    lb = lc(b) and e = max(deg a - deg b + 1, 0).
+
+    a is scaled by lb^e once.  The quotient of a by b over Q has its i-th
+    digit from the top over lb^(i + 1), i < e, so each quotient digit of
+    lb^e a by b is an integer, taken exactly as r[top] // lb; each step
+    changes only the deg b + 1 coefficients under b.
+    """
+    db, lb = len(b) - 1, b[-1]
+    m = lb ** max(len(a) - db, 0)
+    r = [c * m for c in a]
+    for top in range(len(r) - 1, db - 1, -1):
+        d = r[top] // lb
+        for j, c in enumerate(b, top - db):
+            r[j] -= d * c
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
     return r
 
 

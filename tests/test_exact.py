@@ -263,9 +263,19 @@ def test_kron_pack_roundtrip(ints, extra):
 
 @PROPERTY
 @given(st.lists(wide_fractions, max_size=10), st.lists(wide_fractions, max_size=10))
+@example([], [Fraction(-7, 3)])
+@example([Fraction(1, 2)] * 10, [1, 1])
 def test_poly_mul_q_matches_schoolbook_property(f, g):
     p, q = Poly.over_q(f), Poly.over_q(g)
     assert p * q == mul_schoolbook(p, q)
+    # a power packs once, at a width that must fit the coefficients of the
+    # result: (1 + x + ... + x^9)^n has coefficients far above
+    # ||num||_inf^n = 1
+    for r in (p, q):
+        want = Poly.one()
+        for n in range(6):
+            assert r ** n == want
+            want = mul_schoolbook(want, r)
 
 
 def assert_normal(p):
@@ -324,8 +334,8 @@ def test_constant_poly_hashes_as_its_fraction():
 
 
 def test_negative_powers_raise():
-    # square and multiply halves n with n >> 1, which stays at -1 for
-    # n < 0: a negative exponent is refused instead of looping for ever
+    # the packed numerators to a negative power would be a rational, not a
+    # packed polynomial: a negative exponent is refused
     with pytest.raises(ValueError):
         Poly.over_q([1, 1]) ** -2
 
@@ -488,6 +498,33 @@ def test_compose_frac_matches_values(f, p, q, x0):
 def test_poly_divides_matches_remainder(f, g, h):
     assert poly_divides(g, f) == rem_reference(f, g).is_zero()
     assert poly_divides(g, f * g + h) == rem_reference(h, g).is_zero()
+
+
+def strip_int(ints):
+    """An integer coefficient list without its trailing zeros."""
+    ints = list(ints)
+    while ints and not ints[-1]:
+        ints.pop()
+    return ints
+
+
+@PROPERTY
+@given(st.lists(st.integers(-40, 40), max_size=8).map(strip_int),
+       st.tuples(st.lists(st.integers(-40, 40), max_size=4),
+                 st.integers(1, 40) | st.integers(-40, -1))
+       .map(lambda t: t[0] + [t[1]]))
+@example([1, 2], [3, 4, 5])  # deg a < deg b: a itself
+@example([7, -3, 2, 9], [-4])  # a constant b: zero
+@example([], [1, 2])
+@example([5, 3, 2, 4], [1, 2])  # the x^2 term of 8a cancels on the first step
+def test_pseudo_rem_int_matches_sympy_prem(a, b):
+    # prem(a, b) = lc(b)^e (a mod b) over Z, e = max(deg a - deg b + 1, 0),
+    # the scale that _resultant_int and poly_divides rely on
+    x = sp.symbols("x")
+    want = sp.prem(sp.Poly.from_list(a[::-1], x, domain=sp.ZZ),
+                   sp.Poly.from_list(b[::-1], x, domain=sp.ZZ))
+    assert exact._pseudo_rem_int(a, b) == strip_int(
+        int(c) for c in want.all_coeffs()[::-1])
 
 
 # -- composition -------------------------------------------------------------
