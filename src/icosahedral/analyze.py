@@ -4,21 +4,30 @@ Each record is carried as reduced integer pairs (n, d), d > 0, from the
 parse to the printed line: each field is parsed once from its
 regular-expression match, its digits counted before int() is called, and
 reduced by one gcd; the invariants (quintic.invariants), the j-candidates
-(quintic.j_roots, as base +- off*sqrt(5*disc)) and t (quintic.trinomial_t)
-are computed on pairs, and so is the hypothesis
-(localfield.is_square_5adic_unit); every product, sum and reduction in the
-rendered strings is taken on numerator and denominator, and every number
-is rendered by _ratio.  So no algebra and no Fraction is built per record.
+(quintic.j_roots, as base +- off*sqrt(5*disc)) and t (quintic.t_from_disc
+of the disc the invariants hold) are computed once on pairs, and so is the
+hypothesis (localfield.is_square_5adic_unit); every product, sum and
+reduction in the rendered strings is taken on numerator and denominator,
+every number is rendered by _ratio, and each line is written as JSON text
+directly, with only the label and the error text passed through the JSON
+string encoder.  So no algebra, no Fraction and no dict for the line is
+built per record.
+
+Records are analyzed in blocks of at most _BLOCK: the invariants and
+j-roots of each record of the block, then one gcd against the primorial of
+_square_part for all of the block's radicands (_block_divisor), then each
+record rendered and written before the next is rendered.
 
 A batch is split into contiguous shards of at least _MIN_SHARD records,
 at most one per CPU of the affinity mask.  Shard 0 is analyzed here, each
-record written before the next; each other shard in a forked child, whose
-pipe is read to EOF before it is reaped (so no payload can block both) and
-written here in shard order: the same bytes at any k.  A child that fails
-sends its traceback, which the RuntimeError raised here carries.  Where
-os.pipe or os.fork fails (EAGAIN at a process limit, EMFILE), the shards
-not yet forked are analyzed here, after those that were: the same bytes
-again.  k follows the affinity mask, not a cgroup CPU quota.
+record written as its block is rendered; each other shard in a forked
+child, whose pipe is read to EOF before it is reaped (so no payload can
+block both) and written here in shard order: the same bytes at any k.  A
+child that fails sends its traceback, which the RuntimeError raised here
+carries.  Where os.pipe or os.fork fails (EAGAIN at a process limit,
+EMFILE), the shards not yet forked are analyzed here, after those that
+were: the same bytes again.  k follows the affinity mask, not a cgroup CPU
+quota.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ import os
 import re
 import signal
 import sys
+# a str as json.dumps writes it, quotes included
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import localfield, quintic
 from .reports import _check, _log_info, _output, _quintic_str, _ratio, _report
@@ -96,26 +107,36 @@ def _primes_below(n: int) -> tuple:
 
 @functools.cache
 def _small_primorial() -> int:
-    """The product of the primes up to 10^4, whose square part _square_part
-    takes out; fixed, so its work per call is bounded."""
+    """P, the product of the primes up to 10^4, whose square part
+    _square_part takes out; fixed, so its work per call is bounded.
+
+    _analyze_records takes gcd(M, P) once per block of records, with M the
+    product of the block's nonzero radicands, and passes it to _square_part
+    as its divisor: for every n dividing M,
+    gcd(n, gcd(M, P)) = gcd(gcd(n, M), P) = gcd(n, P).
+    """
     return math.prod(_primes_below(10 ** 4 + 1))
 
 
-def _square_part(n: int) -> int:
+def _square_part(n: int, divisor: int = 0) -> int:
     """An s with s^2 dividing n >= 0, found in bounded time.
 
-    Takes out the square part over the primes up to 10^4 by gcd rounds
-    against their product P: g_1 = gcd(n, P) and, after each n //= g_k,
+    Takes out the square part over the primes up to 10^4 by gcd rounds:
+    g_1 = gcd(n, P) for their product P and, after each n //= g_k,
     g_{k+1} = gcd(n, g_k), so g_k is the product of the small primes whose
     exponent in n is at least k, and s takes the g_k with k even.  A
     cofactor left that is a perfect square joins s.  n / s^2 is squarefree
     whenever that cofactor is below 10^12 (it then has at most two prime
     factors, all above 10^4); above that it may keep the square of a prime
     larger than 10^4.  n = 0 gives 1.
+
+    A nonzero divisor stands for P in the first round: gcd(M, P) for an M
+    that n divides (see _small_primorial), which gives the same g_1 and so
+    the same s, as a gcd against a divisor of P that is often much smaller.
     """
     square = 1
     if n:
-        g = math.gcd(n, _small_primorial())
+        g = math.gcd(n, divisor or _small_primorial())
         even = False
         while g > 1:
             n //= g
@@ -129,16 +150,33 @@ def _square_part(n: int) -> int:
     return square
 
 
-def _split_radicand(n: int, d: int) -> tuple:
-    """(radicand, scale) with sqrt(n/d) = scale*sqrt(radicand), for d > 0.
+def _block_divisor(radicands) -> int:
+    """gcd(M, P) for M the product of the nonzero radicands and P =
+    _small_primorial(): the divisor of each of them (see _small_primorial).
 
-    The radicand is the integer n*d divided by the square s^2 that
-    _square_part finds: squarefree unless it keeps the square of a prime
-    above 10^4.  The identity is exact either way.  scale is the pair
-    (s, d), for s/d not always in lowest terms.
+    The product is reduced mod P whenever it outgrows P, as
+    gcd(M mod P, P) = gcd(M, P).  So each radicand costs one product with
+    an integer below P and at most one remainder, and the block one gcd.
     """
-    m = n * d
-    square = _square_part(abs(m))
+    P = _small_primorial()
+    M = 1
+    for m in radicands:
+        if m:
+            M *= m
+            if not -P < M < P:
+                M %= P
+    return math.gcd(M, P)
+
+
+def _split_radicand(m: int, d: int, divisor: int = 0) -> tuple:
+    """(radicand, scale) with sqrt(m)/d = scale*sqrt(radicand), for d > 0.
+
+    sqrt(n/d) is sqrt(m)/d for m = n*d.  The radicand is m divided by the
+    square s^2 that _square_part(|m|, divisor) finds: squarefree unless it
+    keeps the square of a prime above 10^4.  The identity is exact either
+    way.  scale is the pair (s, d), for s/d not always in lowest terms.
+    """
+    square = _square_part(abs(m), divisor)
     return m // (square * square), (square, d)
 
 
@@ -226,44 +264,69 @@ def _decode_record(line: str):
         raise ValueError("record nests too deeply")
 
 
-def _analyze_one(rec: dict) -> dict:
-    """The output record of a parsed record; every rational in it is a
-    reduced pair, rendered by _ratio."""
-    a, b, c = rec["A"], rec["B"], rec["C"]
-    out = {}
-    if "label" in rec:
-        out["label"] = rec["label"]
-    out.update(quintic=_quintic_str(a, b, c), A=_ratio(*a), B=_ratio(*b),
-               C=_ratio(*c))
-    inv = quintic.invariants(a, b, c)
-    for name, value in zip(("delta", "gamma4", "gamma6", "disc"), inv):
-        out[name] = _ratio(*value)
-    errors = []
+def _record_numbers(rec: dict) -> tuple:
+    """(inv, roots, m) of a parsed record: its invariants, its j_roots
+    (base, off), or the message of the error they raise, and the radicand
+    m = 5*disc_n*disc_d of its j-candidates, 0 where they need none."""
+    inv = quintic.invariants(rec["A"], rec["B"], rec["C"])
     try:
-        base, off = quintic.j_roots(inv)
-        if off[0]:
-            disc_n, disc_d = inv[3]
-            out["j_candidates"] = _conjugate_strings(
-                base, off, *_split_radicand(5 * disc_n, disc_d))
-        else:
-            out["j_candidates"] = [_ratio(*base)] * 2
+        roots = quintic.j_roots(inv)
     except (ValueError, ArithmeticError) as exc:
-        out["j_candidates"] = None
-        errors.append(str(exc))
-    out["t"] = None
-    out["hypothesis"] = None
+        return inv, str(exc), 0
+    disc_n, disc_d = inv[3]
+    return inv, roots, 5 * disc_n * disc_d if roots[1][0] else 0
+
+
+def _analyze_one(rec: dict, numbers: tuple, divisor: int) -> tuple:
+    """(line, name, error) of a parsed record: its output line, the name of
+    its check (its label, else its quintic) and its error text, or None.
+
+    numbers is _record_numbers(rec), and divisor the one _square_part takes
+    for the radicand m (see _small_primorial).  Every rational is a reduced
+    pair, rendered by _ratio; the line is the JSON object with the keys
+    label (if given), quintic, A, B, C, delta, gamma4, gamma6, disc,
+    j_candidates, t, hypothesis, status and error (if any), as
+    json.dumps(..., separators=(",", ":")) writes it.  Only the label and
+    the error can hold a character JSON escapes; the other strings are
+    rationals, quintics and radicals.
+    """
+    a, b, c = rec["A"], rec["B"], rec["C"]
+    inv, roots, m = numbers
+    name = _quintic_str(a, b, c)
+    errors = []
+    if isinstance(roots, str):
+        j = "null"
+        errors.append(roots)
+    else:
+        base, off = roots
+        if m:
+            plus, minus = _conjugate_strings(
+                base, off, *_split_radicand(m, inv[3][1], divisor))
+        else:
+            plus = minus = _ratio(*base)
+        j = f'["{plus}","{minus}"]'
+    t = hypothesis = "null"
     if not a[0]:
         if not c[0]:
             errors.append("C must be nonzero for t")
         else:
-            t = quintic.trinomial_t(b, c)
-            out["t"] = None if t is None else _ratio(*t)
-            out["hypothesis"] = (t is not None
-                                 and localfield.is_square_5adic_unit(*t))
-    out["status"] = "error" if errors else "ok"
-    if errors:
-        out["error"] = "; ".join(errors)
-    return out
+            tp = quintic.t_from_disc(c, inv[3])
+            if tp is not None:
+                t = f'"{_ratio(*tp)}"'
+            hypothesis = ("true" if tp is not None
+                          and localfield.is_square_5adic_unit(*tp)
+                          else "false")
+    label = rec.get("label")
+    error = "; ".join(errors) if errors else None
+    head = "{" if label is None else f'{{"label":{_json_str(label)},'
+    tail = ('"status":"ok"}' if error is None
+            else f'"status":"error","error":{_json_str(error)}}}')
+    line = (f'{head}"quintic":"{name}","A":"{_ratio(*a)}",'
+            f'"B":"{_ratio(*b)}","C":"{_ratio(*c)}",'
+            f'"delta":"{_ratio(*inv[0])}","gamma4":"{_ratio(*inv[1])}",'
+            f'"gamma6":"{_ratio(*inv[2])}","disc":"{_ratio(*inv[3])}",'
+            f'"j_candidates":{j},"t":{t},"hypothesis":{hypothesis},{tail}\n')
+    return line, name if label is None else label, error
 
 
 # json.dumps builds a new encoder on every call that passes separators
@@ -271,17 +334,29 @@ _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 # the fewest records in a shard: on 2 vCPUs, two shards of 2000 records
 # or fewer were no faster than one process, and two of 3000 were
 _MIN_SHARD = 3000
+# the most records in a block, whose radicands share one gcd against the
+# primorial
+_BLOCK = 64
 
 
 def _analyze_records(start, records, write) -> list:
-    """Records start + 1, ... analyzed and written in turn; their checks."""
+    """Records start + 1, ... analyzed and written in turn; their checks.
+
+    They go in blocks of at most _BLOCK: the numbers of each record of a
+    block first, then one divisor for all of its radicands, then each
+    record rendered and written before the next is rendered.
+    """
     checks = []
-    for i, rec in enumerate(records, start + 1):
-        r = _analyze_one(rec)
-        write(_COMPACT_JSON.encode(r) + "\n")
-        checks.append(_check(f"record-{i}", r.get("label", r["quintic"]),
-                             "pass" if r["status"] == "ok" else "skipped",
-                             r.get("error")))
+    for first in range(0, len(records), _BLOCK):
+        block = records[first:first + _BLOCK]
+        numbers = [_record_numbers(rec) for rec in block]
+        divisor = _block_divisor(m for _, _, m in numbers)
+        for i, (rec, nums) in enumerate(zip(block, numbers),
+                                        start + first + 1):
+            line, name, error = _analyze_one(rec, nums, divisor)
+            write(line)
+            checks.append(_check(f"record-{i}", name,
+                                 "skipped" if error else "pass", error))
     return checks
 
 

@@ -29,9 +29,10 @@ has 3-adic valuation exactly 1 at every coprime pair of integers.
 
 Under x -> x/k the coefficients A, B and C take the factors k^3, k^4 and
 k^5: they have weights 3, 4 and 5, and delta, gamma4, gamma6 and disc are
-forms of weight 12, 20, 30 and 20.  So ``invariants`` and ``trinomial_t``
-multiply out the common denominator D as a = A D^3, b = B D^4, c = C D^5,
-and the j-equation of weight 60 is cleared by one integer.  Each formula
+forms of weight 12, 20, 30 and 20.  So ``invariants`` multiplies out the
+common denominator D as a = A D^3, b = B D^4, c = C D^5, the j-equation
+of weight 60 is cleared by one integer, and ``trinomial_t`` reads t off
+the disc of invariants at A = 0 (``t_from_disc``).  Each formula
 has one copy, on integers: a rational goes in and comes out as a reduced
 pair (n, d), d > 0, and each value returned is reduced by one gcd, so
 ``analyze`` builds no Fraction per record.  ``j_roots`` certifies that the
@@ -51,6 +52,7 @@ __all__ = [
     "j_roots",
     "RESOLVENT_TABLE",
     "family_quintic",
+    "t_from_disc",
     "trinomial_t",
     "hyperelliptic_3adic",
 ]
@@ -209,14 +211,34 @@ def family_quintic(t) -> tuple:
     return (0, 1), _reduced(k, p * p), _reduced(4 * k, 5 * p * p)
 
 
+def t_from_disc(C, disc):
+    """t = 75 C^2 / sqrt(disc) of x^5 + Bx + C, from its discriminant.
+
+    C is a pair (n, d) with d > 0 and disc = 256 B^5 + 3125 C^4 the reduced
+    pair that invariants((0, 1), B, C) returns as its last entry.  Uses the
+    positive square root; returns t as a reduced pair, or None when disc is
+    not a positive rational square.  disc = dn/dd in lowest terms with
+    dd > 0 is a positive rational square exactly when dn > 0 and dn and dd
+    are both perfect squares, and then t = 75 C^2 sqrt(dd) / sqrt(dn).
+    """
+    (cn, cd), (dn, dd) = C, disc
+    if dn <= 0:
+        return None
+    rn, rd = isqrt(dn), isqrt(dd)
+    if rn * rn != dn or rd * rd != dd:
+        return None
+    return _reduced(75 * cn * cn * rd, cd * cd * rn)
+
+
 def trinomial_t(B, C):
     """Recover t = 75 C^2 / sqrt(256 B^5 + 3125 C^4) for x^5 + Bx + C.
 
     B and C are pairs (n, d) of integers with d > 0.  Uses the positive
     square root; returns t as a reduced pair, or None when the radicand is
-    not a positive rational square.  Requires C != 0.  With D the lcm of
-    the denominators, b = B D^4 and c = C D^5 are integers, the radicand
-    is R / D^20 with R = 256 b^5 + 3125 c^4, and t = 75 c^2 / sqrt(R).
+    not a positive rational square.  Requires C != 0.  The radicand is the
+    discriminant of the trinomial, so t is t_from_disc of the disc that
+    invariants gives at A = 0: the one formula for t, which analyze applies
+    to the disc it has already computed.
 
     Where defined, t is a complete invariant of the rescaling
     (B, C) -> (B c^4, C c^5), c != 0, the monic form of x -> cx.  It is
@@ -226,21 +248,9 @@ def trinomial_t(B, C):
     t > 0 fixes B^5/C^4.  Equal B^5/C^4 for (B1, C1) and (B2, C2) give
     c = (C2/C1) / (B2/B1) with c^4 = B2/B1 and c^5 = C2/C1.
     """
-    (bn, bd), (cn, cd) = B, C
-    if not cn:
+    if not C[0]:
         raise ValueError("C must be nonzero")
-    D = lcm(bd, cd)
-    D4 = D ** 4
-    b = bn * (D4 // bd)
-    c = cn * (D4 // cd) * D
-    c2 = c * c
-    R = 256 * b ** 5 + 3125 * c2 * c2
-    if R <= 0:
-        return None
-    root = isqrt(R)
-    if root * root != R:
-        return None
-    return _reduced(75 * c2, root)
+    return t_from_disc(C, invariants((0, 1), B, C)[3])
 
 
 def solvable_family(v, w):

@@ -73,9 +73,44 @@ def test_analyze_inline_json(capsys):
     assert report["wall_time_ms"] is None
 
 
+def block_batch():
+    """130 golden input lines and their parsed records: two full blocks of
+    analyze._BLOCK records and a partial one.  The first block holds the
+    delta = 0 and C = 0 error records, and the partial one radicands with
+    the square of a prime up to 10^4."""
+    lines = GOLDEN_ANALYZE_INPUT.read_text().splitlines(keepends=True)
+    lines = lines[60:190]
+    records = [analyze._parse_record(json.loads(line)) for line in lines]
+    assert 2 * analyze._BLOCK < len(records) == 130 < 3 * analyze._BLOCK
+    assert {"degenerate quintic: delta = 0", "C must be nonzero for t"} < {
+        analyze_one(rec).get("error")
+        for rec in records[1:analyze._BLOCK - 1]}
+    assert any(m and analyze._square_part(abs(m)) > 1
+               for _, _, m in map(analyze._record_numbers,
+                                  records[2 * analyze._BLOCK:]))
+    return lines, records
+
+
+def analyze_line(rec):
+    """The output line of one parsed record, analyzed alone."""
+    lines = []
+    analyze._analyze_records(0, [rec], lines.append)
+    return lines[0]
+
+
+def analyze_one(rec):
+    """The output record of one parsed record, analyzed alone."""
+    return json.loads(analyze_line(rec))
+
+
 def test_analyze_one_computes_invariants_once(monkeypatch):
-    calls = {"invariants": 0, "j_roots": 0, "_square_part": 0,
-             "trinomial_t": 0}
+    # over a batch of three blocks: one invariants and one j_roots per
+    # record, one gcd against the primorial per block, one radicand split
+    # per record with irrational j-candidates, and t read off the disc the
+    # invariants hold, never recomputed as 256b^5 + 3125c^4 by trinomial_t
+    _, batch = block_batch()
+    calls = collections.Counter()
+    primorial = analyze._small_primorial()
 
     def counted(module, name):
         orig = getattr(module, name)
@@ -85,19 +120,46 @@ def test_analyze_one_computes_invariants_once(monkeypatch):
             return orig(*args)
         return wrapper
 
-    for name in ("invariants", "j_roots", "trinomial_t"):
+    class CountedMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def gcd(self, *args):
+            calls["primorial gcd"] += any(x is primorial for x in args)
+            return math.gcd(*args)
+
+    for name in ("invariants", "j_roots", "trinomial_t", "t_from_disc"):
         monkeypatch.setattr(quintic, name, counted(quintic, name))
     monkeypatch.setattr(analyze, "_square_part",
                         counted(analyze, "_square_part"))
-    # A = 0 and C != 0: t and the hypothesis come from one trinomial_t
-    # call; both j-candidates come from one (base, off) and one radicand
-    # split
-    record = analyze._analyze_one({"A": (0, 1), "B": (4, 1), "C": (16, 5)})
-    assert record["j_candidates"] == ["86048 - 38496*sqrt(5)",
-                                      "86048 + 38496*sqrt(5)"]
-    assert record["t"] == "1" and record["hypothesis"] is True
-    assert calls == {"invariants": 1, "j_roots": 1,
-                     "_square_part": 1, "trinomial_t": 1}
+    monkeypatch.setattr(analyze, "math", CountedMath())
+    analyze._analyze_records(0, batch, [].append)
+    monkeypatch.undo()
+    splits = trinomials = 0
+    for rec in batch:
+        inv = quintic.invariants(rec["A"], rec["B"], rec["C"])
+        with contextlib.suppress(ValueError, ArithmeticError):
+            splits += bool(quintic.j_roots(inv)[1][0])
+        trinomials += not rec["A"][0] and bool(rec["C"][0])
+    assert 0 < splits < len(batch) and 0 < trinomials < len(batch)
+    assert calls == {"invariants": len(batch), "j_roots": len(batch),
+                     "primorial gcd": 3, "_square_part": splits,
+                     "t_from_disc": trinomials}
+
+
+def test_analyze_blocks_match_records_alone(tmp_path, capsys):
+    # a batch of two full blocks and a partial one gives, line for line,
+    # the lines of each of its records analyzed alone by the CLI
+    lines, _ = block_batch()
+    path = tmp_path / "batch.jsonl"
+    path.write_text("".join(lines))
+    rc, out, _ = run_cli(capsys, "analyze", "--file", str(path), "--json")
+    assert rc == 0
+    out = out.splitlines(keepends=True)
+    assert len(out) == len(lines) + 1
+    for line, got in zip(lines, out):
+        path.write_text(line)
+        assert run_cli(capsys, "analyze", "--file", str(path))[1] == got
 
 
 def test_analyze_second_table_row(capsys):
@@ -151,9 +213,9 @@ def test_analyze_writes_each_record_before_the_next(tmp_path, monkeypatch):
     written = []
     analyze_one = analyze._analyze_one
 
-    def recording(rec):
+    def recording(rec, *numbers):
         written.append(buf.getvalue().count("\n"))
-        return analyze_one(rec)
+        return analyze_one(rec, *numbers)
 
     monkeypatch.setattr(analyze, "_analyze_one", recording)
     assert cli.main(["analyze", "--file", str(path), "--json"]) == 0
@@ -231,7 +293,8 @@ def test_quad_string_radicand_matches_factorint():
         b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
                      rng.randint(1, 9))
         plus, minus = analyze._conjugate_strings(
-            pair(a), pair(b), *analyze._split_radicand(*pair(d)))
+            pair(a), pair(b), *analyze._split_radicand(
+                d.numerator * d.denominator, d.denominator))
         want = d.numerator * d.denominator
         want //= square_part_reference(abs(want)) ** 2
         assert parse_quad(plus)[2] == parse_quad(minus)[2] == want
@@ -249,7 +312,8 @@ def test_quad_string_large_square_kept():
     assert analyze._square_part(n) == 2
     d = Fraction(-n, 5)
     plus, minus = analyze._conjugate_strings(
-        (1, 3), (-7, 2), *analyze._split_radicand(*pair(d)))
+        (1, 3), (-7, 2), *analyze._split_radicand(
+            d.numerator * d.denominator, d.denominator))
     assert parse_quad(plus)[2] == parse_quad(minus)[2] == -3 * 5 * p * p * q
     assert_quad_exact(plus, Fraction(1, 3), Fraction(-7, 2), d)
     assert_quad_exact(minus, Fraction(1, 3), Fraction(7, 2), d)
@@ -294,6 +358,33 @@ factored = st.lists(
 @example(10007 ** 2 * 10009)
 def test_square_part_matches_trial_division(n):
     assert analyze._square_part(n) == square_part_trial_division(n)
+
+
+# what a block of radicands can hold: 0, 1, primes just below and above
+# 10^4, squares of primes above 10^4, products of them, and signed
+# 80-digit values, whose product outgrows the primorial
+block_values = st.one_of(
+    st.sampled_from((0, 1) + SMALL_PRIMES + LARGE_PRIMES),
+    st.sampled_from(LARGE_PRIMES).map(lambda p: p * p),
+    factored,
+    st.integers(-10 ** 80, 10 ** 80))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(block_values, min_size=1, max_size=analyze._BLOCK))
+@example([0])
+@example([1, 0, 1])
+@example([9967 ** 5 * 9973 ** 3, 10007 ** 2, -(10009 ** 2) * 9973])
+@example([10 ** 80 - 1] * analyze._BLOCK)
+@example([analyze._small_primorial() * 9973, 4])  # P divides the product
+def test_square_part_with_block_divisor(block):
+    # the one gcd of a block against the primorial stands for it in the
+    # square part of each value of the block
+    divisor = analyze._block_divisor(block)
+    assert analyze._small_primorial() % divisor == 0
+    for n in map(abs, block):
+        assert analyze._square_part(n, divisor) == analyze._square_part(n) \
+            == square_part_trial_division(n)
 
 
 def test_analyze_large_input_within_budget():
@@ -951,10 +1042,10 @@ def test_analyze_hypothesis_is_theorem_hypothesis():
     # localfield.theorem_hypothesis of its reduced pairs B and C
     trinomials = [rec for rec in golden_analyze_records()
                   if not rec["A"][0] and rec["C"][0]]
-    assert {analyze._analyze_one(rec)["hypothesis"]
+    assert {analyze_one(rec)["hypothesis"]
             for rec in trinomials} == {True, False}
     for rec in trinomials:
-        assert analyze._analyze_one(rec)["hypothesis"] is \
+        assert analyze_one(rec)["hypothesis"] is \
             localfield.theorem_hypothesis(rec["B"], rec["C"])
 
 
@@ -970,7 +1061,7 @@ def test_analyze_builds_no_algebra(monkeypatch):
     records = golden_analyze_records()
     assert len(lines) == len(records) + 1
     for rec, line in zip(records, lines):
-        assert json.dumps(analyze._analyze_one(rec),
+        assert json.dumps(analyze_one(rec),
                           separators=(",", ":")) == line
 
 
@@ -986,9 +1077,9 @@ def test_analyze_builds_no_fraction(capsys, monkeypatch):
         built[phase[0]] += 1
         return new(cls, *args, **kwargs)
 
-    def analyze_phase(rec):
+    def analyze_phase(rec, *numbers):
         phase[0] = "analyze"
-        return analyze_one(rec)
+        return analyze_one(rec, *numbers)
 
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     monkeypatch.setattr(analyze, "_analyze_one", analyze_phase)
@@ -999,6 +1090,43 @@ def test_analyze_builds_no_fraction(capsys, monkeypatch):
     golden = GOLDEN_ANALYZE_INPUT.with_name("analyze.jsonl")
     assert out.encode() == golden.read_bytes()
     assert built == {"parse": 0, "analyze": 0}
+
+
+GOLDEN_RECORDS = golden_analyze_records()
+# labels JSON must escape: quotes, backslashes, control characters,
+# non-ASCII text and lone surrogates
+labels = st.text(st.characters(exclude_categories=()))
+record_rationals = st.tuples(st.integers(-30, 30), st.integers(1, 30)).map(
+    lambda nd: analyze._reduced(*nd))
+records = st.one_of(
+    st.sampled_from(GOLDEN_RECORDS),
+    st.fixed_dictionaries({"A": st.one_of(st.just((0, 1)), record_rationals),
+                           "B": record_rationals, "C": record_rationals}))
+OUTPUT_KEYS = ["quintic", "A", "B", "C", "delta", "gamma4", "gamma6", "disc",
+               "j_candidates", "t", "hypothesis", "status"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(records, st.none() | labels)
+@example({"A": (0, 1), "B": (4, 1), "C": (16, 5)}, None)
+@example({"A": (0, 1), "B": (0, 1), "C": (0, 1)}, 'a "quoted" \\ label')
+@example({"A": (0, 1), "B": (2, 1), "C": (0, 1)}, "\x00\x1f\x7f\n\t")
+@example({"A": (1, 1), "B": (1, 1), "C": (1, 1)}, "\u00e9\u4e2d\U0001f600")
+@example({"A": (0, 1), "B": (4, 1), "C": (16, 5)}, "\ud800 \udfff")
+def test_analyze_line_is_compact_json(rec, label):
+    # each line, rendered directly, is json.dumps of its fields with
+    # separators=(",", ":"): the label first if it is given, then the same
+    # fields as the record's without a label, and the error last if any
+    rec = {key: rec[key] for key in "ABC"}
+    bare = json.loads(analyze_line(rec))
+    if label is not None:
+        rec["label"] = label
+    line = analyze_line(rec)
+    fields = json.loads(line)
+    assert line == json.dumps(fields, separators=(",", ":")) + "\n"
+    assert fields == ({} if label is None else {"label": label}) | bare
+    assert list(fields) == ["label"] * (label is not None) + OUTPUT_KEYS + \
+        ["error"] * (fields["status"] == "error")
 
 
 def test_verify_icosa(capsys):
@@ -1478,10 +1606,10 @@ def test_analyze_failed_shard_raises(tmp_path, capsys, monkeypatch, sigchld):
         fh.write('{"B": "4", "C": "16/5", "label": "fails"}\n')
     analyze_one = analyze._analyze_one
 
-    def failing(rec):
+    def failing(rec, *numbers):
         if rec.get("label") == "fails":
             raise ZeroDivisionError("a fault in the last shard")
-        return analyze_one(rec)
+        return analyze_one(rec, *numbers)
 
     monkeypatch.setattr(analyze, "_analyze_one", failing)
     previous = signal.signal(signal.SIGCHLD, sigchld)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from icosahedral.quintic import (
     family_quintic, hyperelliptic_3adic, invariants, j_equation, j_roots,
-    resolvent_coeffs, solvable_family, solvability_obstruction, trinomial_t,
+    resolvent_coeffs, solvable_family, solvability_obstruction, t_from_disc,
+    trinomial_t,
 )
 
 
@@ -584,6 +585,31 @@ def test_pair_functions_match_fraction_formulas(abc, k):
 @example(-1, Fraction(1, 2))
 def test_trinomial_t_matches_fraction_formula(B, C):
     assert t_of(B, C) == trinomial_t_reference(Fraction(B), Fraction(C))
+
+
+@PROPERTY
+@given(rationals, rationals)
+@example(-1, Fraction(1, 2))                  # disc < 0
+@example(-5, 4)                               # disc = 0
+@example(Fraction(-10, 7), Fraction(8, 7))    # disc = 8000^2 / 7^5
+@example(0, Fraction(2, 3))                   # t = 75/sqrt(3125): undefined
+@example(4, 0)                                # C = 0: t undefined
+def test_trinomial_t_from_discriminant(B, C):
+    # t is read off the disc of invariants at A = 0, which is
+    # 256B^5 + 3125C^4; disc = n/d in lowest terms is a rational square
+    # exactly when the integer n*d is a square, with root sqrt(n*d)/d
+    disc = 256 * B ** 5 + 3125 * C ** 4
+    assert invariants((0, 1), pair(B), pair(C))[3] == pair(disc)
+    if not C:
+        with pytest.raises(ValueError, match="C must be nonzero"):
+            trinomial_t(pair(B), pair(C))
+        return
+    n, d = pair(disc)
+    root = Fraction(isqrt(max(n * d, 0)), d)
+    want = 75 * C * C / root if disc > 0 and root * root == disc else None
+    assert trinomial_t(pair(B), pair(C)) == t_from_disc(pair(C), pair(disc))
+    assert t_from_disc(pair(C), pair(disc)) == (
+        None if want is None else pair(want))
 
 
 @PROPERTY
