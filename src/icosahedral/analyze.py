@@ -110,9 +110,9 @@ def _small_primorial() -> int:
     """P, the product of the primes up to 10^4, whose square part
     _square_part takes out; fixed, so its work per call is bounded.
 
-    _analyze_records takes gcd(M, P) once per block of records, with M the
-    product of the block's nonzero radicands, and passes it to _square_part
-    as its divisor: for every n dividing M,
+    _block_divisor takes gcd(M, P) once per block of records, with M the
+    product of the block's nonzero radicands, which _square_part takes as
+    its divisor: for every n dividing M,
     gcd(n, gcd(M, P)) = gcd(gcd(n, M), P) = gcd(n, P).
     """
     return math.prod(_primes_below(10 ** 4 + 1))
