@@ -19,33 +19,29 @@ _square_part for all of the block's radicands (_block_divisor), then each
 record rendered and written before the next is rendered.
 
 A batch is split into contiguous shards of at least _MIN_SHARD records,
-at most one per CPU of the affinity mask.  Shard 0 is analyzed here, each
-record written as its block is rendered; each other shard in a forked
-child, whose pipe is read to EOF before it is reaped (so no payload can
-block both) and written here in shard order: the same bytes at any k.  A
-child that fails sends its traceback, which the RuntimeError raised here
-carries.  Where os.pipe or os.fork fails (EAGAIN at a process limit,
-EMFILE), the shards not yet forked are analyzed here, after those that
-were: the same bytes again.  k follows the affinity mask, not a cgroup CPU
-quota.
+at most one per process that reports._cpus allows (the CPUs of the
+affinity mask, capped by a cgroup v2 CPU quota).  Shard 0 is analyzed
+here, each record written as its block is rendered; each other shard in a
+child of reports._forked, whose text and checks are written here in shard
+order: the same bytes at any k.  A child that fails sends its traceback,
+which the RuntimeError raised here carries.  Where os.pipe or os.fork
+fails, the shards not yet forked are analyzed here, after those that were:
+the same bytes again.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
-import marshal
 import math
-import os
 import re
-import signal
 import sys
 # a str as json.dumps writes it, quotes included
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import localfield, quintic
-from .reports import _check, _log_info, _output, _quintic_str, _ratio, _report
+from .reports import (_check, _cpus, _forked, _log_info, _next_result, _output,
+                      _quintic_str, _ratio, _report)
 
 _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
 
@@ -360,54 +356,12 @@ def _analyze_records(start, records, write) -> list:
     return checks
 
 
-def _fork_shard(start, records) -> tuple:
-    """(pid, pipe) of a child that marshals (True, _analyze_records' joined
-    lines, its checks), or (False, its traceback), down the pipe, then
-    leaves by os._exit."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, open(r, "rb")
-    try:
-        os.close(r)
-        try:
-            lines = []
-            checks = _analyze_records(start, records, lines.append)
-            result = True, "".join(lines), checks
-        except BaseException:
-            import traceback
-            result = False, traceback.format_exc()
-        with open(w, "wb") as pipe:
-            pipe.write(marshal.dumps(result))
-    finally:
-        os._exit(0)  # never back into the caller's code
-
-
-def _next_shard(children) -> list:
-    """[text, checks] of the child children[0], whose pipe is read to EOF
-    before it is reaped and dropped; RuntimeError where it failed."""
-    pid, pipe = children[0]
-    try:
-        with pipe:
-            data = pipe.read()
-        with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored
-            os.waitpid(pid, 0)
-    except OSError as exc:  # the shard's fault, not the output's
-        raise RuntimeError(f"an analyze shard process failed: {exc}")
-    del children[0]
-    try:
-        ok, *result = marshal.loads(data)
-    except (EOFError, ValueError):
-        ok, result = False, ["it sent no result"]
-    if not ok:
-        raise RuntimeError(f"an analyze shard process failed:\n{result[0]}")
-    return result
+def _shard(start, records) -> tuple:
+    """(text, checks) of records start + 1, ...: _analyze_records' lines
+    joined, for a forked shard to send."""
+    lines = []
+    checks = _analyze_records(start, records, lines.append)
+    return "".join(lines), checks
 
 
 def cmd_analyze(args) -> int:
@@ -434,24 +388,20 @@ def cmd_analyze(args) -> int:
     else:
         records.append({"A": args.a if args.a is not None else (0, 1),
                         "B": args.b, "C": args.c})
-    n, k = len(records), 1  # one shard where os has no fork or affinity
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        k = min(len(os.sched_getaffinity(0)), max(1, n // _MIN_SHARD))
+    n = len(records)
+    k = min(_cpus(), max(1, n // _MIN_SHARD))
     shards = [(n * i // k, records[n * i // k:n * (i + 1) // k])
               for i in range(k)]
     # every record parsed, so no bad line can follow output
-    children = []
-    try:
-        with contextlib.suppress(OSError):  # no process or pipe to be had
-            for shard in shards[1:]:
-                children.append(_fork_shard(*shard))
+    with _forked(functools.partial(_shard, *shard)
+                 for shard in shards[1:]) as children:
         unforked = shards[1 + len(children):]
         _log_info("analyzing %d record(s) in %d process(es)", n,
                   1 + len(children))
         with _output(args.out) as fh:
             checks = _analyze_records(*shards[0], fh.write)
             while children:
-                text, more = _next_shard(children)
+                text, more = _next_result(children, "an analyze shard")
                 fh.write(text)
                 checks += more
             for shard in unforked:
@@ -459,12 +409,6 @@ def cmd_analyze(args) -> int:
             if args.json:
                 fh.write(_COMPACT_JSON.encode(
                     _report("analyze", checks, args, None)) + "\n")
-    finally:
-        for pid, pipe in children:  # not yet reaped: killed and reaped
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
     if not args.json:
         bad = sum(c["status"] != "pass" for c in checks)
         print(f"{n} record(s), {n - bad} ok, {bad} with errors",

@@ -7,8 +7,9 @@ Three subcommands:
   file, a large batch in one forked process per CPU.  One compact JSON
   object per quintic is written to stdout, in input order; ``--json`` adds
   a report.
-* ``verify``: run a named verification suite (or ``all``) and emit a JSON
-  report with per-check status.
+* ``verify``: run a named verification suite (or ``all``, its suites
+  dealt to one forked process per CPU) and emit a JSON report with
+  per-check status.
 * ``table``: recompute the scaling parameters of the five principal quintics
   with fields unramified outside 2, 5 and infinity and compare them with the
   listed values.

@@ -24,7 +24,8 @@ from sympy import factorint
 
 import icosahedral
 from icosahedral import (
-    analyze, cli, hecke, icosa, localfield, qcurve, quintic, repn, suites)
+    analyze, cli, hecke, icosa, localfield, qcurve, quintic, reports, repn,
+    suites)
 from icosahedral.exact import Poly
 
 # the src/ directory of the checkout under test, and its pyproject.toml
@@ -796,13 +797,26 @@ def test_verify_klein_link_mutations(capsys, monkeypatch, mutate, fact):
         f"the {fact} identity fails at j = 2"
 
 
+def one_cpu_mask(monkeypatch):
+    """An affinity mask of one CPU for the rest of the test: verify all
+    runs its suites in this process alone."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 def test_verify_all_builds_each_k_once_per_proof(capsys, monkeypatch):
     # the family proof builds k = 1..23 once each and the fixed-j check the
-    # k of each of its six j once: 29 builds, and no k twice
+    # k of each of its six j once: 29 builds, and no k twice; counted in
+    # this process, which on one CPU runs every suite, and with the full
+    # mask klein-link or none
     builds = collections.Counter()
     polys = qcurve._klein_link_polys
     monkeypatch.setattr(qcurve, "_klein_link_polys",
                         lambda k: builds.update([k]) or polys(k))
+    rc, _, _ = run_cli(capsys, "verify", "all")
+    assert rc == 0
+    assert len(builds) in (0, 29) and set(builds.values()) <= {1}
+    builds.clear()
+    one_cpu_mask(monkeypatch)
     rc, _, _ = run_cli(capsys, "verify", "all")
     assert rc == 0
     assert len(builds) == 29 and set(builds.values()) == {1}
@@ -1015,6 +1029,7 @@ def test_report_matches_golden(capsys, argv, golden):
 
 
 GOLDEN_ANALYZE_INPUT = Path(__file__).parent / "golden" / "analyze_input.jsonl"
+GOLDEN_VERIFY_ALL = GOLDEN_ANALYZE_INPUT.with_name("verify_all.json")
 
 
 def golden_analyze_records():
@@ -1345,22 +1360,31 @@ def test_verify_timings_flag(capsys):
     assert isinstance(json.loads(out)["wall_time_ms"], int)
 
 
-def test_verify_suite_timings(capsys):
-    rc, out, _ = run_cli(capsys, "verify", "all", "--timings")
-    assert rc == 0
-    report = json.loads(out)
-    suite_ms = report["suite_wall_time_ms"]
-    assert list(suite_ms) == list(cli.SUITE_NAMES)
-    assert all(isinstance(ms, int) and ms >= 0 for ms in suite_ms.values())
-    assert sum(suite_ms.values()) <= report["wall_time_ms"]
-    # each check's time lies within its suite's, and a sum of truncated
-    # times is at most the truncated sum
-    check_ms = collections.Counter()
-    for check in report["checks"]:
-        ms = check["wall_time_ms"]
-        assert isinstance(ms, int) and ms >= 0
-        check_ms[check["id"].split("/")[0]] += ms
-    assert all(check_ms[name] <= ms for name, ms in suite_ms.items())
+def test_verify_suite_timings(capsys, monkeypatch):
+    # with the full mask the suites may run in several processes at once,
+    # so each suite's time lies within the total; on one CPU they run one
+    # after another, so their sum does too
+    for one_cpu in (False, True):
+        if one_cpu:
+            one_cpu_mask(monkeypatch)
+        rc, out, _ = run_cli(capsys, "verify", "all", "--timings")
+        assert rc == 0
+        report = json.loads(out)
+        suite_ms = report["suite_wall_time_ms"]
+        assert list(suite_ms) == list(cli.SUITE_NAMES)
+        assert all(isinstance(ms, int) and ms >= 0
+                   for ms in suite_ms.values())
+        assert max(suite_ms.values()) <= report["wall_time_ms"]
+        if one_cpu:
+            assert sum(suite_ms.values()) <= report["wall_time_ms"]
+        # each check's time lies within its suite's, and a sum of truncated
+        # times is at most the truncated sum
+        check_ms = collections.Counter()
+        for check in report["checks"]:
+            ms = check["wall_time_ms"]
+            assert isinstance(ms, int) and ms >= 0
+            check_ms[check["id"].split("/")[0]] += ms
+        assert all(check_ms[name] <= ms for name, ms in suite_ms.items())
     rc, out, _ = run_cli(capsys, "verify", "hecke")
     report = json.loads(out)
     assert "suite_wall_time_ms" not in report
@@ -1665,7 +1689,7 @@ def test_analyze_survives_a_failing_fork(tmp_path, capsys, monkeypatch,
 def test_analyze_logs_its_process_count(tmp_path):
     # only the parent logs, once; unset, the log adds nothing to stderr
     path, n = sharded_batch(tmp_path)
-    k = min(len(os.sched_getaffinity(0)), n // analyze._MIN_SHARD)
+    k = min(reports._cpus(), n // analyze._MIN_SHARD)
     env = child_env()
     for log, want in (("info", "INFO icosahedral.cli: analyzing "
                                f"{n} record(s) in {k} process(es)\n"),
@@ -1676,6 +1700,165 @@ def test_analyze_logs_its_process_count(tmp_path):
         proc = cli_process("analyze", "--file", str(path), "--json", env=env)
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0 and err.decode() == want
+
+
+@pytest.mark.parametrize("text, want", [
+    (None, 8), ("max 100000\n", 8), ("150000 100000\n", 2),
+    ("50000 100000\n", 1), ("800000 100000\n", 8), ("900000 100000\n", 8),
+    ("0 100000\n", 1), ("100000 0\n", 8), ("junk\n", 8), ("", 8)])
+def test_cpus_honours_a_cpu_quota(tmp_path, monkeypatch, text, want):
+    # the affinity mask, capped by ceil(quota/period) where the cgroup v2
+    # file names a quota; a missing file, "max" or junk leave the mask
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    cpu_max = tmp_path / "cpu.max"
+    if text is not None:
+        cpu_max.write_text(text)
+    assert reports._cpus(str(cpu_max)) == want
+
+
+def verify_all_runs(tmp_path, env=None):
+    """(rc, stdout, stderr) of verify all with the full mask, pinned to one
+    CPU and with SIGCHLD ignored, and the --out bytes of a full-mask run."""
+    argv = [sys.executable, "-m", "icosahedral.cli", "verify", "all"]
+    runs = [subprocess.run(argv, capture_output=True, env=env or child_env(),
+                           preexec_fn=preexec, timeout=120)
+            for preexec in (None, on_one_cpu, sigchld_ignored)]
+    out = tmp_path / "report.json"
+    subprocess.run(argv + ["--out", str(out)], capture_output=True,
+                   check=True, env=env or child_env(), timeout=120)
+    return [(r.returncode, r.stdout, r.stderr) for r in runs], out.read_bytes()
+
+
+@two_cpus
+def test_verify_all_deals_the_same_bytes(tmp_path):
+    # the suites dealt to one process per CPU, or all run in one: the same
+    # exit code, stdout, stderr and --out bytes, those of the golden report
+    (full, *others), out = verify_all_runs(tmp_path)
+    assert full == (0, GOLDEN_VERIFY_ALL.read_bytes(), b"")
+    assert all(other == full for other in others)
+    assert out == full[1]
+
+
+@two_cpus
+def test_verify_all_logs_each_event_once(tmp_path):
+    # 6 suite and 27 check events, each once; a suite's own events in
+    # report order, while suites in different processes may interleave;
+    # the same lines as the one-process run, which logs in report order
+    env = child_env()
+    env["ICOSAHEDRAL_LOG"] = "INFO"
+    (full, one, _), _ = verify_all_runs(tmp_path, env)
+    assert full[:2] == one[:2] == (0, GOLDEN_VERIFY_ALL.read_bytes())
+    prefix = "INFO icosahedral.cli: "
+    by_suite = collections.defaultdict(list)
+    for check in json.loads(one[1])["checks"]:
+        by_suite[check["id"].split("/")[0]].append(
+            f"{prefix}check {check['id']} {check['status']}")
+    want = [line for name in cli.SUITE_NAMES
+            for line in [f"{prefix}running suite {name}", *by_suite[name]]]
+    assert len(want) == 6 + 27
+    assert one[2].decode().splitlines() == want
+    lines = full[2].decode().splitlines()
+    assert sorted(lines) == sorted(want)
+    for name in cli.SUITE_NAMES:
+        ours = [f"{prefix}running suite {name}", *by_suite[name]]
+        assert [line for line in lines if line in ours] == ours
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd to count open files")
+@pytest.mark.parametrize("name, fails_at", [("fork", 1), ("fork", 2),
+                                             ("pipe", 1), ("pipe", 2),
+                                             ("pipe", 3)])
+def test_verify_all_survives_a_failing_fork(tmp_path, capsys, monkeypatch,
+                                            name, fails_at):
+    # three processes for six suites: one pipe of suite indices, then a
+    # pipe and a fork per worker; os.fork (EAGAIN) or os.pipe (EMFILE)
+    # fails at the given call, after any earlier call has forked a real
+    # worker: every suite still runs, with the one-CPU run's bytes on
+    # stdout and in --out, and no pipe left open
+    out = tmp_path / "report.json"
+    with monkeypatch.context() as one_cpu:
+        one_cpu_mask(one_cpu)
+        rc, one_process, one_err = run_cli(capsys, "verify", "all")
+    assert rc == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    real, calls = getattr(os, name), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) % fails_at == 0:  # the same call of each run
+            code = errno.EAGAIN if name == "fork" else errno.EMFILE
+            raise OSError(code, os.strerror(code))
+        return real(*args)
+
+    monkeypatch.setattr(os, name, failing)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert run_cli(capsys, "verify", "all") == (0, one_process, one_err)
+    assert run_cli(capsys, "verify", "all", "--out", str(out)) == (0, "", "")
+    assert out.read_text() == one_process
+    assert len(calls) == 2 * fails_at
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN],
+                         ids=["SIG_DFL", "SIG_IGN"])
+def test_verify_failed_worker_raises(tmp_path, capsys, monkeypatch, sigchld):
+    # a suite that raises in a worker makes this process raise, with the
+    # worker's traceback in the message, write no report and leave no child;
+    # this process's first suite waits, so that the worker takes one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    here, run_suite, waited = os.getpid(), suites._run_suite, []
+
+    def failing(name, build, timings):
+        if os.getpid() != here:
+            raise ZeroDivisionError(f"a fault in the worker's {name}")
+        if not waited:
+            waited.append(time.sleep(0.5))
+        return run_suite(name, build, timings)
+
+    monkeypatch.setattr(suites, "_run_suite", failing)
+    out = tmp_path / "report.json"
+    previous = signal.signal(signal.SIGCHLD, sigchld)
+    try:
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="(?s)verify worker process "
+                           "failed:.*ZeroDivisionError: a fault in the "
+                           "worker's "):
+            cli.main(["verify", "all", "--out", str(out)])
+        assert time.monotonic() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
+def test_verify_all_mutations_reach_the_workers(capsys, monkeypatch):
+    # a proof patched before the fork is the one each worker runs: one
+    # mutant per suite, so that whichever process runs a suite, it fails
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    mutants = {
+        "icosa/fundamental-identity": (
+            icosa, "fundamental_identity_mismatch", 3),
+        "klein-link/random-samples": (
+            qcurve, "klein_link_family_mismatch", ("resultant", 1)),
+        "qcurve/j-equation-family": (
+            qcurve, "j_equation_family_mismatch", 2),
+        "repn/relations": (repn, "relations_mismatch", "S^5"),
+        "hecke/sigma-identity": (hecke, "sigma_identity_mismatch", (1, 0)),
+        "localfield/artin-schreier": (
+            localfield, "artin_schreier_mismatch", ("q_t", 1, 1)),
+    }
+    for module, attr, mismatch in mutants.values():
+        monkeypatch.setattr(module, attr, lambda mismatch=mismatch: mismatch)
+    rc, out, _ = run_cli(capsys, "verify", "all")
+    assert rc == 1
+    report = json.loads(out)
+    assert [c["id"] for c in report["checks"]] == [
+        c["id"] for c in json.loads(
+            GOLDEN_VERIFY_ALL.read_text())["checks"]]
+    assert {c["id"] for c in report["checks"]
+            if c["status"] == "fail"} == set(mutants)
 
 
 # the modules a CLI run adds to an interpreter started without site, one a
@@ -1700,13 +1883,16 @@ _NOT_FOR_HELP = {"json", "logging", "fractions", "decimal", "dataclasses",
                  "inspect"}
 
 
-def loaded_modules(argv, log=None):
+def loaded_modules(argv, log=None, preexec_fn=None):
+    """The modules a CLI run adds in its own process, started with
+    preexec_fn."""
     env = child_env()
     env.pop("ICOSAHEDRAL_LOG", None)
     if log is not None:
         env["ICOSAHEDRAL_LOG"] = log
     done = subprocess.run([sys.executable, "-S", "-c", _LOADED, *argv],
-                          capture_output=True, check=True, env=env)
+                          capture_output=True, check=True, env=env,
+                          preexec_fn=preexec_fn)
     return done.stdout.decode().split()
 
 
@@ -1729,13 +1915,18 @@ def loaded_modules(argv, log=None):
 def test_subcommand_loads_only_its_modules(argv, extra, absent):
     # each subcommand imports only what it runs, in a fresh interpreter: a
     # module-level import in cli would add its module to every set, and
-    # logging is imported only when ICOSAHEDRAL_LOG is set
-    loaded = loaded_modules(argv)
+    # logging is imported only when ICOSAHEDRAL_LOG is set; on one CPU,
+    # verify all runs every suite in the CLI process
+    pinned = on_one_cpu if hasattr(os, "sched_setaffinity") else None
+    loaded = loaded_modules(argv, preexec_fn=pinned)
     assert [m for m in loaded if m.split(".")[0] == "icosahedral"] == \
         sorted(_START + [f"icosahedral.{m}" for m in extra])
     assert not (absent | {"logging"}) & set(loaded)
     if argv == ["verify", "hecke"]:
         assert "logging" in loaded_modules(argv, log="INFO")
+    if argv == ["verify", "all"]:
+        # with the full mask the CLI process loads what its suites need
+        assert set(loaded_modules(argv)) <= set(loaded)
 
 
 def test_reports_byte_stable_across_processes():
