@@ -18,15 +18,12 @@ j-roots of each record of the block, then one gcd against the primorial of
 _square_part for all of the block's radicands (_block_divisor), then each
 record rendered and written before the next is rendered.
 
-A batch is split into contiguous shards of at least _MIN_SHARD records,
-at most one per process that reports._cpus allows (the CPUs of the
-affinity mask, capped by a cgroup v2 CPU quota).  Shard 0 is analyzed
-here, each record written as its block is rendered; each other shard in a
-child of reports._forked, whose text and checks are written here in shard
-order: the same bytes at any k.  A child that fails sends its traceback,
-which the RuntimeError raised here carries.  Where os.pipe or os.fork
-fails, the shards not yet forked are analyzed here, after those that were:
-the same bytes again.
+A batch of at least 2 * _MIN_SHARD records is split into k contiguous
+shards of at least _MIN_SHARD records, k at most the processes that
+dealer._cpus allows, and dealt by dealer._deal; their texts and checks are
+written in shard order, the same bytes at any k.  A smaller batch, or k =
+1, is analyzed here alone, each record written as its block is rendered,
+and imports no dealer.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import localfield, quintic
-from .reports import (_check, _cpus, _forked, _log_info, _next_result, _output,
-                      _quintic_str, _ratio, _report)
+from .reports import (_check, _log_info, _output, _quintic_str, _ratio,
+                      _report)
 
 _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
 
@@ -389,26 +386,28 @@ def cmd_analyze(args) -> int:
         records.append({"A": args.a if args.a is not None else (0, 1),
                         "B": args.b, "C": args.c})
     n = len(records)
-    k = min(_cpus(), max(1, n // _MIN_SHARD))
-    shards = [(n * i // k, records[n * i // k:n * (i + 1) // k])
-              for i in range(k)]
+    log = functools.partial(
+        _log_info, "analyzing %d record(s) in %d process(es)", n)
     # every record parsed, so no bad line can follow output
-    with _forked(functools.partial(_shard, *shard)
-                 for shard in shards[1:]) as children:
-        unforked = shards[1 + len(children):]
-        _log_info("analyzing %d record(s) in %d process(es)", n,
-                  1 + len(children))
-        with _output(args.out) as fh:
-            checks = _analyze_records(*shards[0], fh.write)
-            while children:
-                text, more = _next_result(children, "an analyze shard")
-                fh.write(text)
-                checks += more
-            for shard in unforked:
-                checks += _analyze_records(*shard, fh.write)
-            if args.json:
-                fh.write(_COMPACT_JSON.encode(
-                    _report("analyze", checks, args, None)) + "\n")
+    shards = []
+    if n >= 2 * _MIN_SHARD:
+        from .dealer import _MAX_WORKS, _cpus, _deal
+        k = min(_cpus(), n // _MIN_SHARD, _MAX_WORKS)
+        if k > 1:
+            bounds = [n * i // k for i in range(k + 1)]
+            shards = _deal([functools.partial(_shard, a, records[a:b])
+                            for a, b in zip(bounds, bounds[1:])],
+                           "an analyze shard", log)
+    if not shards:
+        log(1)
+    with _output(args.out) as fh:
+        checks = [] if shards else _analyze_records(0, records, fh.write)
+        for text, more in shards:
+            fh.write(text)
+            checks += more
+        if args.json:
+            fh.write(_COMPACT_JSON.encode(
+                _report("analyze", checks, args, None)) + "\n")
     if not args.json:
         bad = sum(c["status"] != "pass" for c in checks)
         print(f"{n} record(s), {n - bad} ok, {bad} with errors",

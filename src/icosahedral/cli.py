@@ -4,20 +4,21 @@ Three subcommands:
 
 * ``analyze``: compute invariants, j-candidates, the scaling parameter t and
   the square-unit hypothesis for quintics given inline or as a JSON-lines
-  file, a large batch in one forked process per CPU.  One compact JSON
-  object per quintic is written to stdout, in input order; ``--json`` adds
-  a report.
-* ``verify``: run a named verification suite (or ``all``, its suites
-  dealt to one forked process per CPU) and emit a JSON report with
-  per-check status.
+  file, a large batch dealt to up to one process per CPU.  One compact
+  JSON object per quintic is written to stdout, in input order; ``--json``
+  adds a report.
+* ``verify``: run a named verification suite (or ``all``, its suites dealt
+  to up to one process per CPU) and emit a JSON report with per-check
+  status.
 * ``table``: recompute the scaling parameters of the five principal quintics
   with fields unramified outside 2, 5 and infinity and compare them with the
   listed values.
 
 This module imports only argparse, re and sys; _main imports the module of
 the subcommand it runs, ``analyze`` or ``suites`` (both use ``reports``),
-which import json, fractions, time and the domain modules they run;
-logging is imported only when ICOSAHEDRAL_LOG is set.  No module imports
+which import json, fractions, time and the domain modules they run, and
+``dealer``, the one code that forks, only where work is dealt; logging is
+imported only when ICOSAHEDRAL_LOG is set.  No module imports
 from this one, which ``python -m icosahedral.cli`` runs as ``__main__``: a
 second copy would hold a second class of each name.
 

@@ -1,23 +1,12 @@
 """What the subcommand modules ``analyze`` and ``suites`` share: check and
 report objects, the output they go to, the rendering of rationals and
-quintics, the progress log, and the one way either runs work in other
-processes.
-
-_cpus is the number of processes worth running: the CPUs of the affinity
-mask, capped by a cgroup v2 CPU quota.  _forked forks one child per
-callable, as many as os.pipe and os.fork give (where either fails, with
-EAGAIN at a process limit or EMFILE, the caller runs the rest itself); each
-child marshals the callable's result, or its traceback, down its own pipe
-and leaves by os._exit.  _next_result reads a child's pipe to EOF before it
-reaps it (so no payload can block both) and raises RuntimeError with the
-child's traceback where it failed; a child not yet reaped when _forked's
-block ends is killed and reaped.
+quintics, and the progress log.  The work either deals to other processes
+goes through ``dealer``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import marshal
 import os
 import sys
 
@@ -116,93 +105,3 @@ def _log_info(msg: str, *args) -> None:
                         stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger("icosahedral.cli").info(msg, *args)
-
-
-# cgroup v2's CPU quota of the process's cgroup, "<quota> <period>" in
-# microseconds or "max <period>" for none
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-
-
-def _cpus(cpu_max: str = _CPU_MAX) -> int:
-    """The processes worth running: the CPUs of the affinity mask, at most
-    ceil(quota/period) of the CPU quota in the file cpu_max where it names
-    one; 1 where os has no fork or affinity mask.  The file is only read."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    n = len(os.sched_getaffinity(0))
-    try:
-        with open(cpu_max, encoding="ascii") as fh:
-            quota, period = fh.read().split()
-        n = min(n, -(-int(quota) // int(period)))
-    except (OSError, ValueError, ArithmeticError):  # no file, "max", junk
-        pass
-    return max(1, n)
-
-
-def _fork(work) -> tuple:
-    """(pid, pipe) of a child that marshals (True, work()), or (False, its
-    traceback), down the pipe, then leaves by os._exit."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, open(r, "rb")
-    try:
-        os.close(r)
-        try:
-            result = True, work()
-        except BaseException:
-            import traceback
-            result = False, traceback.format_exc()
-        with open(w, "wb") as pipe:
-            pipe.write(marshal.dumps(result))
-    finally:
-        os._exit(0)  # never back into the caller's code
-
-
-@contextlib.contextmanager
-def _forked(works):
-    """[(pid, pipe)] of one _fork child per callable of works, in order,
-    until os.pipe or os.fork fails; the callables not forked are the
-    caller's to run.  Each child left in the list on exit is killed and
-    reaped."""
-    children = []
-    try:
-        with contextlib.suppress(OSError):  # no process or pipe to be had
-            for work in works:
-                children.append(_fork(work))
-        yield children
-    finally:
-        for pid, pipe in children:  # not yet reaped: killed and reaped
-            import signal  # not imported by a run that needs no kill
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _next_result(children, what: str):
-    """The result of the child children[0], whose pipe is read to EOF
-    before it is reaped and dropped; RuntimeError, naming what the child
-    was, where it failed."""
-    pid, pipe = children[0]
-    try:
-        with pipe:
-            data = pipe.read()
-        with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored
-            os.waitpid(pid, 0)
-    except OSError as exc:  # the child's fault, not the output's
-        raise RuntimeError(f"{what} process failed: {exc}")
-    del children[0]
-    try:
-        ok, result = marshal.loads(data)
-    except (EOFError, ValueError, TypeError):
-        ok, result = False, "it sent no result"
-    if not ok:
-        raise RuntimeError(f"{what} process failed:\n{result}")
-    return result

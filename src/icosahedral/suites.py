@@ -8,27 +8,22 @@ _suite_<name> imports its domain module only when called.  One runner,
 _run, serves ``verify`` and ``table``: it runs each proof once and emits
 the report, its checks in suite order.
 
-``verify all`` deals its six suites to up to one process per CPU
-(reports._cpus), through the fork helper that ``analyze`` uses too: the
-suite indices go down one pipe, and this process and each forked worker
-take the next until it is empty, then the workers send their checks here.
-The report is the same bytes at any process count; under --timings the
-suite times may sum to more than the total, and log events keep their
-order within a suite but may interleave across suites.  A single suite,
-and ``table``, never fork."""
+``verify all`` deals its six suites to up to one process per CPU through
+dealer._deal, which ``analyze`` uses too.  The report is the same bytes at
+any process count; under --timings the suite times may sum to more than
+the total, and log events keep their order within a suite but may
+interleave across suites.  A single suite, and ``table``, never import
+the dealer."""
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import gc
 import json
-import os
 import time
 from fractions import Fraction
 
-from .reports import (_check, _cpus, _emit, _forked, _log_info, _next_result,
-                      _quintic_str, _ratio, _report)
+from .reports import (_check, _emit, _log_info, _quintic_str, _ratio,
+                      _report)
 
 KLEIN_FIXED_J = (Fraction(2), Fraction(-25, 3), Fraction(5, 7), Fraction(64),
                  Fraction(-1), Fraction(1000))
@@ -368,68 +363,33 @@ def _run_suite(name, build, timings) -> tuple:
     return checks, _ms(started)
 
 
-def _deal(r, builders, timings) -> dict:
-    """{name: (checks, ms)} of the suites of builders whose indices this
-    process takes from the pipe r, one byte at a time, until it is empty."""
-    names = tuple(builders)
-    done = {}
-    while index := os.read(r, 1):
-        name = names[index[0]]
-        done[name] = _run_suite(name, builders[name], timings)
-    return done
+def _run(suite, builders, args) -> int:
+    """Run each proof of the suites in builders once, emit the report of
+    suite, its checks in the order of builders, and return its exit code;
+    --timings adds each check's wall_time_ms, and for verify each suite's
+    in suite_wall_time_ms.
 
-
-def _run_all(builders, timings) -> dict:
-    """{name: (checks, ms)} of every suite of builders.
-
-    More than one suite is dealt to this process and k - 1 forked workers,
-    for k = min(_cpus(), number of suites): the suite indices go down one
-    pipe, and each process takes the next until the pipe is empty, so no
-    table of suite costs is needed.  Where os.pipe fails, every suite runs
-    here; where a fork fails, this process takes the indices that worker
-    would have.  Whole suites are dealt, as the checks of a suite share
+    More than one suite is dealt to up to one process per CPU
+    (dealer._deal).  Whole suites are dealt, as the checks of a suite share
     lazily built state (icosa's resolvent forms, repn's lift table).
     """
-    k = min(_cpus(), len(builders)) if len(builders) > 1 else 1
-    r = None
-    if k > 1:
-        with contextlib.suppress(OSError):  # no pipe to be had
-            r, w = os.pipe()
-    if r is None:
-        return {name: _run_suite(name, build, timings)
-                for name, build in builders.items()}
-    # compiled once, here, rather than in each process: the kernel modules
-    # of four of the six suites.  Then every object built so far is left
-    # out of the collections that follow, here and in each worker (the gc
-    # module's advice before a fork), the one at interpreter exit included
-    from . import exact, quintic
-    gc.freeze()
-    try:
-        with open(w, "wb") as indices:
-            indices.write(bytes(range(len(builders))))
-        deal = functools.partial(_deal, r, builders, timings)
-        with _forked([deal] * (k - 1)) as children:
-            done = deal()
-            while children:
-                done.update(_next_result(children, "a verify worker"))
-        return done
-    finally:
-        os.close(r)
-
-
-def _run(suite, builders, args) -> int:
-    """Run each proof of the suites in builders once (see _run_all), emit
-    the report of suite, its checks in the order of builders, and return
-    its exit code; --timings adds each check's wall_time_ms, and for verify
-    each suite's in suite_wall_time_ms."""
     started = time.monotonic()
-    done = _run_all(builders, args.timings)
-    checks = [check for name in builders for check in done[name][0]]
+    runs = [functools.partial(_run_suite, name, build, args.timings)
+            for name, build in builders.items()]
+    if len(runs) > 1:
+        # compiled once, here, rather than in each process: the kernel
+        # modules of four of the six suites
+        from . import exact, quintic
+        from .dealer import _deal
+        results = _deal(runs, "a verify worker")
+    else:
+        results = [run() for run in runs]
+    checks = [check for suite_checks, _ in results for check in suite_checks]
     report = _report(suite, checks, args,
                      _ms(started) if args.timings else None)
     if args.timings and suite != "table":
-        report["suite_wall_time_ms"] = {name: done[name][1]
-                                        for name in builders}
+        report["suite_wall_time_ms"] = {name: ms for name, (_, ms)
+                                        in zip(builders, results)}
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if report["status"] == "pass" else 1
 

@@ -24,7 +24,7 @@ from sympy import factorint
 
 import icosahedral
 from icosahedral import (
-    analyze, cli, hecke, icosa, localfield, qcurve, quintic, reports, repn,
+    analyze, cli, dealer, hecke, icosa, localfield, qcurve, quintic, repn,
     suites)
 from icosahedral.exact import Poly
 
@@ -1620,76 +1620,10 @@ def test_analyze_leaves_no_process(tmp_path, end, sigchld):
 
 
 @two_cpus
-@pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN],
-                         ids=["SIG_DFL", "SIG_IGN"])
-def test_analyze_failed_shard_raises(tmp_path, capsys, monkeypatch, sigchld):
-    # a shard process that fails makes the parent raise at once, with the
-    # child's exception in the message and every child reaped
-    path, _ = sharded_batch(tmp_path)
-    with path.open("a") as fh:
-        fh.write('{"B": "4", "C": "16/5", "label": "fails"}\n')
-    analyze_one = analyze._analyze_one
-
-    def failing(rec, *numbers):
-        if rec.get("label") == "fails":
-            raise ZeroDivisionError("a fault in the last shard")
-        return analyze_one(rec, *numbers)
-
-    monkeypatch.setattr(analyze, "_analyze_one", failing)
-    previous = signal.signal(signal.SIGCHLD, sigchld)
-    try:
-        started = time.monotonic()
-        with pytest.raises(RuntimeError, match="(?s)shard process failed:"
-                           ".*ZeroDivisionError: a fault in the last shard"):
-            cli.main(["analyze", "--file", str(path), "--json"])
-        assert time.monotonic() - started < 30
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
-                    reason="no /proc/self/fd to count open files")
-@pytest.mark.parametrize("name, fails_at", [("fork", 1), ("fork", 2),
-                                             ("pipe", 2)])
-def test_analyze_survives_a_failing_fork(tmp_path, capsys, monkeypatch,
-                                         name, fails_at):
-    # three shards of the golden input; os.fork (EAGAIN, a process limit)
-    # or os.pipe (EMFILE) fails at the given call, after any earlier call
-    # has forked a real shard: the shards not forked run in this process,
-    # with the one-shard run's bytes on stdout and in --out, and no pipe
-    # left open
-    out = tmp_path / "out.jsonl"
-    argv = ["analyze", "--file", str(GOLDEN_ANALYZE_INPUT), "--json"]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    rc, one_shard, one_err = run_cli(capsys, *argv)
-    assert rc == 0
-    monkeypatch.setattr(analyze, "_MIN_SHARD", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    real, calls = getattr(os, name), []
-
-    def failing(*args):
-        calls.append(args)
-        if len(calls) % fails_at == 0:  # the same call of each run
-            code = errno.EAGAIN if name == "fork" else errno.EMFILE
-            raise OSError(code, os.strerror(code))
-        return real(*args)
-
-    monkeypatch.setattr(os, name, failing)
-    fds = len(os.listdir("/proc/self/fd"))
-    assert run_cli(capsys, *argv) == (0, one_shard, one_err)
-    assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
-    assert out.read_text() == one_shard
-    assert len(calls) == 2 * fails_at
-    assert len(os.listdir("/proc/self/fd")) == fds
-
-
-@two_cpus
 def test_analyze_logs_its_process_count(tmp_path):
     # only the parent logs, once; unset, the log adds nothing to stderr
     path, n = sharded_batch(tmp_path)
-    k = min(reports._cpus(), n // analyze._MIN_SHARD)
+    k = min(dealer._cpus(), n // analyze._MIN_SHARD)
     env = child_env()
     for log, want in (("info", "INFO icosahedral.cli: analyzing "
                                f"{n} record(s) in {k} process(es)\n"),
@@ -1713,7 +1647,7 @@ def test_cpus_honours_a_cpu_quota(tmp_path, monkeypatch, text, want):
     cpu_max = tmp_path / "cpu.max"
     if text is not None:
         cpu_max.write_text(text)
-    assert reports._cpus(str(cpu_max)) == want
+    assert dealer._cpus(str(cpu_max)) == want
 
 
 def verify_all_runs(tmp_path, env=None):
@@ -1764,23 +1698,32 @@ def test_verify_all_logs_each_event_once(tmp_path):
         assert [line for line in lines if line in ours] == ours
 
 
+# the argv of each subcommand that deals its work to forked processes; the
+# golden input is dealt as one shard per process once _MIN_SHARD is 1
+DEALT = {"analyze": ["analyze", "--file", str(GOLDEN_ANALYZE_INPUT), "--json"],
+         "verify-all": ["verify", "all"]}
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="no /proc/self/fd to count open files")
 @pytest.mark.parametrize("name, fails_at", [("fork", 1), ("fork", 2),
                                              ("pipe", 1), ("pipe", 2),
                                              ("pipe", 3)])
-def test_verify_all_survives_a_failing_fork(tmp_path, capsys, monkeypatch,
-                                            name, fails_at):
-    # three processes for six suites: one pipe of suite indices, then a
-    # pipe and a fork per worker; os.fork (EAGAIN) or os.pipe (EMFILE)
-    # fails at the given call, after any earlier call has forked a real
-    # worker: every suite still runs, with the one-CPU run's bytes on
-    # stdout and in --out, and no pipe left open
-    out = tmp_path / "report.json"
+@pytest.mark.parametrize("subcommand", list(DEALT))
+def test_dealt_run_survives_a_failing_fork(tmp_path, capsys, monkeypatch,
+                                           subcommand, name, fails_at):
+    # three processes: one pipe of indices, then a pipe and a fork per
+    # worker; os.fork (EAGAIN, a process limit) or os.pipe (EMFILE) fails
+    # at the given call, after any earlier call has forked a real worker:
+    # every work still runs, with the one-CPU run's bytes on stdout and in
+    # --out, and no pipe left open
+    argv = DEALT[subcommand]
+    out = tmp_path / "out"
     with monkeypatch.context() as one_cpu:
         one_cpu_mask(one_cpu)
-        rc, one_process, one_err = run_cli(capsys, "verify", "all")
+        rc, one_process, one_err = run_cli(capsys, *argv)
     assert rc == 0
+    monkeypatch.setattr(analyze, "_MIN_SHARD", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     real, calls = getattr(os, name), []
 
@@ -1793,8 +1736,8 @@ def test_verify_all_survives_a_failing_fork(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(os, name, failing)
     fds = len(os.listdir("/proc/self/fd"))
-    assert run_cli(capsys, "verify", "all") == (0, one_process, one_err)
-    assert run_cli(capsys, "verify", "all", "--out", str(out)) == (0, "", "")
+    assert run_cli(capsys, *argv) == (0, one_process, one_err)
+    assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
     assert out.read_text() == one_process
     assert len(calls) == 2 * fails_at
     assert len(os.listdir("/proc/self/fd")) == fds
@@ -1802,35 +1745,74 @@ def test_verify_all_survives_a_failing_fork(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN],
                          ids=["SIG_DFL", "SIG_IGN"])
-def test_verify_failed_worker_raises(tmp_path, capsys, monkeypatch, sigchld):
-    # a suite that raises in a worker makes this process raise, with the
-    # worker's traceback in the message, write no report and leave no child;
-    # this process's first suite waits, so that the worker takes one
+@pytest.mark.parametrize("subcommand", list(DEALT))
+def test_failed_worker_raises(tmp_path, capsys, monkeypatch, subcommand,
+                              sigchld):
+    # a work that raises in a worker (an analyze shard, a verify suite)
+    # makes this process raise, with the worker's traceback in the message,
+    # write no output and leave no child; this process's first work waits,
+    # so that the worker takes one
+    monkeypatch.setattr(analyze, "_MIN_SHARD", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    here, run_suite, waited = os.getpid(), suites._run_suite, []
+    module, attr, what = {
+        "analyze": (analyze, "_shard", "an analyze shard"),
+        "verify-all": (suites, "_run_suite", "a verify worker"),
+    }[subcommand]
+    here, work, waited = os.getpid(), getattr(module, attr), []
 
-    def failing(name, build, timings):
+    def failing(*args):
         if os.getpid() != here:
-            raise ZeroDivisionError(f"a fault in the worker's {name}")
+            raise ZeroDivisionError("a fault in a worker")
         if not waited:
             waited.append(time.sleep(0.5))
-        return run_suite(name, build, timings)
+        return work(*args)
 
-    monkeypatch.setattr(suites, "_run_suite", failing)
-    out = tmp_path / "report.json"
+    monkeypatch.setattr(module, attr, failing)
+    out = tmp_path / "out"
     previous = signal.signal(signal.SIGCHLD, sigchld)
     try:
         started = time.monotonic()
-        with pytest.raises(RuntimeError, match="(?s)verify worker process "
-                           "failed:.*ZeroDivisionError: a fault in the "
-                           "worker's "):
-            cli.main(["verify", "all", "--out", str(out)])
+        with pytest.raises(RuntimeError, match=f"(?s){what} process failed:"
+                           ".*ZeroDivisionError: a fault in a worker"):
+            cli.main([*DEALT[subcommand], "--out", str(out)])
         assert time.monotonic() - started < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert not out.exists() and capsys.readouterr().out == ""
+
+
+def test_deal_indexes_more_works_than_a_byte_can(monkeypatch):
+    # 300 works on a 300-CPU mask: their indices fit the pipe, no fork is to
+    # be had (EAGAIN), and this process takes every work, in order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(300)))
+    forks = []
+
+    def no_fork():
+        forks.append(None)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    works = [lambda i=i: i for i in range(300)]
+    assert dealer._deal(works, "a test work") == list(range(300))
+    assert len(forks) == 1
+
+
+def test_deal_returns_results_in_order(monkeypatch):
+    # five works on a 2-CPU mask, each long enough that both processes take
+    # some: the results come back in the order of the works
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def work(i):
+        time.sleep(0.1)
+        return i, os.getpid()
+
+    results = dealer._deal([lambda i=i: work(i) for i in range(5)],
+                           "a test work")
+    assert [i for i, _ in results] == list(range(5))
+    assert os.getpid() in {pid for _, pid in results}
+    assert len({pid for _, pid in results}) == 2
 
 
 def test_verify_all_mutations_reach_the_workers(capsys, monkeypatch):
@@ -1907,8 +1889,8 @@ def loaded_modules(argv, log=None, preexec_fn=None):
      {"dataclasses", "inspect"}),
     (["verify", "repn"], ["repn", "reports", "suites"],
      {"dataclasses", "inspect"}),
-    (["verify", "all"], ["exact", "hecke", "icosa", "localfield", "qcurve",
-                         "quintic", "repn", "reports", "suites"],
+    (["verify", "all"], ["dealer", "exact", "hecke", "icosa", "localfield",
+                         "qcurve", "quintic", "repn", "reports", "suites"],
      {"dataclasses", "inspect"}),
 ], ids=["help", "table", "analyze", "verify-hecke", "verify-repn",
         "verify-all"])
