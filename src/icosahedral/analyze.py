@@ -54,12 +54,6 @@ _INPUT_BOUND = 10 ** MAX_INPUT_DIGITS
 _TOO_LONG = f"more than {MAX_INPUT_DIGITS} digits in numerator or denominator"
 
 
-def _reduced(n: int, d: int) -> tuple:
-    """n/d in lowest terms, for d > 0."""
-    g = math.gcd(n, d)
-    return n // g, d // g
-
-
 class _TooLong(ValueError):
     """A numerator or denominator with more than MAX_INPUT_DIGITS digits."""
 
@@ -83,7 +77,7 @@ def _exact_rational(text: str) -> tuple:
     d = int(den) if den else 1
     if not d:
         raise ZeroDivisionError(f"zero denominator: {text!r}")
-    n, d = _reduced(-int(num) if sign == "-" else int(num), d)
+    n, d = quintic.reduced(-int(num) if sign == "-" else int(num), d)
     if abs(n) >= _INPUT_BOUND or d >= _INPUT_BOUND:
         raise _TooLong(_TOO_LONG)
     return n, d
@@ -181,9 +175,9 @@ def _conjugate_strings(a, b, radicand, scale) -> list:
     b nonzero.  b*scale is reduced once, for both.
     """
     an, ad = a
-    cn, cd = _reduced(b[0] * scale[0], b[1] * scale[1])
+    cn, cd = quintic.reduced(b[0] * scale[0], b[1] * scale[1])
     if radicand == 1:
-        return [_ratio(*_reduced(an * cd + sign * cn * ad, ad * cd))
+        return [_ratio(*quintic.reduced(an * cd + sign * cn * ad, ad * cd))
                 for sign in (1, -1)]
     base, coef = _ratio(an, ad), _ratio(abs(cn), cd)
     ops = ("-", "+") if cn < 0 else ("+", "-")

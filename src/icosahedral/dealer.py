@@ -18,15 +18,15 @@ _CPU_MAX = "/sys/fs/cgroup/cpu.max"
 _MAX_WORKS = 2048
 
 
-def _cpus(cpu_max: str = _CPU_MAX) -> int:
+def _cpus() -> int:
     """The processes worth running: the CPUs of the affinity mask, at most
-    ceil(quota/period) of the CPU quota in the file cpu_max where it names
+    ceil(quota/period) of the CPU quota in the file _CPU_MAX where it names
     one; 1 where os has no fork or affinity mask.  The file is only read."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     n = len(os.sched_getaffinity(0))
     try:
-        with open(cpu_max, encoding="ascii") as fh:
+        with open(_CPU_MAX, encoding="ascii") as fh:
             quota, period = fh.read().split()
         n = min(n, -(-int(quota) // int(period)))
     except (OSError, ValueError, ArithmeticError):  # no file, "max", junk

@@ -261,9 +261,7 @@ class Poly:
         return Poly(_kron_unpack(H, n * (max(len(a), len(b)) - 1) + 1, L),
                     self.den * (p.den * q.den) ** n)
 
-    def to_str(self, var="x"):
-        if self.is_zero():
-            return "0"
+    def __repr__(self):
         parts = []
         coeffs = self.coeffs
         for k in range(len(coeffs) - 1, -1, -1):
@@ -273,13 +271,10 @@ class Poly:
             if k == 0:
                 parts.append(f"{c}")
             elif k == 1:
-                parts.append(f"({c})*{var}")
+                parts.append(f"({c})*x")
             else:
-                parts.append(f"({c})*{var}^{k}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"Poly[{self.to_str()}]"
+                parts.append(f"({c})*x^{k}")
+        return f"Poly[{' + '.join(parts) or '0'}]"
 
 
 # -- resultants and divisibility ---------------------------------------------

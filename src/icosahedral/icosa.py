@@ -81,6 +81,8 @@ _QUARTIC = Poly.over_q([1, -2, -6, 2, 1])
 # the face form H of degree 20; the vertex form f is lambda's denominator
 _FACE = Poly.over_q([1, 0, 0, 0, 0, 228, 0, 0, 0, 0, 494,
                      0, 0, 0, 0, -228, 0, 0, 0, 0, 1])
+# w/n: the resolvents at (m, n) solve quintic.RESOLVENT_TABLE at (m, n/12)
+_W_PER_N = Fraction(1, 12)
 
 
 @lru_cache(maxsize=1)
@@ -113,18 +115,17 @@ def _j_from_lambda(lam):
     return (P + Q * 3) ** 3 * (P * P + P * Q * 11 + Q * Q * 64), Q ** 5
 
 
-def fundamental_identity_mismatch(lam=None):
+def fundamental_identity_mismatch():
     """Prove (lambda+3)^3 (lambda^2+11 lambda+64) = (mu^2+10 mu+5)^3 / mu.
 
     With lambda = P/Q, j = Jn/Q^5 and mu = M/N, the right side is
     (M^2+10MN+5N^2)^3 / (M N^5), so the identity of rational functions is
     the polynomial identity Jn M N^5 = (M^2+10MN+5N^2)^3 Q^5 in Q[z].
     Returns None, or the first k at which the coefficients of z^k of the
-    two sides differ.  lam defaults to the invariant (P, Q); it is a
-    parameter for mutation tests.
+    two sides differ.
     """
     inv = build_invariants()
-    Jn, Jd = _j_from_lambda(lam or inv.lam)
+    Jn, Jd = _j_from_lambda(inv.lam)
     M, N = inv.mu
     lhs = Jn * M * N ** 5
     rhs = (M * M + M * N * 10 + N * N * 5) ** 3 * Jd
@@ -162,13 +163,13 @@ def _is_klein_j(j, f, face):
     return j == (-(face ** 3), f ** 5)
 
 
-def invariance_mismatch(gen, inv=None):
+def invariance_mismatch(gen):
     """Prove j o gen = j over Q(zeta5), and for S also mu o S = mu and
     lambda o S != lambda; None, or the first part of the proof that fails.
 
-    gen is "S", "T", "U" or a matrix ((a, b), (c, d)) of z -> (az+b)/(cz+d)
-    whose entries p + q sqrt5 of Z[sqrt5] are integer pairs (p, q).  inv
-    defaults to build_invariants(); it is a parameter for mutation tests.
+    gen is "S", or a key of _GENERATORS, whose value is the matrix
+    ((a, b), (c, d)) of z -> (az+b)/(cz+d) with entries p + q sqrt5 of
+    Z[sqrt5] as integer pairs (p, q).
 
     S is read off the exponents mod 5 by _rotation_mismatch, whose
     failures it returns.  For a matrix g = ((a, b), (c, d)) over a field K
@@ -207,13 +208,13 @@ def invariance_mismatch(gen, inv=None):
     the squarefree F only when it is 0; f and H have no common zero, so
     one of them fails (ii).  A proof over K holds over Q(zeta5), where S lives.
     """
-    inv = inv or build_invariants()
+    inv = build_invariants()
     if gen == "S":
         return _rotation_mismatch(inv.lam, {"j": inv.j, "mu": inv.mu})
     f = inv.lam[1]
     if not _is_klein_j(inv.j, f, _FACE):
         return "identity", None
-    (a, b), (c, d) = _GENERATORS[gen] if isinstance(gen, str) else gen
+    (a, b), (c, d) = _GENERATORS[gen]
     consts = {}
     for name, F, n in (("f", f, 12), ("H", _FACE, 20)):
         for z in range(n + 1):
@@ -276,7 +277,7 @@ def _rotation_mismatch(lam, fixed):
     return None
 
 
-def resolvent_identity_mismatch(w_per_n=Fraction(1, 12), lam=None, j=None):
+def resolvent_identity_mismatch():
     """Prove that the resolvents are the roots of x^5 + A x^2 + B x + C.
 
     Each resolvent is x_nu(z) = x(lambda(zeta5^nu z)) for the one rational
@@ -284,7 +285,7 @@ def resolvent_identity_mismatch(w_per_n=Fraction(1, 12), lam=None, j=None):
     J(L) = (L+3)^3 (L^2+11L+64).  Three facts over Q prove the identity:
 
     (i) x(L) is a root of X^5 + A X^2 + B X + C, with (A, B, C) the terms
-        of quintic.RESOLVENT_TABLE at (m, w_per_n n, J(L)), for an
+        of quintic.RESOLVENT_TABLE at (m, n/12, J(L)), for an
         indeterminate L.  This is lambda dehomogenized: U, V, W at
         (P, Q) = (L, 1).  With D = 1728 - J and q the largest power of
         1/D in the table, the quintic at X = x cleared by W^5 J D^q is a
@@ -307,10 +308,9 @@ def resolvent_identity_mismatch(w_per_n=Fraction(1, 12), lam=None, j=None):
     ("quintic", i) for a nonzero coefficient of m^i n^(5-i) in (i), else
     ("j", e), ("lambda", e) or ("lambda", None) from _rotation_mismatch.
 
-    The coefficient functions take n/12, not n: the resolvents and
-    quintic.resolvent_coeffs normalize the second parameter differently,
-    and with w_per_n = 1 fact (i) fails.  w_per_n, lam and j default to
-    the true values and are parameters for mutation tests.
+    The coefficient functions take n/12 (_W_PER_N), not n: the resolvents
+    and quintic.resolvent_coeffs normalize the second parameter
+    differently, and with n in place of n/12 fact (i) fails.
     """
     inv = build_invariants()
     line = (Poly.over_q([0, 1]), Poly.one())
@@ -321,7 +321,7 @@ def resolvent_identity_mismatch(w_per_n=Fraction(1, 12), lam=None, j=None):
     q = max(p for _, terms in table.values() for _, p, _ in terms)
     # x^k W^5 = (m U + n V)^k W^(5-k), whose m^s n^(k-s) part has the
     # coefficient comb(k, s) U^s V^(k-s) W^(5-k); the X^k coefficient times
-    # J D^q is the sum of outer c w_per_n^(d-i) m^i n^(d-i) D^(q-p) over
+    # J D^q is the sum of outer c _W_PER_N^(d-i) m^i n^(d-i) D^(q-p) over
     # the table's terms (i, p, c), d = 5 - k
     forms = [U ** i * V ** (5 - i) * J * D ** q * comb(5, i)
              for i in range(6)]
@@ -331,8 +331,8 @@ def resolvent_identity_mismatch(w_per_n=Fraction(1, 12), lam=None, j=None):
             base = D ** (q - p) * W ** d
             for s in range(k + 1):
                 forms[i + s] += (base * U ** s * V ** (k - s)).scale(
-                    outer * c * w_per_n ** (d - i) * comb(k, s))
+                    outer * c * _W_PER_N ** (d - i) * comb(k, s))
     for i, form in enumerate(forms):
         if form:
             return "quintic", i
-    return _rotation_mismatch(lam or inv.lam, {"j": j or inv.j})
+    return _rotation_mismatch(inv.lam, {"j": inv.j})

@@ -88,7 +88,15 @@ def _first_difference(name, lhs, rhs):
                  for e, c in enumerate(diff.num) if c), None)
 
 
-def artin_schreier_mismatch(y4=None, w=Fraction(5, 4)):
+# y4 = 256u^4/(625(5u^4 - 9)) as the integer coefficients in u of its
+# numerator and denominator, and the w of q_t(x/(wy)) (wy)^5 = x^5 - x - y
+_Y4 = ((0, 0, 0, 0, 256), (-5625, 0, 0, 0, 3125))
+_W = Fraction(5, 4)
+# k = 9 - 5t^2 of family_squares_mismatch, as its coefficients in t
+_K = (9, 0, -5)
+
+
+def artin_schreier_mismatch():
     """Prove q_t(x/(wy)) * (wy)^5 = x^5 - x - y in Q(u)[y]/(y^4 - y4)[x].
 
     Here t = u^2, y4 = 256u^4/(625(5u^4 - 9)) and w = 5/4, so the family
@@ -101,29 +109,26 @@ def artin_schreier_mismatch(y4=None, w=Fraction(5, 4)):
     k = 9 - 5u^4 and y4 = n/d they are checked cleared of denominators, as
     k w^4 n = -u^4 d and 4k w^5 n = -5u^4 d in Q[u].  Returns None, or for
     the first that fails (identity, e, c), its sides' first difference c u^e.
-    y4, a (num, den) pair, and w are parameters for mutation tests.
     """
     from .exact import Poly
-    n, d = y4 or (Poly.over_q([0, 0, 0, 0, 256]),
-                  Poly.over_q([-5625, 0, 0, 0, 3125]))
+    n, d = map(Poly.over_q, _Y4)
     u4d = Poly.over_q([0, 0, 0, 0, 1]) * d
     kn = Poly.over_q([9, 0, 0, 0, -5]) * n
-    return (_first_difference("k w^4 n = -u^4 d", kn.scale(w ** 4), -u4d)
-            or _first_difference("4k w^5 n = -5u^4 d", kn.scale(4 * w ** 5),
+    return (_first_difference("k w^4 n = -u^4 d", kn.scale(_W ** 4), -u4d)
+            or _first_difference("4k w^5 n = -5u^4 d", kn.scale(4 * _W ** 5),
                                  -u4d.scale(5)))
 
 
-def family_squares_mismatch(k=None):
+def family_squares_mismatch():
     """Prove 256k^5 + 1280k^4 t^2 = (48k^2)^2 in Q[t], k = 9 - 5t^2.
 
     q_t has B = k/t^2 and C = 4k/(5t^2), so 256B^5 + 3125C^4 is
     (256k^5 + 1280k^4 t^2)/t^10 = (48k^2/t^5)^2 and
     trinomial_t(q_t) = 75C^2/(48k^2/|t|^5) = |t| for every rational t != 0.
     Returns None, or (identity, e, c), its sides' first difference c t^e.
-    k is a parameter for mutation tests.
     """
     from .exact import Poly
-    k = Poly.over_q([9, 0, -5]) if k is None else k
+    k = Poly.over_q(_K)
     k4 = k ** 4
     t2 = Poly.over_q([0, 0, 1])
     return _first_difference("256k^5 + 1280k^4 t^2 = (48k^2)^2",

@@ -109,6 +109,12 @@ def j_equation_at(q, j):
                  for i in (0, 1))
 
 
+# the n of phi^sigma o phi = [n], and the r-degree of both sides of each
+# identity (see isogeny_mismatch)
+_ISOGENY_MULT = -2
+_ISOGENY_R_DEGREE = {"codomain": 3, "x": 4, "y": 5}
+
+
 def _conjugate_r(r):
     """r^sigma = 1 - r, since r + r^sigma = 1 for every t."""
     return 1 - r
@@ -119,14 +125,13 @@ def _phi_y_factor(r):
     return Poly.over_q([r, 0, -1])
 
 
-def _isogeny_identity(name, r, r_sigma=_conjugate_r, mult=-2,
-                      phi_y=_phi_y_factor):
+def _isogeny_identity(name, r):
     """Both sides of the named 2-isogeny identity at one r, cleared, in Q[x].
 
     E: y^2 = f(x) = x^3 + 2x^2 + rx, and phi(x, y) = (X, y g(x)/(c x^2))
-    with X = f/(-2x^2) (y^2 = f eliminated), g = phi_y(r) = r - x^2 and
-    c = (sqrt-2)^3, so c^2 = -8.  The conjugates f^sigma, g^sigma take
-    r_sigma(r) for r; sqrt-2 is fixed by sigma.  With X = N/D, N = -f,
+    with X = f/(-2x^2) (y^2 = f eliminated), g = _phi_y_factor(r) = r - x^2
+    and c = (sqrt-2)^3, so c^2 = -8.  The conjugates f^sigma, g^sigma take
+    _conjugate_r(r) for r; sqrt-2 is fixed by sigma.  With X = N/D, N = -f,
     D = 2x^2:
 
     * "codomain": Y^2 = X^3 + 2X^2 + r^sigma X, times D^3:
@@ -135,35 +140,31 @@ def _isogeny_identity(name, r, r_sigma=_conjugate_r, mult=-2,
       and x([2]P) = (x^4 - 2rx^2 + r^2)/(4x^3 + 8x^2 + 4rx) is the
       duplication formula (Silverman, AEC III.2.3(d)) with b2 = 8,
       b4 = 2r, b6 = 0, b8 = -r^2;
-    * "y": Y'/y = y([mult]P)/y for mult = +-2, where Y' = Y g^sigma(X)/(c X^2),
-      y([2]P)/y = f'(x)(x - x([2]P))/(2f) - 1 and y([-2]P) = -y([2]P).
+    * "y": Y'/y = y([n]P)/y for n = _ISOGENY_MULT = -2, where
+      Y' = Y g^sigma(X)/(c X^2), y([2]P)/y = f'(x)(x - x([2]P))/(2f) - 1
+      and y([-2]P) = -y([2]P).
 
-    The defaults are the paper's maps; the arguments exist for mutation
-    tests.  Returns (lhs, rhs).
+    Returns (lhs, rhs).
     """
-    rs = r_sigma(r)
+    rs = _conjugate_r(r)
     x = Poly.over_q([0, 1])
     x2 = x * x
     f = Poly.over_q([0, r, 2, 1])
-    g = phi_y(r)
+    g = _phi_y_factor(r)
     n, d = -f, x2 * 2
     dup_num = Poly.over_q([r * r, 0, -2 * r, 0, 1])
     dup_den = Poly.over_q([0, 4 * r, 8, 4])
     if name == "y":
         dup_y = f.derivative() * (x * dup_den - dup_num) - f * dup_den * 2
-        return (g * phi_y(rs).compose_frac(n, d) * f * dup_den * 2,
-                x2 * n * n * dup_y * (-8 * (mult // 2)))
+        return (g * _phi_y_factor(rs).compose_frac(n, d) * f * dup_den * 2,
+                x2 * n * n * dup_y * (-8 * (_ISOGENY_MULT // 2)))
     fs_nd = Poly.over_q([0, rs, 2, 1]).compose_frac(n, d)
     if name == "codomain":
         return fs_nd, -(f * g * g * x2)
     return fs_nd * dup_den, -(d * n * n * dup_num) * 2
 
 
-# the r-degree of both sides of each identity; see isogeny_mismatch
-_ISOGENY_R_DEGREE = {"codomain": 3, "x": 4, "y": 5}
-
-
-def isogeny_mismatch(names, **mutation):
+def isogeny_mismatch(names):
     """Prove the named 2-isogeny identities for every t, by a degree bound.
 
     "codomain" proves that phi maps E_t onto its sigma-conjugate; "x" and
@@ -185,12 +186,12 @@ def isogeny_mismatch(names, **mutation):
     Q[r][x] once it holds in Q[x] at one more rational r than its bound,
     here r = 2, 3, ...; it then holds on every E_t, for every t, since
     r = (3 + sqrt5 t)/(2 sqrt5 t) has r + r^sigma = 1, so the identity in
-    r with r^sigma = 1 - r specializes to each E_t.  mutation goes to
-    _isogeny_identity, which builds only the identity checked.
+    r with r^sigma = 1 - r specializes to each E_t.  _isogeny_identity
+    builds only the identity checked.
     """
     for name in names:
         for r in range(2, _ISOGENY_R_DEGREE[name] + 3):
-            lhs, rhs = _isogeny_identity(name, Fraction(r), **mutation)
+            lhs, rhs = _isogeny_identity(name, Fraction(r))
             if lhs != rhs:
                 return name, Fraction(r)
     return None

@@ -55,10 +55,11 @@ __all__ = [
     "t_from_disc",
     "trinomial_t",
     "hyperelliptic_3adic",
+    "reduced",
 ]
 
 
-def _reduced(n: int, d: int) -> tuple:
+def reduced(n: int, d: int) -> tuple:
     """n/d as a reduced pair with a positive denominator, for d != 0."""
     g = gcd(n, d)
     if d < 0:
@@ -98,10 +99,10 @@ def invariants(A, B, C) -> tuple:
               - 2025000 * b5 * c2 - 9765625 * c3 * c3)
     disc = (-27 * a4 * b2 + 108 * a5 * c - 1600 * abc * b2
             + 2250 * a * c * abc + 256 * b5 + 3125 * c4)
-    return (_reduced(delta, 5 ** 4 * D12),
-            _reduced(gamma4, 12 ** 2 * 5 ** 5 * D20),
-            _reduced(gamma6, 12 ** 3 * 5 ** 10 * D20 * D4 * D4 * D2),
-            _reduced(disc, D20))
+    return (reduced(delta, 5 ** 4 * D12),
+            reduced(gamma4, 12 ** 2 * 5 ** 5 * D20),
+            reduced(gamma6, 12 ** 3 * 5 ** 10 * D20 * D4 * D4 * D2),
+            reduced(disc, D20))
 
 
 def j_equation(inv):
@@ -146,7 +147,7 @@ def j_roots(inv):
         raise ValueError("degenerate quintic: delta = 0")
     qa, qb, qc = j_equation(inv)
     disc_j = qb * qb - 4 * qa * qc
-    base = _reduced(-qb, 2 * qa)
+    base = reduced(-qb, 2 * qa)
     if not disc_j:
         # the square cofactor in disc_j = 5*disc*(cofactor)^2 can vanish
         return base, (0, 1)
@@ -157,7 +158,7 @@ def j_roots(inv):
     r = isqrt(max(w, 0))
     if r * r != w:
         raise ArithmeticError("j-equation discriminant is not 5*disc times a square")
-    return base, _reduced(r, 2 * qa * abs(n5))
+    return base, reduced(r, 2 * qa * abs(n5))
 
 
 # The coefficient of X^k in x^5 + A x^2 + B x + C at (m, n, j): with d = 5 - k
@@ -208,7 +209,7 @@ def family_quintic(t) -> tuple:
         raise ValueError("t must be nonzero")
     k = 9 * q * q - 5 * p * p
     assert k != 0
-    return (0, 1), _reduced(k, p * p), _reduced(4 * k, 5 * p * p)
+    return (0, 1), reduced(k, p * p), reduced(4 * k, 5 * p * p)
 
 
 def t_from_disc(C, disc):
@@ -227,7 +228,7 @@ def t_from_disc(C, disc):
     rn, rd = isqrt(dn), isqrt(dd)
     if rn * rn != dn or rd * rd != dd:
         return None
-    return _reduced(75 * cn * cn * rd, cd * cd * rn)
+    return reduced(75 * cn * cn * rd, cd * cd * rn)
 
 
 def trinomial_t(B, C):
@@ -285,25 +286,27 @@ def solvability_obstruction(v):
 
 
 # y^2 = F(X, Z) = 15 (X^2 + Z^2)(2X^3 + 2X^2 Z - X Z^2 + Z^3)
-#                    (X^3 + X^2 Z + 2X Z^2 - 2Z^3),
-# each factor as its coefficients of X^d, X^(d-1) Z, ..., Z^d
+#                    (X^3 + X^2 Z + 2X Z^2 - 2Z^3): the constant, and each
+# form as its coefficients of X^d, X^(d-1) Z, ..., Z^d
+_HYPERELLIPTIC_SCALE = 15
 _HYPERELLIPTIC_FACTORS = ((1, 0, 1), (2, 2, -1, 1), (1, 1, 2, -2))
 _P1_F3 = ((0, 1), (1, 1), (2, 1), (1, 0))
 
 
-def hyperelliptic_3adic(scale=15, factors=_HYPERELLIPTIC_FACTORS):
-    """A 3-adic certificate that y^2 = scale * prod f_i(x) has no rational point.
+def hyperelliptic_3adic():
+    """A 3-adic certificate that y^2 = c prod f_i(x) has no rational point.
 
-    Returns (v, zeros): v = v_3(scale), and zeros the points (a : b) of
-    P^1(F_3) at which some form f_i(X, Z) vanishes mod 3.  When v = 1 and
-    zeros is empty there is no rational point.  Take coprime integers a, b:
+    Returns (v, zeros): v = v_3(c) for c = _HYPERELLIPTIC_SCALE, and zeros
+    the points (a : b) of P^1(F_3) at which some form f_i(X, Z) of
+    _HYPERELLIPTIC_FACTORS vanishes mod 3.  When v = 1 and zeros is empty
+    there is no rational point.  Take coprime integers a, b:
     (a, b) mod 3 is a nonzero multiple of one of the four points and the
     f_i are homogeneous, so no f_i(a, b) is divisible by 3 and
     v_3(F(a, b)) = 1.  A point (a/b, y) gives F(a, b) = (y b^4)^2, since
     F has even degree 8, and an integer square has even valuation; the
     points at infinity are rational only if F(1, 0) = 30 is a square.
     """
-    v = 0
+    v, scale = 0, _HYPERELLIPTIC_SCALE
     while scale and scale % 3 == 0:
         scale //= 3
         v += 1
@@ -313,5 +316,5 @@ def hyperelliptic_3adic(scale=15, factors=_HYPERELLIPTIC_FACTORS):
         return sum(c * a ** (d - k) * b ** k for k, c in enumerate(coeffs))
 
     zeros = tuple(p for p in _P1_F3
-                  if any(form(f, *p) % 3 == 0 for f in factors))
+                  if any(form(f, *p) % 3 == 0 for f in _HYPERELLIPTIC_FACTORS))
     return v, zeros

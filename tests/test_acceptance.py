@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from icosahedral import hecke, icosa, localfield, qcurve, repn
+from icosahedral import hecke, icosa, localfield, qcurve, quintic, repn
 from icosahedral.exact import Poly, mul5, poly_divides
 from icosahedral.quintic import (
     family_quintic, hyperelliptic_3adic, invariants, j_equation, trinomial_t,
@@ -159,14 +159,19 @@ def test_12_mutation_suite(monkeypatch):
     # mutation; the passing forms are covered by the tests above
 
     # fundamental identity: bump one numerator coefficient of lambda
-    P, Q = icosa.build_invariants().lam
+    inv = icosa.build_invariants()
+    P, Q = inv.lam
     coeffs = list(P.coeffs)
     coeffs[3] += 1
-    assert icosa.fundamental_identity_mismatch(
-        lam=(Poly.over_q(coeffs), Q)) == 8
+    with monkeypatch.context() as m:
+        bad = inv._replace(lam=(Poly.over_q(coeffs), Q))
+        m.setattr(icosa, "build_invariants", lambda: bad)
+        assert icosa.fundamental_identity_mismatch() == 8
 
     # resolvent quintic: the n-normalization (n in place of n/12)
-    assert icosa.resolvent_identity_mismatch(w_per_n=Fraction(1)) is not None
+    with monkeypatch.context() as m:
+        m.setattr(icosa, "_W_PER_N", Fraction(1))
+        assert icosa.resolvent_identity_mismatch() is not None
 
     # disc identity: wrong exponent on (9 - 5t^2)
     lhs, k = family_disc_t10(sp.symbols("t"))
@@ -174,12 +179,16 @@ def test_12_mutation_suite(monkeypatch):
 
     # 2-isogeny: r^sigma = 2 - r in place of 1 - r, [+2] for [-2], and phi
     # without its (r - x^2) factor
-    for name in ("codomain", "x"):
-        assert qcurve.isogeny_mismatch((name,), r_sigma=lambda r: 2 - r) \
-            is not None
-    assert qcurve.isogeny_mismatch(("y",), mult=2) is not None
-    assert qcurve.isogeny_mismatch(("y",), phi_y=lambda r: Poly.over_q([1])) \
-        is not None
+    with monkeypatch.context() as m:
+        m.setattr(qcurve, "_conjugate_r", lambda r: 2 - r)
+        for name in ("codomain", "x"):
+            assert qcurve.isogeny_mismatch((name,)) is not None
+    with monkeypatch.context() as m:
+        m.setattr(qcurve, "_ISOGENY_MULT", 2)
+        assert qcurve.isogeny_mismatch(("y",)) is not None
+    with monkeypatch.context() as m:
+        m.setattr(qcurve, "_phi_y_factor", lambda r: Poly.over_q([1]))
+        assert qcurve.isogeny_mismatch(("y",)) is not None
 
     # j-equation of the family: qc + 1
     def j_equation_qc1(iv):
@@ -190,14 +199,20 @@ def test_12_mutation_suite(monkeypatch):
     assert qcurve.j_equation_family_mismatch() is not None
 
     # 3-adic certificate: 15 -> 5, 15 -> 45, X^2 + Z^2 -> X^2 - Z^2
-    assert hyperelliptic_3adic(5)[0] != 1
-    assert hyperelliptic_3adic(45)[0] != 1
-    assert hyperelliptic_3adic(15, ((1, 0, -1), (2, 2, -1, 1),
-                                    (1, 1, 2, -2)))[1]
+    with monkeypatch.context() as m:
+        m.setattr(quintic, "_HYPERELLIPTIC_SCALE", 5)
+        assert hyperelliptic_3adic()[0] != 1
+        m.setattr(quintic, "_HYPERELLIPTIC_SCALE", 45)
+        assert hyperelliptic_3adic()[0] != 1
+    with monkeypatch.context() as m:
+        m.setattr(quintic, "_HYPERELLIPTIC_FACTORS",
+                  ((1, 0, -1), (2, 2, -1, 1), (1, 1, 2, -2)))
+        assert hyperelliptic_3adic()[1]
 
     # family squares: k = 9 - 4t^2 in place of 9 - 5t^2
-    assert localfield.family_squares_mismatch(Poly.over_q([9, 0, -4]))[1:] \
-        == (2, 6 ** 8)
+    with monkeypatch.context() as m:
+        m.setattr(localfield, "_K", (9, 0, -4))
+        assert localfield.family_squares_mismatch()[1:] == (2, 6 ** 8)
 
     # linking transform: 31104 -> 31105 in the inverse map
     j = Fraction(2)
@@ -211,11 +226,15 @@ def test_12_mutation_suite(monkeypatch):
                                                den))
 
     # Artin-Schreier: 256 -> 255 in the numerator of y^4, and w = 4/5
-    y4 = (Poly.over_q([0, 0, 0, 0, 255]), Poly.over_q([-5625, 0, 0, 0, 3125]))
-    assert localfield.artin_schreier_mismatch(y4=y4) == (
-        "k w^4 n = -u^4 d", 4, Fraction(-5625, 256))
-    assert localfield.artin_schreier_mismatch(w=Fraction(4, 5))[:2] == (
-        "k w^4 n = -u^4 d", 4)
+    with monkeypatch.context() as m:
+        m.setattr(localfield, "_Y4",
+                  ((0, 0, 0, 0, 255), (-5625, 0, 0, 0, 3125)))
+        assert localfield.artin_schreier_mismatch() == (
+            "k w^4 n = -u^4 d", 4, Fraction(-5625, 256))
+    with monkeypatch.context() as m:
+        m.setattr(localfield, "_W", Fraction(4, 5))
+        assert localfield.artin_schreier_mismatch()[:2] == (
+            "k w^4 n = -u^4 d", 4)
 
     # varpi identity: 2 + eps in place of 2 - eps
     eps = (0, 1, 0, 0)

@@ -590,6 +590,12 @@ def test_analyze_exit_codes(values):
         assert len(json_lines(out.getvalue())) == len(values) + 1
 
 
+def test_int_str_digits_agree():
+    # analyze counts digits against the int-to-str limit that cli.main
+    # raises a lower one to: the two copies name one number
+    assert analyze._INT_STR_DIGITS == cli._INT_STR_DIGITS
+
+
 def test_analyze_digit_bound(tmp_path, capsys):
     # the worst case at the bound: 80-digit numerators and pairwise coprime
     # 80-digit denominators; the longest printed integer stays below the
@@ -913,10 +919,7 @@ def test_verify_qcurve_failure_witnesses(capsys, monkeypatch):
 def test_verify_isogeny_failure_witness(capsys, monkeypatch):
     # r^sigma = 2 - r in place of 1 - r breaks both isogeny proofs, and each
     # witness names the first identity and r that fail
-    identity = qcurve._isogeny_identity
-    monkeypatch.setattr(qcurve, "_isogeny_identity",
-                        lambda name, r, **kw: identity(name, r,
-                                                       r_sigma=lambda r: 2 - r))
+    monkeypatch.setattr(qcurve, "_conjugate_r", lambda r: 2 - r)
     rc, out, _ = run_cli(capsys, "verify", "qcurve")
     assert rc == 1
     by_id = {c["id"]: c for c in json.loads(out)["checks"]}
@@ -1112,7 +1115,7 @@ GOLDEN_RECORDS = golden_analyze_records()
 # non-ASCII text and lone surrogates
 labels = st.text(st.characters(exclude_categories=()))
 record_rationals = st.tuples(st.integers(-30, 30), st.integers(1, 30)).map(
-    lambda nd: analyze._reduced(*nd))
+    lambda nd: quintic.reduced(*nd))
 records = st.one_of(
     st.sampled_from(GOLDEN_RECORDS),
     st.fixed_dictionaries({"A": st.one_of(st.just((0, 1)), record_rationals),
@@ -1189,13 +1192,9 @@ def test_verify_hecke_square_identity_witness(capsys, monkeypatch):
 def test_verify_localfield_identity_witnesses(capsys, monkeypatch):
     # the mutations of the two localfield proofs, run through the suite:
     # each witness names the identity and its first nonzero coefficient
-    y4 = (Poly.over_q([0, 0, 0, 0, 255]), Poly.over_q([-5625, 0, 0, 0, 3125]))
-    schreier = localfield.artin_schreier_mismatch
-    squares = localfield.family_squares_mismatch
-    monkeypatch.setattr(localfield, "artin_schreier_mismatch",
-                        lambda *args: schreier(y4))
-    monkeypatch.setattr(localfield, "family_squares_mismatch",
-                        lambda *args: squares(Poly.over_q([9, 0, -4])))
+    monkeypatch.setattr(localfield, "_Y4",
+                        ((0, 0, 0, 0, 255), (-5625, 0, 0, 0, 3125)))
+    monkeypatch.setattr(localfield, "_K", (9, 0, -4))
     rc, out, _ = run_cli(capsys, "verify", "localfield")
     assert rc == 1
     by_id = {c["id"]: c for c in json.loads(out)["checks"]}
@@ -1647,7 +1646,8 @@ def test_cpus_honours_a_cpu_quota(tmp_path, monkeypatch, text, want):
     cpu_max = tmp_path / "cpu.max"
     if text is not None:
         cpu_max.write_text(text)
-    assert dealer._cpus(str(cpu_max)) == want
+    monkeypatch.setattr(dealer, "_CPU_MAX", str(cpu_max))
+    assert dealer._cpus() == want
 
 
 def verify_all_runs(tmp_path, env=None):

@@ -308,17 +308,26 @@ def test_fundamental_identity():
             == (mu ** 2 + 10 * mu + 5) ** 3 / mu == at(inv.j, z)
 
 
-def test_fundamental_identity_mutation():
+def with_invariants(monkeypatch, inv, proof, *args):
+    """proof(*args) with inv in place of what build_invariants returns."""
+    with monkeypatch.context() as m:
+        m.setattr(icosa, "build_invariants", lambda: inv)
+        return proof(*args)
+
+
+def test_fundamental_identity_mutation(monkeypatch):
     # one numerator coefficient of lambda bumped by 1
-    P, Q = icosa.build_invariants().lam
+    inv = icosa.build_invariants()
+    P, Q = inv.lam
     coeffs = list(P.coeffs)
     coeffs[3] += 1
     # the witness: near z = 0, P = -1 and Q, M, N = O(z), -125 z^5, -1 + O(z^5),
     # so Jn = P^5 + O(z) moves by 5 P^4 z^3 and the left side Jn M N^5 by
     # 5 z^3 (-125 z^5)(-1) = 625 z^8; no lower coefficient changes
     assert icosa.fundamental_identity_mismatch() is None
-    assert icosa.fundamental_identity_mismatch(
-        lam=(Poly.over_q(coeffs), Q)) == 8
+    bad = inv._replace(lam=(Poly.over_q(coeffs), Q))
+    assert with_invariants(monkeypatch, bad,
+                           icosa.fundamental_identity_mismatch) == 8
 
 
 @pytest.mark.parametrize("which, k", [(0, 1), (1, 0), (1, 1)])
@@ -362,7 +371,7 @@ def test_invariance_forms_sympy():
     assert sp.expand(c_H ** 3 - c_f ** 5) == 0
 
 
-def test_invariance_matches_zeta5_oracle():
+def test_invariance_matches_zeta5_oracle(monkeypatch):
     # the composition over Q(zeta5) agrees with each check in its own
     # field: S, T and U fix j; S fixes mu and moves lambda; U fixes lambda
     inv = icosa.build_invariants()
@@ -379,7 +388,8 @@ def test_invariance_matches_zeta5_oracle():
     for label, mismatch in (("S", ("j", 7)), ("T", ("identity", None)),
                             ("U", ("identity", None))):
         assert not zeta5_fixes(bad.j, zeta5_matrix(label))
-        assert icosa.invariance_mismatch(label, inv=bad) == mismatch
+        assert with_invariants(monkeypatch, bad, icosa.invariance_mismatch,
+                               label) == mismatch
 
 
 def test_invariance_identity_mutation(monkeypatch):
@@ -389,8 +399,8 @@ def test_invariance_identity_mutation(monkeypatch):
     P, Q = inv.lam
     z6 = Poly.over_q([0] * 6 + [1])
     for label in "TU":
-        assert icosa.invariance_mismatch(
-            label, inv=inv._replace(lam=(P, Q + z6))) \
+        assert with_invariants(monkeypatch, inv._replace(lam=(P, Q + z6)),
+                               icosa.invariance_mismatch, label) \
             == ("identity", None)
     face = icosa._FACE
     monkeypatch.setattr(icosa, "_FACE", face + Poly.over_q([0] * 10 + [1]))
@@ -405,7 +415,14 @@ def matrix(a, b, c, d):
                  for row in ((a, b), (c, d)))
 
 
-def test_invariance_mutation():
+def moved_by(monkeypatch, g):
+    """invariance_mismatch for the matrix g as the one generator."""
+    with monkeypatch.context() as m:
+        m.setattr(icosa, "_GENERATORS", {"g": g})
+        return icosa.invariance_mismatch("g")
+
+
+def test_invariance_mutation(monkeypatch):
     # Moebius maps outside the group must move j: z -> 2z and z -> 1/z
     # over Q, T with eps + 1 or -eps in place of eps over Q(sqrt5); each
     # fails on the vertex form f, at the first z where f(gz) is no constant
@@ -414,21 +431,21 @@ def test_invariance_mutation():
     for g, z in ((matrix(2, 0, 0, 1), 2), (matrix(0, 1, 1, 0), 2),
                  (matrix((1, 1), 2, 2, (-1, -1)), 0),
                  (matrix((1, -1), 2, 2, (-1, 1)), 0)):
-        assert icosa.invariance_mismatch(g) == ("f", z)
+        assert moved_by(monkeypatch, g) == ("f", z)
     assert icosa._GENERATORS["T"] == matrix((-1, 1), 2, 2, (1, -1))
     # T with the Galois-conjugate eps' = -1 - eps, 2 eps' = -1 - sqrt5, is
     # T conjugated by sigma, and fixes j because j is rational
-    assert icosa.invariance_mismatch(matrix((-1, -1), 2, 2, (1, 1))) is None
+    assert moved_by(monkeypatch, matrix((-1, -1), 2, 2, (1, 1))) is None
     # z -> -1/z over Q, as a matrix, is U, also scaled by 2; z -> z/2 is
     # not in the group
-    assert icosa.invariance_mismatch(matrix(0, -1, 1, 0)) is None
-    assert icosa.invariance_mismatch(matrix(0, -2, 2, 0)) is None
-    assert icosa.invariance_mismatch(matrix(1, 0, 0, 2)) == ("f", 2)
+    assert moved_by(monkeypatch, matrix(0, -1, 1, 0)) is None
+    assert moved_by(monkeypatch, matrix(0, -2, 2, 0)) is None
+    assert moved_by(monkeypatch, matrix(1, 0, 0, 2)) == ("f", 2)
     # T scaled by 6 rather than 2 fixes j; eps + 1 in place of eps still
     # fails at the same z
-    assert icosa.invariance_mismatch(matrix((-3, 3), 6, 6, (3, -3))) is None
-    assert icosa.invariance_mismatch(
-        matrix((3, 3), 6, 6, (-3, -3))) == ("f", 0)
+    assert moved_by(monkeypatch, matrix((-3, 3), 6, 6, (3, -3))) is None
+    assert moved_by(monkeypatch,
+                    matrix((3, 3), 6, 6, (-3, -3))) == ("f", 0)
 
 
 def test_invariance_identity_proved_once():
@@ -441,7 +458,7 @@ def test_invariance_identity_proved_once():
     assert (info.misses, info.hits) == (1, 1)
 
 
-def test_invariance_s_mutation():
+def test_invariance_s_mutation(monkeypatch):
     # invariance-S reads exponents mod 5: a z^1 term in mu's numerator, a
     # lambda whose every exponent is 1 mod 5
     inv = icosa.build_invariants()
@@ -451,18 +468,19 @@ def test_invariance_s_mutation():
     fixed = Poly.over_q([0, 1, 0, 0, 0, 0, 3])
     for bad, mismatch in ((inv._replace(mu=(Mn + z, Md)), ("mu", 1)),
                           (inv._replace(lam=(fixed, Q)), ("lambda", None))):
-        assert icosa.invariance_mismatch("S", inv=bad) == mismatch
+        assert with_invariants(monkeypatch, bad, icosa.invariance_mismatch,
+                               "S") == mismatch
     assert not zeta5_fixes((Mn + z, Md), zeta5_matrix("S"))
     assert zeta5_fixes((fixed, Q), zeta5_matrix("S"))
 
 
-def test_invariance_validation():
+def test_invariance_validation(monkeypatch):
     with pytest.raises(KeyError):
         icosa.invariance_mismatch("V")
     # a singular matrix maps z to a constant, which does not fix j: f fails
     # unless the constant is a zero of f, and then H fails
-    assert icosa.invariance_mismatch(matrix(1, 1, 1, 1)) == ("f", 0)
-    assert icosa.invariance_mismatch(matrix(0, 0, 1, 1)) == ("H", 1)
+    assert moved_by(monkeypatch, matrix(1, 1, 1, 1)) == ("f", 0)
+    assert moved_by(monkeypatch, matrix(0, 0, 1, 1)) == ("H", 1)
 
 
 def test_invariance_without_qzeta5(over_q_only):
@@ -640,10 +658,10 @@ def test_resolvent_identity_sympy():
     assert sp.expand(num) == 0
 
 
-def test_resolvent_identity_mutation_n_normalization():
+def test_resolvent_identity_mutation_n_normalization(monkeypatch):
     # the coefficient functions at (m, n, j) instead of (m, n/12, j)
-    assert icosa.resolvent_identity_mismatch(w_per_n=Fraction(1)) \
-        == ("quintic", 0)
+    monkeypatch.setattr(icosa, "_W_PER_N", Fraction(1))
+    assert icosa.resolvent_identity_mismatch() == ("quintic", 0)
 
 
 def test_resolvent_identity_mutation_one_coefficient(monkeypatch):
@@ -673,19 +691,22 @@ def test_resolvent_identity_mutation_j_quadratic(monkeypatch):
     assert icosa.resolvent_identity_mismatch() == ("quintic", 0)
 
 
-def test_resolvent_identity_mutation_rotation():
+def test_resolvent_identity_mutation_rotation(monkeypatch):
     # (ii): j with a term z^1; (iii): lambda's denominator with a term z^2,
     # and a lambda whose every exponent is 1 mod 5, fixed by z -> zeta5 z
     inv = icosa.build_invariants()
     (Jn, Jd), (P, Q) = inv.j, inv.lam
     z = Poly.over_q([0, 1])
-    assert icosa.resolvent_identity_mismatch(j=(Jn + z, Jd)) == ("j", 1)
-    assert icosa.resolvent_identity_mismatch(j=(Jn, Jd + z)) == ("j", 1)
-    assert icosa.resolvent_identity_mismatch(lam=(P, Q + z * z)) \
-        == ("lambda", 2)
+
+    def mismatch(**bad):
+        return with_invariants(monkeypatch, inv._replace(**bad),
+                               icosa.resolvent_identity_mismatch)
+
+    assert mismatch(j=(Jn + z, Jd)) == ("j", 1)
+    assert mismatch(j=(Jn, Jd + z)) == ("j", 1)
+    assert mismatch(lam=(P, Q + z * z)) == ("lambda", 2)
     fixed = Poly.over_q([0, 1, 0, 0, 0, 0, 3])
-    assert icosa.resolvent_identity_mismatch(lam=(fixed, Q)) \
-        == ("lambda", None)
+    assert mismatch(lam=(fixed, Q)) == ("lambda", None)
 
 
 @pytest.mark.parametrize("k, term", [(2, 2), (1, 0), (0, 3)])

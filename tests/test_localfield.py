@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icosahedral.exact import Poly
+from icosahedral import localfield
 from icosahedral.localfield import (
     artin_schreier_mismatch, family_squares_mismatch, is_square_5adic_unit,
     theorem_hypothesis, v5,
@@ -115,12 +115,12 @@ def test_theorem_hypothesis_examples():
         theorem_hypothesis((1, 1), (0, 1))
 
 
-def test_family_squares_proof():
+def test_family_squares_proof(monkeypatch):
     assert family_squares_mismatch() is None
     # k = 9 - 4t^2 in place of 9 - 5t^2: 256k^5 + 1280k^4 t^2 - (48k^2)^2
     # has the t^2 coefficient 256*5*9^4*(-4) + 1280*9^4 = 6^8
-    k = Poly.over_q([9, 0, -4])
-    assert family_squares_mismatch(k) == (
+    monkeypatch.setattr(localfield, "_K", (9, 0, -4))
+    assert family_squares_mismatch() == (
         "256k^5 + 1280k^4 t^2 = (48k^2)^2", 2, 1679616)
 
 
@@ -161,25 +161,31 @@ def test_artin_schreier_valuation_shape():
         assert v5(y4) == -4
 
 
+def mutated(monkeypatch, name, value):
+    """artin_schreier_mismatch() with value in place of localfield.name."""
+    with monkeypatch.context() as m:
+        m.setattr(localfield, name, value)
+        return artin_schreier_mismatch()
+
+
 def mutated_y4(numerator):
     # y^4 = numerator u^4 / (625 (5u^4 - 9)); the identity needs 256
-    return (Poly.over_q([0, 0, 0, 0, numerator]),
-            Poly.over_q([-5625, 0, 0, 0, 3125]))
+    return (0, 0, 0, 0, numerator), (-5625, 0, 0, 0, 3125)
 
 
-def test_artin_schreier_mutation():
+def test_artin_schreier_mutation(monkeypatch):
     # 256 -> 255 in the numerator of y^4, and w = 4/5 in place of 5/4,
     # must each break the identity; each names the first cleared identity
     # that fails and the lowest power of u at which its sides differ
-    assert artin_schreier_mismatch(y4=mutated_y4(256)) is None
+    assert mutated(monkeypatch, "_Y4", mutated_y4(256)) is None
     # (9 - 5u^4) 255u^4 (5/4)^4 + u^4 (3125u^4 - 5625) at u^4
-    assert artin_schreier_mismatch(y4=mutated_y4(255)) == (
+    assert mutated(monkeypatch, "_Y4", mutated_y4(255)) == (
         "k w^4 n = -u^4 d", 4, Fraction(9 * 255 * 625, 256) - 5625)
-    assert artin_schreier_mismatch(w=Fraction(4, 5)) == (
+    assert mutated(monkeypatch, "_W", Fraction(4, 5)) == (
         "k w^4 n = -u^4 d", 4, Fraction(9 * 256 * 256, 625) - 5625)
     # w = -5/4 keeps w^4, so only the y-coefficient identity fails, by
     # twice its left side: 2 * 4 * 9 * 256 * (-5/4)^5 at u^4
-    assert artin_schreier_mismatch(w=Fraction(-5, 4)) == (
+    assert mutated(monkeypatch, "_W", Fraction(-5, 4)) == (
         "4k w^5 n = -5u^4 d", 4, -56250)
 
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,29 @@ def test_all_is_what_the_package_uses(module):
     exported = importlib.import_module(f"icosahedral.{module}").__all__
     assert sorted(exported) == sorted(used)
     assert not [name for name in used if name.startswith("_")]
+
+
+# the proofs beyond the *_mismatch functions whose data once came in by
+# arguments that only tests set
+_PROOFS = ["quintic.hyperelliptic_3adic", "qcurve._isogeny_identity",
+           "dealer._cpus"]
+
+
+def test_proofs_take_no_test_only_parameters():
+    # a proof reads its data from its own module, which a mutation test
+    # patches: no *_mismatch of a domain module, nor a proof of _PROOFS,
+    # has a parameter with a default or a **kwargs to take a mutation
+    proofs = [f"{module}.{name}"
+              for module in ["exact", "quintic", "localfield", "hecke",
+                             "repn", "icosa", "qcurve"]
+              for name in vars(importlib.import_module(f"icosahedral.{module}"))
+              if name.endswith("_mismatch")]
+    assert len(proofs) > 10
+    for proof in proofs + _PROOFS:
+        module, name = proof.split(".")
+        function = getattr(importlib.import_module(f"icosahedral.{module}"),
+                           name)
+        params = inspect.signature(function).parameters.values()
+        assert [p.name for p in params
+                if p.default is not p.empty or p.kind is p.VAR_KEYWORD] \
+            == [], proof

@@ -8,6 +8,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from icosahedral import quintic
 from icosahedral.quintic import (
     family_quintic, hyperelliptic_3adic, invariants, j_equation, j_roots,
     resolvent_coeffs, solvable_family, solvability_obstruction, t_from_disc,
@@ -396,12 +397,20 @@ def test_hyperelliptic_3adic_certificate():
     assert hyperelliptic_3adic() == (1, ())
 
 
-def test_hyperelliptic_3adic_mutations():
-    assert hyperelliptic_3adic(5) == (0, ())
-    assert hyperelliptic_3adic(45) == (2, ())
+def mutated(monkeypatch, name, value):
+    """hyperelliptic_3adic() with value in place of quintic.name."""
+    with monkeypatch.context() as m:
+        m.setattr(quintic, name, value)
+        return hyperelliptic_3adic()
+
+
+def test_hyperelliptic_3adic_mutations(monkeypatch):
+    assert mutated(monkeypatch, "_HYPERELLIPTIC_SCALE", 5) == (0, ())
+    assert mutated(monkeypatch, "_HYPERELLIPTIC_SCALE", 45) == (2, ())
     # X^2 - Z^2 vanishes at (1 : 1) and (2 : 1) = (-1 : 1)
     factors = ((1, 0, -1), (2, 2, -1, 1), (1, 1, 2, -2))
-    assert hyperelliptic_3adic(15, factors) == (1, ((1, 1), (2, 1)))
+    assert mutated(monkeypatch, "_HYPERELLIPTIC_FACTORS", factors) \
+        == (1, ((1, 1), (2, 1)))
 
 
 def test_hyperelliptic_valuation_on_small_pairs():
