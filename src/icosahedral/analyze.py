@@ -18,12 +18,17 @@ j-roots of each record of the block, then one gcd against the primorial of
 _square_part for all of the block's radicands (_block_divisor), then each
 record rendered and written before the next is rendered.
 
-A batch of at least 2 * _MIN_SHARD records is split into k contiguous
-shards of at least _MIN_SHARD records, k at most the processes that
-dealer._cpus allows, and dealt by dealer._deal; their texts and checks are
-written in shard order, the same bytes at any k.  A smaller batch, or k =
-1, is analyzed here alone, each record written as its block is rendered,
-and imports no dealer.
+A file is read into the (lineno, line) pairs of its non-blank lines, and
+_parse_lines checks, decodes and parses them up to the first bad line.  A
+batch of at least 2 * _MIN_SHARD lines is split into k contiguous shards
+of at least _MIN_SHARD lines, k at most the processes that dealer._cpus
+allows, and dealt by dealer._deal: each shard parses its own lines, then
+analyzes them, so no parse runs before the fork.  The first bad line in
+shard order, the lowest line number, is then reported and nothing is
+written; else the shards' texts and checks are written in shard order, the
+same bytes at any k.  A smaller batch, or k = 1, is parsed whole here
+first, then analyzed here alone, each record written as its block is
+rendered, and imports no dealer.
 """
 
 from __future__ import annotations
@@ -347,56 +352,82 @@ def _analyze_records(start, records, write) -> list:
     return checks
 
 
-def _shard(start, records) -> tuple:
-    """(text, checks) of records start + 1, ...: _analyze_records' lines
-    joined, for a forked shard to send."""
+def _read_lines(path) -> list:
+    """The (lineno, line) pairs of the non-blank lines of the file at path.
+
+    Undecodable bytes pass the reader as surrogates, so that _parse_lines
+    reports them with their line number.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return [(lineno, line) for lineno, line in enumerate(fh, start=1)
+                if line.strip()]
+
+
+def _parse_lines(entries) -> tuple:
+    """(records, bad): the records of the (lineno, line) pairs, each line
+    checked as UTF-8, decoded and parsed in turn up to the first bad one;
+    bad is (lineno, message) of that line, or None."""
+    records = []
+    for lineno, line in entries:
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+            records.append(_parse_record(_decode_record(line)))
+        except ValueError as exc:
+            return records, (lineno, str(exc))
+    return records, None
+
+
+def _shard(start, entries) -> tuple:
+    """(text, checks, bad) of the lines of records start + 1, ..., for a
+    forked shard to send: bad is the first bad line as _parse_lines gives
+    it, with no text or checks, else None, with _analyze_records' lines
+    joined and its checks."""
+    records, bad = _parse_lines(entries)
+    if bad:
+        return "", [], bad
     lines = []
     checks = _analyze_records(start, records, lines.append)
-    return "".join(lines), checks
+    return "".join(lines), checks, None
 
 
 def cmd_analyze(args) -> int:
-    records = []
     if args.file:
         try:
-            # undecodable bytes pass the reader as surrogates, so that the
-            # strict decode below reports them with their line number
-            with open(args.file, "r", encoding="utf-8",
-                      errors="surrogateescape") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        line.encode("utf-8", "surrogateescape").decode("utf-8")
-                        records.append(_parse_record(_decode_record(line)))
-                    except ValueError as exc:
-                        print(f"error: {args.file}:{lineno}: {exc}",
-                              file=sys.stderr)
-                        return 2
+            entries = _read_lines(args.file)
         except OSError as exc:
             print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
             return 2
+        n = len(entries)
     else:
-        records.append({"A": args.a if args.a is not None else (0, 1),
-                        "B": args.b, "C": args.c})
-    n = len(records)
+        n = 1
     log = functools.partial(
         _log_info, "analyzing %d record(s) in %d process(es)", n)
-    # every record parsed, so no bad line can follow output
     shards = []
     if n >= 2 * _MIN_SHARD:
         from .dealer import _MAX_WORKS, _cpus, _deal
         k = min(_cpus(), n // _MIN_SHARD, _MAX_WORKS)
         if k > 1:
             bounds = [n * i // k for i in range(k + 1)]
-            shards = _deal([functools.partial(_shard, a, records[a:b])
+            shards = _deal([functools.partial(_shard, a, entries[a:b])
                             for a, b in zip(bounds, bounds[1:])],
                            "an analyze shard", log)
+    if shards:
+        bad_line = next((bad for _, _, bad in shards if bad), None)
+    elif args.file:
+        records, bad_line = _parse_lines(entries)
+    else:
+        records, bad_line = [{"A": args.a if args.a is not None else (0, 1),
+                              "B": args.b, "C": args.c}], None
+    if bad_line:
+        lineno, message = bad_line
+        print(f"error: {args.file}:{lineno}: {message}", file=sys.stderr)
+        return 2
     if not shards:
         log(1)
+    # a bad line reported above, so none can follow output
     with _output(args.out) as fh:
         checks = [] if shards else _analyze_records(0, records, fh.write)
-        for text, more in shards:
+        for text, more, _ in shards:
             fh.write(text)
             checks += more
         if args.json:

@@ -76,19 +76,12 @@ class ResidueRing:
         return (a - q * self.d1, (b - q * self.e) % self.d2)
 
     @property
-    def zero(self):
-        return self.reduce((0, 0))
-
-    @property
     def one(self):
         return self.reduce((1, 0))
 
     @property
     def eps(self):
         return self.reduce((0, 1))
-
-    def add(self, x, y):
-        return self.reduce((x[0] + y[0], x[1] + y[1]))
 
     def neg(self, x):
         return self.reduce((-x[0], -x[1]))
@@ -98,12 +91,6 @@ class ResidueRing:
         c, d = y
         # (a + b eps)(c + d eps) with eps^2 = 1 - eps
         return self.reduce((a * c + b * d, a * d + b * c - b * d))
-
-    def pow(self, x, n: int):
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, x)
-        return out
 
     def sigma(self, x):
         # eps -> -1 - eps
@@ -153,11 +140,6 @@ class Character(namedtuple("Character", "ring table")):
         if x not in self.table:
             raise ValueError("argument is not a unit of the ring")
         return self.table[x]
-
-    def is_multiplicative(self) -> bool:
-        units = self.ring.units()
-        return all(self(self.ring.mul(x, y)) == (self(x) + self(y)) % 24
-                   for x in units for y in units)
 
 
 def char_from_generators(m, gens, images) -> Character:

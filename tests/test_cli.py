@@ -717,6 +717,30 @@ def test_readme_library_example():
     assert expected and out.getvalue().splitlines() == expected
 
 
+def test_parse_lines_in_process(tmp_path, capsys):
+    # the file's blank lines are skipped and the others keep their numbers;
+    # _parse_lines stops at the first bad line, with the line number and
+    # message that the one-process CLI reports for it
+    good = '{"B": "4", "C": "16/5"}\n'
+    path = tmp_path / "lines.jsonl"
+    path.write_text("\n" + good + "  \n\t\n" + good)
+    entries = analyze._read_lines(path)
+    assert entries == [(2, good), (5, good)]
+    assert analyze._parse_lines(entries) == (
+        [{"A": (0, 1), "B": (4, 1), "C": (16, 5)}] * 2, None)
+    for text, want in ((b'{"B": "4", "C": "1\xe96/5"}', "'utf-8' codec"),
+                       (b'{"B": 4,', "Expecting property name"),
+                       (b"[" * 100000, "record nests too deeply")):
+        path.write_bytes(b"\n" + good.encode() + text + b"\n\n"
+                         + good.encode())
+        records, (lineno, message) = analyze._parse_lines(
+            analyze._read_lines(path))
+        assert len(records) == 1 and lineno == 3
+        assert message.startswith(want)
+        assert run_cli(capsys, "analyze", "--file", str(path)) == (
+            2, "", f"error: {path}:3: {message}\n")
+
+
 def test_analyze_file_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(b'{"B": "4", "C": "16/5"}\n\xff\xfe{"B": 1}\n')
@@ -1575,24 +1599,43 @@ def test_analyze_shards_write_the_same_bytes(tmp_path):
             assert json.loads(lines[-1])["checks"] == checks
 
 
+# a line that is not JSON, and one that is not valid UTF-8
+BAD_LINES = [b"not json\n", b'{"B": "4", "C": "1\xe96/5"}\n']
+
+
 @two_cpus
-@pytest.mark.parametrize("bad", [b"not json\n",
-                                 b'{"B": "4", "C": "1\xe96/5"}\n'])
-def test_analyze_bad_line_in_last_shard(tmp_path, bad):
-    # every record is parsed before any fork or output: the message, line
-    # number and exit code are those of the same line alone in a file
+@pytest.mark.parametrize("bad", BAD_LINES)
+@pytest.mark.parametrize("where", ["first", "last", "each"])
+def test_analyze_bad_line_in_shards(tmp_path, where, bad):
+    # each shard parses its own lines, and the first bad line in shard order
+    # is reported before any output: its message and exit code are those of
+    # the same line alone in a file, at its number in the batch.  With a bad
+    # line in the first shard and another in the last, the first one wins.
+    # Nothing goes to stdout, and --out is not created
     alone = tmp_path / "alone.jsonl"
     alone.write_bytes(bad)
     err = cli_process("analyze", "--file", str(alone)).communicate()[1]
     message = err.split(b":1: ", 1)[1]
     path, _ = sharded_batch(tmp_path)
-    data = path.read_bytes()
-    lineno = data.count(b"\n") + 1
-    path.write_bytes(data + bad + b'{"B": "4", "C": "16/5"}\n')
-    proc = cli_process("analyze", "--file", str(path), "--json")
-    out, err = proc.communicate(timeout=120)
-    assert proc.returncode == 2 and out == b""
-    assert err == f"error: {path}:{lineno}: ".encode() + message
+    lines = path.read_bytes().splitlines(keepends=True)
+    if where == "last":
+        lineno = len(lines) + 1
+    else:  # after a blank line, which counts
+        lines.insert(10, bad)
+        lineno = 11
+        assert lines[8] == b"\n"
+    if where != "first":
+        last = bad if where == "last" else next(
+            other for other in BAD_LINES if other != bad)
+        lines += [last, b'{"B": "4", "C": "16/5"}\n']
+    path.write_bytes(b"".join(lines))
+    out = tmp_path / "out.jsonl"
+    for more in ([], ["--out", str(out)]):
+        proc = cli_process("analyze", "--file", str(path), "--json", *more)
+        stdout, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2 and stdout == b""
+        assert err == f"error: {path}:{lineno}: ".encode() + message
+        assert not out.exists()
 
 
 @two_cpus
@@ -1620,19 +1663,29 @@ def test_analyze_leaves_no_process(tmp_path, end, sigchld):
 
 @two_cpus
 def test_analyze_logs_its_process_count(tmp_path):
-    # only the parent logs, once; unset, the log adds nothing to stderr
+    # only the parent logs, once; unset, the log adds nothing to stderr.  A
+    # dealt batch logs once its shards are forked, before they parse, so a
+    # bad line's error follows the INFO line
     path, n = sharded_batch(tmp_path)
-    k = min(dealer._cpus(), n // analyze._MIN_SHARD)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(path.read_bytes() + b"not json\n")
+    lineno = bad.read_bytes().count(b"\n")
+    error = (f"error: {bad}:{lineno}: "
+             "Expecting value: line 1 column 1 (char 0)\n")
     env = child_env()
-    for log, want in (("info", "INFO icosahedral.cli: analyzing "
-                               f"{n} record(s) in {k} process(es)\n"),
-                      (None, "")):
-        env.pop("ICOSAHEDRAL_LOG", None)
-        if log:
-            env["ICOSAHEDRAL_LOG"] = log
-        proc = cli_process("analyze", "--file", str(path), "--json", env=env)
-        out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0 and err.decode() == want
+    for file, records, rc, tail in ((path, n, 0, ""), (bad, n + 1, 2, error)):
+        k = min(dealer._cpus(), records // analyze._MIN_SHARD)
+        info = ("INFO icosahedral.cli: analyzing "
+                f"{records} record(s) in {k} process(es)\n")
+        for log, want in (("info", info + tail), (None, tail)):
+            env.pop("ICOSAHEDRAL_LOG", None)
+            if log:
+                env["ICOSAHEDRAL_LOG"] = log
+            proc = cli_process("analyze", "--file", str(file), "--json",
+                               env=env)
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == rc and err.decode() == want
+            assert (out == b"") == bool(rc)
 
 
 @pytest.mark.parametrize("text, want", [
