@@ -10,8 +10,9 @@ hypothesis (localfield.is_square_5adic_unit); every product, sum and
 reduction in the rendered strings is taken on numerator and denominator,
 every number is rendered by _ratio, and each line is written as JSON text
 directly, with only the label and the error text passed through the JSON
-string encoder.  So no algebra, no Fraction and no dict for the line is
-built per record.
+string encoder; so is the record's report check (_check_text).  So no
+algebra, no Fraction and no dict for the line or its check is built per
+record.
 
 Records are analyzed in blocks of at most _BLOCK: the invariants and
 j-roots of each record of the block, then one gcd against the primorial of
@@ -23,12 +24,16 @@ _parse_lines checks, decodes and parses them up to the first bad line.  A
 batch of at least 2 * _MIN_SHARD lines is split into k contiguous shards
 of at least _MIN_SHARD lines, k at most the processes that dealer._cpus
 allows, and dealt by dealer._deal: each shard parses its own lines, then
-analyzes them, so no parse runs before the fork.  The first bad line in
-shard order, the lowest line number, is then reported and nothing is
-written; else the shards' texts and checks are written in shard order, the
-same bytes at any k.  A smaller batch, or k = 1, is parsed whole here
-first, then analyzed here alone, each record written as its block is
-rendered, and imports no dealer.
+analyzes them, so no parse runs before the fork.  The shards share one
+byte of an anonymous mmap, which a shard whose parse finds a bad line
+sets, and each shard stops analyzing at the next block once it is set.
+The first bad line in shard order, the lowest line number, is then
+reported and nothing is written; else the shards' texts are written in
+shard order, and with --json the report, encoded once with an empty list
+of checks, with the shards' check texts spliced into that list: the same
+bytes at any k.  A smaller batch, or k = 1, is parsed whole here first,
+then analyzed here alone, each record written as its block is rendered,
+and imports no dealer.
 """
 
 from __future__ import annotations
@@ -42,8 +47,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import localfield, quintic
-from .reports import (_check, _log_info, _output, _quintic_str, _ratio,
-                      _report)
+from .reports import _log_info, _output, _quintic_str, _ratio, _report
 
 _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
 
@@ -224,13 +228,18 @@ def _record_pair(value, key: str) -> tuple:
         raise ValueError(f"field {key!r} must be an exact rational string")
 
 
+# each field of a record: its key, the lower-case key it may go by, and
+# its default, None for a field that must be given
+_FIELDS = (("A", "a", (0, 1)), ("B", "b", None), ("C", "c", None))
+
+
 def _parse_record(obj) -> dict:
     """A record as {"A", "B", "C"} reduced pairs, and "label" if given."""
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     rec = {}
-    for key, default in (("A", (0, 1)), ("B", None), ("C", None)):
-        value = obj.get(key, obj.get(key.lower()))
+    for key, lower, default in _FIELDS:
+        value = obj.get(key, obj.get(lower))
         if value is None:
             if default is None:
                 raise ValueError(f"record is missing field {key!r}")
@@ -284,7 +293,8 @@ def _analyze_one(rec: dict, numbers: tuple, divisor: int) -> tuple:
     """
     a, b, c = rec["A"], rec["B"], rec["C"]
     inv, roots, m = numbers
-    name = _quintic_str(a, b, c)
+    texts = _ratio(*a), _ratio(*b), _ratio(*c)
+    name = _quintic_str(*texts)
     errors = []
     if isinstance(roots, str):
         j = "null"
@@ -313,8 +323,8 @@ def _analyze_one(rec: dict, numbers: tuple, divisor: int) -> tuple:
     head = "{" if label is None else f'{{"label":{_json_str(label)},'
     tail = ('"status":"ok"}' if error is None
             else f'"status":"error","error":{_json_str(error)}}}')
-    line = (f'{head}"quintic":"{name}","A":"{_ratio(*a)}",'
-            f'"B":"{_ratio(*b)}","C":"{_ratio(*c)}",'
+    line = (f'{head}"quintic":"{name}","A":"{texts[0]}",'
+            f'"B":"{texts[1]}","C":"{texts[2]}",'
             f'"delta":"{_ratio(*inv[0])}","gamma4":"{_ratio(*inv[1])}",'
             f'"gamma6":"{_ratio(*inv[2])}","disc":"{_ratio(*inv[3])}",'
             f'"j_candidates":{j},"t":{t},"hypothesis":{hypothesis},{tail}\n')
@@ -331,15 +341,32 @@ _MIN_SHARD = 3000
 _BLOCK = 64
 
 
-def _analyze_records(start, records, write) -> list:
-    """Records start + 1, ... analyzed and written in turn; their checks.
+def _check_text(i: int, name: str, error) -> str:
+    """The report check of record i as compact JSON text: the bytes of
+    _COMPACT_JSON.encode(_check(f"record-{i}", name, status, error)), with
+    status "pass" where error is None, else "skipped"."""
+    head = f'{{"id":"record-{i}","description":{_json_str(name)},'
+    if error is None:
+        return head + '"status":"pass"}'
+    return f'{head}"status":"skipped","witness":{_json_str(error)}}}'
+
+
+def _analyze_records(start, records, write, stop=bytes(1)) -> tuple:
+    """Records start + 1, ... analyzed and written in turn; (checks,
+    errors): the report check of each as _check_text renders it, and the
+    number of records with an error.
 
     They go in blocks of at most _BLOCK: the numbers of each record of a
     block first, then one divisor for all of its radicands, then each
-    record rendered and written before the next is rendered.
+    record rendered and written before the next is rendered.  The byte
+    stop[0] is read before each block, and once it is set no further block
+    is analyzed.
     """
     checks = []
+    errors = 0
     for first in range(0, len(records), _BLOCK):
+        if stop[0]:
+            break
         block = records[first:first + _BLOCK]
         numbers = [_record_numbers(rec) for rec in block]
         divisor = _block_divisor(m for _, _, m in numbers)
@@ -347,9 +374,9 @@ def _analyze_records(start, records, write) -> list:
                                         start + first + 1):
             line, name, error = _analyze_one(rec, nums, divisor)
             write(line)
-            checks.append(_check(f"record-{i}", name,
-                                 "skipped" if error else "pass", error))
-    return checks
+            checks.append(_check_text(i, name, error))
+            errors += error is not None
+    return checks, errors
 
 
 def _read_lines(path) -> list:
@@ -363,31 +390,51 @@ def _read_lines(path) -> list:
                 if line.strip()]
 
 
+def _check_utf8(text: str) -> None:
+    """Raises the UnicodeDecodeError of the first bad byte of text, read
+    with errors="surrogateescape", where it was not valid UTF-8."""
+    text.encode("utf-8", "surrogateescape").decode("utf-8")
+
+
 def _parse_lines(entries) -> tuple:
     """(records, bad): the records of the (lineno, line) pairs, each line
     checked as UTF-8, decoded and parsed in turn up to the first bad one;
-    bad is (lineno, message) of that line, or None."""
+    bad is (lineno, message) of that line, or None.
+
+    The lines are checked as UTF-8 together first, and one by one only
+    when that fails, to find the bad line: every line but the last ends
+    in a newline, so no line's bytes can complete another's.
+    """
     records = []
+    try:
+        _check_utf8("".join([line for _, line in entries]))
+        checked = True
+    except UnicodeDecodeError:
+        checked = False
     for lineno, line in entries:
         try:
-            line.encode("utf-8", "surrogateescape").decode("utf-8")
+            if not checked:
+                _check_utf8(line)
             records.append(_parse_record(_decode_record(line)))
         except ValueError as exc:
             return records, (lineno, str(exc))
     return records, None
 
 
-def _shard(start, entries) -> tuple:
-    """(text, checks, bad) of the lines of records start + 1, ..., for a
-    forked shard to send: bad is the first bad line as _parse_lines gives
-    it, with no text or checks, else None, with _analyze_records' lines
-    joined and its checks."""
+def _shard(start, entries, stop) -> tuple:
+    """(text, checks, errors, bad) of the lines of records start + 1, ...,
+    for a forked shard to send: bad is the first bad line as _parse_lines
+    gives it, with no text or checks, and then the byte stop[0] is set, so
+    that the other shards stop analyzing; else None, with the lines of
+    _analyze_records joined, its checks joined by commas and its count of
+    errors."""
     records, bad = _parse_lines(entries)
     if bad:
-        return "", [], bad
+        stop[0] = 1
+        return "", "", 0, bad
     lines = []
-    checks = _analyze_records(start, records, lines.append)
-    return "".join(lines), checks, None
+    checks, errors = _analyze_records(start, records, lines.append, stop)
+    return "".join(lines), ",".join(checks), errors, None
 
 
 def cmd_analyze(args) -> int:
@@ -407,12 +454,17 @@ def cmd_analyze(args) -> int:
         from .dealer import _MAX_WORKS, _cpus, _deal
         k = min(_cpus(), n // _MIN_SHARD, _MAX_WORKS)
         if k > 1:
+            import mmap
             bounds = [n * i // k for i in range(k + 1)]
-            shards = _deal([functools.partial(_shard, a, entries[a:b])
-                            for a, b in zip(bounds, bounds[1:])],
-                           "an analyze shard", log)
+            # one byte the shards share, anonymous: set by a shard whose
+            # parse finds a bad line
+            with mmap.mmap(-1, 1) as stop:
+                shards = _deal([functools.partial(_shard, a, entries[a:b],
+                                                  stop)
+                                for a, b in zip(bounds, bounds[1:])],
+                               "an analyze shard", log)
     if shards:
-        bad_line = next((bad for _, _, bad in shards if bad), None)
+        bad_line = next((bad for *_, bad in shards if bad), None)
     elif args.file:
         records, bad_line = _parse_lines(entries)
     else:
@@ -426,15 +478,20 @@ def cmd_analyze(args) -> int:
         log(1)
     # a bad line reported above, so none can follow output
     with _output(args.out) as fh:
-        checks = [] if shards else _analyze_records(0, records, fh.write)
-        for text, more, _ in shards:
-            fh.write(text)
-            checks += more
+        if shards:
+            texts, checks, counts, _ = zip(*shards)
+            fh.writelines(texts)
+            errors = sum(counts)
+        else:
+            checks, errors = _analyze_records(0, records, fh.write)
+        checks = ",".join(checks)
         if args.json:
-            fh.write(_COMPACT_JSON.encode(
-                _report("analyze", checks, args, None)) + "\n")
+            # the report with no checks, encoded once, and the checks'
+            # text spliced into its empty list
+            head, mark, tail = _COMPACT_JSON.encode(
+                _report("analyze", [], args, None)).partition('"checks":[')
+            fh.write(f"{head}{mark}{checks}{tail}\n")
     if not args.json:
-        bad = sum(c["status"] != "pass" for c in checks)
-        print(f"{n} record(s), {n - bad} ok, {bad} with errors",
+        print(f"{n} record(s), {n - errors} ok, {errors} with errors",
               file=sys.stderr)
     return 0

@@ -74,34 +74,45 @@ def invariants(A, B, C) -> tuple:
     invariant returned, in lowest terms.  With D the lcm of the
     denominators, a = A D^3, b = B D^4 and c = C D^5 are integers, and
     each invariant is an integer form of weight 12, 20, 30 or 20 in
-    (a, b, c) over 5^4 D^12, 12^2 5^5 D^20, 12^3 5^10 D^30 or D^20.
+    (a, b, c) over 5^4 D^12, 12^2 5^5 D^20, 12^3 5^10 D^30 or D^20.  The
+    terms free of a are evaluated first, and the terms in a are added to
+    them only when A != 0, so a trinomial (A = 0) evaluates only the
+    first.
     """
     (an, ad), (bn, bd), (cn, cd) = A, B, C
     D = lcm(ad, bd, cd)
     D2 = D * D
     D4 = D2 * D2
-    a = an * (D // ad) * D2
     b = bn * (D // bd) * D2 * D
     c = cn * (D // cd) * D4
-    a2, b2, c2 = a * a, b * b, c * c
-    a3, a4, b3, c3 = a2 * a, a2 * a2, b2 * b, c2 * c
-    a5, b5, c4 = a4 * a, b3 * b2, c2 * c2
-    abc = a * b * c
-    D12 = D4 * D4 * D4
-    D20 = D12 * D4 * D4
-    delta = a4 - 5 * b3 + 25 * abc
-    gamma4 = (128 * a4 * b2 - 192 * a5 * c - 600 * abc * b2
-              + 1000 * a * c * abc - 144 * b5 + 3125 * c4)
-    gamma6 = (1728 * a5 * a5 + 10400 * a3 * a3 * b3 + 405000 * a2 * b3 * b3
-              - 180000 * a3 * a3 * abc - 1170000 * a2 * b3 * abc
-              + 1725000 * a4 * b2 * c2 - 1800000 * a5 * c3
-              + 2812500 * a * b3 * c3 - 4687500 * a * c3 * abc
-              - 2025000 * b5 * c2 - 9765625 * c3 * c3)
-    disc = (-27 * a4 * b2 + 108 * a5 * c - 1600 * abc * b2
-            + 2250 * a * c * abc + 256 * b5 + 3125 * c4)
+    b2, c2 = b * b, c * c
+    b3, c3 = b2 * b, c2 * c
+    b5, c4 = b3 * b2, c2 * c2
+    delta = -5 * b3
+    gamma4 = 3125 * c4 - 144 * b5
+    gamma6 = -2025000 * b5 * c2 - 9765625 * c3 * c3
+    disc = 256 * b5 + 3125 * c4
+    if an:
+        a = an * (D // ad) * D2
+        a2 = a * a
+        a3, a4 = a2 * a, a2 * a2
+        a5, abc = a4 * a, a * b * c
+        delta += a4 + 25 * abc
+        gamma4 += (128 * a4 * b2 - 192 * a5 * c - 600 * abc * b2
+                   + 1000 * a * c * abc)
+        gamma6 += (1728 * a5 * a5 + 10400 * a3 * a3 * b3
+                   + 405000 * a2 * b3 * b3 - 180000 * a3 * a3 * abc
+                   - 1170000 * a2 * b3 * abc + 1725000 * a4 * b2 * c2
+                   - 1800000 * a5 * c3 + 2812500 * a * b3 * c3
+                   - 4687500 * a * c3 * abc)
+        disc += (-27 * a4 * b2 + 108 * a5 * c - 1600 * abc * b2
+                 + 2250 * a * c * abc)
+    D8 = D4 * D4
+    D12 = D8 * D4
+    D20 = D12 * D8
     return (reduced(delta, 5 ** 4 * D12),
             reduced(gamma4, 12 ** 2 * 5 ** 5 * D20),
-            reduced(gamma6, 12 ** 3 * 5 ** 10 * D20 * D4 * D4 * D2),
+            reduced(gamma6, 12 ** 3 * 5 ** 10 * D20 * D8 * D2),
             reduced(disc, D20))
 
 

@@ -18,17 +18,17 @@ def _ratio(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _quintic_str(a, b, c) -> str:
-    """x^5 + ax^2 + bx + c for pairs (n, d) a, b and c, each in lowest
-    terms with d > 0."""
+def _quintic_str(a: str, b: str, c: str) -> str:
+    """x^5 + ax^2 + bx + c for rationals a, b and c as _ratio renders
+    them."""
     parts = ["x^5"]
-    for (n, d), mono in ((a, "x^2"), (b, "x"), (c, "")):
-        if not n:
+    for text, mono in ((a, "x^2"), (b, "x"), (c, "")):
+        if text == "0":
             continue
-        mag = _ratio(abs(n), d)
+        sign, mag = ("-", text[1:]) if text[0] == "-" else ("+", text)
         if mono:
-            mag = "" if mag == "1" else (f"({mag})" if d != 1 else mag)
-        parts.append(f"{'-' if n < 0 else '+'} {mag}{mono}")
+            mag = "" if mag == "1" else (f"({mag})" if "/" in mag else mag)
+        parts.append(f"{sign} {mag}{mono}")
     return " ".join(parts)
 
 

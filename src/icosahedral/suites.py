@@ -323,7 +323,7 @@ def _suite_table():
         (c5, b, c), _ = pairs[0]
         listed = [t for _, t in pairs]
         return (f"table/row-{row}",
-                f"{_quintic_str((0, 1), (b, 1), (c, 1))} scaled by {c5} "
+                f"{_quintic_str('0', str(b), str(c))} scaled by {c5} "
                 f"(principal form of {original})",
                 lambda: _differs([recompute(*p) for p, _ in pairs], listed),
                 lambda bad: f"listed t = {', '.join(listed)}; recomputed "

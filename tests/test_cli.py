@@ -24,8 +24,8 @@ from sympy import factorint
 
 import icosahedral
 from icosahedral import (
-    analyze, cli, dealer, hecke, icosa, localfield, qcurve, quintic, repn,
-    suites)
+    analyze, cli, dealer, hecke, icosa, localfield, qcurve, quintic, reports,
+    repn, suites)
 from icosahedral.exact import Poly
 
 # the src/ directory of the checkout under test, and its pyproject.toml
@@ -1169,6 +1169,49 @@ def test_analyze_line_is_compact_json(rec, label):
     assert fields == ({} if label is None else {"label": label}) | bare
     assert list(fields) == ["label"] * (label is not None) + OUTPUT_KEYS + \
         ["error"] * (fields["status"] == "error")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10 ** 6), labels, st.none() | labels)
+@example(1, "x^5 + 4x + 16/5", None)
+@example(2, 'a "quoted" \\ label', "degenerate quintic: delta = 0")
+@example(3, "\x00\x1f\x7f\n\t", "")
+@example(4, "\u00e9\u4e2d\U0001f600", "\ud800 \udfff")
+def test_analyze_check_is_compact_json(i, name, error):
+    # each record's report check, rendered directly, is the compact JSON
+    # encoding of its check dict, byte for byte: passed where it has no
+    # error, else skipped with the error as its witness
+    status = "pass" if error is None else "skipped"
+    assert analyze._check_text(i, name, error) == analyze._COMPACT_JSON.encode(
+        reports._check(f"record-{i}", name, status, error))
+
+
+def test_shard_stops_analyzing_once_the_byte_is_set(monkeypatch):
+    # the byte the shards share: a shard whose parse finds a bad line sets
+    # it, and a shard that finds it set, its own parse done, analyzes at
+    # most one more block; clear, it analyzes every record
+    lines = GOLDEN_ANALYZE_INPUT.read_text().splitlines(keepends=True)
+    entries = list(enumerate(lines, start=1))
+    assert len(entries) > 2 * analyze._BLOCK
+    analyzed, analyze_one = [], analyze._analyze_one
+
+    def counted(*args):
+        analyzed.append(args)
+        return analyze_one(*args)
+
+    monkeypatch.setattr(analyze, "_analyze_one", counted)
+    stop = bytearray(1)
+    text, checks, errors, bad = analyze._shard(0, entries, stop)
+    assert bad is None and not stop[0] and len(analyzed) == len(entries)
+    assert text.count("\n") == len(entries) and errors > 0
+    analyzed.clear()
+    stop[0] = 1
+    assert analyze._shard(0, entries, stop)[3] is None
+    assert len(analyzed) <= analyze._BLOCK
+    stop[0] = 0
+    bad = analyze._shard(0, entries[:3] + [(4, "not json\n")], stop)
+    assert bad == ("", "", 0, (4, "Expecting value: line 1 column 1 (char 0)"))
+    assert stop[0] == 1
 
 
 def test_verify_icosa(capsys):

@@ -518,8 +518,13 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
 @example((0, 0, 0))
 @example((Fraction(1, 6), Fraction(-5, 6), Fraction(7, 6)))   # shared
 @example((Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))   # coprime
-@example((Fraction(-7, 12), 0, Fraction(5, 8)))
+@example((Fraction(-7, 12), 0, Fraction(5, 8)))               # A != 0 = B
+@example((Fraction(3, 4), Fraction(-2, 5), 0))                # A != 0 = C
+@example((0, Fraction(-25, 9), Fraction(4, 25)))              # A = 0
+@example((0, Fraction(61, 4), Fraction(61, 5)))               # q_t, t = 2/3
 def test_invariants_match_fraction_formulas(abc):
+    # invariants evaluates the terms free of a alone when A = 0, and adds
+    # the terms in a otherwise: the examples run both branches
     A, B, C = abc
     assert invariants(pair(A), pair(B), pair(C)) == tuple(map(
         pair, invariants_reference(Fraction(A), Fraction(B), Fraction(C))))
