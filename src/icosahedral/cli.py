@@ -14,13 +14,13 @@ Three subcommands:
   with fields unramified outside 2, 5 and infinity and compare them with the
   listed values.
 
-This module imports only argparse, re and sys; _main imports the module of
-the subcommand it runs, ``analyze`` or ``suites`` (both use ``reports``),
-which import json, fractions, time and the domain modules they run, and
-``dealer``, the one code that forks, only where work is dealt; logging is
-imported only when ICOSAHEDRAL_LOG is set.  No module imports
-from this one, which ``python -m icosahedral.cli`` runs as ``__main__``: a
-second copy would hold a second class of each name.
+This module imports only argparse, gc, re and sys; _main imports the module
+of the subcommand it runs, ``analyze`` or ``suites`` (both use ``reports``),
+which import json, time and the domain modules they run, and ``dealer``,
+the one code that forks, only where work is dealt; fractions is imported
+only where a Fraction is built, and logging only when ICOSAHEDRAL_LOG is
+set.  No module imports from this one, which ``python -m icosahedral.cli``
+runs as ``__main__``: a second copy would hold a second class of each name.
 
 Exit codes: 0 when every check passes, 1 on a verification failure, 2 on a
 usage or parse error or an ``--out`` file or stdout that cannot be written.
@@ -32,6 +32,7 @@ Exact rationals are serialized as "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 
@@ -129,6 +130,11 @@ def main(argv=None) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+        if argv is None:
+            # a program run (the console script, python -m), --help and
+            # usage errors included: its output is written, and the
+            # interpreter's collections at exit need not walk the heap
+            gc.freeze()
 
 
 def _main(argv):

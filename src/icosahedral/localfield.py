@@ -29,7 +29,6 @@ minima as plain numbers.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .quintic import trinomial_t
 
@@ -43,6 +42,7 @@ __all__ = [
 
 def v5(x):
     """5-adic valuation of a rational: an int, or math.inf for 0."""
+    from fractions import Fraction
     x = Fraction(x)
     if not x:
         return math.inf
@@ -83,6 +83,7 @@ def theorem_hypothesis(B, C) -> bool:
 def _first_difference(name, lhs, rhs):
     """None if the polynomials lhs and rhs are equal, else (name, e, c): the
     lowest power e at which lhs - rhs has a nonzero coefficient, c."""
+    from fractions import Fraction
     diff = lhs - rhs
     return next(((name, e, Fraction(c, diff.den))
                  for e, c in enumerate(diff.num) if c), None)
@@ -90,8 +91,9 @@ def _first_difference(name, lhs, rhs):
 
 # y4 = 256u^4/(625(5u^4 - 9)) as the integer coefficients in u of its
 # numerator and denominator, and the w of q_t(x/(wy)) (wy)^5 = x^5 - x - y
+# as its numerator and denominator
 _Y4 = ((0, 0, 0, 0, 256), (-5625, 0, 0, 0, 3125))
-_W = Fraction(5, 4)
+_W = (5, 4)
 # k = 9 - 5t^2 of family_squares_mismatch, as its coefficients in t
 _K = (9, 0, -5)
 
@@ -110,12 +112,15 @@ def artin_schreier_mismatch():
     k w^4 n = -u^4 d and 4k w^5 n = -5u^4 d in Q[u].  Returns None, or for
     the first that fails (identity, e, c), its sides' first difference c u^e.
     """
+    from fractions import Fraction
+
     from .exact import Poly
+    w = Fraction(*_W)
     n, d = map(Poly.over_q, _Y4)
     u4d = Poly.over_q([0, 0, 0, 0, 1]) * d
     kn = Poly.over_q([9, 0, 0, 0, -5]) * n
-    return (_first_difference("k w^4 n = -u^4 d", kn.scale(_W ** 4), -u4d)
-            or _first_difference("4k w^5 n = -5u^4 d", kn.scale(4 * _W ** 5),
+    return (_first_difference("k w^4 n = -u^4 d", kn.scale(w ** 4), -u4d)
+            or _first_difference("4k w^5 n = -5u^4 d", kn.scale(4 * w ** 5),
                                  -u4d.scale(5)))
 
 

@@ -55,6 +55,7 @@ from .exact import Poly, mul5, poly_divides, resultant, resultant_pencil
 from .quintic import invariants, j_equation
 
 __all__ = [
+    "KLEIN_FIXED_J",
     "family_curve",
     "j_invariant",
     "j_equation_at",
@@ -314,6 +315,9 @@ def _inverse_divides(k, b, c, g, qp) -> bool:
 _KLEIN_LINK_FACTS = {"resultant": (_resultant_holds, 9),
                      "(a)": (_transform_holds, 3),
                      "(b)": (_inverse_divides, 23)}
+# the j at which klein-link/fixed-samples checks klein_link_mismatch
+KLEIN_FIXED_J = (Fraction(2), Fraction(-25, 3), Fraction(5, 7), Fraction(64),
+                 Fraction(-1), Fraction(1000))
 
 
 def klein_link_mismatch(k):

@@ -43,7 +43,6 @@ quadratic field.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 __all__ = [
@@ -193,6 +192,7 @@ def resolvent_coeffs(m, n, j):
 
     Requires j outside {0, 1728}.
     """
+    from fractions import Fraction
     m, n, j = Fraction(m), Fraction(n), Fraction(j)
     if j == 0 or j == 1728:
         raise ValueError("j must avoid 0 and 1728")
@@ -214,6 +214,7 @@ def family_quintic(t) -> tuple:
     terms, B = k/p^2 and C = 4k/(5p^2) for k = 9q^2 - 5p^2.  Requires
     t != 0.  9 - 5t^2 cannot vanish at rational t.
     """
+    from fractions import Fraction
     t = Fraction(t)
     p, q = t.numerator, t.denominator
     if not p:
@@ -271,6 +272,7 @@ def solvable_family(v, w):
     B = 20 (v^2+v-1)(v^2-v-1) w^4 / (v^2+1)^2,
     C = 16 (v^2+v-1)(2v^2+3v-2) w^5 / (v^2+1)^2.
     """
+    from fractions import Fraction
     v, w = Fraction(v), Fraction(w)
     d = (v ** 2 + 1) ** 2
     B = 20 * (v ** 2 + v - 1) * (v ** 2 - v - 1) * w ** 4 / d
@@ -286,6 +288,7 @@ def solvability_obstruction(v):
 
     Raises when a denominator vanishes at v.
     """
+    from fractions import Fraction
     v = Fraction(v)
     dw = 2 * v ** 2 + 3 * v - 2
     dt = 5 * (2 * v ** 3 + 2 * v ** 2 - v + 1) * (v ** 3 + v ** 2 + 2 * v - 2)

@@ -20,13 +20,9 @@ from __future__ import annotations
 import functools
 import json
 import time
-from fractions import Fraction
 
 from .reports import (_check, _emit, _log_info, _quintic_str, _ratio,
                       _report)
-
-KLEIN_FIXED_J = (Fraction(2), Fraction(-25, 3), Fraction(5, 7), Fraction(64),
-                 Fraction(-1), Fraction(1000))
 
 # original quintic (label), then (principal form (c5, B, C), listed t); the
 # first row's original is itself a trinomial and gives a second such pair
@@ -45,6 +41,7 @@ _NO_ZEROS = (1, ())  # v_3 = 1 and no zeros: the hyperelliptic certificate
 
 
 def _fmt(x) -> str:
+    from fractions import Fraction
     return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
@@ -127,8 +124,8 @@ def _suite_klein_link():
     from . import qcurve
 
     def fixed_mismatch():
-        """The first (fact, j) of KLEIN_FIXED_J that fails, or None."""
-        for j in KLEIN_FIXED_J:
+        """The first (fact, j) of qcurve.KLEIN_FIXED_J that fails, or None."""
+        for j in qcurve.KLEIN_FIXED_J:
             mismatch = qcurve.klein_link_mismatch(j / (1728 - j))
             if mismatch is not None:
                 return mismatch[0], j
@@ -138,7 +135,7 @@ def _suite_klein_link():
         ("klein-link/fixed-samples",
          "mu <-> x transforms invert each other and (a) holds on fixed j",
          fixed_mismatch,
-         lambda m: "j in {" + ", ".join(map(_fmt, KLEIN_FIXED_J)) + "}"
+         lambda m: "j in {" + ", ".join(map(_fmt, qcurve.KLEIN_FIXED_J)) + "}"
                    if m is None
                    else f"the {m[0]} identity fails at j = {_fmt(m[1])}"),
         ("klein-link/random-samples",

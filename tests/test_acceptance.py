@@ -232,7 +232,7 @@ def test_12_mutation_suite(monkeypatch):
         assert localfield.artin_schreier_mismatch() == (
             "k w^4 n = -u^4 d", 4, Fraction(-5625, 256))
     with monkeypatch.context() as m:
-        m.setattr(localfield, "_W", Fraction(4, 5))
+        m.setattr(localfield, "_W", (4, 5))
         assert localfield.artin_schreier_mismatch()[:2] == (
             "k w^4 n = -u^4 d", 4)
 

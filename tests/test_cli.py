@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import errno
+import gc
 import importlib.util
 import io
 import json
@@ -1959,6 +1960,8 @@ _START = ["icosahedral", "icosahedral.cli"]
 # stdlib modules that --help, which runs no subcommand, does not use
 _NOT_FOR_HELP = {"json", "logging", "fractions", "decimal", "dataclasses",
                  "inspect"}
+# what fractions imports: a subcommand that builds no Fraction loads none
+_NO_FRACTION = {"fractions", "decimal", "numbers"}
 
 
 def loaded_modules(argv, log=None, preexec_fn=None):
@@ -1977,14 +1980,14 @@ def loaded_modules(argv, log=None, preexec_fn=None):
 @pytest.mark.parametrize("argv, extra, absent", [
     (["--help"], [], _NOT_FOR_HELP),
     (["table"], ["quintic", "reports", "suites"],
-     {"typing", "dataclasses", "inspect"}),
+     {"typing", "dataclasses", "inspect"} | _NO_FRACTION),
     (["analyze", "--b", "1", "--c", "1"],
      ["analyze", "localfield", "quintic", "reports"],
-     {"typing", "dataclasses", "inspect"}),
+     {"typing", "dataclasses", "inspect"} | _NO_FRACTION),
     (["verify", "hecke"], ["hecke", "reports", "suites"],
-     {"dataclasses", "inspect"}),
+     {"dataclasses", "inspect"} | _NO_FRACTION),
     (["verify", "repn"], ["repn", "reports", "suites"],
-     {"dataclasses", "inspect"}),
+     {"dataclasses", "inspect"} | _NO_FRACTION),
     (["verify", "all"], ["dealer", "exact", "hecke", "icosa", "localfield",
                          "qcurve", "quintic", "repn", "reports", "suites"],
      {"dataclasses", "inspect"}),
@@ -2005,6 +2008,40 @@ def test_subcommand_loads_only_its_modules(argv, extra, absent):
     if argv == ["verify", "all"]:
         # with the full mask the CLI process loads what its suites need
         assert set(loaded_modules(argv)) <= set(loaded)
+
+
+# a program run, as the console script makes it: main() reads sys.argv;
+# the probe prints the freeze count it leaves, --help's SystemExit included
+_FROZEN = """
+import gc
+import sys
+from icosahedral import cli
+sys.argv = ["icosahedral", *sys.argv[1:]]
+try:
+    cli.main()
+finally:
+    print(gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [["verify", "hecke"], ["--help"]],
+                         ids=["verify-hecke", "help"])
+def test_program_run_freezes_at_exit(argv):
+    # once its output is written, a program run freezes its heap, so the
+    # interpreter's collections at exit do not walk it
+    done = subprocess.run([sys.executable, "-c", _FROZEN, *argv],
+                          capture_output=True, env=child_env())
+    assert done.returncode == 0
+    assert int(done.stderr.split()[-1]) > 0
+
+
+def test_in_process_main_freezes_nothing(capsys):
+    # main(argv) called in process leaves the caller's heap to its collector;
+    # what an earlier dealt run froze here is thawed first, as frozen objects
+    # that die leave the count
+    gc.unfreeze()
+    assert run_cli(capsys, "verify", "hecke")[0] == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_reports_byte_stable_across_processes():

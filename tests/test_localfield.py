@@ -181,11 +181,11 @@ def test_artin_schreier_mutation(monkeypatch):
     # (9 - 5u^4) 255u^4 (5/4)^4 + u^4 (3125u^4 - 5625) at u^4
     assert mutated(monkeypatch, "_Y4", mutated_y4(255)) == (
         "k w^4 n = -u^4 d", 4, Fraction(9 * 255 * 625, 256) - 5625)
-    assert mutated(monkeypatch, "_W", Fraction(4, 5)) == (
+    assert mutated(monkeypatch, "_W", (4, 5)) == (
         "k w^4 n = -u^4 d", 4, Fraction(9 * 256 * 256, 625) - 5625)
     # w = -5/4 keeps w^4, so only the y-coefficient identity fails, by
     # twice its left side: 2 * 4 * 9 * 256 * (-5/4)^5 at u^4
-    assert mutated(monkeypatch, "_W", Fraction(-5, 4)) == (
+    assert mutated(monkeypatch, "_W", (-5, 4)) == (
         "4k w^5 n = -5u^4 d", 4, -56250)
 
 

@@ -7,15 +7,15 @@ import sympy as sp
 from icosahedral import exact, qcurve
 from icosahedral.exact import Poly, mul5, poly_divides, resultant
 from icosahedral.qcurve import (
-    division_poly5, family_curve, j_equation_family_mismatch, j_invariant,
-    klein_link_family_mismatch, klein_link_mismatch, x5sum_resolvent,
+    KLEIN_FIXED_J, division_poly5, family_curve, j_equation_family_mismatch,
+    j_invariant, klein_link_family_mismatch, klein_link_mismatch,
+    x5sum_resolvent,
 )
 from icosahedral.qcurve import (
     _ISOGENY_R_DEGREE, _J_EQUATION_R, _KLEIN_LINK_FACTS, _inverse_divides,
     _isogeny_identity, _klein_link_polys, _transform_holds, isogeny_mismatch,
 )
 from icosahedral.quintic import invariants, j_equation, j_roots
-from icosahedral.suites import KLEIN_FIXED_J
 
 # -- point arithmetic mod p: an oracle independent of the isogeny proofs --
 
