@@ -38,7 +38,7 @@ from math import gcd
 __all__ = [
     "sigma_identity_mismatch",
     "square_identity_mismatch",
-    "verify_positive_units",
+    "positive_units_mismatch",
     "omega_epsilon",
     "omega_value_group",
 ]
@@ -257,12 +257,17 @@ def square_identity_mismatch():
     return None
 
 
-def verify_positive_units() -> bool:
-    """omega is trivial on the totally positive units, the even powers of eps."""
+def positive_units_mismatch():
+    """Check that omega is trivial on the totally positive units, the even
+    powers of eps, at eps^2 and eps^4: None, or the first (n, k) with
+    omega(eps^n) = zeta24^k != 1."""
     ring = residue_ring("8sqrt5")
     w = omega()
     eps2 = ring.mul(ring.eps, ring.eps)
-    return w(eps2) == 0 and w(ring.mul(eps2, eps2)) == 0
+    for n, x in ((2, eps2), (4, ring.mul(eps2, eps2))):
+        if w(x):
+            return n, w(x)
+    return None
 
 
 def omega_epsilon() -> int:

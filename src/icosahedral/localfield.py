@@ -34,7 +34,8 @@ from .quintic import trinomial_t
 
 __all__ = [
     "is_square_5adic_unit",
-    "theorem_hypothesis",
+    "square_unit_table_mismatch",
+    "hypothesis_triple_mismatch",
     "artin_schreier_mismatch",
     "family_squares_mismatch",
 ]
@@ -78,6 +79,27 @@ def theorem_hypothesis(B, C) -> bool:
     """
     t = trinomial_t(B, C)
     return t is not None and is_square_5adic_unit(*t)
+
+
+# n/d as the pair (n, d), and whether it is the square of a 5-adic unit
+_SQUARE_UNITS = {(1, 1): True, (3, 1): False, (3, 5): False, (4, 9): True}
+# x^5 + Bx + C as (B, C), t = 1, 3/5 and 3, and whether the hypothesis holds
+_HYPOTHESES = {((4, 1), (16, 5)): True, ((20, 1), (-16, 1)): False,
+               ((-4, 1), (16, 5)): False}
+
+
+def square_unit_table_mismatch():
+    """Check is_square_5adic_unit on _SQUARE_UNITS: None, or the first
+    (n, d) at which it gives the wrong answer."""
+    return next((x for x, want in _SQUARE_UNITS.items()
+                 if is_square_5adic_unit(*x) is not want), None)
+
+
+def hypothesis_triple_mismatch():
+    """Check theorem_hypothesis on _HYPOTHESES: None, or the first (B, C)
+    at which it gives the wrong answer."""
+    return next((bc for bc, want in _HYPOTHESES.items()
+                 if theorem_hypothesis(*bc) is not want), None)
 
 
 def _first_difference(name, lhs, rhs):

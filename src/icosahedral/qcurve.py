@@ -52,13 +52,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import Poly, mul5, poly_divides, resultant, resultant_pencil
-from .quintic import invariants, j_equation
+from .quintic import family_quintic, invariants, j_equation
 
 __all__ = [
     "KLEIN_FIXED_J",
-    "family_curve",
-    "j_invariant",
-    "j_equation_at",
+    "published_model_mismatch",
+    "j_equation_t1_mismatch",
     "isogeny_mismatch",
     "j_equation_family_mismatch",
     "klein_link_family_mismatch",
@@ -108,6 +107,28 @@ def j_equation_at(q, j):
     terms = (mul5(N, N), mul5(N, D), mul5(D, D))
     return tuple(sum(c * term[i] for c, term in zip(q, terms))
                  for i in (0, 1))
+
+
+# y^2 = x^3 + (5 - sqrt5) x^2 + sqrt5 x, the published model of E_1, as
+# (a2, a4) on integer pairs (p, q) for p + q sqrt5
+_PUBLISHED_MODEL = ((5, -1), (0, 1))
+
+
+def published_model_mismatch():
+    """Prove that E_1 and _PUBLISHED_MODEL have one j: None, or the cross
+    products (N1 D2, N2 D1) of their j = N1/D1 and N2/D2, which differ."""
+    (n1, d1), (n2, d2) = (j_invariant(*curve) for curve in
+                          (family_curve(1), _PUBLISHED_MODEL))
+    cross = mul5(n1, d2), mul5(n2, d1)
+    return None if cross[0] == cross[1] else cross
+
+
+def j_equation_t1_mismatch():
+    """Prove that j(E_1) is a root of the j-equation of q_1 = x^5 + 4x +
+    16/5: None, or the nonzero pair of j_equation_at there."""
+    q = j_equation(invariants(*family_quintic(1)))
+    value = j_equation_at(q, j_invariant(*family_curve(1)))
+    return None if value == (0, 0) else value
 
 
 # the n of phi^sigma o phi = [n], and the r-degree of both sides of each

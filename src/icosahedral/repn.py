@@ -9,8 +9,8 @@ below integral.
 
 varpi = i(eps + 1) - 1 generates a prime above 5: the residue homomorphism
 eps -> 2, i -> 2 lands in F5 and kills varpi, and the explicit identities
-verified by verify_varpi_identities show 2 - eps, 2 - i, and sqrt5 all lie
-in the kernel.  On Z[eps, i][1/2] the residue sends 1/2 to 3.
+of varpi_identities_mismatch show 2 - eps, 2 - i, and sqrt5 all lie in
+the kernel.  On Z[eps, i][1/2] the residue sends 1/2 to 3.
 
 A 2x2 matrix [[a, b], [c, d]] over F5 is its entry 4-tuple (a, b, c, d),
 entries in 0..4.  The group of those whose determinant is a nonzero square
@@ -26,9 +26,9 @@ sends each group element to the product of lifted generators along its
 first-discovery word; homomorphism_mismatch proves multiplicativity on
 the Cayley graph (each element times each generator), relations_mismatch
 checks the generator orders and the braid-like relations together with the
-documented failure at a/d = +-2, verify_congruence checks that the residue
+documented failure at a/d = +-2, congruence_mismatch that the residue
 homomorphism applied entrywise is the identity on all 240 elements, and
-verify_faithful that the 240 lifts are distinct.
+faithful_mismatch that the 240 lifts are distinct.
 
 A lift L is its key: every lift has coordinate denominators in {1, 2}, so
 2L is 16 integers, the coordinates of 2a, 2b, 2c, 2d for
@@ -45,13 +45,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 __all__ = [
-    "verify_varpi_identities",
+    "varpi_identities_mismatch",
     "enumerate_group",
     "generator_name",
     "homomorphism_mismatch",
     "relations_mismatch",
-    "verify_congruence",
-    "verify_faithful",
+    "congruence_mismatch",
+    "faithful_mismatch",
 ]
 
 _WORD_CAP = 40
@@ -126,22 +126,23 @@ def residue_hom(x) -> int:
     return (a + 2 * b + 2 * c + 4 * d) % 5
 
 
-def verify_varpi_identities() -> bool:
+def varpi_identities_mismatch():
     """Check 2 - eps = eps^2 w w^c, 2 - omega5(2) = eps w (eps w^c - 1),
-    and sqrt5 = eps w w^c for w = varpi, plus residue_hom = 0 on each left side.
-    """
+    and sqrt5 = eps w w^c for w = varpi, each with residue_hom = 0 on its
+    left side: None, or the name of the first that fails."""
     w = varpi()
     w_wc = _mul(w, _conj(w))
     two = (2, 0, 0, 0)
     sqrt5 = (1, 2, 0, 0)
-    pairs = (
-        (_sub(two, _EPS), _mul(_mul(_EPS, _EPS), w_wc)),
-        (_sub(two, teichmuller(2)),
-         _mul(_mul(_EPS, w), _sub(_mul(_EPS, _conj(w)), _ONE))),
-        (sqrt5, _mul(_EPS, w_wc)),
-    )
-    return all(lhs == rhs and residue_hom(lhs) == 0
-               for lhs, rhs in pairs)
+    for name, lhs, rhs in (
+            ("2-eps = eps^2 pi pi-bar", _sub(two, _EPS),
+             _mul(_mul(_EPS, _EPS), w_wc)),
+            ("2-i = eps pi (eps pi-bar - 1)", _sub(two, teichmuller(2)),
+             _mul(_mul(_EPS, w), _sub(_mul(_EPS, _conj(w)), _ONE))),
+            ("sqrt5 = eps pi pi-bar", sqrt5, _mul(_EPS, w_wc))):
+        if lhs != rhs or residue_hom(lhs):
+            return name
+    return None
 
 
 @lru_cache(maxsize=1)
@@ -417,13 +418,20 @@ def _key_residue(key):
     return tuple(3 * residue_hom(key[n:n + 4]) % 5 for n in range(0, 16, 4))
 
 
-def verify_faithful() -> bool:
-    """The 240 lifts are pairwise distinct: their keys are 240 distinct
-    tuples."""
-    return len(set(_lift_table().values())) == 240
+def faithful_mismatch():
+    """Check that the 240 lifts are pairwise distinct: None, or the first
+    two group elements, in BFS order, whose lifts have one key."""
+    first = {}
+    for g, key in _lift_table().items():
+        if first.setdefault(key, g) != g:
+            return first[key], g
+    return None
 
 
-def verify_congruence() -> bool:
-    """residue_hom o lift_pi is the identity on all 240 elements."""
+def congruence_mismatch():
+    """Check that residue_hom o lift_pi is the identity on all 240
+    elements: None, or the first g, in BFS order, whose lift does not
+    reduce to g, with that residue."""
     keys = _lift_table()
-    return all(_key_residue(keys[g]) == g for g in enumerate_group())
+    return next(((g, residue) for g in enumerate_group()
+                 if (residue := _key_residue(keys[g])) != g), None)

@@ -33,9 +33,6 @@ _TABLE_ROWS = (
     ("x^5 + 10x^3 - 40x^2 + 60x - 32", ((5, -5, 4), "3/2")),
     ("x^5 - 10x^3 - 20x^2 + 10x + 216", ((5, 5, 8), "4/3")),
 )
-# y^2 = x^3 + (5 - sqrt5) x^2 + sqrt5 x, the published model of E_1, as
-# (a2, a4) on integer pairs (p, q) for p + q sqrt5
-_PUBLISHED_MODEL = ((5, -1), (0, 1))
 _MU4 = (0, 6, 12, 18)  # the fourth roots of unity as exponents in mu24
 _NO_ZEROS = (1, ())  # v_3 = 1 and no zeros: the hyperelliptic certificate
 
@@ -45,23 +42,25 @@ def _fmt(x) -> str:
     return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
-def _holds(ok):
-    """The proof of a boolean check ok(): None when it holds, else False."""
-    return lambda: None if ok() else False
-
-
 def _differs(got, want):
     """A computed value's mismatch: None when got equals want, else got."""
     return None if got == want else got
 
 
-def _no_witness(mismatch):
-    return None
-
-
 def _if_fails(witness):
     """witness on a mismatch; None when the check holds."""
     return lambda mismatch: None if mismatch is None else witness(mismatch)
+
+
+def _matrix(g) -> str:
+    """An F5 matrix, its entry 4-tuple (a, b, c, d), as [[a, b], [c, d]]."""
+    return "[[{}, {}], [{}, {}]]".format(*g)
+
+
+def _sqrt5(pair) -> str:
+    """p + q sqrt5, the integer pair (p, q), as p +- |q|*sqrt(5)."""
+    p, q = pair
+    return f"{p} {'-' if q < 0 else '+'} {abs(q)}*sqrt(5)"
 
 
 def _suite_icosa():
@@ -148,22 +147,6 @@ def _suite_klein_link():
     )
 
 
-def _published_model_j() -> bool:
-    from . import qcurve
-    from .exact import mul5
-    (n1, d1), (n2, d2) = (qcurve.j_invariant(*curve) for curve in
-                          (qcurve.family_curve(1), _PUBLISHED_MODEL))
-    return mul5(n1, d2) == mul5(n2, d1)
-
-
-def _j_equation_t1() -> bool:
-    from . import qcurve
-    from .quintic import family_quintic, invariants, j_equation
-    q = j_equation(invariants(*family_quintic(1)))
-    j = qcurve.j_invariant(*qcurve.family_curve(1))
-    return qcurve.j_equation_at(q, j) == (0, 0)
-
-
 def _suite_qcurve():
     from . import qcurve, quintic
     # a 2-isogeny proof fails at its first identity and r
@@ -180,10 +163,14 @@ def _suite_qcurve():
          lambda: qcurve.isogeny_mismatch(("x", "y")), isogeny_witness),
         ("qcurve/published-model-j",
          "j of the t=1 curve equals j of y^2 = x^3 + (5-sqrt5)x^2 + sqrt5 x",
-         _holds(_published_model_j), _no_witness),
+         qcurve.published_model_mismatch,
+         _if_fails(lambda m: f"j(E_1) != j(model): N1 D2 = {_sqrt5(m[0])}, "
+                             f"N2 D1 = {_sqrt5(m[1])}")),
         ("qcurve/j-equation-t1",
          "j(E_1) is an exact root of the j-equation of x^5 + 4x + 16/5",
-         _holds(_j_equation_t1), _no_witness),
+         qcurve.j_equation_t1_mismatch,
+         _if_fails(lambda v: f"the j-equation of q_1 at j(E_1), cleared, "
+                             f"is {_sqrt5(v)}")),
         ("qcurve/j-equation-family",
          "j(E_t) is an exact root of the j-equation of q_t for all t, as an "
          "identity in r = a4(E_t) of degree <= 36 once cleared",
@@ -214,13 +201,16 @@ def _suite_repn():
         ("repn/varpi-identities",
          "2-eps = eps^2 pi pi-bar, 2-i = eps pi (eps pi-bar - 1), "
          "sqrt5 = eps pi pi-bar in Z[eps, i]",
-         _holds(repn.verify_varpi_identities), _no_witness),
+         repn.varpi_identities_mismatch,
+         _if_fails(lambda name: f"the identity {name} fails")),
         ("repn/group-order",
          "the square-determinant subgroup of GL2(F5) has 240 elements",
          lambda: _differs(len(repn.enumerate_group()), 240),
          lambda n: f"{240 if n is None else n} elements enumerated"),
         ("repn/faithful", "the 240 exact lifts are pairwise distinct",
-         _holds(repn.verify_faithful), _no_witness),
+         repn.faithful_mismatch,
+         _if_fails(lambda m: f"lift(g) = lift(h) at g = {_matrix(m[0])}, "
+                             f"h = {_matrix(m[1])}")),
         ("repn/relations",
          "S^5 = T^4 = U^4 = 1 and relations (1)-(3) hold for all "
          "admissible (a, d); (2) fails for a/d = +-2 as documented",
@@ -233,10 +223,12 @@ def _suite_repn():
         ("repn/congruence",
          "reducing each lift entrywise mod the prime above 5 returns the "
          "lifted matrix",
-         _holds(repn.verify_congruence),
-         lambda _: "the literal reading 'every lift is 1 mod lambda' fails "
+         repn.congruence_mismatch,
+         lambda m: "the literal reading 'every lift is 1 mod lambda' fails "
                    "for every nonidentity element; the verified congruence "
-                   "is residue(pi(g)) = g on all 240 elements"),
+                   "is residue(pi(g)) = g on all 240 elements" if m is None
+                   else f"residue(pi(g)) = {_matrix(m[1])} at "
+                        f"g = {_matrix(m[0])}"),
     )
 
 
@@ -244,8 +236,8 @@ def _suite_repn():
 def _edge_witness(edge) -> str:
     """The first failing Cayley-graph edge (g, s) of repn/homomorphism."""
     from . import repn
-    (a, b, c, d), idx = edge
-    return (f"lift(g) lift(s) != lift(gs) at g = [[{a}, {b}], [{c}, {d}]], "
+    g, idx = edge
+    return (f"lift(g) lift(s) != lift(gs) at g = {_matrix(g)}, "
             f"s = {repn.generator_name(idx)}")
 
 
@@ -265,7 +257,8 @@ def _suite_hecke():
          hecke.square_identity_mismatch, unit_witness),
         ("hecke/positive-units",
          "omega is trivial on the totally positive units eps^2n",
-         _holds(hecke.verify_positive_units), _no_witness),
+         hecke.positive_units_mismatch,
+         _if_fails(lambda m: f"omega(eps^{m[0]}) = zeta24^{m[1]}")),
         ("hecke/value-group",
          "the image of omega is the fourth roots of unity",
          lambda: _differs(hecke.omega_value_group(), _MU4),
@@ -276,8 +269,6 @@ def _suite_hecke():
 
 def _suite_localfield():
     from . import localfield
-    truth = {(1, 1): True, (3, 1): False, (3, 5): False, (4, 9): True}
-    hypothesis = localfield.theorem_hypothesis
     return (
         ("localfield/artin-schreier",
          "q_t(x/w) w^5 = x^5 - x - y for w = 5y/4 in "
@@ -285,16 +276,15 @@ def _suite_localfield():
          localfield.artin_schreier_mismatch, _difference_witness("u")),
         ("localfield/square-unit-table",
          "is_square_5adic_unit on {1, 3, 3/5, 4/9} = {T, F, F, T}",
-         _holds(lambda: all(localfield.is_square_5adic_unit(*t) is want
-                            for t, want in truth.items())),
-         _no_witness),
+         localfield.square_unit_table_mismatch,
+         _if_fails(lambda x: f"is_square_5adic_unit is wrong at "
+                             f"{_ratio(*x)}")),
         ("localfield/hypothesis-triple",
          "hypothesis holds for (4, 16/5) and fails for (20, -16) "
          "and (-4, 16/5)",
-         _holds(lambda: hypothesis((4, 1), (16, 5)) is True
-                and hypothesis((20, 1), (-16, 1)) is False
-                and hypothesis((-4, 1), (16, 5)) is False),
-         _no_witness),
+         localfield.hypothesis_triple_mismatch,
+         _if_fails(lambda bc: "theorem_hypothesis is wrong at "
+                              + _quintic_str("0", *(_ratio(*x) for x in bc)))),
         ("localfield/family-squares",
          "the hypothesis holds on q_t for t = u^2 and every 5-adic unit u: "
          "trinomial_t(q_t) = |t|, as 256k^5 + 1280k^4 t^2 = (48k^2)^2 in "

@@ -113,8 +113,8 @@ def test_08_representation_bundle_under_1min():
                 assert key_pow(U(a, d), 4) == IDENTITY_KEY
     assert repn.relations_mismatch() is None
     assert repn.homomorphism_mismatch() is None
-    assert repn.verify_congruence()
-    assert repn.verify_varpi_identities()
+    assert repn.congruence_mismatch() is None
+    assert repn.varpi_identities_mismatch() is None
     assert time.monotonic() - started < 60
 
 
@@ -122,7 +122,7 @@ def test_09_hecke_identities_under_10s():
     started = time.monotonic()
     assert hecke.sigma_identity_mismatch() is None
     assert hecke.square_identity_mismatch() is None
-    assert hecke.verify_positive_units()
+    assert hecke.positive_units_mismatch() is None
     assert time.monotonic() - started < 10
 
 
@@ -144,6 +144,8 @@ def test_10_localfield_bundle():
     assert localfield.theorem_hypothesis((4, 1), (16, 5)) is True
     assert localfield.theorem_hypothesis((20, 1), (-16, 1)) is False
     assert localfield.theorem_hypothesis((-4, 1), (16, 5)) is False
+    assert localfield.square_unit_table_mismatch() is None
+    assert localfield.hypothesis_triple_mismatch() is None
 
 
 def test_11_hyperelliptic_search_under_1min():

@@ -771,6 +771,21 @@ def test_verify_hecke(capsys):
     assert "zeta24^0" in by_id["hecke/value-group"]["witness"]
 
 
+def test_verify_hecke_positive_units_mutation(capsys, monkeypatch):
+    # omega4 in place of omega4^3: omega(eps^2) = zeta24^(8 + 12 + 12)
+    ring = hecke.residue_ring("8sqrt5")
+    w4, w8, w5 = hecke.omega4(), hecke.omega8(), hecke.omega5()
+    mutated = hecke.Character(ring, {x: (w4(x) + 3 * w8(x) + w5(x)) % 24
+                                     for x in ring.units()})
+    monkeypatch.setattr(hecke, "omega", lambda: mutated)
+    rc, out, _ = run_cli(capsys, "verify", "hecke")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["hecke/positive-units"]["status"] == "fail"
+    assert by_id["hecke/positive-units"]["witness"] == \
+        "omega(eps^2) = zeta24^8"
+
+
 def test_verify_localfield(capsys):
     rc, out, _ = run_cli(capsys, "verify", "localfield")
     assert rc == 0
@@ -780,6 +795,28 @@ def test_verify_localfield(capsys):
     assert {c["id"] for c in report["checks"]} == {
         "localfield/artin-schreier", "localfield/square-unit-table",
         "localfield/hypothesis-triple", "localfield/family-squares"}
+
+
+@pytest.mark.parametrize("name, mutation, failing", [
+    # a multiple of 5 taken for a unit: 3/5 passes as a square, and so
+    # t = 3/5 of x^5 + 20x - 16
+    ("is_square_5adic_unit", lambda n, d: n * d % 5 in (0, 1, 4),
+     {"localfield/square-unit-table":
+      "is_square_5adic_unit is wrong at 3/5",
+      "localfield/hypothesis-triple":
+      "theorem_hypothesis is wrong at x^5 + 20x - 16"}),
+    # no t recovered: the hypothesis fails at t = 1
+    ("trinomial_t", lambda b, c: None,
+     {"localfield/hypothesis-triple":
+      "theorem_hypothesis is wrong at x^5 + 4x + 16/5"}),
+], ids=["unit-test-takes-5", "no-t"])
+def test_verify_localfield_table_mutations(capsys, monkeypatch, name,
+                                           mutation, failing):
+    monkeypatch.setattr(localfield, name, mutation)
+    rc, out, _ = run_cli(capsys, "verify", "localfield")
+    assert rc == 1
+    assert {c["id"]: c["witness"] for c in json.loads(out)["checks"]
+            if c["status"] == "fail"} == failing
 
 
 def test_verify_klein_link(capsys):
@@ -863,7 +900,12 @@ def test_verify_repn(capsys):
     # the report must flag the unsatisfiable literal congruence reading
     assert "literal reading" in by_id["repn/congruence"]["witness"]
     assert "all 240 elements" in by_id["repn/congruence"]["witness"]
-    for cid in ("repn/relations", "repn/homomorphism"):
+    assert by_id["repn/congruence"]["witness"] == (
+        "the literal reading 'every lift is 1 mod lambda' fails for every "
+        "nonidentity element; the verified congruence is "
+        "residue(pi(g)) = g on all 240 elements")
+    for cid in ("repn/varpi-identities", "repn/faithful", "repn/relations",
+                "repn/homomorphism"):
         assert by_id[cid]["status"] == "pass"
         assert "witness" not in by_id[cid]
 
@@ -879,7 +921,41 @@ def test_verify_repn_faithful_mutation(capsys, lift_table):
     assert rc == 1
     by_id = {c["id"]: c for c in json.loads(out)["checks"]}
     assert by_id["repn/faithful"]["status"] == "fail"
+    assert by_id["repn/faithful"]["witness"] == \
+        "lift(g) = lift(h) at g = [[1, 1], [0, 1]], h = [[0, 4], [1, 0]]"
     assert by_id["repn/homomorphism"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("scale, residue", [(1, 3), (-1, 2)])
+def test_verify_repn_congruence_mutation(capsys, lift_table, scale, residue):
+    # L(1) = +-(1/2) I reduces to 3 I or 2 I, not I: the failing check
+    # names g and its residue, and not the text of a pass
+    table = dict(repn._lift_table())
+    table[(1, 0, 0, 1)] = ((scale, 0, 0, 0) + (0,) * 8
+                           + (scale, 0, 0, 0))
+    lift_table(table)
+    rc, out, _ = run_cli(capsys, "verify", "repn")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["repn/congruence"]["status"] == "fail"
+    assert by_id["repn/congruence"]["witness"] == \
+        f"residue(pi(g)) = [[{residue}, 0], [0, {residue}]] at " \
+        f"g = [[1, 0], [0, 1]]"
+
+
+def test_verify_repn_varpi_mutation(capsys, monkeypatch):
+    # -varpi has the same varpi varpi-bar, so only the identity for 2 - i
+    # fails; the lifts are built first, from varpi itself
+    repn._lift_table()
+    w = repn.varpi()
+    monkeypatch.setattr(repn, "varpi", lambda: tuple(-v for v in w))
+    rc, out, _ = run_cli(capsys, "verify", "repn")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert [cid for cid, c in by_id.items() if c["status"] == "fail"] == \
+        ["repn/varpi-identities"]
+    assert by_id["repn/varpi-identities"]["witness"] == \
+        "the identity 2-i = eps pi (eps pi-bar - 1) fails"
 
 
 def test_verify_repn_witnesses(capsys, monkeypatch):
@@ -964,20 +1040,32 @@ def _e_3_5(monkeypatch):
 
 
 @pytest.mark.parametrize("mutate, failing", [
-    (lambda mp: mp.setattr(suites, "_PUBLISHED_MODEL", ((5, -1), (0, 2))),
-     ["qcurve/published-model-j"]),
-    (_e_3_5, ["qcurve/published-model-j", "qcurve/j-equation-t1"]),
+    (lambda mp: mp.setattr(qcurve, "_PUBLISHED_MODEL", ((5, -1), (0, 2))),
+     {"qcurve/published-model-j":
+      "j(E_1) != j(model): N1 D2 = 16521216000000000000 - "
+      "7391232000000000000*sqrt(5), N2 D1 = 5001216000000000000 - "
+      "2215936000000000000*sqrt(5)"}),
+    (_e_3_5,
+     {"qcurve/published-model-j":
+      "j(E_1) != j(model): N1 D2 = 4183503552000000000000000 - "
+      "1870672320000000000000000*sqrt(5), N2 D1 = "
+      "34658456256000000000000000 - 15500050721280000000000000*sqrt(5)",
+      "qcurve/j-equation-t1":
+      "the j-equation of q_1 at j(E_1), cleared, is "
+      "2172288832596111214729298888884224000000000000000000000000 - "
+      "931336926493945476711278236925952000000000000000000000000*sqrt(5)"}),
 ], ids=["published-a4-2sqrt5", "e-3-5-for-e-1"])
 def test_verify_qcurve_t1_mutations(capsys, monkeypatch, mutate, failing):
     # the published model with a4 = 2 sqrt5 has another j; j(E_{3/5}) is no
-    # root of the j-equation of q_1
+    # root of the j-equation of q_1; each witness is the exact Z[sqrt5]
+    # value that is not 0, signed as written
     mutate(monkeypatch)
     rc, out, _ = run_cli(capsys, "verify", "qcurve")
     assert rc == 1
     report = json.loads(out)
     assert report["status"] == "fail"
-    assert [c["id"] for c in report["checks"] if c["status"] == "fail"] \
-        == failing
+    assert {c["id"]: c["witness"] for c in report["checks"]
+            if c["status"] == "fail"} == failing
 
 
 def test_proved_suites_ignore_samples_and_height(capsys):
@@ -1315,6 +1403,33 @@ _ONE_RUN_FAILURES = [
     ("hecke", hecke, "square_identity_mismatch", lambda: (0, 5),
      {"hecke/square-identity":
       "fails at the unit x = 0 + 5 eps mod 8 sqrt5"}),
+    ("hecke", hecke, "positive_units_mismatch", lambda: (4, 12),
+     {"hecke/positive-units": "omega(eps^4) = zeta24^12"}),
+    ("qcurve", qcurve, "published_model_mismatch",
+     lambda: ((1, 2), (1, -2)),
+     {"qcurve/published-model-j":
+      "j(E_1) != j(model): N1 D2 = 1 + 2*sqrt(5), N2 D1 = 1 - 2*sqrt(5)"}),
+    ("qcurve", qcurve, "j_equation_t1_mismatch", lambda: (-7, -3),
+     {"qcurve/j-equation-t1":
+      "the j-equation of q_1 at j(E_1), cleared, is -7 - 3*sqrt(5)"}),
+    ("repn", repn, "varpi_identities_mismatch",
+     lambda: "sqrt5 = eps pi pi-bar",
+     {"repn/varpi-identities": "the identity sqrt5 = eps pi pi-bar fails"}),
+    ("repn", repn, "faithful_mismatch",
+     lambda: ((1, 0, 0, 1), (4, 0, 0, 4)),
+     {"repn/faithful":
+      "lift(g) = lift(h) at g = [[1, 0], [0, 1]], h = [[4, 0], [0, 4]]"}),
+    ("repn", repn, "congruence_mismatch",
+     lambda: ((0, 4, 1, 0), (0, 1, 4, 0)),
+     {"repn/congruence":
+      "residue(pi(g)) = [[0, 1], [4, 0]] at g = [[0, 4], [1, 0]]"}),
+    ("localfield", localfield, "square_unit_table_mismatch", lambda: (4, 9),
+     {"localfield/square-unit-table":
+      "is_square_5adic_unit is wrong at 4/9"}),
+    ("localfield", localfield, "hypothesis_triple_mismatch",
+     lambda: ((-4, 1), (16, 5)),
+     {"localfield/hypothesis-triple":
+      "theorem_hypothesis is wrong at x^5 - 4x + 16/5"}),
 ]
 
 

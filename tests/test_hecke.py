@@ -8,7 +8,7 @@ from icosahedral.hecke import (
     Character, KRONECKER_M2, ResidueRing, TEICHMULLER_EXP,
     char_from_generators, omega, omega4, omega5, omega8, omega_epsilon,
     omega_value_group, residue_ring, sigma_identity_mismatch,
-    square_identity_mismatch, verify_positive_units,
+    positive_units_mismatch, square_identity_mismatch,
 )
 
 # a value zeta24^k in mu24 is its exponent k in 0..23
@@ -217,7 +217,7 @@ def test_square_identity():
 
 
 def test_positive_units():
-    assert verify_positive_units()
+    assert positive_units_mismatch() is None
     ring = residue_ring("8sqrt5")
     w = omega()
     eps2 = ring.mul(ring.eps, ring.eps)

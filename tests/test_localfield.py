@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from icosahedral import localfield
 from icosahedral.localfield import (
-    artin_schreier_mismatch, family_squares_mismatch, is_square_5adic_unit,
-    theorem_hypothesis, v5,
+    artin_schreier_mismatch, family_squares_mismatch,
+    hypothesis_triple_mismatch, is_square_5adic_unit,
+    square_unit_table_mismatch, theorem_hypothesis, v5,
 )
 from icosahedral.quintic import family_quintic, trinomial_t
 
@@ -74,7 +75,7 @@ def test_valuation_ordering():
     assert v5(0) + v5(Fraction(1, 5)) == math.inf
 
 
-def test_square_unit_truth_table():
+def test_square_unit_truth_table(monkeypatch):
     assert is_square_5adic_unit(1, 1)
     assert not is_square_5adic_unit(3, 1)
     assert not is_square_5adic_unit(3, 5)
@@ -85,6 +86,10 @@ def test_square_unit_truth_table():
     # residues 1 and 4 are the quadratic residues mod 5
     assert is_square_5adic_unit(11, 1) and is_square_5adic_unit(9, 1)
     assert not is_square_5adic_unit(7, 1) and not is_square_5adic_unit(13, 1)
+    assert square_unit_table_mismatch() is None
+    # 4/9 listed as a nonsquare: the first entry that the test contradicts
+    monkeypatch.setitem(localfield._SQUARE_UNITS, (4, 9), False)
+    assert square_unit_table_mismatch() == (4, 9)
 
 
 @PROPERTY
@@ -105,7 +110,7 @@ def test_square_unit_ignores_fourth_powers():
             is_square_5adic_unit(*pair(w))
 
 
-def test_theorem_hypothesis_examples():
+def test_theorem_hypothesis_examples(monkeypatch):
     assert theorem_hypothesis((4, 1), (16, 5))          # t = 1
     assert not theorem_hypothesis((20, 1), (-16, 1))    # t = 3/5
     assert not theorem_hypothesis((-4, 1), (16, 5))     # t = 3
@@ -113,6 +118,11 @@ def test_theorem_hypothesis_examples():
     assert not theorem_hypothesis((1, 1), (1, 1))
     with pytest.raises(ValueError):
         theorem_hypothesis((1, 1), (0, 1))
+    assert hypothesis_triple_mismatch() is None
+    # x^5 + x + 1 listed as holding: it has no parameter t
+    monkeypatch.setattr(localfield, "_HYPOTHESES", {
+        **localfield._HYPOTHESES, ((1, 1), (1, 1)): True})
+    assert hypothesis_triple_mismatch() == ((1, 1), (1, 1))
 
 
 def test_family_squares_proof(monkeypatch):

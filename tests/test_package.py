@@ -54,7 +54,8 @@ def test_proofs_take_no_test_only_parameters():
                              "repn", "icosa", "qcurve"]
               for name in vars(importlib.import_module(f"icosahedral.{module}"))
               if name.endswith("_mismatch")]
-    assert len(proofs) > 10
+    # the count of proofs today, so that a lost proof shows
+    assert len(proofs) >= 22
     for proof in proofs + _PROOFS:
         module, name = proof.split(".")
         function = getattr(importlib.import_module(f"icosahedral.{module}"),

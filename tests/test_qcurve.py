@@ -253,7 +253,7 @@ def test_singular_models_rejected():
             j_invariant(a2, a4)
 
 
-def test_published_model_j():
+def test_published_model_j(monkeypatch):
     # y^2 = x^3 + (5 - sqrt5)x^2 + sqrt5 x has the j of E_1,
     # 86048 - 38496 sqrt5
     N1, D1 = j_invariant(*family_curve(1))
@@ -261,6 +261,25 @@ def test_published_model_j():
     assert mul5(N1, D2) == mul5(N2, D1)
     assert N1 == mul5(D1, (86048, -38496))
     assert sympy_j((N2, D2)) == 86048 - 38496 * sp.sqrt(5)
+    assert qcurve._PUBLISHED_MODEL == ((5, -1), (0, 1))
+    assert qcurve.published_model_mismatch() is None
+    # a4 = 2 sqrt5 in the model: the proof returns both cross products
+    monkeypatch.setattr(qcurve, "_PUBLISHED_MODEL", ((5, -1), (0, 2)))
+    N1, D1 = j_invariant(*family_curve(1))
+    N2, D2 = j_invariant((5, -1), (0, 2))
+    assert qcurve.published_model_mismatch() == (mul5(N1, D2), mul5(N2, D1))
+
+
+def test_j_equation_t1(monkeypatch):
+    # j(E_1) solves the j-equation of q_1 = x^5 + 4x + 16/5, and j(E_3)
+    # does not: the proof returns its nonzero cleared value
+    assert qcurve.j_equation_t1_mismatch() is None
+    q = j_equation(invariants((0, 1), (4, 1), (16, 5)))
+    e_3 = family_curve(3)
+    value = qcurve.j_equation_at(q, j_invariant(*e_3))
+    assert value != (0, 0)
+    monkeypatch.setattr(qcurve, "family_curve", lambda t: e_3)
+    assert qcurve.j_equation_t1_mismatch() == value
 
 
 def test_family_j_satisfies_quintic_j_equation():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from icosahedral import repn
 from icosahedral.repn import (
     enumerate_group, lift_pi, pi_generators, residue_hom,
-    teichmuller, varpi, verify_congruence, verify_varpi_identities,
+    teichmuller, varpi, varpi_identities_mismatch,
 )
 from icosahedral.repn import _diag_lift
 
@@ -177,7 +177,7 @@ def test_teichmuller():
 
 
 def test_varpi_identities():
-    assert verify_varpi_identities()
+    assert varpi_identities_mismatch() is None
     w = varpi()
     w_wc = zepsi_mul(w, conj(w))
     eps2 = zepsi_mul(EPS, EPS)
@@ -386,7 +386,8 @@ def test_homomorphism_lift_outside_half_integers(lift_table, scale):
     table[F5_ONE] = (k, 0, 0, 0) + ZERO + ZERO + (k, 0, 0, 0)
     lift_table(table)
     assert repn.homomorphism_mismatch() == (F5_ONE, 0)
-    assert not repn.verify_congruence()
+    residue = 3 if k == 1 else 2
+    assert repn.congruence_mismatch() == (F5_ONE, (residue, 0, 0, residue))
 
 
 def test_homomorphism_certificate_unit_helper(monkeypatch):
@@ -467,8 +468,8 @@ def test_relation_failure_at_nonsquare_ratio():
 
 
 def test_congruence_and_faithfulness():
-    assert verify_congruence()
-    assert repn.verify_faithful()
+    assert repn.congruence_mismatch() is None
+    assert repn.faithful_mismatch() is None
 
 
 def test_faithful_mutation(lift_table):
@@ -477,7 +478,7 @@ def test_faithful_mutation(lift_table):
     table = dict(repn._lift_table())
     table[order[2]] = table[order[1]]
     lift_table(table)
-    assert not repn.verify_faithful()
+    assert repn.faithful_mismatch() == (order[1], order[2])
 
 
 def test_image_denominators_and_determinants():
