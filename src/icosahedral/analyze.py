@@ -342,9 +342,9 @@ _BLOCK = 64
 
 
 def _check_text(i: int, name: str, error) -> str:
-    """The report check of record i as compact JSON text: the bytes of
-    _COMPACT_JSON.encode(_check(f"record-{i}", name, status, error)), with
-    status "pass" where error is None, else "skipped"."""
+    """The report check of record i as compact JSON text: the dict with
+    id f"record-{i}", description name and status "pass" where error is
+    None, else "skipped" with witness error, as _COMPACT_JSON encodes it."""
     head = f'{{"id":"record-{i}","description":{_json_str(name)},'
     if error is None:
         return head + '"status":"pass"}'

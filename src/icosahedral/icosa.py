@@ -101,7 +101,7 @@ def build_invariants():
         values = (tuple(sum(c[i] * z ** k for k, c in enumerate(quadratic))
                         for i in (0, 1)) for quadratic in _EPS_QUADRATICS)
         if mul5(*values) != (_QUARTIC(z), 0):
-            raise AssertionError("eps-part of lambda's numerator failed to cancel")
+            raise ArithmeticError("eps-part of lambda's numerator failed to cancel")
     P = -((Poly.over_q([1, 0, 1]) * _QUARTIC) ** 2)
     Q = Poly.over_q([0, -1] + [0] * 4 + [11] + [0] * 4 + [1])
     mu = (Poly.over_q([0] * 5 + [-125]),

@@ -1,7 +1,7 @@
-"""What the subcommand modules ``analyze`` and ``suites`` share: check and
-report objects, the output they go to, the rendering of rationals and
-quintics, and the progress log.  The work either deals to other processes
-goes through ``dealer``.
+"""What the subcommand modules ``analyze`` and ``suites`` share: report
+objects, the output they go to, the rendering of rationals and quintics,
+and the progress log.  The work either deals to other processes goes
+through ``dealer``.
 """
 
 from __future__ import annotations
@@ -30,14 +30,6 @@ def _quintic_str(a: str, b: str, c: str) -> str:
             mag = "" if mag == "1" else (f"({mag})" if "/" in mag else mag)
         parts.append(f"{sign} {mag}{mono}")
     return " ".join(parts)
-
-
-def _check(cid: str, description: str, ok, witness=None) -> dict:
-    status = ok if isinstance(ok, str) else ("pass" if ok else "fail")
-    out = {"id": cid, "description": description, "status": status}
-    if witness is not None:
-        out["witness"] = witness
-    return out
 
 
 def _report(suite, checks, args, wall_ms) -> dict:
@@ -82,11 +74,6 @@ def _output(out_path):
                 os.close(devnull)
         raise _CannotWrite(f"cannot write {out_path or 'stdout'}: "
                            f"{exc.strerror or exc}")
-
-
-def _emit(text: str, out_path) -> None:
-    with _output(out_path) as fh:
-        fh.write(text)
 
 
 def _log_info(msg: str, *args) -> None:

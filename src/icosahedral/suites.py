@@ -3,7 +3,9 @@ JSON report with per-check status.
 
 A suite is a tuple of entries (id, description, proof, witness): proof()
 returns None when the check holds, else its mismatch, and
-witness(mismatch) returns the check's witness text, or None.  Each
+witness(mismatch) returns the check's witness text, or None.  A proof or
+witness that raises ArithmeticError or ValueError fails its check, with
+the error as its witness; any other exception propagates.  Each
 _suite_<name> imports its domain module only when called.  One runner,
 _run, serves ``verify`` and ``table``: it runs each proof once and emits
 the report, its checks in suite order.
@@ -21,8 +23,7 @@ import functools
 import json
 import time
 
-from .reports import (_check, _emit, _log_info, _quintic_str, _ratio,
-                      _report)
+from .reports import _log_info, _output, _quintic_str, _ratio, _report
 
 # original quintic (label), then (principal form (c5, B, C), listed t); the
 # first row's original is itself a trinomial and gives a second such pair
@@ -38,8 +39,8 @@ _NO_ZEROS = (1, ())  # v_3 = 1 and no zeros: the hyperelliptic certificate
 
 
 def _fmt(x) -> str:
-    from fractions import Fraction
-    return str(x if isinstance(x, Fraction) else Fraction(x))
+    """An int or Fraction as str(Fraction) renders it."""
+    return _ratio(x.numerator, x.denominator)
 
 
 def _differs(got, want):
@@ -335,14 +336,22 @@ def _ms(started) -> int:
 
 def _run_suite(name, build, timings) -> tuple:
     """(checks, ms) of the suite name: each proof of build() run once, in
-    order; with timings each check gets its wall_time_ms."""
+    order, a raised ArithmeticError or ValueError failing its check; with
+    timings each check gets its wall_time_ms."""
     _log_info("running suite %s", name)
     started = time.monotonic()
     checks = []
     for cid, description, proof, witness in build():
         check_started = time.monotonic() if timings else None
-        mismatch = proof()
-        check = _check(cid, description, mismatch is None, witness(mismatch))
+        try:
+            mismatch = proof()
+            text = witness(mismatch)
+        except (ArithmeticError, ValueError) as exc:
+            mismatch, text = exc, f"{type(exc).__name__}: {exc}"
+        check = {"id": cid, "description": description,
+                 "status": "pass" if mismatch is None else "fail"}
+        if text is not None:
+            check["witness"] = text
         if timings:
             check["wall_time_ms"] = _ms(check_started)
         _log_info("check %s %s", cid, check["status"])
@@ -377,7 +386,8 @@ def _run(suite, builders, args) -> int:
     if args.timings and suite != "table":
         report["suite_wall_time_ms"] = {name: ms for name, (_, ms)
                                         in zip(builders, results)}
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
     return 0 if report["status"] == "pass" else 1
 
 

@@ -25,8 +25,8 @@ from sympy import factorint
 
 import icosahedral
 from icosahedral import (
-    analyze, cli, dealer, hecke, icosa, localfield, qcurve, quintic, reports,
-    repn, suites)
+    analyze, cli, dealer, hecke, icosa, localfield, qcurve, quintic, repn,
+    suites)
 from icosahedral.exact import Poly
 
 # the src/ directory of the checkout under test, and its pyproject.toml
@@ -786,6 +786,22 @@ def test_verify_hecke_positive_units_mutation(capsys, monkeypatch):
         "omega(eps^2) = zeta24^8"
 
 
+def test_verify_hecke_value_group_mutation(capsys, monkeypatch):
+    # each exponent not 0 mod 12 moved by 2: zeta24^6 and zeta24^18 become
+    # zeta24^8 and zeta24^20, so the image is no longer the fourth roots of
+    # unity; omega(eps) = 1 is unmoved
+    w = hecke.omega()
+    mutated = hecke.Character(w.ring, {
+        x: k if k % 12 == 0 else (k + 2) % 24 for x, k in w.table.items()})
+    monkeypatch.setattr(hecke, "omega", lambda: mutated)
+    rc, out, _ = run_cli(capsys, "verify", "hecke")
+    assert rc == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["hecke/value-group"]["status"] == "fail"
+    assert by_id["hecke/value-group"]["witness"] == \
+        "omega(eps) = zeta24^0; image exponents in mu24: [0, 8, 12, 20]"
+
+
 def test_verify_localfield(capsys):
     rc, out, _ = run_cli(capsys, "verify", "localfield")
     assert rc == 0
@@ -908,6 +924,33 @@ def test_verify_repn(capsys):
                 "repn/homomorphism"):
         assert by_id[cid]["status"] == "pass"
         assert "witness" not in by_id[cid]
+
+
+def failed(report):
+    """{id: witness} of the failing checks of report."""
+    return {c["id"]: c["witness"] for c in report["checks"]
+            if c["status"] == "fail"}
+
+
+def clear_caches(module):
+    """Empty every lru_cache of module's functions."""
+    for fn in vars(module).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+def test_verify_repn_group_order_mutation(capsys, monkeypatch):
+    # 1 the only square mod 5: the group built is the 120 elements with
+    # ad = 1 mod 5, and only the check of its order fails
+    monkeypatch.setattr(repn, "_SQUARES", (1,))
+    clear_caches(repn)
+    try:
+        rc, out, _ = run_cli(capsys, "verify", "repn")
+    finally:
+        clear_caches(repn)
+    assert rc == 1
+    assert failed(json.loads(out)) == {
+        "repn/group-order": "120 elements enumerated"}
 
 
 def test_verify_repn_faithful_mutation(capsys, lift_table):
@@ -1270,9 +1313,12 @@ def test_analyze_check_is_compact_json(i, name, error):
     # each record's report check, rendered directly, is the compact JSON
     # encoding of its check dict, byte for byte: passed where it has no
     # error, else skipped with the error as its witness
-    status = "pass" if error is None else "skipped"
-    assert analyze._check_text(i, name, error) == analyze._COMPACT_JSON.encode(
-        reports._check(f"record-{i}", name, status, error))
+    check = {"id": f"record-{i}", "description": name,
+             "status": "pass" if error is None else "skipped"}
+    if error is not None:
+        check["witness"] = error
+    assert analyze._check_text(i, name, error) == \
+        analyze._COMPACT_JSON.encode(check)
 
 
 def test_shard_stops_analyzing_once_the_byte_is_set(monkeypatch):
@@ -1603,6 +1649,23 @@ def test_table(capsys):
     assert report["checks"][0]["witness"] == \
         "listed t = 15/11, 3/5; recomputed t = 15/11, 3/5"
     assert report["checks"][1]["witness"] == "listed t = 1; recomputed t = 1"
+
+
+def test_table_row_mutation(capsys, monkeypatch):
+    # every recovered t doubled: each row fails, and names both lists
+    trinomial_t = quintic.trinomial_t
+
+    def doubled(*args):
+        t = 2 * Fraction(*trinomial_t(*args))
+        return t.numerator, t.denominator
+
+    monkeypatch.setattr(quintic, "trinomial_t", doubled)
+    rc, out, _ = run_cli(capsys, "table")
+    assert rc == 1
+    checks = json.loads(out)["checks"]
+    assert [c["status"] for c in checks] == ["fail"] * 5
+    assert checks[0]["witness"] == \
+        "listed t = 15/11, 3/5; recomputed t = 30/11, 6/5"
 
 
 def test_out_file(tmp_path, capsys):
@@ -2053,6 +2116,131 @@ def test_verify_all_mutations_reach_the_workers(capsys, monkeypatch):
             GOLDEN_VERIFY_ALL.read_text())["checks"]]
     assert {c["id"] for c in report["checks"]
             if c["status"] == "fail"} == set(mutants)
+
+
+def golden_ids(suite):
+    """The check ids of suite, or of table, in golden report order."""
+    golden = GOLDEN_VERIFY_ALL.with_name(
+        "table.json" if suite == "table" else "verify_all.json")
+    return [c["id"] for c in json.loads(golden.read_text())["checks"]
+            if suite in ("all", "table") or c["id"].startswith(suite + "/")]
+
+
+def bump_eps_quadratic(monkeypatch):
+    # the eps coefficient of z in z^2 - 2 eps z - 1 bumped by 1
+    quadratics = [list(q) for q in icosa._EPS_QUADRATICS]
+    p, q = quadratics[0][1]
+    quadratics[0][1] = p + 1, q
+    monkeypatch.setattr(icosa, "_EPS_QUADRATICS", quadratics)
+
+
+def singular_published_model(monkeypatch):
+    monkeypatch.setattr(qcurve, "_PUBLISHED_MODEL", ((0, 0), (0, 0)))
+
+
+def inconsistent_omega8(monkeypatch):
+    # eps -> zeta24^3 in place of zeta12 = zeta24^2: eps^2 and eps^-1 meet
+    # the other generators' images in two values
+    ring = hecke.residue_ring(8)
+    gens = [ring.neg(ring.one), ring.reduce((1, 4)), ring.eps]
+    monkeypatch.setattr(hecke, "omega8", lambda: hecke.char_from_generators(
+        8, gens, [12, 12, 3]))
+
+
+_EPS_PART = "ArithmeticError: eps-part of lambda's numerator failed to cancel"
+_INCONSISTENT = \
+    "ValueError: images are inconsistent with the unit-group relations"
+# a mutation under which a proof raises, and the failing checks it gives,
+# each with the error as its witness
+_RAISING = {
+    "icosa": (bump_eps_quadratic,
+              dict.fromkeys(golden_ids("icosa"), _EPS_PART)),
+    "qcurve": (singular_published_model,
+               {"qcurve/published-model-j": "ValueError: singular curve"}),
+    "hecke": (inconsistent_omega8,
+              dict.fromkeys(golden_ids("hecke"), _INCONSISTENT)),
+}
+
+
+@pytest.fixture
+def uncached():
+    """build_invariants and omega built afresh, in the test and after it."""
+    caches = (icosa.build_invariants, hecke.omega)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("suite", list(_RAISING))
+def test_verify_raised_error_fails_its_checks(capsys, monkeypatch, uncached,
+                                              suite):
+    # a proof that raises ArithmeticError or ValueError fails its check,
+    # with the error as its witness, and the suite carries on: exit 1, the
+    # full report on stdout, nothing on stderr
+    mutate, failing = _RAISING[suite]
+    mutate(monkeypatch)
+    rc, out, err = run_cli(capsys, "verify", suite)
+    assert rc == 1 and err == ""
+    report = json.loads(out)
+    assert [c["id"] for c in report["checks"]] == golden_ids(suite)
+    assert failed(report) == failing
+
+
+def test_verify_all_raised_errors_reach_the_workers(capsys, monkeypatch,
+                                                    uncached):
+    # the same errors raised in dealt workers: each fails its checks there,
+    # and no worker fails
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    failing = {}
+    for mutate, checks in _RAISING.values():
+        mutate(monkeypatch)
+        failing |= checks
+    rc, out, _ = run_cli(capsys, "verify", "all")
+    assert rc == 1
+    report = json.loads(out)
+    assert [c["id"] for c in report["checks"]] == golden_ids("all")
+    assert failed(report) == failing
+
+
+def every_proof(monkeypatch, suite, proof):
+    """The argv of suite, or of table, with proof in place of each entry's
+    proof."""
+    build = suites._suite_table if suite == "table" else suites._SUITES[suite]
+
+    def rebuilt():
+        return tuple((cid, description, proof, witness)
+                     for cid, description, _, witness in build())
+
+    if suite == "table":
+        monkeypatch.setattr(suites, "_suite_table", rebuilt)
+        return ("table",)
+    monkeypatch.setitem(suites._SUITES, suite, rebuilt)
+    return ("verify", suite)
+
+
+@pytest.mark.parametrize("suite", [*suites._SUITES, "table"])
+def test_runner_fails_every_check_whose_proof_raises(capsys, monkeypatch,
+                                                     suite):
+    def proof():
+        raise ArithmeticError("boom")
+
+    rc, out, err = run_cli(capsys, *every_proof(monkeypatch, suite, proof))
+    assert rc == 1 and err == ""
+    report = json.loads(out)
+    assert [c["id"] for c in report["checks"]] == golden_ids(suite)
+    assert failed(report) == dict.fromkeys(golden_ids(suite),
+                                           "ArithmeticError: boom")
+
+
+def test_runner_lets_other_errors_propagate(capsys, monkeypatch):
+    # a TypeError is a fault of the program, not a failed check
+    def proof():
+        raise TypeError("boom")
+
+    with pytest.raises(TypeError, match="boom"):
+        run_cli(capsys, *every_proof(monkeypatch, "localfield", proof))
 
 
 # the modules a CLI run adds to an interpreter started without site, one a

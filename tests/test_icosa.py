@@ -338,7 +338,7 @@ def test_eps_quadratic_mutation(monkeypatch, which, k):
     p, q = quadratics[which][k]
     quadratics[which][k] = p + 1, q
     monkeypatch.setattr(icosa, "_EPS_QUADRATICS", quadratics)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError, match="failed to cancel"):
         icosa.build_invariants.__wrapped__()
 
 
