@@ -13,7 +13,9 @@ tuple lowest degree first, over one positive integer denominator, in
 lowest terms.  An identity in a further parameter is proved at one more
 rational value of its variable than its degree.  Every operation works on
 those integers: only :meth:`Poly.over_q` takes rationals, and a Fraction
-is built only where a coefficient or a value is read out.  A product, a
+is built only where a coefficient or a value is read out.  A rational
+function is a plain (numerator, denominator) pair of Polys, and two pairs
+f and g are equal exactly when f[0] * g[1] == g[0] * f[1].  A product, a
 power and a composition f(p/q) q^n each pack numerators into big integers,
 an L-bit field per coefficient (Kronecker substitution), and unpack one
 big-integer expression once; that, not schoolbook convolution, keeps the

@@ -18,8 +18,9 @@ transformations
     S: z -> zeta5 z,   T: z -> (eps z + 1)/(z - eps),   U: z -> -1/z,
 
 each in the smallest field it needs: T (over Q(sqrt5)) and U (over Q)
-multiply f and H by constants, and S is read off the exponents mod 5, with
-mu fixed and lambda moved; so j is invariant over Q(zeta5).
+multiply f and H by constants (c_f = 1125 - 500 sqrt5 for T), and S is
+read off the exponents mod 5, with mu fixed and lambda moved; so j is
+invariant over Q(zeta5).
 It also proves that for all m, n the five resolvents
 
     x_nu = m/(L_nu+3) + n/((L_nu+3)(L_nu^2+10 L_nu+45)),  L_nu = lambda(zeta5^nu z),

@@ -14,8 +14,9 @@ the report, its checks in suite order.
 dealer._deal, which ``analyze`` uses too.  The report is the same bytes at
 any process count; under --timings the suite times may sum to more than
 the total, and log events keep their order within a suite but may
-interleave across suites.  A single suite, and ``table``, never import
-the dealer."""
+interleave across suites.  On 2 vCPUs dealing shortened a ``verify all``
+launch at some extra CPU time (BENCH_38.json).  A single suite, and
+``table``, never import the dealer."""
 
 from __future__ import annotations
 
@@ -305,7 +306,7 @@ def _suite_table():
 
     def recompute(c5, b, c):
         t = trinomial_t((b, c5), (c, c5))
-        return None if t is None else _ratio(*t)
+        return "undefined" if t is None else _ratio(*t)
 
     def entry(row, original, *pairs):
         (c5, b, c), _ = pairs[0]
@@ -315,7 +316,7 @@ def _suite_table():
                 f"(principal form of {original})",
                 lambda: _differs([recompute(*p) for p, _ in pairs], listed),
                 lambda bad: f"listed t = {', '.join(listed)}; recomputed "
-                            f"t = {', '.join(map(str, bad or listed))}")
+                            f"t = {', '.join(bad or listed)}")
 
     return tuple(entry(row, *spec) for row, spec in enumerate(_TABLE_ROWS, 1))
 

@@ -1668,6 +1668,18 @@ def test_table_row_mutation(capsys, monkeypatch):
         "listed t = 15/11, 3/5; recomputed t = 30/11, 6/5"
 
 
+def test_table_row_unrecovered_t(capsys, monkeypatch):
+    # no t recovered: each row fails, and names the missing t in words
+    monkeypatch.setattr(quintic, "trinomial_t", lambda *args: None)
+    rc, out, _ = run_cli(capsys, "table")
+    assert rc == 1
+    checks = json.loads(out)["checks"]
+    assert [c["id"] for c in checks] == [f"table/row-{i}" for i in range(1, 6)]
+    assert [c["status"] for c in checks] == ["fail"] * 5
+    assert checks[0]["witness"] == \
+        "listed t = 15/11, 3/5; recomputed t = undefined, undefined"
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     rc, out, _ = run_cli(capsys, "verify", "localfield", "--out", str(path))

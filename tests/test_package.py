@@ -1,11 +1,14 @@
 import ast
 import importlib
 import inspect
+import json
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "icosahedral"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "icosahedral"
 
 
 def names_used(module):
@@ -64,3 +67,33 @@ def test_proofs_take_no_test_only_parameters():
         assert [p.name for p in params
                 if p.default is not p.empty or p.kind is p.VAR_KEYWORD] \
             == [], proof
+
+
+def readme_section(heading):
+    """The text of README.md's section ``## heading``, up to the next."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"^## {heading}\n(.*?)(?=^## |\Z)", readme,
+                     re.M | re.S).group(1)
+
+
+def test_claim_ledger_names_every_golden_check():
+    # the ids that README's "What is checked" names are the ids of the
+    # committed reports, so a check added, renamed or deleted must move
+    # its ledger row
+    named = set(re.findall(r"`([a-z-]+/[A-Za-z0-9-]+)`",
+                           readme_section("What is checked")))
+    golden = {check["id"]
+              for name in ("verify_all.json", "table.json")
+              for check in json.loads((ROOT / "tests" / "golden" / name)
+                                      .read_text(encoding="utf-8"))["checks"]}
+    assert len(golden) == 32
+    assert named == golden
+
+
+def test_layout_names_every_module():
+    # README's Layout lists each module of the package but __init__.py
+    listed = re.findall(r"^- `src/icosahedral/(\w+\.py)`",
+                        readme_section("Layout"), re.M)
+    modules = [path.name for path in PACKAGE.glob("*.py")
+               if path.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)
