@@ -15,3 +15,5 @@ Subpackages are plain modules; import what you need:
 """
 
 __version__ = "0.1.0"
+# the default int-to-str limit, which cli.main and analyze hold inputs to
+_INT_STR_DIGITS = 4300

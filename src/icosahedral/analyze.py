@@ -48,7 +48,7 @@ import sys
 # a str as json.dumps writes it, quotes included
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import localfield, quintic
+from . import _INT_STR_DIGITS, localfield, quintic
 from .reports import _log_info, _output, _quintic_str, _ratio, _report
 
 _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
@@ -59,8 +59,6 @@ _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
 # integer analyze prints has about (20 + 15 + 12) N = 47 N digits: 3760 at
 # the bound, which leaves room for the equation's integer coefficients.
 MAX_INPUT_DIGITS = 80
-# cli.main raises a lower int-to-str limit to this one
-_INT_STR_DIGITS = 4300
 _INPUT_BOUND = 10 ** MAX_INPUT_DIGITS
 _TOO_LONG = f"more than {MAX_INPUT_DIGITS} digits in numerator or denominator"
 

@@ -14,15 +14,16 @@ Three subcommands:
   with fields unramified outside 2, 5 and infinity and compare them with the
   listed values.
 
-This module imports only argparse, gc, re and sys; _main imports the module
-of the subcommand it runs, ``analyze`` or ``suites`` (both use ``reports``),
-which import json, time and the domain modules they run, and ``dealer``,
-the one code that forks, only where work is dealt; fractions is imported
-only where a Fraction is built, and logging only when ICOSAHEDRAL_LOG is
-set.  No subcommand loads dataclasses (nor, through it, inspect): the
-domain modules hold their values as ints, tuples and namedtuples.  No
-module imports from this one, which ``python -m icosahedral.cli`` runs as
-``__main__``: a second copy would hold a second class of each name.
+This module imports only argparse, gc, re and sys, and _INT_STR_DIGITS from
+the package; _main imports the module of the subcommand it runs,
+``analyze`` or ``suites`` (both use ``reports``), which import json, time
+and the domain modules they run, and ``dealer``, the one code that forks,
+only where work is dealt; fractions is imported only where a Fraction is
+built, and logging only when ICOSAHEDRAL_LOG is set.  No subcommand loads
+dataclasses (nor, through it, inspect): the domain modules hold their
+values as ints, tuples and namedtuples.  No module imports from this one,
+which ``python -m icosahedral.cli`` runs as ``__main__``: a second copy
+would hold a second class of each name.
 A program run (the console script or ``python -m``, --help and usage errors
 included) freezes its heap out of the cyclic collector once its output is
 written, so the collections at interpreter exit skip it, which shortened
@@ -43,6 +44,8 @@ import gc
 import re
 import sys
 
+from . import _INT_STR_DIGITS
+
 __all__ = ["main"]
 
 DEFAULT_SAMPLES = 20
@@ -52,7 +55,6 @@ MAX_SAMPLES = 10 ** 4
 DEFAULT_HEIGHT = 1000
 DEFAULT_SEED = 20260815
 SUITE_NAMES = ("icosa", "klein-link", "qcurve", "repn", "hecke", "localfield")
-_INT_STR_DIGITS = 4300  # the default int-to-str limit
 
 
 def _rational_arg(text: str) -> tuple:

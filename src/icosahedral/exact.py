@@ -139,11 +139,6 @@ class Poly:
     def is_zero(self):
         return not self.num
 
-    def lc(self):
-        if not self.num:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
-
     def coeff(self, k):
         if 0 <= k < len(self.num):
             return Fraction(self.num[k], self.den)

@@ -39,6 +39,7 @@ __all__ = [
     "sigma_identity_mismatch",
     "square_identity_mismatch",
     "positive_units_mismatch",
+    "value_group_mismatch",
     "omega_epsilon",
     "omega_value_group",
 ]
@@ -46,6 +47,7 @@ __all__ = [
 KRONECKER_M2 = {1: 1, 3: 1, 5: -1, 7: -1}
 TEICHMULLER_EXP = {1: 0, 2: 6, 3: 18, 4: 12}   # values 1, i, -i, -1 in mu24
 _SIGN = {1: 0, -1: 12}                          # +-1 in mu24
+_FOURTH_ROOTS = (0, 6, 12, 18)                  # the fourth roots of unity
 
 
 class ResidueRing:
@@ -279,3 +281,9 @@ def omega_epsilon() -> int:
 def omega_value_group() -> tuple:
     """Sorted exponents of the subgroup of mu24 actually hit by omega."""
     return tuple(sorted(set(omega().table.values())))
+
+
+def value_group_mismatch():
+    """None if omega's image is the fourth roots of unity, else the image."""
+    image = omega_value_group()
+    return None if image == _FOURTH_ROOTS else image

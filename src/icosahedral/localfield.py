@@ -14,10 +14,10 @@ and y a root of y^4 = 256u^4/(625(5u^4 - 9)),
 
 holds identically in x over Q(u)[y]/(y^4 - 256u^4/(625(5u^4 - 9))).  As
 (5y/4)^4 is a scalar of Q(u), it comes down to two identities in Q(u), which
-artin_schreier_mismatch checks cleared of denominators, in Q[u].  Since
-v5(y^4) = -4 for any 5-adic unit u, y has valuation -1/1 in a totally
-ramified quartic extension, the shape that makes x^5 - x - y an
-Artin-Schreier equation at 5.
+artin_schreier_mismatch checks cleared of denominators, in Q[u].  For a
+5-adic unit u, y^4 = (4u/5)^4 / (5u^4 - 9), and 5u^4 - 9 = 1 mod 5 is a
+fourth power in Z_5 by Hensel's lemma; as Q_5 holds i, y lies in Q_5 with
+v5(y) = -1, the shape that makes x^5 - x - y Artin-Schreier at 5.
 
 On the family itself the hypothesis holds at t = u^2 for every 5-adic unit
 u, since trinomial_t(q_t) = |t| (family_squares_mismatch).

@@ -61,7 +61,7 @@ __all__ = [
     "isogeny_mismatch",
     "j_equation_family_mismatch",
     "klein_link_family_mismatch",
-    "klein_link_mismatch",
+    "klein_link_fixed_mismatch",
 ]
 
 
@@ -336,7 +336,7 @@ def _inverse_divides(k, b, c, g, qp) -> bool:
 _KLEIN_LINK_FACTS = {"resultant": (_resultant_holds, 9),
                      "(a)": (_transform_holds, 3),
                      "(b)": (_inverse_divides, 23)}
-# the j at which klein-link/fixed-samples checks klein_link_mismatch
+# the j at which klein_link_fixed_mismatch checks klein_link_mismatch
 KLEIN_FIXED_J = (Fraction(2), Fraction(-25, 3), Fraction(5, 7), Fraction(64),
                  Fraction(-1), Fraction(1000))
 
@@ -417,4 +417,13 @@ def klein_link_family_mismatch():
                 polys[k] = _klein_link_polys(k)
             if not holds(k, *polys[k]):
                 return fact, k
+    return None
+
+
+def klein_link_fixed_mismatch():
+    """None, or the first klein-link (fact, j) failing on KLEIN_FIXED_J."""
+    for j in KLEIN_FIXED_J:
+        mismatch = klein_link_mismatch(j / (1728 - j))
+        if mismatch is not None:
+            return mismatch[0], j
     return None

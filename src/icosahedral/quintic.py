@@ -20,11 +20,11 @@ positive rational square and the parameter is recovered by
 which is invariant under rescaling x -> cx of the monic trinomial and,
 where it is defined, decides that rescaling: two trinomials with the same
 t differ by one (trinomial_t).  So the table command compares the
-principal forms by t alone.
+principal forms of TABLE_ROWS by t alone (table_row_mismatch).
 
 By solvability_obstruction, q_t with t = u^2 lies in the solvable family
 only if y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2) has a rational point.
-hyperelliptic_3adic proves that it has none: the homogenized right side
+hyperelliptic_mismatch proves that it has none: the homogenized right side
 has 3-adic valuation exactly 1 at every coprime pair of integers.
 
 Under x -> x/k the coefficients A, B and C take the factors k^3, k^4 and
@@ -53,7 +53,9 @@ __all__ = [
     "family_quintic",
     "t_from_disc",
     "trinomial_t",
-    "hyperelliptic_3adic",
+    "TABLE_ROWS",
+    "table_row_mismatch",
+    "hyperelliptic_mismatch",
     "reduced",
 ]
 
@@ -266,6 +268,25 @@ def trinomial_t(B, C):
     return t_from_disc(C, invariants((0, 1), B, C)[3])
 
 
+# original quintic, then (principal form (c5, B, C), reduced listed t); the
+# first row's original is itself a trinomial and gives a second such pair
+TABLE_ROWS = (
+    ("x^5 + 20x - 16", ((4, -25, 50), (15, 11)), ((1, 20, -16), (3, 5))),
+    ("x^5 + 10x^3 - 10x^2 + 35x - 18", ((5, 20, 16), (1, 1))),
+    ("x^5 - 10x^3 + 20x^2 + 110x - 116", ((5, -20, 16), (3, 1))),
+    ("x^5 + 10x^3 - 40x^2 + 60x - 32", ((5, -5, 4), (3, 2))),
+    ("x^5 - 10x^3 - 20x^2 + 10x + 216", ((5, 5, 8), (4, 3))),
+)
+
+
+def table_row_mismatch(row):
+    """Check row `row` of TABLE_ROWS, from 1: None, or the t trinomial_t
+    recovers from each principal form, a reduced pair or None."""
+    pairs = TABLE_ROWS[row - 1][1:]
+    got = tuple(trinomial_t((b, c5), (c, c5)) for (c5, b, c), _ in pairs)
+    return None if got == tuple(t for _, t in pairs) else got
+
+
 def solvable_family(v, w):
     """The (B, C) pair of the solvable square-discriminant trinomials.
 
@@ -307,13 +328,13 @@ _HYPERELLIPTIC_FACTORS = ((1, 0, 1), (2, 2, -1, 1), (1, 1, 2, -2))
 _P1_F3 = ((0, 1), (1, 1), (2, 1), (1, 0))
 
 
-def hyperelliptic_3adic():
+def hyperelliptic_mismatch():
     """A 3-adic certificate that y^2 = c prod f_i(x) has no rational point.
 
-    Returns (v, zeros): v = v_3(c) for c = _HYPERELLIPTIC_SCALE, and zeros
-    the points (a : b) of P^1(F_3) at which some form f_i(X, Z) of
-    _HYPERELLIPTIC_FACTORS vanishes mod 3.  When v = 1 and zeros is empty
-    there is no rational point.  Take coprime integers a, b:
+    Returns None, proving that there is none, when v = v_3(c) is 1 for
+    c = _HYPERELLIPTIC_SCALE and no form f_i(X, Z) of
+    _HYPERELLIPTIC_FACTORS vanishes mod 3 on P^1(F_3); else (v, zeros),
+    zeros the points (a : b) where one does.  Take coprime integers a, b:
     (a, b) mod 3 is a nonzero multiple of one of the four points and the
     f_i are homogeneous, so no f_i(a, b) is divisible by 3 and
     v_3(F(a, b)) = 1.  A point (a/b, y) gives F(a, b) = (y b^4)^2, since
@@ -331,4 +352,4 @@ def hyperelliptic_3adic():
 
     zeros = tuple(p for p in _P1_F3
                   if any(form(f, *p) % 3 == 0 for f in _HYPERELLIPTIC_FACTORS))
-    return v, zeros
+    return None if v == 1 and not zeros else (v, zeros)

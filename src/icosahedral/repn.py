@@ -21,14 +21,15 @@ entries in 0..4.  The group of those whose determinant is a nonzero square
     U(a, d) = diag(omega5(a), omega5(d)),
 
 where omega5 is the multiplicative lift 1 -> 1, 2 -> i, 3 -> -i, 4 -> -1
-of F5^x fixed by omega5(x) = x under the residue homomorphism.  lift_pi
+of F5^x fixed by omega5(x) = x under the residue homomorphism.  The lift L
 sends each group element to the product of lifted generators along its
-first-discovery word; homomorphism_mismatch proves multiplicativity on
-the Cayley graph (each element times each generator), relations_mismatch
-checks the generator orders and the braid-like relations together with the
-documented failure at a/d = +-2, congruence_mismatch that the residue
-homomorphism applied entrywise is the identity on all 240 elements, and
-faithful_mismatch that the 240 lifts are distinct.
+first-discovery word; group_order_mismatch checks the order 240,
+homomorphism_mismatch proves multiplicativity on the Cayley graph (each
+element times each generator), relations_mismatch checks the generator
+orders and the braid-like relations together with the documented failure
+at a/d = +-2, congruence_mismatch that the residue homomorphism applied
+entrywise is the identity on all 240 elements, and faithful_mismatch that
+the 240 lifts are distinct.
 
 A lift L is its key: every lift has coordinate denominators in {1, 2}, so
 2L is 16 integers, the coordinates of 2a, 2b, 2c, 2d for
@@ -46,7 +47,7 @@ from functools import lru_cache
 
 __all__ = [
     "varpi_identities_mismatch",
-    "enumerate_group",
+    "group_order_mismatch",
     "generator_name",
     "homomorphism_mismatch",
     "relations_mismatch",
@@ -220,6 +221,12 @@ def enumerate_group():
     return list(_group_data()[0])
 
 
+def group_order_mismatch():
+    """Check the group order 240: None, or the order the BFS found."""
+    n = len(_group_data()[0])
+    return None if n == 240 else n
+
+
 # -- keys ----------------------------------------------------------------------
 
 _IDENTITY_KEY = (2, 0, 0, 0) + _ZERO * 2 + (2, 0, 0, 0)
@@ -300,6 +307,7 @@ def _times_generator(key, idx):
 
 @lru_cache(maxsize=1)
 def _lift_table():
+    """{g: the key of L(g)}, each lift along the BFS generator word of g."""
     order, _, parents, _ = _group_data()
     keys = {order[0]: _IDENTITY_KEY}
     for g in order[1:]:
@@ -308,20 +316,10 @@ def _lift_table():
     return keys
 
 
-def lift_pi(g):
-    """The key of the exact lift of g = (a, b, c, d), entries taken mod 5,
-    along its BFS generator word."""
-    table = _lift_table()
-    g = tuple(x % 5 for x in g)
-    if g not in table:
-        raise ValueError("matrix is not in the square-determinant group")
-    return table[g]
-
-
 def homomorphism_mismatch():
-    """Prove lift_pi(g) lift_pi(h) = lift_pi(gh) for all g, h: None, or the
-    first edge (g, idx) with L(g) L(s_idx) != L(g s_idx), in BFS order of g
-    and then of idx.
+    """Prove L(g) L(h) = L(gh) for all g, h: None, or the first edge
+    (g, idx) with L(g) L(s_idx) != L(g s_idx), in BFS order of g and then
+    of idx.
 
     The certificate is the Cayley graph: L(g) L(s) = L(gs) for all 240 g
     and the 10 generator shadows s.  Every h is a word s_1 ... s_k in the
@@ -429,7 +427,7 @@ def faithful_mismatch():
 
 
 def congruence_mismatch():
-    """Check that residue_hom o lift_pi is the identity on all 240
+    """Check that residue_hom o L is the identity on all 240
     elements: None, or the first g, in BFS order, whose lift does not
     reduce to g, with that residue."""
     keys = _lift_table()

@@ -1,14 +1,16 @@
 """The ``verify`` suites and the ``table`` subcommand, each emitting a
 JSON report with per-check status.
 
-A suite is a tuple of entries (id, description, proof, witness): proof()
-returns None when the check holds, else its mismatch, and
-witness(mismatch) returns the check's witness text, or None.  A proof or
-witness that raises ArithmeticError or ValueError fails its check, with
-the error as its witness; any other exception propagates.  Each
-_suite_<name> imports its domain module only when called.  One runner,
-_run, serves ``verify`` and ``table``: it runs each proof once and emits
-the report, its checks in suite order.
+It holds ids, descriptions, witnesses and the runner.  A suite is a tuple
+of entries (id, description, proof, witness): proof(), a domain module's
+*_mismatch or a partial of one, which reads its data from that module,
+returns None when the check holds, else its mismatch, and witness(mismatch)
+returns the check's witness text, or None.  A proof or witness that raises
+ArithmeticError or ValueError fails its check, with the error as its
+witness; any other exception propagates.  Each _suite_<name> imports its
+domain module only when called.  One runner, _run, serves ``verify`` and
+``table``: it runs each proof once and emits the report, its checks in
+suite order.
 
 ``verify all`` deals its six suites to up to one process per CPU through
 dealer._deal, which ``analyze`` uses too.  The report is the same bytes at
@@ -20,33 +22,16 @@ launch at some extra CPU time (BENCH_38.json).  A single suite, and
 
 from __future__ import annotations
 
-import functools
 import json
 import time
+from functools import partial
 
 from .reports import _log_info, _output, _quintic_str, _ratio, _report
-
-# original quintic (label), then (principal form (c5, B, C), listed t); the
-# first row's original is itself a trinomial and gives a second such pair
-_TABLE_ROWS = (
-    ("x^5 + 20x - 16", ((4, -25, 50), "15/11"), ((1, 20, -16), "3/5")),
-    ("x^5 + 10x^3 - 10x^2 + 35x - 18", ((5, 20, 16), "1")),
-    ("x^5 - 10x^3 + 20x^2 + 110x - 116", ((5, -20, 16), "3")),
-    ("x^5 + 10x^3 - 40x^2 + 60x - 32", ((5, -5, 4), "3/2")),
-    ("x^5 - 10x^3 - 20x^2 + 10x + 216", ((5, 5, 8), "4/3")),
-)
-_MU4 = (0, 6, 12, 18)  # the fourth roots of unity as exponents in mu24
-_NO_ZEROS = (1, ())  # v_3 = 1 and no zeros: the hyperelliptic certificate
 
 
 def _fmt(x) -> str:
     """An int or Fraction as str(Fraction) renders it."""
     return _ratio(x.numerator, x.denominator)
-
-
-def _differs(got, want):
-    """A computed value's mismatch: None when got equals want, else got."""
-    return None if got == want else got
 
 
 def _if_fails(witness):
@@ -74,7 +59,7 @@ def _suite_icosa():
          icosa.fundamental_identity_mismatch,
          _if_fails(lambda k: f"the cleared sides differ at z^{k}")),
         *((f"icosa/invariance-{gen}", description,
-           lambda gen=gen: icosa.invariance_mismatch(gen), _invariance_witness)
+           partial(icosa.invariance_mismatch, gen), _invariance_witness)
           for gen, description in (
               ("S", "j o S = j over Q(zeta5); m o S = m; l o S != l"),
               ("T", "j o T = j over Q(zeta5)"),
@@ -123,19 +108,10 @@ def _rotation_witness(fact, e) -> str:
 
 def _suite_klein_link():
     from . import qcurve
-
-    def fixed_mismatch():
-        """The first (fact, j) of qcurve.KLEIN_FIXED_J that fails, or None."""
-        for j in qcurve.KLEIN_FIXED_J:
-            mismatch = qcurve.klein_link_mismatch(j / (1728 - j))
-            if mismatch is not None:
-                return mismatch[0], j
-        return None
-
     return (
         ("klein-link/fixed-samples",
          "mu <-> x transforms invert each other and (a) holds on fixed j",
-         fixed_mismatch,
+         qcurve.klein_link_fixed_mismatch,
          lambda m: "j in {" + ", ".join(map(_fmt, qcurve.KLEIN_FIXED_J)) + "}"
                    if m is None
                    else f"the {m[0]} identity fails at j = {_fmt(m[1])}"),
@@ -158,11 +134,11 @@ def _suite_qcurve():
         ("qcurve/isogeny-codomain",
          "the 2-isogeny formulas land on the sigma-conjugate curve, as an "
          "identity in Q[r][x] with r^sigma = 1 - r (all t)",
-         lambda: qcurve.isogeny_mismatch(("codomain",)), isogeny_witness),
+         partial(qcurve.isogeny_mismatch, ("codomain",)), isogeny_witness),
         ("qcurve/isogeny-composition",
          "phi^sigma o phi = [-2] on x and on y/y, as identities in Q[r][x] "
          "with r^sigma = 1 - r (all t)",
-         lambda: qcurve.isogeny_mismatch(("x", "y")), isogeny_witness),
+         partial(qcurve.isogeny_mismatch, ("x", "y")), isogeny_witness),
         ("qcurve/published-model-j",
          "j of the t=1 curve equals j of y^2 = x^3 + (5-sqrt5)x^2 + sqrt5 x",
          qcurve.published_model_mismatch,
@@ -185,13 +161,12 @@ def _suite_qcurve():
          "y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2) has no rational "
          "points: the homogenized right side has 3-adic valuation 1 at "
          "every coprime (a, b)",
-         lambda: _differs(quintic.hyperelliptic_3adic(), _NO_ZEROS),
-         _hyperelliptic_witness),
+         quintic.hyperelliptic_mismatch, _hyperelliptic_witness),
     )
 
 
 def _hyperelliptic_witness(mismatch) -> str:
-    v3, zeros = mismatch or _NO_ZEROS
+    v3, zeros = mismatch or (1, ())
     return (f"v_3 of the constant factor: {v3}; zeros of the factors on "
             f"P^1(F_3): "
             f"{', '.join(f'({a} : {b})' for a, b in zeros) or 'none'}")
@@ -207,7 +182,7 @@ def _suite_repn():
          _if_fails(lambda name: f"the identity {name} fails")),
         ("repn/group-order",
          "the square-determinant subgroup of GL2(F5) has 240 elements",
-         lambda: _differs(len(repn.enumerate_group()), 240),
+         repn.group_order_mismatch,
          lambda n: f"{240 if n is None else n} elements enumerated"),
         ("repn/faithful", "the 240 exact lifts are pairwise distinct",
          repn.faithful_mismatch,
@@ -263,9 +238,9 @@ def _suite_hecke():
          _if_fails(lambda m: f"omega(eps^{m[0]}) = zeta24^{m[1]}")),
         ("hecke/value-group",
          "the image of omega is the fourth roots of unity",
-         lambda: _differs(hecke.omega_value_group(), _MU4),
-         lambda vg: f"omega(eps) = zeta24^{hecke.omega_epsilon()}; image "
-                    f"exponents in mu24: {list(_MU4 if vg is None else vg)}"),
+         hecke.value_group_mismatch,
+         lambda _: f"omega(eps) = zeta24^{hecke.omega_epsilon()}; image "
+                   f"exponents in mu24: {list(hecke.omega_value_group())}"),
     )
 
 
@@ -302,23 +277,23 @@ def _difference_witness(var):
 
 
 def _suite_table():
-    from .quintic import trinomial_t
+    from .quintic import TABLE_ROWS, table_row_mismatch
 
-    def recompute(c5, b, c):
-        t = trinomial_t((b, c5), (c, c5))
-        return "undefined" if t is None else _ratio(*t)
+    def render(values):
+        return ", ".join("undefined" if t is None else _ratio(*t)
+                         for t in values)
 
     def entry(row, original, *pairs):
         (c5, b, c), _ = pairs[0]
-        listed = [t for _, t in pairs]
+        listed = render(t for _, t in pairs)
         return (f"table/row-{row}",
                 f"{_quintic_str('0', str(b), str(c))} scaled by {c5} "
                 f"(principal form of {original})",
-                lambda: _differs([recompute(*p) for p, _ in pairs], listed),
-                lambda bad: f"listed t = {', '.join(listed)}; recomputed "
-                            f"t = {', '.join(bad or listed)}")
+                partial(table_row_mismatch, row),
+                lambda bad: f"listed t = {listed}; recomputed "
+                            f"t = {render(bad) if bad else listed}")
 
-    return tuple(entry(row, *spec) for row, spec in enumerate(_TABLE_ROWS, 1))
+    return tuple(entry(row, *spec) for row, spec in enumerate(TABLE_ROWS, 1))
 
 
 _SUITES = {
@@ -371,7 +346,7 @@ def _run(suite, builders, args) -> int:
     lazily built state (icosa's resolvent forms, repn's lift table).
     """
     started = time.monotonic()
-    runs = [functools.partial(_run_suite, name, build, args.timings)
+    runs = [partial(_run_suite, name, build, args.timings)
             for name, build in builders.items()]
     if len(runs) > 1:
         # compiled once, here, rather than in each process: the kernel

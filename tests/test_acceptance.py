@@ -10,7 +10,8 @@ import sympy as sp
 from icosahedral import hecke, icosa, localfield, qcurve, quintic, repn
 from icosahedral.exact import Poly, mul5, poly_divides
 from icosahedral.quintic import (
-    family_quintic, hyperelliptic_3adic, invariants, j_equation, trinomial_t,
+    family_quintic, hyperelliptic_mismatch, invariants, j_equation,
+    trinomial_t,
 )
 from test_quintic import hyperelliptic_search
 from test_repn import IDENTITY_KEY, conj, key_pow, zepsi_mul
@@ -102,7 +103,7 @@ def test_08_representation_bundle_under_1min():
     started = time.monotonic()
     group = repn.enumerate_group()
     assert len(group) == 240
-    lifts = {g: repn.lift_pi(g) for g in group}
+    lifts = repn._lift_table()
     assert len(set(lifts.values())) == 240
     S, T, U = repn.pi_generators()
     assert key_pow(S, 5) == IDENTITY_KEY
@@ -151,7 +152,7 @@ def test_10_localfield_bundle():
 def test_11_hyperelliptic_search_under_1min():
     # the 3-adic proof, and the bounded search it replaced as a cross-check
     started = time.monotonic()
-    assert hyperelliptic_3adic() == (1, ())
+    assert hyperelliptic_mismatch() is None
     assert hyperelliptic_search(1000) == []
     assert time.monotonic() - started < 60
 
@@ -203,13 +204,13 @@ def test_12_mutation_suite(monkeypatch):
     # 3-adic certificate: 15 -> 5, 15 -> 45, X^2 + Z^2 -> X^2 - Z^2
     with monkeypatch.context() as m:
         m.setattr(quintic, "_HYPERELLIPTIC_SCALE", 5)
-        assert hyperelliptic_3adic()[0] != 1
+        assert hyperelliptic_mismatch()[0] != 1
         m.setattr(quintic, "_HYPERELLIPTIC_SCALE", 45)
-        assert hyperelliptic_3adic()[0] != 1
+        assert hyperelliptic_mismatch()[0] != 1
     with monkeypatch.context() as m:
         m.setattr(quintic, "_HYPERELLIPTIC_FACTORS",
                   ((1, 0, -1), (2, 2, -1, 1), (1, 1, 2, -2)))
-        assert hyperelliptic_3adic()[1]
+        assert hyperelliptic_mismatch()[1]
 
     # family squares: k = 9 - 4t^2 in place of 9 - 5t^2
     with monkeypatch.context() as m:

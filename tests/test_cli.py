@@ -591,12 +591,6 @@ def test_analyze_exit_codes(values):
         assert len(json_lines(out.getvalue())) == len(values) + 1
 
 
-def test_int_str_digits_agree():
-    # analyze counts digits against the int-to-str limit that cli.main
-    # raises a lower one to: the two copies name one number
-    assert analyze._INT_STR_DIGITS == cli._INT_STR_DIGITS
-
-
 def test_analyze_digit_bound(tmp_path, capsys):
     # the worst case at the bound: 80-digit numerators and pairwise coprime
     # 80-digit denominators; the longest printed integer stays below the
@@ -881,6 +875,17 @@ def test_verify_klein_link_mutations(capsys, monkeypatch, mutate, fact):
         f"the {fact} identity fails at j = 2"
 
 
+def test_verify_klein_link_fixed_j_mutation(capsys, monkeypatch):
+    # j = 0, where E_j is singular, among the fixed j: only the fixed-j
+    # check fails, with the error as its witness
+    monkeypatch.setattr(qcurve, "KLEIN_FIXED_J", qcurve.KLEIN_FIXED_J + (0,))
+    rc, out, _ = run_cli(capsys, "verify", "klein-link")
+    assert rc == 1
+    assert failed(json.loads(out)) == {
+        "klein-link/fixed-samples":
+            "ValueError: k must avoid 0 and -1, where E_j is singular"}
+
+
 def one_cpu_mask(monkeypatch):
     """An affinity mask of one CPU for the rest of the test: verify all
     runs its suites in this process alone."""
@@ -1047,7 +1052,8 @@ def test_verify_qcurve_options_recorded(capsys):
 
 
 def test_verify_qcurve_failure_witnesses(capsys, monkeypatch):
-    monkeypatch.setattr(quintic, "hyperelliptic_3adic", lambda: (2, ((1, 1),)))
+    monkeypatch.setattr(quintic, "hyperelliptic_mismatch",
+                        lambda: (2, ((1, 1),)))
     monkeypatch.setattr(qcurve, "j_equation_family_mismatch",
                         lambda: Fraction(7, 2))
     rc, out, _ = run_cli(capsys, "verify", "qcurve")
@@ -1678,6 +1684,18 @@ def test_table_row_unrecovered_t(capsys, monkeypatch):
     assert [c["status"] for c in checks] == ["fail"] * 5
     assert checks[0]["witness"] == \
         "listed t = 15/11, 3/5; recomputed t = undefined, undefined"
+
+
+def test_table_listed_t_mutation(capsys, monkeypatch):
+    # row 4's listed t read as 2/3: only table/row-4 fails, and names both
+    rows = list(quintic.TABLE_ROWS)
+    original, (form, _) = rows[3]
+    rows[3] = original, (form, (2, 3))
+    monkeypatch.setattr(quintic, "TABLE_ROWS", tuple(rows))
+    rc, out, _ = run_cli(capsys, "table")
+    assert rc == 1
+    assert failed(json.loads(out)) == {
+        "table/row-4": "listed t = 2/3; recomputed t = 3/2"}
 
 
 def test_out_file(tmp_path, capsys):

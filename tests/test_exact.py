@@ -111,7 +111,7 @@ def rem_reference(f, g):
     """f mod g over Q by long division with Fraction arithmetic."""
     r = list(f.coeffs)
     while len(r) >= len(g.coeffs):
-        c = r[-1] / g.lc()
+        c = r[-1] / g.coeffs[-1]
         shift = len(r) - len(g.coeffs)
         for j, b in enumerate(g.coeffs):
             r[shift + j] -= c * b

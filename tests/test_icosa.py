@@ -270,7 +270,7 @@ def test_invariant_pairs_normalized():
     inv = icosa.build_invariants()
     for num, den in (inv.lam, inv.mu, inv.j):
         assert resultant(num, den) != 0
-        assert den.lc() == 1
+        assert den.coeffs[-1] == 1
 
 
 def test_mu_at_one():

@@ -171,6 +171,16 @@ def test_artin_schreier_valuation_shape():
         assert v5(y4) == -4
 
 
+def test_artin_schreier_y_lies_in_q5():
+    # the two finite facts behind y in Q_5 with v5(y) = -1: 5u^4 - 9 is
+    # 1 mod 5 at every unit u, and the fourth powers of the units mod 625
+    # are exactly the residues 1 mod 5, so by Hensel's lemma
+    # y^4 = (4u/5)^4 / (5u^4 - 9) is (4u/5)^4 times a fourth power of Z_5
+    units = [u for u in range(625) if u % 5]
+    assert {(5 * u ** 4 - 9) % 5 for u in units} == {1}
+    assert {pow(u, 4, 625) for u in units} == set(range(1, 625, 5))
+
+
 def mutated(monkeypatch, name, value):
     """artin_schreier_mismatch() with value in place of localfield.name."""
     with monkeypatch.context() as m:

@@ -31,8 +31,10 @@ def names_used(module):
     return used
 
 
-@pytest.mark.parametrize("module", ["exact", "quintic", "localfield", "hecke",
-                                    "repn", "icosa", "qcurve"])
+DOMAIN = ["exact", "quintic", "localfield", "hecke", "repn", "icosa", "qcurve"]
+
+
+@pytest.mark.parametrize("module", DOMAIN)
 def test_all_is_what_the_package_uses(module):
     # each domain module's __all__ names exactly what the rest of the
     # package uses of it, and none of those names is private
@@ -44,8 +46,7 @@ def test_all_is_what_the_package_uses(module):
 
 # the proofs beyond the *_mismatch functions whose data once came in by
 # arguments that only tests set
-_PROOFS = ["quintic.hyperelliptic_3adic", "qcurve._isogeny_identity",
-           "dealer._cpus"]
+_PROOFS = ["qcurve._isogeny_identity", "dealer._cpus"]
 
 
 def test_proofs_take_no_test_only_parameters():
@@ -53,12 +54,11 @@ def test_proofs_take_no_test_only_parameters():
     # patches: no *_mismatch of a domain module, nor a proof of _PROOFS,
     # has a parameter with a default or a **kwargs to take a mutation
     proofs = [f"{module}.{name}"
-              for module in ["exact", "quintic", "localfield", "hecke",
-                             "repn", "icosa", "qcurve"]
+              for module in DOMAIN
               for name in vars(importlib.import_module(f"icosahedral.{module}"))
               if name.endswith("_mismatch")]
     # the count of proofs today, so that a lost proof shows
-    assert len(proofs) >= 22
+    assert len(proofs) >= 27
     for proof in proofs + _PROOFS:
         module, name = proof.split(".")
         function = getattr(importlib.import_module(f"icosahedral.{module}"),
@@ -67,6 +67,17 @@ def test_proofs_take_no_test_only_parameters():
         assert [p.name for p in params
                 if p.default is not p.empty or p.kind is p.VAR_KEYWORD] \
             == [], proof
+
+
+def test_every_check_is_a_domain_mismatch():
+    # suites holds no proof of its own: each check's proof is a domain
+    # module's *_mismatch, or a partial of one
+    from icosahedral import suites
+    builders = [*suites._SUITES.values(), suites._suite_table]
+    for _, _, proof, _ in (entry for build in builders for entry in build()):
+        f = getattr(proof, "func", proof)
+        assert f.__name__.endswith("_mismatch"), f
+        assert f.__module__ in {f"icosahedral.{module}" for module in DOMAIN}
 
 
 def readme_section(heading):

@@ -468,7 +468,7 @@ def test_division_poly5_shape():
             continue
         psi = division_poly5(b, c)
         assert psi.degree() == 12
-        assert psi.lc() == 5
+        assert psi.coeffs[-1] == 5
         # squarefree: psi5 shares no root with its derivative
         assert resultant(psi, psi.derivative()) != 0
         done += 1
@@ -528,7 +528,7 @@ def test_x5sum_scaled():
     # the resultant in S is 5 2^24 (4b^3 + 27c^2)^6 times the closed form^2
     b, c = e_j(2)
     g = x5sum_resolvent(b, c)
-    assert g.degree() == 6 and g.lc() == 1
+    assert g.degree() == 6 and g.coeffs[-1] == 1
     assert list(g.coeffs) == [
         Fraction(-320, 744769), Fraction(-768, 744769),
         Fraction(-720, 744769), Fraction(320, 863), Fraction(60, 863),
@@ -749,4 +749,4 @@ def test_klein_link_mutations():
     pullback = (Poly.over_q([5, 10, 1]) ** 3).scale(64) \
         - (Poly.over_q([5, 1]) * Poly.over_q([1, 1]) ** 5).scale(j)
     product = qp * pullback
-    assert comp.scale(product.lc()) != product.scale(comp.lc())
+    assert comp.scale(product.coeffs[-1]) != product.scale(comp.coeffs[-1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from icosahedral import repn
 from icosahedral.repn import (
-    enumerate_group, lift_pi, pi_generators, residue_hom,
+    enumerate_group, pi_generators, residue_hom,
     teichmuller, varpi, varpi_identities_mismatch,
 )
 from icosahedral.repn import _diag_lift
@@ -232,13 +232,11 @@ def test_group_is_square_determinant_gl2():
 
 def test_lift_pi():
     S, T, U = pi_generators()
-    assert lift_pi(F5_ONE) == IDENTITY_KEY
-    assert lift_pi((1, 1, 0, 1)) == S
-    # entries are read mod 5
-    assert lift_pi((0, -1, 1, 0)) == lift_pi((0, 4, 6, 5)) == T
-    assert lift_pi((2, 0, 0, 3)) == U(2, 3)
-    with pytest.raises(ValueError):
-        lift_pi((2, 0, 0, 1))   # det 2 is not a square
+    table = repn._lift_table()
+    assert table[F5_ONE] == IDENTITY_KEY
+    assert table[(1, 1, 0, 1)] == S
+    assert table[(0, 4, 1, 0)] == T
+    assert table[(2, 0, 0, 3)] == U(2, 3)
 
 
 def lift_table_from(lifts):
@@ -312,7 +310,7 @@ def test_group_edges_are_the_cayley_graph():
 
 def test_int_keys_are_exact():
     S, T, _ = pi_generators()
-    assert lift_pi(F5_ONE) == repn._IDENTITY_KEY
+    assert repn._lift_table()[F5_ONE] == repn._IDENTITY_KEY
     assert S[:8] == (0, 1, 0, 0, 1, 0, 1, 1)
     # (1/2) I times S has coordinates in (1/4) Z: the halving raises
     half = (1, 0, 0, 0) + ZERO + ZERO + (1, 0, 0, 0)
@@ -422,7 +420,8 @@ def test_homomorphism_exhaustive():
     # all 240^2 pairs: the oracle for the Cayley-graph certificate, with
     # the products taken by the test's own integer product
     order = enumerate_group()
-    table = {g: scaled_int_matrix(lift_pi(g)) for g in order}
+    keys = repn._lift_table()
+    table = {g: scaled_int_matrix(keys[g]) for g in order}
     assert all(scaled_int_product(table[g], table[h]) == table[f5_mul(g, h)]
                for g in order for h in order)
 
@@ -484,8 +483,7 @@ def test_faithful_mutation(lift_table):
 def test_image_denominators_and_determinants():
     # each key is 16 integers, so each coordinate of a lift lies in
     # (1/2) Z; det L = key_det / 4 reduces to det g, as 1/4 -> 4
-    for g in enumerate_group():
-        key = lift_pi(g)
+    for g, key in repn._lift_table().items():
         assert len(key) == 16 and all(type(v) is int for v in key)
         assert residue_hom(key_det(key)) * 4 % 5 == f5_det(g)
 
