@@ -17,7 +17,7 @@ record.
 Records are analyzed in blocks of at most _BLOCK: the invariants and
 j-roots of each record of the block, then one gcd against the primorial of
 _square_part for all of the block's radicands (_block_divisor), then each
-record rendered and written before the next is rendered.
+record rendered.  Nothing is written until every record has been analyzed.
 
 A file is read into the (lineno, line) pairs of its non-blank lines, and
 _parse_lines checks, decodes and parses them up to the first bad line.  A
@@ -27,15 +27,15 @@ allows, and dealt by dealer._deal: each shard parses its own lines, then
 analyzes them, so no parse runs before the fork.  The shards share one
 byte of an anonymous mmap, which a shard whose parse finds a bad line
 sets, and each shard stops analyzing at the next block once it is set,
-so a bad line early in a large file costs about one shard's parse.
-The first bad line in shard order, the lowest line number, is then
-reported and nothing is written; else the shards' texts are written in
-shard order, and with --json the report, encoded once with an empty list
-of checks, with the shards' check texts spliced into that list: the same
-bytes at any k.  A smaller batch, or k = 1, is parsed whole here first,
-then analyzed here alone, each record written as its block is rendered,
-and imports no dealer.  _MIN_SHARD was measured on 2 vCPUs only, and not
-the summed memory of the processes (BENCH_24.json).
+so a bad line early in a large file costs about one shard's parse.  A
+smaller batch, or k = 1, is one shard run in this process, which imports
+no dealer; an inline quintic is one record analyzed here.  The first bad
+line in shard order, the lowest line number, is then reported and nothing
+is written; else the shards' lines are written in shard order, and with
+--json the report, encoded once with an empty list of checks, with the
+shards' check texts spliced into that list: the same bytes at any k.
+_MIN_SHARD was measured on 2 vCPUs only, and not the summed memory of the
+processes (BENCH_24.json).
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _small_primorial() -> int:
     return math.prod(_primes_below(10 ** 4 + 1))
 
 
-def _square_part(n: int, divisor: int = 0) -> int:
+def _square_part(n: int, divisor: int) -> int:
     """An s with s^2 dividing n >= 0, found in bounded time.
 
     Takes out the square part over the primes up to 10^4 by gcd rounds:
@@ -126,13 +126,13 @@ def _square_part(n: int, divisor: int = 0) -> int:
     factors, all above 10^4); above that it may keep the square of a prime
     larger than 10^4.  n = 0 gives 1.
 
-    A nonzero divisor stands for P in the first round: gcd(M, P) for an M
-    that n divides (see _small_primorial), which gives the same g_1 and so
-    the same s, as a gcd against a divisor of P that is often much smaller.
+    divisor stands for P in the first round: P itself, or gcd(M, P) for an
+    M that n divides (see _small_primorial), which gives the same g_1 and
+    so the same s, as a gcd against a divisor of P often much smaller.
     """
     square = 1
     if n:
-        g = math.gcd(n, divisor or _small_primorial())
+        g = math.gcd(n, divisor)
         even = False
         while g > 1:
             n //= g
@@ -164,7 +164,7 @@ def _block_divisor(radicands) -> int:
     return math.gcd(M, P)
 
 
-def _split_radicand(m: int, d: int, divisor: int = 0) -> tuple:
+def _split_radicand(m: int, d: int, divisor: int) -> tuple:
     """(radicand, scale) with sqrt(m)/d = scale*sqrt(radicand), for d > 0.
 
     sqrt(n/d) is sqrt(m)/d for m = n*d.  The radicand is m divided by the
@@ -351,18 +351,17 @@ def _check_text(i: int, name: str, error) -> str:
     return f'{head}"status":"skipped","witness":{_json_str(error)}}}'
 
 
-def _analyze_records(start, records, write, stop=bytes(1)) -> tuple:
-    """Records start + 1, ... analyzed and written in turn; (checks,
-    errors): the report check of each as _check_text renders it, and the
-    number of records with an error.
+def _analyze_records(start, records, stop=bytes(1)) -> tuple:
+    """(lines, checks, errors) of records start + 1, ...: the output line
+    of each, their report checks as _check_text renders them, joined by
+    commas, and the number of records with an error.
 
     They go in blocks of at most _BLOCK: the numbers of each record of a
     block first, then one divisor for all of its radicands, then each
-    record rendered and written before the next is rendered.  The byte
-    stop[0] is read before each block, and once it is set no further block
-    is analyzed.
+    record rendered.  The byte stop[0] is read before each block, and once
+    it is set no further block is analyzed.
     """
-    checks = []
+    lines, checks = [], []
     errors = 0
     for first in range(0, len(records), _BLOCK):
         if stop[0]:
@@ -373,10 +372,10 @@ def _analyze_records(start, records, write, stop=bytes(1)) -> tuple:
         for i, (rec, nums) in enumerate(zip(block, numbers),
                                         start + first + 1):
             line, name, error = _analyze_one(rec, nums, divisor)
-            write(line)
+            lines.append(line)
             checks.append(_check_text(i, name, error))
             errors += error is not None
-    return checks, errors
+    return lines, ",".join(checks), errors
 
 
 def _read_lines(path) -> list:
@@ -422,19 +421,16 @@ def _parse_lines(entries) -> tuple:
 
 
 def _shard(start, entries, stop) -> tuple:
-    """(text, checks, errors, bad) of the lines of records start + 1, ...,
-    for a forked shard to send: bad is the first bad line as _parse_lines
-    gives it, with no text or checks, and then the byte stop[0] is set, so
-    that the other shards stop analyzing; else None, with the lines of
-    _analyze_records joined, its checks joined by commas and its count of
-    errors."""
+    """(lines, checks, errors, bad) of the lines of records start + 1, ...:
+    bad is the first bad line as _parse_lines gives it, with no lines or
+    checks, and then the byte stop[0] is set, so that the other shards
+    stop analyzing; else None, after the (lines, checks, errors) of
+    _analyze_records."""
     records, bad = _parse_lines(entries)
     if bad:
         stop[0] = 1
-        return "", "", 0, bad
-    lines = []
-    checks, errors = _analyze_records(start, records, lines.append, stop)
-    return "".join(lines), ",".join(checks), errors, None
+        return [], "", 0, bad
+    return (*_analyze_records(start, records, stop), None)
 
 
 def cmd_analyze(args) -> int:
@@ -463,34 +459,30 @@ def cmd_analyze(args) -> int:
                                                   stop)
                                 for a, b in zip(bounds, bounds[1:])],
                                "an analyze shard", log)
-    if shards:
-        bad_line = next((bad for *_, bad in shards if bad), None)
-    elif args.file:
-        records, bad_line = _parse_lines(entries)
-    else:
-        records, bad_line = [{"A": args.a if args.a is not None else (0, 1),
-                              "B": args.b, "C": args.c}], None
+    if not shards:
+        log(1)
+        if args.file:
+            shards = [_shard(0, entries, bytearray(1))]
+        else:
+            record = {"A": args.a or (0, 1), "B": args.b, "C": args.c}
+            shards = [(*_analyze_records(0, [record]), None)]
+    bad_line = next((bad for *_, bad in shards if bad), None)
     if bad_line:
         lineno, message = bad_line
         print(f"error: {args.file}:{lineno}: {message}", file=sys.stderr)
         return 2
-    if not shards:
-        log(1)
+    lines, checks, counts, _ = zip(*shards)
+    errors = sum(counts)
     # a bad line reported above, so none can follow output
     with _output(args.out) as fh:
-        if shards:
-            texts, checks, counts, _ = zip(*shards)
-            fh.writelines(texts)
-            errors = sum(counts)
-        else:
-            checks, errors = _analyze_records(0, records, fh.write)
-        checks = ",".join(checks)
+        for shard in lines:
+            fh.writelines(shard)
         if args.json:
             # the report with no checks, encoded once, and the checks'
             # text spliced into its empty list
             head, mark, tail = _COMPACT_JSON.encode(
                 _report("analyze", [], args, None)).partition('"checks":[')
-            fh.write(f"{head}{mark}{checks}{tail}\n")
+            fh.write(f"{head}{mark}{','.join(checks)}{tail}\n")
     if not args.json:
         print(f"{n} record(s), {n - errors} ok, {errors} with errors",
               file=sys.stderr)

@@ -105,9 +105,8 @@ def hypothesis_triple_mismatch():
 def _first_difference(name, lhs, rhs):
     """None if the polynomials lhs and rhs are equal, else (name, e, c): the
     lowest power e at which lhs - rhs has a nonzero coefficient, c."""
-    from fractions import Fraction
     diff = lhs - rhs
-    return next(((name, e, Fraction(c, diff.den))
+    return next(((name, e, diff.coeff(e))
                  for e, c in enumerate(diff.num) if c), None)
 
 

@@ -213,9 +213,9 @@ def isogeny_mismatch(names):
     """
     for name in names:
         for r in range(2, _ISOGENY_R_DEGREE[name] + 3):
-            lhs, rhs = _isogeny_identity(name, Fraction(r))
+            lhs, rhs = _isogeny_identity(name, r)
             if lhs != rhs:
-                return name, Fraction(r)
+                return name, r
     return None
 
 
@@ -412,7 +412,7 @@ def klein_link_family_mismatch():
     """
     polys = {}
     for fact, (holds, n) in _KLEIN_LINK_FACTS.items():
-        for k in map(Fraction, range(1, n + 1)):
+        for k in range(1, n + 1):
             if k not in polys:
                 polys[k] = _klein_link_polys(k)
             if not holds(k, *polys[k]):

@@ -87,7 +87,8 @@ def block_batch():
     assert {"degenerate quintic: delta = 0", "C must be nonzero for t"} < {
         analyze_one(rec).get("error")
         for rec in records[1:analyze._BLOCK - 1]}
-    assert any(m and analyze._square_part(abs(m)) > 1
+    assert any(m and analyze._square_part(
+        abs(m), analyze._small_primorial()) > 1
                for _, _, m in map(analyze._record_numbers,
                                   records[2 * analyze._BLOCK:]))
     return lines, records
@@ -95,9 +96,8 @@ def block_batch():
 
 def analyze_line(rec):
     """The output line of one parsed record, analyzed alone."""
-    lines = []
-    analyze._analyze_records(0, [rec], lines.append)
-    return lines[0]
+    (line,), _, _ = analyze._analyze_records(0, [rec])
+    return line
 
 
 def analyze_one(rec):
@@ -135,7 +135,7 @@ def test_analyze_one_computes_invariants_once(monkeypatch):
     monkeypatch.setattr(analyze, "_square_part",
                         counted(analyze, "_square_part"))
     monkeypatch.setattr(analyze, "math", CountedMath())
-    analyze._analyze_records(0, batch, [].append)
+    analyze._analyze_records(0, batch)
     monkeypatch.undo()
     splits = trinomials = 0
     for rec in batch:
@@ -207,22 +207,25 @@ def test_analyze_batch_order_and_errors(tmp_path, capsys):
     assert report["status"] == "pass"
 
 
-def test_analyze_writes_each_record_before_the_next(tmp_path, monkeypatch):
-    path = tmp_path / "batch.jsonl"
+def test_analyze_writes_nothing_until_every_record_is_analyzed(
+        tmp_path, monkeypatch):
+    # a record whose analysis raises in a one-process batch leaves no --out
+    # file, as a dealt batch does
+    path, out = tmp_path / "batch.jsonl", tmp_path / "out.jsonl"
     path.write_text('{"B":"4","C":"16/5"}\n' * 3)
-    buf = io.StringIO()
-    monkeypatch.setattr(sys, "stdout", buf)
-    written = []
-    analyze_one = analyze._analyze_one
+    analyzed, analyze_one = [], analyze._analyze_one
 
-    def recording(rec, *numbers):
-        written.append(buf.getvalue().count("\n"))
-        return analyze_one(rec, *numbers)
+    def failing_third(*args):
+        analyzed.append(args)
+        if len(analyzed) == 3:
+            raise RuntimeError("third record")
+        return analyze_one(*args)
 
-    monkeypatch.setattr(analyze, "_analyze_one", recording)
-    assert cli.main(["analyze", "--file", str(path), "--json"]) == 0
-    assert written == [0, 1, 2]
-    assert buf.getvalue().count("\n") == 4
+    monkeypatch.setattr(analyze, "_analyze_one", failing_third)
+    with pytest.raises(RuntimeError, match="third record"):
+        cli.main(["analyze", "--file", str(path), "--out", str(out)])
+    assert len(analyzed) == 3
+    assert not out.exists()
 
 
 def test_analyze_text_mode_summary(capsys):
@@ -288,7 +291,8 @@ def test_quad_string_radicand_matches_factorint():
         elif kind == 3:
             m *= large[0] ** 2
         n = s * s * m
-        assert analyze._square_part(n) == square_part_reference(n)
+        assert analyze._square_part(n, analyze._small_primorial()) \
+            == square_part_reference(n)
         den = rng.choice((1, 1, 4, 5, 12, 9973 ** 2))
         d = Fraction(rng.choice((-1, 1)) * n, den)
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
@@ -296,7 +300,8 @@ def test_quad_string_radicand_matches_factorint():
                      rng.randint(1, 9))
         plus, minus = analyze._conjugate_strings(
             pair(a), pair(b), *analyze._split_radicand(
-                d.numerator * d.denominator, d.denominator))
+                d.numerator * d.denominator, d.denominator,
+                analyze._small_primorial()))
         want = d.numerator * d.denominator
         want //= square_part_reference(abs(want)) ** 2
         assert parse_quad(plus)[2] == parse_quad(minus)[2] == want
@@ -311,11 +316,12 @@ def test_quad_string_large_square_kept():
     p, q = 10007, 10009
     assert p * p * q >= 10 ** 12
     n = 2 ** 2 * 3 * p * p * q
-    assert analyze._square_part(n) == 2
+    assert analyze._square_part(n, analyze._small_primorial()) == 2
     d = Fraction(-n, 5)
     plus, minus = analyze._conjugate_strings(
         (1, 3), (-7, 2), *analyze._split_radicand(
-            d.numerator * d.denominator, d.denominator))
+            d.numerator * d.denominator, d.denominator,
+            analyze._small_primorial()))
     assert parse_quad(plus)[2] == parse_quad(minus)[2] == -3 * 5 * p * p * q
     assert_quad_exact(plus, Fraction(1, 3), Fraction(-7, 2), d)
     assert_quad_exact(minus, Fraction(1, 3), Fraction(7, 2), d)
@@ -359,7 +365,8 @@ factored = st.lists(
 @example(9973 ** 4 * 10007)
 @example(10007 ** 2 * 10009)
 def test_square_part_matches_trial_division(n):
-    assert analyze._square_part(n) == square_part_trial_division(n)
+    assert analyze._square_part(n, analyze._small_primorial()) \
+        == square_part_trial_division(n)
 
 
 # what a block of radicands can hold: 0, 1, primes just below and above
@@ -383,9 +390,11 @@ def test_square_part_with_block_divisor(block):
     # the one gcd of a block against the primorial stands for it in the
     # square part of each value of the block
     divisor = analyze._block_divisor(block)
-    assert analyze._small_primorial() % divisor == 0
+    primorial = analyze._small_primorial()
+    assert primorial % divisor == 0
     for n in map(abs, block):
-        assert analyze._square_part(n, divisor) == analyze._square_part(n) \
+        assert analyze._square_part(n, divisor) \
+            == analyze._square_part(n, primorial) \
             == square_part_trial_division(n)
 
 
@@ -1342,16 +1351,16 @@ def test_shard_stops_analyzing_once_the_byte_is_set(monkeypatch):
 
     monkeypatch.setattr(analyze, "_analyze_one", counted)
     stop = bytearray(1)
-    text, checks, errors, bad = analyze._shard(0, entries, stop)
+    lines, checks, errors, bad = analyze._shard(0, entries, stop)
     assert bad is None and not stop[0] and len(analyzed) == len(entries)
-    assert text.count("\n") == len(entries) and errors > 0
+    assert len(lines) == len(entries) and errors > 0
     analyzed.clear()
     stop[0] = 1
     assert analyze._shard(0, entries, stop)[3] is None
     assert len(analyzed) <= analyze._BLOCK
     stop[0] = 0
     bad = analyze._shard(0, entries[:3] + [(4, "not json\n")], stop)
-    assert bad == ("", "", 0, (4, "Expecting value: line 1 column 1 (char 0)"))
+    assert bad == ([], "", 0, (4, "Expecting value: line 1 column 1 (char 0)"))
     assert stop[0] == 1
 
 
@@ -1913,11 +1922,13 @@ def test_analyze_leaves_no_process(tmp_path, end, sigchld):
         os.killpg(proc.pid, 0)
 
 
-@two_cpus
-def test_analyze_logs_its_process_count(tmp_path):
+@pytest.mark.parametrize("pinned", [None, on_one_cpu],
+                         ids=["full-mask", "one-cpu"])
+def test_analyze_logs_its_process_count(tmp_path, pinned):
     # only the parent logs, once; unset, the log adds nothing to stderr.  A
-    # dealt batch logs once its shards are forked, before they parse, so a
-    # bad line's error follows the INFO line
+    # dealt batch logs once its shards are forked, before they parse, and a
+    # batch in one process before it parses, so at any process count a bad
+    # line's error follows the INFO line
     path, n = sharded_batch(tmp_path)
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(path.read_bytes() + b"not json\n")
@@ -1926,7 +1937,8 @@ def test_analyze_logs_its_process_count(tmp_path):
              "Expecting value: line 1 column 1 (char 0)\n")
     env = child_env()
     for file, records, rc, tail in ((path, n, 0, ""), (bad, n + 1, 2, error)):
-        k = min(dealer._cpus(), records // analyze._MIN_SHARD)
+        k = min(1 if pinned else dealer._cpus(),
+                records // analyze._MIN_SHARD)
         info = ("INFO icosahedral.cli: analyzing "
                 f"{records} record(s) in {k} process(es)\n")
         for log, want in (("info", info + tail), (None, tail)):
@@ -1934,7 +1946,7 @@ def test_analyze_logs_its_process_count(tmp_path):
             if log:
                 env["ICOSAHEDRAL_LOG"] = log
             proc = cli_process("analyze", "--file", str(file), "--json",
-                               env=env)
+                               env=env, preexec_fn=pinned)
             out, err = proc.communicate(timeout=120)
             assert proc.returncode == rc and err.decode() == want
             assert (out == b"") == bool(rc)
