@@ -26,11 +26,11 @@ It also proves that for all m, n the five resolvents
     x_nu = m/(L_nu+3) + n/((L_nu+3)(L_nu^2+10 L_nu+45)),  L_nu = lambda(zeta5^nu z),
 
 are exactly the roots of x^5 + A x^2 + B x + C with the coefficient
-functions of quintic.RESOLVENT_TABLE, the table quintic.resolvent_coeffs
-evaluates, at (m, n/12, j(z)).  Every x_nu is one rational function x(L)
-at L = L_nu, so the proof is one polynomial identity in Q[L], that x(L)
-solves the quintic at j = J(L), plus the S-rotation: j is fixed by
-z -> zeta5 z and lambda is moved, both read off the exponents mod 5.
+functions of _RESOLVENT_TABLE at (m, n/12, j(z)).  Every x_nu is one
+rational function x(L) at L = L_nu, so the proof is one polynomial identity
+in Q[L], that x(L) solves the quintic at j = J(L), plus the S-rotation: j
+is fixed by z -> zeta5 z and lambda is moved, both read off the exponents
+mod 5.
 
 Although lambda is assembled from quadratics with eps = (sqrt5-1)/2 in their
 coefficients, the two eps-quadratics multiply to the rational quartic
@@ -49,7 +49,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from . import quintic
 from .exact import Poly, mul5
 
 __all__ = [
@@ -82,7 +81,15 @@ _QUARTIC = Poly.over_q([1, -2, -6, 2, 1])
 # the face form H of degree 20; the vertex form f is lambda's denominator
 _FACE = Poly.over_q([1, 0, 0, 0, 0, 228, 0, 0, 0, 0, 494,
                      0, 0, 0, 0, -228, 0, 0, 0, 0, 1])
-# w/n: the resolvents at (m, n) solve quintic.RESOLVENT_TABLE at (m, n/12)
+# The coefficient of X^k in x^5 + A x^2 + B x + C at (m, n, j): with d = 5 - k
+# and e = 1/(1728 - j) it is (outer/j) sum c m^i n^(d-i) e^p over the terms
+# (i, p, c)
+_RESOLVENT_TABLE = {
+    2: (-20, ((3, 0, 2), (2, 0, 3), (1, 1, 2592), (0, 1, 432))),
+    1: (-5, ((4, 0, 1), (2, 1, -2592), (1, 1, -1728), (0, 2, -559872))),
+    0: (-1, ((5, 0, 1), (3, 1, -1440), (1, 2, 933120), (0, 2, 248832))),
+}
+# w/n: the resolvents at (m, n) solve _RESOLVENT_TABLE at (m, n/12)
 _W_PER_N = Fraction(1, 12)
 
 
@@ -286,7 +293,7 @@ def resolvent_identity_mismatch():
     J(L) = (L+3)^3 (L^2+11L+64).  Three facts over Q prove the identity:
 
     (i) x(L) is a root of X^5 + A X^2 + B X + C, with (A, B, C) the terms
-        of quintic.RESOLVENT_TABLE at (m, n/12, J(L)), for an
+        of _RESOLVENT_TABLE at (m, n/12, J(L)), for an
         indeterminate L.  This is lambda dehomogenized: U, V, W at
         (P, Q) = (L, 1).  With D = 1728 - J and q the largest power of
         1/D in the table, the quintic at X = x cleared by W^5 J D^q is a
@@ -310,23 +317,22 @@ def resolvent_identity_mismatch():
     ("j", e), ("lambda", e) or ("lambda", None) from _rotation_mismatch.
 
     The coefficient functions take n/12 (_W_PER_N), not n: the resolvents
-    and quintic.resolvent_coeffs normalize the second parameter
-    differently, and with n in place of n/12 fact (i) fails.
+    and _RESOLVENT_TABLE normalize the second parameter differently, and
+    with n in place of n/12 fact (i) fails.
     """
     inv = build_invariants()
     line = (Poly.over_q([0, 1]), Poly.one())
     U, V, W = _resolvent_x(line)
     J = _j_from_lambda(line)[0]
     D = 1728 - J
-    table = quintic.RESOLVENT_TABLE
-    q = max(p for _, terms in table.values() for _, p, _ in terms)
+    q = max(p for _, terms in _RESOLVENT_TABLE.values() for _, p, _ in terms)
     # x^k W^5 = (m U + n V)^k W^(5-k), whose m^s n^(k-s) part has the
     # coefficient comb(k, s) U^s V^(k-s) W^(5-k); the X^k coefficient times
     # J D^q is the sum of outer c _W_PER_N^(d-i) m^i n^(d-i) D^(q-p) over
     # the table's terms (i, p, c), d = 5 - k
     forms = [U ** i * V ** (5 - i) * J * D ** q * comb(5, i)
              for i in range(6)]
-    for k, (outer, terms) in table.items():
+    for k, (outer, terms) in _RESOLVENT_TABLE.items():
         d = 5 - k
         for i, p, c in terms:
             base = D ** (q - p) * W ** d

@@ -1,4 +1,4 @@
-"""5-adic valuations and the square-unit test behind the quintic family.
+"""The 5-adic square-unit test of the quintic family, and its local equation.
 
 The family quintic q_t = x^5 + Bx + C with B = (9-5t^2)/t^2 and
 C = 4(9-5t^2)/(5t^2) has its parameter recovered by
@@ -21,14 +21,9 @@ v5(y) = -1, the shape that makes x^5 - x - y Artin-Schreier at 5.
 
 On the family itself the hypothesis holds at t = u^2 for every 5-adic unit
 u, since trinomial_t(q_t) = |t| (family_squares_mismatch).
-
-v5 returns an int, or math.inf at 0, so valuations add, compare and take
-minima as plain numbers.
 """
 
 from __future__ import annotations
-
-import math
 
 from .quintic import trinomial_t
 
@@ -39,22 +34,6 @@ __all__ = [
     "artin_schreier_mismatch",
     "family_squares_mismatch",
 ]
-
-
-def v5(x):
-    """5-adic valuation of a rational: an int, or math.inf for 0."""
-    from fractions import Fraction
-    x = Fraction(x)
-    if not x:
-        return math.inf
-    v, n, d = 0, x.numerator, x.denominator
-    while n % 5 == 0:
-        n //= 5
-        v += 1
-    while d % 5 == 0:
-        d //= 5
-        v -= 1
-    return v
 
 
 def is_square_5adic_unit(n: int, d: int) -> bool:

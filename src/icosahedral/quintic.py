@@ -22,10 +22,10 @@ where it is defined, decides that rescaling: two trinomials with the same
 t differ by one (trinomial_t).  So the table command compares the
 principal forms of TABLE_ROWS by t alone (table_row_mismatch).
 
-By solvability_obstruction, q_t with t = u^2 lies in the solvable family
-only if y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2) has a rational point.
-hyperelliptic_mismatch proves that it has none: the homogenized right side
-has 3-adic valuation exactly 1 at every coprime pair of integers.
+hyperelliptic_mismatch proves that y^2 = 15(x^2+1)(2x^3+2x^2-x+1)(x^3+x^2+2x-2)
+has no rational point: the homogenized right side has 3-adic valuation
+exactly 1 at every coprime pair of integers.  A q_t with t = u^2 in the
+solvable family would give one; that link is not checked here.
 
 Under x -> x/k the coefficients A, B and C take the factors k^3, k^4 and
 k^5: they have weights 3, 4 and 5, and delta, gamma4, gamma6 and disc are
@@ -49,7 +49,6 @@ __all__ = [
     "invariants",
     "j_equation",
     "j_roots",
-    "RESOLVENT_TABLE",
     "family_quintic",
     "t_from_disc",
     "trinomial_t",
@@ -173,41 +172,6 @@ def j_roots(inv):
     return base, reduced(r, 2 * qa * abs(n5))
 
 
-# The coefficient of X^k in x^5 + A x^2 + B x + C at (m, n, j): with d = 5 - k
-# and e = 1/(1728 - j) it is (outer/j) sum c m^i n^(d-i) e^p over the terms
-# (i, p, c).  resolvent_coeffs evaluates the table and icosa proves it.
-RESOLVENT_TABLE = {
-    2: (-20, ((3, 0, 2), (2, 0, 3), (1, 1, 2592), (0, 1, 432))),
-    1: (-5, ((4, 0, 1), (2, 1, -2592), (1, 1, -1728), (0, 2, -559872))),
-    0: (-1, ((5, 0, 1), (3, 1, -1440), (1, 2, 933120), (0, 2, 248832))),
-}
-
-
-def resolvent_coeffs(m, n, j):
-    """Coefficients (A, B, C) of the quintic attached to (m, n) at j.
-
-    These are the closed forms of RESOLVENT_TABLE, whose values at (m, w)
-    make x^5 + Ax^2 + Bx + C the exact minimal relation of the five
-    resolvents built in icosa with parameters (m, 12w); see
-    icosa.resolvent_identity_mismatch, which proves that identity for all
-    (m, w) from the same table.
-
-    Requires j outside {0, 1728}.
-    """
-    from fractions import Fraction
-    m, n, j = Fraction(m), Fraction(n), Fraction(j)
-    if j == 0 or j == 1728:
-        raise ValueError("j must avoid 0 and 1728")
-    e = 1 / (1728 - j)
-    out = []
-    for k in (2, 1, 0):
-        outer, terms = RESOLVENT_TABLE[k]
-        d = 5 - k
-        out.append(outer / j * sum(c * m ** i * n ** (d - i) * e ** p
-                                   for i, p, c in terms))
-    return tuple(out)
-
-
 def family_quintic(t) -> tuple:
     """The trinomial q_t = x^5 + ((9-5t^2)/t^2) x + (4(9-5t^2)/(5t^2)).
 
@@ -285,39 +249,6 @@ def table_row_mismatch(row):
     pairs = TABLE_ROWS[row - 1][1:]
     got = tuple(trinomial_t((b, c5), (c, c5)) for (c5, b, c), _ in pairs)
     return None if got == tuple(t for _, t in pairs) else got
-
-
-def solvable_family(v, w):
-    """The (B, C) pair of the solvable square-discriminant trinomials.
-
-    B = 20 (v^2+v-1)(v^2-v-1) w^4 / (v^2+1)^2,
-    C = 16 (v^2+v-1)(2v^2+3v-2) w^5 / (v^2+1)^2.
-    """
-    from fractions import Fraction
-    v, w = Fraction(v), Fraction(w)
-    d = (v ** 2 + 1) ** 2
-    B = 20 * (v ** 2 + v - 1) * (v ** 2 - v - 1) * w ** 4 / d
-    C = 16 * (v ** 2 + v - 1) * (2 * v ** 2 + 3 * v - 2) * w ** 5 / d
-    return (B, C)
-
-
-def solvability_obstruction(v):
-    """The (w, t) forced on the solvable family by the trinomial shape.
-
-    w = (v^2-v-1)/(2v^2+3v-2),
-    t = 3 (v^2+1)(2v^2+3v-2)^2 / (5 (2v^3+2v^2-v+1)(v^3+v^2+2v-2)).
-
-    Raises when a denominator vanishes at v.
-    """
-    from fractions import Fraction
-    v = Fraction(v)
-    dw = 2 * v ** 2 + 3 * v - 2
-    dt = 5 * (2 * v ** 3 + 2 * v ** 2 - v + 1) * (v ** 3 + v ** 2 + 2 * v - 2)
-    if not dw or not dt:
-        raise ValueError("denominator vanishes at this v")
-    w = (v ** 2 - v - 1) / dw
-    t = 3 * (v ** 2 + 1) * dw ** 2 / dt
-    return (w, t)
 
 
 # y^2 = F(X, Z) = 15 (X^2 + Z^2)(2X^3 + 2X^2 Z - X Z^2 + Z^3)

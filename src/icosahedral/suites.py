@@ -349,8 +349,8 @@ def _run(suite, builders, args) -> int:
     runs = [partial(_run_suite, name, build, args.timings)
             for name, build in builders.items()]
     if len(runs) > 1:
-        # compiled once, here, rather than in each process: the kernel
-        # modules of four of the six suites
+        # compiled once, here, rather than in each process: exact serves
+        # four of the six suites and quintic three
         from . import exact, quintic
         from .dealer import _deal
         results = _deal(runs, "a verify worker")

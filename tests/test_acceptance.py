@@ -137,7 +137,7 @@ def test_10_localfield_bundle():
     count = 0
     while count < 20:
         u = Fraction(rng.randint(-400, 400), rng.randint(1, 60))
-        if not u or localfield.v5(u) != 0:
+        if u.numerator * u.denominator % 5 == 0:  # not a 5-adic unit
             continue
         _, b, c = family_quintic(u * u)
         assert localfield.theorem_hypothesis(b, c)

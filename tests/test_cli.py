@@ -2333,11 +2333,13 @@ def loaded_modules(argv, log=None, preexec_fn=None):
      {"dataclasses", "inspect"} | _NO_FRACTION),
     (["verify", "repn"], ["repn", "reports", "suites"],
      {"dataclasses", "inspect"} | _NO_FRACTION),
+    (["verify", "icosa"], ["exact", "icosa", "reports", "suites"],
+     {"dataclasses", "inspect", "icosahedral.quintic"}),
     (["verify", "all"], ["dealer", "exact", "hecke", "icosa", "localfield",
                          "qcurve", "quintic", "repn", "reports", "suites"],
      {"dataclasses", "inspect"}),
 ], ids=["help", "table", "analyze", "verify-hecke", "verify-repn",
-        "verify-all"])
+        "verify-icosa", "verify-all"])
 def test_subcommand_loads_only_its_modules(argv, extra, absent):
     # each subcommand imports only what it runs, in a fresh interpreter: a
     # module-level import in cli would add its module to every set, and

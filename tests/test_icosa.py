@@ -9,8 +9,9 @@ import mpmath as mp
 import pytest
 import sympy as sp
 
-from icosahedral import cli, icosa, quintic
+from icosahedral import cli, icosa
 from icosahedral.exact import Poly, _kron_mul_int, resultant
+from test_quintic import resolvent_coeffs
 
 mp.mp.dps = 60
 
@@ -223,7 +224,7 @@ def resolvent_quintic_holds(m, n):
     """Whether, at one rational (m, n), x_0..x_4 are the roots of
     x^5 + A x^2 + B x + C with (A, B, C) at (m, n/12, j(z)).
 
-    The right-hand side is written out here apart from quintic's table;
+    The right-hand side is written out here apart from icosa's table;
     all five elementary symmetric functions are compared, cleared of
     fractions, as polynomial identities over Q.
     """
@@ -537,7 +538,6 @@ def test_resolvent_quintic_numeric_oracle():
     def esym(k):
         return sum(mp.fprod(c) for c in itertools.combinations(xs, k))
 
-    from icosahedral.quintic import resolvent_coeffs
     # exact coefficients at (m, n/12) evaluated with J as a float
     w = mp.mpf(3) / 12
     N = 1 / (1728 - J)
@@ -551,7 +551,7 @@ def test_resolvent_quintic_numeric_oracle():
     assert abs(esym(3) - (-A)) < abs(A) * mp.mpf(10) ** -40
     assert abs(esym(4) - B) < abs(B) * mp.mpf(10) ** -40
     assert abs(esym(5) - (-C)) < abs(C) * mp.mpf(10) ** -40
-    # resolvent_coeffs agrees with the inline formulas at a rational j
+    # icosa's table agrees with the inline formulas at a rational j
     jq = Fraction(5, 2)
     wq = Fraction(3, 12)
     got = resolvent_coeffs(Fraction(2), wq, jq)
@@ -711,14 +711,14 @@ def test_resolvent_identity_mutation_rotation(monkeypatch):
 
 @pytest.mark.parametrize("k, term", [(2, 2), (1, 0), (0, 3)])
 def test_resolvent_identity_mutation_table_entry(monkeypatch, k, term):
-    # the proof reads quintic.RESOLVENT_TABLE, the table resolvent_coeffs
+    # the proof reads icosa._RESOLVENT_TABLE, the table resolvent_coeffs
     # evaluates: one coefficient c bumped by 1 must break the identity, at
     # the lowest m-power of its terms that (m U + n V)^k reaches
-    before = quintic.resolvent_coeffs(1, 1, 2)
-    table = dict(quintic.RESOLVENT_TABLE)
+    before = resolvent_coeffs(1, 1, 2)
+    table = dict(icosa._RESOLVENT_TABLE)
     outer, terms = table[k]
     i, p, c = terms[term]
     table[k] = (outer, terms[:term] + ((i, p, c + 1),) + terms[term + 1:])
-    monkeypatch.setattr(quintic, "RESOLVENT_TABLE", table)
-    assert quintic.resolvent_coeffs(1, 1, 2) != before
+    monkeypatch.setattr(icosa, "_RESOLVENT_TABLE", table)
+    assert resolvent_coeffs(1, 1, 2) != before
     assert icosa.resolvent_identity_mismatch() == ("quintic", i)

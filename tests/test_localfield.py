@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -11,7 +10,7 @@ from icosahedral import localfield
 from icosahedral.localfield import (
     artin_schreier_mismatch, family_squares_mismatch,
     hypothesis_triple_mismatch, is_square_5adic_unit,
-    square_unit_table_mismatch, theorem_hypothesis, v5,
+    square_unit_table_mismatch, theorem_hypothesis,
 )
 from icosahedral.quintic import family_quintic, trinomial_t
 
@@ -20,6 +19,12 @@ def pair(x):
     """The rational x as its reduced pair (n, d), d > 0."""
     x = Fraction(x)
     return x.numerator, x.denominator
+
+
+def v5(x):
+    """The 5-adic valuation of a nonzero rational x, by sympy."""
+    x = Fraction(x)
+    return sp.multiplicity(5, sp.Rational(x.numerator, x.denominator))
 
 
 def rand_nonzero(rng):
@@ -36,43 +41,10 @@ def rand_unit(rng):
             return x
 
 
-def test_v5_values():
-    assert v5(Fraction(3, 5)) == -1
-    assert v5(50) == 2
-    assert v5(0) == math.inf
-    assert v5(7) == 0
-    assert v5(Fraction(1, 125)) == -3
-    assert v5(Fraction(-75, 2)) == 2
-    assert all(type(v5(x)) is int for x in (1, 50, Fraction(3, 5)))
-
-
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
 rationals = st.fractions(max_denominator=5 ** 6)
 nonzero = rationals.filter(bool)
-
-
-@PROPERTY
-@given(rationals, rationals)
-def test_v5_is_multiplicative(a, b):
-    # math.inf at 0 absorbs any finite valuation, as 0 * b = 0
-    assert v5(a * b) == v5(a) + v5(b)
-
-
-@PROPERTY
-@given(rationals, rationals)
-def test_v5_ultrametric(a, b):
-    assert min(v5(a), v5(b)) <= v5(a + b)
-    if v5(a) != v5(b):
-        assert v5(a + b) == min(v5(a), v5(b))
-
-
-def test_valuation_ordering():
-    # plain int and float order: inf above every int, at 0 only
-    assert v5(0) == math.inf > v5(5 ** 40)
-    assert v5(Fraction(1, 5)) < v5(1) < v5(5)
-    assert min(v5(0), v5(25)) == 2
-    assert v5(0) + v5(Fraction(1, 5)) == math.inf
 
 
 def test_square_unit_truth_table(monkeypatch):

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,44 @@ def test_all_is_what_the_package_uses(module):
     exported = importlib.import_module(f"icosahedral.{module}").__all__
     assert sorted(exported) == sorted(used)
     assert not [name for name in used if name.startswith("_")]
+
+
+def name_loads(node):
+    """How often each name is loaded in node: as a Name, as an attribute,
+    or by an import from within the package."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom) and n.level:
+            names.update(alias.name for alias in n.names)
+    return names
+
+
+def test_every_definition_has_a_caller():
+    # nothing in src/ serves only the tests: each top-level function or
+    # class, and each method but the dunders, has its name loaded somewhere
+    # in the package outside its own definition
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    everywhere = sum(map(name_loads, trees.values()), Counter())
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    uncalled = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (*functions, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{f.name}", f) for f in node.body
+                         if isinstance(f, functions)
+                         and not (f.name.startswith("__")
+                                  and f.name.endswith("__"))]
+            uncalled += [f"{module}.{name}" for name, d in defs
+                         if everywhere[d.name] == name_loads(d)[d.name]]
+    assert not uncalled, f"no caller in src/: {sorted(uncalled)}"
 
 
 # the proofs beyond the *_mismatch functions whose data once came in by

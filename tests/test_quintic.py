@@ -8,11 +8,10 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icosahedral import quintic
+from icosahedral import icosa, quintic
 from icosahedral.quintic import (
     family_quintic, hyperelliptic_mismatch, invariants, j_equation, j_roots,
-    resolvent_coeffs, solvable_family, solvability_obstruction, t_from_disc,
-    trinomial_t,
+    t_from_disc, trinomial_t,
 )
 
 
@@ -57,6 +56,40 @@ def conjugate_roots(inv):
     pairs (base, +-off) of Fractions in Q[r]/(r^2 - 5*disc)."""
     base, off = fractions(j_roots(inv))
     return (base, off), (base, -off)
+
+
+def resolvent_coeffs(m, n, j):
+    """(A, B, C) of the resolvent quintic at rationals (m, n, j), j outside
+    {0, 1728}, by icosa's table as it is at the call: the coefficient of X^k
+    is (outer/j) sum c m^i n^(5-k-i) e^p over its terms (i, p, c), with
+    e = 1/(1728 - j)."""
+    m, n, j = Fraction(m), Fraction(n), Fraction(j)
+    e = 1 / (1728 - j)
+    table = icosa._RESOLVENT_TABLE
+    return tuple(table[k][0] / j * sum(c * m ** i * n ** (5 - k - i) * e ** p
+                                       for i, p, c in table[k][1])
+                 for k in (2, 1, 0))
+
+
+def solvable_family(v, w):
+    """The (B, C) pair of the solvable square-discriminant trinomials:
+    B = 20 (v^2+v-1)(v^2-v-1) w^4 / (v^2+1)^2 and
+    C = 16 (v^2+v-1)(2v^2+3v-2) w^5 / (v^2+1)^2."""
+    v, w = Fraction(v), Fraction(w)
+    d = (v ** 2 + 1) ** 2
+    return (20 * (v ** 2 + v - 1) * (v ** 2 - v - 1) * w ** 4 / d,
+            16 * (v ** 2 + v - 1) * (2 * v ** 2 + 3 * v - 2) * w ** 5 / d)
+
+
+def solvability_obstruction(v):
+    """The (w, t) that the trinomial shape forces on the solvable family:
+    w = (v^2-v-1)/(2v^2+3v-2) and
+    t = 3 (v^2+1)(2v^2+3v-2)^2 / (5 (2v^3+2v^2-v+1)(v^3+v^2+2v-2)).
+    ZeroDivisionError where 2v^2+3v-2 vanishes, at v = 1/2 and -2."""
+    v = Fraction(v)
+    dw = 2 * v ** 2 + 3 * v - 2
+    dt = 5 * (2 * v ** 3 + 2 * v ** 2 - v + 1) * (v ** 3 + v ** 2 + 2 * v - 2)
+    return (v ** 2 - v - 1) / dw, 3 * (v ** 2 + 1) * dw ** 2 / dt
 
 
 def adj_mul(x, y, square):
@@ -182,13 +215,10 @@ def test_j_candidates_split_when_5disc_square():
     assert Fraction(2) in roots and roots[0] != roots[1]
 
 
-def test_resolvent_coeffs_collapse_and_errors():
+def test_resolvent_coeffs_collapse_at_n_zero():
     m, j = Fraction(3, 2), Fraction(11, 4)
     assert resolvent_coeffs(m, 0, j) == (
         -40 * m ** 3 / j, -5 * m ** 4 / j, -m ** 5 / j)
-    for bad in (0, 1728):
-        with pytest.raises(ValueError):
-            resolvent_coeffs(1, 1, bad)
 
 
 def test_resolvent_coeffs_direct_substitution():
@@ -293,9 +323,11 @@ def test_solvable_family():
 def test_solvability_obstruction():
     assert solvability_obstruction(1) == (Fraction(-1, 3), Fraction(27, 20))
     assert solvability_obstruction(0) == (Fraction(1, 2), Fraction(-6, 5))
-    for bad in (Fraction(1, 2), -2):  # 2v^2 + 3v - 2 = 0
-        with pytest.raises(ValueError):
+    # 2v^2 + 3v - 2 = 0: w has a pole, and the family has C = 0
+    for bad in (Fraction(1, 2), -2):
+        with pytest.raises(ZeroDivisionError):
             solvability_obstruction(bad)
+        assert solvable_family(bad, 1)[1] == 0
 
 
 def test_obstruction_consistency_with_family():
@@ -305,7 +337,7 @@ def test_obstruction_consistency_with_family():
         v = rand_frac(rng, -12, 12, 7)
         try:
             w, t = solvability_obstruction(v)
-        except ValueError:
+        except ZeroDivisionError:
             continue
         if not t or not w:
             continue
@@ -511,6 +543,12 @@ coefficients = st.one_of(
               small_ints, small_ints, small_ints, st.integers(1, 13)))
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
+# at analyze's input bound, MAX_INPUT_DIGITS = 80: three unrelated 80-digit
+# numerators over three unrelated 80-digit denominators, whose lcm has 240
+# digits
+AT_BOUND = (Fraction(2 ** 265 - 1, 3 ** 167),
+            Fraction(-5 ** 114 - 2, 7 ** 94),
+            Fraction(13 ** 71 + 4, 11 ** 76))
 
 
 @PROPERTY
@@ -522,6 +560,8 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
 @example((Fraction(3, 4), Fraction(-2, 5), 0))                # A != 0 = C
 @example((0, Fraction(-25, 9), Fraction(4, 25)))              # A = 0
 @example((0, Fraction(61, 4), Fraction(61, 5)))               # q_t, t = 2/3
+@example(AT_BOUND)
+@example((0, *AT_BOUND[1:]))
 def test_invariants_match_fraction_formulas(abc):
     # invariants evaluates the terms free of a alone when A = 0, and adds
     # the terms in a otherwise: the examples run both branches
@@ -538,6 +578,8 @@ def test_invariants_match_fraction_formulas(abc):
 # 7 divides gamma4 and gamma6 of (a, b, c) = (-4, -4, 1) but not delta, so
 # at k = 7 the denominator of delta^5 alone holds the largest power of 7
 @example((Fraction(-4, 7 ** 3), Fraction(-4, 7 ** 4), Fraction(1, 7 ** 5)))
+@example(AT_BOUND)
+@example((0, *AT_BOUND[1:]))
 def test_j_roots_solve_the_j_equation(abc):
     iv = invariants(*map(pair, abc))
     if not iv[0][0]:
